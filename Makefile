@@ -2,7 +2,8 @@
 # in-tree package on the path; no installation required.
 #
 #   make test        full tier-1 suite (what CI holds the repo to)
-#   make smoke       quick gate: fast tests + perf regression guard
+#   make smoke       quick gate: fast tests, perf regression guard, and a
+#                    2-seed run of every `repro study` kind
 #   make lint        static analysis: repro lint (+ ruff/mypy when installed)
 #   make chaos       fault-injection gate: chaos suites + a small failover run
 #   make mega-smoke  mega-scale gate: 20k-world study over shm transport
@@ -17,11 +18,15 @@ PY := PYTHONPATH=src python
 test:
 	$(PY) -m pytest -x -q
 
+# Every kind's default preset is its smallest one.
+STUDY_KINDS := detection offload economics joint mega
+
 smoke:
 	$(PY) -m pytest -m "not slow" -q
 	$(PY) benchmarks/check_regression.py --quick
-	$(PY) -m repro study offload --scenario small --seeds 8 \
-		--trial-batch 8 --workers 1 --max-ixps 4
+	for kind in $(STUDY_KINDS); do \
+		$(PY) -m repro study $$kind --seeds 2 --workers 1 || exit 1; \
+	done
 
 # The determinism & draw-stream static analysis (always available), plus
 # ruff and the strict-ish mypy profile for the typed surfaces
@@ -54,7 +59,7 @@ chaos:
 # cannot silently rot.
 mega-smoke:
 	$(PY) -m pytest -q tests/test_megatopo.py tests/test_transport.py
-	$(PY) -m repro study mega --scenario mega-smoke --seeds 4 \
+	$(PY) -m repro study mega --preset mega-smoke --seeds 4 \
 		--strict-transport
 
 # The service gate: the scheduler and HTTP suites, then the end-to-end

@@ -89,20 +89,22 @@ def collect_payload(quick: bool = False) -> dict:
     from repro.core.offload import OffloadEstimator, PeerGroups, greedy_expansion
     from repro.experiments import (
         ConfigVariant,
-        EconomicsEnsembleConfig,
+        DetectionStudy,
+        EconomicsStudy,
         EconomicsVariant,
-        EnsembleConfig,
-        JointEnsembleConfig,
-        JointVariant,
-        OffloadEnsembleConfig,
-        OffloadVariant,
-        FailoverEnsembleConfig,
+        FailoverStudy,
         FailoverVariant,
-        run_economics_ensemble,
-        run_ensemble,
-        run_failover_ensemble,
-        run_joint_ensemble,
-        run_offload_ensemble,
+        JointStudy,
+        JointVariant,
+        OffloadStudy,
+        OffloadVariant,
+        StudyConfig,
+        detection_summaries,
+        economics_summaries,
+        failover_summaries,
+        joint_summaries,
+        offload_summaries,
+        run_study,
     )
     from repro.experiments.transport import SegmentManager, attach_columns
     from repro.faults import FaultConfig
@@ -194,35 +196,23 @@ def collect_payload(quick: bool = False) -> dict:
     report = stage("filter_pipeline", lambda: pipeline.run(batch_measurements)
     )
 
-    ensemble_result = stage("ensemble_mini3_16trials", lambda: run_ensemble(
-            EnsembleConfig(
-                seeds=tuple(range(16)),
-                variants=(
-                    ConfigVariant(
-                        name="mini3",
-                        world=DetectionWorldConfig(specs=mini_specs()),
-                    ),
-                ),
-            )
+    mini3 = DetectionStudy(variants=(
+        ConfigVariant(
+            name="mini3", world=DetectionWorldConfig(specs=mini_specs())
+        ),
+    ))
+    ensemble_result = stage("ensemble_mini3_16trials", lambda: run_study(
+            mini3, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (ensemble_summary,) = ensemble_result.summaries()
+    (ensemble_summary,) = detection_summaries(ensemble_result)
 
     if not quick:
-        big_ensemble = stage("detection_ensemble_256trials_small", lambda: run_ensemble(
-                EnsembleConfig(
-                    seeds=tuple(range(256)),
-                    variants=(
-                        ConfigVariant(
-                            name="mini3",
-                            world=DetectionWorldConfig(specs=mini_specs()),
-                        ),
-                    ),
-                    trial_batch=16,
-                )
+        big_ensemble = stage("detection_ensemble_256trials_small", lambda: run_study(
+                mini3, StudyConfig(seeds=tuple(range(256)), trial_batch=16)
             )
         )
-        (big_ensemble_summary,) = big_ensemble.summaries()
+        (big_ensemble_summary,) = detection_summaries(big_ensemble)
 
     offload_world = stage("offload_world_build", lambda: scenarios.rediris(seed=WORLD_SEED)
     )
@@ -241,69 +231,53 @@ def collect_payload(quick: bool = False) -> dict:
     all_ixps = estimator.reachable_ixps()
     max_in, max_out = estimator.offload_fractions(all_ixps, 4)
 
+    paper65 = OffloadStudy(variants=(OffloadVariant(name="paper65"),))
     if not quick:
-        offload_ensemble = stage("offload_ensemble_16trials", lambda: run_offload_ensemble(
-                OffloadEnsembleConfig(
-                    seeds=tuple(range(16)),
-                    variants=(OffloadVariant(name="paper65"),),
-                )
+        offload_ensemble = stage("offload_ensemble_16trials", lambda: run_study(
+                paper65, StudyConfig(seeds=tuple(range(16)))
             )
         )
-        (offload_summary,) = offload_ensemble.summaries()
+        (offload_summary,) = offload_summaries(paper65, offload_ensemble)
 
-    batched_ensemble = stage("offload_ensemble_16trials_batched", lambda: run_offload_ensemble(
-            OffloadEnsembleConfig(
-                seeds=tuple(range(16)),
-                variants=(OffloadVariant(name="paper65"),),
-                trial_batch=16,
-            )
+    batched_ensemble = stage("offload_ensemble_16trials_batched", lambda: run_study(
+            paper65, StudyConfig(seeds=tuple(range(16)), trial_batch=16)
         )
     )
-    (batched_summary,) = batched_ensemble.summaries()
+    (batched_summary,) = offload_summaries(paper65, batched_ensemble)
 
-    economics_ensemble = stage("economics_ensemble_small_16trials", lambda: run_economics_ensemble(
-            EconomicsEnsembleConfig(
-                seeds=tuple(range(16)),
-                variants=(
-                    EconomicsVariant(
-                        name="small", world=rediris_small_config()
-                    ),
-                ),
-            )
+    economics = EconomicsStudy(variants=(
+        EconomicsVariant(name="small", world=rediris_small_config()),
+    ))
+    economics_ensemble = stage("economics_ensemble_small_16trials", lambda: run_study(
+            economics, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (economics_summary,) = economics_ensemble.summaries()
+    (economics_summary,) = economics_summaries(economics, economics_ensemble)
 
     joint_detection, joint_offload = joint_preset_configs("small")
-    joint_ensemble = stage("joint_study_small_16trials", lambda: run_joint_ensemble(
-            JointEnsembleConfig(
-                seeds=tuple(range(16)),
-                variants=(
-                    JointVariant(
-                        name="small",
-                        detection_world=joint_detection,
-                        offload_world=joint_offload,
-                    ),
-                ),
-            )
+    joint = JointStudy(variants=(
+        JointVariant(
+            name="small",
+            detection_world=joint_detection,
+            offload_world=joint_offload,
+        ),
+    ))
+    joint_ensemble = stage("joint_study_small_16trials", lambda: run_study(
+            joint, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (joint_summary,) = joint_ensemble.summaries()
+    (joint_summary,) = joint_summaries(joint, joint_ensemble)
 
-    failover_ensemble = stage("failover_scenario_small", lambda: run_failover_ensemble(
-            FailoverEnsembleConfig(
-                seeds=tuple(range(16)),
-                variants=(
-                    FailoverVariant(
-                        name="small",
-                        world=rediris_small_config(),
-                        faults=FaultConfig(),
-                    ),
-                ),
-            )
+    failover = FailoverStudy(variants=(
+        FailoverVariant(
+            name="small", world=rediris_small_config(), faults=FaultConfig(),
+        ),
+    ))
+    failover_ensemble = stage("failover_scenario_small", lambda: run_study(
+            failover, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (failover_summary,) = failover_ensemble.summaries()
+    (failover_summary,) = failover_summaries(failover, failover_ensemble)
 
     payload = {
         "schema": "bench_speed/v8",

@@ -15,16 +15,17 @@ Run with::
     PYTHONPATH=src python examples/economics_study.py
 
 It finishes in a few seconds; swap in the paper65 preset (or
-``repro study economics --scenario paper65``) for the full 29,570-network
-world.  Passing ``out_dir`` to ``run_economics_ensemble`` makes the run
-resumable — kill it mid-way, rerun, and only the missing trials execute.
+``repro study economics --preset paper65``) for the full 29,570-network
+world.  Setting ``StudyConfig.out_dir`` makes the run resumable — kill it
+mid-way, rerun, and only the missing trials execute.
 """
 
 from repro.experiments import (
-    EconomicsEnsembleConfig,
+    EconomicsStudy,
     EconomicsVariant,
-    render_economics_ensemble_report,
-    run_economics_ensemble,
+    StudyConfig,
+    render_report,
+    run_study,
 )
 from repro.sim.scenarios import rediris_small_config
 
@@ -35,24 +36,24 @@ def main() -> None:
     # IXPs offload little, so remote peering's fixed-cost advantage h << g
     # is huge).  Both variants share one world build per seed — the study
     # engine groups trials by world config.
-    config = EconomicsEnsembleConfig(
-        seeds=tuple(range(16)),
-        variants=(
-            EconomicsVariant(name="european", world=rediris_small_config()),
-            EconomicsVariant(
-                name="african",
-                world=rediris_small_config(),
-                transit_price=10.0,   # p: expensive transit
-                direct_fixed=8.0,     # g: extending own infra to Europe
-                direct_unit=1.0,      # u
-                remote_fixed=0.8,     # h: remote peering an order cheaper
-                remote_unit=3.0,      # v
-            ),
+    study = EconomicsStudy(variants=(
+        EconomicsVariant(name="european", world=rediris_small_config()),
+        EconomicsVariant(
+            name="african",
+            world=rediris_small_config(),
+            transit_price=10.0,   # p: expensive transit
+            direct_fixed=8.0,     # g: extending own infra to Europe
+            direct_unit=1.0,      # u
+            remote_fixed=0.8,     # h: remote peering an order cheaper
+            remote_unit=3.0,      # v
         ),
+    ))
+    config = StudyConfig(
+        seeds=tuple(range(16)),
         workers=0,  # one process per world group
     )
-    result = run_economics_ensemble(config)
-    print(render_economics_ensemble_report(result))
+    result = run_study(study, config)
+    print(render_report(study, result))
     print()
     print(
         "Reading the report: both variants offload the same traffic and "

@@ -13,27 +13,27 @@ Run with::
 """
 
 from repro.experiments import (
-    EnsembleConfig,
+    DetectionStudy,
+    StudyConfig,
     grid_variants,
-    render_ensemble_report,
-    run_ensemble,
+    render_report,
+    run_study,
 )
 from repro.sim.detection_world import DetectionWorldConfig
 from repro.sim.scenarios import mini_specs
 
 
 def main() -> None:
-    variants = grid_variants(
+    study = DetectionStudy(variants=grid_variants(
         world=DetectionWorldConfig(specs=mini_specs()),
         axes={"campaign.remoteness_threshold_ms": (5.0, 10.0, 20.0)},
-    )
-    config = EnsembleConfig(
+    ))
+    config = StudyConfig(
         seeds=tuple(range(16)),
-        variants=variants,
         workers=0,  # one process per core
     )
-    result = run_ensemble(config)
-    print(render_ensemble_report(result, per_ixp=True))
+    result = run_study(study, config)
+    print(render_report(study, result, per_ixp=True))
     print()
     print(
         "Reading the report: the 10 ms threshold's precision CI should sit "

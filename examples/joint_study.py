@@ -29,16 +29,17 @@ but precision/recall and hence the billed numbers barely move, which is
 exactly the property the joint chain exists to check (a fragile filter
 stack would show up here as a widening gap and forecast error).  ``repro
 study joint`` and ``repro scenarios run joint`` are the CLI front ends;
-passing ``out_dir`` to ``run_joint_ensemble`` makes the run resumable.
+setting ``StudyConfig.out_dir`` makes the run resumable.
 """
 
 from dataclasses import replace
 
 from repro.experiments import (
-    JointEnsembleConfig,
+    JointStudy,
     JointVariant,
-    render_joint_ensemble_report,
-    run_joint_ensemble,
+    StudyConfig,
+    render_report,
+    run_study,
 )
 from repro.experiments.scenarios import scaled_behavior_rates
 from repro.sim.scenarios import joint_preset_configs
@@ -61,12 +62,9 @@ def main() -> None:
         ),
         offload_world=offload_world,
     )
-    config = JointEnsembleConfig(
-        seeds=tuple(range(16)),
-        variants=(calibrated, stressed),
-    )
-    result = run_joint_ensemble(config)
-    print(render_joint_ensemble_report(result))
+    study = JointStudy(variants=(calibrated, stressed))
+    result = run_study(study, StudyConfig(seeds=tuple(range(16))))
+    print(render_report(study, result))
     print()
     print(
         "Reading: 'detected offload' is the fraction estimated from the "

@@ -1,27 +1,25 @@
 """Command-line entry points: ``repro-detect``, ``repro-offload``,
-``repro-econ``, ``repro-ensemble``, ``repro-offload-ensemble`` — and the
-``repro <command>`` dispatcher that fronts them all.
+``repro-econ`` — and the ``repro <command>`` dispatcher that fronts them
+all.
 
-Each command builds the corresponding synthetic world, runs the study, and
-prints the paper-shaped report as plain text.  The unified multi-seed
-front end is ``repro study detection|offload|economics|joint``: every
-study runs on the shared engine (seed × grid expansion, per-variant world
-caching, process-pool fan-out, resumable ``--out`` artifacts).
-``detection`` and ``offload`` are the Section 3/4 ensembles (``repro
-ensemble`` and ``repro offload-ensemble`` are their long-standing
-aliases, byte-for-byte identical reports); ``economics`` chains
-Sections 3+4+5 — measured offload curve → decay fit → 95th-percentile
-billing → eq. 14 viability vote — across seeds; ``joint`` replays each
-seed's measured detection confusion onto the offload world's peer map
-and prices the oracle-vs-detected gap.  ``repro scenarios list|run``
-fronts the scenario library (:mod:`repro.experiments.scenarios`): the
-ROADMAP's scenario backlog as named presets.
+The single-world commands build one synthetic world, run the study and
+print the paper-shaped report as plain text.  The multi-seed front end is
+``repro study <kind>`` for every kind of the study registry
+(:mod:`repro.experiments.requests`): each flag is ``--`` plus a request
+key with ``_`` → ``-``, so a command line and a ``POST /studies`` body
+describe the same run and share its result fingerprint.  Every study runs
+on the shared engine (seed × grid expansion, per-variant world caching,
+process-pool fan-out, resumable ``--out`` artifacts).  ``repro scenarios
+list|run`` fronts the scenario library
+(:mod:`repro.experiments.scenarios`): named variant grids, reported
+through the same registry renderers.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.tables import render_table
 from repro.core.detection import CampaignConfig, ProbeCampaign
@@ -46,6 +44,9 @@ from repro.sim import (
     build_offload_world,
 )
 from repro.units import format_rate
+
+if TYPE_CHECKING:  # the study stack is imported lazily, per command
+    from repro.experiments.engine import StudyResult
 
 
 def detect_main(argv: list[str] | None = None) -> int:
@@ -237,527 +238,6 @@ def econ_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def ensemble_main(argv: list[str] | None = None) -> int:
-    """Run a multi-seed (optionally multi-config) detection ensemble."""
-    parser = argparse.ArgumentParser(
-        prog="repro-ensemble",
-        description="Multi-seed ensemble of the detection study: "
-        "mean ± 95% CI for precision, recall, per-filter discards and "
-        "per-IXP remote fractions.",
-    )
-    parser.add_argument(
-        "--scenario", choices=("mini3", "paper22"), default="mini3",
-        help="world to replicate (default: the fast 3-IXP mini world)",
-    )
-    parser.add_argument(
-        "--ixps", nargs="*", default=None,
-        help="override the scenario with these IXP acronyms",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=16,
-        help="number of trial seeds (default: 16)",
-    )
-    parser.add_argument(
-        "--seed-offset", type=int, default=0,
-        help="first seed (seeds are offset..offset+N-1)",
-    )
-    parser.add_argument(
-        "--threshold-ms", type=float, nargs="*", default=None,
-        help="remoteness threshold grid (default: just 10 ms)",
-    )
-    parser.add_argument(
-        "--engine", choices=("vectorized", "scalar"), default="vectorized",
-        help="world-builder engine (default: vectorized)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="trial processes (0 = one per core, 1 = inline)",
-    )
-    parser.add_argument(
-        "--trial-batch", type=int, default=1,
-        help="seeds per trial batch (results are bit-identical per seed; "
-        ">1 groups same-variant seeds and suspends GC per group)",
-    )
-    parser.add_argument(
-        "--per-ixp", action="store_true",
-        help="also print per-IXP detected remote fractions",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory: completed trials are written as JSONL "
-        "and skipped on rerun (resumable ensembles)",
-    )
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-    if args.workers < 0:
-        parser.error("--workers cannot be negative")
-    if args.trial_batch < 1:
-        parser.error("--trial-batch must be at least 1")
-    if args.threshold_ms and any(t <= 0 for t in args.threshold_ms):
-        parser.error("--threshold-ms values must be positive")
-
-    from repro.experiments import (
-        EnsembleConfig,
-        grid_variants,
-        render_ensemble_report,
-        run_ensemble,
-    )
-    from repro.sim.scenarios import detection_preset_specs
-
-    if args.ixps:
-        from repro.errors import ConfigurationError
-        from repro.ixp.catalog import spec_by_acronym
-
-        try:
-            # Resolve each name individually so typos fail loudly instead
-            # of silently shrinking the ensemble.
-            specs = tuple(spec_by_acronym(name) for name in dict.fromkeys(args.ixps))
-        except ConfigurationError as error:
-            parser.error(str(error))
-    else:
-        specs = detection_preset_specs(args.scenario)
-    world = DetectionWorldConfig(specs=specs, engine=args.engine)
-    axes = {}
-    if args.threshold_ms:
-        # Dedup: repeated values would produce same-named variants.
-        axes["campaign.remoteness_threshold_ms"] = tuple(
-            dict.fromkeys(args.threshold_ms)
-        )
-    config = EnsembleConfig(
-        seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)),
-        variants=grid_variants(world=world, axes=axes),
-        workers=args.workers,
-        trial_batch=args.trial_batch,
-    )
-    result = run_ensemble(config, out_dir=args.out)
-    print(render_ensemble_report(result, per_ixp=args.per_ixp))
-    return 0
-
-
-def offload_ensemble_main(argv: list[str] | None = None) -> int:
-    """Run a multi-seed (optionally multi-config) offload ensemble."""
-    parser = argparse.ArgumentParser(
-        prog="repro-offload-ensemble",
-        description="Multi-seed ensemble of the Section 4 offload study: "
-        "mean ± 95% CI offload fractions, offloadable-network counts and "
-        "the greedy IXP expansion consensus across seeds × config grid.",
-    )
-    parser.add_argument(
-        "--scenario", choices=("small", "paper65"), default="paper65",
-        help="world scale: the full 29,570-network paper world (default) "
-        "or the ~3k-network small world",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=16,
-        help="number of trial seeds (default: 16)",
-    )
-    parser.add_argument(
-        "--seed-offset", type=int, default=0,
-        help="first seed (seeds are offset..offset+N-1)",
-    )
-    parser.add_argument(
-        "--groups", type=int, nargs="*", default=(4,), choices=(1, 2, 3, 4),
-        help="peer groups to study (default: group 4)",
-    )
-    parser.add_argument(
-        "--member-tier2-fraction", type=float, nargs="*", default=None,
-        help="grid axis over OffloadWorldConfig.member_tier2_fraction",
-    )
-    parser.add_argument(
-        "--tier1-only-stub-fraction", type=float, nargs="*", default=None,
-        help="grid axis over OffloadWorldConfig.tier1_only_stub_fraction",
-    )
-    parser.add_argument(
-        "--max-ixps", type=int, default=8, help="greedy expansion depth"
-    )
-    parser.add_argument(
-        "--engine", choices=("vectorized", "scalar"), default="vectorized",
-        help="offload-world engine (default: vectorized)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="trial processes (0 = one per core, 1 = inline)",
-    )
-    parser.add_argument(
-        "--trial-batch", type=int, default=1,
-        help="seeds per trial batch: >1 realizes same-variant seed "
-        "batches as one array program (bit-identical per seed, "
-        "several times faster at paper scale)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory: completed trials are written as JSONL "
-        "and skipped on rerun (resumable ensembles)",
-    )
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-    if args.workers < 0:
-        parser.error("--workers cannot be negative")
-    if args.trial_batch < 1:
-        parser.error("--trial-batch must be at least 1")
-    if args.max_ixps < 1:
-        parser.error("--max-ixps must be at least 1")
-    if not args.groups:
-        parser.error("--groups needs at least one group")
-
-    from repro.experiments import (
-        OffloadEnsembleConfig,
-        offload_grid_variants,
-        render_offload_ensemble_report,
-        run_offload_ensemble,
-    )
-    from repro.sim.scenarios import offload_preset_config
-
-    world = offload_preset_config(args.scenario, engine=args.engine)
-    axes = {}
-    if args.member_tier2_fraction:
-        axes["world.member_tier2_fraction"] = tuple(
-            dict.fromkeys(args.member_tier2_fraction)
-        )
-    if args.tier1_only_stub_fraction:
-        axes["world.tier1_only_stub_fraction"] = tuple(
-            dict.fromkeys(args.tier1_only_stub_fraction)
-        )
-    from repro.errors import ConfigurationError
-
-    try:
-        # Grid values feed straight into OffloadWorldConfig validation;
-        # surface bad fractions as argparse errors, not tracebacks.
-        config = OffloadEnsembleConfig(
-            seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)),
-            variants=offload_grid_variants(
-                world=world,
-                axes=axes,
-                groups=tuple(dict.fromkeys(args.groups)),
-                max_ixps=args.max_ixps,
-            ),
-            workers=args.workers,
-            trial_batch=args.trial_batch,
-        )
-    except ConfigurationError as error:
-        parser.error(str(error))
-    result = run_offload_ensemble(config, out_dir=args.out)
-    print(render_offload_ensemble_report(result))
-    return 0
-
-
-def economics_study_main(argv: list[str] | None = None) -> int:
-    """Run the Sections 3+4+5 economics ensemble: savings CIs + eq. 14 vote."""
-    parser = argparse.ArgumentParser(
-        prog="repro-study-economics",
-        description="Multi-seed ensemble of the end-to-end economics "
-        "pipeline: per-seed offload world -> measured decay fit -> "
-        "95th-percentile billing -> eq. 14 viability; reports mean ± 95% "
-        "CI transit-bill savings and the viability vote across seeds.",
-    )
-    parser.add_argument(
-        "--scenario", choices=("small", "paper65"), default="small",
-        help="world scale: the ~3k-network small world (default, seconds) "
-        "or the full 29,570-network paper world",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=16,
-        help="number of trial seeds (default: 16)",
-    )
-    parser.add_argument(
-        "--seed-offset", type=int, default=0,
-        help="first seed (seeds are offset..offset+N-1)",
-    )
-    parser.add_argument(
-        "--group", type=int, default=4, choices=(1, 2, 3, 4),
-        help="peer group (paper Section 4.2; default: 4)",
-    )
-    parser.add_argument(
-        "--max-ixps", type=int, default=20,
-        help="depth of the fitted remaining-traffic series (default: 20)",
-    )
-    parser.add_argument("--transit-price", "-p", type=float, default=5.0)
-    parser.add_argument("--direct-fixed", "-g", type=float, default=1.0)
-    parser.add_argument("--direct-unit", "-u", type=float, default=0.5)
-    parser.add_argument("--remote-fixed", "-H", type=float, default=0.25)
-    parser.add_argument("--remote-unit", "-v", type=float, default=1.5)
-    parser.add_argument(
-        "--price-per-mbps", type=float, default=1.0,
-        help="billing price for the NetFlow 95th-percentile bill",
-    )
-    parser.add_argument(
-        "--engine", choices=("vectorized", "scalar"), default="vectorized",
-        help="offload-world engine (default: vectorized)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="trial processes (0 = one per core, 1 = inline)",
-    )
-    parser.add_argument(
-        "--trial-batch", type=int, default=1,
-        help="seeds per trial batch: >1 realizes same-variant seed "
-        "batches as one array program (bit-identical per seed)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory: completed trials are written as JSONL "
-        "and skipped on rerun (resumable ensembles)",
-    )
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-    if args.workers < 0:
-        parser.error("--workers cannot be negative")
-    if args.trial_batch < 1:
-        parser.error("--trial-batch must be at least 1")
-
-    from repro.errors import ConfigurationError, EconomicsError
-    from repro.experiments import (
-        EconomicsEnsembleConfig,
-        EconomicsVariant,
-        render_economics_ensemble_report,
-        run_economics_ensemble,
-    )
-    from repro.sim.scenarios import offload_preset_config
-
-    try:
-        config = EconomicsEnsembleConfig(
-            seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)),
-            variants=(
-                EconomicsVariant(
-                    name=args.scenario,
-                    world=offload_preset_config(
-                        args.scenario, engine=args.engine
-                    ),
-                    group=args.group,
-                    max_ixps=args.max_ixps,
-                    transit_price=args.transit_price,
-                    direct_fixed=args.direct_fixed,
-                    direct_unit=args.direct_unit,
-                    remote_fixed=args.remote_fixed,
-                    remote_unit=args.remote_unit,
-                    price_per_mbps=args.price_per_mbps,
-                ),
-            ),
-            workers=args.workers,
-            trial_batch=args.trial_batch,
-        )
-    except (ConfigurationError, EconomicsError) as error:
-        parser.error(str(error))
-    result = run_economics_ensemble(config, out_dir=args.out)
-    print(render_economics_ensemble_report(result))
-    return 0
-
-
-def joint_study_main(argv: list[str] | None = None) -> int:
-    """Run the joint detection→offload ensemble: gap + billing error CIs."""
-    parser = argparse.ArgumentParser(
-        prog="repro-study-joint",
-        description="Multi-seed joint detection->offload study: per seed, "
-        "run the Section 3 campaign, replay its measured confusion onto "
-        "the offload world's peer map, and feed the *detected* remote-peer "
-        "set into the offload estimator and the 95th-percentile bill; "
-        "reports mean ± 95% CI precision/recall, the offload fraction via "
-        "the detected set, the oracle-vs-detected gap, and billing savings.",
-    )
-    parser.add_argument(
-        "--preset", choices=("small", "paper"), default="small",
-        help="world family: mini3 detection + ~3k-AS offload world "
-        "(default, seconds) or the full paper-scale pair",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=16,
-        help="number of trial seeds (default: 16)",
-    )
-    parser.add_argument(
-        "--seed-offset", type=int, default=0,
-        help="first seed (seeds are offset..offset+N-1)",
-    )
-    parser.add_argument(
-        "--group", type=int, default=4, choices=(1, 2, 3, 4),
-        help="peer group (paper Section 4.2; default: 4)",
-    )
-    parser.add_argument(
-        "--remote-fraction", type=float, default=None,
-        help="oracle remote share of candidate members (default: the "
-        "detection world's measured ground-truth remote fraction)",
-    )
-    parser.add_argument(
-        "--price-per-mbps", type=float, default=1.0,
-        help="billing price for the NetFlow 95th-percentile bill",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="trial processes (0 = one per core, 1 = inline)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory: completed trials are written as JSONL "
-        "and skipped on rerun (resumable ensembles)",
-    )
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-    if args.workers < 0:
-        parser.error("--workers cannot be negative")
-
-    from repro.errors import ConfigurationError
-    from repro.experiments import (
-        JointEnsembleConfig,
-        JointVariant,
-        render_joint_ensemble_report,
-        run_joint_ensemble,
-    )
-    from repro.sim.scenarios import joint_preset_configs
-
-    try:
-        detection_world, offload_world = joint_preset_configs(args.preset)
-        config = JointEnsembleConfig(
-            seeds=tuple(range(args.seed_offset,
-                              args.seed_offset + args.seeds)),
-            variants=(
-                JointVariant(
-                    name=args.preset,
-                    detection_world=detection_world,
-                    offload_world=offload_world,
-                    group=args.group,
-                    remote_fraction=args.remote_fraction,
-                    price_per_mbps=args.price_per_mbps,
-                ),
-            ),
-            workers=args.workers,
-        )
-    except ConfigurationError as error:
-        parser.error(str(error))
-    result = run_joint_ensemble(config, out_dir=args.out)
-    print(render_joint_ensemble_report(result))
-    return 0
-
-
-def mega_study_main(argv: list[str] | None = None) -> int:
-    """Run the mega-scale Euro-IX expansion study (10⁵+ network worlds)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-study-mega",
-        description="Multi-seed mega-scale expansion study: a CAIDA-style "
-        "tiered world over a columnar 10⁵+-network pool and the full "
-        "Euro-IX catalog, dispatched to workers over zero-copy "
-        "shared-memory transport; reports mean ± 95% CI covered-traffic "
-        "fractions and the greedy IXP expansion.",
-    )
-    parser.add_argument(
-        "--scenario", choices=("mega-smoke", "mega"), default="mega-smoke",
-        help="world scale: the ~20k-network CI smoke world (default) or "
-        "the 100k-network mega world",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=4,
-        help="number of trial seeds (default: 4)",
-    )
-    parser.add_argument(
-        "--seed-offset", type=int, default=0,
-        help="first seed (seeds are offset..offset+N-1)",
-    )
-    parser.add_argument(
-        "--max-ixps", type=int, default=8, help="greedy expansion depth"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="trial processes (0 = one per core, 1 = inline)",
-    )
-    parser.add_argument(
-        "--transport", choices=("shm", "pickle"), default="shm",
-        help="world transport to workers: zero-copy shared-memory "
-        "segments (default) or per-group pickling",
-    )
-    parser.add_argument(
-        "--strict-transport", action="store_true",
-        help="fail (exit 1) if any trial fell back from shared-memory "
-        "to pickle transport",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory: completed trials are written as JSONL "
-        "and skipped on rerun (resumable studies)",
-    )
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-    if args.workers < 0:
-        parser.error("--workers cannot be negative")
-    if args.max_ixps < 1:
-        parser.error("--max-ixps must be at least 1")
-
-    from repro.errors import ConfigurationError
-    from repro.experiments import MegaStudy, MegaVariant
-    from repro.experiments.engine import StudyConfig, run_study
-    from repro.sim.scenarios import mega_preset_config
-
-    try:
-        study = MegaStudy(
-            variants=(
-                MegaVariant(
-                    name=args.scenario,
-                    world=mega_preset_config(args.scenario),
-                    max_ixps=args.max_ixps,
-                ),
-            ),
-        )
-        config = StudyConfig(
-            seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)),
-            workers=args.workers,
-            out_dir=args.out,
-            transport=args.transport,
-        )
-    except ConfigurationError as error:
-        parser.error(str(error))
-    result = run_study(study, config)
-
-    def _pct(ci) -> str:
-        if ci is None:
-            return "n/a"
-        return f"{ci.mean:.1%} ± {ci.half_width:.1%}"
-
-    rows = []
-    for variant in study.variant_names():
-        stats = result.streaming.get(variant, {})
-        covered = stats.get("covered_fraction")
-        five = stats.get("five_ixp_share")
-        members = stats.get("covered_networks")
-        rows.append([
-            variant,
-            _pct(covered),
-            _pct(five),
-            "n/a" if members is None else f"{members.mean:,.0f}",
-        ])
-    trials = len(result.trials) + len(result.failures)
-    print(render_table(
-        ["variant", "covered traffic", "5-IXP share", "covered networks"],
-        rows,
-        title=(
-            f"Mega expansion: {trials} trials "
-            f"({len(study.variants)} variant(s) x {args.seeds} seed(s), "
-            f"{result.wall_s:.1f} s wall, transport={args.transport})"
-        ),
-    ))
-    if result.trials:
-        first = result.trials[0]
-        print(
-            f"\nWorld: {first.network_count:,} networks, "
-            f"{first.member_total:,} IXP memberships "
-            f"(build {first.build_s:.2f} s, trial {first.study_s:.2f} s)."
-        )
-        print("Greedy expansion (seed "
-              f"{first.seed}): {' -> '.join(first.expansion)}")
-    note = result.coverage_note()
-    if note:
-        print(f"\nNote: {note}")
-    if args.strict_transport and result.transport_fallbacks:
-        print(
-            f"error: --strict-transport set and {result.transport_fallbacks} "
-            "trial(s) fell back to pickle transport",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def lint_main(argv: list[str] | None = None) -> int:
     """``repro lint`` — the determinism & draw-stream static analysis.
 
@@ -836,36 +316,24 @@ def scenarios_main(argv: list[str] | None = None) -> int:
         "--preset", choices=("small", "paper"), default="small",
         help="world scale (default: small, seconds; paper = full scale)",
     )
-    runner.add_argument(
-        "--seeds", type=int, default=16,
-        help="number of trial seeds (default: 16)",
-    )
-    runner.add_argument(
-        "--seed-offset", type=int, default=0,
-        help="first seed (seeds are offset..offset+N-1)",
-    )
+    _add_seed_flags(runner, 16)
     runner.add_argument(
         "--workers", type=int, default=0,
         help="trial processes (0 = one per core, 1 = inline)",
     )
-    runner.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory: completed trials are written as JSONL "
-        "and skipped on rerun (resumable ensembles)",
-    )
+    _add_out_flag(runner)
     args = parser.parse_args(argv)
 
-    from repro.errors import ConfigurationError
-    from repro.experiments.scenarios import SCENARIOS, get_scenario
+    from repro.experiments.scenarios import SCENARIOS
 
     if args.action == "list":
         rows = []
         for scenario in SCENARIOS.values():
-            run = scenario.build(preset="small", seeds=(0,))
+            study = scenario.build(preset="small", seeds=(0,)).study
             rows.append([
                 scenario.name,
-                scenario.study_kind,
-                len(run.study.variant_names()),
+                study.name,
+                len(study.variant_names()),
                 scenario.description,
             ])
         print(render_table(
@@ -874,72 +342,130 @@ def scenarios_main(argv: list[str] | None = None) -> int:
             title="Scenario library (presets: small, paper)",
         ))
         return 0
-
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-    if args.workers < 0:
-        parser.error("--workers cannot be negative")
-    try:
-        run = get_scenario(args.name).build(
-            preset=args.preset,
-            seeds=tuple(range(args.seed_offset,
-                              args.seed_offset + args.seeds)),
-            workers=args.workers,
-        )
-    except ConfigurationError as error:
-        parser.error(str(error))
-    _, report = run.execute(args.out)
-    print(report)
+    _run_request(runner, "scenario", {
+        "name": args.name,
+        "preset": args.preset,
+        "seeds": {"count": args.seeds, "offset": args.seed_offset},
+        "workers": args.workers,
+    }, args.out)
     return 0
 
 
-#: The ``repro study`` sub-dispatcher: one entry point per study kind.
-#: ``detection`` and ``offload`` are the existing ensemble commands (so
-#: their reports are byte-identical to ``repro ensemble`` /
-#: ``repro offload-ensemble`` on the same arguments); ``economics`` is
-#: the Sections 3+4+5 pipeline; ``joint`` chains detection into offload
-#: and billing with the measured confusion replayed onto the peer map.
-_STUDIES = {}  # populated below (after the mains are defined)
-
-
 def study_main(argv: list[str] | None = None) -> int:
-    """``repro study <kind> [args...]`` — the unified study front end."""
+    """``repro study <kind> [--key value ...]`` — one flag per request key."""
+    from repro.experiments.requests import STUDIES, request_kinds
+
     parser = argparse.ArgumentParser(
         prog="repro-study",
-        description="Run a multi-seed study: detection (Section 3), "
-        "offload (Section 4), economics (Sections 3+4+5) or joint (the "
-        "detection->offload->billing chain with measured detection errors "
-        "propagated into the peer map).  All studies share the engine's "
-        "seed grids, world caching, parallelism and resumable --out "
-        "artifacts.",
+        description="Run a multi-seed study of the study registry.  Every "
+        "flag is a request key (--max-ixps is max_ixps), so the same "
+        "study submitted to `repro serve` shares this run's fingerprint.",
     )
-    parser.add_argument("kind", choices=sorted(_STUDIES))
-    parser.add_argument("args", nargs=argparse.REMAINDER)
-    parsed = parser.parse_args(argv)
-    return _STUDIES[parsed.kind](parsed.args)
+    sub = parser.add_subparsers(dest="kind", required=True, metavar="kind")
+    commands = {}
+    for name in request_kinds():
+        kind = STUDIES[name]
+        command = sub.add_parser(
+            name, help=kind.about, description=kind.about
+        )
+        _add_seed_flags(command, kind.seeds)
+        for option in kind.options:
+            default = option.default
+            if isinstance(default, tuple):
+                default = " ".join(map(str, default))
+            command.add_argument(
+                "--" + option.key.replace("_", "-"),
+                type=option.type,
+                nargs="+" if option.many else None,
+                choices=option.choices or None,
+                help=option.help if default is None
+                else f"{option.help} (default: {default})",
+            )
+        for flag, text in kind.flags:
+            command.add_argument(
+                "--" + flag.replace("_", "-"), action="store_true", help=text
+            )
+        _add_out_flag(command)
+        commands[name] = command
+    args = parser.parse_args(argv)
+
+    kind = STUDIES[args.kind]
+    config = {
+        option.key: getattr(args, option.key)
+        for option in kind.options
+        if getattr(args, option.key) is not None
+    }
+    config["seeds"] = {"count": args.seeds, "offset": args.seed_offset}
+    flags = {flag: getattr(args, flag) for flag, _ in kind.flags}
+    strict_transport = flags.pop("strict_transport", False)
+    result = _run_request(commands[args.kind], args.kind, config, args.out,
+                          **flags)
+    if strict_transport and result.transport_fallbacks:
+        print(
+            f"error: --strict-transport set and {result.transport_fallbacks} "
+            "trial(s) fell back to pickle transport",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+def _add_seed_flags(parser: argparse.ArgumentParser, count: int) -> None:
+    parser.add_argument(
+        "--seeds", type=int, default=count,
+        help=f"number of trial seeds (default: {count})",
+    )
+    parser.add_argument(
+        "--seed-offset", type=int, default=0,
+        help="first seed (seeds are offset..offset+N-1)",
+    )
+
+
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="artifact directory: completed trials are written as JSONL "
+        "and skipped on rerun (resumable studies)",
+    )
+
+
+def _run_request(
+    parser: argparse.ArgumentParser,
+    kind: str,
+    config: dict[str, Any],
+    out_dir: str | None,
+    **flags: bool,
+) -> StudyResult:
+    """Resolve one request, run it and print its report; returns the result.
+
+    A malformed request is a usage error of ``parser`` (exit status 2).
+    """
+    from dataclasses import replace
+
+    from repro.errors import ConfigurationError
+    from repro.experiments.engine import run_study
+    from repro.experiments.requests import render_report, resolve
+
+    try:
+        _, study, study_config = resolve(kind, config)
+    except ConfigurationError as error:
+        parser.error(str(error))
+    result = run_study(study, replace(study_config, out_dir=out_dir))
+    print(render_report(study, result, **flags))
+    return result
 
 
 #: Subcommands of the ``repro`` dispatcher.
 _COMMANDS = {
     "detect": detect_main,
     "offload": offload_main,
-    "offload-ensemble": offload_ensemble_main,
     "econ": econ_main,
     "report": report_main,
-    "ensemble": ensemble_main,
     "scenarios": scenarios_main,
     "serve": serve_main,
     "study": study_main,
     "lint": lint_main,
 }
-
-_STUDIES.update({
-    "detection": ensemble_main,
-    "offload": offload_ensemble_main,
-    "economics": economics_study_main,
-    "joint": joint_study_main,
-    "mega": mega_study_main,
-})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -36,10 +36,19 @@ package runs those distributions through a single *study engine*:
     measured offload curve → decay fit → 95th-percentile billing →
     eq. 14 viability), :class:`JointStudy` (below) and
     :class:`FailoverStudy` (offload savings eroded by pseudowire dark
-    windows), each with its grid builder and a config/result pair.
-    ``run_ensemble`` / ``run_offload_ensemble`` /
-    ``run_economics_ensemble`` / ``run_joint_ensemble`` /
-    ``run_failover_ensemble`` are thin front ends over ``run_study``.
+    windows), each with its variant type, grid builder and a
+    ``*_summaries(…)`` function turning a :class:`StudyResult` into
+    per-variant mean ± 95% CI aggregates.  All of them run through
+    :func:`run_study`.
+
+``requests``
+    The study registry behind every front end: for each study kind
+    (``detection``, ``offload``, ``economics``, ``joint``, ``mega``) a
+    typed request schema, a factory from a validated request to its
+    ``Study``, and a renderer; :func:`render_report` reports any finished
+    run and appends its coverage note.  ``repro study <kind>`` maps its
+    flags onto the schema, ``POST /studies`` bodies are requests, and
+    scenarios render through the same registry.
 
 ``mega`` / ``transport``
     The mega-scale tier: :class:`MegaStudy` runs the greedy Euro-IX
@@ -174,8 +183,9 @@ stdlib-only asyncio HTTP.  One submission flows:
 
 1. **Resolve.**  ``POST /studies`` carries a declarative JSON request
    (``{"study": "detection", "config": {...}}``);
-   :func:`repro.serve.jobs.resolve_request` turns it into a live
-   ``(Study, StudyConfig)`` pair — and the scheduler journals the JSON
+   :func:`repro.serve.jobs.resolve_request` validates it against the
+   study registry (:mod:`repro.experiments.requests`) and turns it into a
+   live ``(Study, StudyConfig)`` pair — and the scheduler journals the JSON
    verbatim to ``<store>/jobs.jsonl``, so a killed service re-enqueues
    the job on restart (:meth:`StudyScheduler.recover`).
 2. **Queue.**  The job enters the priority queue (higher ``priority``
@@ -225,32 +235,32 @@ one offload world on the same trial seed — and chains them:
 
 Usage — 16 seeds × three thresholds of the 3-IXP detection world::
 
-    from repro.experiments import EnsembleConfig, grid_variants, run_ensemble
-    from repro.reporting import render_ensemble_report
+    from repro.experiments import (
+        DetectionStudy, StudyConfig, grid_variants, render_report, run_study,
+    )
     from repro.sim.detection_world import DetectionWorldConfig
     from repro.sim.scenarios import mini_specs
 
-    config = EnsembleConfig(
+    study = DetectionStudy(variants=grid_variants(
+        world=DetectionWorldConfig(specs=mini_specs()),
+        axes={"campaign.remoteness_threshold_ms": (5.0, 10.0, 20.0)},
+    ))
+    config = StudyConfig(
         seeds=tuple(range(16)),
-        variants=grid_variants(
-            world=DetectionWorldConfig(specs=mini_specs()),
-            axes={"campaign.remoteness_threshold_ms": (5.0, 10.0, 20.0)},
-        ),
         workers=0,          # 0 = one process per core (capped at #groups)
     )
-    result = run_ensemble(config)          # builds each seed's world ONCE
-    print(render_ensemble_report(result))  # mean ± 95% CI per variant
+    result = run_study(study, config)     # builds each seed's world ONCE
+    print(render_report(study, result))   # mean ± 95% CI per variant
 
 Grids sweep any config field via dotted axes (``world.<field>``,
 ``campaign.<field>``, ``filters.<field>``); each trial's campaign seed is
 derived from its world seed via :func:`repro.rand.derive_seed`, so
-ensembles are fully reproducible and adding variants never perturbs
-existing trials.  Passing ``out_dir`` to any runner makes the run
+studies are fully reproducible and adding variants never perturbs
+existing trials.  Setting ``StudyConfig.out_dir`` makes the run
 resumable: kill it after N trials, rerun with the same config, and only
 the remaining trials execute.  The CLI front end is ``repro study
-detection|offload|economics`` (``repro ensemble`` and ``repro
-offload-ensemble`` remain as aliases); ``examples/ensemble_study.py`` and
-``examples/economics_study.py`` are worked examples.
+<kind>``; ``examples/ensemble_study.py``, ``examples/economics_study.py``
+and ``examples/joint_study.py`` are worked examples.
 """
 
 from repro.experiments.aggregate import (
@@ -277,17 +287,12 @@ from repro.experiments.scheduler import (
 from repro.experiments.ensemble import (
     ConfigVariant,
     DetectionStudy,
-    EnsembleConfig,
-    EnsembleResult,
     TrialResult,
     TrialSpec,
+    detection_summaries,
     grid_variants,
-    run_ensemble,
-    run_trial,
 )
 from repro.experiments.offload import (
-    OffloadEnsembleConfig,
-    OffloadEnsembleResult,
     OffloadStudy,
     OffloadTrialResult,
     OffloadTrialSpec,
@@ -295,42 +300,33 @@ from repro.experiments.offload import (
     OffloadVariantSummary,
     RankConsensus,
     offload_grid_variants,
-    run_offload_ensemble,
-    run_offload_trial,
+    offload_summaries,
 )
 from repro.experiments.economics import (
-    EconomicsEnsembleConfig,
-    EconomicsEnsembleResult,
     EconomicsStudy,
     EconomicsTrialResult,
     EconomicsTrialSpec,
     EconomicsVariant,
     EconomicsVariantSummary,
     economics_grid_variants,
-    run_economics_ensemble,
-    run_economics_trial,
+    economics_summaries,
 )
 from repro.experiments.joint import (
-    JointEnsembleConfig,
-    JointEnsembleResult,
     JointStudy,
     JointTrialResult,
     JointTrialSpec,
     JointVariant,
     JointVariantSummary,
-    run_joint_ensemble,
-    run_joint_trial,
+    joint_summaries,
 )
 from repro.experiments.failover import (
-    FailoverEnsembleConfig,
-    FailoverEnsembleResult,
     FailoverStudy,
     FailoverTrialResult,
     FailoverTrialSpec,
     FailoverVariant,
     FailoverVariantSummary,
+    failover_summaries,
     measure_failover_trial,
-    run_failover_ensemble,
 )
 from repro.experiments.mega import (
     MegaStudy,
@@ -353,12 +349,12 @@ from repro.experiments.scenarios import (
     get_scenario,
     scenario_names,
 )
-from repro.experiments.report import (
-    render_economics_ensemble_report,
-    render_ensemble_report,
-    render_failover_ensemble_report,
-    render_joint_ensemble_report,
-    render_offload_ensemble_report,
+from repro.experiments.requests import (
+    STUDIES,
+    StudyKind,
+    render_report,
+    request_kinds,
+    resolve,
 )
 
 __all__ = [
@@ -366,27 +362,19 @@ __all__ = [
     "ColumnSpec",
     "ConfigVariant",
     "DetectionStudy",
-    "EconomicsEnsembleConfig",
-    "EconomicsEnsembleResult",
     "EconomicsStudy",
     "EconomicsTrialResult",
     "EconomicsTrialSpec",
     "EconomicsVariant",
     "EconomicsVariantSummary",
-    "EnsembleConfig",
-    "EnsembleResult",
-    "FailoverEnsembleConfig",
-    "FailoverEnsembleResult",
     "FailoverStudy",
     "FailoverTrialResult",
     "FailoverTrialSpec",
     "FailoverVariant",
     "FailoverVariantSummary",
-    "JointEnsembleConfig",
-    "JointEnsembleResult",
+    "JobState",
     "JointStudy",
     "JointTrialResult",
-    "JobState",
     "JointTrialSpec",
     "JointVariant",
     "JointVariantSummary",
@@ -395,8 +383,6 @@ __all__ = [
     "MegaTrialResult",
     "MegaTrialSpec",
     "MegaVariant",
-    "OffloadEnsembleConfig",
-    "OffloadEnsembleResult",
     "OffloadStudy",
     "OffloadTrialResult",
     "OffloadTrialSpec",
@@ -404,6 +390,7 @@ __all__ = [
     "OffloadVariantSummary",
     "RankConsensus",
     "SCENARIOS",
+    "STUDIES",
     "Scenario",
     "ScenarioRun",
     "SegmentDescriptor",
@@ -413,36 +400,31 @@ __all__ = [
     "StudyCancelled",
     "StudyConfig",
     "StudyJob",
+    "StudyKind",
     "StudyResult",
     "StudyScheduler",
     "TrialResult",
     "TrialSpec",
     "VariantSummary",
     "attach_columns",
+    "detection_summaries",
     "economics_grid_variants",
+    "economics_summaries",
     "execute_study",
     "expand_trials",
+    "failover_summaries",
     "get_scenario",
     "grid_variants",
+    "joint_summaries",
     "mean_ci",
     "measure_failover_trial",
     "measure_mega_trial",
     "offload_grid_variants",
-    "render_economics_ensemble_report",
-    "render_ensemble_report",
-    "render_failover_ensemble_report",
-    "render_joint_ensemble_report",
-    "render_offload_ensemble_report",
-    "run_economics_ensemble",
-    "run_economics_trial",
-    "run_ensemble",
-    "run_failover_ensemble",
-    "run_joint_ensemble",
-    "run_joint_trial",
-    "run_offload_ensemble",
-    "run_offload_trial",
+    "offload_summaries",
+    "render_report",
+    "request_kinds",
+    "resolve",
     "run_study",
-    "run_trial",
     "scenario_names",
     "study_fingerprint",
 ]

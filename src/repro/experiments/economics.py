@@ -26,8 +26,9 @@ with independent per-bin noise; the offloadable share therefore never
 exceeds transit bin-for-bin, and the percentile savings track — but do
 not exactly equal — the average offload share.
 
-The CLI front end is ``repro study economics`` (see :mod:`repro.cli`);
-``examples/economics_study.py`` is a worked example.
+The CLI front end is ``repro study economics`` (see
+:mod:`repro.experiments.requests`); ``examples/economics_study.py`` is a
+worked example.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import gc
 import itertools
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ from repro.core.offload import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci
-from repro.experiments.engine import StudyConfig, run_study
+from repro.experiments.engine import StudyResult
 from repro.netflow.billing import offload_billing_report
 from repro.rand import derive_seed
 from repro.sim.offload_batch import OffloadWorldView, build_offload_views
@@ -148,7 +149,7 @@ def economics_grid_variants(
             if fname == "seed":
                 raise ConfigurationError(
                     f"grid axis {path!r} is not sweepable: trial seeds come "
-                    "from EconomicsEnsembleConfig.seeds"
+                    "from StudyConfig.seeds"
                 )
         elif scope == "price" and fname in _PRICE_FIELDS:
             if fname in variant_kwargs:
@@ -237,14 +238,6 @@ class EconomicsTrialResult:
     optimal_remote_ixps: float   # m̃ (eq. 13)
     build_s: float
     study_s: float
-
-
-def run_economics_trial(spec: EconomicsTrialSpec) -> EconomicsTrialResult:
-    """Execute one standalone trial (world build included)."""
-    t0 = time.perf_counter()
-    world = build_offload_world(spec.world)
-    build_s = time.perf_counter() - t0
-    return measure_economics_trial(spec, world, build_s)
 
 
 def measure_economics_trial(
@@ -405,43 +398,6 @@ class EconomicsStudy:
 
 
 @dataclass(frozen=True, slots=True)
-class EconomicsEnsembleConfig:
-    """Seed list × economics variant grid, plus parallelism.
-
-    ``trial_batch > 1`` realizes same-variant seeds in batches through
-    the trial-axis engine (:mod:`repro.sim.offload_batch`) — results are
-    bit-identical per seed; only timing fields change.
-    """
-
-    seeds: tuple[int, ...]
-    variants: tuple[EconomicsVariant, ...] = (EconomicsVariant(name="base"),)
-    workers: int = 0
-    trial_batch: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("an ensemble needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("ensemble seeds must be distinct")
-        if not self.variants:
-            raise ConfigurationError("an ensemble needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-        if self.workers < 0:
-            raise ConfigurationError("workers cannot be negative")
-        if self.trial_batch < 1:
-            raise ConfigurationError("trial_batch must be at least 1")
-
-    def trials(self) -> list[EconomicsTrialSpec]:
-        """The fully-resolved trial list, variant-major, in a stable order."""
-        from repro.experiments.engine import expand_trials
-
-        return expand_trials(
-            EconomicsStudy(variants=self.variants), self.seeds
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class EconomicsVariantSummary:
     """Aggregated economics metrics for one variant."""
 
@@ -464,38 +420,15 @@ class EconomicsVariantSummary:
         return self.viable_votes / self.trials if self.trials else 0.0
 
 
-@dataclass
-class EconomicsEnsembleResult:
-    """All trial results plus the config that produced them."""
-
-    config: EconomicsEnsembleConfig
-    trials: list[EconomicsTrialResult]
-    wall_s: float = 0.0
-    world_builds: int = 0
-    world_reuses: int = 0
-    resumed: int = 0
-    _by_variant: dict[str, list[EconomicsTrialResult]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        if not self._by_variant:
-            grouped: dict[str, list[EconomicsTrialResult]] = {}
-            for trial in self.trials:
-                grouped.setdefault(trial.variant, []).append(trial)
-            self._by_variant = grouped
-
-    def by_variant(self) -> dict[str, list[EconomicsTrialResult]]:
-        """Trials grouped by variant name, in config order."""
-        return dict(self._by_variant)
-
-    def summaries(self) -> list[EconomicsVariantSummary]:
-        """Mean ± 95% CI aggregates plus the viability vote, per variant."""
-        group_of = {v.name: v.group for v in self.config.variants}
-        out = []
-        for variant, trials in self._by_variant.items():
-            out.append(_summarize(variant, group_of.get(variant, 4), trials))
-        return out
+def economics_summaries(
+    study: EconomicsStudy, result: StudyResult
+) -> list[EconomicsVariantSummary]:
+    """Mean ± 95% CI aggregates plus the viability vote, per variant."""
+    group_of = {v.name: v.group for v in study.variants}
+    return [
+        _summarize(variant, group_of[variant], trials)
+        for variant, trials in result.by_variant().items()
+    ]
 
 
 def _summarize(
@@ -514,23 +447,4 @@ def _summarize(
         optimal_direct_ixps=mean_ci([t.optimal_direct_ixps for t in trials]),
         optimal_remote_ixps=mean_ci([t.optimal_remote_ixps for t in trials]),
         viable_votes=sum(1 for t in trials if t.viable),
-    )
-
-
-def run_economics_ensemble(
-    config: EconomicsEnsembleConfig, out_dir: str | None = None
-) -> EconomicsEnsembleResult:
-    """Run every trial of ``config`` through the study engine."""
-    result = run_study(
-        EconomicsStudy(variants=config.variants),
-        StudyConfig(seeds=config.seeds, workers=config.workers,
-                    out_dir=out_dir, trial_batch=config.trial_batch),
-    )
-    return EconomicsEnsembleResult(
-        config=config,
-        trials=result.trials,
-        wall_s=result.wall_s,
-        world_builds=result.world_builds,
-        world_reuses=result.world_reuses,
-        resumed=result.resumed,
     )

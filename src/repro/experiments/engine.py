@@ -216,10 +216,11 @@ class StudyResult:
     def coverage_note(self) -> str | None:
         """Human-readable degraded-coverage warning, or None when clean.
 
-        Batch fallbacks are reported separately from quarantined trials:
-        a fallback re-executes the same trials per-trial (identical
-        results, no lost coverage), while a quarantined trial is missing
-        from the aggregates.
+        Batch fallbacks, transport fallbacks and pool restarts are
+        reported separately from quarantined trials: each re-executes the
+        same trials by another route (identical results, no lost
+        coverage), while a quarantined trial is missing from the
+        aggregates.
         """
         parts: list[str] = []
         if self.failures:
@@ -242,6 +243,12 @@ class StudyResult:
                 f"{self.transport_fallbacks} trial(s) fell back from "
                 "shared-memory to pickle world transport (results are "
                 "unaffected; the transport is a performance path only)"
+            )
+        if self.pool_restarts:
+            parts.append(
+                f"the worker pool broke and was restarted "
+                f"{self.pool_restarts} time(s); its unfinished trials were "
+                "re-dispatched (results are unaffected)"
             )
         return "; ".join(parts) if parts else None
 

@@ -6,9 +6,8 @@ filter pipeline, and validate the remote/direct calls against the
 simulator's ground truth.  :class:`DetectionStudy` expresses that as the
 engine's ``build → run → measure`` contract; scheduling, world caching,
 resume artifacts and parallelism all come from
-:mod:`repro.experiments.engine`.  :func:`run_ensemble` is the historical
-entry point and is kept as a thin shim over :func:`run_study` — reports
-are unchanged.
+:mod:`repro.experiments.engine`, and :func:`detection_summaries` turns a
+finished run into the per-variant aggregates the report renders.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import gc
 import itertools
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from repro.core.detection.campaign import CampaignConfig, ProbeCampaign
@@ -30,7 +29,7 @@ from repro.experiments.aggregate import (
     mean_ci,
     optional_mean_ci,
 )
-from repro.experiments.engine import StudyConfig, run_study
+from repro.experiments.engine import StudyResult
 from repro.rand import derive_seed
 from repro.sim.detection_world import (
     DetectionWorld,
@@ -88,11 +87,11 @@ def grid_variants(
                 "or filters.<field> naming an existing config field"
             )
         if fname == "seed":
-            # Seeds are per-trial (EnsembleConfig.seeds) and would be
+            # Seeds are per-trial (StudyConfig.seeds) and would be
             # silently overwritten here — reject the no-op sweep loudly.
             raise ConfigurationError(
                 f"grid axis {path!r} is not sweepable: trial seeds come "
-                "from EnsembleConfig.seeds"
+                "from StudyConfig.seeds"
             )
     variants = []
     for combo in itertools.product(*(axes[p] for p in paths)):
@@ -115,7 +114,7 @@ def grid_variants(
 
 @dataclass(frozen=True, slots=True)
 class TrialSpec:
-    """One fully-resolved trial: picklable input of :func:`run_trial`."""
+    """One fully-resolved trial: picklable input of the study's measure."""
 
     trial_id: int
     variant: str
@@ -125,51 +124,8 @@ class TrialSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class EnsembleConfig:
-    """Seed list × variant grid, plus parallelism.
-
-    ``workers=1`` runs trials inline in this process (what tests use);
-    ``workers=0`` uses one process per core, capped at the trial count.
-    ``trial_batch > 1`` runs same-variant seeds as grouped batches (GC
-    suspended across each group) — results are bit-identical per seed;
-    only timing fields change.
-    """
-
-    seeds: tuple[int, ...]
-    variants: tuple[ConfigVariant, ...] = (ConfigVariant(name="base"),)
-    workers: int = 0
-    trial_batch: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("an ensemble needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("ensemble seeds must be distinct")
-        if not self.variants:
-            raise ConfigurationError("an ensemble needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-        if self.workers < 0:
-            raise ConfigurationError("workers cannot be negative")
-        if self.trial_batch < 1:
-            raise ConfigurationError("trial_batch must be at least 1")
-
-    def trials(self) -> list[TrialSpec]:
-        """The fully-resolved trial list, variant-major, in a stable order.
-
-        Delegates to the engine's expansion over :class:`DetectionStudy`,
-        so this inspection view can never drift from what
-        :func:`run_ensemble` actually executes.
-        """
-        from repro.experiments.engine import expand_trials
-
-        return expand_trials(DetectionStudy(variants=self.variants),
-                             self.seeds)
-
-
-@dataclass(frozen=True, slots=True)
 class TrialResult:
-    """Per-trial metrics (picklable output of :func:`run_trial`)."""
+    """Per-trial metrics (picklable output of the study's measure)."""
 
     trial_id: int
     variant: str
@@ -198,14 +154,6 @@ class TrialResult:
         """Recall of the remote calls; None with no true remotes."""
         actual = self.true_positives + self.false_negatives
         return self.true_positives / actual if actual else None
-
-
-def run_trial(spec: TrialSpec) -> TrialResult:
-    """Execute one standalone trial: build world → collect → filter → validate."""
-    t0 = time.perf_counter()
-    world = build_detection_world(spec.world)
-    build_s = time.perf_counter() - t0
-    return measure_detection_trial(spec, world, build_s)
 
 
 def measure_detection_trial(
@@ -349,35 +297,12 @@ class DetectionStudy:
         return TrialResult(**payload)
 
 
-@dataclass
-class EnsembleResult:
-    """All trial results plus the config that produced them."""
-
-    config: EnsembleConfig
-    trials: list[TrialResult]
-    wall_s: float = 0.0
-    world_builds: int = 0   # worlds actually built (engine cache misses)
-    world_reuses: int = 0   # trials served from a shared world build
-    resumed: int = 0        # trials loaded from --out artifacts
-    _by_variant: dict[str, list[TrialResult]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self._by_variant:
-            grouped: dict[str, list[TrialResult]] = {}
-            for trial in self.trials:
-                grouped.setdefault(trial.variant, []).append(trial)
-            self._by_variant = grouped
-
-    def by_variant(self) -> dict[str, list[TrialResult]]:
-        """Trials grouped by variant name, in config order."""
-        return dict(self._by_variant)
-
-    def summaries(self) -> list[VariantSummary]:
-        """Mean ± 95% CI aggregates, one per variant."""
-        out = []
-        for variant, trials in self._by_variant.items():
-            out.append(_summarize(variant, trials))
-        return out
+def detection_summaries(result: StudyResult) -> list[VariantSummary]:
+    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
+    return [
+        _summarize(variant, trials)
+        for variant, trials in result.by_variant().items()
+    ]
 
 
 def _summarize(variant: str, trials: list[TrialResult]) -> VariantSummary:
@@ -410,28 +335,4 @@ def _summarize(variant: str, trials: list[TrialResult]) -> VariantSummary:
             for acr in ixps
         },
         shortfall=mean_ci([t.shortfall for t in trials]),
-    )
-
-
-def run_ensemble(
-    config: EnsembleConfig, out_dir: str | None = None
-) -> EnsembleResult:
-    """Run every trial of ``config`` through the study engine.
-
-    Results come back in trial order regardless of completion order, so
-    ensembles are reproducible artifacts: same config, same report.  With
-    ``out_dir`` the run is resumable (see :mod:`repro.experiments.engine`).
-    """
-    result = run_study(
-        DetectionStudy(variants=config.variants),
-        StudyConfig(seeds=config.seeds, workers=config.workers,
-                    out_dir=out_dir, trial_batch=config.trial_batch),
-    )
-    return EnsembleResult(
-        config=config,
-        trials=result.trials,
-        wall_s=result.wall_s,
-        world_builds=result.world_builds,
-        world_reuses=result.world_reuses,
-        resumed=result.resumed,
     )

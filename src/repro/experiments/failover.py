@@ -29,14 +29,14 @@ windows can only raise the realized percentile).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from repro.core.offload import ALL_GROUPS, OffloadEstimator, PeerGroups, greedy_expansion
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci
-from repro.experiments.engine import StudyConfig, run_study
+from repro.experiments.engine import StudyResult
 from repro.faults.schedule import (
     PSEUDOWIRE_DARK,
     FaultConfig,
@@ -266,35 +266,6 @@ class FailoverStudy:
 
 
 @dataclass(frozen=True, slots=True)
-class FailoverEnsembleConfig:
-    """Seed list × failover variant grid, plus parallelism."""
-
-    seeds: tuple[int, ...]
-    variants: tuple[FailoverVariant, ...] = (FailoverVariant(name="base"),)
-    workers: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("an ensemble needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("ensemble seeds must be distinct")
-        if not self.variants:
-            raise ConfigurationError("an ensemble needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-        if self.workers < 0:
-            raise ConfigurationError("workers cannot be negative")
-
-    def trials(self) -> list[FailoverTrialSpec]:
-        """The fully-resolved trial list, variant-major, in a stable order."""
-        from repro.experiments.engine import expand_trials
-
-        return expand_trials(
-            FailoverStudy(variants=self.variants), self.seeds
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class FailoverVariantSummary:
     """Aggregated failover metrics for one variant."""
 
@@ -312,38 +283,15 @@ class FailoverVariantSummary:
     burst_penalty: MeanCI
 
 
-@dataclass
-class FailoverEnsembleResult:
-    """All trial results plus the config that produced them."""
-
-    config: FailoverEnsembleConfig
-    trials: list[FailoverTrialResult]
-    wall_s: float = 0.0
-    world_builds: int = 0
-    world_reuses: int = 0
-    resumed: int = 0
-    _by_variant: dict[str, list[FailoverTrialResult]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        if not self._by_variant:
-            grouped: dict[str, list[FailoverTrialResult]] = {}
-            for trial in self.trials:
-                grouped.setdefault(trial.variant, []).append(trial)
-            self._by_variant = grouped
-
-    def by_variant(self) -> dict[str, list[FailoverTrialResult]]:
-        """Trials grouped by variant name, in config order."""
-        return dict(self._by_variant)
-
-    def summaries(self) -> list[FailoverVariantSummary]:
-        """Mean ± 95% CI aggregates, one per variant."""
-        group_of = {v.name: v.group for v in self.config.variants}
-        return [
-            _summarize(variant, group_of.get(variant, 4), trials)
-            for variant, trials in self._by_variant.items()
-        ]
+def failover_summaries(
+    study: FailoverStudy, result: StudyResult
+) -> list[FailoverVariantSummary]:
+    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
+    group_of = {v.name: v.group for v in study.variants}
+    return [
+        _summarize(variant, group_of[variant], trials)
+        for variant, trials in result.by_variant().items()
+    ]
 
 
 def _summarize(
@@ -364,30 +312,4 @@ def _summarize(
         ),
         billing_error=mean_ci([t.billing_error for t in trials]),
         burst_penalty=mean_ci([t.burst_penalty for t in trials]),
-    )
-
-
-def run_failover_ensemble(
-    config: FailoverEnsembleConfig, out_dir: str | None = None,
-    study_config: StudyConfig | None = None,
-) -> FailoverEnsembleResult:
-    """Run every trial of ``config`` through the study engine.
-
-    Results come back in trial order regardless of completion order, so
-    ensembles are reproducible artifacts: same config, same report.  With
-    ``out_dir`` the run is resumable (see :mod:`repro.experiments.engine`).
-    """
-    result = run_study(
-        FailoverStudy(variants=config.variants),
-        study_config or StudyConfig(
-            seeds=config.seeds, workers=config.workers, out_dir=out_dir
-        ),
-    )
-    return FailoverEnsembleResult(
-        config=config,
-        trials=result.trials,
-        wall_s=result.wall_s,
-        world_builds=result.world_builds,
-        world_reuses=result.world_reuses,
-        resumed=result.resumed,
     )

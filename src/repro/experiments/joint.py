@@ -36,14 +36,14 @@ of its component intersections, so every offload series is bin-for-bin
 ≤ the transit series by construction.
 
 The CLI front ends are ``repro study joint`` and ``repro scenarios run
-joint`` (see :mod:`repro.cli`); ``examples/joint_study.py`` is a worked
-example.
+joint`` (see :mod:`repro.experiments.requests`); ``examples/joint_study.py``
+is a worked example.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +52,7 @@ from repro.core.detection.campaign import CampaignConfig
 from repro.core.offload import ALL_GROUPS, OffloadEstimator, PeerGroups
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci, optional_mean_ci
-from repro.experiments.engine import StudyConfig, run_study
+from repro.experiments.engine import StudyResult
 from repro.experiments.ensemble import TrialSpec, measure_detection_trial
 from repro.netflow.billing import offload_billing_report
 from repro.rand import child_rng, derive_seed
@@ -103,7 +103,7 @@ class JointVariant:
 
 @dataclass(frozen=True, slots=True)
 class JointTrialSpec:
-    """One fully-resolved trial: picklable input of :func:`run_joint_trial`."""
+    """One fully-resolved trial: picklable input of the study's measure."""
 
     trial_id: int
     variant: str
@@ -184,17 +184,6 @@ class JointTrialResult:
     def billing_error(self) -> float:
         """Forecast-vs-realized savings gap (positive = over-promise)."""
         return self.believed_savings_fraction - self.realized_savings_fraction
-
-
-def run_joint_trial(spec: JointTrialSpec) -> JointTrialResult:
-    """Execute one standalone trial (both world builds included)."""
-    t0 = time.perf_counter()
-    worlds = JointWorlds(
-        detection=build_detection_world(spec.detection_world),
-        offload=build_offload_world(spec.offload_world),
-    )
-    build_s = time.perf_counter() - t0
-    return measure_joint_trial(spec, worlds, build_s)
 
 
 def _detection_confusion(
@@ -409,33 +398,6 @@ class JointStudy:
 
 
 @dataclass(frozen=True, slots=True)
-class JointEnsembleConfig:
-    """Seed list × joint variant grid, plus parallelism."""
-
-    seeds: tuple[int, ...]
-    variants: tuple[JointVariant, ...] = (JointVariant(name="base"),)
-    workers: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("an ensemble needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("ensemble seeds must be distinct")
-        if not self.variants:
-            raise ConfigurationError("an ensemble needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-        if self.workers < 0:
-            raise ConfigurationError("workers cannot be negative")
-
-    def trials(self) -> list[JointTrialSpec]:
-        """The fully-resolved trial list, variant-major, in a stable order."""
-        from repro.experiments.engine import expand_trials
-
-        return expand_trials(JointStudy(variants=self.variants), self.seeds)
-
-
-@dataclass(frozen=True, slots=True)
 class JointVariantSummary:
     """Aggregated joint metrics for one variant."""
 
@@ -458,38 +420,15 @@ class JointVariantSummary:
     phantom_peers: MeanCI
 
 
-@dataclass
-class JointEnsembleResult:
-    """All trial results plus the config that produced them."""
-
-    config: JointEnsembleConfig
-    trials: list[JointTrialResult]
-    wall_s: float = 0.0
-    world_builds: int = 0   # world families actually built
-    world_reuses: int = 0   # trials served from a shared family build
-    resumed: int = 0        # trials loaded from --out artifacts
-    _by_variant: dict[str, list[JointTrialResult]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        if not self._by_variant:
-            grouped: dict[str, list[JointTrialResult]] = {}
-            for trial in self.trials:
-                grouped.setdefault(trial.variant, []).append(trial)
-            self._by_variant = grouped
-
-    def by_variant(self) -> dict[str, list[JointTrialResult]]:
-        """Trials grouped by variant name, in config order."""
-        return dict(self._by_variant)
-
-    def summaries(self) -> list[JointVariantSummary]:
-        """Mean ± 95% CI aggregates, one per variant."""
-        group_of = {v.name: v.group for v in self.config.variants}
-        return [
-            _summarize(variant, group_of.get(variant, 4), trials)
-            for variant, trials in self._by_variant.items()
-        ]
+def joint_summaries(
+    study: JointStudy, result: StudyResult
+) -> list[JointVariantSummary]:
+    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
+    group_of = {v.name: v.group for v in study.variants}
+    return [
+        _summarize(variant, group_of[variant], trials)
+        for variant, trials in result.by_variant().items()
+    ]
 
 
 def _summarize(
@@ -517,28 +456,4 @@ def _summarize(
         oracle_peers=mean_ci([t.oracle_peer_count for t in trials]),
         detected_peers=mean_ci([t.detected_peer_count for t in trials]),
         phantom_peers=mean_ci([t.phantom_peer_count for t in trials]),
-    )
-
-
-def run_joint_ensemble(
-    config: JointEnsembleConfig, out_dir: str | None = None
-) -> JointEnsembleResult:
-    """Run every trial of ``config`` through the study engine.
-
-    Results come back in trial order regardless of completion order, so
-    ensembles are reproducible artifacts: same config, same report.  With
-    ``out_dir`` the run is resumable (see :mod:`repro.experiments.engine`).
-    """
-    result = run_study(
-        JointStudy(variants=config.variants),
-        StudyConfig(seeds=config.seeds, workers=config.workers,
-                    out_dir=out_dir),
-    )
-    return JointEnsembleResult(
-        config=config,
-        trials=result.trials,
-        wall_s=result.wall_s,
-        world_builds=result.world_builds,
-        world_reuses=result.world_reuses,
-        resumed=result.resumed,
     )

@@ -1,4 +1,4 @@
-"""Multi-seed, multi-configuration *offload* ensembles (Section 4 at scale).
+"""Multi-seed, multi-configuration *offload* studies (Section 4 at scale).
 
 Mirrors :mod:`repro.experiments.ensemble` for the offload study: a trial
 builds one offload world under a (seed, variant) pair, applies the peer-
@@ -15,20 +15,19 @@ offload world builder and the bitset-matrix estimator.
 
 Usage::
 
-    from repro.experiments.offload import (
-        OffloadEnsembleConfig, OffloadVariant, run_offload_ensemble,
+    from repro.experiments import (
+        OffloadStudy, OffloadVariant, StudyConfig, render_report, run_study,
     )
-    config = OffloadEnsembleConfig(
-        seeds=tuple(range(16)),
+    study = OffloadStudy(
         variants=(OffloadVariant(name="paper65"),),  # full-scale preset
     )
-    result = run_offload_ensemble(config)
-    print(render_offload_ensemble_report(result))
+    result = run_study(study, StudyConfig(seeds=tuple(range(16))))
+    print(render_report(study, result))
 
 Grids sweep any :class:`OffloadWorldConfig` field via dotted
 ``world.<field>`` axes (:func:`offload_grid_variants`), plus the peer
 ``group`` of the study itself.  The CLI front end is
-``repro offload-ensemble`` (see :mod:`repro.cli`).
+``repro study offload`` (see :mod:`repro.experiments.requests`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import gc
 import itertools
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from repro.core.offload import (
@@ -48,7 +47,7 @@ from repro.core.offload import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci
-from repro.experiments.engine import StudyConfig, run_study
+from repro.experiments.engine import StudyResult
 from repro.sim.offload_batch import OffloadWorldView, build_offload_views
 from repro.sim.offload_world import (
     OffloadWorld,
@@ -109,7 +108,7 @@ def offload_grid_variants(
         if fname == "seed":
             raise ConfigurationError(
                 f"grid axis {path!r} is not sweepable: trial seeds come "
-                "from OffloadEnsembleConfig.seeds"
+                "from StudyConfig.seeds"
             )
     if not groups:
         raise ConfigurationError("need at least one peer group")
@@ -142,7 +141,7 @@ def offload_grid_variants(
 
 @dataclass(frozen=True, slots=True)
 class OffloadTrialSpec:
-    """One fully-resolved trial: picklable input of :func:`run_offload_trial`."""
+    """One fully-resolved trial: picklable input of the study's measure."""
 
     trial_id: int
     variant: str
@@ -156,51 +155,8 @@ class OffloadTrialSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class OffloadEnsembleConfig:
-    """Seed list × offload variant grid, plus parallelism.
-
-    ``workers=1`` runs trials inline in this process (what tests use);
-    ``workers=0`` uses one process per core, capped at the trial count.
-    ``trial_batch > 1`` realizes same-variant seeds in batches through
-    the trial-axis engine (:mod:`repro.sim.offload_batch`) — results are
-    bit-identical per seed; only timing fields change.
-    """
-
-    seeds: tuple[int, ...]
-    variants: tuple[OffloadVariant, ...] = (OffloadVariant(name="base"),)
-    workers: int = 0
-    trial_batch: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("an ensemble needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("ensemble seeds must be distinct")
-        if not self.variants:
-            raise ConfigurationError("an ensemble needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-        if self.workers < 0:
-            raise ConfigurationError("workers cannot be negative")
-        if self.trial_batch < 1:
-            raise ConfigurationError("trial_batch must be at least 1")
-
-    def trials(self) -> list[OffloadTrialSpec]:
-        """The fully-resolved trial list, variant-major, in a stable order.
-
-        Delegates to the engine's expansion over :class:`OffloadStudy`,
-        so this inspection view can never drift from what
-        :func:`run_offload_ensemble` actually executes.
-        """
-        from repro.experiments.engine import expand_trials
-
-        return expand_trials(OffloadStudy(variants=self.variants),
-                             self.seeds)
-
-
-@dataclass(frozen=True, slots=True)
 class OffloadTrialResult:
-    """Per-trial offload metrics (picklable output of :func:`run_offload_trial`)."""
+    """Per-trial offload metrics (picklable output of the study's measure)."""
 
     trial_id: int
     variant: str
@@ -218,14 +174,6 @@ class OffloadTrialResult:
     def total_fraction_mean(self) -> float:
         """Average of the two directional offload fractions."""
         return 0.5 * (self.inbound_fraction + self.outbound_fraction)
-
-
-def run_offload_trial(spec: OffloadTrialSpec) -> OffloadTrialResult:
-    """Execute one standalone trial: build world → groups → estimator → greedy."""
-    t0 = time.perf_counter()
-    world = build_offload_world(spec.world)
-    build_s = time.perf_counter() - t0
-    return measure_offload_trial(spec, world, build_s)
 
 
 def measure_offload_trial(
@@ -386,38 +334,15 @@ class OffloadVariantSummary:
     expansion_consensus: tuple[RankConsensus, ...]
 
 
-@dataclass
-class OffloadEnsembleResult:
-    """All trial results plus the config that produced them."""
-
-    config: OffloadEnsembleConfig
-    trials: list[OffloadTrialResult]
-    wall_s: float = 0.0
-    world_builds: int = 0   # worlds actually built (engine cache misses)
-    world_reuses: int = 0   # trials served from a shared world build
-    resumed: int = 0        # trials loaded from --out artifacts
-    _by_variant: dict[str, list[OffloadTrialResult]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        if not self._by_variant:
-            grouped: dict[str, list[OffloadTrialResult]] = {}
-            for trial in self.trials:
-                grouped.setdefault(trial.variant, []).append(trial)
-            self._by_variant = grouped
-
-    def by_variant(self) -> dict[str, list[OffloadTrialResult]]:
-        """Trials grouped by variant name, in config order."""
-        return dict(self._by_variant)
-
-    def summaries(self) -> list[OffloadVariantSummary]:
-        """Mean ± 95% CI aggregates, one per variant."""
-        group_of = {v.name: v.group for v in self.config.variants}
-        out = []
-        for variant, trials in self._by_variant.items():
-            out.append(_summarize(variant, group_of.get(variant, 4), trials))
-        return out
+def offload_summaries(
+    study: OffloadStudy, result: StudyResult
+) -> list[OffloadVariantSummary]:
+    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
+    group_of = {v.name: v.group for v in study.variants}
+    return [
+        _summarize(variant, group_of[variant], trials)
+        for variant, trials in result.by_variant().items()
+    ]
 
 
 def _summarize(
@@ -445,28 +370,4 @@ def _summarize(
         candidate_count=mean_ci([t.candidate_count for t in trials]),
         five_ixp_share=mean_ci([t.five_ixp_share for t in trials]),
         expansion_consensus=tuple(consensus),
-    )
-
-
-def run_offload_ensemble(
-    config: OffloadEnsembleConfig, out_dir: str | None = None
-) -> OffloadEnsembleResult:
-    """Run every trial of ``config`` through the study engine.
-
-    Results come back in trial order regardless of completion order, so
-    ensembles are reproducible artifacts: same config, same report.  With
-    ``out_dir`` the run is resumable (see :mod:`repro.experiments.engine`).
-    """
-    result = run_study(
-        OffloadStudy(variants=config.variants),
-        StudyConfig(seeds=config.seeds, workers=config.workers,
-                    out_dir=out_dir, trial_batch=config.trial_batch),
-    )
-    return OffloadEnsembleResult(
-        config=config,
-        trials=result.trials,
-        wall_s=result.wall_s,
-        world_builds=result.world_builds,
-        world_reuses=result.world_reuses,
-        resumed=result.resumed,
     )

@@ -6,10 +6,12 @@ detection→offload sweeps — lives here as a registry of runnable presets
 instead of prose.  Each scenario resolves a preset name (``small`` for
 seconds-scale worlds, ``paper`` for the full-scale ones) into the study
 engine's inputs: a ``Study`` instance carrying the variant grid plus a
-:class:`~repro.experiments.engine.StudyConfig`, and an ``execute`` hook
-that runs the matching ensemble front end and renders its report.
+:class:`~repro.experiments.engine.StudyConfig`.  Running one is
+:func:`~repro.experiments.engine.run_study` followed by
+:func:`~repro.experiments.requests.render_report`, the same report path
+every other front end uses.
 
-The four scenarios:
+The six scenarios:
 
 ``behavior-stress``
     :class:`DetectionStudy` over scaled :class:`~repro.sim.
@@ -39,18 +41,20 @@ The four scenarios:
     precision/recall as LG outages, rate-limit storms, port flaps and
     probe-loss bursts scale from absent to 4× the calibrated intensity.
 
-Use :func:`get_scenario` / :func:`scenario_names` programmatically, or
-``repro scenarios list|run <name>`` from the CLI.
+Use :func:`get_scenario` / :func:`scenario_names` programmatically,
+``repro scenarios list|run <name>`` from the CLI, or a ``{"study":
+"scenario", "config": {"name": ...}}`` request over ``repro serve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.experiments.engine import Study, StudyConfig
 from repro.sim.detection_world import BehaviorRates, DetectionWorldConfig
+from repro.sim.offload_world import OffloadWorldConfig
 from repro.sim.scenarios import (
     joint_preset_configs,
     mini_specs,
@@ -78,19 +82,12 @@ FAULT_INTENSITIES = (0.0, 0.5, 1.0, 2.0, 4.0)
 
 @dataclass(frozen=True, slots=True)
 class ScenarioRun:
-    """One resolved (scenario, preset) cell, ready to execute.
-
-    ``study`` and ``study_config`` are the engine-level view (what
-    :func:`~repro.experiments.engine.run_study` consumes); ``execute``
-    runs the matching ensemble front end — which wraps the same engine
-    call — and returns ``(result, rendered report)``.
-    """
+    """One resolved (scenario, preset) cell: what ``run_study`` consumes."""
 
     scenario: str
     preset: str
     study: Study
     study_config: StudyConfig
-    execute: Callable[[str | None], tuple[Any, str]]
 
     def trial_count(self) -> int:
         """Trials the run will schedule (variants × seeds)."""
@@ -99,12 +96,11 @@ class ScenarioRun:
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """A named scenario: description plus its preset-resolving builder."""
+    """A named scenario: a description plus its preset → variant grid."""
 
     name: str
-    study_kind: str    # which study family the grid feeds
     description: str
-    builder: Callable[[str, tuple[int, ...], int], ScenarioRun]
+    grid: Callable[[str], Study]
 
     def build(
         self,
@@ -117,7 +113,12 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown preset {preset!r} (expected one of {PRESETS})"
             )
-        return self.builder(preset, tuple(seeds), workers)
+        return ScenarioRun(
+            scenario=self.name,
+            preset=preset,
+            study=self.grid(preset),
+            study_config=StudyConfig(seeds=tuple(seeds), workers=workers),
+        )
 
 
 def scaled_behavior_rates(factor: float) -> BehaviorRates:
@@ -142,19 +143,16 @@ def scaled_behavior_rates(factor: float) -> BehaviorRates:
     )
 
 
-def _behavior_stress(
-    preset: str, seeds: tuple[int, ...], workers: int
-) -> ScenarioRun:
-    from repro.experiments.ensemble import (
-        ConfigVariant,
-        DetectionStudy,
-        EnsembleConfig,
-        run_ensemble,
-    )
-    from repro.reporting.ensembles import render_ensemble_report
+def _offload_world(preset: str) -> OffloadWorldConfig:
+    """The offload-world config behind a scenario preset."""
+    return offload_preset_config("small" if preset == "small" else "paper65")
+
+
+def _behavior_stress(preset: str) -> Study:
+    from repro.experiments.ensemble import ConfigVariant, DetectionStudy
 
     specs = mini_specs() if preset == "small" else ()
-    variants = tuple(
+    return DetectionStudy(variants=tuple(
         ConfigVariant(
             name=f"stress={factor}x",
             world=DetectionWorldConfig(
@@ -162,36 +160,14 @@ def _behavior_stress(
             ),
         )
         for factor in STRESS_FACTORS
-    )
-    config = EnsembleConfig(seeds=seeds, variants=variants, workers=workers)
-
-    def execute(out_dir: str | None):
-        result = run_ensemble(config, out_dir=out_dir)
-        return result, render_ensemble_report(result)
-
-    return ScenarioRun(
-        scenario="behavior-stress",
-        preset=preset,
-        study=DetectionStudy(variants=variants),
-        study_config=StudyConfig(seeds=seeds, workers=workers),
-        execute=execute,
-    )
+    ))
 
 
-def _exclusion_ablation(
-    preset: str, seeds: tuple[int, ...], workers: int
-) -> ScenarioRun:
-    from repro.experiments.offload import (
-        OffloadEnsembleConfig,
-        OffloadStudy,
-        OffloadVariant,
-        run_offload_ensemble,
-    )
-    from repro.reporting.ensembles import render_offload_ensemble_report
+def _exclusion_ablation(preset: str) -> Study:
+    from repro.experiments.offload import OffloadStudy, OffloadVariant
 
-    world = offload_preset_config("small" if preset == "small" else "paper65")
-    base = OffloadVariant(name="all-rules", world=world)
-    variants = (
+    base = OffloadVariant(name="all-rules", world=_offload_world(preset))
+    return OffloadStudy(variants=(
         base,
         replace(base, name="keep-providers", exclude_transit_providers=False),
         replace(base, name="keep-home-ixps", exclude_home_ixp_members=False),
@@ -203,108 +179,43 @@ def _exclusion_ablation(
             exclude_home_ixp_members=False,
             exclude_geant_club=False,
         ),
-    )
-    config = OffloadEnsembleConfig(
-        seeds=seeds, variants=variants, workers=workers
-    )
-
-    def execute(out_dir: str | None):
-        result = run_offload_ensemble(config, out_dir=out_dir)
-        return result, render_offload_ensemble_report(result)
-
-    return ScenarioRun(
-        scenario="exclusion-ablation",
-        preset=preset,
-        study=OffloadStudy(variants=variants),
-        study_config=StudyConfig(seeds=seeds, workers=workers),
-        execute=execute,
-    )
+    ))
 
 
-def _price_plane(
-    preset: str, seeds: tuple[int, ...], workers: int
-) -> ScenarioRun:
+def _price_plane(preset: str) -> Study:
     from repro.experiments.economics import (
-        EconomicsEnsembleConfig,
         EconomicsStudy,
         economics_grid_variants,
-        run_economics_ensemble,
     )
-    from repro.reporting.ensembles import render_economics_ensemble_report
 
-    world = offload_preset_config("small" if preset == "small" else "paper65")
-    variants = economics_grid_variants(
-        world=world,
+    return EconomicsStudy(variants=economics_grid_variants(
+        world=_offload_world(preset),
         axes={
             "price.transit_price": PRICE_PLANE_TRANSIT,
             "price.remote_fixed": PRICE_PLANE_PORT,
         },
-    )
-    config = EconomicsEnsembleConfig(
-        seeds=seeds, variants=variants, workers=workers
-    )
-
-    def execute(out_dir: str | None):
-        result = run_economics_ensemble(config, out_dir=out_dir)
-        return result, render_economics_ensemble_report(result)
-
-    return ScenarioRun(
-        scenario="price-plane",
-        preset=preset,
-        study=EconomicsStudy(variants=variants),
-        study_config=StudyConfig(seeds=seeds, workers=workers),
-        execute=execute,
-    )
+    ))
 
 
-def _joint(preset: str, seeds: tuple[int, ...], workers: int) -> ScenarioRun:
-    from repro.experiments.joint import (
-        JointEnsembleConfig,
-        JointStudy,
-        JointVariant,
-        run_joint_ensemble,
-    )
-    from repro.reporting.ensembles import render_joint_ensemble_report
+def _joint(preset: str) -> Study:
+    from repro.experiments.joint import JointStudy, JointVariant
 
     detection_world, offload_world = joint_preset_configs(preset)
-    variants = (
+    return JointStudy(variants=(
         JointVariant(
             name=preset,
             detection_world=detection_world,
             offload_world=offload_world,
         ),
-    )
-    config = JointEnsembleConfig(
-        seeds=seeds, variants=variants, workers=workers
-    )
-
-    def execute(out_dir: str | None):
-        result = run_joint_ensemble(config, out_dir=out_dir)
-        return result, render_joint_ensemble_report(result)
-
-    return ScenarioRun(
-        scenario="joint",
-        preset=preset,
-        study=JointStudy(variants=variants),
-        study_config=StudyConfig(seeds=seeds, workers=workers),
-        execute=execute,
-    )
+    ))
 
 
-def _failover(
-    preset: str, seeds: tuple[int, ...], workers: int
-) -> ScenarioRun:
-    from repro.experiments.failover import (
-        FailoverEnsembleConfig,
-        FailoverStudy,
-        FailoverVariant,
-        run_failover_ensemble,
-    )
+def _failover(preset: str) -> Study:
+    from repro.experiments.failover import FailoverStudy, FailoverVariant
     from repro.faults.schedule import FaultConfig
-    from repro.reporting.ensembles import render_failover_ensemble_report
 
-    world = offload_preset_config("small" if preset == "small" else "paper65")
-    variants = tuple(
+    world = _offload_world(preset)
+    return FailoverStudy(variants=tuple(
         FailoverVariant(
             name=f"dark={scale}x",
             world=world,
@@ -313,40 +224,17 @@ def _failover(
             else FaultConfig(intensity=0.0),
         )
         for scale in DARK_DURATION_SCALES
-    )
-    config = FailoverEnsembleConfig(
-        seeds=seeds, variants=variants, workers=workers
-    )
-
-    def execute(out_dir: str | None):
-        result = run_failover_ensemble(config, out_dir=out_dir)
-        return result, render_failover_ensemble_report(result)
-
-    return ScenarioRun(
-        scenario="failover",
-        preset=preset,
-        study=FailoverStudy(variants=variants),
-        study_config=StudyConfig(seeds=seeds, workers=workers),
-        execute=execute,
-    )
+    ))
 
 
-def _churned_detection(
-    preset: str, seeds: tuple[int, ...], workers: int
-) -> ScenarioRun:
+def _churned_detection(preset: str) -> Study:
     from repro.core.detection.campaign import CampaignConfig
-    from repro.experiments.ensemble import (
-        ConfigVariant,
-        DetectionStudy,
-        EnsembleConfig,
-        run_ensemble,
-    )
+    from repro.experiments.ensemble import ConfigVariant, DetectionStudy
     from repro.faults.schedule import FaultConfig
-    from repro.reporting.ensembles import render_ensemble_report
 
     specs = mini_specs() if preset == "small" else ()
     world = DetectionWorldConfig(specs=specs)
-    variants = tuple(
+    return DetectionStudy(variants=tuple(
         ConfigVariant(
             name=f"faults={intensity}x",
             world=world,
@@ -357,20 +245,7 @@ def _churned_detection(
             ),
         )
         for intensity in FAULT_INTENSITIES
-    )
-    config = EnsembleConfig(seeds=seeds, variants=variants, workers=workers)
-
-    def execute(out_dir: str | None):
-        result = run_ensemble(config, out_dir=out_dir)
-        return result, render_ensemble_report(result)
-
-    return ScenarioRun(
-        scenario="churned-detection",
-        preset=preset,
-        study=DetectionStudy(variants=variants),
-        study_config=StudyConfig(seeds=seeds, workers=workers),
-        execute=execute,
-    )
+    ))
 
 
 #: The registry the CLI and tests enumerate, in presentation order.
@@ -379,51 +254,45 @@ SCENARIOS: dict[str, Scenario] = {
     for scenario in (
         Scenario(
             name="behavior-stress",
-            study_kind="detection",
             description="BehaviorRates stress grid: detection precision/"
             "recall and per-filter discards from 0x to 4x the calibrated "
             "pathological-behaviour rates",
-            builder=_behavior_stress,
+            grid=_behavior_stress,
         ),
         Scenario(
             name="exclusion-ablation",
-            study_kind="offload",
             description="Section 4.2 exclusion-rule ablation: offload "
             "fractions with each 'unlikely to peer' rule disabled, one "
             "shared world build per seed",
-            builder=_exclusion_ablation,
+            grid=_exclusion_ablation,
         ),
         Scenario(
             name="price-plane",
-            study_kind="economics",
             description="Transit-price x remote-port-price grid over the "
             "Sections 3+4+5 pipeline: bill savings and the eq. 14 "
             "viability vote across the tariff plane",
-            builder=_price_plane,
+            grid=_price_plane,
         ),
         Scenario(
             name="joint",
-            study_kind="joint",
             description="Joint detection->offload study: measured "
             "precision/recall propagated into the peer map, "
             "oracle-vs-detected offload gap and billing error",
-            builder=_joint,
+            grid=_joint,
         ),
         Scenario(
             name="failover",
-            study_kind="failover",
             description="Pseudowire failover sweep: offload savings vs "
             "dark-window duration scale under 95th-percentile billing, "
             "with the billing error monotone along the sweep per seed",
-            builder=_failover,
+            grid=_failover,
         ),
         Scenario(
             name="churned-detection",
-            study_kind="detection",
             description="Detection under chaos: precision/recall as LG "
             "outages, rate-limit storms, port flaps and probe-loss "
             "bursts scale from 0x to 4x the calibrated fault intensity",
-            builder=_churned_detection,
+            grid=_churned_detection,
         ),
     )
 }

@@ -705,7 +705,14 @@ class StudyJob:
     cancel_event: threading.Event = field(default_factory=threading.Event)
 
     def snapshot(self) -> dict[str, Any]:
-        """A JSON-ready copy of the job's externally visible state."""
+        """A JSON-ready copy of the job's externally visible state.
+
+        ``coverage`` is the finished run's
+        :meth:`~repro.experiments.engine.StudyResult.coverage_note` (None
+        while running and for clean runs), next to the fallback and
+        restart counters it summarizes.
+        """
+        result = self.result
         return {
             "id": self.job_id,
             "name": self.name,
@@ -721,6 +728,10 @@ class StudyJob:
             "cache_hit": self.cache_hit,
             "error": self.error,
             "failures": list(self.failure_notes),
+            "coverage": result.coverage_note() if result else None,
+            "batch_fallbacks": result.batch_fallbacks if result else 0,
+            "transport_fallbacks": result.transport_fallbacks if result else 0,
+            "pool_restarts": result.pool_restarts if result else 0,
             "metrics": self.metrics,
             "submitted_s": self.submitted_s,
             "started_s": self.started_s,

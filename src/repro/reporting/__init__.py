@@ -15,6 +15,7 @@ from repro.reporting.ensembles import (
     render_ensemble_report,
     render_failover_ensemble_report,
     render_joint_ensemble_report,
+    render_mega_report,
     render_offload_ensemble_report,
 )
 
@@ -27,5 +28,6 @@ __all__ = [
     "render_ensemble_report",
     "render_failover_ensemble_report",
     "render_joint_ensemble_report",
+    "render_mega_report",
     "render_offload_ensemble_report",
 ]

@@ -1,26 +1,27 @@
-"""Plain-text rendering of ensemble (multi-seed study) results.
+"""Plain-text rendering of multi-seed study results.
 
-One scaffold serves all three studies: a headline mean ± 95% CI table per
+One scaffold serves every study: a headline mean ± 95% CI table per
 variant under a shared title format, followed by study-specific blocks
 (per-filter discards, greedy-expansion consensus, the viability vote).
-The detection and offload renderers moved here verbatim from
-``repro.experiments.report`` — their output is byte-identical — and the
-economics renderer completes the set for the Sections 3+4+5 pipeline.
+Each renderer takes the run's :class:`~repro.experiments.engine.
+StudyResult` (trial counts, seeds, wall time) and the per-variant
+summaries its study computes; :func:`repro.experiments.requests.
+render_report` pairs the two and appends the run's coverage note.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.tables import render_table
 
 if TYPE_CHECKING:  # result types only — avoids a reporting ↔ experiments cycle
-    from repro.experiments.aggregate import MeanCI
-    from repro.experiments.economics import EconomicsEnsembleResult
-    from repro.experiments.ensemble import EnsembleResult
-    from repro.experiments.failover import FailoverEnsembleResult
-    from repro.experiments.joint import JointEnsembleResult
-    from repro.experiments.offload import OffloadEnsembleResult
+    from repro.experiments.aggregate import MeanCI, VariantSummary
+    from repro.experiments.economics import EconomicsVariantSummary
+    from repro.experiments.engine import StudyResult
+    from repro.experiments.failover import FailoverVariantSummary
+    from repro.experiments.joint import JointVariantSummary
+    from repro.experiments.offload import OffloadVariantSummary
 
 
 def _ci(
@@ -44,15 +45,16 @@ def ensemble_title(
 
 
 def render_ensemble_report(
-    result: EnsembleResult, per_ixp: bool = False
+    result: StudyResult,
+    summaries: Sequence[VariantSummary],
+    per_ixp: bool = False,
 ) -> str:
-    """Render per-variant mean ± 95% CI tables.
+    """Render the detection study's per-variant mean ± 95% CI tables.
 
     The headline table always appears; ``per_ixp=True`` appends each
     variant's per-IXP detected remote fractions (long for the 22-IXP
     world, so it is opt-in).
     """
-    summaries = result.summaries()
     blocks: list[str] = []
 
     headline_rows = []
@@ -99,7 +101,9 @@ def render_ensemble_report(
     return "\n\n".join(blocks)
 
 
-def render_offload_ensemble_report(result: OffloadEnsembleResult) -> str:
+def render_offload_ensemble_report(
+    result: StudyResult, summaries: Sequence[OffloadVariantSummary]
+) -> str:
     """Render the offload ensemble: fractions table + expansion consensus.
 
     The headline table reports mean ± 95% CI maximum offload fractions
@@ -108,7 +112,6 @@ def render_offload_ensemble_report(result: OffloadEnsembleResult) -> str:
     first five IXPs realize; one consensus table per variant shows the
     modal greedy order with per-rank agreement across seeds.
     """
-    summaries = result.summaries()
     blocks: list[str] = []
 
     headline_rows = []
@@ -147,7 +150,9 @@ def render_offload_ensemble_report(result: OffloadEnsembleResult) -> str:
     return "\n\n".join(blocks)
 
 
-def render_joint_ensemble_report(result: JointEnsembleResult) -> str:
+def render_joint_ensemble_report(
+    result: StudyResult, summaries: Sequence[JointVariantSummary]
+) -> str:
     """Render the joint detection→offload ensemble.
 
     The headline table reports the detection confusion (precision and
@@ -158,7 +163,6 @@ def render_joint_ensemble_report(result: JointEnsembleResult) -> str:
     (oracle / detected / phantom counts) and the billing chain (forecast
     vs realized savings, the forecast error, the baseline bill).
     """
-    summaries = result.summaries()
     blocks: list[str] = []
 
     headline_rows = []
@@ -209,7 +213,9 @@ def render_joint_ensemble_report(result: JointEnsembleResult) -> str:
     return "\n\n".join(blocks)
 
 
-def render_failover_ensemble_report(result: FailoverEnsembleResult) -> str:
+def render_failover_ensemble_report(
+    result: StudyResult, summaries: Sequence[FailoverVariantSummary]
+) -> str:
     """Render the failover ensemble: savings eroded by dark pseudowires.
 
     The headline table reports, per fault variant, the fault-free (ideal)
@@ -219,7 +225,6 @@ def render_failover_ensemble_report(result: FailoverEnsembleResult) -> str:
     (baseline bill, burst penalty) and the chaos drawn (dark windows,
     dark-time fraction, IXP footprint).
     """
-    summaries = result.summaries()
     blocks: list[str] = []
 
     headline_rows = []
@@ -265,7 +270,9 @@ def render_failover_ensemble_report(result: FailoverEnsembleResult) -> str:
     return "\n\n".join(blocks)
 
 
-def render_economics_ensemble_report(result: EconomicsEnsembleResult) -> str:
+def render_economics_ensemble_report(
+    result: StudyResult, summaries: Sequence[EconomicsVariantSummary]
+) -> str:
     """Render the economics ensemble: savings CIs + the eq. 14 vote.
 
     The headline table reports the mean ± 95% CI 95th-percentile
@@ -274,7 +281,6 @@ def render_economics_ensemble_report(result: EconomicsEnsembleResult) -> str:
     offload fractions the savings derive from, and the viability vote —
     how many seeds' fitted decay satisfied equation 14.
     """
-    summaries = result.summaries()
     blocks: list[str] = []
 
     headline_rows = []
@@ -317,4 +323,44 @@ def render_economics_ensemble_report(result: EconomicsEnsembleResult) -> str:
             title=f"Billing and viability — {s.variant}",
         ))
 
+    return "\n\n".join(blocks)
+
+
+def render_mega_report(result: StudyResult, variants: Sequence[str]) -> str:
+    """Render the mega expansion: covered-traffic CIs + the first world.
+
+    The headline table reads the engine's streaming aggregates (a mega
+    trial carries no per-variant summary type); the trailer describes the
+    first surviving trial's world and its greedy expansion order.
+    """
+    rows = []
+    for variant in variants:
+        stats = result.streaming.get(variant, {})
+        members = stats.get("covered_networks")
+        rows.append([
+            variant,
+            _ci(stats.get("covered_fraction"), as_percent=True),
+            _ci(stats.get("five_ixp_share"), as_percent=True),
+            "n/a" if members is None else f"{members.mean:,.0f}",
+        ])
+    trials = len(result.trials) + len(result.failures)
+    blocks = [render_table(
+        ["variant", "covered traffic", "5-IXP share", "covered networks"],
+        rows,
+        title=(
+            f"Mega expansion: {trials} trials "
+            f"({len(variants)} variant(s) x {len(result.config.seeds)} "
+            f"seed(s), {result.wall_s:.1f} s wall, "
+            f"transport={result.config.transport})"
+        ),
+    )]
+    if result.trials:
+        first = result.trials[0]
+        blocks.append(
+            f"World: {first.network_count:,} networks, "
+            f"{first.member_total:,} IXP memberships "
+            f"(build {first.build_s:.2f} s, trial {first.study_s:.2f} s).\n"
+            f"Greedy expansion (seed {first.seed}): "
+            f"{' -> '.join(first.expansion)}"
+        )
     return "\n\n".join(blocks)

@@ -17,6 +17,7 @@ Layering (strictly one-way)::
     serve.jobs                    JSON request → (Study, StudyConfig)
     serve.store                   read-side view of the artifact store
         │ uses
+    experiments.requests          study registry: schemas, factories
     experiments.scheduler         job queue + execution core
         │ uses
     experiments.engine            data model + artifact format
@@ -29,15 +30,13 @@ See ``serve/README.md`` for the API reference and job lifecycle.
 """
 
 from repro.serve.app import HttpServer, StudyService, run_server, serve
-from repro.serve.jobs import STUDY_KINDS, parse_seeds, resolve_request
+from repro.serve.jobs import resolve_request
 from repro.serve.store import ResultStore
 
 __all__ = [
     "HttpServer",
     "ResultStore",
-    "STUDY_KINDS",
     "StudyService",
-    "parse_seeds",
     "resolve_request",
     "run_server",
     "serve",

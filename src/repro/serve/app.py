@@ -31,8 +31,10 @@ from typing import Any, Iterable
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ConfigurationError
+from repro.experiments.requests import request_kinds
+from repro.experiments.scenarios import scenario_names
 from repro.experiments.scheduler import StudyScheduler
-from repro.serve.jobs import STUDY_KINDS, resolve_request
+from repro.serve.jobs import resolve_request
 from repro.serve.routes import (
     Request,
     Response,
@@ -78,7 +80,10 @@ class StudyService:
     # -- handler-facing methods (all return JSON-ready data) -------------
 
     def study_kinds(self) -> Iterable[str]:
-        return STUDY_KINDS
+        return request_kinds()
+
+    def scenarios(self) -> Iterable[str]:
+        return scenario_names()
 
     def submit(self, payload: Any) -> dict[str, Any]:
         if not isinstance(payload, dict):

@@ -86,6 +86,7 @@ async def _index(service: Any, request: Request) -> Response:
             "GET /results/{fingerprint}",
         ],
         "studies": list(service.study_kinds()),
+        "scenarios": list(service.scenarios()),
     })
 
 

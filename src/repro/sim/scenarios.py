@@ -102,7 +102,7 @@ def mega(seed: int = 0) -> MegaWorld:
     return build_mega_world(mega_config(seed))
 
 
-# -- named study presets (the `repro study` CLI's --scenario values) ----------
+# -- named study presets (the `preset` key of study requests) -----------------
 
 
 def mega_preset_config(name: str) -> MegaWorldConfig:
@@ -123,19 +123,17 @@ def detection_preset_specs(name: str) -> tuple:
     raise ConfigurationError(f"unknown detection preset {name!r}")
 
 
-def offload_preset_config(name: str, engine: str = "vectorized") -> OffloadWorldConfig:
+def offload_preset_config(name: str) -> OffloadWorldConfig:
     """Offload-world config of a named preset (seeds are set per trial)."""
-    from dataclasses import replace
-
     if name == "small":
-        return replace(rediris_small_config(), engine=engine)
+        return rediris_small_config()
     if name == "paper65":
-        return OffloadWorldConfig(engine=engine)
+        return OffloadWorldConfig()
     raise ConfigurationError(f"unknown offload preset {name!r}")
 
 
 def joint_preset_configs(
-    name: str, engine: str = "vectorized"
+    name: str,
 ) -> tuple[DetectionWorldConfig, OffloadWorldConfig]:
     """World-family configs of a named joint detection→offload preset.
 
@@ -146,12 +144,9 @@ def joint_preset_configs(
     """
     if name == "small":
         return (
-            DetectionWorldConfig(specs=mini_specs(), engine=engine),
-            offload_preset_config("small", engine=engine),
+            DetectionWorldConfig(specs=mini_specs()),
+            offload_preset_config("small"),
         )
     if name == "paper":
-        return (
-            DetectionWorldConfig(engine=engine),
-            offload_preset_config("paper65", engine=engine),
-        )
+        return (DetectionWorldConfig(), offload_preset_config("paper65"))
     raise ConfigurationError(f"unknown joint preset {name!r}")

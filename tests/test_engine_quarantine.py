@@ -263,6 +263,8 @@ class TestPoolRestart:
         result = run_study(study, config)
         assert result.pool_restarts == 1
         assert result.failures == []
+        assert "worker pool broke and was restarted 1 time(s)" in \
+            result.coverage_note()
         assert sorted(t.seed for t in result.trials) == [1, 2, 3, 4]
         # The artifact file is consistent for a clean resume.
         again = run_study(study, config)

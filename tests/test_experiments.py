@@ -1,18 +1,18 @@
-"""The ensemble subsystem: config grids, trial runner, aggregates, CLI."""
+"""The detection study: config grids, trials, aggregates, report, CLI."""
 
 import pytest
 
-from repro.core.detection.campaign import CampaignConfig
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments import (
     ConfigVariant,
-    EnsembleConfig,
-    MeanCI,
+    DetectionStudy,
+    StudyConfig,
+    detection_summaries,
+    expand_trials,
     grid_variants,
     mean_ci,
-    render_ensemble_report,
-    run_ensemble,
-    run_trial,
+    render_report,
+    run_study,
 )
 from repro.ixp.catalog import spec_by_acronym
 from repro.sim.detection_world import DetectionWorldConfig
@@ -20,14 +20,13 @@ from repro.sim.detection_world import DetectionWorldConfig
 #: One small IXP: trials build in well under a second.
 TORIX = (spec_by_acronym("TorIX"),)
 
+TINY = DetectionStudy(variants=(
+    ConfigVariant(name="tiny", world=DetectionWorldConfig(specs=TORIX)),
+))
 
-def tiny_config(seeds=(0, 1), workers=1, **variant_kwargs):
-    variants = variant_kwargs.pop("variants", None) or (
-        ConfigVariant(
-            name="tiny", world=DetectionWorldConfig(specs=TORIX),
-        ),
-    )
-    return EnsembleConfig(seeds=tuple(seeds), variants=variants, workers=workers)
+
+def run_tiny(seeds=(0, 1), workers=1, study=TINY):
+    return run_study(study, StudyConfig(seeds=tuple(seeds), workers=workers))
 
 
 class TestMeanCI:
@@ -90,7 +89,7 @@ class TestGridVariants:
             grid_variants(axes={"campaign.remoteness_treshold_ms": (5.0,)})
 
     def test_seed_axis_rejected(self):
-        # Seeds are per-trial (EnsembleConfig.seeds); sweeping them here
+        # Seeds are per-trial (StudyConfig.seeds); sweeping them here
         # would be silently overwritten, so it is rejected.
         with pytest.raises(ConfigurationError):
             grid_variants(axes={"world.seed": (1, 2)})
@@ -100,14 +99,11 @@ class TestGridVariants:
 
 class TestEnsembleConfig:
     def test_trials_are_seeds_times_variants(self):
-        config = tiny_config(
-            seeds=(3, 4, 5),
-            variants=(
-                ConfigVariant(name="a", world=DetectionWorldConfig(specs=TORIX)),
-                ConfigVariant(name="b", world=DetectionWorldConfig(specs=TORIX)),
-            ),
-        )
-        trials = config.trials()
+        study = DetectionStudy(variants=(
+            ConfigVariant(name="a", world=DetectionWorldConfig(specs=TORIX)),
+            ConfigVariant(name="b", world=DetectionWorldConfig(specs=TORIX)),
+        ))
+        trials = expand_trials(study, (3, 4, 5))
         assert len(trials) == 6
         assert [t.trial_id for t in trials] == list(range(6))
         assert {t.world.seed for t in trials} == {3, 4, 5}
@@ -121,22 +117,20 @@ class TestEnsembleConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            EnsembleConfig(seeds=())
+            StudyConfig(seeds=())
         with pytest.raises(ConfigurationError):
-            EnsembleConfig(seeds=(1, 1))
+            StudyConfig(seeds=(1, 1))
         with pytest.raises(ConfigurationError):
-            EnsembleConfig(
-                seeds=(1,),
+            DetectionStudy(
                 variants=(ConfigVariant(name="x"), ConfigVariant(name="x")),
             )
         with pytest.raises(ConfigurationError):
-            EnsembleConfig(seeds=(1,), workers=-1)
+            StudyConfig(seeds=(1,), workers=-1)
 
 
 class TestRunTrial:
     def test_single_trial_metrics(self):
-        spec = tiny_config(seeds=(0,)).trials()[0]
-        result = run_trial(spec)
+        (result,) = run_tiny(seeds=(0,)).trials
         assert result.variant == "tiny" and result.seed == 0
         assert 0 < result.analyzed_count <= result.candidate_count
         assert set(result.discard_counts) == {
@@ -151,9 +145,9 @@ class TestRunTrial:
 
 class TestRunEnsemble:
     def test_inline_run_and_summaries(self):
-        result = run_ensemble(tiny_config(seeds=(0, 1, 2), workers=1))
+        result = run_tiny(seeds=(0, 1, 2))
         assert [t.seed for t in result.trials] == [0, 1, 2]
-        (summary,) = result.summaries()
+        (summary,) = detection_summaries(result)
         assert summary.variant == "tiny" and summary.trials == 3
         assert summary.precision is not None
         assert 0.9 <= summary.precision.mean <= 1.0
@@ -166,8 +160,7 @@ class TestRunEnsemble:
         assert "TorIX" in summary.remote_fraction_by_ixp
 
     def test_report_renders(self):
-        result = run_ensemble(tiny_config(seeds=(0, 1), workers=1))
-        text = render_ensemble_report(result, per_ixp=True)
+        text = render_report(TINY, run_tiny(seeds=(0, 1)), per_ixp=True)
         assert "precision" in text and "tiny" in text
         assert "Per-filter discards" in text
         assert "TorIX" in text
@@ -177,10 +170,8 @@ class TestRunEnsemble:
             world=DetectionWorldConfig(specs=TORIX),
             axes={"campaign.remoteness_threshold_ms": (5.0, 20.0)},
         )
-        result = run_ensemble(
-            EnsembleConfig(seeds=(0, 1), variants=variants, workers=1)
-        )
-        summaries = {s.variant: s for s in result.summaries()}
+        result = run_tiny(study=DetectionStudy(variants=variants))
+        summaries = {s.variant: s for s in detection_summaries(result)}
         assert len(summaries) == 2
         loose, tight = (
             summaries["remoteness_threshold_ms=20.0"],
@@ -195,10 +186,8 @@ class TestRunEnsemble:
 @pytest.mark.slow
 class TestRunEnsembleParallel:
     def test_process_pool_matches_inline(self):
-        config_inline = tiny_config(seeds=(0, 1), workers=1)
-        config_pool = tiny_config(seeds=(0, 1), workers=2)
-        inline = run_ensemble(config_inline)
-        pooled = run_ensemble(config_pool)
+        inline = run_tiny(seeds=(0, 1), workers=1)
+        pooled = run_tiny(seeds=(0, 1), workers=2)
         assert [t.seed for t in pooled.trials] == [t.seed for t in inline.trials]
         for a, b in zip(inline.trials, pooled.trials):
             assert a.analyzed_count == b.analyzed_count
@@ -208,26 +197,29 @@ class TestRunEnsembleParallel:
 
 class TestEnsembleCLI:
     def test_mini_run(self, capsys):
-        from repro.cli import ensemble_main
+        from repro.cli import study_main
 
-        assert ensemble_main(
-            ["--scenario", "mini3", "--seeds", "2", "--workers", "1"]
-        ) == 0
+        assert study_main([
+            "detection", "--preset", "mini3", "--seeds", "2",
+            "--workers", "1",
+        ]) == 0
         out = capsys.readouterr().out
         assert "precision" in out and "Ensemble" in out
 
     def test_ixps_override(self, capsys):
-        from repro.cli import ensemble_main
+        from repro.cli import study_main
 
-        assert ensemble_main(
-            ["--ixps", "TorIX", "--seeds", "2", "--workers", "1", "--per-ixp"]
-        ) == 0
+        assert study_main([
+            "detection", "--ixps", "TorIX", "--seeds", "2", "--workers", "1",
+            "--per-ixp",
+        ]) == 0
         assert "TorIX" in capsys.readouterr().out
 
     def test_dispatcher(self, capsys):
         from repro.cli import main
 
-        assert main(
-            ["ensemble", "--ixps", "TorIX", "--seeds", "1", "--workers", "1"]
-        ) == 0
+        assert main([
+            "study", "detection", "--ixps", "TorIX", "--seeds", "1",
+            "--workers", "1",
+        ]) == 0
         assert "Ensemble" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""The economics ensemble: Sections 3+4+5 end-to-end across seeds."""
+"""The economics study: Sections 3+4+5 end-to-end across seeds."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ import pytest
 
 from repro.errors import ConfigurationError, EconomicsError
 from repro.experiments import (
-    EconomicsEnsembleConfig,
     EconomicsStudy,
     EconomicsVariant,
+    StudyConfig,
     economics_grid_variants,
-    render_economics_ensemble_report,
-    run_economics_ensemble,
-    run_economics_trial,
+    economics_summaries,
+    render_report,
+    run_study,
 )
 from repro.experiments.engine import _artifact_path
 from repro.sim.scenarios import rediris_small_config
@@ -28,11 +28,13 @@ def small_variant(**kwargs) -> EconomicsVariant:
     )
 
 
-def small_config(seeds=(0, 1), **variant_kwargs) -> EconomicsEnsembleConfig:
-    return EconomicsEnsembleConfig(
-        seeds=tuple(seeds),
-        variants=(small_variant(**variant_kwargs),),
-        workers=1,
+def small_study(**variant_kwargs) -> EconomicsStudy:
+    return EconomicsStudy(variants=(small_variant(**variant_kwargs),))
+
+
+def run_inline(study, seeds=(0, 1), out_dir=None):
+    return run_study(
+        study, StudyConfig(seeds=tuple(seeds), workers=1, out_dir=out_dir)
     )
 
 
@@ -68,8 +70,7 @@ class TestEconomicsVariant:
 
 class TestEconomicsTrial:
     def test_end_to_end_small_world(self):
-        spec = small_config(seeds=(0,)).trials()[0]
-        result = run_economics_trial(spec)
+        (result,) = run_inline(small_study(), seeds=(0,)).trials
         assert result.variant == "small" and result.seed == 0
         assert result.candidate_count > 100
         assert 0.0 < result.inbound_fraction < 1.0
@@ -92,8 +93,10 @@ class TestEconomicsTrial:
         (b well above 1), so the default Section 5 prices fail eq. 14 —
         the Figure 9 'few IXPs realize most potential' shape makes remote
         peering *unnecessary* for a RedIRIS-like NREN at these prices."""
-        result = run_economics_ensemble(small_config(seeds=(0, 1, 2)))
-        (summary,) = result.summaries()
+        study = small_study()
+        (summary,) = economics_summaries(
+            study, run_inline(study, seeds=(0, 1, 2))
+        )
         assert summary.trials == 3
         assert summary.viable_votes == 0
         assert summary.viability_vote == 0.0
@@ -101,25 +104,22 @@ class TestEconomicsTrial:
         assert 0.2 < summary.savings_fraction.mean < 0.4
         # The same seeds with an Africa-like fixed-cost advantage
         # (h << g, expensive transit) flip every vote — Section 5.2.
-        africa = run_economics_ensemble(small_config(
-            seeds=(0, 1, 2), name="africa",
+        africa = small_study(
+            name="africa",
             transit_price=10.0, direct_fixed=8.0, direct_unit=1.0,
             remote_fixed=0.8, remote_unit=3.0,
-        ))
-        (africa_summary,) = africa.summaries()
+        )
+        (africa_summary,) = economics_summaries(
+            africa, run_inline(africa, seeds=(0, 1, 2))
+        )
         assert africa_summary.viable_votes == 3
         assert africa_summary.viability_vote == 1.0
 
     def test_group_grid_shares_worlds(self):
-        config = EconomicsEnsembleConfig(
-            seeds=(0, 1),
-            variants=(
-                small_variant(name="g1", group=1),
-                small_variant(name="g4", group=4),
-            ),
-            workers=1,
-        )
-        result = run_economics_ensemble(config)
+        result = run_inline(EconomicsStudy(variants=(
+            small_variant(name="g1", group=1),
+            small_variant(name="g4", group=4),
+        )))
         assert result.world_builds == 2 and result.world_reuses == 2
         by_variant = result.by_variant()
         # Group 1 (open policies only) can never offload more than group 4.
@@ -130,17 +130,16 @@ class TestEconomicsTrial:
 
 class TestEconomicsResume:
     def test_resume_identical_aggregates(self, tmp_path):
-        config = small_config(seeds=(0, 1))
-        full = run_economics_ensemble(config, out_dir=str(tmp_path))
-        path = _artifact_path(EconomicsStudy(variants=config.variants),
-                              str(tmp_path))
+        study = small_study()
+        full = run_inline(study, out_dir=str(tmp_path))
+        path = _artifact_path(study, str(tmp_path))
         lines = path.read_text().splitlines(keepends=True)
         assert len(lines) == 1 + 2
         path.write_text("".join(lines[:2]))
-        resumed = run_economics_ensemble(config, out_dir=str(tmp_path))
+        resumed = run_inline(study, out_dir=str(tmp_path))
         assert resumed.resumed == 1
-        (a,) = full.summaries()
-        (b,) = resumed.summaries()
+        (a,) = economics_summaries(study, full)
+        (b,) = economics_summaries(study, resumed)
         assert a.savings_fraction == b.savings_fraction
         assert a.decay_rate == b.decay_rate
         assert a.viable_votes == b.viable_votes
@@ -148,8 +147,8 @@ class TestEconomicsResume:
 
 class TestEconomicsReport:
     def test_render(self):
-        result = run_economics_ensemble(small_config(seeds=(0, 1)))
-        text = render_economics_ensemble_report(result)
+        study = small_study()
+        text = render_report(study, run_inline(study))
         assert "Economics ensemble" in text
         assert "bill savings" in text
         assert "viable (eq. 14)" in text
@@ -159,10 +158,11 @@ class TestEconomicsReport:
 
 class TestEconomicsCLI:
     def test_small_run(self, capsys):
-        from repro.cli import economics_study_main
+        from repro.cli import study_main
 
-        assert economics_study_main(
-            ["--scenario", "small", "--seeds", "2", "--workers", "1"]
+        assert study_main(
+            ["economics", "--preset", "small", "--seeds", "2",
+             "--workers", "1"]
         ) == 0
         out = capsys.readouterr().out
         assert "Economics ensemble" in out and "viable (eq. 14)" in out
@@ -176,7 +176,7 @@ class TestEconomicsCLI:
         assert "Economics ensemble" in capsys.readouterr().out
 
     def test_bad_prices_error(self):
-        from repro.cli import economics_study_main
+        from repro.cli import study_main
 
         with pytest.raises(SystemExit):
-            economics_study_main(["--remote-unit", "9.0", "--seeds", "1"])
+            study_main(["economics", "--remote-unit", "9.0", "--seeds", "1"])

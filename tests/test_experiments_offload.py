@@ -1,4 +1,4 @@
-"""Offload ensembles (config grids, runner, aggregates, CLI) and the
+"""Offload studies (config grids, runner, aggregates, CLI) and the
 offload edge cases the vectorized estimator must survive: empty peer
 groups, empty traffic matrices, and single-IXP expansions."""
 
@@ -14,12 +14,14 @@ from repro.core.offload import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    OffloadEnsembleConfig,
+    OffloadStudy,
     OffloadVariant,
+    StudyConfig,
+    expand_trials,
     offload_grid_variants,
-    render_offload_ensemble_report,
-    run_offload_ensemble,
-    run_offload_trial,
+    offload_summaries,
+    render_report,
+    run_study,
 )
 from repro.netflow.traffic import (
     TrafficMatrix,
@@ -41,13 +43,13 @@ TINY_WORLD = OffloadWorldConfig(
 )
 
 
-def tiny_ensemble(seeds=(0, 1), workers=1, **variant_kwargs):
-    variants = variant_kwargs.pop("variants", None) or (
-        OffloadVariant(name="tiny", world=TINY_WORLD, max_ixps=4),
-    )
-    return OffloadEnsembleConfig(
-        seeds=tuple(seeds), variants=variants, workers=workers
-    )
+TINY = OffloadStudy(
+    variants=(OffloadVariant(name="tiny", world=TINY_WORLD, max_ixps=4),),
+)
+
+
+def run_tiny(seeds=(0, 1)):
+    return run_study(TINY, StudyConfig(seeds=tuple(seeds), workers=1))
 
 
 class TestOffloadGridVariants:
@@ -87,18 +89,17 @@ class TestOffloadGridVariants:
 class TestEnsembleConfig:
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigurationError):
-            tiny_ensemble(seeds=(1, 1))
+            StudyConfig(seeds=(1, 1))
 
     def test_duplicate_variant_names_rejected(self):
         with pytest.raises(ConfigurationError):
-            tiny_ensemble(variants=(
+            OffloadStudy(variants=(
                 OffloadVariant(name="a", world=TINY_WORLD),
                 OffloadVariant(name="a", world=TINY_WORLD),
             ))
 
     def test_trials_are_variant_major_with_overridden_seeds(self):
-        config = tiny_ensemble(seeds=(3, 5))
-        specs = config.trials()
+        specs = expand_trials(TINY, (3, 5))
         assert [s.seed for s in specs] == [3, 5]
         assert all(s.world.seed == s.seed for s in specs)
 
@@ -106,7 +107,7 @@ class TestEnsembleConfig:
 class TestRunner:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_offload_ensemble(tiny_ensemble(seeds=(0, 1, 2)))
+        return run_tiny(seeds=(0, 1, 2))
 
     def test_trial_metrics_sane(self, result):
         assert len(result.trials) == 3
@@ -118,7 +119,7 @@ class TestRunner:
             assert trial.expansion  # at least one IXP gains traffic
 
     def test_summaries_and_consensus(self, result):
-        (summary,) = result.summaries()
+        (summary,) = offload_summaries(TINY, result)
         assert summary.trials == 3
         assert summary.group == 4
         assert 0 < summary.inbound_fraction.mean < 1
@@ -127,7 +128,7 @@ class TestRunner:
         assert first.rank == 1 and 0 < first.agreement <= 1.0
 
     def test_deterministic(self, result):
-        again = run_offload_ensemble(tiny_ensemble(seeds=(0, 1, 2)))
+        again = run_tiny(seeds=(0, 1, 2))
         assert [t.expansion for t in again.trials] == [
             t.expansion for t in result.trials
         ]
@@ -136,14 +137,13 @@ class TestRunner:
         ]
 
     def test_report_renders(self, result):
-        text = render_offload_ensemble_report(result)
+        text = render_report(TINY, result)
         assert "Offload ensemble: 3 trials" in text
         assert "Greedy expansion consensus" in text
         assert "inbound offload" in text
 
     def test_single_trial_runs_inline(self):
-        spec = tiny_ensemble(seeds=(4,)).trials()[0]
-        trial = run_offload_trial(spec)
+        (trial,) = run_tiny(seeds=(4,)).trials
         assert trial.seed == 4
         assert trial.build_s > 0 and trial.study_s > 0
 
@@ -204,10 +204,10 @@ class TestOffloadEdgeCases:
 
 class TestOffloadEnsembleCLI:
     def test_small_run(self, capsys):
-        from repro.cli import offload_ensemble_main
+        from repro.cli import study_main
 
-        assert offload_ensemble_main([
-            "--scenario", "small", "--seeds", "2", "--workers", "1",
+        assert study_main([
+            "offload", "--preset", "small", "--seeds", "2", "--workers", "1",
             "--max-ixps", "3",
         ]) == 0
         out = capsys.readouterr().out
@@ -215,19 +215,19 @@ class TestOffloadEnsembleCLI:
         assert "Greedy expansion consensus" in out
 
     def test_grid_run_with_groups(self, capsys):
-        from repro.cli import offload_ensemble_main
+        from repro.cli import study_main
 
-        assert offload_ensemble_main([
-            "--scenario", "small", "--seeds", "2", "--workers", "1",
+        assert study_main([
+            "offload", "--preset", "small", "--seeds", "2", "--workers", "1",
             "--groups", "1", "4", "--max-ixps", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "group=1" in out and "group=4" in out
 
     def test_bad_args(self):
-        from repro.cli import offload_ensemble_main
+        from repro.cli import study_main
 
         with pytest.raises(SystemExit):
-            offload_ensemble_main(["--seeds", "0"])
+            study_main(["offload", "--seeds", "0"])
         with pytest.raises(SystemExit):
-            offload_ensemble_main(["--max-ixps", "0"])
+            study_main(["offload", "--max-ixps", "0"])

@@ -12,15 +12,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    FailoverEnsembleConfig,
+    FailoverStudy,
     FailoverVariant,
+    StudyConfig,
     get_scenario,
-    run_failover_ensemble,
+    render_report,
+    run_study,
     scenario_names,
 )
 from repro.experiments.scenarios import DARK_DURATION_SCALES
 from repro.faults import FaultConfig
-from repro.reporting import render_failover_ensemble_report
 from tests.engine_equivalence import tiny_offload_config
 
 
@@ -57,14 +58,17 @@ class TestRegistry:
             get_scenario("failover").build("huge")
 
 
+SWEEP = FailoverStudy(variants=scale_variants((0.0, 1.0, 4.0), max_ixps=4))
+
+
+def run_sweep():
+    return run_study(SWEEP, StudyConfig(seeds=(3, 4, 5), workers=1))
+
+
 class TestFailoverEnsemble:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_failover_ensemble(FailoverEnsembleConfig(
-            seeds=(3, 4, 5),
-            variants=scale_variants((0.0, 1.0, 4.0), max_ixps=4),
-            workers=1,
-        ))
+        return run_sweep()
 
     def test_fault_variants_share_world_builds(self, result):
         # 3 variants x 3 seeds but the chaos lives outside the world:
@@ -104,17 +108,13 @@ class TestFailoverEnsemble:
             assert all(e >= 0.0 for e in errors)
 
     def test_report_renders(self, result):
-        report = render_failover_ensemble_report(result)
+        report = render_report(SWEEP, result)
         assert "Failover ensemble" in report
         assert "dark=4.0x" in report
         assert "billing error" in report
 
     def test_trials_are_reproducible(self, result):
-        again = run_failover_ensemble(FailoverEnsembleConfig(
-            seeds=(3, 4, 5),
-            variants=scale_variants((0.0, 1.0, 4.0), max_ixps=4),
-            workers=1,
-        ))
+        again = run_sweep()
         strip = lambda t: (t.variant, t.seed, t.ideal_savings_fraction,
                            t.realized_savings_fraction, t.dark_window_count)
         assert [strip(t) for t in again.trials] == [

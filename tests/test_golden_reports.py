@@ -1,10 +1,11 @@
-"""Golden-report snapshots: every ensemble renderer, byte-for-byte.
+"""Golden-report snapshots: every registry renderer, byte-for-byte.
 
 The repo's change log repeatedly claims "reports are byte-identical"
 across refactors; these snapshots make that a gate instead of an
-assertion.  Each test runs a small fixed-seed ensemble inline, zeroes
-the wall-clock figure (the only nondeterministic byte in a report), and
-compares the rendered text against a committed golden file.
+assertion.  Each test runs a small fixed-seed study inline, zeroes the
+wall-clock figure (the only nondeterministic byte in a report), and
+compares the text of :func:`~repro.experiments.requests.render_report`
+against a committed golden file.
 
 To regenerate after an *intentional* report change::
 
@@ -21,32 +22,22 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
-    ConfigVariant,
-    EconomicsEnsembleConfig,
+    DetectionStudy,
+    EconomicsStudy,
     EconomicsVariant,
-    EnsembleConfig,
-    FailoverEnsembleConfig,
+    FailoverStudy,
     FailoverVariant,
-    JointEnsembleConfig,
+    JointStudy,
     JointVariant,
-    OffloadEnsembleConfig,
+    OffloadStudy,
     OffloadVariant,
+    StudyConfig,
     grid_variants,
-    run_economics_ensemble,
-    run_ensemble,
-    run_failover_ensemble,
-    run_joint_ensemble,
-    run_offload_ensemble,
+    render_report,
+    run_study,
 )
 from repro.faults import FaultConfig
 from repro.ixp.catalog import spec_by_acronym
-from repro.reporting import (
-    render_economics_ensemble_report,
-    render_ensemble_report,
-    render_failover_ensemble_report,
-    render_joint_ensemble_report,
-    render_offload_ensemble_report,
-)
 from repro.sim.detection_world import DetectionWorldConfig
 from tests.engine_equivalence import tiny_offload_config
 
@@ -73,96 +64,77 @@ def assert_matches_golden(name: str, report: str) -> None:
     )
 
 
+def golden_report(study, seeds, **flags) -> str:
+    """The inline run's report with the wall-clock figure zeroed."""
+    result = run_study(study, StudyConfig(seeds=seeds, workers=1))
+    result.wall_s = 0.0
+    return render_report(study, result, **flags)
+
+
 @pytest.mark.golden
 class TestGoldenReports:
     def test_detection_ensemble_report(self):
-        result = run_ensemble(EnsembleConfig(
-            seeds=(0, 1),
-            variants=grid_variants(
-                world=DetectionWorldConfig(specs=TORIX),
-                axes={"campaign.remoteness_threshold_ms": (5.0, 10.0)},
-            ),
-            workers=1,
+        study = DetectionStudy(variants=grid_variants(
+            world=DetectionWorldConfig(specs=TORIX),
+            axes={"campaign.remoteness_threshold_ms": (5.0, 10.0)},
         ))
-        result.wall_s = 0.0
         assert_matches_golden(
             "detection_ensemble.txt",
-            render_ensemble_report(result, per_ixp=True),
+            golden_report(study, (0, 1), per_ixp=True),
         )
 
     def test_offload_ensemble_report(self):
-        result = run_offload_ensemble(OffloadEnsembleConfig(
-            seeds=(3, 4),
-            variants=(
-                OffloadVariant(
-                    name="tiny", world=tiny_offload_config(), max_ixps=4
-                ),
-                OffloadVariant(
-                    name="no-exclusions",
-                    world=tiny_offload_config(),
-                    max_ixps=4,
-                    exclude_transit_providers=False,
-                    exclude_home_ixp_members=False,
-                    exclude_geant_club=False,
-                ),
+        study = OffloadStudy(variants=(
+            OffloadVariant(
+                name="tiny", world=tiny_offload_config(), max_ixps=4
             ),
-            workers=1,
+            OffloadVariant(
+                name="no-exclusions",
+                world=tiny_offload_config(),
+                max_ixps=4,
+                exclude_transit_providers=False,
+                exclude_home_ixp_members=False,
+                exclude_geant_club=False,
+            ),
         ))
-        result.wall_s = 0.0
         assert_matches_golden(
-            "offload_ensemble.txt", render_offload_ensemble_report(result)
+            "offload_ensemble.txt", golden_report(study, (3, 4))
         )
 
     def test_economics_ensemble_report(self):
-        result = run_economics_ensemble(EconomicsEnsembleConfig(
-            seeds=(3, 4),
-            variants=(
-                EconomicsVariant(
-                    name="tiny", world=tiny_offload_config(), max_ixps=6
-                ),
+        study = EconomicsStudy(variants=(
+            EconomicsVariant(
+                name="tiny", world=tiny_offload_config(), max_ixps=6
             ),
-            workers=1,
         ))
-        result.wall_s = 0.0
         assert_matches_golden(
-            "economics_ensemble.txt",
-            render_economics_ensemble_report(result),
+            "economics_ensemble.txt", golden_report(study, (3, 4))
         )
 
     def test_failover_ensemble_report(self):
-        result = run_failover_ensemble(FailoverEnsembleConfig(
-            seeds=(3, 4),
-            variants=tuple(
-                FailoverVariant(
-                    name=f"dark={scale}x",
-                    world=tiny_offload_config(),
-                    faults=FaultConfig(duration_scale=scale)
-                    if scale > 0
-                    else FaultConfig(intensity=0.0),
-                    max_ixps=4,
-                )
-                for scale in (0.0, 1.0, 4.0)
-            ),
-            workers=1,
+        study = FailoverStudy(variants=tuple(
+            FailoverVariant(
+                name=f"dark={scale}x",
+                world=tiny_offload_config(),
+                faults=FaultConfig(duration_scale=scale)
+                if scale > 0
+                else FaultConfig(intensity=0.0),
+                max_ixps=4,
+            )
+            for scale in (0.0, 1.0, 4.0)
         ))
-        result.wall_s = 0.0
         assert_matches_golden(
-            "failover_ensemble.txt", render_failover_ensemble_report(result)
+            "failover_ensemble.txt", golden_report(study, (3, 4))
         )
 
     def test_joint_ensemble_report(self):
-        result = run_joint_ensemble(JointEnsembleConfig(
-            seeds=(0, 1),
-            variants=(
-                JointVariant(
-                    name="tiny",
-                    detection_world=DetectionWorldConfig(specs=TORIX),
-                    offload_world=tiny_offload_config(),
-                ),
+        study = JointStudy(variants=(
+            JointVariant(
+                name="tiny",
+                detection_world=DetectionWorldConfig(specs=TORIX),
+                offload_world=tiny_offload_config(),
             ),
-            workers=1,
         ))
-        result.wall_s = 0.0
         assert_matches_golden(
-            "joint_ensemble.txt", render_joint_ensemble_report(result)
+            "joint_ensemble.txt", golden_report(study, (0, 1))
         )

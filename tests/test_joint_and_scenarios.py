@@ -7,13 +7,15 @@ import pytest
 from repro.core.offload import OffloadEstimator, PeerGroups
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    JointEnsembleConfig,
     JointStudy,
     JointVariant,
+    StudyConfig,
     economics_grid_variants,
+    expand_trials,
     get_scenario,
-    run_joint_ensemble,
-    run_joint_trial,
+    joint_summaries,
+    render_report,
+    run_study,
     scenario_names,
 )
 from repro.experiments.engine import _artifact_path
@@ -35,12 +37,13 @@ def tiny_joint_variant(name="tiny", **overrides) -> JointVariant:
     return JointVariant(**values)
 
 
-def tiny_joint_config(seeds=(0, 1), variants=None, **kwargs):
-    return JointEnsembleConfig(
-        seeds=seeds,
-        variants=variants or (tiny_joint_variant(),),
-        workers=1,
-        **kwargs,
+def tiny_joint_study(*variants) -> JointStudy:
+    return JointStudy(variants=variants or (tiny_joint_variant(),))
+
+
+def run_inline(study, seeds=(0, 1), out_dir=None):
+    return run_study(
+        study, StudyConfig(seeds=tuple(seeds), workers=1, out_dir=out_dir)
     )
 
 
@@ -62,11 +65,8 @@ class TestJointValidation:
             JointStudy(variants=(tiny_joint_variant(), tiny_joint_variant()))
 
     def test_expansion_is_variant_major(self):
-        config = tiny_joint_config(
-            seeds=(5, 6),
-            variants=(tiny_joint_variant("a"), tiny_joint_variant("b")),
-        )
-        trials = config.trials()
+        study = tiny_joint_study(tiny_joint_variant("a"), tiny_joint_variant("b"))
+        trials = expand_trials(study, (5, 6))
         assert [(t.variant, t.seed) for t in trials] == [
             ("a", 5), ("a", 6), ("b", 5), ("b", 6),
         ]
@@ -79,7 +79,7 @@ class TestJointValidation:
 class TestJointTrial:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_joint_ensemble(tiny_joint_config())
+        return run_inline(tiny_joint_study())
 
     def test_peer_map_invariants(self, result):
         for t in result.trials:
@@ -109,8 +109,9 @@ class TestJointTrial:
             )
 
     def test_standalone_trial_matches_engine(self, result):
-        spec = tiny_joint_config().trials()[0]
-        standalone = run_joint_trial(spec)
+        study = tiny_joint_study()
+        spec = expand_trials(study, (0, 1))[0]
+        standalone = study.measure(spec, study.build(spec), build_s=0.0)
         engine_trial = result.trials[0]
         assert standalone.precision == engine_trial.precision
         assert standalone.recall == engine_trial.recall
@@ -123,10 +124,10 @@ class TestJointTrial:
         )
 
     def test_zero_remote_fraction_collapses_the_study(self):
-        result = run_joint_ensemble(tiny_joint_config(
+        result = run_inline(
+            tiny_joint_study(tiny_joint_variant(remote_fraction=0.0)),
             seeds=(0,),
-            variants=(tiny_joint_variant(remote_fraction=0.0),),
-        ))
+        )
         (t,) = result.trials
         assert t.oracle_peer_count == 0
         assert t.oracle_fraction == 0.0
@@ -136,10 +137,10 @@ class TestJointTrial:
     def test_full_remote_fraction_gap_is_pure_recall(self):
         """With every candidate remote, phantoms are impossible and the
         gap comes only from detection misses."""
-        result = run_joint_ensemble(tiny_joint_config(
+        result = run_inline(
+            tiny_joint_study(tiny_joint_variant(remote_fraction=1.0)),
             seeds=(0,),
-            variants=(tiny_joint_variant(remote_fraction=1.0),),
-        ))
+        )
         (t,) = result.trials
         assert t.oracle_peer_count == t.candidate_count
         assert t.phantom_peer_count == 0
@@ -149,29 +150,24 @@ class TestJointTrial:
         )
 
     def test_world_family_shared_across_variants(self):
-        config = tiny_joint_config(
-            variants=(
-                tiny_joint_variant("g4", group=4),
-                tiny_joint_variant("g1", group=1),
-            ),
-        )
-        result = run_joint_ensemble(config)
+        result = run_inline(tiny_joint_study(
+            tiny_joint_variant("g4", group=4),
+            tiny_joint_variant("g1", group=1),
+        ))
         # 2 variants x 2 seeds = 4 trials over 2 world-family builds.
         assert result.world_builds == 2
         assert result.world_reuses == 2
 
     def test_resume_identical_aggregates(self, tmp_path):
-        config = tiny_joint_config()
-        full = run_joint_ensemble(config, out_dir=str(tmp_path))
-        path = _artifact_path(
-            JointStudy(variants=config.variants), str(tmp_path)
-        )
+        study = tiny_joint_study()
+        full = run_inline(study, out_dir=str(tmp_path))
+        path = _artifact_path(study, str(tmp_path))
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:2]))  # keep header + first trial
-        resumed = run_joint_ensemble(config, out_dir=str(tmp_path))
+        resumed = run_inline(study, out_dir=str(tmp_path))
         assert resumed.resumed == 1
-        (a,) = full.summaries()
-        (b,) = resumed.summaries()
+        (a,) = joint_summaries(study, full)
+        (b,) = joint_summaries(study, resumed)
         assert a.precision == b.precision
         assert a.detected_fraction == b.detected_fraction
         assert a.offload_gap == b.offload_gap
@@ -278,8 +274,13 @@ class TestScenarioRegistry:
         assert len(set(prices.values())) == 9
 
     def test_joint_scenario_executes(self, tmp_path):
+        from dataclasses import replace
+
         run = get_scenario("joint").build(seeds=(0, 1), workers=1)
-        result, report = run.execute(str(tmp_path))
+        result = run_study(
+            run.study, replace(run.study_config, out_dir=str(tmp_path))
+        )
+        report = render_report(run.study, result)
         assert len(result.trials) == 2
         assert "Joint detection->offload ensemble" in report
         assert "detected offload" in report
@@ -335,10 +336,11 @@ class TestJointCLI:
             scenarios_main(["run", "quantum-peering"])
 
     def test_study_joint_dispatch(self, capsys):
-        from repro.cli import study_main
+        from repro.cli import main
 
-        assert study_main([
-            "joint", "--preset", "small", "--seeds", "2", "--workers", "1",
+        assert main([
+            "study", "joint", "--preset", "small", "--seeds", "2",
+            "--workers", "1",
         ]) == 0
         out = capsys.readouterr().out
         assert "Peer map and billing" in out

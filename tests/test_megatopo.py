@@ -235,6 +235,6 @@ class TestConfigValidation:
             MegaWorldConfig(**values)
 
     def test_mega_study_is_registered_in_the_cli(self):
-        from repro.cli import _STUDIES
+        from repro.experiments.requests import request_kinds
 
-        assert "mega" in _STUDIES
+        assert "mega" in request_kinds()

@@ -15,9 +15,30 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.jobs import parse_seeds, resolve_request
+from repro.experiments.requests import parse_seeds
+from repro.serve.jobs import resolve_request
 from repro.serve.smoke import _await_terminal, _call, _ServerThread
 from repro.serve.store import ResultStore
+
+
+#: Bodies the typed request schema rejects, with the key its error names:
+#: wrong JSON types (once 500s), a boolean seed count and a misspelled key
+#: (once silently accepted).
+SCHEMA_ERRORS = [
+    ({"study": "offload", "config": {"max_ixps": "many"}}, "max_ixps"),
+    ({"study": "economics", "config": {"group": [1]}}, "group"),
+    ({"study": "economics", "config": {"transit_price": "cheap"}},
+     "transit_price"),
+    ({"study": "detection", "config": {"threshold_ms": ["x"]}},
+     "threshold_ms"),
+    ({"study": "scenario", "config": {"name": "joint", "workers": "two"}},
+     "workers"),
+    ({"study": "detection", "config": {"seeds": {"count": True}}},
+     "seeds.count"),
+    ({"study": "detection", "config": {"treshold_ms": [5, 10]}},
+     "treshold_ms"),
+    ({"study": "detection", "priority": "high", "config": {}}, "priority"),
+]
 
 
 class TestParseSeeds:
@@ -65,9 +86,15 @@ class TestResolveRequest:
         {"study": "detection", "config": {"ixps": [], "seeds": [0]}},
         {"study": "detection", "config": {"ixps": ["TorIX"], "seeds": []}},
         {"study": "scenario", "config": {"seeds": [0]}},  # no name
+        *(payload for payload, _ in SCHEMA_ERRORS),
     ])
     def test_malformed_rejected(self, payload):
         with pytest.raises(ConfigurationError):
+            resolve_request(payload)
+
+    @pytest.mark.parametrize("payload, key", SCHEMA_ERRORS)
+    def test_schema_error_names_the_key(self, payload, key):
+        with pytest.raises(ConfigurationError, match=key):
             resolve_request(payload)
 
 
@@ -111,7 +138,10 @@ class TestHttpApi:
     def test_index_describes_the_service(self, base):
         status, body = _call(base, "GET", "/")
         assert status == 200
-        assert "detection" in body["studies"]
+        assert body["studies"] == [
+            "detection", "offload", "economics", "joint", "mega",
+        ]
+        assert "churned-detection" in body["scenarios"]
         assert any("POST /studies" in e for e in body["endpoints"])
 
     def test_healthz(self, base):
@@ -151,6 +181,32 @@ class TestHttpApi:
             "study": "detection", "config": {"ixps": ["TorIX"], "seeds": []},
         })
         assert status == 400 and "seeds" in body["error"]
+
+    def test_schema_errors_are_400_not_500(self, base):
+        status, body = _call(base, "POST", "/studies", {
+            "study": "offload", "config": {"max_ixps": "many"},
+        })
+        assert status == 400 and "max_ixps" in body["error"]
+
+    @pytest.mark.parametrize("kind, config", [
+        ("detection", {"ixps": ["TorIX"]}),
+        ("offload", {"max_ixps": 2}),
+        ("economics", {}),
+        ("joint", {}),
+        ("mega", {"preset": "mega-smoke"}),
+        ("scenario", {"name": "failover"}),
+    ])
+    def test_every_request_kind_runs_to_done(self, base, kind, config):
+        status, job = _call(base, "POST", "/studies", {
+            "study": kind, "config": {**config, "seeds": [71], "workers": 1},
+        })
+        assert status == 202, job
+        done = _await_terminal(base, job["id"])
+        assert done["state"] == "done", done
+        assert done["trials"]["done"] == done["trials"]["total"] > 0
+        assert done["coverage"] is None
+        assert (done["batch_fallbacks"], done["transport_fallbacks"],
+                done["pool_restarts"]) == (0, 0, 0)
 
     def test_submit_poll_results_round_trip(self, base):
         job = _submit_detection(base, seeds=[31, 32])
@@ -232,3 +288,33 @@ class TestHttpApi:
 
 def _port(base: str) -> int:
     return int(base.rsplit(":", 1)[1])
+
+
+@pytest.mark.slow
+def test_quarantined_trial_reaches_the_job_snapshot(tmp_path, monkeypatch):
+    """A trial that raises is reported in ``coverage`` of GET /studies/{id}."""
+    from repro.experiments import ensemble
+
+    measure = ensemble.measure_detection_trial
+
+    def poisoned(spec, world, build_s):
+        if spec.seed == 1:
+            raise RuntimeError("poisoned probe")
+        return measure(spec, world, build_s)
+
+    monkeypatch.setattr(ensemble, "measure_detection_trial", poisoned)
+    server = _ServerThread(str(tmp_path))
+    try:
+        base = f"http://127.0.0.1:{server.port}"
+        status, job = _call(base, "POST", "/studies", {
+            "study": "detection",
+            "config": {"ixps": ["TorIX"], "seeds": [0, 1, 2], "workers": 1},
+        })
+        assert status == 202, job
+        _await_terminal(base, job["id"])
+        status, done = _call(base, "GET", f"/studies/{job['id']}")
+    finally:
+        server.stop()
+    assert status == 200 and done["state"] == "done"
+    assert done["trials"]["failed"] == 1
+    assert "degraded coverage: 1 of 3 trials failed" in done["coverage"]

@@ -10,12 +10,12 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ConfigVariant,
     DetectionStudy,
-    EnsembleConfig,
     StreamingMeanCI,
     StudyConfig,
+    detection_summaries,
     expand_trials,
+    grid_variants,
     mean_ci,
-    run_ensemble,
     run_study,
 )
 from repro.experiments.engine import _artifact_path, study_fingerprint
@@ -236,58 +236,45 @@ class TestResume:
 class TestDetectionOnEngine:
     """The ported detection study: same numbers through every front end."""
 
-    def _config(self, **kwargs):
-        return EnsembleConfig(
-            seeds=(0, 1),
-            variants=(
-                ConfigVariant(
-                    name="tiny", world=DetectionWorldConfig(specs=TORIX)
-                ),
-            ),
-            workers=1,
-            **kwargs,
+    STUDY = DetectionStudy(variants=(
+        ConfigVariant(name="tiny", world=DetectionWorldConfig(specs=TORIX)),
+    ))
+
+    def _run(self, study=STUDY, out_dir=None):
+        return run_study(
+            study, StudyConfig(seeds=(0, 1), workers=1, out_dir=out_dir)
         )
 
     def test_run_ensemble_reports_cache_stats(self):
-        result = run_ensemble(self._config())
+        result = self._run()
         # One variant: every seed's world is built exactly once.
         assert result.world_builds == 2 and result.world_reuses == 0
 
     def test_threshold_grid_shares_worlds(self):
-        from repro.experiments import grid_variants
-
-        config = EnsembleConfig(
-            seeds=(0, 1),
-            variants=grid_variants(
-                world=DetectionWorldConfig(specs=TORIX),
-                axes={"campaign.remoteness_threshold_ms": (5.0, 10.0)},
-            ),
-            workers=1,
-        )
-        result = run_ensemble(config)
+        study = DetectionStudy(variants=grid_variants(
+            world=DetectionWorldConfig(specs=TORIX),
+            axes={"campaign.remoteness_threshold_ms": (5.0, 10.0)},
+        ))
+        result = self._run(study)
         # 2 variants x 2 seeds = 4 trials over 2 worlds.
         assert result.world_builds == 2 and result.world_reuses == 2
-        # Shared-world trials still match the standalone trial runner.
-        from repro.experiments import run_trial
-
-        spec = config.trials()[0]
-        standalone = run_trial(spec)
+        # Shared-world trials still match a standalone build + measure.
+        spec = expand_trials(study, (0, 1))[0]
+        standalone = study.measure(spec, study.build(spec), build_s=0.0)
         engine_trial = result.trials[0]
         assert engine_trial.analyzed_count == standalone.analyzed_count
         assert engine_trial.discard_counts == standalone.discard_counts
         assert engine_trial.precision == standalone.precision
 
     def test_detection_resume_identical_aggregates(self, tmp_path):
-        config = self._config()
-        full = run_ensemble(config, out_dir=str(tmp_path))
-        path = _artifact_path(DetectionStudy(variants=config.variants),
-                              str(tmp_path))
+        full = self._run(out_dir=str(tmp_path))
+        path = _artifact_path(self.STUDY, str(tmp_path))
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:2]))  # keep header + first trial
-        resumed = run_ensemble(config, out_dir=str(tmp_path))
+        resumed = self._run(out_dir=str(tmp_path))
         assert resumed.resumed == 1
-        (a,) = full.summaries()
-        (b,) = resumed.summaries()
+        (a,) = detection_summaries(full)
+        (b,) = detection_summaries(resumed)
         assert a.precision == b.precision
         assert a.recall == b.recall
         assert a.analyzed == b.analyzed
