@@ -8,12 +8,14 @@
 #   make chaos       fault-injection gate: chaos suites + a small failover run
 #   make mega-smoke  mega-scale gate: 20k-world study over shm transport
 #   make serve-smoke service gate: HTTP submit → cache hit → thread deadline
+#   make perf-check  benchmark correctness gate: a 1 s perfbench run of each
+#                    BENCHMARK.json workload, failing on any WRONG: output
 #   make bench       retime every stage and rewrite BENCH_speed.json
 #   make regression  full perf guard against the committed baseline
 
 PY := PYTHONPATH=src python
 
-.PHONY: test smoke lint chaos mega-smoke serve-smoke bench regression
+.PHONY: test smoke lint chaos mega-smoke serve-smoke perf-check bench regression
 
 test:
 	$(PY) -m pytest -x -q
@@ -71,6 +73,19 @@ mega-smoke:
 serve-smoke:
 	$(PY) -m pytest -q tests/test_scheduler.py tests/test_serve.py
 	$(PY) -m repro serve --smoke
+
+# The benchmark's correctness gate: one short run of every workload
+# BENCHMARK.json declares.  perfbench checks each run's outputs (cycle
+# digests, warm replay from the artifact, batch vs per-trial reference
+# path, shm vs pickle transport) and exits 1 on any WRONG: line, which
+# fails the target.  perfbench measures src/ of this checkout itself.
+PERF_WORKLOADS := detection-batch economics-paper65 mega-shm
+
+perf-check:
+	for workload in $(PERF_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$workload --seed 3 \
+			--seconds 1 --trace 0 || exit 1; \
+	done
 
 bench:
 	$(PY) benchmarks/bench_speed.py

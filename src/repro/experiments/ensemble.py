@@ -257,12 +257,15 @@ class DetectionStudy:
         """Measure a same-variant seed batch of detection trials.
 
         Detection worlds are object graphs (per-IXP fabrics, interface
-        registries), so unlike the offload studies there is no
-        struct-of-arrays realization; the batch win here is suspending the
-        cyclic GC across the whole group — world construction allocates
-        hundreds of thousands of small objects per seed and the collector
-        otherwise fires mid-build.  Per-seed results are bit-identical to
-        ``build`` + ``measure`` because the loop below *is* that code.
+        registries), so unlike the offload studies there is no k-seed
+        struct-of-arrays realization.  Each world is already cheap on
+        its own: the builder draws its network pool as columns and
+        materializes only the networks it seats.  The batch adds one
+        thing on top: it suspends the cyclic GC across the whole group,
+        because world construction still allocates thousands of
+        GC-tracked objects per seed (~5k for mini3) and the collector
+        otherwise fires mid-build.  Per-seed results are bit-identical
+        to ``build`` + ``measure`` because the loop below *is* that code.
         """
         resume_gc = gc.isenabled()
         if resume_gc:

@@ -16,7 +16,13 @@ Engines
 Two builders produce statistically equivalent worlds from the same
 calibration knobs (``DetectionWorldConfig.engine``):
 
-* ``"vectorized"`` (default) realizes each IXP's stochastic content as
+* ``"vectorized"`` (default) draws its network pool as columns
+  (:class:`~repro.sim.netpool.ColumnarNetworkPool`, the draw program the
+  ``vectorized`` and ``columnar`` pool engines share), selects members
+  as pool indices, and materializes a
+  :class:`~repro.sim.netpool.PooledNetwork` view only for a network the
+  world seats — once per world, so an AS seated at several IXPs is one
+  object.  It realizes each IXP's stochastic content as
   per-IXP array draws in a fixed, documented order — the same
   struct-of-arrays discipline as :mod:`repro.lg.batch`.  Per IXP the
   order is: intersite RTT (multi-site only), direct-member sample,
@@ -28,8 +34,9 @@ calibration knobs (``DetectionWorldConfig.engine``):
   coin/amplitude/peak), attachment arrays (far-metro coin, far/near
   tails, site coin, provider pick, partner overhead, PoP relocation),
   LG-bias arrays, stale-target arrays, ASN-change arrays, anchors.
-* ``"scalar"`` replays the seed implementation's per-interface draws and
-  is kept as the reference engine.
+* ``"scalar"`` replays the seed implementation's per-interface draws
+  over an object :class:`~repro.sim.netpool.NetworkPool` and is kept as
+  the reference engine.
 
 Both engines consume the same per-``(seed, "ixp", acronym)`` streams in
 different orders, so they agree in distribution (remote fractions,
@@ -79,9 +86,12 @@ from repro.registry.sources import (
 )
 from repro.sim.clock import CampaignWindow
 from repro.sim.netpool import (
+    SCOPE_CONTINENTS,
+    ColumnarNetworkPool,
     NetworkPool,
     NetworkPoolConfig,
     PooledNetwork,
+    _draw_pool_columns,
     generate_network_pool,
     weighted_index_sample,
 )
@@ -125,6 +135,13 @@ _PARTNER_SEATS = 4
 #: Provider indices member circuits may use; index 1 (``atrato-like``,
 #: the visible-detour provider) is reserved for the validation anchors.
 _MEMBER_PROVIDER_CHOICES = (0, 2, 3)
+
+#: Pool engines each world engine builds on: the vectorized builder works
+#: on pool columns, the scalar builder on pool objects.
+_POOL_ENGINES = {
+    "vectorized": ("vectorized", "columnar"),
+    "scalar": ("scalar", "vectorized"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,14 +220,23 @@ class DetectionWorldConfig:
     with_anchors: bool = True
     #: ``"vectorized"`` (array draws, default) or ``"scalar"`` (reference).
     #: Governs the builder and — only when ``pool`` is None — the network
-    #: pool generator; an explicit ``pool`` config carries its own
-    #: ``engine`` field (set it to ``"scalar"`` too for a fully scalar
-    #: reference world).
+    #: pool generator.  An explicit ``pool`` config must suit the builder:
+    #: the vectorized builder takes ``"vectorized"`` or ``"columnar"``
+    #: pools (both mean the same column draws, which it keeps as
+    #: columns), the scalar builder ``"scalar"`` or ``"vectorized"``
+    #: object pools (``"scalar"`` for a fully scalar reference world).
     engine: str = "vectorized"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("vectorized", "scalar"):
+        if self.engine not in _POOL_ENGINES:
             raise ConfigurationError(f"unknown world engine {self.engine!r}")
+        allowed = _POOL_ENGINES[self.engine]
+        if self.pool is not None and self.pool.engine not in allowed:
+            raise ConfigurationError(
+                f"world engine {self.engine!r} cannot build on a "
+                f"{self.pool.engine!r} pool engine (it takes "
+                f"{' or '.join(map(repr, allowed))})"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,7 +258,7 @@ class DetectionWorld:
     """Everything the Section 3 campaign consumes, plus ground truth."""
 
     city_db: CityDB
-    pool: NetworkPool
+    pool: NetworkPool | ColumnarNetworkPool
     window: CampaignWindow
     ixps: dict[str, IXP]
     lg_servers: dict[str, list[LookingGlassServer]]
@@ -292,12 +318,14 @@ def build_detection_world(
         seed=config.seed,
         engine="scalar" if config.engine == "scalar" else "vectorized",
     )
-    pool = generate_network_pool(city_db, pool_config)
+    if config.engine == "scalar":
+        builder_cls = _WorldBuilder
+        pool = generate_network_pool(city_db, pool_config)
+    else:
+        builder_cls = _VectorWorldBuilder
+        pool = _draw_pool_columns(city_db, pool_config)
     directory = IXPDirectory()
     providers = _make_providers(config.seed, specs, city_db)
-    builder_cls = (
-        _WorldBuilder if config.engine == "scalar" else _VectorWorldBuilder
-    )
     builder = builder_cls(
         config=config,
         specs=specs,
@@ -352,13 +380,15 @@ def _make_providers(
 class _WorldBuilder:
     """The scalar reference engine: one draw per interface attribute."""
 
+    pool: NetworkPool
+
     def __init__(
         self,
         config: DetectionWorldConfig,
         specs: tuple[IXPSpec, ...],
         city_db: CityDB,
         matrix: CityDistanceMatrix,
-        pool: NetworkPool,
+        pool: NetworkPool | ColumnarNetworkPool,
         directory: IXPDirectory,
         providers: list[RemotePeeringProvider],
     ) -> None:
@@ -992,25 +1022,39 @@ class _VectorWorldBuilder(_WorldBuilder):
 
     All randomness for one IXP is realized up front as numpy arrays; the
     remaining per-interface loop only constructs devices, ports and truth
-    records.  Member selection replaces the scalar engine's per-draw
-    pool scan with boolean masks over precomputed pool arrays (home-city
-    index, propensity) against one city-distance-matrix row per band.
+    records.  Member selection works on pool indices: boolean masks over
+    the pool's columns (home-city matrix index, propensity, continent)
+    against one city-distance-matrix row per band.  A pool entry becomes
+    a :class:`PooledNetwork` only when the world seats it (:meth:`_seat`).
     """
+
+    pool: ColumnarNetworkPool
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        networks = self.pool.networks
-        self._net_city_idx = np.array(
-            [self.matrix.index_of(n.home_city.name) for n in networks],
+        # Matrix index of each continent's cities, one row per continent
+        # (padded), so every network's home city is one table lookup.
+        by_continent = [
+            self.pool.cities_by_continent[c] for c in SCOPE_CONTINENTS
+        ]
+        table = np.zeros(
+            (len(by_continent), max(len(c) for c in by_continent)),
             dtype=np.intp,
         )
-        self._net_propensity = np.array(
-            [n.propensity for n in networks], dtype=float
-        )
-        self._net_index_by_asn = {n.asn: i for i, n in enumerate(networks)}
-        self._city_continent = np.array(
-            [c.continent for c in self.matrix.cities]
-        )
+        for row, cities in enumerate(by_continent):
+            table[row, :len(cities)] = [
+                self.matrix.index_of(c.name) for c in cities
+            ]
+        self._net_city_idx = table[self.pool.continent_idx, self.pool.city_idx]
+        self._seated: dict[int, PooledNetwork] = {}
+
+    def _seat(self, index: int) -> PooledNetwork:
+        """The view of pool entry ``index``, built the first time it is
+        seated; an AS seated at several IXPs stays one object."""
+        network = self._seated.get(index)
+        if network is None:
+            network = self._seated[index] = self.pool.network(index)
+        return network
 
     # -- member selection -------------------------------------------------------
 
@@ -1020,7 +1064,7 @@ class _VectorWorldBuilder(_WorldBuilder):
         """Propensity-weighted sample without replacement from pool indices
         (see :func:`repro.sim.netpool.weighted_index_sample` for the law)."""
         return weighted_index_sample(
-            rng, self._net_propensity[candidates], count, indices=candidates
+            rng, self.pool.propensity[candidates], count, indices=candidates
         )
 
     def _draw_band_members(
@@ -1067,10 +1111,10 @@ class _VectorWorldBuilder(_WorldBuilder):
         near = self.matrix.band_mask(partner_city.name, 0.0, 400.0)
         candidates = np.flatnonzero(~used & near[self._net_city_idx])
         if not len(candidates):
-            same_continent = (
-                self._city_continent[self._net_city_idx] == partner_city.continent
+            continent = SCOPE_CONTINENTS.index(partner_city.continent)
+            candidates = np.flatnonzero(
+                ~used & (self.pool.continent_idx == continent)
             )
-            candidates = np.flatnonzero(~used & same_continent)
         if not len(candidates):
             self._note_shortfall(spec)
             candidates = np.flatnonzero(~used)
@@ -1087,17 +1131,16 @@ class _VectorWorldBuilder(_WorldBuilder):
         city: City,
         remote_members: int,
         direct_members: int,
-    ) -> list[tuple[PooledNetwork, str]]:
+    ) -> list[tuple[int, str]]:
         """Vectorized counterpart of ``_draw_members`` (same draw intent:
-        directs, partner seats, banded remotes, interleave shuffle)."""
-        networks = self.pool.networks
-        used = np.zeros(len(networks), dtype=bool)
-        chosen: list[tuple[PooledNetwork, str]] = []
-
-        directs = self.pool.sample_members(rng, city.continent, direct_members)
-        for network in directs:
-            used[self._net_index_by_asn[network.asn]] = True
-            chosen.append((network, "direct"))
+        directs, partner seats, banded remotes, interleave shuffle), as
+        (pool index, direct|remote-band) pairs."""
+        used = np.zeros(len(self.pool), dtype=bool)
+        directs = self.pool.sample_member_indices(
+            rng, city.continent, direct_members
+        )
+        used[directs] = True
+        chosen = [(int(index), "direct") for index in directs]
 
         partner_slots = self._partner_slots(spec, city)
         n_partner = min(len(partner_slots), remote_members)
@@ -1112,14 +1155,12 @@ class _VectorWorldBuilder(_WorldBuilder):
         for partner_city in partner_slots[:n_partner]:
             index = self._draw_partner_member(spec, rng, partner_city, used)
             if index is not None:
-                chosen.append(
-                    (networks[index], f"partner:{partner_city.name}")
-                )
+                chosen.append((index, f"partner:{partner_city.name}"))
         for band in ("short", *_BANDS):
             for index in self._draw_band_members(
                 spec, rng, city, band, band_counts[band], used
             ):
-                chosen.append((networks[index], band))
+                chosen.append((index, band))
 
         order = rng.permutation(len(chosen))
         return [chosen[i] for i in order]
@@ -1156,7 +1197,7 @@ class _VectorWorldBuilder(_WorldBuilder):
             bias_extra=rng.uniform(3.0, 25.0, n),
             stale_rtt=rng.uniform(1.0, 18.0, n),
             stale_hops=rng.integers(1, 4, n),
-            asn_other=rng.integers(0, len(self.pool.networks), n),
+            asn_other=rng.integers(0, len(self.pool), n),
             asn_change_frac=rng.uniform(0.3, 0.7, n),
         )
 
@@ -1174,11 +1215,11 @@ class _VectorWorldBuilder(_WorldBuilder):
         # one array draw), capped at the candidate target like the scalar
         # engine's running `produced` counter.
         second = rng.random(len(members)) < self.config.second_interface_fraction
-        slots: list[tuple[PooledNetwork, str, int]] = []
-        for (network, wanted_kind), extra in zip(members, second):
-            slots.append((network, wanted_kind, 0))
+        slots: list[tuple[int, str, int]] = []
+        for (pool_index, wanted_kind), extra in zip(members, second):
+            slots.append((pool_index, wanted_kind, 0))
             if extra:
-                slots.append((network, wanted_kind, 1))
+                slots.append((pool_index, wanted_kind, 1))
         slots = slots[:target_count]
 
         dual_lg = spec.has_pch_lg and spec.has_ripe_lg
@@ -1187,10 +1228,10 @@ class _VectorWorldBuilder(_WorldBuilder):
             band: self._cities_within(ixp.city, low, high)
             for band, (low, high) in _BAND_DISTANCES.items()
         }
-        for i, (network, wanted_kind, index) in enumerate(slots):
+        for i, (pool_index, wanted_kind, index) in enumerate(slots):
             self._realize_interface(
-                spec, ixp, servers, network, wanted_kind, index, draws, i,
-                band_cities,
+                spec, ixp, servers, self._seat(pool_index), wanted_kind,
+                index, draws, i, band_cities,
             )
         for asys, kind, provider_name in anchors:
             self._add_anchor_interface(
@@ -1291,7 +1332,7 @@ class _VectorWorldBuilder(_WorldBuilder):
         asn_change = None
         if behavior == ASN_CHANGED:
             asn_change = (
-                self.pool.networks[int(d.asn_other[i])].asn,
+                ASN(int(self.pool.asn[d.asn_other[i]])),
                 float(d.asn_change_frac[i]) * self.config.window.duration_s,
             )
         self._publish(

@@ -17,9 +17,11 @@ Three generation engines produce the same distributions:
   :func:`_draw_pool_columns`, so the lint-verified draw program is the
   same code object) but keeps the pool as struct-of-arrays columns — no
   per-network :class:`PooledNetwork` / ``AutonomousSystem`` objects are
-  created until a caller explicitly materializes an index.  This is the
-  backend the 10⁵–10⁶-network mega worlds are built on: a 1M-network
-  pool is eight numpy arrays, not a million Python objects;
+  created until a caller explicitly materializes an index.  Both world
+  families that draw from a pool at array speed are built on it: the
+  10⁵–10⁶-network mega worlds (a 1M-network pool is eight numpy arrays,
+  not a million Python objects) and the vectorized detection worlds,
+  which materialize only the few hundred networks a world seats;
 * ``"scalar"`` replays the seed implementation's per-network loop and is
   kept as the statistical reference.
 
@@ -232,7 +234,7 @@ SCOPE_CONTINENTS: tuple[str, ...] = tuple(_CONTINENT_WEIGHTS)
 
 @dataclass
 class ColumnarNetworkPool:
-    """Struct-of-arrays pool: the mega-scale backend.
+    """Struct-of-arrays pool behind mega and vectorized detection worlds.
 
     Holds the same population as a :class:`NetworkPool` generated with
     the vectorized engine — bit-identical draws — but as columns:
@@ -246,10 +248,11 @@ class ColumnarNetworkPool:
     * ``address_space``  int64 announced IPv4 space
 
     No per-network Python object exists until :meth:`network` is called
-    for an explicit index; world builders at the 10⁵–10⁶ scale never
-    call it.  Sampling returns index arrays and consumes the exact
-    draw stream of :meth:`NetworkPool.sample_members` over the same
-    eligible sets, so small-n worlds agree bit-for-bit across backends.
+    for an explicit index; mega world builders never call it, and the
+    detection builder calls it once per network it seats.  Sampling
+    returns index arrays and consumes the exact draw stream of
+    :meth:`NetworkPool.sample_members` over the same eligible sets, so
+    small-n worlds agree bit-for-bit across backends.
     """
 
     config: NetworkPoolConfig
@@ -442,10 +445,8 @@ def _draw_pool_columns(
 
     ranks = rng.permutation(size)
     continent_idx = rng.choice(len(continents), size=size, p=continent_w)
-    city_counts = np.array(
-        [len(cities_by_continent[continents[i]]) for i in continent_idx]
-    )
-    city_idx = rng.integers(0, city_counts)
+    city_counts = np.array([len(cities_by_continent[c]) for c in continents])
+    city_idx = rng.integers(0, city_counts[continent_idx])
     kind_idx = rng.choice(len(kinds), size=size, p=kind_w)
     policy_idx = rng.choice(len(policies), size=size, p=policy_w)
     bicontinental = rng.random(size) < config.bicontinental_fraction
@@ -453,8 +454,8 @@ def _draw_pool_columns(
     space_z = rng.normal(loc=0.0, scale=1.0, size=size)
 
     propensity = (1.0 + ranks) ** (-config.propensity_exponent)
-    means = np.array([_ADDRESS_SPACE_MEANS[kinds[i]] for i in kind_idx])
-    log2_size = np.clip(means + 1.5 * space_z, 8.0, 22.0)
+    means = np.array([_ADDRESS_SPACE_MEANS[k] for k in kinds])
+    log2_size = np.clip(means[kind_idx] + 1.5 * space_z, 8.0, 22.0)
     address_space = (2.0**log2_size).astype(np.int64)
 
     # Scope as a bitmask over SCOPE_CONTINENTS: all bits for the global

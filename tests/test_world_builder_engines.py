@@ -24,7 +24,12 @@ from repro.sim.detection_world import (
     build_detection_world,
     NORMAL,
 )
-from repro.sim.netpool import NetworkPoolConfig, generate_network_pool
+from repro.sim.netpool import (
+    ColumnarNetworkPool,
+    NetworkPool,
+    NetworkPoolConfig,
+    generate_network_pool,
+)
 from tests.engine_equivalence import (
     assert_category_counts_close,
     assert_counts_close,
@@ -81,11 +86,40 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError):
             NetworkPoolConfig(engine="quantum")
 
+    @pytest.mark.parametrize("pool_engine", ["vectorized", "columnar", "scalar"])
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    def test_pool_engine_pairing(self, engine, pool_engine):
+        """The vectorized builder takes column pools (vectorized/columnar),
+        the scalar builder object pools (scalar/vectorized); any other
+        pairing is rejected up front, naming both engines."""
+        allowed = {
+            "vectorized": ("vectorized", "columnar"),
+            "scalar": ("scalar", "vectorized"),
+        }
+        pool = NetworkPoolConfig(size=600, seed=3, engine=pool_engine)
+        if pool_engine not in allowed[engine]:
+            with pytest.raises(ConfigurationError) as err:
+                DetectionWorldConfig(engine=engine, pool=pool)
+            assert repr(engine) in str(err.value)
+            assert repr(pool_engine) in str(err.value)
+            return
+        world = build_detection_world(
+            DetectionWorldConfig(
+                seed=3, specs=(_spec(),), pool=pool, engine=engine
+            )
+        )
+        assert world.candidate_count() > 0
+        if engine == "vectorized":
+            assert isinstance(world.pool, ColumnarNetworkPool)
+        else:
+            assert isinstance(world.pool, NetworkPool)
+
     def test_vectorized_is_default_and_deterministic(self):
         specs = (_spec(),)
         a = build_detection_world(DetectionWorldConfig(seed=3, specs=specs))
         b = build_detection_world(DetectionWorldConfig(seed=3, specs=specs))
         assert a.config.engine == "vectorized"
+        assert isinstance(a.pool, ColumnarNetworkPool)
         assert set(a.truth) == set(b.truth)
         for key in a.truth:
             assert a.truth[key].base_rtt_ms == b.truth[key].base_rtt_ms
@@ -103,6 +137,53 @@ class TestEngineSelection:
         assert [n.home_city.name for n in world.pool.networks[:50]] == [
             n.home_city.name for n in reference.networks[:50]
         ]
+
+
+class TestSeatedViews:
+    """The vectorized builder keeps its pool as columns and materializes
+    a network view only for an index the world seats, once per world."""
+
+    @pytest.fixture(scope="class")
+    def seated(self, mini_specs):
+        calls: list[int] = []
+        network = ColumnarNetworkPool.network
+
+        def counting(pool, i):
+            calls.append(int(i))
+            return network(pool, i)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ColumnarNetworkPool, "network", counting)
+            world = build_detection_world(
+                DetectionWorldConfig(seed=11, specs=mini_specs)
+            )
+        return world, calls
+
+    def test_one_view_per_seated_network(self, seated):
+        world, calls = seated
+        assert len(calls) == len(set(calls))
+        pool_asns = {int(world.pool.asn[i]) for i in calls}
+        member_asns = {
+            int(m.network.asn)
+            for ixp in world.ixps.values() for m in ixp.members
+        }
+        # Every seated pool network, and nothing else (anchors are not
+        # pool entries).
+        assert pool_asns == member_asns & set(world.pool.asn.tolist())
+        assert len(calls) < len(world.pool) // 10
+
+    def test_as_at_two_ixps_is_one_object(self, seated):
+        world, _ = seated
+        by_asn: dict[int, list] = {}
+        for ixp in world.ixps.values():
+            for member in ixp.members:
+                by_asn.setdefault(int(member.network.asn), []).append(
+                    member.network
+                )
+        shared = {asn: nets for asn, nets in by_asn.items() if len(nets) > 1}
+        assert shared
+        for nets in shared.values():
+            assert all(n is nets[0] for n in nets)
 
 
 class TestPoolEngineEquivalence:
@@ -390,9 +471,11 @@ class TestShortfall:
         )
 
         db = default_city_db()
-        pool = generate_network_pool(db, NetworkPoolConfig(size=30, seed=2))
-        for i, network in enumerate(pool.networks):
-            network.propensity = 1.0 if i < 4 else 0.0
+        pool = generate_network_pool(
+            db, NetworkPoolConfig(size=30, seed=2, engine="columnar")
+        )
+        assert isinstance(pool, ColumnarNetworkPool)
+        pool.propensity = np.where(np.arange(30) < 4, 1.0, 0.0)
         specs = (_spec(),)
         builder = _VectorWorldBuilder(
             config=DetectionWorldConfig(seed=2, specs=specs),
