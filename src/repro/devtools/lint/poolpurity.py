@@ -15,7 +15,9 @@ Rules
 ``pool-worker-globals``
     A submitted worker must not use ``global``/``nonlocal`` and must not
     store into module-level bindings (including item/attribute stores on
-    module-level objects).
+    module-level objects).  The same holds for every same-module
+    function a worker calls by name, transitively: a single submitted
+    entry point must not hide an impure helper.
 ``pool-raw-shm``
     ``multiprocessing.shared_memory.SharedMemory`` may be constructed
     only inside :mod:`repro.experiments.transport` — the refcounted
@@ -48,7 +50,7 @@ class PoolPurityChecker(Checker):
         super().__init__(ctx)
         self._module_defs: dict[str, ast.FunctionDef] = {}
         self._module_bindings: set[str] = set()
-        self._checked_workers: set[str] = set()
+        self._checked: set[str] = set()
         self._index_module(ctx.tree)
 
     def _index_module(self, tree: ast.Module) -> None:
@@ -99,15 +101,24 @@ class PoolPurityChecker(Checker):
                         "of this module; workers must be defined at "
                         "module scope where they are submitted")
             return
-        if worker.id not in self._checked_workers:
-            self._checked_workers.add(worker.id)
-            self._check_worker_purity(func)
+        self._check_worker_purity(func)
 
     def _check_worker_purity(self, func: ast.FunctionDef) -> None:
+        """Check ``func`` and, transitively, the same-module functions it
+        calls by name — each function once per module."""
+        if func.name in self._checked:
+            return
+        self._checked.add(func.name)
         local_names = {a.arg for a in [
             *func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs,
         ]}
         for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in self._module_defs
+            ):
+                self._check_worker_purity(self._module_defs[node.func.id])
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 self.report(node, "pool-worker-globals",
                             f"worker {func.name!r} declares "

@@ -163,8 +163,11 @@ default — recorded as a :class:`~repro.experiments.engine.TrialFailure`
 instead of aborting the study: the group's remaining trials still run,
 aggregates cover the survivors, and
 :meth:`~repro.experiments.engine.StudyResult.coverage_note` reports the
-degradation.  With ``out_dir`` set, a quarantined trial appends a
-``failed`` JSONL row::
+degradation.  The deadline is a ``SIGALRM`` itimer, which only a main
+thread can take: a study with a budget that runs on any other thread
+runs its trials in worker processes even at ``workers=1``, so a
+timed-out trial is stopped, not abandoned while it keeps running.  With
+``out_dir`` set, a quarantined trial appends a ``failed`` JSONL row::
 
     {"trial_id": N, "variant": "...", "seed": S,
      "status": "failed", "error": "ExcType: message", "attempts": K}
@@ -173,8 +176,8 @@ Failed rows are fingerprint-compatible with success rows and resume-safe
 (a rerun skips them like completed trials).
 :class:`~repro.errors.ConfigurationError` is never quarantined — a
 malformed grid should abort loudly.  A ``BrokenProcessPool`` (a worker
-died mid-group) restarts the executor once over the unfinished groups
-before surfacing.
+died mid-group) restarts the executor once over the unfinished work
+items before surfacing.
 
 The serve data flow (HTTP request → job queue → content-addressed store)
 -------------------------------------------------------------------------
@@ -197,9 +200,11 @@ stdlib-only asyncio HTTP.  One submission flows:
    in the artifact resume without executing (counted as *trial hits*),
    and a submission whose fingerprint has every trial on disk completes
    as a *full cache hit* without running anything — duplicate
-   submissions can never compute the same trial twice.  Per-trial
-   deadlines hold on these non-main threads via the reaped helper
-   (SIGALRM stays the main-thread fast path).
+   submissions can never compute the same trial twice.  A job with a
+   per-trial deadline runs its trials in worker processes, each on its
+   worker's main thread under the ``SIGALRM`` itimer, because these
+   scheduler threads cannot take the signal; a timed-out trial stops
+   there, and no worker outlives its job.
 4. **Observe.**  ``GET /studies/{id}`` snapshots progress (``?watch=1``
    streams it as chunked JSON lines), ``DELETE`` cancels (queued jobs
    immediately; running jobs at the next dispatch step, sweeping shm

@@ -97,8 +97,10 @@ class Study(Protocol):
 class StudyConfig:
     """Seed list, parallelism and (optional) artifact directory.
 
-    ``workers=1`` runs trials inline in this process (what tests use);
-    ``workers=0`` uses one process per core, capped at the group count.
+    ``workers=1`` runs trials inline in this process (what tests use),
+    except that a study with ``trial_timeout_s`` run off the main thread
+    uses one worker process (see ``trial_timeout_s``); ``workers=0`` uses
+    one process per core, capped at the group count.
     With ``out_dir`` set the run is resumable: completed trials are
     appended to ``<out_dir>/<study>_<fingerprint>_trials.jsonl`` as they
     finish, and a rerun with an identical study configuration skips them.
@@ -111,12 +113,13 @@ class StudyConfig:
     seeds: tuple[int, ...]
     workers: int = 0
     out_dir: str | None = None
-    #: Wall-clock budget per trial (None: unlimited).  On a main thread
-    #: the deadline is a SIGALRM itimer; on any other thread (the
-    #: ``repro serve`` scheduler) the trial body runs on a reaped helper
-    #: thread instead, so the budget is enforced everywhere.  A trial
-    #: that blows the budget is retried and then quarantined like any
-    #: other failure.
+    #: Wall-clock budget per trial (None: unlimited), enforced by a
+    #: SIGALRM itimer, which only a main thread can take.  Off the main
+    #: thread (the ``repro serve`` scheduler) the study's trials run in
+    #: worker processes even at ``workers=1``, each on its worker's main
+    #: thread, so a timed-out trial stops instead of running on.  A
+    #: trial that blows the budget is retried and then quarantined like
+    #: any other failure.  A seed batch gets the budget once per seed.
     trial_timeout_s: float | None = None
     #: Extra measure attempts before a trial is declared poison.
     trial_retries: int = 0
@@ -310,16 +313,18 @@ def _artifact_path(
     return _legacy_artifact_path(study, out_dir)
 
 
-def _artifact_header(path: Path) -> dict[str, Any]:
+def _artifact_header(path: Path, first: str | None = None) -> dict[str, Any]:
     """Parse and validate an artifact's header line.
 
+    ``first`` is the file's first line when the caller already read it.
     Raises :class:`ConfigurationError` for files that are not study
-    artifacts at all (unparseable first line, wrong schema tag) — a
-    foreign file squatting on an artifact name should fail loudly, not
-    be silently shadowed.
+    artifacts at all (unparseable first line, not a JSON object, wrong
+    schema tag) — a foreign file squatting on an artifact name should
+    fail loudly, not be silently shadowed.
     """
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
+    if first is None:
+        with path.open("r", encoding="utf-8") as handle:
+            first = handle.readline()
     try:
         header = json.loads(first)
     except json.JSONDecodeError:
@@ -376,16 +381,7 @@ def _load_artifacts(
         first = handle.readline()
         if not first:
             return {}
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError:
-            raise ConfigurationError(f"{path} is not a study artifact file")
-        if header.get("schema") != ARTIFACT_SCHEMA:
-            raise ConfigurationError(
-                f"{path} has schema {header.get('schema')!r}, "
-                f"expected {ARTIFACT_SCHEMA!r}"
-            )
-        if header.get("fingerprint") != fingerprint:
+        if _artifact_header(path, first).get("fingerprint") != fingerprint:
             raise ConfigurationError(
                 f"{path} was written by a different study configuration "
                 "(seeds/variants changed?); use a fresh --out directory"

@@ -4,17 +4,19 @@ This module holds everything that used to live inside the single
 blocking ``run_study`` call, split into two layers:
 
 :func:`execute_study`
-    The trial execution core — seed × grid expansion into world-key
-    groups, ``ProcessPoolExecutor`` fan-out, seed-batch realization,
-    zero-copy shared-memory world transport, per-trial deadlines,
-    bounded retry and quarantine — now with two optional hooks:
-    ``on_trial`` (a progress callback fired for every recorded trial,
-    resumed or executed) and ``cancel`` (a :class:`threading.Event`
-    checked between dispatch steps; a set event abandons the remaining
-    work, raises :class:`StudyCancelled`, and still sweeps every
-    shared-memory segment and closes the artifact on the way out).
-    :func:`repro.experiments.engine.run_study` is a thin front end over
-    this function with no hooks attached.
+    The trial execution core.  Seed × grid expansion yields the pending
+    trials, which are lowered to a list of work items — a world-key
+    group, a same-variant seed batch, or one trial attached to a world
+    the parent built and published over zero-copy shared memory — and
+    every item runs through :func:`_run_item`, inline or on a
+    ``ProcessPoolExecutor``, with per-trial deadlines, bounded retry and
+    quarantine.  Two optional hooks: ``on_trial`` (a progress callback
+    fired for every recorded trial, resumed or executed) and ``cancel``
+    (a :class:`threading.Event` checked between items; a set event
+    abandons the remaining work, raises :class:`StudyCancelled`, and
+    still sweeps every shared-memory segment and closes the artifact on
+    the way out).  :func:`repro.experiments.engine.run_study` is a thin
+    front end over this function with no hooks attached.
 
 :class:`StudyScheduler`
     A long-running priority job queue over ``execute_study`` — the
@@ -28,18 +30,18 @@ blocking ``run_study`` call, split into two layers:
     ``(study, variant, seed)`` submission never recomputes, and cache
     hit/miss counts are first-class metrics.
 
-Per-trial deadlines are thread-safe: on a main thread the historical
-``SIGALRM`` itimer fast path is kept (it interrupts even C-level sleeps),
-while on any other thread — exactly where scheduler jobs run — the trial
-body executes on a reaped helper thread: the scheduler waits out the
-budget, injects :class:`_TrialTimeout` into the straggler (delivered at
-its next bytecode boundary) and quarantines the trial without waiting
-for it.  ``trial_timeout_s`` is therefore never a silent no-op.
+A per-trial deadline is a ``SIGALRM`` itimer: it interrupts even C-level
+sleeps, but only a main thread can take it.  A study with
+``trial_timeout_s`` that runs on any other thread — exactly where
+scheduler jobs run — therefore always takes the pool driver, even at
+``workers=1``, and each item runs on a worker process's main thread
+under the itimer.  A trial that blows its budget stops there; it does
+not keep running unseen, and ``trial_timeout_s`` is never a silent
+no-op.
 """
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import json
 import os
@@ -47,13 +49,14 @@ import signal
 import threading
 import time
 import uuid
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED, Future, ProcessPoolExecutor, wait,
+)
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import transport
@@ -84,14 +87,17 @@ class _TrialTimeout(Exception):
         super().__init__(message)
 
 
-@contextmanager
-def _sigalrm_deadline(timeout_s: float) -> Iterator[None]:
-    """Main-thread deadline: raise :class:`_TrialTimeout` via SIGALRM.
+def _call_with_deadline(timeout_s: float | None, fn: Callable[[], Any]) -> Any:
+    """Run ``fn`` under a ``SIGALRM`` itimer of ``timeout_s`` seconds.
 
-    The fast path — a real-time itimer interrupts even C-level blocking
-    (``time.sleep``, a hung syscall).  Only valid on a main thread with
-    SIGALRM available; :func:`_call_with_deadline` routes here.
+    ``None``/non-positive budgets run the body directly.  The itimer
+    interrupts even C-level blocking (``time.sleep``, a hung syscall),
+    but only a main thread can install it: :func:`execute_study` sends a
+    budgeted study that runs on any other thread to a worker process,
+    whose items run on that process's main thread.
     """
+    if timeout_s is None or timeout_s <= 0:
+        return fn()
 
     def _on_alarm(signum: int, frame: Any) -> None:
         raise _TrialTimeout(f"trial exceeded its {timeout_s:g}s deadline")
@@ -99,69 +105,30 @@ def _sigalrm_deadline(timeout_s: float) -> Iterator[None]:
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
     try:
-        yield
+        return fn()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
-def _reap_deadline_call(timeout_s: float, fn: Callable[[], Any]) -> Any:
-    """Off-main-thread deadline: run ``fn`` on a reaped helper thread.
+def _guarded(
+    timeout_s: float | None, quarantine: bool, fn: Callable[[], Any]
+) -> tuple[Any, Exception | None]:
+    """``(fn(), None)`` under the deadline, or ``(None, error)`` when
+    quarantine absorbs the failure.
 
-    SIGALRM only works in a main thread, so scheduler threads enforce the
-    budget by waiting it out: the body runs on a daemon helper, and when
-    the wait expires the caller injects :class:`_TrialTimeout` into the
-    helper (raised at its next bytecode boundary — best-effort cleanup; a
-    helper blocked in C code finishes its call first and then dies) and
-    raises the timeout immediately without waiting for the straggler.
+    :class:`ConfigurationError` always propagates — a misconfigured study
+    is a programmer error, not chaos to absorb — and with quarantine off
+    so does every other error.
     """
-    box: dict[str, Any] = {}
-    done = threading.Event()
-
-    def _runner() -> None:
-        try:
-            box["result"] = fn()
-        except BaseException as error:  # reraised in the caller
-            box["error"] = error
-        finally:
-            done.set()
-
-    helper = threading.Thread(
-        target=_runner, daemon=True, name="repro-trial-body"
-    )
-    helper.start()
-    if not done.wait(timeout_s):
-        if helper.ident is not None:
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(helper.ident), ctypes.py_object(_TrialTimeout)
-            )
-        raise _TrialTimeout(
-            f"trial exceeded its {timeout_s:g}s deadline "
-            "(reaped from a non-main thread)"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box.get("result")
-
-
-def _call_with_deadline(timeout_s: float | None, fn: Callable[[], Any]) -> Any:
-    """Run ``fn`` under the per-trial deadline, wherever the caller runs.
-
-    ``None``/non-positive budgets run the body directly.  A main thread
-    gets the SIGALRM itimer; any other thread gets the helper-thread
-    reap, so ``trial_timeout_s`` is enforced from the ``repro serve``
-    scheduler threads too (the historical SIGALRM-only implementation
-    silently disabled itself there).
-    """
-    if timeout_s is None or timeout_s <= 0:
-        return fn()
-    if (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    ):
-        with _sigalrm_deadline(timeout_s):
-            return fn()
-    return _reap_deadline_call(timeout_s, fn)
+    try:
+        return _call_with_deadline(timeout_s, fn), None
+    except ConfigurationError:
+        raise
+    except Exception as error:
+        if not quarantine:
+            raise
+        return None, error
 
 
 def _failure(spec: Any, error: BaseException, attempts: int) -> TrialFailure:
@@ -174,146 +141,111 @@ def _failure(spec: Any, error: BaseException, attempts: int) -> TrialFailure:
     )
 
 
+#: ``(descriptor, meta, build_s)`` of a world the parent published.
+_Attach = tuple[transport.SegmentDescriptor, Any, float]
+
+
+@dataclass(frozen=True, slots=True)
+class _WorkItem:
+    """One dispatch unit of :func:`execute_study`.
+
+    The specs of one item run in one call: a world-key group (one build,
+    every trial measured against it), a same-variant seed chunk with
+    ``batch`` set (one ``run_batch`` call), or a single trial whose
+    ``attach`` names the shared-memory world the parent already built.
+    """
+
+    specs: list[Any]
+    batch: bool = False
+    attach: _Attach | None = None
+
+
 def _run_group(
     study: Study,
     specs: list[Any],
-    timeout_s: float | None = None,
-    retries: int = 0,
-    quarantine: bool = True,
-) -> list[Any]:
-    """Build the group's shared world once, then measure every trial.
-
-    One poison trial must not lose the group: each trial is retried up
-    to ``retries`` times under the per-trial deadline and then, with
-    quarantine on, recorded as a :class:`TrialFailure` while the rest of
-    the group keeps running.  :class:`ConfigurationError` always
-    propagates — a misconfigured study is a programmer error, not chaos
-    to absorb.  A failed world build fails every trial of the group (there
-    is nothing to measure against).
-    """
-    start = time.perf_counter()
-    try:
-        world = _call_with_deadline(timeout_s, lambda: study.build(specs[0]))
-    except ConfigurationError:
-        raise
-    except (_TrialTimeout, Exception) as error:
-        if not quarantine:
-            raise
-        return [_failure(spec, error, attempts=1) for spec in specs]
-    build_s = time.perf_counter() - start
-    return _measure_specs(study, specs, world, build_s,
-                          timeout_s, retries, quarantine)
-
-
-def _measure_specs(
-    study: Study,
-    specs: list[Any],
-    world: Any,
-    build_s: float,
     timeout_s: float | None,
     retries: int,
     quarantine: bool,
+    attach: _Attach | None = None,
 ) -> list[Any]:
-    """The per-trial measure loop shared by every dispatch path."""
-    results: list[Any] = []
-    for spec in specs:
-        last_error: BaseException | None = None
-        for attempt in range(1 + retries):
-            try:
-                results.append(_call_with_deadline(
-                    timeout_s, lambda: study.measure(spec, world, build_s)
-                ))
-                last_error = None
-                break
-            except ConfigurationError:
-                raise
-            except (_TrialTimeout, Exception) as error:
-                if not quarantine:
-                    raise
-                last_error = error
-        if last_error is not None:
-            results.append(_failure(spec, last_error, attempts=1 + retries))
-    return results
+    """Get the group's world once, then measure every trial against it.
 
-
-def _run_group_attached(
-    study: Study,
-    specs: list[Any],
-    descriptor: "transport.SegmentDescriptor",
-    meta: Any,
-    build_s: float,
-    timeout_s: float | None = None,
-    retries: int = 0,
-    quarantine: bool = True,
-) -> list[Any]:
-    """Worker half of the shared-memory transport.
-
-    The parent already built the world and published its array columns;
-    this attaches zero-copy views, rebuilds the world around them
-    (``study.attach_world``), and runs the standard measure loop.  The
-    attachment is closed on the way out — segment *ownership* stays with
-    the parent, which releases its reference when the group's future
-    completes.
+    The world is built here or, given ``attach``, rebuilt around
+    zero-copy views of the columns the parent published
+    (``study.attach_world``); the mapping is closed on the way out, while
+    the segment itself stays owned by the parent.  One poison trial must
+    not lose the group: each trial is retried up to ``retries`` times
+    under the per-trial deadline and then, with quarantine on, recorded
+    as a :class:`TrialFailure` while the rest of the group keeps running.
+    A failed world fails every trial of the group (there is nothing to
+    measure against).
     """
     box: dict[str, Any] = {}
 
-    def _attach() -> Any:
-        box["attached"] = attached = transport.attach_columns(descriptor)
-        return study.attach_world(meta, attached.arrays)  # type: ignore[attr-defined]
+    def _world() -> Any:
+        if attach is None:
+            return study.build(specs[0])
+        box["attached"] = attached = transport.attach_columns(attach[0])
+        return study.attach_world(attach[1], attached.arrays)  # type: ignore[attr-defined]
 
+    start = time.perf_counter()
     try:
-        world = _call_with_deadline(timeout_s, _attach)
-    except ConfigurationError:
-        raise
-    except (_TrialTimeout, Exception) as error:
-        attached = box.get("attached")
-        if attached is not None:
-            attached.close()
-        if not quarantine:
-            raise
-        return [_failure(spec, error, attempts=1) for spec in specs]
-    try:
-        return _measure_specs(study, specs, world, build_s,
-                              timeout_s, retries, quarantine)
+        world, error = _guarded(timeout_s, quarantine, _world)
+        if error is not None:
+            return [_failure(spec, error, attempts=1) for spec in specs]
+        build_s = (time.perf_counter() - start if attach is None
+                   else attach[2])
+        results: list[Any] = []
+        for spec in specs:
+            for _ in range(1 + retries):
+                result, error = _guarded(
+                    timeout_s, quarantine,
+                    lambda: study.measure(spec, world, build_s),
+                )
+                if error is None:
+                    break
+            results.append(result if error is None
+                           else _failure(spec, error, attempts=1 + retries))
+        return results
     finally:
-        world = None
-        box["attached"].close()
+        world = None  # drop the world's views before unmapping them
+        if "attached" in box:
+            box["attached"].close()
 
 
-def _run_batch_group(
+def _run_item(
     study: Study,
-    specs: list[Any],
-    timeout_s: float | None = None,
-    retries: int = 0,
-    quarantine: bool = True,
+    item: _WorkItem,
+    timeout_s: float | None,
+    retries: int,
+    quarantine: bool,
 ) -> tuple[list[Any], int]:
-    """Realize one same-variant seed chunk via the study's batched engine.
+    """Run one work item; returns ``(results, batch_fallbacks)``.
 
-    Returns ``(results, fallback_count)``.  The batched call covers the
-    whole chunk under a single deadline; any failure (or a result-count
-    mismatch, which would mis-assign trials) abandons the batch and
-    re-runs every trial through :func:`_run_group`, whose timeout / retry
-    / quarantine semantics are then applied per trial exactly as in an
-    unbatched study.  :class:`ConfigurationError` propagates immediately —
-    a misconfigured study must not be retried into quarantine.
+    The one worker the process pool runs, and what the inline driver
+    calls.  A batch item makes one batched call with a budget of
+    ``timeout_s`` per seed; any failure, or a result-count mismatch
+    (which would mis-assign trials), re-runs its trials one by one
+    through :func:`_run_group`, whose timeout / retry / quarantine
+    semantics are then exactly those of an unbatched study.
     """
-    if len(specs) > 1:
-        try:
-            results = _call_with_deadline(
-                timeout_s,
-                lambda: list(study.run_batch(specs)),  # type: ignore[attr-defined]
-            )
-            if len(results) == len(specs):
-                return results, 0
-        except ConfigurationError:
-            raise
-        except (_TrialTimeout, Exception):
-            pass
-    fallbacks = len(specs) if len(specs) > 1 else 0
-    results = []
-    for spec in specs:
-        results.extend(_run_group(study, [spec], timeout_s, retries, quarantine))
-    return results, fallbacks
+    specs = item.specs
+    if item.batch and len(specs) > 1:
+        budget = None if timeout_s is None else timeout_s * len(specs)
+        results, error = _guarded(
+            budget, True,
+            lambda: list(study.run_batch(specs)),  # type: ignore[attr-defined]
+        )
+        if error is None and len(results) == len(specs):
+            return results, 0
+        return [
+            result
+            for spec in specs
+            for result in _run_group(study, [spec], timeout_s, retries,
+                                     quarantine)
+        ], len(specs)
+    return _run_group(study, specs, timeout_s, retries, quarantine,
+                      item.attach), 0
 
 
 def execute_study(
@@ -330,8 +262,8 @@ def execute_study(
 
     ``on_trial(result, done, total)`` fires once per recorded trial —
     resumed trials first (in trial order), then executed ones as they
-    complete.  ``cancel`` is polled between dispatch steps: once set, no
-    further group is started, still-queued pool futures are cancelled,
+    complete.  ``cancel`` is polled between work items: once set, no
+    further item is started, still-queued pool futures are cancelled,
     and :class:`StudyCancelled` is raised *after* the artifact writer is
     closed and every shared-memory segment is swept — completed trials
     stay on disk, so a cancelled study resumes where it stopped.
@@ -351,9 +283,6 @@ def execute_study(
         )
     resumed = len(completed)
 
-    def _cancelled() -> bool:
-        return cancel is not None and cancel.is_set()
-
     # Group the remaining trials for execution.  Default: by world key,
     # preserving trial order within and across groups, so every trial in
     # a group reuses one build.  Batched mode (``trial_batch > 1`` on a
@@ -365,34 +294,34 @@ def execute_study(
         config.trial_batch > 1
         and getattr(study, "run_batch", None) is not None
     )
+    groups: dict[Hashable, list[Any]] = {}
+    for spec in specs:
+        if spec.trial_id not in completed:
+            key = spec.variant if use_batches else study.world_key(spec)
+            groups.setdefault(key, []).append(spec)
+    group_list = list(groups.values())
+    if use_batches:
+        group_list = [
+            chunk[i:i + config.trial_batch]
+            for chunk in group_list
+            for i in range(0, len(chunk), config.trial_batch)
+        ]
     # Shared-memory transport: world-key groups are built once in the
     # parent and fan out per trial; studies without the export/attach
-    # hooks keep the pickle path.  Mutually exclusive with seed batching
-    # (batched seeds each realize their own lightweight world).
+    # hooks keep the pickle path, and so do seed batches (their per-seed
+    # worlds have nothing to share).
     use_shm = (
         config.transport == "shm"
         and not use_batches
         and getattr(study, "export_world", None) is not None
         and getattr(study, "attach_world", None) is not None
     )
-    if use_batches:
-        by_variant: dict[str, list[Any]] = {}
-        for spec in specs:
-            if spec.trial_id in completed:
-                continue
-            by_variant.setdefault(spec.variant, []).append(spec)
-        group_list = [
-            chunk[i:i + config.trial_batch]
-            for chunk in by_variant.values()
-            for i in range(0, len(chunk), config.trial_batch)
-        ]
-    else:
-        groups: dict[Hashable, list[Any]] = {}
-        for spec in specs:
-            if spec.trial_id in completed:
-                continue
-            groups.setdefault(study.world_key(spec), []).append(spec)
-        group_list = list(groups.values())
+    # SIGALRM fires only on a main thread, so a budgeted study running on
+    # any other thread runs its items in worker processes.
+    needs_workers = (
+        config.trial_timeout_s is not None
+        and threading.current_thread() is not threading.main_thread()
+    )
 
     streams: dict[str, dict[str, StreamingMeanCI]] = {}
 
@@ -418,205 +347,115 @@ def execute_study(
             done_so_far += 1
             on_trial(completed[trial_id], done_so_far, total)
 
-    group_args = (config.trial_timeout_s, config.trial_retries,
-                  config.quarantine)
-    run_one = _run_batch_group if use_batches else _run_group
+    item_args = (config.trial_timeout_s, config.trial_retries,
+                 config.quarantine)
     pool_restarts = 0
     batch_fallbacks = 0
     transport_fallbacks = 0
 
-    def consume(payload: Any) -> None:
+    def check_cancel(futures: Iterable[Future[Any]] = ()) -> None:
+        if cancel is not None and cancel.is_set():
+            for future in futures:
+                future.cancel()
+            raise StudyCancelled(
+                f"study {study.name!r} cancelled with "
+                f"{len(completed)}/{total} trials recorded"
+            )
+
+    def finish(item: _WorkItem, payload: tuple[list[Any], int]) -> None:
         nonlocal batch_fallbacks
-        if use_batches:
-            results, fell_back = payload
-            batch_fallbacks += fell_back
-        else:
-            results = payload
+        results, fell_back = payload
+        batch_fallbacks += fell_back
         for result in results:
             record(result)
+        if item.attach is not None:
+            manager.release(item.attach[0].segment)
 
-    def drain(future_segment: dict[Any, str | None]) -> None:
-        """Consume pool futures as they complete, honoring cancellation.
-
-        With no cancel event the wait blocks until the next completion
-        (the historical ``as_completed`` behavior); with one, the wait
-        wakes every 0.2 s to poll it, cancels whatever the pool has not
-        started, and raises :class:`StudyCancelled`.  Releasing a
-        completed future's shm segment here keeps refcounts exact on
-        both the success and the cancellation path — abandoned segments
-        are swept by ``close_all`` in the caller's ``finally``.
-        """
-        pending = set(future_segment)
-        while pending:
-            if _cancelled():
-                for future in pending:
-                    future.cancel()
-                raise StudyCancelled(
-                    f"study {study.name!r} cancelled with "
-                    f"{len(completed)}/{total} trials recorded"
+    def run_pool(items: list[_WorkItem]) -> None:
+        # Drain in completion order so finished items land in the resume
+        # artifact immediately — a slow head-of-line item must not hold
+        # every other item's trials hostage to a mid-run kill.  With a
+        # cancel event the wait wakes every 0.2 s to poll it.  Trial order
+        # is restored at the end.
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            futures = {
+                pool.submit(_run_item, study, item, *item_args): item
+                for item in items
+            }
+            running = set(futures)
+            while running:
+                check_cancel(running)
+                done, running = wait(
+                    running,
+                    timeout=0.2 if cancel is not None else None,
+                    return_when=FIRST_COMPLETED,
                 )
-            done, pending = wait(
-                pending,
-                timeout=0.2 if cancel is not None else None,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                consume(future.result())
-                segment = future_segment[future]
-                if segment is not None and manager is not None:
-                    manager.release(segment)
+                for future in done:
+                    finish(futures[future], future.result())
 
     writer = _ArtifactWriter(study, config.out_dir, fingerprint)
-    manager: transport.SegmentManager | None = None
+    manager = transport.SegmentManager() if use_shm else None
     try:
-        if _cancelled():
-            raise StudyCancelled(
-                f"study {study.name!r} cancelled before dispatch"
-            )
+        check_cancel()
+        items: list[_WorkItem] = []
+        for group in group_list:
+            if not use_shm:
+                items.append(_WorkItem(group, batch=use_batches))
+                continue
+            if needs_workers:
+                # The parent-side build cannot take its deadline here.
+                transport_fallbacks += len(group)
+                items.append(_WorkItem(group))
+                continue
+            # Build the group's world once, publish its columns through a
+            # refcounted segment (one reference per trial), and dispatch
+            # one item per trial so the pool stays saturated.  A world
+            # that cannot cross the transport becomes one pickle item.
+            check_cancel()
+            start = time.perf_counter()
+            world, error = _guarded(config.trial_timeout_s, config.quarantine,
+                                    lambda: study.build(group[0]))
+            if error is not None:
+                for spec in group:
+                    record(_failure(spec, error, attempts=1))
+                continue
+            build_s = time.perf_counter() - start
+            try:
+                meta, columns = study.export_world(world)  # type: ignore[attr-defined]
+                descriptor = manager.create(columns, refs=len(group))
+            except ConfigurationError:
+                raise
+            except Exception:
+                transport_fallbacks += len(group)
+                items.append(_WorkItem(group))
+                continue
+            items.extend(_WorkItem([spec], attach=(descriptor, meta, build_s))
+                         for spec in group)
+
         workers = config.workers or min(
             os.cpu_count() or 1, max(len(group_list), 1)
         )
-        if use_shm:
-            # Parent-side builds: one world per world-key group, columns
-            # published through a refcounted segment, one dispatch item
-            # per trial so the pool stays saturated.  ``None`` attach
-            # info marks a pickle fallback for that whole group.
-            manager = transport.SegmentManager()
-            shm_items: list[tuple[list[Any], tuple[Any, ...] | None]] = []
-            for group in group_list:
-                if _cancelled():
-                    raise StudyCancelled(
-                        f"study {study.name!r} cancelled while building "
-                        f"world-key groups ({len(completed)}/{total} "
-                        "trials recorded)"
-                    )
-                start = time.perf_counter()
-                try:
-                    world = _call_with_deadline(
-                        config.trial_timeout_s,
-                        lambda: study.build(group[0]),
-                    )
-                except ConfigurationError:
-                    raise
-                except (_TrialTimeout, Exception) as error:
-                    if not config.quarantine:
-                        raise
-                    for spec in group:
-                        record(_failure(spec, error, attempts=1))
-                    continue
-                build_s = time.perf_counter() - start
-                try:
-                    meta, columns = study.export_world(world)  # type: ignore[attr-defined]
-                    descriptor = manager.create(columns, refs=len(group))
-                except ConfigurationError:
-                    raise
-                except Exception:
-                    transport_fallbacks += len(group)
-                    shm_items.append((group, None))
-                    continue
-                for spec in group:
-                    shm_items.append(([spec], (descriptor, meta, build_s)))
-            pending_items = shm_items
-            if workers <= 1 or len(pending_items) <= 1:
-                for item_specs, attach in pending_items:
-                    if _cancelled():
-                        raise StudyCancelled(
-                            f"study {study.name!r} cancelled with "
-                            f"{len(completed)}/{total} trials recorded"
-                        )
-                    if attach is None:
-                        consume(_run_group(study, item_specs, *group_args))
-                        continue
-                    descriptor, meta, build_s = attach
-                    consume(_run_group_attached(
-                        study, item_specs, descriptor, meta, build_s,
-                        *group_args,
-                    ))
-                    manager.release(descriptor.segment)
-            else:
-                for attempt in (0, 1):
-                    try:
-                        with ProcessPoolExecutor(
-                            max_workers=min(workers, len(pending_items))
-                        ) as pool:
-                            future_segment: dict[Any, str | None] = {}
-                            for item_specs, attach in pending_items:
-                                if attach is None:
-                                    future = pool.submit(
-                                        _run_group, study, item_specs,
-                                        *group_args)
-                                    future_segment[future] = None
-                                    continue
-                                descriptor, meta, build_s = attach
-                                future = pool.submit(
-                                    _run_group_attached, study, item_specs,
-                                    descriptor, meta, build_s, *group_args)
-                                future_segment[future] = descriptor.segment
-                            drain(future_segment)
-                        break
-                    except BrokenProcessPool:
-                        pending_items = [
-                            ([s for s in item_specs
-                              if s.trial_id not in completed], attach)
-                            for item_specs, attach in pending_items
-                        ]
-                        pending_items = [
-                            (item_specs, attach)
-                            for item_specs, attach in pending_items
-                            if item_specs
-                        ]
-                        if attempt == 1 or not pending_items:
-                            raise
-                        pool_restarts += 1
-        elif workers <= 1 or len(group_list) <= 1:
-            for group in group_list:
-                if _cancelled():
-                    raise StudyCancelled(
-                        f"study {study.name!r} cancelled with "
-                        f"{len(completed)}/{total} trials recorded"
-                    )
-                consume(run_one(study, group, *group_args))
-        else:
-            # A crashed worker (OOM kill, segfault, os._exit) breaks the
-            # whole pool; one restart resubmits the not-yet-completed
-            # groups before the failure is allowed to surface.
-            pending = group_list
+        if items and (needs_workers or (workers > 1 and len(items) > 1)):
             for attempt in (0, 1):
                 try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(workers, len(pending))
-                    ) as pool:
-                        # Distinct submit sites (not one via an alias) so
-                        # the pool-submit-module-fn lint can statically
-                        # see a module-level worker at each.
-                        if use_batches:
-                            futures = [
-                                pool.submit(_run_batch_group, study,
-                                            group, *group_args)
-                                for group in pending
-                            ]
-                        else:
-                            futures = [
-                                pool.submit(_run_group, study,
-                                            group, *group_args)
-                                for group in pending
-                            ]
-                        # Drain in completion order so finished groups land
-                        # in the resume artifact immediately — a slow
-                        # head-of-line group must not hold every other
-                        # group's trials hostage to a mid-run kill.  Trial
-                        # order is restored at the end.
-                        drain({future: None for future in futures})
+                    run_pool(items)
                     break
                 except BrokenProcessPool:
-                    pending = [
-                        [s for s in group if s.trial_id not in completed]
-                        for group in pending
+                    # A crashed worker (OOM kill, segfault, os._exit)
+                    # breaks the whole pool; one restart re-runs the
+                    # items whose trials have not completed.
+                    items = [
+                        item for item in items
+                        if any(spec.trial_id not in completed
+                               for spec in item.specs)
                     ]
-                    pending = [group for group in pending if group]
-                    if attempt == 1 or not pending:
+                    if attempt == 1 or not items:
                         raise
                     pool_restarts += 1
+        else:
+            for item in items:
+                check_cancel()
+                finish(item, _run_item(study, item, *item_args))
     finally:
         writer.close()
         if manager is not None:

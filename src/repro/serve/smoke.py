@@ -13,10 +13,11 @@ actual HTTP:
    ``/metrics``.
 3. **Thread-safe deadline** — submit the same study with fresh seeds and
    a deliberately impossible ``trial_timeout_s``; the job runs on a
-   scheduler thread (not a main thread), so this exercises the reaped
-   deadline path — the historical SIGALRM implementation would have
-   silently ignored the budget.  Every trial must come back quarantined
-   with a deadline error.
+   scheduler thread (not a main thread), where SIGALRM cannot fire, so
+   the study runs its trials in a worker process under that process's
+   itimer.  Every trial must come back quarantined with a deadline
+   error, and once the job is done no worker process may be left
+   running: the deadline stopped the work, not just the wait.
 4. **Store reads** — ``GET /results/{fingerprint}`` must replay the
    cold run's rows; a cancellation round-trips; unknown jobs 404.
 
@@ -26,6 +27,7 @@ Exit code 0 when every assertion holds.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import tempfile
 import threading
 import time
@@ -167,19 +169,23 @@ def run_smoke(verbose: bool = True) -> int:
                 f"0 recomputed)")
 
             # 3. The thread-safe deadline: this job runs on a scheduler
-            # thread, where SIGALRM cannot fire — the reaped deadline
-            # must quarantine every trial anyway.
+            # thread, where SIGALRM cannot fire, so its trials run in a
+            # worker process under that process's itimer.  Every trial
+            # is quarantined, and the worker that enforced the deadline
+            # is gone once the job is done.
             status, job = _call(base, "POST", "/studies", TIMEOUT_REQUEST)
             assert status == 202, job
-            reaped = _await_terminal(base, job["id"])
-            assert reaped["state"] == "done", reaped
-            assert reaped["trials"]["failed"] == reaped["trials"]["total"] > 0, \
-                reaped
+            timed_out = _await_terminal(base, job["id"])
+            assert timed_out["state"] == "done", timed_out
+            trials = timed_out["trials"]
+            assert trials["failed"] == trials["total"] > 0, timed_out
             assert any(
-                "deadline" in note["error"] for note in reaped["failures"]
-            ), reaped
-            say(f"deadline run done: {reaped['trials']['failed']} trial(s) "
-                "quarantined by the off-main-thread deadline")
+                "deadline" in note["error"] for note in timed_out["failures"]
+            ), timed_out
+            children = multiprocessing.active_children()
+            assert children == [], f"worker outlived its job: {children}"
+            say(f"deadline run done: {trials['failed']} trial(s) "
+                "quarantined in a worker process, none left running")
 
             # 4. Store reads + metrics accounting.
             status, result = _call(

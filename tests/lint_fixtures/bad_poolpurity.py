@@ -9,6 +9,14 @@ def _impure_worker(spec) -> None:
     RESULTS[spec.trial_id] = spec.run()         # pool-worker-globals
 
 
+def _store_result(spec) -> None:
+    RESULTS[spec.trial_id] = spec.run()         # pool-worker-globals
+
+
+def _delegating_worker(spec) -> None:
+    _store_result(spec)
+
+
 class Runner:
     def run_all(self, specs) -> None:
         with ProcessPoolExecutor() as pool:
@@ -20,3 +28,4 @@ class Runner:
             pool.submit(nested, specs[0])       # pool-submit-module-fn
             pool.submit(self.run_all, specs)    # pool-submit-module-fn
             pool.submit(_impure_worker, specs[0])
+            pool.submit(_delegating_worker, specs[0])

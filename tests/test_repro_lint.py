@@ -66,6 +66,15 @@ class TestBadFixtures:
         assert by_rule["det-np-random"] == 2
         assert by_rule["det-set-iter"] == 2
 
+    def test_bad_poolpurity_counts(self):
+        violations = lint_fixture(
+            "bad_poolpurity.py", "repro/experiments/fixture.py"
+        )
+        stores = [v for v in violations if v.rule == "pool-worker-globals"]
+        # The submitted worker's own store, and the store in the helper
+        # another submitted worker calls.
+        assert len(stores) == 2
+
     def test_violations_carry_locations(self):
         violations = lint_fixture(
             "bad_reporting.py", "repro/reporting/fixture.py"

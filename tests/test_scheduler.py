@@ -3,13 +3,17 @@ duplicate-submission store hits and journaled crash recovery.
 
 The execution core (``execute_study``) is covered by the engine suites;
 these tests pin the properties the ``repro serve`` job queue adds on
-top — and the one engine bugfix that only shows off the main thread:
+top: the progress and cancel hooks (cancel on the inline, batch and
+pool drivers), and the deadline that only shows off the main thread —
 ``trial_timeout_s`` must quarantine a hung trial from a scheduler
-thread, where the historical SIGALRM deadline silently disabled itself.
+thread, where the historical SIGALRM deadline silently disabled itself,
+and must stop it rather than leave it running.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 import threading
 import time
@@ -22,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.engine import (
     StudyConfig,
     _artifact_path,
+    expand_trials,
     run_study,
     study_fingerprint,
 )
@@ -34,6 +39,7 @@ from repro.experiments.scheduler import (
     execute_study,
 )
 from tests.test_engine_quarantine import CrashStudy
+from tests.test_trial_batch import BatchToyStudy
 
 
 def shm_snapshot() -> set[str]:
@@ -178,22 +184,49 @@ class TestThreadSafeDeadline:
             _call_with_deadline(0.1, lambda: time.sleep(5))
         assert "reaped" not in str(excinfo.value)
 
-    def test_reaped_path_reraises_body_errors(self):
-        def runner():
-            try:
-                _call_with_deadline(5.0, self._boom)
-            except ValueError as error:
-                box["error"] = error
-
+    def test_no_trial_body_outlives_its_deadline(self):
+        """Off the main thread a deadline must stop the trial, not just
+        stop waiting for it: the study returns early with every trial
+        quarantined, and neither a helper thread nor a worker process
+        is still running the 2 s bodies."""
         box: dict[str, object] = {}
+
+        def runner():
+            box["result"] = run_study(
+                SleepyStudy(sleep_s=2.0),
+                StudyConfig(seeds=(1, 2, 3), workers=1, trial_timeout_s=0.1),
+            )
+
+        thread = threading.Thread(target=runner)
+        start = time.monotonic()
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - start < 1.5
+        result = box["result"]
+        assert len(result.failures) == 3
+        assert all("deadline" in f.error for f in result.failures)
+        assert not [t for t in threading.enumerate()
+                    if t.name == "repro-trial-body"]
+        assert multiprocessing.active_children() == []
+
+    def test_reaped_path_reraises_body_errors(self):
+        # A body error under an off-main-thread deadline surfaces as that
+        # error, not as a timeout.
+        box: dict[str, object] = {}
+
+        def runner():
+            box["result"] = run_study(
+                CrashStudy(),
+                StudyConfig(seeds=(1, 2), workers=1, trial_timeout_s=5.0),
+            )
+
         thread = threading.Thread(target=runner)
         thread.start()
-        thread.join(10.0)
-        assert str(box["error"]) == "body failed"
-
-    @staticmethod
-    def _boom():
-        raise ValueError("body failed")
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        (failure,) = box["result"].failures
+        assert failure.error == "RuntimeError: poison trial"
 
     def test_no_budget_runs_inline(self):
         assert _call_with_deadline(None, lambda: 41 + 1) == 42
@@ -227,6 +260,36 @@ class TestExecuteStudyHooks:
                 SleepyStudy(), StudyConfig(seeds=(1,), workers=1),
                 cancel=cancel,
             )
+
+    @pytest.mark.parametrize("study,knobs", [
+        (SleepyStudy(), {"workers": 1}),
+        (BatchToyStudy(), {"workers": 1, "trial_batch": 2}),
+        (SleepyStudy(sleep_s=0.05), {"workers": 2}),
+    ], ids=["inline-group", "inline-batch", "pickle-pool"])
+    def test_mid_run_cancel_resumes_what_it_recorded(
+        self, tmp_path, study, knobs
+    ):
+        config = StudyConfig(seeds=tuple(range(8)), out_dir=str(tmp_path),
+                             **knobs)
+        cancel = threading.Event()
+        recorded: list[int] = []
+
+        def on_trial(result, done, total):
+            recorded.append(result.trial_id)
+            cancel.set()  # at the first executed trial
+
+        with pytest.raises(StudyCancelled):
+            execute_study(study, config, on_trial=on_trial, cancel=cancel)
+        assert 0 < len(recorded) < len(expand_trials(study, config.seeds))
+        rows = _artifact_path(study, str(tmp_path)).read_text().splitlines()
+        assert sorted(json.loads(row)["trial_id"] for row in rows[1:]) == \
+            sorted(recorded)
+
+        rerun = run_study(study, config)
+        clean = run_study(study, StudyConfig(seeds=config.seeds, **knobs))
+        assert rerun.resumed == len(recorded)
+        assert [asdict(t) for t in rerun.trials] == \
+            [asdict(t) for t in clean.trials]
 
 
 class TestPriorityOrdering:

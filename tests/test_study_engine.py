@@ -232,6 +232,17 @@ class TestResume:
             run_study(study, StudyConfig(seeds=(1,), workers=1,
                                          out_dir=str(tmp_path)))
 
+    @pytest.mark.parametrize("first_line", ["[]", "7", '"x"'])
+    def test_non_object_header_rejected(self, tmp_path, first_line):
+        # Valid JSON that is not an object cannot be an artifact header.
+        study = ToyStudy()
+        config = StudyConfig(seeds=(1,), workers=1, out_dir=str(tmp_path))
+        path = _artifact_path(study, str(tmp_path),
+                              study_fingerprint(study, config.seeds))
+        path.write_text(first_line + "\n")
+        with pytest.raises(ConfigurationError):
+            run_study(study, config)
+
 
 class TestDetectionOnEngine:
     """The ported detection study: same numbers through every front end."""

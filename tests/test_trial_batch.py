@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import time
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -214,6 +215,19 @@ class BatchToyStudy:
         return _Result(**payload)
 
 
+@dataclass(frozen=True, slots=True)
+class SlowBatchStudy(BatchToyStudy):
+    """A one-variant ``BatchToyStudy`` whose batch costs ``seed_sleep_s``
+    per seed — well inside a per-trial budget for every seed it holds."""
+
+    scales: tuple[tuple[str, float], ...] = (("a", 1.0),)
+    seed_sleep_s: float = 0.05
+
+    def run_batch(self, specs):
+        time.sleep(self.seed_sleep_s * len(specs))
+        return BatchToyStudy.run_batch(self, specs)
+
+
 def check_batched_aggregates_match(seeds: list[int], k: int) -> None:
     study = BatchToyStudy()
     batched = run_study(
@@ -260,6 +274,17 @@ class TestBatchFallbackAccounting:
         )
         assert result.batch_fallbacks == 0
         assert result.coverage_note() is None
+
+    def test_batch_deadline_scales_with_the_chunk(self):
+        # 8 seeds at 50 ms each take 0.4 s as one batch; the per-trial
+        # budget is 0.2 s, so the batch gets 8 x 0.2 s and never falls back.
+        result = run_study(
+            SlowBatchStudy(), StudyConfig(seeds=tuple(range(8)), workers=1,
+                                          trial_batch=8, trial_timeout_s=0.2)
+        )
+        assert result.batch_fallbacks == 0
+        assert result.failures == []
+        assert len(result.trials) == 8
 
 
 if HAVE_HYPOTHESIS:
