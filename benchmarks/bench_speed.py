@@ -1,12 +1,10 @@
 """End-to-end speed benchmark: the numbers the perf work is held to.
 
-Times the hot paths of every study — detection-world build under the
-vectorized *and* the scalar engine, the probing campaign under the batch
-*and* the scalar engine, the filter pipeline (array-stat pass), a
-16-trial mini-world detection ensemble, a 256-trial small-world
-detection campaign (the trial-batch scheduling path at scale), the
-offload-world build under the vectorized *and* the scalar engine, the
-peer-group/cone-table setup, the greedy IXP expansion, a 16-trial
+Times the hot paths of every study — detection-world build, the probing
+campaign under the batch *and* the scalar engine, the filter pipeline
+(array-stat pass), a 16-trial mini-world detection ensemble, a 256-trial
+small-world detection campaign (the trial-batch scheduling path at
+scale), the offload-world build, the peer-group/cone-table setup, the greedy IXP expansion, a 16-trial
 paper-scale offload ensemble under the per-trial *and* the trial-batch
 engine (``StudyConfig.trial_batch``: whole seed batches realized as one
 array program), a 16-trial small-world *economics* ensemble (Sections
@@ -33,7 +31,7 @@ Run it directly (it is a script, not a pytest-benchmark module)::
 
 ``--quick`` (what ``make smoke`` uses through
 ``benchmarks/check_regression.py --quick``) skips the slow reference
-stages — the scalar engines, the per-trial paper-scale offload
+stages — the scalar probe engine, the per-trial paper-scale offload
 ensemble, and the 256-trial detection campaign — and compares only the
 stages it ran.  The *batched* paper-scale offload ensemble stays in
 quick mode: it is the fastest full-scale end-to-end gate in the suite.  ``benchmarks/check_regression.py``
@@ -80,7 +78,7 @@ def _peak_rss_mb() -> float:
 def collect_payload(quick: bool = False) -> dict:
     """Run every timed stage and assemble the BENCH payload.
 
-    ``quick=True`` drops the scalar reference engines and the paper-scale
+    ``quick=True`` drops the scalar probe engine and the paper-scale
     offload ensemble (the slow half of the run) — the regression guard
     only compares stages present on both sides, so the quick payload
     still gates every vectorized hot path.
@@ -108,14 +106,7 @@ def collect_payload(quick: bool = False) -> dict:
     )
     from repro.experiments.transport import SegmentManager, attach_columns
     from repro.faults import FaultConfig
-    from repro.sim import (
-        DetectionWorldConfig,
-        OffloadWorldConfig,
-        build_detection_world,
-        build_mega_world,
-        build_offload_world,
-        scenarios,
-    )
+    from repro.sim import DetectionWorldConfig, build_mega_world, scenarios
     from repro.sim.scenarios import (
         joint_preset_configs,
         mega_config,
@@ -175,12 +166,6 @@ def collect_payload(quick: bool = False) -> dict:
         "detection_world_build", lambda: scenarios.paper22(seed=WORLD_SEED)
     )
 
-    if not quick:
-        stage("detection_world_build_scalar", lambda: build_detection_world(
-                DetectionWorldConfig(seed=WORLD_SEED, engine="scalar")
-            )
-        )
-
     batch_campaign = ProbeCampaign(
         world, CampaignConfig(seed=CAMPAIGN_SEED, engine="batch")
     )
@@ -216,11 +201,6 @@ def collect_payload(quick: bool = False) -> dict:
 
     offload_world = stage("offload_world_build", lambda: scenarios.rediris(seed=WORLD_SEED)
     )
-    if not quick:
-        stage("offload_world_build_scalar", lambda: build_offload_world(
-                OffloadWorldConfig(seed=WORLD_SEED, engine="scalar")
-            )
-        )
     (groups, estimator) = stage("offload_groups_build", lambda: (
             (g := PeerGroups.build(offload_world)),
             OffloadEstimator(offload_world, g),
@@ -391,14 +371,6 @@ def collect_payload(quick: bool = False) -> dict:
         payload["collect_speedup_batch_vs_scalar"] = round(
             timings["collect_scalar"] / timings["collect_batch"], 2
         )
-        payload["world_build_speedup_vectorized_vs_scalar"] = round(
-            timings["detection_world_build_scalar"]
-            / timings["detection_world_build"], 2
-        )
-        payload["offload_build_speedup_vectorized_vs_scalar"] = round(
-            timings["offload_world_build_scalar"]
-            / timings["offload_world_build"], 2
-        )
         payload["offload_ensemble"] = {
             "trials": offload_summary.trials,
             "inbound_mean": round(offload_summary.inbound_fraction.mean, 4),
@@ -428,7 +400,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="skip the scalar engines and the paper-scale offload "
+        help="skip the scalar probe engine and the paper-scale offload "
         "ensemble; print the payload without overwriting the baseline",
     )
     args = parser.parse_args(argv)

@@ -21,10 +21,12 @@ Usage::
     PYTHONPATH=src python benchmarks/check_regression.py \
         --baseline BENCH_speed.json --factor 2.0
 
-``--quick`` reruns only the fast stages (no scalar engines, no
+``--quick`` reruns only the fast stages (no scalar probe engine, no
 paper-scale offload ensemble); missing stages are reported as retired
 but never fail, so the quick gate still covers every vectorized hot
-path.  ``make smoke`` chains it after ``pytest -m "not slow"``.
+path.  So are stages the benchmark no longer runs at all (the scalar
+world-builder stages moved out with their engines, into
+``tests/reference/``).  ``make smoke`` chains it after ``pytest -m "not slow"``.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="rerun only the fast stages (skip scalar engines and the "
-        "paper-scale offload ensemble) — what `make smoke` gates on",
+        help="rerun only the fast stages (skip the scalar probe engine and "
+        "the paper-scale offload ensemble) — what `make smoke` gates on",
     )
     args = parser.parse_args(argv)
     if args.factor <= 1.0:

@@ -6,7 +6,8 @@ determinism contract):
 1. **determinism** — the simulation packages may not touch global RNG
    state, wall clocks, OS entropy, or hash-order iteration;
 2. **draw-stream discipline** — ``(seed, tag, ...)`` child-stream tags
-   are literal, and scalar/vectorized engines create identical streams;
+   are literal, and the engines of one subsystem create identical
+   streams;
 3. **process-pool purity** — study workers are module-level pure
    functions;
 4. **report stability** — renderers format floats with explicit

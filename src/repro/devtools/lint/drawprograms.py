@@ -9,12 +9,19 @@ along the configured MRO.
 
 That extraction serves two purposes:
 
-* ``repro lint`` compares the scalar and vectorized programs of every
-  dual-engine subsystem and fails when they diverge (rule
-  ``draw-engine-parity``) — the invariant the cross-engine equivalence
-  suites check dynamically, enforced before a single test runs;
+* ``repro lint`` compares the programs of every multi-engine subsystem
+  (the offload world's single-world and trial-batched realizers, the
+  campaign's scalar and batch probe engines) and fails when they diverge
+  (rule ``draw-engine-parity``) — the invariant the cross-engine
+  equivalence suites check dynamically, enforced before a single test
+  runs;
 * ``repro lint --draw-programs`` renders the table, replacing the
   hand-maintained stream-order docstrings.
+
+The scalar reference builders of the pool, detection and offload worlds
+live outside ``src/`` (``tests/reference/``); ``tests/test_repro_lint.py``
+extracts their programs with the same machinery and holds each to its
+product builder's program.
 
 Sites are listed in *scope order* (shared scopes first, then the engine
 class walked base-most first, each scope in source order).  Within one
@@ -43,7 +50,7 @@ STREAM_HELPER_PREFIXES: dict[str, tuple[str, ...]] = {
 class DrawSite:
     """One stream-creation call: where it lives and the tag it derives."""
 
-    scope: str                 # defining scope, e.g. "_OffloadBuilderBase._build_giants"
+    scope: str                 # defining scope, e.g. "_OffloadBuilder._build_giants"
     method: str                # bare method/function name (the parity key)
     lineno: int
     helper: str                # child_rng / derive_seed / make_rng / _stage_rng
@@ -83,7 +90,7 @@ class _Scope:
     alias: str | None = None
     #: Module holding this scope when it differs from the subsystem's
     #: module (e.g. the trial-batch offload engine lives in its own file
-    #: but subclasses — and must stream-match — the in-module builders).
+    #: but subclasses — and must stream-match — the in-module builder).
     #: MRO entries not found here are resolved in the subsystem module.
     module: str | None = None
 
@@ -98,21 +105,18 @@ class SubsystemSpec:
     engines: dict[str, tuple[_Scope, ...]]
 
 
-#: The dual-engine builders whose stream parity the repro rests on, plus
-#: the single-engine fault scheduler (extracted for documentation).  The
-#: scalar/vectorized pairs here are exactly the ones the cross-engine
-#: equivalence suites exercise dynamically.
+#: The multi-engine subsystems whose stream parity the repro rests on,
+#: plus the single-engine builders and the fault scheduler (extracted for
+#: the inventory, and as the programs the ``tests/reference/`` builders
+#: are held to).
 SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
     SubsystemSpec(
         name="detection-world",
         module="repro/sim/detection_world.py",
         shared=(_Scope("function", "_make_providers"),),
         engines={
-            "scalar": (_Scope("class", "_WorldBuilder",
+            "shared": (_Scope("class", "_WorldBuilder",
                               mro=("_WorldBuilder",)),),
-            "vectorized": (_Scope("class", "_VectorWorldBuilder",
-                                  mro=("_VectorWorldBuilder",
-                                       "_WorldBuilder")),),
         },
     ),
     SubsystemSpec(
@@ -123,18 +127,14 @@ SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
             _Scope("class", "_StubDraws", mro=("_StubDraws",)),
         ),
         engines={
-            "scalar": (_Scope("class", "_ScalarOffloadBuilder",
-                              mro=("_ScalarOffloadBuilder",
-                                   "_OffloadBuilderBase")),),
-            "vectorized": (_Scope("class", "_VectorOffloadBuilder",
-                                  mro=("_VectorOffloadBuilder",
-                                       "_OffloadBuilderBase")),),
+            "vectorized": (_Scope("class", "_OffloadBuilder",
+                                  mro=("_OffloadBuilder",)),),
             # The trial-batch engine realizes k seeds per call but draws
             # every per-seed stream through the same sites, so its program
-            # must match the single-world engines entry for entry.
+            # must match the single-world builder's entry for entry.
             "batched": (_Scope("class", "_BatchSeedBuilder",
                                mro=("_BatchSeedBuilder",
-                                    "_OffloadBuilderBase"),
+                                    "_OffloadBuilder"),
                                module="repro/sim/offload_batch.py"),),
         },
     ),
@@ -143,15 +143,8 @@ SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
         module="repro/sim/netpool.py",
         shared=(),
         engines={
-            "scalar": (_Scope("function", "_generate_scalar",
+            "shared": (_Scope("function", "_draw_pool_columns",
                               alias="generate"),),
-            # vectorized and columnar both realize _draw_pool_columns —
-            # one code object, so their parity is structural, but both
-            # engines stay in the inventory (and the rendered table).
-            "vectorized": (_Scope("function", "_draw_pool_columns",
-                                  alias="generate"),),
-            "columnar": (_Scope("function", "_draw_pool_columns",
-                                alias="generate"),),
         },
     ),
     SubsystemSpec(

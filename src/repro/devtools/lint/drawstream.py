@@ -3,8 +3,8 @@
 The repro's reproducibility story is the ``(seed, tag, ...)`` child
 stream: every stochastic component derives its own stream with
 ``child_rng``/``derive_seed``, so adding a consumer never perturbs the
-draws of existing ones, and the scalar and vectorized engines of one
-subsystem create *the same* streams.
+draws of existing ones, and the engines of one subsystem create *the
+same* streams.
 
 Two rules enforce this:
 
@@ -41,7 +41,7 @@ _LABEL_ONLY_HELPERS = {"_stage_rng"}
 #: Rules reported by the whole-project pass (run by the CLI, not per file).
 PROJECT_RULES = {
     "draw-engine-parity":
-        "scalar and vectorized engines must create identical draw streams",
+        "the engines of one subsystem must create identical draw streams",
 }
 
 

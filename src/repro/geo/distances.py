@@ -1,12 +1,12 @@
 """Precomputed all-pairs city distances.
 
 World builders repeatedly ask "which cities sit between ``low`` and
-``high`` kilometres of this IXP?" — once per remote-member draw in the
-scalar builder, once per band in the vectorized one.  Sorting the whole
-city database per query (the seed implementation) costs O(C log C) each
-time; this module computes the full C x C great-circle matrix once
-(vectorized haversine, ~160 x 160 for the built-in database) and answers
-every band query with a boolean mask over one row.
+``high`` kilometres of this IXP?" — once per band in the detection
+builder, once per remote-member draw in its scalar reference.  Sorting
+the whole city database per query (the seed implementation) costs
+O(C log C) each time; this module computes the full C x C great-circle
+matrix once (vectorized haversine, ~160 x 160 for the built-in database)
+and answers every band query with a boolean mask over one row.
 """
 
 from __future__ import annotations

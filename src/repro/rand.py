@@ -31,8 +31,8 @@ to an unfaulted one.
 The full per-engine stream inventory is generated by ``repro lint
 --draw-programs`` and mechanically enforced by ``make lint`` (see
 :mod:`repro.devtools.lint`): stream tags must be built from literal
-parts, and the scalar and vectorized engines of every dual-engine
-subsystem must create identical streams.
+parts, and the engines of every multi-engine subsystem must create
+identical streams.
 
 Seed batches (``StudyConfig.trial_batch``) keep the same discipline with
 one extra leading axis: a batch of k trials derives the *identical* k

@@ -17,7 +17,6 @@ Three worlds matter:
 from repro.sim.clock import CampaignWindow
 from repro.sim.netpool import (
     ColumnarNetworkPool,
-    NetworkPool,
     NetworkPoolConfig,
     generate_network_pool,
 )
@@ -41,7 +40,6 @@ from repro.sim.offload_world import (
 __all__ = [
     "CampaignWindow",
     "ColumnarNetworkPool",
-    "NetworkPool",
     "NetworkPoolConfig",
     "generate_network_pool",
     "BehaviorRates",

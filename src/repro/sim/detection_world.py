@@ -11,40 +11,35 @@ Behaviour classes are drawn per interface, mutually exclusively, at rates
 calibrated so the six-filter pipeline discards roughly the paper's
 20 / 82 / 20 / 100 / 28 / 5 interfaces out of ~4.7k candidates.
 
-Engines
--------
-Two builders produce statistically equivalent worlds from the same
-calibration knobs (``DetectionWorldConfig.engine``):
-
-* ``"vectorized"`` (default) draws its network pool as columns
-  (:class:`~repro.sim.netpool.ColumnarNetworkPool`, the draw program the
-  ``vectorized`` and ``columnar`` pool engines share), selects members
-  as pool indices, and materializes a
-  :class:`~repro.sim.netpool.PooledNetwork` view only for a network the
-  world seats — once per world, so an AS seated at several IXPs is one
-  object.  It realizes each IXP's stochastic content as
-  per-IXP array draws in a fixed, documented order — the same
-  struct-of-arrays discipline as :mod:`repro.lg.batch`.  Per IXP the
-  order is: intersite RTT (multi-site only), direct-member sample,
-  short-circuit coins, band draw, per-band member draws (partner seats
-  first, then short/intercity/intercountry/intercontinental), interleave
-  permutation, second-interface coins, behaviour classes, device arrays
-  (TTL coin, processing, rare TTL, OS-change time, blackhole/healthy
-  respond), congestion arrays (persistent floor/spread, transient
-  coin/amplitude/peak), attachment arrays (far-metro coin, far/near
-  tails, site coin, provider pick, partner overhead, PoP relocation),
-  LG-bias arrays, stale-target arrays, ASN-change arrays, anchors.
-* ``"scalar"`` replays the seed implementation's per-interface draws
-  over an object :class:`~repro.sim.netpool.NetworkPool` and is kept as
-  the reference engine.
-
-Both engines consume the same per-``(seed, "ixp", acronym)`` streams in
-different orders, so they agree in distribution (remote fractions,
-behaviour-class counts, band histograms, filter discard counts — see the
-equivalence suite in ``tests/test_world_builder_engines.py``), not
-member-for-member.  Distance queries are answered by one precomputed
+Draw order
+----------
+The builder draws its network pool as columns
+(:class:`~repro.sim.netpool.ColumnarNetworkPool`), selects members as
+pool indices, and materializes a :class:`~repro.sim.netpool.PooledNetwork`
+view only for a network the world seats — once per world, so an AS
+seated at several IXPs is one object.  It realizes each IXP's stochastic
+content as per-IXP array draws from the ``(seed, "ixp", acronym)``
+stream in a fixed order — the same struct-of-arrays discipline as
+:mod:`repro.lg.batch`.  Per IXP the order is: intersite RTT (multi-site
+only), direct-member sample, short-circuit coins, band draw, per-band
+member draws (partner seats first, then
+short/intercity/intercountry/intercontinental), interleave permutation,
+second-interface coins, behaviour classes, device arrays (TTL coin,
+processing, rare TTL, OS-change time, blackhole/healthy respond),
+congestion arrays (persistent floor/spread, transient
+coin/amplitude/peak), attachment arrays (far-metro coin, far/near tails,
+site coin, provider pick, partner overhead, PoP relocation), LG-bias
+arrays, stale-target arrays, ASN-change arrays, anchors.  Distance
+queries are answered by one precomputed
 :class:`repro.geo.distances.CityDistanceMatrix` instead of re-sorting
 the city database per draw.
+
+The seed implementation's per-interface draws over an object pool are
+kept as the oracle in ``tests/reference/detection_world.py``.  It opens
+the same streams in a different order, so the two builders agree in
+distribution (remote fractions, behaviour-class counts, band histograms,
+filter discard counts — see ``tests/test_world_builder_engines.py``),
+not member-for-member.
 
 Remote-member draws that find no eligible candidate in their nominal
 distance band are *redrawn from a widened band* (any unused network; the
@@ -56,6 +51,7 @@ never silently dropped unless the whole pool is exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,10 +84,8 @@ from repro.sim.clock import CampaignWindow
 from repro.sim.netpool import (
     SCOPE_CONTINENTS,
     ColumnarNetworkPool,
-    NetworkPool,
     NetworkPoolConfig,
     PooledNetwork,
-    _draw_pool_columns,
     generate_network_pool,
     weighted_index_sample,
 )
@@ -116,7 +110,7 @@ _BAND_DISTANCES = {
     "intercontinental": (3500.0, 12000.0),
 }
 
-#: Remote bands in draw order (the vectorized engine groups draws by band).
+#: Remote bands in draw order (member draws are grouped by band).
 _BANDS = ("intercity", "intercountry", "intercontinental")
 
 #: Inter-IXP partnership programs the paper names (Section 2.3/3.2):
@@ -135,13 +129,6 @@ _PARTNER_SEATS = 4
 #: Provider indices member circuits may use; index 1 (``atrato-like``,
 #: the visible-detour provider) is reserved for the validation anchors.
 _MEMBER_PROVIDER_CHOICES = (0, 2, 3)
-
-#: Pool engines each world engine builds on: the vectorized builder works
-#: on pool columns, the scalar builder on pool objects.
-_POOL_ENGINES = {
-    "vectorized": ("vectorized", "columnar"),
-    "scalar": ("scalar", "vectorized"),
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,8 +168,7 @@ class BehaviorRates:
         """Cumulative thresholds + labels for the mutually-exclusive draw.
 
         A uniform deviate ``u`` maps to ``labels[searchsorted(edges, u,
-        'right')]`` — the same class boundaries the scalar engine walks
-        with its running cursor.
+        'right')]``.
         """
         pairs = (
             (self.blackhole, BLACKHOLE),
@@ -218,25 +204,11 @@ class DetectionWorldConfig:
     short_remote_fraction: float = 0.08
     #: Whether to add the named validation anchors (E4A/Invitel analogues).
     with_anchors: bool = True
-    #: ``"vectorized"`` (array draws, default) or ``"scalar"`` (reference).
-    #: Governs the builder and — only when ``pool`` is None — the network
-    #: pool generator.  An explicit ``pool`` config must suit the builder:
-    #: the vectorized builder takes ``"vectorized"`` or ``"columnar"``
-    #: pools (both mean the same column draws, which it keeps as
-    #: columns), the scalar builder ``"scalar"`` or ``"vectorized"``
-    #: object pools (``"scalar"`` for a fully scalar reference world).
-    engine: str = "vectorized"
-
-    def __post_init__(self) -> None:
-        if self.engine not in _POOL_ENGINES:
-            raise ConfigurationError(f"unknown world engine {self.engine!r}")
-        allowed = _POOL_ENGINES[self.engine]
-        if self.pool is not None and self.pool.engine not in allowed:
-            raise ConfigurationError(
-                f"world engine {self.engine!r} cannot build on a "
-                f"{self.pool.engine!r} pool engine (it takes "
-                f"{' or '.join(map(repr, allowed))})"
-            )
+    #: Not settable (passing it raises ``TypeError``).  It stays the last
+    #: field so this config's repr — embedded in every detection,
+    #: economics and joint trial-spec repr that study fingerprints hash —
+    #: is unchanged and stored artifacts stay addressable.
+    engine: str = field(default="vectorized", init=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,7 +230,7 @@ class DetectionWorld:
     """Everything the Section 3 campaign consumes, plus ground truth."""
 
     city_db: CityDB
-    pool: NetworkPool | ColumnarNetworkPool
+    pool: ColumnarNetworkPool
     window: CampaignWindow
     ixps: dict[str, IXP]
     lg_servers: dict[str, list[LookingGlassServer]]
@@ -311,50 +283,11 @@ def build_detection_world(
 ) -> DetectionWorld:
     """Generate the detection world for ``config`` (fully deterministic)."""
     config = config or DetectionWorldConfig()
-    specs = config.specs or paper_catalog()
     city_db = default_city_db()
-    matrix = CityDistanceMatrix.build(city_db)
-    pool_config = config.pool or NetworkPoolConfig(
-        seed=config.seed,
-        engine="scalar" if config.engine == "scalar" else "vectorized",
+    pool = generate_network_pool(
+        city_db, config.pool or NetworkPoolConfig(seed=config.seed)
     )
-    if config.engine == "scalar":
-        builder_cls = _WorldBuilder
-        pool = generate_network_pool(city_db, pool_config)
-    else:
-        builder_cls = _VectorWorldBuilder
-        pool = _draw_pool_columns(city_db, pool_config)
-    directory = IXPDirectory()
-    providers = _make_providers(config.seed, specs, city_db)
-    builder = builder_cls(
-        config=config,
-        specs=specs,
-        city_db=city_db,
-        matrix=matrix,
-        pool=pool,
-        directory=directory,
-        providers=providers,
-    )
-    builder.build()
-    identification = IdentificationPipeline(
-        peeringdb=PeeringDBSource(directory, coverage=0.54, seed=config.seed),
-        website=IXPWebsiteSource(directory, coverage=0.30, seed=config.seed),
-        rdns=ReverseDNSSource(directory, coverage=0.16, seed=config.seed),
-    )
-    return DetectionWorld(
-        city_db=city_db,
-        pool=pool,
-        window=config.window,
-        ixps=builder.ixps,
-        lg_servers=builder.lg_servers,
-        directory=directory,
-        identification=identification,
-        providers=providers,
-        truth=builder.truth,
-        config=config,
-        partnerships=builder.partnerships,
-        shortfall=builder.shortfall,
-    )
+    return _WorldBuilder(config, city_db, pool).build()
 
 
 def _make_providers(
@@ -377,28 +310,68 @@ def _make_providers(
     return providers
 
 
-class _WorldBuilder:
-    """The scalar reference engine: one draw per interface attribute."""
+@dataclass(slots=True)
+class _InterfaceDraws:
+    """Per-interface stochastic components, drawn as arrays (length n).
 
-    pool: NetworkPool
+    Every quantity is drawn for every slot (in the fixed order listed in
+    the module docstring) and selected per behaviour class afterwards —
+    the same marginal law as drawing each only where its class needs it.
+    """
+
+    behavior: list[str]
+    ttl_linux: np.ndarray
+    processing: np.ndarray
+    rare_ttl_idx: np.ndarray
+    os_change_frac: np.ndarray
+    blackhole_respond: np.ndarray
+    healthy_respond: np.ndarray
+    persistent_floor: np.ndarray
+    persistent_spread: np.ndarray
+    transient_on: np.ndarray
+    transient_amp: np.ndarray
+    transient_peak: np.ndarray
+    far_metro: np.ndarray
+    far_tail: np.ndarray
+    near_tail: np.ndarray
+    site_b: np.ndarray
+    provider_pick: np.ndarray
+    partner_overhead: np.ndarray
+    relocation_u: np.ndarray
+    bias_ripe: np.ndarray
+    bias_extra: np.ndarray
+    stale_rtt: np.ndarray
+    stale_hops: np.ndarray
+    asn_other: np.ndarray
+    asn_change_frac: np.ndarray
+
+
+class _WorldBuilder:
+    """Per-IXP array draws, then object assembly.
+
+    All randomness for one IXP is realized up front as numpy arrays; the
+    remaining per-interface loop only constructs devices, ports and truth
+    records.  Member selection works on pool indices: boolean masks over
+    the pool's columns (home-city matrix index, propensity, continent)
+    against one city-distance-matrix row per band.  A pool entry becomes
+    a :class:`PooledNetwork` only when the world seats it (:meth:`_seat`).
+    """
+
+    pool: ColumnarNetworkPool
 
     def __init__(
         self,
         config: DetectionWorldConfig,
-        specs: tuple[IXPSpec, ...],
         city_db: CityDB,
-        matrix: CityDistanceMatrix,
-        pool: NetworkPool | ColumnarNetworkPool,
-        directory: IXPDirectory,
-        providers: list[RemotePeeringProvider],
+        pool: ColumnarNetworkPool,
     ) -> None:
         self.config = config
-        self.specs = specs
+        self.specs = config.specs or paper_catalog()
         self.city_db = city_db
-        self.matrix = matrix
+        self.matrix = CityDistanceMatrix.build(city_db)
         self.pool = pool
-        self.directory = directory
-        self.providers = providers
+        self.directory = IXPDirectory()
+        self.providers = _make_providers(config.seed, self.specs, city_db)
         self.ixps: dict[str, IXP] = {}
         self.lg_servers: dict[str, list[LookingGlassServer]] = {}
         self.truth: dict[tuple[str, int], InterfaceTruth] = {}
@@ -411,15 +384,36 @@ class _WorldBuilder:
         #: indistinguishable, and the batch probe engine skips
         #: ``NoCongestion`` entirely, so sharing is safe and cheap.
         self._no_congestion = NoCongestion()
+        self._seated: dict[int, PooledNetwork] = {}
 
     # -- top level ------------------------------------------------------------
 
-    def build(self) -> None:
+    def build(self) -> DetectionWorld:
         if self.config.with_anchors:
             self._plan_anchors()
         for spec in self.specs:
             self.shortfall.setdefault(spec.acronym, 0)
             self._build_ixp(spec)
+        seed = self.config.seed
+        identification = IdentificationPipeline(
+            peeringdb=PeeringDBSource(self.directory, coverage=0.54, seed=seed),
+            website=IXPWebsiteSource(self.directory, coverage=0.30, seed=seed),
+            rdns=ReverseDNSSource(self.directory, coverage=0.16, seed=seed),
+        )
+        return DetectionWorld(
+            city_db=self.city_db,
+            pool=self.pool,
+            window=self.config.window,
+            ixps=self.ixps,
+            lg_servers=self.lg_servers,
+            directory=self.directory,
+            identification=identification,
+            providers=self.providers,
+            truth=self.truth,
+            config=self.config,
+            partnerships=self.partnerships,
+            shortfall=self.shortfall,
+        )
 
     def _note_shortfall(self, spec: IXPSpec, count: int = 1) -> None:
         """Record remote draws that had to leave their nominal band."""
@@ -479,18 +473,6 @@ class _WorldBuilder:
         """Cities whose distance from ``city`` lies in [low, high] km."""
         return self.matrix.within(city.name, low, high)
 
-    def _city_names_within(self, city: City, low: float, high: float) -> set[str]:
-        return {c.name for c in self._cities_within(city, low, high)}
-
-    @staticmethod
-    def _propensity_weights(candidates: list[PooledNetwork]) -> np.ndarray:
-        """Normalized draw weights; uniform when all propensities are 0."""
-        weights = np.array([n.propensity for n in candidates], dtype=float)
-        total = weights.sum()
-        if total <= 0:
-            return np.full(len(candidates), 1.0 / len(candidates))
-        return weights / total
-
     @staticmethod
     def _band_probabilities(spec: IXPSpec) -> np.ndarray:
         """Normalized band odds; all-zero ``band_weights`` fall back to
@@ -506,7 +488,7 @@ class _WorldBuilder:
     def _common_ixp_setup(
         self, spec: IXPSpec, rng: np.random.Generator
     ) -> tuple[IXP, list[LookingGlassServer], list, int, int, int]:
-        """IXP shell, LGs and membership arithmetic shared by both engines.
+        """IXP shell, LGs and membership arithmetic (all but the members).
 
         The resolved city travels back as ``ixp.city``.
         """
@@ -537,32 +519,6 @@ class _WorldBuilder:
             ixp, servers, anchors, target_count, remote_members, direct_members,
         )
 
-    def _build_ixp(self, spec: IXPSpec) -> None:
-        rng = child_rng(self.config.seed, "ixp", spec.acronym)
-        ixp, servers, anchors, target_count, remote_members, direct_members = (
-            self._common_ixp_setup(spec, rng)
-        )
-
-        members = self._draw_members(
-            spec, rng, ixp.city, remote_members, direct_members
-        )
-
-        dual_lg = spec.has_pch_lg and spec.has_ripe_lg
-        produced = 0
-        for network, wanted_kind in members:
-            iface_count = 1
-            if produced + 1 < target_count and rng.random() < self.config.second_interface_fraction:
-                iface_count = 2
-            for i in range(iface_count):
-                if produced >= target_count:
-                    break
-                self._add_member_interface(
-                    spec, ixp, servers, rng, network, wanted_kind, dual_lg, i
-                )
-                produced += 1
-        for asys, kind, provider_name in anchors:
-            self._add_anchor_interface(spec, ixp, servers, rng, asys, kind, provider_name)
-
     def _attach_lgs(self, spec: IXPSpec, ixp: IXP) -> list[LookingGlassServer]:
         servers = []
         if spec.has_pch_lg:
@@ -578,47 +534,6 @@ class _WorldBuilder:
                 )
             )
         return servers
-
-    def _draw_members(
-        self,
-        spec: IXPSpec,
-        rng: np.random.Generator,
-        city: City,
-        remote_members: int,
-        direct_members: int,
-    ) -> list[tuple[PooledNetwork, str]]:
-        """Pick (network, direct|remote-band) pairs for one IXP."""
-        continent = city.continent
-        chosen: list[tuple[PooledNetwork, str]] = []
-        used: set[ASN] = set()
-
-        directs = self.pool.sample_members(rng, continent, direct_members, exclude=used)
-        for network in directs:
-            used.add(network.asn)
-            chosen.append((network, "direct"))
-
-        band_p = self._band_probabilities(spec)
-        partner_slots = self._partner_slots(spec, city)
-        for index in range(remote_members):
-            if index < len(partner_slots):
-                partner_city = partner_slots[index]
-                network = self._draw_partner_network(spec, rng, partner_city, used)
-                if network is not None:
-                    used.add(network.asn)
-                    chosen.append((network, f"partner:{partner_city.name}"))
-                continue
-            if rng.random() < self.config.short_remote_fraction:
-                band = "short"
-            else:
-                band = _BANDS[int(rng.choice(3, p=band_p))]
-            network = self._draw_remote_network(spec, rng, city, band, used)
-            if network is None:
-                continue
-            used.add(network.asn)
-            chosen.append((network, band))
-        # Shuffle so remote/direct interleave in address space.
-        order = rng.permutation(len(chosen))
-        return [chosen[i] for i in order]
 
     def _partner_slots(self, spec: IXPSpec, city: City) -> list[City]:
         """Partner-IXP cities whose members remote-peer here."""
@@ -642,159 +557,7 @@ class _WorldBuilder:
             slots.extend([partner_city] * _PARTNER_SEATS)
         return slots
 
-    def _draw_partner_network(
-        self,
-        spec: IXPSpec,
-        rng: np.random.Generator,
-        partner_city: City,
-        used: set[ASN],
-    ) -> PooledNetwork | None:
-        """A member of the partner IXP: a network homed near its city.
-
-        Falls back from "within 400 km" to "same continent" to "any unused
-        network" — the seat is filled whenever the pool has *any* network
-        left; the widened draws are counted as shortfall.
-        """
-        nearby = self._city_names_within(partner_city, 0.0, 400.0)
-        candidates = [
-            n
-            for n in self.pool.networks
-            if n.asn not in used and n.home_city.name in nearby
-        ]
-        if not candidates:
-            candidates = [
-                n
-                for n in self.pool.networks
-                if n.asn not in used
-                and n.home_city.continent == partner_city.continent
-            ]
-        if not candidates:
-            self._note_shortfall(spec)
-            candidates = [n for n in self.pool.networks if n.asn not in used]
-        if not candidates:
-            return None
-        weights = self._propensity_weights(candidates)
-        return candidates[int(rng.choice(len(candidates), p=weights))]
-
-    def _draw_remote_network(
-        self,
-        spec: IXPSpec,
-        rng: np.random.Generator,
-        ixp_city: City,
-        band: str,
-        used: set[ASN],
-    ) -> PooledNetwork | None:
-        """A network whose home city sits in the wanted distance band.
-
-        When the band holds no unused candidate the draw widens to the
-        whole pool (and is counted as shortfall) instead of silently
-        dropping the member; ``_attach_remote`` later routes the widened
-        member's circuit through an in-band provider PoP, so the IXP's
-        RTT band mix stays calibrated.
-        """
-        low, high = _BAND_DISTANCES[band]
-        eligible_cities = self._city_names_within(ixp_city, low, high)
-        candidates = [
-            n
-            for n in self.pool.networks
-            if n.asn not in used and n.home_city.name in eligible_cities
-        ]
-        if not candidates:
-            self._note_shortfall(spec)
-            candidates = [n for n in self.pool.networks if n.asn not in used]
-        if not candidates:
-            return None
-        weights = self._propensity_weights(candidates)
-        return candidates[int(rng.choice(len(candidates), p=weights))]
-
     # -- interfaces -------------------------------------------------------------------
-
-    def _draw_behavior(self, rng: np.random.Generator, dual_lg: bool) -> str:
-        edges, labels = self.config.rates.class_table(dual_lg)
-        return labels[int(np.searchsorted(edges, rng.random(), side="right"))]
-
-    def _make_device(
-        self,
-        rng: np.random.Generator,
-        network: AutonomousSystem,
-        spec: IXPSpec,
-        behavior: str,
-        index: int,
-    ) -> Device:
-        ttl = TTL_LINUX if rng.random() < 0.5 else TTL_NETWORK_OS
-        kwargs: dict = {
-            "name": f"rtr-as{network.asn}-{spec.acronym.lower()}-{index}",
-            "ttl_init": ttl,
-            "processing_ms": float(rng.uniform(0.03, 0.25)),
-        }
-        if behavior == RARE_TTL:
-            kwargs["ttl_init"] = int(rng.choice(TTL_RARE))
-        elif behavior == OS_CHANGE:
-            kwargs["ttl_after_change"] = (
-                TTL_NETWORK_OS if ttl == TTL_LINUX else TTL_LINUX
-            )
-            span = self.config.window.duration_s
-            kwargs["os_change_time"] = float(rng.uniform(0.15, 0.85)) * span
-        elif behavior == BLACKHOLE:
-            kwargs["respond_probability"] = float(rng.uniform(0.0, 0.10))
-        else:
-            kwargs["respond_probability"] = float(rng.uniform(0.965, 1.0))
-        return Device(**kwargs)
-
-    def _port_congestion(self, rng: np.random.Generator, behavior: str):
-        if behavior == CONGESTED:
-            return PersistentCongestion(
-                floor_ms=float(rng.uniform(2.0, 5.0)),
-                spread_ms=float(rng.uniform(350.0, 650.0)),
-            )
-        if rng.random() < self.config.rates.transient_congestion:
-            return TransientCongestion(
-                peak_amplitude_ms=float(rng.uniform(0.5, 3.0)),
-                peak_hour_utc=float(rng.uniform(0.0, 24.0)),
-            )
-        return self._no_congestion
-
-    def _add_member_interface(
-        self,
-        spec: IXPSpec,
-        ixp: IXP,
-        servers: list[LookingGlassServer],
-        rng: np.random.Generator,
-        network: PooledNetwork,
-        wanted_kind: str,
-        dual_lg: bool,
-        index: int,
-    ) -> None:
-        behavior = self._draw_behavior(rng, dual_lg)
-        device = self._make_device(rng, network.asys, spec, behavior, index)
-        member = ixp.register(network.asys)
-
-        if behavior == STALE:
-            self._add_stale_target(
-                spec, ixp, servers, network.asys, device,
-                base_rtt_ms=float(rng.uniform(1.0, 18.0)),
-                extra_hops=int(rng.integers(1, 4)),
-            )
-            return
-
-        if wanted_kind == "direct":
-            iface, base_rtt, km = self._attach_direct(spec, ixp, rng, member, device, behavior)
-            is_remote = False
-        else:
-            iface, base_rtt, km = self._attach_remote(
-                spec, ixp, rng, member, device, behavior, wanted_kind, network.home_city
-            )
-            is_remote = True
-
-        if behavior == LG_BIASED:
-            operator = "RIPE" if rng.random() < 0.5 else "PCH"
-            bias = max(6.0, 0.12 * base_rtt) + float(rng.uniform(3.0, 25.0))
-            iface.port.operator_bias[operator] = bias
-
-        self._publish(spec, ixp, network.asys, iface.address, behavior, rng=rng)
-        self._record_truth(
-            spec, iface.address, network.asn, is_remote, behavior, base_rtt, km,
-        )
 
     def _record_truth(
         self,
@@ -817,22 +580,6 @@ class _WorldBuilder:
             circuit_km=circuit_km,
             on_lan=on_lan,
         )
-
-    def _attach_direct(self, spec, ixp, rng, member, device, behavior):
-        if rng.random() < self.config.far_metro_fraction:
-            tail = float(rng.uniform(2.0, 9.0))
-        else:
-            tail = float(rng.uniform(0.22, 1.9))
-        site = "b" if spec.sites > 1 and rng.random() < 0.4 else "main"
-        iface = ixp.add_interface(
-            member,
-            device,
-            PortKind.DIRECT,
-            tail_rtt_ms=tail,
-            congestion=self._port_congestion(rng, behavior),
-            site=site,
-        )
-        return iface, tail, 0.0
 
     def _provision_partner_wire(
         self,
@@ -857,45 +604,6 @@ class _WorldBuilder:
         )
         provider.circuits.append(wire)
         return wire
-
-    def _attach_remote(self, spec, ixp, rng, member, device, behavior, band, home_city):
-        provider = self._pick_provider(rng)
-        if band.startswith("partner:"):
-            home_city = self.city_db.get(band.split(":", 1)[1])
-            km = home_city.distance_km(ixp.city)
-            wire = self._provision_partner_wire(
-                provider, home_city, ixp, overhead_ms=float(rng.uniform(6.5, 11.0))
-            )
-            iface = ixp.add_interface(
-                member,
-                device,
-                PortKind.REMOTE,
-                pseudowire=wire,
-                congestion=self._port_congestion(rng, behavior),
-            )
-            return iface, wire.base_rtt_ms(), km
-        else:
-            low, high = _BAND_DISTANCES[band]
-            km = home_city.distance_km(ixp.city)
-            if not low <= km <= high:
-                # The member's circuit enters from a provider PoP in the band.
-                candidates = self._cities_within(ixp.city, low, high)
-                if candidates:
-                    home_city = candidates[int(rng.integers(0, len(candidates)))]
-                    km = home_city.distance_km(ixp.city)
-        wire = provider.provision(home_city, ixp.city)
-        iface = ixp.add_interface(
-            member,
-            device,
-            PortKind.REMOTE,
-            pseudowire=wire,
-            congestion=self._port_congestion(rng, behavior),
-        )
-        return iface, wire.base_rtt_ms(), km
-
-    def _pick_provider(self, rng: np.random.Generator) -> RemotePeeringProvider:
-        choices = _MEMBER_PROVIDER_CHOICES
-        return self.providers[choices[int(rng.integers(0, len(choices)))]]
 
     def _add_stale_target(
         self, spec, ixp, servers, asys, device, base_rtt_ms: float, extra_hops: int
@@ -924,9 +632,10 @@ class _WorldBuilder:
         behavior,
         well_known=False,
         *,
-        rng: np.random.Generator | None = None,
         asn_change: tuple[ASN, float] | None = None,
     ) -> None:
+        """Add the registry record; ``asn_change`` is the (new ASN, change
+        time) of an ``ASN_CHANGED`` interface."""
         record = InterfaceRecord(
             ixp_acronym=spec.acronym,
             address=address,
@@ -935,14 +644,7 @@ class _WorldBuilder:
             stale=behavior == STALE,
             well_known=well_known,
         )
-        if behavior == ASN_CHANGED:
-            if asn_change is None:
-                assert rng is not None
-                other = self.pool.networks[int(rng.integers(0, len(self.pool.networks)))]
-                asn_change = (
-                    other.asn,
-                    float(rng.uniform(0.3, 0.7)) * self.config.window.duration_s,
-                )
+        if asn_change is not None:
             record.asn_after_change, record.asn_change_time = asn_change
         self.directory.add(record)
 
@@ -975,65 +677,13 @@ class _WorldBuilder:
             spec, iface.address, asys.asn, is_remote, NORMAL, base_rtt, km,
         )
 
+    @cached_property
+    def _net_city_idx(self) -> np.ndarray:
+        """Distance-matrix index of every pool network's home city.
 
-# ---------------------------------------------------------------------------
-# vectorized engine
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class _InterfaceDraws:
-    """Per-interface stochastic components, drawn as arrays (length n).
-
-    Every quantity is drawn for every slot (in the fixed order listed in
-    the module docstring) and selected per behaviour class afterwards —
-    the same marginal law as the scalar engine's conditional draws.
-    """
-
-    behavior: list[str]
-    ttl_linux: np.ndarray
-    processing: np.ndarray
-    rare_ttl_idx: np.ndarray
-    os_change_frac: np.ndarray
-    blackhole_respond: np.ndarray
-    healthy_respond: np.ndarray
-    persistent_floor: np.ndarray
-    persistent_spread: np.ndarray
-    transient_on: np.ndarray
-    transient_amp: np.ndarray
-    transient_peak: np.ndarray
-    far_metro: np.ndarray
-    far_tail: np.ndarray
-    near_tail: np.ndarray
-    site_b: np.ndarray
-    provider_pick: np.ndarray
-    partner_overhead: np.ndarray
-    relocation_u: np.ndarray
-    bias_ripe: np.ndarray
-    bias_extra: np.ndarray
-    stale_rtt: np.ndarray
-    stale_hops: np.ndarray
-    asn_other: np.ndarray
-    asn_change_frac: np.ndarray
-
-
-class _VectorWorldBuilder(_WorldBuilder):
-    """The vectorized engine: per-IXP array draws, then object assembly.
-
-    All randomness for one IXP is realized up front as numpy arrays; the
-    remaining per-interface loop only constructs devices, ports and truth
-    records.  Member selection works on pool indices: boolean masks over
-    the pool's columns (home-city matrix index, propensity, continent)
-    against one city-distance-matrix row per band.  A pool entry becomes
-    a :class:`PooledNetwork` only when the world seats it (:meth:`_seat`).
-    """
-
-    pool: ColumnarNetworkPool
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        # Matrix index of each continent's cities, one row per continent
-        # (padded), so every network's home city is one table lookup.
+        Built from one padded row of matrix indices per continent, so
+        every network's home city is one table lookup.
+        """
         by_continent = [
             self.pool.cities_by_continent[c] for c in SCOPE_CONTINENTS
         ]
@@ -1045,8 +695,7 @@ class _VectorWorldBuilder(_WorldBuilder):
             table[row, :len(cities)] = [
                 self.matrix.index_of(c.name) for c in cities
             ]
-        self._net_city_idx = table[self.pool.continent_idx, self.pool.city_idx]
-        self._seated: dict[int, PooledNetwork] = {}
+        return table[self.pool.continent_idx, self.pool.city_idx]
 
     def _seat(self, index: int) -> PooledNetwork:
         """The view of pool entry ``index``, built the first time it is
@@ -1106,8 +755,12 @@ class _VectorWorldBuilder(_WorldBuilder):
         partner_city: City,
         used: np.ndarray,
     ) -> int | None:
-        """One pool index homed near the partner city (same fallbacks as
-        the scalar engine: <= 400 km, same continent, any unused)."""
+        """One pool index homed near the partner city.
+
+        Falls back from "within 400 km" to "same continent" to "any unused
+        network" — the seat is filled whenever the pool has *any* network
+        left; the widened draws are counted as shortfall.
+        """
         near = self.matrix.band_mask(partner_city.name, 0.0, 400.0)
         candidates = np.flatnonzero(~used & near[self._net_city_idx])
         if not len(candidates):
@@ -1124,7 +777,7 @@ class _VectorWorldBuilder(_WorldBuilder):
         used[chosen] = True
         return chosen
 
-    def _draw_members_arrays(
+    def _draw_members(
         self,
         spec: IXPSpec,
         rng: np.random.Generator,
@@ -1132,9 +785,9 @@ class _VectorWorldBuilder(_WorldBuilder):
         remote_members: int,
         direct_members: int,
     ) -> list[tuple[int, str]]:
-        """Vectorized counterpart of ``_draw_members`` (same draw intent:
-        directs, partner seats, banded remotes, interleave shuffle), as
-        (pool index, direct|remote-band) pairs."""
+        """Pick (pool index, direct|remote-band) pairs for one IXP: directs,
+        partner seats, banded remotes, then an interleave shuffle so
+        remote and direct members mix in address space."""
         used = np.zeros(len(self.pool), dtype=bool)
         directs = self.pool.sample_member_indices(
             rng, city.continent, direct_members
@@ -1207,13 +860,12 @@ class _VectorWorldBuilder(_WorldBuilder):
             self._common_ixp_setup(spec, rng)
         )
 
-        members = self._draw_members_arrays(
+        members = self._draw_members(
             spec, rng, ixp.city, remote_members, direct_members
         )
 
         # Expand members into interface slots (second-interface coins are
-        # one array draw), capped at the candidate target like the scalar
-        # engine's running `produced` counter.
+        # one array draw), capped at the candidate target.
         second = rng.random(len(members)) < self.config.second_interface_fraction
         slots: list[tuple[int, str, int]] = []
         for (pool_index, wanted_kind), extra in zip(members, second):

@@ -333,7 +333,6 @@ def _pool_config(config: MegaWorldConfig) -> NetworkPoolConfig:
         size=config.size,
         seed=derive_seed(config.seed, "megatopo", "pool"),
         first_asn=config.first_asn,
-        engine="columnar",
     )
 
 
@@ -393,7 +392,6 @@ def build_mega_world(config: MegaWorldConfig | None = None) -> MegaWorld:
 
 def _build(config: MegaWorldConfig) -> MegaWorld:
     pool = generate_network_pool(default_city_db(), _pool_config(config))
-    assert isinstance(pool, ColumnarNetworkPool)
     n = config.size
 
     # Tier assignment is propensity order, no draws: the networks that

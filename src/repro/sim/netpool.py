@@ -7,27 +7,21 @@ networks), their advertised peering policy, and where they live.  The pool
 generator encodes those distributions once so that the detection and
 offload worlds draw from consistent populations.
 
-Three generation engines produce the same distributions:
+:func:`generate_network_pool` draws every attribute as one array over the
+whole pool — continent, city-within-continent, kind, policy,
+bicontinental coin + partner continent, address space, in that fixed
+order — and keeps the result as struct-of-arrays columns
+(:class:`ColumnarNetworkPool`).  No per-network
+:class:`PooledNetwork` / ``AutonomousSystem`` object exists until a
+caller asks for one index: the 10⁵–10⁶-network mega worlds never do (a
+1M-network pool is eight numpy arrays, not a million Python objects),
+and the detection worlds build a view only for the few hundred networks
+a world seats.  ``tests/test_detection_world_digests.py`` pins the
+columns.
 
-* ``"vectorized"`` (default) draws every attribute as one array over the
-  whole pool — continent, city-within-continent, kind, policy,
-  bicontinental coin + partner continent, address space, in that fixed
-  order — so a 5,600-network pool costs a handful of numpy calls;
-* ``"columnar"`` consumes the *identical* draws (both engines realize
-  :func:`_draw_pool_columns`, so the lint-verified draw program is the
-  same code object) but keeps the pool as struct-of-arrays columns — no
-  per-network :class:`PooledNetwork` / ``AutonomousSystem`` objects are
-  created until a caller explicitly materializes an index.  Both world
-  families that draw from a pool at array speed are built on it: the
-  10⁵–10⁶-network mega worlds (a 1M-network pool is eight numpy arrays,
-  not a million Python objects) and the vectorized detection worlds,
-  which materialize only the few hundred networks a world seats;
-* ``"scalar"`` replays the seed implementation's per-network loop and is
-  kept as the statistical reference.
-
-``vectorized`` and ``columnar`` pools are bit-identical entry for entry
-(``tests/test_sim_netpool.py`` pins it); the scalar engine consumes the
-same seed in a different order, so it agrees in distribution only.
+The seed implementation's per-network loop draws the same distributions
+in a different order; it lives on as the statistical oracle in
+``tests/reference/netpool.py``.
 """
 
 from __future__ import annotations
@@ -97,20 +91,15 @@ class NetworkPoolConfig:
     global_scope_fraction: float = 0.04
     #: Fraction with a two-continent scope.
     bicontinental_fraction: float = 0.18
-    #: ``"vectorized"`` (array draws, default), ``"columnar"`` (same
-    #: draws, struct-of-arrays storage, lazy views) or ``"scalar"``
-    #: (per-network reference loop).
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ConfigurationError("pool size must be positive")
         if self.first_asn <= 0:
             raise ConfigurationError("first ASN must be positive")
-        if not 0 <= self.global_scope_fraction <= 1:
-            raise ConfigurationError("fractions must be in [0, 1]")
-        if self.engine not in ("vectorized", "scalar", "columnar"):
-            raise ConfigurationError(f"unknown pool engine {self.engine!r}")
+        for name in ("global_scope_fraction", "bicontinental_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigurationError(f"{name} must be in [0, 1]")
 
 
 @dataclass(slots=True)
@@ -133,111 +122,15 @@ class PooledNetwork:
         return self.asys.home_city
 
 
-@dataclass
-class NetworkPool:
-    """The generated pool, with sampling helpers for world builders."""
-
-    networks: list[PooledNetwork]
-    _by_asn: dict[ASN, PooledNetwork] = field(default_factory=dict)
-    _eligible_cache: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self._by_asn:
-            self._by_asn = {n.asn: n for n in self.networks}
-
-    def __len__(self) -> int:
-        return len(self.networks)
-
-    def get(self, asn: ASN) -> PooledNetwork:
-        """Pool entry for ``asn``."""
-        try:
-            return self._by_asn[asn]
-        except KeyError:
-            raise ConfigurationError(f"AS{asn} not in pool") from None
-
-    def eligible_for(self, continent: str) -> np.ndarray:
-        """Indices (into ``networks``) whose scope includes ``continent``.
-
-        Returns an ASN-sorted **index array**, not objects — at pool
-        sizes in the 10⁵–10⁶ range the old ``list[PooledNetwork]``
-        return was an O(n) object path on every continent filter.
-        Pools are treated as immutable after generation, so the result
-        is cached per continent (world builders ask once per IXP).
-        Callers that want the entries themselves use
-        :meth:`eligible_networks`.
-        """
-        cached = self._eligible_cache.get(continent)
-        if cached is None:
-            # Networks are generated in ascending-ASN order, so index
-            # order *is* ASN order — same ordering the old object list
-            # had after its sort.
-            found = [
-                i for i, n in enumerate(self.networks) if continent in n.scope
-            ]
-            cached = np.array(found, dtype=np.int64)
-            self._eligible_cache[continent] = cached
-        return cached
-
-    def eligible_networks(self, continent: str) -> list[PooledNetwork]:
-        """Compat shim over :meth:`eligible_for`: the entries, ASN-sorted."""
-        return [self.networks[i] for i in self.eligible_for(continent)]
-
-    def sample_members(
-        self,
-        rng: np.random.Generator,
-        continent: str,
-        count: int,
-        exclude: set[ASN] | None = None,
-        candidates: list[PooledNetwork] | None = None,
-    ) -> list[PooledNetwork]:
-        """Draw ``count`` distinct members for an IXP on ``continent``.
-
-        Draws are propensity-weighted without replacement, so high-
-        propensity networks recur across IXPs — that recurrence *is* the
-        IXP-count distribution of Figure 4a.
-        """
-        if candidates is not None:
-            pool = candidates
-            if exclude:
-                pool = [n for n in pool if n.asn not in exclude]
-            if count > len(pool):
-                raise ConfigurationError(
-                    f"cannot draw {count} members from {len(pool)} "
-                    "eligible networks"
-                )
-            weights = np.array([n.propensity for n in pool], dtype=float)
-            idx = weighted_index_sample(rng, weights, count)
-            return [pool[i] for i in idx]
-        eligible = self.eligible_for(continent)
-        if exclude:
-            # Propensity (mutable on the objects) is read per call; only
-            # the immutable ASN column is needed for the exclusion mask.
-            keep = np.array(
-                [self.networks[i].asn not in exclude for i in eligible]
-            )
-            eligible = eligible[keep]
-        if count > len(eligible):
-            raise ConfigurationError(
-                f"cannot draw {count} members from {len(eligible)} "
-                "eligible networks"
-            )
-        weights = np.array(
-            [self.networks[i].propensity for i in eligible], dtype=float
-        )
-        idx = weighted_index_sample(rng, weights, count)
-        return [self.networks[i] for i in eligible[idx]]
-
-
 #: Continent order defining the scope bitmask bits of the columnar pool.
 SCOPE_CONTINENTS: tuple[str, ...] = tuple(_CONTINENT_WEIGHTS)
 
 
 @dataclass
 class ColumnarNetworkPool:
-    """Struct-of-arrays pool behind mega and vectorized detection worlds.
+    """Struct-of-arrays pool behind the mega and detection worlds.
 
-    Holds the same population as a :class:`NetworkPool` generated with
-    the vectorized engine — bit-identical draws — but as columns:
+    The population :func:`generate_network_pool` draws, as columns:
 
     * ``asn``            int64, ascending (``first_asn + arange``)
     * ``continent_idx``  index into :data:`SCOPE_CONTINENTS`
@@ -250,9 +143,7 @@ class ColumnarNetworkPool:
     No per-network Python object exists until :meth:`network` is called
     for an explicit index; mega world builders never call it, and the
     detection builder calls it once per network it seats.  Sampling
-    returns index arrays and consumes the exact draw stream of
-    :meth:`NetworkPool.sample_members` over the same eligible sets, so
-    small-n worlds agree bit-for-bit across backends.
+    returns index arrays.
     """
 
     config: NetworkPoolConfig
@@ -291,12 +182,13 @@ class ColumnarNetworkPool:
         count: int,
         exclude_asns: "set[ASN] | np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Index-array twin of :meth:`NetworkPool.sample_members`.
+        """Draw ``count`` distinct members for an IXP on ``continent``.
 
-        Identical eligible set, identical weight vector, identical
-        :func:`weighted_index_sample` call — so the consumed draws (and
-        therefore the selected ASNs) match the object backend exactly.
-        ``exclude_asns`` may be a set or an ASN array.
+        Draws are propensity-weighted without replacement over the
+        ASN-sorted eligible set (:func:`weighted_index_sample`), so
+        high-propensity networks recur across IXPs — that recurrence *is*
+        the IXP-count distribution of Figure 4a.  ``exclude_asns`` may be
+        a set or an ASN array.
         """
         eligible = self.eligible_for(continent)
         if exclude_asns is not None and len(exclude_asns):
@@ -320,11 +212,7 @@ class ColumnarNetworkPool:
         )
 
     def network(self, i: int) -> PooledNetwork:
-        """Materialize entry ``i`` as a :class:`PooledNetwork` on demand.
-
-        The lazy index view: bit-identical to the object the vectorized
-        engine would have built at the same position.
-        """
+        """Materialize entry ``i`` as a :class:`PooledNetwork` on demand."""
         continent = SCOPE_CONTINENTS[int(self.continent_idx[i])]
         city = self.cities_by_continent[continent][int(self.city_idx[i])]
         kinds = list(_KIND_WEIGHTS)
@@ -339,12 +227,6 @@ class ColumnarNetworkPool:
             address_space=int(self.address_space[i]),
         )
 
-    def materialize(self) -> NetworkPool:
-        """Full object-backed pool (small-n equivalence tests only)."""
-        return NetworkPool(
-            networks=[self.network(i) for i in range(len(self))]
-        )
-
 
 def weighted_index_sample(
     rng: np.random.Generator,
@@ -355,8 +237,8 @@ def weighted_index_sample(
     """``count`` distinct draws from ``indices``, weighted by ``weights``.
 
     ``indices`` defaults to ``arange(len(weights))``; ``weights`` is
-    aligned with it.  The draw law matches the scalar engines' one-at-a-
-    time loop: positive-weight entries are drawn (weighted) before any
+    aligned with it.  The draw law matches the reference builders' one-at-
+    a-time loop: positive-weight entries are drawn (weighted) before any
     zero-weight entry, zero-weight entries are drawn uniformly once the
     positives are exhausted, and an all-zero vector falls back to a fully
     uniform draw — a bare ``rng.choice(p=...)`` would produce NaN weights
@@ -375,23 +257,11 @@ def weighted_index_sample(
     return rng.choice(indices, size=count, replace=False, p=weights / total)
 
 
-def _weighted_choice(rng: np.random.Generator, table: dict) -> object:
-    keys = list(table.keys())
-    weights = np.array([table[k] for k in keys], dtype=float)
-    weights /= weights.sum()
-    return keys[int(rng.choice(len(keys), p=weights))]
-
-
 def generate_network_pool(
     city_db: CityDB, config: NetworkPoolConfig | None = None
-) -> NetworkPool | ColumnarNetworkPool:
+) -> ColumnarNetworkPool:
     """Generate the network pool deterministically from ``config.seed``."""
-    config = config or NetworkPoolConfig()
-    if config.engine == "scalar":
-        return _generate_scalar(city_db, config)
-    if config.engine == "columnar":
-        return _draw_pool_columns(city_db, config)
-    return _generate_vectorized(city_db, config)
+    return _draw_pool_columns(city_db, config or NetworkPoolConfig())
 
 
 def _make_network(
@@ -417,13 +287,11 @@ def _make_network(
 def _draw_pool_columns(
     city_db: CityDB, config: NetworkPoolConfig
 ) -> ColumnarNetworkPool:
-    """The shared array draw program: one draw per attribute over the pool.
+    """The pool's array draw program: one draw per attribute over the pool.
 
     Draw order (fixed; see the module docstring): rank permutation,
     continent, city-within-continent, kind, policy, bicontinental coin,
-    partner continent, address-space normal deviates.  Both the
-    vectorized and the columnar engine realize this function, so their
-    draw programs are one code object and parity is structural.
+    partner continent, address-space normal deviates.
     """
     rng = make_rng(config.seed)
     size = config.size
@@ -436,8 +304,7 @@ def _draw_pool_columns(
     policies = list(_POLICY_WEIGHTS)
     policy_w = np.array([_POLICY_WEIGHTS[p] for p in policies], dtype=float)
     policy_w /= policy_w.sum()
-    #: Name-sorted per-continent city lists — the same population the
-    #: scalar engine's ``city_db.sample`` draws from uniformly.
+    #: Name-sorted per-continent city lists, drawn from uniformly.
     cities_by_continent = {c: city_db.by_continent(c) for c in continents}
     for continent, cities in cities_by_continent.items():
         if not cities:
@@ -482,69 +349,3 @@ def _draw_pool_columns(
         address_space=address_space,
         cities_by_continent=cities_by_continent,
     )
-
-
-def _generate_vectorized(
-    city_db: CityDB, config: NetworkPoolConfig
-) -> NetworkPool:
-    """Array-draw engine: the columnar draws, materialized as objects."""
-    columns = _draw_pool_columns(city_db, config)
-    networks = [columns.network(i) for i in range(len(columns))]
-    return NetworkPool(networks=networks)
-
-
-def _generate_scalar(city_db: CityDB, config: NetworkPoolConfig) -> NetworkPool:
-    """Per-network loop engine: the seed implementation, kept as reference."""
-    rng = make_rng(config.seed)
-    continents = list(_CONTINENT_WEIGHTS)
-    continent_w = np.array([_CONTINENT_WEIGHTS[c] for c in continents])
-    continent_w /= continent_w.sum()
-
-    # Propensity is assigned by rank: shuffle ranks so ASN order carries no
-    # information, then weight rank r as (r+1)^-exponent.
-    ranks = rng.permutation(config.size)
-    networks: list[PooledNetwork] = []
-    for i in range(config.size):
-        continent = str(_weighted_choice(rng, _CONTINENT_WEIGHTS))
-        city = city_db.sample(rng, 1, continent=continent)[0]
-        kind = _weighted_choice(rng, _KIND_WEIGHTS)
-        policy = _weighted_choice(rng, _POLICY_WEIGHTS)
-        propensity = float((1 + ranks[i]) ** (-config.propensity_exponent))
-        scope = _draw_scope(rng, continent, ranks[i], config, continents, continent_w)
-        networks.append(
-            _make_network(
-                asn=ASN(config.first_asn + i),
-                city=city,
-                kind=kind,  # type: ignore[arg-type]
-                policy=policy,  # type: ignore[arg-type]
-                propensity=propensity,
-                scope=scope,
-                address_space=_draw_address_space(rng, kind),  # type: ignore[arg-type]
-            )
-        )
-    return NetworkPool(networks=networks)
-
-
-def _draw_scope(
-    rng: np.random.Generator,
-    home_continent: str,
-    rank: int,
-    config: NetworkPoolConfig,
-    continents: list[str],
-    continent_w: np.ndarray,
-) -> frozenset[str]:
-    """Continental scope: highest-propensity networks go global."""
-    top_global = int(config.global_scope_fraction * config.size)
-    if rank < top_global:
-        return frozenset(continents)
-    if rng.random() < config.bicontinental_fraction:
-        other = continents[int(rng.choice(len(continents), p=continent_w))]
-        return frozenset({home_continent, other})
-    return frozenset({home_continent})
-
-
-def _draw_address_space(rng: np.random.Generator, kind: NetworkKind) -> int:
-    """Announced IPv4 space by business type (log-normal within type)."""
-    log2_size = rng.normal(loc=_ADDRESS_SPACE_MEANS[kind], scale=1.5)
-    log2_size = float(np.clip(log2_size, 8.0, 22.0))
-    return int(2 ** log2_size)

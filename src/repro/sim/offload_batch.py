@@ -13,19 +13,19 @@ the ~0.3 s of per-trial work that made 16-trial ensembles cost seconds.
 
 Draw-program contract (the bit-identity invariant)
 --------------------------------------------------
-The batched engine must be **bit-identical per seed** to the per-world
-engines, so it cannot widen the random draws themselves: a ``(k, ...)``
-stage block is realized as k parallel *per-seed* child streams
-(:func:`repro.rand.batch_child_rngs`), each consumed in exactly the
-documented order of :mod:`repro.sim.offload_world`.  Concretely,
-:class:`_BatchSeedBuilder` subclasses the reference
-``_OffloadBuilderBase`` and *inherits* the draw-bearing stages verbatim
+The batched realizer must be **bit-identical per seed** to the
+single-world builder, so it cannot widen the random draws themselves: a
+``(k, ...)`` stage block is realized as k parallel *per-seed* child
+streams (:func:`repro.rand.batch_child_rngs`), each consumed in exactly
+the documented order of :mod:`repro.sim.offload_world`.  Concretely,
+:class:`_BatchSeedBuilder` subclasses the single-world
+``_OffloadBuilder`` and *inherits* the draw-bearing stages verbatim
 (``_build_traffic``, ``_build_memberships``, the ``_Tier2Draws`` /
 ``_StubDraws`` stage draws); the stages it overrides (giants, tier-2 /
 stub materialization, address space) consume the same streams with the
 same array shapes in the same order, which ``repro lint
---draw-programs`` verifies statically as a third engine next to
-``scalar`` and ``vectorized``.
+--draw-programs`` verifies statically as the ``batched`` engine next to
+the single-world ``vectorized`` one.
 
 Customer cones without the graph
 --------------------------------
@@ -67,7 +67,7 @@ from repro.sim.offload_world import (
     _REGIONS,
     _STUB_KINDS,
     OffloadWorldConfig,
-    _OffloadBuilderBase,
+    _OffloadBuilder,
     _StubDraws,
     _Tier2Draws,
 )
@@ -153,7 +153,7 @@ def _build_statics(config: OffloadWorldConfig) -> _BatchStatics:
         for i in range(giant_count)
     ]
 
-    probe = _OffloadBuilderBase(cfg)  # for the shared propensity formula
+    probe = _OffloadBuilder(cfg)  # for the shared propensity formula
     tier2_propensity: dict[ASN, float] = {}
     for i, tier2 in enumerate(tier2s):
         propensity = probe._tier2_propensity(i)
@@ -320,14 +320,14 @@ class OffloadWorldView:
         return self._address_space
 
 
-class _BatchSeedBuilder(_OffloadBuilderBase):
-    """One seed of a trial batch, drawn like the reference, built as arrays.
+class _BatchSeedBuilder(_OffloadBuilder):
+    """One seed of a trial batch, drawn like a single world, built as arrays.
 
     Inherits the draw-bearing stages (traffic, memberships) and the stage
-    draws from the reference base class; the overridden stages consume
+    draws from the single-world builder; the overridden stages consume
     identical streams but materialize index arrays instead of graph
     objects.  ``repro lint --draw-programs`` inventories this class as
-    the ``batched`` engine and fails on any three-way stream divergence.
+    the ``batched`` engine and fails on any stream divergence.
     """
 
     def __init__(
@@ -401,7 +401,7 @@ class _BatchSeedBuilder(_OffloadBuilderBase):
         self._t1o_cust = np.repeat(self._t1o_pos, t1o_counts)
         self._t1o_t1 = draws.tier1_only_order[take]
 
-        # Normal stubs: the vectorized engine's pool arithmetic, but in
+        # Normal stubs: the single-world builder's pool arithmetic, but in
         # tier-2 *index* space (pool position == tier-2 index for the mega
         # and global pools; the regional pools concatenate index runs).
         normal_pos = np.flatnonzero(normal)

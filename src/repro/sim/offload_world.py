@@ -23,32 +23,29 @@ Calibration levers and what they buy:
 * the CDN rank list — places the named content analogues among the top
   transit contributors, making Figure 6's top-30 content-heavy.
 
-Engines and the draw order
---------------------------
-``OffloadWorldConfig(engine=...)`` selects how the world is materialized:
+Draw order
+----------
+The builder draws every stage's arrays from a dedicated child stream in
+a fixed order, then materializes each drawn tier as struct-of-arrays and
+inserts networks and edges through the bulk
+:class:`~repro.bgp.relationships.ASGraph` APIs.  Two realizers consume
+these draws:
 
-* ``"vectorized"`` (default) builds struct-of-arrays per tier and inserts
-  networks and edges through the bulk :class:`~repro.bgp.relationships.
-  ASGraph` APIs;
-* ``"scalar"`` is the reference engine: it materializes one network at a
-  time through the fully-checked ``add_as``/``add_customer_provider``
-  calls.
+* the trial-batched builder of :mod:`repro.sim.offload_batch` inherits
+  this module's draw-bearing stages unchanged and stacks k seeds' worlds
+  over shared static tables for ``StudyConfig.trial_batch`` runs — same
+  streams, same order, once per seed, so a batched build is bit-identical
+  to k single builds;
+* the one-network-at-a-time reference in
+  ``tests/reference/offload_world.py`` inserts through the fully checked
+  ``add_as``/``add_customer_provider`` calls and must build bit-identical
+  worlds (``tests/test_offload_world_engines.py``).
 
-A third realizer lives in :mod:`repro.sim.offload_batch`: the
-trial-batched builder inherits this module's draw-bearing stages
-unchanged and stacks k seeds' worlds over shared static tables for
-``StudyConfig.trial_batch`` runs — same streams, same order, once per
-seed, so a batched build is bit-identical to k single builds.
-
-Both engines consume **identical random draws**: every stage draws its
-arrays from a dedicated child stream in a fixed order, so the two
-engines produce bit-identical worlds (the engine-equivalence suite
-asserts graphs, memberships, traffic and the greedy IXP expansion order
-all match).  The authoritative per-engine stream inventory is now
-*generated*, not hand-maintained: ``repro lint --draw-programs``
-extracts it statically, and the ``draw-engine-parity`` lint rule fails
-the build if the engines' streams ever diverge.  What no extractor can
-read off is the draw order *within* each stream — that contract stays
+The per-realizer stream inventory is *generated*, not hand-maintained:
+``repro lint --draw-programs`` extracts it statically, and the
+``draw-engine-parity`` lint rule fails the build if this builder's and
+the batched builder's streams ever diverge.  What no extractor can read
+off is the draw order *within* each stream — that contract stays
 documented here:
 
 * ``(seed, "offload", "giants")`` — provider keys ``U(G, T)``; each giant
@@ -179,9 +176,6 @@ _TIER2_POLICIES = (
     + [PeeringPolicy.RESTRICTIVE] * 12
 )
 
-_ENGINES = ("vectorized", "scalar")
-
-
 @dataclass(frozen=True, slots=True)
 class OffloadWorldConfig:
     """Size and calibration knobs for the offload world."""
@@ -213,9 +207,11 @@ class OffloadWorldConfig:
     big_eyeball_space_share: float = 0.68
     #: Probability a big eyeball buys from a mega-carrier (else tier-1-only).
     big_eyeball_mega_homed: float = 0.75
-    #: World materialization engine; both consume identical draws (see the
-    #: module docstring).
-    engine: str = "vectorized"
+    #: Not settable (passing it raises ``TypeError``).  It stays the last
+    #: field so this config's repr — embedded in every offload, economics
+    #: and joint trial-spec repr that study fingerprints hash — is
+    #: unchanged and stored artifacts stay addressable.
+    engine: str = field(default="vectorized", init=False)
 
     def __post_init__(self) -> None:
         giants = len(_GIANTS)
@@ -223,16 +219,18 @@ class OffloadWorldConfig:
             raise ConfigurationError("contributing_count too small")
         if self.tier1_count < 2:
             raise ConfigurationError("need at least two tier-1s for RedIRIS")
-        for fraction in (
-            self.tier1_only_stub_fraction,
-            self.member_tier2_fraction,
-            self.ixpgoer_stub_fraction,
+        for name in (
+            "tier1_only_stub_fraction",
+            "member_tier2_fraction",
+            "ixpgoer_stub_fraction",
+            "big_eyeball_mega_homed",
         ):
-            if not 0.0 <= fraction <= 1.0:
-                raise ConfigurationError("fractions must be in [0, 1]")
-        if self.engine not in _ENGINES:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1]")
+        # The big eyeballs are scaled to share / (1 - share) of the rest.
+        if not 0.0 <= self.big_eyeball_space_share < 1.0:
             raise ConfigurationError(
-                f"unknown offload-world engine {self.engine!r}"
+                "big_eyeball_space_share must be in [0, 1)"
             )
 
 
@@ -476,10 +474,7 @@ class OffloadWorld:
 def build_offload_world(config: OffloadWorldConfig | None = None) -> OffloadWorld:
     """Generate the offload world deterministically from ``config.seed``."""
     config = config or OffloadWorldConfig()
-    if config.engine == "scalar":
-        builder: _OffloadBuilderBase = _ScalarOffloadBuilder(config)
-    else:
-        builder = _VectorOffloadBuilder(config)
+    builder = _OffloadBuilder(config)
     # The build allocates ~100k long-lived objects (ASes, paths, sets);
     # generational collections triggered mid-build scan them repeatedly and
     # cost ~25% wall time while reclaiming nothing.  Suspend collection for
@@ -494,13 +489,12 @@ def build_offload_world(config: OffloadWorldConfig | None = None) -> OffloadWorl
             gc.enable()
 
 
-class _OffloadBuilderBase:
-    """Shared scaffolding + the stage-array draw program (see module doc).
+class _OffloadBuilder:
+    """The stage-array draw program (see module doc) and its realization.
 
-    Subclasses implement :meth:`_materialize_tier2s` and
-    :meth:`_materialize_stubs` — everything else (scaffold tiers, traffic,
-    memberships, address space, routing) is engine-independent and already
-    array-native.
+    Scaffold tiers are built network by network; each drawn tier is
+    materialized as arrays and bulk-inserted; traffic, memberships,
+    address space and routing are array-native.
     """
 
     def __init__(self, config: OffloadWorldConfig) -> None:
@@ -666,17 +660,172 @@ class _OffloadBuilderBase:
             cdns.append(cdn)
         return cdns
 
-    # -- engine-specific tiers ------------------------------------------------------
+    # -- drawn tiers --------------------------------------------------------------
 
     def _materialize_tier2s(
-        self, tier1s: list[ASN], draws: "_Tier2Draws"
+        self, tier1s: list[ASN], draws: _Tier2Draws
     ) -> list[ASN]:
-        raise NotImplementedError
+        cfg = self.config
+        n2 = cfg.tier2_count
+        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
+        tier2s = [ASN(3001 + i) for i in range(n2)]
+        self.graph.add_ases_bulk(
+            AutonomousSystem.make_unchecked(
+                tier2s[i],
+                f"transit-{regions[i]}-{i}",
+                NetworkKind.TRANSIT,
+                draws.policy(i, i < cfg.mega_carrier_count),
+                2 ** 16,
+            )
+            for i in range(n2)
+        )
+        self.region_of.update(zip(tier2s, regions))
+        tier1_arr = np.array(tier1s, dtype=np.int64)
+        col = np.arange(draws.uplink_order.shape[1])
+        take = col[None, :] < draws.uplink_count[:, None]
+        customers = np.repeat(np.array(tier2s), draws.uplink_count)
+        providers = tier1_arr[draws.uplink_order[take]]
+        self.graph.add_customer_provider_arrays(customers, providers)
+        self.mega_carriers = tier2s[: cfg.mega_carrier_count]
+        for i, tier2 in enumerate(tier2s):
+            propensity = self._tier2_propensity(i)
+            if propensity is None:
+                break  # propensities stop at the member cut
+            self.ixp_propensity[tier2] = propensity
+        return tier2s
 
     def _materialize_stubs(
-        self, tier1s: list[ASN], tier2s: list[ASN], draws: "_StubDraws"
+        self, tier1s: list[ASN], tier2s: list[ASN], draws: _StubDraws
     ) -> list[ASN]:
-        raise NotImplementedError
+        cfg = self.config
+        n = len(draws.region_idx)
+        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
+        big = draws.big_eyeball
+        tier1_only = draws.tier1_only
+        normal = ~big & ~tier1_only
+        big_list = big.tolist()
+        kind_list = [
+            NetworkKind.ACCESS if big_list[i] else _STUB_KINDS[k]
+            for i, k in enumerate(draws.kind_idx.tolist())
+        ]
+        self._stub_kinds = kind_list
+        policy_codes = np.where(
+            draws.policy_u < 0.62, 0, np.where(draws.policy_u < 0.90, 1, 2)
+        ).tolist()
+        policy_values = (
+            PeeringPolicy.OPEN, PeeringPolicy.SELECTIVE,
+            PeeringPolicy.RESTRICTIVE,
+        )
+        stubs = list(range(10_001, 10_001 + n))
+        make = AutonomousSystem.make_unchecked
+        self.graph.add_ases_bulk(
+            make(asn, f"stub-{region}-{i}", kind, policy_values[code])
+            for i, (asn, region, kind, code) in enumerate(
+                zip(stubs, regions, kind_list, policy_codes)
+            )
+        )
+        self.region_of.update(zip(stubs, regions))
+        stub_arr = np.array(stubs, dtype=np.int64)
+
+        pairs_customers: list[np.ndarray] = []
+        pairs_providers: list[np.ndarray] = []
+
+        # Big eyeballs: two tier-1s each, often plus one mega-carrier.  All
+        # of one eyeball's edges stay contiguous (the arrays edge API
+        # assembles each customer's provider set from one run).
+        tier1_arr = np.array(tier1s, dtype=np.int64)
+        eyeball_asns = stub_arr[big]
+        if len(eyeball_asns):
+            count_b = len(eyeball_asns)
+            provider3 = np.zeros((count_b, 3), dtype=np.int64)
+            provider3[:, :2] = tier1_arr[draws.eyeball_order[:, :2]]
+            take3 = np.zeros((count_b, 3), dtype=bool)
+            take3[:, :2] = True
+            if self.mega_carriers:
+                mega_arr = np.array(self.mega_carriers, dtype=np.int64)
+                homed = draws.eyeball_mega_homed
+                mega_idx = (
+                    draws.eyeball_mega_pick_u[homed] * len(mega_arr)
+                ).astype(np.int64)
+                provider3[homed, 2] = mega_arr[mega_idx]
+                take3[:, 2] = homed
+            pairs_customers.append(
+                np.repeat(eyeball_asns, take3.sum(axis=1))
+            )
+            pairs_providers.append(provider3[take3])
+            for asn in eyeball_asns.tolist():
+                self.graph.get(ASN(asn)).tags.add("big-eyeball")
+            self.big_eyeballs = [ASN(a) for a in eyeball_asns.tolist()]
+
+        # Tier-1-only stubs: 1-3 distinct tier-1s by ascending key.
+        t1o_asns = stub_arr[tier1_only]
+        if len(t1o_asns):
+            counts = np.minimum(draws.provider_count[tier1_only], 3)
+            col = np.arange(draws.tier1_only_order.shape[1])
+            take = col[None, :] < counts[:, None]
+            pairs_customers.append(np.repeat(t1o_asns, counts))
+            pairs_providers.append(tier1_arr[draws.tier1_only_order[take]])
+            self.tier1_only_stubs = [ASN(a) for a in t1o_asns.tolist()]
+
+        # Normal stubs: providers from the mega / regional / global tier-2
+        # pool chosen by the homing-pool uniform, indices by floor(u * len).
+        normal_asns = stub_arr[normal]
+        if len(normal_asns):
+            tier2_arr = np.array(tier2s, dtype=np.int64)
+            mega_count = len(self.mega_carriers)
+            region_codes = draws.region_idx[normal]
+            tier2_regions = np.array(
+                [_REGIONS.index(self.region_of[t]) for t in tier2s]
+            )
+            local_members = [
+                tier2_arr[tier2_regions == r] for r in range(len(_REGIONS))
+            ]
+            local_sizes = np.array([len(m) for m in local_members])
+            local_concat = (
+                np.concatenate(local_members) if len(tier2_arr) else tier2_arr
+            )
+            local_offsets = np.concatenate(
+                ([0], np.cumsum(local_sizes)[:-1])
+            )
+            u = draws.pool_u[normal]
+            local_len = local_sizes[region_codes]
+            cat_mega = (u < 0.15) & (mega_count > 0)
+            cat_local = ~cat_mega & (u < 0.85) & (local_len > 0)
+            cat_global = ~cat_mega & ~cat_local
+            pool_len = np.where(
+                cat_mega, mega_count,
+                np.where(cat_local, local_len, len(tier2_arr)),
+            )
+            counts = draws.provider_count[normal]
+            idx = np.minimum(
+                (draws.pick_u * pool_len[:, None]).astype(np.int64),
+                np.maximum(pool_len[:, None] - 1, 0),
+            )
+            provider_mat = np.empty_like(idx)
+            provider_mat[cat_mega] = tier2_arr[:mega_count][idx[cat_mega]]
+            provider_mat[cat_local] = local_concat[
+                local_offsets[region_codes[cat_local], None] + idx[cat_local]
+            ]
+            provider_mat[cat_global] = tier2_arr[idx[cat_global]]
+            # Per-row dedupe (<= 3 picks): repeated draws of one provider
+            # collapse to a single edge.
+            col = np.arange(3)
+            take = col[None, :] < counts[:, None]
+            take[:, 1] &= provider_mat[:, 1] != provider_mat[:, 0]
+            take[:, 2] &= (provider_mat[:, 2] != provider_mat[:, 0]) & (
+                provider_mat[:, 2] != provider_mat[:, 1]
+            )
+            pairs_customers.append(np.repeat(normal_asns, take.sum(axis=1)))
+            pairs_providers.append(provider_mat[take])
+
+        self.graph.add_customer_provider_arrays(
+            np.concatenate(pairs_customers), np.concatenate(pairs_providers)
+        )
+        goer_idx = np.flatnonzero(normal & draws.ixpgoer)
+        for i in goer_idx.tolist():
+            self.ixp_propensity[stubs[i]] = float(draws.propensity[i])
+        self.tier1_only_stubs_set = set(self.tier1_only_stubs)
+        return stubs
 
     def _tier2_propensity(self, i: int) -> float | None:
         """Deterministic IXP propensity of tier-2 number ``i`` (or None)."""
@@ -956,7 +1105,7 @@ class _OffloadBuilderBase:
 
 
 # ---------------------------------------------------------------------------
-# Stage draws (shared between engines, in the documented order).
+# Stage draws (in the documented order).
 
 
 def _region_indices(u: np.ndarray) -> np.ndarray:
@@ -977,7 +1126,7 @@ class _Tier2Draws:
     uplink_order: np.ndarray   # int[n2, T]: tier-1 indices by ascending key
 
     @classmethod
-    def draw(cls, builder: _OffloadBuilderBase) -> "_Tier2Draws":
+    def draw(cls, builder: _OffloadBuilder) -> "_Tier2Draws":
         cfg = builder.config
         rng = builder._stage_rng("tier2s")
         n2, t1 = cfg.tier2_count, cfg.tier1_count
@@ -1024,7 +1173,7 @@ class _StubDraws:
     pick_u: np.ndarray            # float[K2, 3]
 
     @classmethod
-    def draw(cls, builder: _OffloadBuilderBase, tier1s: list[ASN]) -> "_StubDraws":
+    def draw(cls, builder: _OffloadBuilder, tier1s: list[ASN]) -> "_StubDraws":
         cfg = builder.config
         rng = builder._stage_rng("stubs")
         n = cfg.contributing_count - len(_GIANTS) - cfg.tier2_count
@@ -1083,278 +1232,3 @@ class _StubDraws:
         if u < 0.90:
             return PeeringPolicy.SELECTIVE
         return PeeringPolicy.RESTRICTIVE
-
-
-# ---------------------------------------------------------------------------
-# Scalar engine: the checked, one-network-at-a-time reference.
-
-
-class _ScalarOffloadBuilder(_OffloadBuilderBase):
-    """Materializes the drawn arrays through the fully-checked graph APIs."""
-
-    def _materialize_tier2s(
-        self, tier1s: list[ASN], draws: _Tier2Draws
-    ) -> list[ASN]:
-        cfg = self.config
-        tier2s = []
-        for i in range(cfg.tier2_count):
-            region = _REGIONS[int(draws.region_idx[i])]
-            mega = i < cfg.mega_carrier_count
-            tier2 = self._add(
-                3001 + i, f"transit-{region}-{i}", NetworkKind.TRANSIT,
-                draws.policy(i, mega), region, 2 ** 16,
-            )
-            for u in draws.uplink_order[i, : int(draws.uplink_count[i])]:
-                self.graph.add_customer_provider(tier2, tier1s[int(u)])
-            if mega:
-                self.mega_carriers.append(tier2)
-            propensity = self._tier2_propensity(i)
-            if propensity is not None:
-                self.ixp_propensity[tier2] = propensity
-            tier2s.append(tier2)
-        return tier2s
-
-    def _materialize_stubs(
-        self, tier1s: list[ASN], tier2s: list[ASN], draws: _StubDraws
-    ) -> list[ASN]:
-        cfg = self.config
-        n = len(draws.region_idx)
-        tier2_by_region: dict[str, list[ASN]] = {r: [] for r in _REGIONS}
-        for t in tier2s:
-            tier2_by_region[self.region_of[t]].append(t)
-        stubs = []
-        eyeball_row = tier1_only_row = normal_row = 0
-        for i in range(n):
-            region = _REGIONS[int(draws.region_idx[i])]
-            big_eyeball = bool(draws.big_eyeball[i])
-            kind = (
-                NetworkKind.ACCESS if big_eyeball
-                else _STUB_KINDS[int(draws.kind_idx[i])]
-            )
-            stub = self._add(
-                10_001 + i, f"stub-{region}-{i}", kind, draws.policy(i), region,
-            )
-            self._stub_kinds.append(kind)
-            if big_eyeball:
-                self._home_big_eyeball(stub, tier1s, draws, eyeball_row)
-                eyeball_row += 1
-                self.graph.get(stub).tags.add("big-eyeball")
-                self.big_eyeballs.append(stub)
-            elif draws.tier1_only[i]:
-                self._home_tier1_only(stub, tier1s, draws, tier1_only_row, i)
-                tier1_only_row += 1
-                self.tier1_only_stubs.append(stub)
-            else:
-                self._home_stub(stub, region, tier2_by_region, tier2s,
-                                draws, normal_row, i)
-                normal_row += 1
-                if draws.ixpgoer[i]:
-                    self.ixp_propensity[stub] = float(draws.propensity[i])
-            stubs.append(stub)
-        self.tier1_only_stubs_set = set(self.tier1_only_stubs)
-        return stubs
-
-    def _home_big_eyeball(self, stub, tier1s, draws: _StubDraws, row: int) -> None:
-        """Big eyeballs multihome to tier-1s, often plus one mega-carrier."""
-        for p in draws.eyeball_order[row, :2]:
-            self.graph.add_customer_provider(stub, tier1s[int(p)])
-        if self.mega_carriers and draws.eyeball_mega_homed[row]:
-            mega = self.mega_carriers[
-                int(draws.eyeball_mega_pick_u[row] * len(self.mega_carriers))
-            ]
-            self.graph.add_customer_provider(stub, mega)
-
-    def _home_tier1_only(self, stub, tier1s, draws: _StubDraws,
-                         row: int, i: int) -> None:
-        count = min(int(draws.provider_count[i]), 3)
-        for p in draws.tier1_only_order[row, :count]:
-            self.graph.add_customer_provider(stub, tier1s[int(p)])
-
-    def _home_stub(self, stub, region, tier2_by_region, tier2s,
-                   draws: _StubDraws, row: int, i: int) -> None:
-        local = tier2_by_region[region]
-        u = draws.pool_u[i]
-        if u < 0.15 and self.mega_carriers:
-            pool = self.mega_carriers
-        elif u < 0.85 and local:
-            pool = local
-        else:
-            pool = tier2s
-        for j in range(int(draws.provider_count[i])):
-            provider = pool[int(draws.pick_u[row, j] * len(pool))]
-            if self.graph.relationship(stub, provider) is None:
-                self.graph.add_customer_provider(stub, provider)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized engine: struct-of-arrays materialization + bulk insertion.
-
-
-class _VectorOffloadBuilder(_OffloadBuilderBase):
-    """Materializes each tier as arrays and bulk-inserts the results."""
-
-    def _materialize_tier2s(
-        self, tier1s: list[ASN], draws: _Tier2Draws
-    ) -> list[ASN]:
-        cfg = self.config
-        n2 = cfg.tier2_count
-        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
-        tier2s = [ASN(3001 + i) for i in range(n2)]
-        self.graph.add_ases_bulk(
-            AutonomousSystem.make_unchecked(
-                tier2s[i],
-                f"transit-{regions[i]}-{i}",
-                NetworkKind.TRANSIT,
-                draws.policy(i, i < cfg.mega_carrier_count),
-                2 ** 16,
-            )
-            for i in range(n2)
-        )
-        self.region_of.update(zip(tier2s, regions))
-        tier1_arr = np.array(tier1s, dtype=np.int64)
-        col = np.arange(draws.uplink_order.shape[1])
-        take = col[None, :] < draws.uplink_count[:, None]
-        customers = np.repeat(np.array(tier2s), draws.uplink_count)
-        providers = tier1_arr[draws.uplink_order[take]]
-        self.graph.add_customer_provider_arrays(customers, providers)
-        self.mega_carriers = tier2s[: cfg.mega_carrier_count]
-        for i, tier2 in enumerate(tier2s):
-            propensity = self._tier2_propensity(i)
-            if propensity is None:
-                break  # propensities stop at the member cut
-            self.ixp_propensity[tier2] = propensity
-        return tier2s
-
-    def _materialize_stubs(
-        self, tier1s: list[ASN], tier2s: list[ASN], draws: _StubDraws
-    ) -> list[ASN]:
-        cfg = self.config
-        n = len(draws.region_idx)
-        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
-        big = draws.big_eyeball
-        tier1_only = draws.tier1_only
-        normal = ~big & ~tier1_only
-        big_list = big.tolist()
-        kind_list = [
-            NetworkKind.ACCESS if big_list[i] else _STUB_KINDS[k]
-            for i, k in enumerate(draws.kind_idx.tolist())
-        ]
-        self._stub_kinds = kind_list
-        policy_codes = np.where(
-            draws.policy_u < 0.62, 0, np.where(draws.policy_u < 0.90, 1, 2)
-        ).tolist()
-        policy_values = (
-            PeeringPolicy.OPEN, PeeringPolicy.SELECTIVE,
-            PeeringPolicy.RESTRICTIVE,
-        )
-        stubs = list(range(10_001, 10_001 + n))
-        make = AutonomousSystem.make_unchecked
-        self.graph.add_ases_bulk(
-            make(asn, f"stub-{region}-{i}", kind, policy_values[code])
-            for i, (asn, region, kind, code) in enumerate(
-                zip(stubs, regions, kind_list, policy_codes)
-            )
-        )
-        self.region_of.update(zip(stubs, regions))
-        stub_arr = np.array(stubs, dtype=np.int64)
-
-        pairs_customers: list[np.ndarray] = []
-        pairs_providers: list[np.ndarray] = []
-
-        # Big eyeballs: two tier-1s each, often plus one mega-carrier.  All
-        # of one eyeball's edges stay contiguous (the arrays edge API
-        # assembles each customer's provider set from one run).
-        tier1_arr = np.array(tier1s, dtype=np.int64)
-        eyeball_asns = stub_arr[big]
-        if len(eyeball_asns):
-            count_b = len(eyeball_asns)
-            provider3 = np.zeros((count_b, 3), dtype=np.int64)
-            provider3[:, :2] = tier1_arr[draws.eyeball_order[:, :2]]
-            take3 = np.zeros((count_b, 3), dtype=bool)
-            take3[:, :2] = True
-            if self.mega_carriers:
-                mega_arr = np.array(self.mega_carriers, dtype=np.int64)
-                homed = draws.eyeball_mega_homed
-                mega_idx = (
-                    draws.eyeball_mega_pick_u[homed] * len(mega_arr)
-                ).astype(np.int64)
-                provider3[homed, 2] = mega_arr[mega_idx]
-                take3[:, 2] = homed
-            pairs_customers.append(
-                np.repeat(eyeball_asns, take3.sum(axis=1))
-            )
-            pairs_providers.append(provider3[take3])
-            for asn in eyeball_asns.tolist():
-                self.graph.get(ASN(asn)).tags.add("big-eyeball")
-            self.big_eyeballs = [ASN(a) for a in eyeball_asns.tolist()]
-
-        # Tier-1-only stubs: 1-3 distinct tier-1s by ascending key.
-        t1o_asns = stub_arr[tier1_only]
-        if len(t1o_asns):
-            counts = np.minimum(draws.provider_count[tier1_only], 3)
-            col = np.arange(draws.tier1_only_order.shape[1])
-            take = col[None, :] < counts[:, None]
-            pairs_customers.append(np.repeat(t1o_asns, counts))
-            pairs_providers.append(tier1_arr[draws.tier1_only_order[take]])
-            self.tier1_only_stubs = [ASN(a) for a in t1o_asns.tolist()]
-
-        # Normal stubs: providers from the mega / regional / global tier-2
-        # pool chosen by the homing-pool uniform, indices by floor(u * len).
-        normal_asns = stub_arr[normal]
-        if len(normal_asns):
-            tier2_arr = np.array(tier2s, dtype=np.int64)
-            mega_count = len(self.mega_carriers)
-            region_codes = draws.region_idx[normal]
-            tier2_regions = np.array(
-                [_REGIONS.index(self.region_of[t]) for t in tier2s]
-            )
-            local_members = [
-                tier2_arr[tier2_regions == r] for r in range(len(_REGIONS))
-            ]
-            local_sizes = np.array([len(m) for m in local_members])
-            local_concat = (
-                np.concatenate(local_members) if len(tier2_arr) else tier2_arr
-            )
-            local_offsets = np.concatenate(
-                ([0], np.cumsum(local_sizes)[:-1])
-            )
-            u = draws.pool_u[normal]
-            local_len = local_sizes[region_codes]
-            cat_mega = (u < 0.15) & (mega_count > 0)
-            cat_local = ~cat_mega & (u < 0.85) & (local_len > 0)
-            cat_global = ~cat_mega & ~cat_local
-            pool_len = np.where(
-                cat_mega, mega_count,
-                np.where(cat_local, local_len, len(tier2_arr)),
-            )
-            counts = draws.provider_count[normal]
-            idx = np.minimum(
-                (draws.pick_u * pool_len[:, None]).astype(np.int64),
-                np.maximum(pool_len[:, None] - 1, 0),
-            )
-            provider_mat = np.empty_like(idx)
-            provider_mat[cat_mega] = tier2_arr[:mega_count][idx[cat_mega]]
-            provider_mat[cat_local] = local_concat[
-                local_offsets[region_codes[cat_local], None] + idx[cat_local]
-            ]
-            provider_mat[cat_global] = tier2_arr[idx[cat_global]]
-            # Per-row dedupe (<= 3 picks): repeated draws of one provider
-            # collapse to a single edge, as the scalar relationship check
-            # does.
-            col = np.arange(3)
-            take = col[None, :] < counts[:, None]
-            take[:, 1] &= provider_mat[:, 1] != provider_mat[:, 0]
-            take[:, 2] &= (provider_mat[:, 2] != provider_mat[:, 0]) & (
-                provider_mat[:, 2] != provider_mat[:, 1]
-            )
-            pairs_customers.append(np.repeat(normal_asns, take.sum(axis=1)))
-            pairs_providers.append(provider_mat[take])
-
-        self.graph.add_customer_provider_arrays(
-            np.concatenate(pairs_customers), np.concatenate(pairs_providers)
-        )
-        goer_idx = np.flatnonzero(normal & draws.ixpgoer)
-        for i in goer_idx.tolist():
-            self.ixp_propensity[stubs[i]] = float(draws.propensity[i])
-        self.tier1_only_stubs_set = set(self.tier1_only_stubs)
-        return stubs

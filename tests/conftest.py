@@ -38,6 +38,8 @@ PAPER_SCALE_TESTS = (
     "test_direct_only_spec_builds",
     "test_world_builder_engines.py::TestZeroBandWeights::"
     "test_zero_weights_with_remotes_fall_back_to_uniform",
+    "test_reference_digests.py::TestReferenceWorldDigests::"
+    "test_scalar_mini3_world_digest",
 )
 
 

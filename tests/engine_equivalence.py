@@ -1,21 +1,24 @@
 """Shared cross-engine statistical-equivalence machinery.
 
-The repo keeps a scalar reference implementation next to every
-vectorized engine (network pool, detection world, offload world, probe
-campaign) and holds the pairs to one of two standards:
+Every world builder in ``src/`` has one product engine; its scalar
+reference — the seed implementation, kept as an oracle in
+:mod:`tests.reference` — is held to one of two standards:
 
-* **bit-exact identity** — engines that consume identical stage-stream
+* **bit-exact identity** — references that consume identical stage-stream
   draws (the offload world) must agree member-for-member:
   :func:`assert_offload_worlds_identical`;
-* **statistical equivalence** — engines that consume the same streams in
-  different orders (the detection world, the network pool) must agree in
-  distribution: the moment/count comparators and the two-sample
+* **statistical equivalence** — references that consume the same streams
+  in different orders (the detection world, the network pool) must agree
+  in distribution: the moment/count comparators and the two-sample
   Kolmogorov–Smirnov helpers below.
 
-Fixed-seed world *pairs* (one per engine) are built through the
-``*_pair`` factories so every suite compares the same worlds and no test
-file re-encodes the engine list.  This module is imported by the
-engine-equivalence suites (``tests/test_world_builder_engines.py``,
+The probe campaign keeps both of its engines in ``src/`` and is held to
+the statistical standard too, through the campaign signatures below.
+
+Fixed-seed world *pairs* (product, reference) are built through the
+``*_pair`` factories so every suite compares the same worlds.  This
+module is imported by the engine-equivalence suites
+(``tests/test_world_builder_engines.py``,
 ``tests/test_offload_world_engines.py``) and by anything else that needs
 a cheap fixed-seed world (``tiny_offload_config``).
 """
@@ -33,9 +36,9 @@ from repro.sim.detection_world import (
 )
 from repro.sim.netpool import NetworkPoolConfig, generate_network_pool
 from repro.sim.offload_world import OffloadWorldConfig, build_offload_world
-
-#: The engine pair every builder ships: the fast path and its reference.
-ENGINES = ("vectorized", "scalar")
+from tests.reference.detection_world import build_scalar_detection_world
+from tests.reference.netpool import generate_scalar_pool, object_pool
+from tests.reference.offload_world import build_scalar_offload_world
 
 
 # -- fixed-seed world pairs ----------------------------------------------------
@@ -58,41 +61,18 @@ def tiny_offload_config(seed: int = 3, **overrides) -> OffloadWorldConfig:
 
 
 def network_pool_pair(size: int = 2000, seed: int = 7):
-    """(vectorized, scalar) network pools from one fixed seed."""
+    """(product, reference) network pools from one fixed seed, both as
+    object pools: the product's columns are wrapped in their views."""
     db = default_city_db()
-    return tuple(
-        generate_network_pool(
-            db, NetworkPoolConfig(size=size, seed=seed, engine=engine)
-        )
-        for engine in ENGINES
+    config = NetworkPoolConfig(size=size, seed=seed)
+    return (
+        object_pool(generate_network_pool(db, config)),
+        generate_scalar_pool(db, config),
     )
-
-
-def columnar_pool_pair(size: int = 2000, seed: int = 7):
-    """(vectorized NetworkPool, ColumnarNetworkPool) from one fixed seed.
-
-    The columnar backend holds to the *bit-exact* standard, not the
-    statistical one: both engines realize ``_draw_pool_columns``, so the
-    materialized views must equal the vectorized objects field for field.
-    """
-    db = default_city_db()
-    return tuple(
-        generate_network_pool(
-            db, NetworkPoolConfig(size=size, seed=seed, engine=engine)
-        )
-        for engine in ("vectorized", "columnar")
-    )
-
-
-def assert_network_pools_identical(measured, reference):
-    """Every pool entry equal field-for-field (dataclass equality)."""
-    assert len(measured) == len(reference)
-    for got, want in zip(measured.networks, reference.networks):
-        assert got == want
 
 
 def detection_world_pair(seed: int = 11, acronyms: tuple[str, ...] | None = None):
-    """(vectorized, scalar) detection worlds from one fixed seed.
+    """(product, reference) detection worlds from one fixed seed.
 
     ``acronyms`` restricts the IXP specs (None = the full 22-IXP world).
     """
@@ -102,23 +82,14 @@ def detection_world_pair(seed: int = 11, acronyms: tuple[str, ...] | None = None
         specs = tuple(
             s for s in paper_catalog() if s.acronym in set(acronyms)
         )
-    return tuple(
-        build_detection_world(
-            DetectionWorldConfig(seed=seed, specs=specs, engine=engine)
-        )
-        for engine in ENGINES
-    )
+    config = DetectionWorldConfig(seed=seed, specs=specs)
+    return build_detection_world(config), build_scalar_detection_world(config)
 
 
 def offload_world_pair(config: OffloadWorldConfig | None = None):
-    """(vectorized, scalar) offload worlds from one config's seed."""
-    from dataclasses import replace
-
+    """(product, reference) offload worlds from one config."""
     config = config or tiny_offload_config()
-    return tuple(
-        build_offload_world(replace(config, engine=engine))
-        for engine in ENGINES
-    )
+    return build_offload_world(config), build_scalar_offload_world(config)
 
 
 # -- campaign signatures -------------------------------------------------------
@@ -242,7 +213,7 @@ def assert_ks_close(sample_a, sample_b, alpha_coefficient=1.63, label=""):
     )
 
 
-# -- bit-exact identity (offload-world engines) --------------------------------
+# -- bit-exact identity (offload world vs its reference) -----------------------
 
 
 def assert_graphs_identical(vec, sca):
@@ -259,7 +230,7 @@ def assert_graphs_identical(vec, sca):
 
 
 def assert_offload_worlds_identical(vec, sca):
-    """Two offload worlds are bit-identical (the engine-pair contract)."""
+    """Two offload worlds are bit-identical (the reference contract)."""
     assert_graphs_identical(vec.graph, sca.graph)
     assert vec.memberships == sca.memberships
     assert vec.contributing == sca.contributing

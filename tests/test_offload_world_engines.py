@@ -1,13 +1,14 @@
-"""The vectorized offload-world builder and its scalar reference.
+"""The offload-world builder and its scalar reference.
 
-Both engines consume identical stage-stream draws (see the
+The builder and the reference (:mod:`tests.reference.offload_world`)
+consume identical stage-stream draws (see the
 :mod:`repro.sim.offload_world` docstring), so equivalence here is
 *bit-exact* — stronger than the detection world's statistical suite: the
 graphs, memberships, traffic matrices, address space and (on the full
 paper world) the greedy IXP expansion order must match member-for-member.
-The scalar engine inserts every network and edge through the fully
-checked graph APIs, which is what validates the bulk fast paths.  The
-identity assertions and the fixed-seed world pairs live in
+The reference inserts every network and edge through the fully checked
+graph APIs, which is what validates the bulk fast paths.  The identity
+assertions and the fixed-seed world pairs live in
 :mod:`tests.engine_equivalence`, shared with the detection-engine suite.
 """
 
@@ -23,6 +24,7 @@ from repro.core.offload import (
     greedy_reachability,
 )
 from repro.errors import ConfigurationError, TopologyError
+from repro.sim.netpool import NetworkPoolConfig
 from repro.sim.offload_world import OffloadWorldConfig, build_offload_world
 from repro.types import NetworkKind, PeeringPolicy
 from tests.conftest import small_offload_config
@@ -35,7 +37,7 @@ from tests.engine_equivalence import (
 
 class TestEngineSelection:
     def test_bad_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             OffloadWorldConfig(engine="quantum")
 
     def test_vectorized_is_default_and_deterministic(self):
@@ -47,8 +49,27 @@ class TestEngineSelection:
         assert np.array_equal(a.matrix.inbound_bps, b.matrix.inbound_bps)
 
 
+class TestProbabilityFields:
+    """Probability and share fields are range-checked when the config is
+    made, naming the field.  A space share of 1 used to divide by zero in
+    the address-space stage, other out-of-range shares built worlds whose
+    big eyeballs held none of the space, and out-of-range probabilities
+    built silently."""
+
+    @pytest.mark.parametrize("make,field,value", [
+        (tiny_offload_config, "big_eyeball_space_share", 1.0),
+        (tiny_offload_config, "big_eyeball_space_share", 1.5),
+        (tiny_offload_config, "big_eyeball_space_share", -0.2),
+        (tiny_offload_config, "big_eyeball_mega_homed", 1.5),
+        (NetworkPoolConfig, "bicontinental_fraction", 1.5),
+    ])
+    def test_out_of_range_rejected(self, make, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            make(**{field: value})
+
+
 class TestEngineIdentity:
-    """The two engines draw identically, so worlds are bit-identical."""
+    """Builder and reference draw identically: worlds are bit-identical."""
 
     @pytest.fixture(scope="class")
     def worlds(self):
@@ -146,7 +167,7 @@ class TestConeIndexTables:
 
 
 class TestBulkGraphAPIs:
-    """Contracts of the fast insertion paths the vectorized engine uses."""
+    """Contracts of the fast insertion paths the builder uses."""
 
     def _graph(self) -> ASGraph:
         graph = ASGraph()

@@ -9,6 +9,7 @@ the real gate: the repo's own sources must lint clean forever.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -24,9 +25,16 @@ from repro.devtools.lint import (
     render_draw_programs,
     rule_catalog,
 )
+from repro.devtools.lint.drawprograms import (
+    SUBSYSTEMS,
+    _ModuleIndex,
+    _Scope,
+    _scope_sites,
+)
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC_ROOT = Path(__file__).parent.parent / "src"
+REFERENCE_ROOT = Path(__file__).parent / "reference"
 
 
 def lint_fixture(name: str, relpath: str):
@@ -194,19 +202,53 @@ class TestDrawPrograms:
         by_subsystem: dict[str, list] = {}
         for program in programs:
             by_subsystem.setdefault(program.subsystem, []).append(program)
-        # The offload world registers three engines: the trial-batched
+        # The offload world registers two engines: the trial-batched
         # realizer (repro/sim/offload_batch.py) must open the same
-        # streams as both single-world engines.  The netpool registers
-        # three too: scalar, plus vectorized and columnar, which both
-        # realize _draw_pool_columns.
-        engine_counts = {"detection-world": 2, "offload-world": 3,
-                         "netpool": 3, "campaign": 2}
+        # streams as the single-world builder.  The detection world and
+        # the pool have one engine each in src/; their references are
+        # held to them by test_reference_programs_match_product.
+        engine_counts = {"detection-world": 1, "offload-world": 2,
+                         "netpool": 1, "campaign": 2}
         for subsystem, expected in engine_counts.items():
             group = by_subsystem[subsystem]
             assert len(group) == expected, subsystem
             sequences = {p.parity_sequence() for p in group}
             assert len(sequences) == 1, f"{subsystem} engines diverge"
             assert group[0].sites, f"{subsystem} extracted no streams"
+
+    @pytest.mark.parametrize("subsystem,module,scope", [
+        ("detection-world", "detection_world.py",
+         _Scope("class", "ScalarWorldBuilder",
+                mro=("ScalarWorldBuilder", "_WorldBuilder"))),
+        ("offload-world", "offload_world.py",
+         _Scope("class", "ScalarOffloadBuilder",
+                mro=("ScalarOffloadBuilder", "_OffloadBuilder"))),
+        ("netpool", "netpool.py",
+         _Scope("function", "generate_scalar_pool", alias="generate")),
+    ])
+    def test_reference_programs_match_product(self, subsystem, module, scope):
+        """Each scalar reference in tests/reference/ opens the same
+        streams, in the same order, as its product builder in src/."""
+
+        def index(path: Path) -> _ModuleIndex:
+            return _ModuleIndex(ast.parse(path.read_text(encoding="utf-8")))
+
+        spec = next(s for s in SUBSYSTEMS if s.name == subsystem)
+        product_index = index(SRC_ROOT / spec.module)
+        sites = [
+            site for shared in spec.shared
+            for site in _scope_sites(product_index, shared)
+        ]
+        sites += _scope_sites(
+            index(REFERENCE_ROOT / module), scope, fallback=product_index
+        )
+        product = next(
+            p for p in extract_draw_programs(SRC_ROOT)
+            if p.subsystem == subsystem
+        )
+        assert sites, subsystem
+        assert tuple(s.parity_key() for s in sites) == \
+            product.parity_sequence()
 
     def test_offload_stage_streams_extracted(self):
         programs = extract_draw_programs(SRC_ROOT)

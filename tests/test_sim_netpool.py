@@ -3,20 +3,17 @@
 import numpy as np
 import pytest
 
-from engine_equivalence import (
-    assert_network_pools_identical,
-    columnar_pool_pair,
-)
 from repro.errors import ConfigurationError
 from repro.geo.cities import default_city_db
 from repro.sim.netpool import (
+    _KIND_WEIGHTS,
+    _POLICY_WEIGHTS,
     SCOPE_CONTINENTS,
-    ColumnarNetworkPool,
-    NetworkPool,
     NetworkPoolConfig,
     generate_network_pool,
 )
 from repro.types import ASN
+from tests.reference.netpool import object_pool
 
 
 @pytest.fixture(scope="module")
@@ -25,123 +22,129 @@ def pool():
     return generate_network_pool(db, NetworkPoolConfig(size=800, seed=9))
 
 
+@pytest.fixture(scope="module")
+def networks(pool):
+    """Every entry's view, in pool order."""
+    return [pool.network(i) for i in range(len(pool))]
+
+
 class TestGeneration:
-    def test_size_and_unique_asns(self, pool):
+    def test_size_and_unique_asns(self, pool, networks):
         assert len(pool) == 800
-        asns = {n.asn for n in pool.networks}
+        asns = {n.asn for n in networks}
         assert len(asns) == 800
 
     def test_deterministic(self):
         db = default_city_db()
         a = generate_network_pool(db, NetworkPoolConfig(size=100, seed=4))
         b = generate_network_pool(db, NetworkPoolConfig(size=100, seed=4))
-        assert [n.asn for n in a.networks] == [n.asn for n in b.networks]
-        assert [n.home_city.name for n in a.networks] == [
-            n.home_city.name for n in b.networks
-        ]
+        for column in ("asn", "continent_idx", "city_idx", "propensity"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_seed_changes_pool(self):
         db = default_city_db()
         a = generate_network_pool(db, NetworkPoolConfig(size=100, seed=4))
         b = generate_network_pool(db, NetworkPoolConfig(size=100, seed=5))
-        assert [n.home_city.name for n in a.networks] != [
-            n.home_city.name for n in b.networks
+        assert [a.network(i).home_city.name for i in range(100)] != [
+            b.network(i).home_city.name for i in range(100)
         ]
 
-    def test_scope_includes_home_continent(self, pool):
-        for n in pool.networks:
+    def test_scope_includes_home_continent(self, networks):
+        for n in networks:
             assert n.home_city.continent in n.scope
 
-    def test_some_global_networks(self, pool):
-        globals_ = [n for n in pool.networks if len(n.scope) == 6]
+    def test_some_global_networks(self, pool, networks):
+        globals_ = [n for n in networks if len(n.scope) == 6]
         assert globals_
         assert len(globals_) < len(pool) * 0.1
 
-    def test_europe_dominates(self, pool):
-        eu = sum(1 for n in pool.networks if n.home_city.continent == "EU")
+    def test_europe_dominates(self, pool, networks):
+        eu = sum(1 for n in networks if n.home_city.continent == "EU")
         assert eu > 0.3 * len(pool)
 
-    def test_address_space_positive(self, pool):
-        assert all(n.asys.address_space >= 256 for n in pool.networks)
+    def test_address_space_positive(self, networks):
+        assert all(n.asys.address_space >= 256 for n in networks)
 
 
 class TestSampling:
     def test_eligibility(self, pool):
-        for n in pool.eligible_networks("SA"):
-            assert "SA" in n.scope
+        for i in pool.eligible_for("SA"):
+            assert "SA" in pool.scope_of(i)
 
     def test_sample_members_distinct_and_eligible(self, pool):
         rng = np.random.default_rng(0)
-        members = pool.sample_members(rng, "EU", 50)
-        assert len({m.asn for m in members}) == 50
-        assert all("EU" in m.scope for m in members)
+        members = pool.sample_member_indices(rng, "EU", 50)
+        assert len(set(members.tolist())) == 50
+        assert all("EU" in pool.scope_of(i) for i in members)
 
     def test_sample_respects_exclusion(self, pool):
         rng = np.random.default_rng(0)
-        excluded = {pool.networks[0].asn}
-        members = pool.sample_members(rng, "EU", 20, exclude=excluded)
-        assert excluded.isdisjoint({m.asn for m in members})
+        excluded = {ASN(int(pool.asn[0]))}
+        members = pool.sample_member_indices(
+            rng, "EU", 20, exclude_asns=excluded
+        )
+        assert excluded.isdisjoint(pool.asn[members].tolist())
 
     def test_oversample_raises(self, pool):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
-            pool.sample_members(rng, "OC", 10_000)
+            pool.sample_member_indices(rng, "OC", 10_000)
 
     def test_high_propensity_sampled_more(self, pool):
         """The recurrence of high-propensity networks across draws is what
         produces Figure 4a's IXP-count tail."""
         rng = np.random.default_rng(1)
-        top = max(pool.eligible_networks("EU"), key=lambda n: n.propensity)
+        eligible = pool.eligible_for("EU")
+        top = int(eligible[np.argmax(pool.propensity[eligible])])
         hits = 0
         for _ in range(20):
-            members = pool.sample_members(rng, "EU", 60)
-            hits += top.asn in {m.asn for m in members}
+            members = pool.sample_member_indices(rng, "EU", 60)
+            hits += top in members.tolist()
         assert hits >= 15
-
-    def test_get(self, pool):
-        n = pool.networks[5]
-        assert pool.get(n.asn) is n
-        with pytest.raises(ConfigurationError):
-            pool.get(ASN(1))
 
 
 class TestColumnarBackend:
-    """The struct-of-arrays pool against the vectorized object pool.
-
-    Both engines realize the same ``_draw_pool_columns`` program, so the
-    standard here is *bit-exact* identity, not statistical closeness.
-    """
+    """The struct-of-arrays pool decoded by hand, and its index sampler
+    against the object sampler over the same entries."""
 
     @pytest.fixture(scope="class")
-    def pools(self):
-        return columnar_pool_pair(size=2000, seed=7)
+    def col(self):
+        db = default_city_db()
+        return generate_network_pool(db, NetworkPoolConfig(size=2000, seed=7))
 
-    def test_materialized_views_match_object_pool(self, pools):
-        vec, col = pools
-        assert isinstance(col, ColumnarNetworkPool)
-        assert_network_pools_identical(col.materialize(), vec)
+    def test_eligibility_indices_match(self, col):
+        masks = col.scope_mask.tolist()
+        for bit, continent in enumerate(SCOPE_CONTINENTS):
+            expected = [i for i, mask in enumerate(masks) if mask >> bit & 1]
+            assert col.eligible_for(continent).tolist() == expected, continent
 
-    def test_eligibility_indices_match(self, pools):
-        vec, col = pools
-        for continent in SCOPE_CONTINENTS:
-            assert np.array_equal(
-                col.eligible_for(continent), vec.eligible_for(continent)
-            ), continent
-
-    def test_sampling_matches_object_pool_asn_for_asn(self, pools):
-        vec, col = pools
-        exclude = {vec.networks[0].asn, vec.networks[7].asn}
-        objects = vec.sample_members(
+    def test_sampling_matches_object_pool_asn_for_asn(self, col):
+        objects = object_pool(col)
+        exclude = {objects.networks[0].asn, objects.networks[7].asn}
+        drawn = objects.sample_members(
             np.random.default_rng(3), "EU", 40, exclude=exclude
         )
         indices = col.sample_member_indices(
             np.random.default_rng(3), "EU", 40,
             exclude_asns=np.fromiter(exclude, dtype=np.int64),
         )
-        assert [n.asn for n in objects] == col.asn[indices].tolist()
+        assert [n.asn for n in drawn] == col.asn[indices].tolist()
 
-    def test_lazy_network_view_round_trips(self, pools):
-        vec, col = pools
-        for i in (0, 1234, len(vec) - 1):
-            assert col.network(i) == vec.networks[i]
-            assert col.scope_of(i) == vec.networks[i].scope
+    def test_lazy_network_view_round_trips(self, col):
+        kinds, policies = list(_KIND_WEIGHTS), list(_POLICY_WEIGHTS)
+        for i in (0, 1234, len(col) - 1):
+            network = col.network(i)
+            continent = SCOPE_CONTINENTS[col.continent_idx[i]]
+            cities = col.cities_by_continent[continent]
+            scope = frozenset(
+                code for bit, code in enumerate(SCOPE_CONTINENTS)
+                if col.scope_mask[i] >> bit & 1
+            )
+            assert network.asn == col.asn[i]
+            assert network.home_city == cities[col.city_idx[i]]
+            assert network.asys.kind == kinds[col.kind_idx[i]]
+            assert network.asys.policy == policies[col.policy_idx[i]]
+            assert network.asys.address_space == col.address_space[i]
+            assert network.propensity == col.propensity[i]
+            assert network.scope == col.scope_of(i) == scope
+            assert continent in scope

@@ -1,14 +1,14 @@
-"""The vectorized world builder, its scalar reference, and the world-
+"""The detection-world builder, its scalar reference, and the world-
 builder bug batch (zero band weights, silent member drops, zero
 propensities).
 
-Engine equivalence is statistical: the two builders consume the same
-per-(seed, "ixp", acronym) streams in different orders, so worlds agree
-in distribution — remote fractions, behaviour-class counts, band
-histograms and (on the full world, under a shared campaign) per-filter
-discard counts — not member-for-member.  The comparators and the
-fixed-seed world pairs live in :mod:`tests.engine_equivalence`, shared
-with the offload-engine suite.
+Equivalence with the reference (:mod:`tests.reference.detection_world`)
+is statistical: the two builders consume the same per-(seed, "ixp",
+acronym) streams in different orders, so worlds agree in distribution —
+remote fractions, behaviour-class counts, band histograms and (on the
+full world, under a shared campaign) per-filter discard counts — not
+member-for-member.  The comparators and the fixed-seed world pairs live
+in :mod:`tests.engine_equivalence`, shared with the offload-engine suite.
 """
 
 import numpy as np
@@ -26,10 +26,10 @@ from repro.sim.detection_world import (
 )
 from repro.sim.netpool import (
     ColumnarNetworkPool,
-    NetworkPool,
     NetworkPoolConfig,
     generate_network_pool,
 )
+from repro.sim.offload_world import OffloadWorldConfig
 from tests.engine_equivalence import (
     assert_category_counts_close,
     assert_counts_close,
@@ -39,6 +39,8 @@ from tests.engine_equivalence import (
     detection_world_pair,
     network_pool_pair,
 )
+from tests.reference.detection_world import build_scalar_detection_world
+from tests.reference.netpool import generate_scalar_pool
 
 
 def _spec(**overrides) -> IXPSpec:
@@ -81,38 +83,17 @@ class TestCityDistanceMatrix:
 
 class TestEngineSelection:
     def test_bad_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DetectionWorldConfig(engine="quantum")
-        with pytest.raises(ConfigurationError):
-            NetworkPoolConfig(engine="quantum")
-
-    @pytest.mark.parametrize("pool_engine", ["vectorized", "columnar", "scalar"])
-    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
-    def test_pool_engine_pairing(self, engine, pool_engine):
-        """The vectorized builder takes column pools (vectorized/columnar),
-        the scalar builder object pools (scalar/vectorized); any other
-        pairing is rejected up front, naming both engines."""
-        allowed = {
-            "vectorized": ("vectorized", "columnar"),
-            "scalar": ("scalar", "vectorized"),
-        }
-        pool = NetworkPoolConfig(size=600, seed=3, engine=pool_engine)
-        if pool_engine not in allowed[engine]:
-            with pytest.raises(ConfigurationError) as err:
-                DetectionWorldConfig(engine=engine, pool=pool)
-            assert repr(engine) in str(err.value)
-            assert repr(pool_engine) in str(err.value)
-            return
-        world = build_detection_world(
-            DetectionWorldConfig(
-                seed=3, specs=(_spec(),), pool=pool, engine=engine
-            )
-        )
-        assert world.candidate_count() > 0
-        if engine == "vectorized":
-            assert isinstance(world.pool, ColumnarNetworkPool)
-        else:
-            assert isinstance(world.pool, NetworkPool)
+        """No world or pool config takes an engine any more.  The world
+        configs keep a fixed ``engine`` field last, so their reprs — and
+        the study fingerprints hashed from them — are unchanged."""
+        for make in (DetectionWorldConfig, OffloadWorldConfig,
+                     NetworkPoolConfig):
+            with pytest.raises(TypeError):
+                make(engine="quantum")
+        for config in (DetectionWorldConfig(), OffloadWorldConfig()):
+            assert config.engine == "vectorized"
+            assert repr(config).endswith(", engine='vectorized')")
+        assert "engine" not in repr(NetworkPoolConfig())
 
     def test_vectorized_is_default_and_deterministic(self):
         specs = (_spec(),)
@@ -125,11 +106,11 @@ class TestEngineSelection:
             assert a.truth[key].base_rtt_ms == b.truth[key].base_rtt_ms
 
     def test_scalar_engine_uses_scalar_pool(self):
-        world = build_detection_world(
-            DetectionWorldConfig(seed=3, specs=(_spec(),), engine="scalar")
+        world = build_scalar_detection_world(
+            DetectionWorldConfig(seed=3, specs=(_spec(),))
         )
-        reference = generate_network_pool(
-            default_city_db(), NetworkPoolConfig(seed=3, engine="scalar")
+        reference = generate_scalar_pool(
+            default_city_db(), NetworkPoolConfig(seed=3)
         )
         assert [n.asn for n in world.pool.networks[:50]] == [
             n.asn for n in reference.networks[:50]
@@ -140,8 +121,8 @@ class TestEngineSelection:
 
 
 class TestSeatedViews:
-    """The vectorized builder keeps its pool as columns and materializes
-    a network view only for an index the world seats, once per world."""
+    """The builder keeps its pool as columns and materializes a network
+    view only for an index the world seats, once per world."""
 
     @pytest.fixture(scope="class")
     def seated(self, mini_specs):
@@ -187,7 +168,7 @@ class TestSeatedViews:
 
 
 class TestPoolEngineEquivalence:
-    """The two pool generators agree in distribution."""
+    """The pool generator and its reference loop agree in distribution."""
 
     @pytest.fixture(scope="class")
     def pools(self):
@@ -388,19 +369,15 @@ class TestZeroBandWeights:
 
     def test_direct_only_spec_builds(self):
         spec = _spec(remote_fraction=0.0, band_weights=(0.0, 0.0, 0.0))
-        for engine in ("vectorized", "scalar"):
-            world = build_detection_world(
-                DetectionWorldConfig(seed=2, specs=(spec,), engine=engine)
-            )
+        for build in (build_detection_world, build_scalar_detection_world):
+            world = build(DetectionWorldConfig(seed=2, specs=(spec,)))
             assert world.candidate_count() > 0
             assert world.remote_truth_count("T-IX") == 0
 
     def test_zero_weights_with_remotes_fall_back_to_uniform(self):
         spec = _spec(remote_fraction=0.3, band_weights=(0.0, 0.0, 0.0))
-        for engine in ("vectorized", "scalar"):
-            world = build_detection_world(
-                DetectionWorldConfig(seed=2, specs=(spec,), engine=engine)
-            )
+        for build in (build_detection_world, build_scalar_detection_world):
+            world = build(DetectionWorldConfig(seed=2, specs=(spec,)))
             assert world.remote_truth_count("T-IX") > 0
 
 
@@ -413,16 +390,12 @@ class TestShortfall:
         # network the pool *can* supply still becomes a member instead of
         # being silently dropped.
         spec = _spec(remote_fraction=1.0)
-        for engine in ("vectorized", "scalar"):
-            config = DetectionWorldConfig(
-                seed=4, specs=(spec,),
-                pool=NetworkPoolConfig(
-                    size=25, seed=4,
-                    engine="scalar" if engine == "scalar" else "vectorized",
-                ),
-                with_anchors=False, engine=engine,
-            )
-            world = build_detection_world(config)
+        config = DetectionWorldConfig(
+            seed=4, specs=(spec,), pool=NetworkPoolConfig(size=25, seed=4),
+            with_anchors=False,
+        )
+        for build in (build_detection_world, build_scalar_detection_world):
+            world = build(config)
             assert world.shortfall["T-IX"] > 0
             assert world.candidate_count() >= 25
 
@@ -438,11 +411,10 @@ class TestShortfall:
         """All-zero propensities must not produce NaN weights."""
         db = default_city_db()
         pool = generate_network_pool(db, NetworkPoolConfig(size=50, seed=1))
-        for network in pool.networks:
-            network.propensity = 0.0
+        pool.propensity = np.zeros(len(pool))
         rng = np.random.default_rng(0)
-        members = pool.sample_members(rng, "EU", 5)
-        assert len({m.asn for m in members}) == 5
+        members = pool.sample_member_indices(rng, "EU", 5)
+        assert len(set(members.tolist())) == 5
 
     def test_mixed_propensity_sampling_tops_up_from_zeros(self):
         """Fewer positive-propensity candidates than draws: the positives
@@ -450,41 +422,25 @@ class TestShortfall:
         naive weighted choice raises ValueError here)."""
         db = default_city_db()
         pool = generate_network_pool(db, NetworkPoolConfig(size=50, seed=1))
-        eligible = pool.eligible_networks("EU")
-        positive = {n.asn for n in eligible[:3]}
-        for network in pool.networks:
-            network.propensity = 1.0 if network.asn in positive else 0.0
+        positive = set(pool.eligible_for("EU")[:3].tolist())
+        pool.propensity = np.array(
+            [1.0 if i in positive else 0.0 for i in range(len(pool))]
+        )
         rng = np.random.default_rng(0)
-        members = pool.sample_members(rng, "EU", 10)
-        drawn = {m.asn for m in members}
+        drawn = set(pool.sample_member_indices(rng, "EU", 10).tolist())
         assert len(drawn) == 10
         assert positive <= drawn  # every positive candidate was taken
 
     def test_vector_builder_sampler_with_mixed_propensities(self):
         """_weighted_sample_idx must top up from zero-propensity candidates
         instead of raising when the positives run out."""
-        from repro.geo.distances import CityDistanceMatrix
-        from repro.registry.records import IXPDirectory
-        from repro.sim.detection_world import (
-            _make_providers,
-            _VectorWorldBuilder,
-        )
+        from repro.sim.detection_world import _WorldBuilder
 
         db = default_city_db()
-        pool = generate_network_pool(
-            db, NetworkPoolConfig(size=30, seed=2, engine="columnar")
-        )
-        assert isinstance(pool, ColumnarNetworkPool)
+        pool = generate_network_pool(db, NetworkPoolConfig(size=30, seed=2))
         pool.propensity = np.where(np.arange(30) < 4, 1.0, 0.0)
-        specs = (_spec(),)
-        builder = _VectorWorldBuilder(
-            config=DetectionWorldConfig(seed=2, specs=specs),
-            specs=specs,
-            city_db=db,
-            matrix=CityDistanceMatrix.build(db),
-            pool=pool,
-            directory=IXPDirectory(),
-            providers=_make_providers(2, specs, db),
+        builder = _WorldBuilder(
+            DetectionWorldConfig(seed=2, specs=(_spec(),)), db, pool
         )
         rng = np.random.default_rng(0)
         chosen = builder._weighted_sample_idx(rng, np.arange(30), 12)
