@@ -14,6 +14,14 @@ from repro.sim.netpool import (
 )
 from repro.types import ASN
 from tests.reference.netpool import object_pool
+from tests.test_reference_digests import object_pool_digest
+
+#: ``object_pool_digest`` of the vectorized object pool at (2000, seed 7),
+#: taken before that generator was folded into the columnar one.
+VECTORIZED_OBJECT_POOL_DIGEST = (
+    "8f3213eeb1097a2faaf950deb40be1a0"
+    "c0f860418dde2b7d7e413380a71dd698"
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +112,20 @@ class TestSampling:
 
 
 class TestColumnarBackend:
-    """The struct-of-arrays pool decoded by hand, and its index sampler
-    against the object sampler over the same entries."""
+    """The struct-of-arrays pool decoded by hand and against a digest of
+    the vectorized object pool, and its index sampler against the object
+    sampler over the same entries."""
 
     @pytest.fixture(scope="class")
     def col(self):
         db = default_city_db()
         return generate_network_pool(db, NetworkPoolConfig(size=2000, seed=7))
+
+    def test_materialized_views_match_object_pool(self, col):
+        """Every view ``network(i)`` builds is the network the vectorized
+        object pool held at that index, bit for bit."""
+        views = object_pool(col)
+        assert object_pool_digest(views) == VECTORIZED_OBJECT_POOL_DIGEST
 
     def test_eligibility_indices_match(self, col):
         masks = col.scope_mask.tolist()

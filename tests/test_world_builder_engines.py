@@ -23,6 +23,7 @@ from repro.sim.detection_world import (
     DetectionWorldConfig,
     build_detection_world,
     NORMAL,
+    _WorldBuilder,
 )
 from repro.sim.netpool import (
     ColumnarNetworkPool,
@@ -39,8 +40,15 @@ from tests.engine_equivalence import (
     detection_world_pair,
     network_pool_pair,
 )
-from tests.reference.detection_world import build_scalar_detection_world
-from tests.reference.netpool import generate_scalar_pool
+from tests.reference.detection_world import (
+    ScalarWorldBuilder,
+    build_scalar_detection_world,
+)
+from tests.reference.netpool import (
+    NetworkPool,
+    generate_scalar_pool,
+    object_pool,
+)
 
 
 def _spec(**overrides) -> IXPSpec:
@@ -94,6 +102,48 @@ class TestEngineSelection:
             assert config.engine == "vectorized"
             assert repr(config).endswith(", engine='vectorized')")
         assert "engine" not in repr(NetworkPoolConfig())
+
+    @pytest.mark.parametrize(
+        ("engine", "pool_engine"),
+        [
+            ("vectorized", "vectorized"),
+            ("vectorized", "columnar"),
+            ("scalar", "scalar"),
+            ("scalar", "vectorized"),
+        ],
+    )
+    def test_pool_engine_pairing(self, engine, pool_engine):
+        """Each builder draws on the pool it is handed, in its own form.
+        The product builder takes columns, from its front door
+        ("vectorized") or handed to it ("columnar"); the reference builder
+        takes object pools, the reference loop's ("scalar") or the
+        product's draws wrapped by ``object_pool`` ("vectorized").  The
+        pairs once rejected up front cannot be named any more: no config
+        takes an engine (``test_bad_engine_rejected``)."""
+        db = default_city_db()
+        pool_config = NetworkPoolConfig(size=600, seed=3)
+        config = DetectionWorldConfig(
+            seed=3, specs=(_spec(),), pool=pool_config
+        )
+        if pool_engine == "scalar":
+            pool = generate_scalar_pool(db, pool_config)
+        else:
+            pool = generate_network_pool(db, pool_config)
+        if engine == "scalar":
+            if pool_engine == "vectorized":
+                pool = object_pool(pool)
+            world = ScalarWorldBuilder(config, db, pool).build()
+        elif pool_engine == "vectorized":
+            world = build_detection_world(config)
+        else:
+            world = _WorldBuilder(config, db, pool).build()
+        assert world.candidate_count() > 0
+        if engine == "vectorized":
+            assert isinstance(world.pool, ColumnarNetworkPool)
+            assert np.array_equal(world.pool.asn, pool.asn)
+        else:
+            assert isinstance(world.pool, NetworkPool)
+            assert world.pool is pool
 
     def test_vectorized_is_default_and_deterministic(self):
         specs = (_spec(),)
