@@ -10,12 +10,15 @@
 #   make serve-smoke service gate: HTTP submit → cache hit → thread deadline
 #   make perf-check  benchmark correctness gate: a 1 s perfbench run of each
 #                    BENCHMARK.json workload, failing on any WRONG: output
+#   make paper-check the paper-shape benches (Figures 8-10, economics,
+#                    ablations) as assertions, timing disabled
 #   make bench       retime every stage and rewrite BENCH_speed.json
 #   make regression  full perf guard against the committed baseline
 
 PY := PYTHONPATH=src python
 
-.PHONY: test smoke lint chaos mega-smoke serve-smoke perf-check bench regression
+.PHONY: test smoke lint chaos mega-smoke serve-smoke perf-check paper-check \
+	bench regression
 
 test:
 	$(PY) -m pytest -x -q
@@ -86,6 +89,15 @@ perf-check:
 		python3 perfbench/run.py --workload $$workload --seed 3 \
 			--seconds 1 --trace 0 || exit 1; \
 	done
+
+# The paper-shape gate: every pytest-benchmark item outside
+# bench_speed.py asserts a figure's shape or an ablation result (the
+# greedy expansions feed Figures 8-10 and the economics fit), so run them
+# as plain assertions.  Needs pytest-benchmark for --benchmark-disable.
+paper-check:
+	$(PY) -m pytest benchmarks --ignore=benchmarks/bench_speed.py \
+		-o python_files='bench_*.py' -o python_functions='bench_*' \
+		--benchmark-disable -q
 
 bench:
 	$(PY) benchmarks/bench_speed.py

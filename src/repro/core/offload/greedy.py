@@ -3,6 +3,10 @@
 The paper "iteratively expand[s] the set of reached IXPs by adding the IXP
 with the largest remaining offload potential" and observes exponentially
 diminishing marginal utility, with ~5 IXPs realizing most of the total.
+The expansion runs the shared set-cover kernel
+(:func:`~repro.core.offload.bitsets.greedy_cover_rows`) over the group's
+cone CSR, weighted by each network's combined transit traffic; every
+reported number is a float64 masked sum over the running coverage.
 """
 
 from __future__ import annotations
@@ -45,15 +49,9 @@ def greedy_expansion(
 ) -> list[GreedyStep]:
     """Grow the reached set greedily until no IXP adds traffic.
 
-    Ties (including the all-zero tail) resolve alphabetically, which keeps
+    Each rank adds the IXP whose not-yet-covered cone traffic is largest;
+    ties (including the all-zero tail) resolve alphabetically, which keeps
     runs deterministic.
-
-    Each rank is one matrix-vector product over the group's precomputed
-    cone-membership bitset followed by an argmax: row ``k`` of the product
-    is candidate ``k``'s fresh gain against the not-yet-covered traffic
-    vector, which the chosen row then zeroes out (incremental coverage).
-    The pre-bitset implementation recomputed every candidate's masked
-    traffic sums in a Python loop per rank.
     """
     world = estimator.world
     matrix = world.matrix
@@ -64,22 +62,19 @@ def greedy_expansion(
     if limit <= 0:
         raise ConfigurationError("max_ixps must be positive")
 
-    bitset = estimator.group_matrix(group)
-    gain_matrix = estimator.group_matrix_float(group)
-    # Same (selection-grade) dtype as the gain matrix: argmax picks the
-    # winner, the step's reported numbers come from float64 masked sums.
-    uncovered_total = (matrix.inbound_bps + matrix.outbound_bps).astype(
-        np.float32
-    )
+    indptr, indices = estimator.group_rows(group)
     offl_in = offl_out = 0.0
     steps: list[GreedyStep] = []
     for rank, best, covered in greedy_cover_rows(
-        bitset, gain_matrix, uncovered_total, limit
+        indptr, indices, matrix.inbound_bps + matrix.outbound_bps, limit
     ):
         best_ixp = candidates[best]
         previous_in, previous_out = offl_in, offl_out
-        offl_in = float(matrix.inbound_bps[covered].sum())
-        offl_out = float(matrix.outbound_bps[covered].sum())
+        # Index takes of the covered networks: the same arrays (so the
+        # same sums) as boolean-mask selection, at a fraction of its cost.
+        reached = np.flatnonzero(covered)
+        offl_in = float(matrix.inbound_bps[reached].sum())
+        offl_out = float(matrix.outbound_bps[reached].sum())
         # The fresh gain is exactly the coverage delta (the row's fresh
         # indices are disjoint from the previous coverage).
         gain_in = offl_in - previous_in

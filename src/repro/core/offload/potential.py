@@ -6,6 +6,12 @@ providers?*  Offloadability is customer-cone membership: a contributing
 network's traffic shifts when some reachable peer carries it in its cone
 (Section 4.2's "fully shifting to remote peering the traffic that the
 networks of this peer group and their customer cones contribute").
+
+Masks, rankings and the greedy expansion read the world only through
+its member arrays (:class:`~repro.sim.offload_world.MemberArrays`) and
+the traffic matrix, so the graph-built world and the trial-batch view
+take one path; only Figure 6's decomposition needs the graph world's
+AS paths.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.offload.bitsets import cached_group_bitset
-from repro.core.offload.peergroups import ALL_GROUPS, PeerGroups
+from repro.core.offload.bitsets import cone_rows
+from repro.core.offload.peergroups import PeerGroups
 from repro.errors import ConfigurationError
-from repro.sim.offload_world import OffloadWorld
+from repro.sim.offload_world import OffloadWorld, gather_runs
 from repro.types import ASN, NetworkKind
 
 
@@ -55,87 +61,71 @@ class ContributorShare:
 class OffloadEstimator:
     """Offload arithmetic over a built world and its peer groups.
 
-    All reachability queries run off one precomputed boolean
-    *cone-membership matrix* per peer group: row ``k`` is the offloadable
-    mask of the ``k``-th reachable IXP (sorted by acronym), column ``i``
-    the ``i``-th contributing network.  Masks, unions and traffic sums are
-    then row reductions instead of per-member Python loops, which is what
-    makes many-seed offload ensembles and the greedy expansion cheap.
+    Everything reads the world's member arrays: a group's members are a
+    mask over them (:meth:`PeerGroups.member_mask`), the offloadable
+    networks behind a set of reached IXPs are the union of the cones of
+    the group members seated there (one gather), and the greedy expansion
+    runs over the group's (IXP × contributing) *cone CSR*
+    (:meth:`group_rows`; rows sorted by acronym).  Masks, unions and
+    traffic sums are index reductions instead of per-member Python loops,
+    which is what makes many-seed offload ensembles cheap.
     """
 
     def __init__(self, world: OffloadWorld, groups: PeerGroups | None = None):
         self.world = world
         self.groups = groups or PeerGroups.build(world)
-        self._ixp_row: dict[str, int] = {
-            acronym: row
-            for row, acronym in enumerate(sorted(world.memberships))
-        }
-        self._matrices: dict[int, np.ndarray] = {}
-        self._matrices_float: dict[int, np.ndarray] = {}
+        self._members = world.member_arrays()
+        self._selected: dict[int, np.ndarray] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._transient: dict[str, np.ndarray] | None = None
 
     # -- masks -------------------------------------------------------------------
 
-    def group_matrix(self, group: int) -> np.ndarray:
-        """The (IXP × contributing) cone-membership bitset for one group.
-
-        Rows follow :meth:`reachable_ixps` order.  The array is cached and
-        marked read-only — callers operate on row views.
-        """
-        world = self.world
-
-        def row_arrays():
-            in_group = self.groups.group_members(group)
-            return (
-                (
-                    row,
-                    [
-                        world.cone_contrib_indices(member)
-                        for member in world.memberships[acronym] & in_group
-                    ],
-                )
-                for acronym, row in self._ixp_row.items()
-            )
-
-        return cached_group_bitset(
-            self._matrices, group, ALL_GROUPS,
-            (len(self._ixp_row), len(world.contributing)), row_arrays,
-        )
-
-    def group_matrix_float(self, group: int) -> np.ndarray:
-        """Float32 view of :meth:`group_matrix` for gain products.
-
-        Selection-grade precision only: greedy argmaxes run on it, while
-        every reported traffic number comes from float64 masked sums.
-        """
-        cached = self._matrices_float.get(group)
+    def _group_mask(self, group: int) -> np.ndarray:
+        cached = self._selected.get(group)
         if cached is None:
-            cached = self.group_matrix(group).astype(np.float32)
-            cached.setflags(write=False)
-            self._matrices_float[group] = cached
+            cached = self._selected[group] = self.groups.member_mask(group)
         return cached
 
-    def _row_of(self, ixp_acronym: str) -> int:
-        row = self._ixp_row.get(ixp_acronym)
-        if row is None:
-            raise ConfigurationError(f"unknown IXP {ixp_acronym!r}")
-        return row
+    def group_rows(self, group: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (IXP × contributing) cone CSR ``(indptr, indices)`` of a group.
 
-    def ixp_mask(self, ixp_acronym: str, group: int) -> np.ndarray:
-        """Offloadable-contributor mask for one IXP and peer group."""
-        return self.group_matrix(group)[self._row_of(ixp_acronym)]
+        Rows follow :meth:`reachable_ixps` order; each row's contributing
+        indices are ascending and distinct.  Built once per group.
+        """
+        cached = self._rows.get(group)
+        if cached is None:
+            members = self._members
+            cached = self._rows[group] = cone_rows(
+                members, self._group_mask(group),
+                members.cone_indptr, members.cone_indices,
+                len(self.world.contributing),
+            )
+        return cached
 
     def mask_for(self, ixps: Iterable[str], group: int) -> np.ndarray:
         """Offloadable mask for a set of reached IXPs."""
-        matrix = self.group_matrix(group)
-        rows = [self._row_of(acronym) for acronym in ixps]
-        if not rows:
-            return np.zeros(len(self.world.contributing), dtype=bool)
-        return matrix[rows].any(axis=0)
+        members = self._members
+        seated = np.zeros(members.asns.size, dtype=bool)
+        selected = self._group_mask(group)
+        for acronym in ixps:
+            seated[members.members_at(members.row_of(acronym))] = True
+        reached = np.flatnonzero(seated & selected)
+        starts = members.cone_indptr[reached]
+        mask = np.zeros(len(self.world.contributing), dtype=bool)
+        mask[gather_runs(
+            members.cone_indices, starts,
+            members.cone_indptr[reached + 1] - starts,
+        )] = True
+        return mask
+
+    def ixp_mask(self, ixp_acronym: str, group: int) -> np.ndarray:
+        """Offloadable-contributor mask for one IXP and peer group."""
+        return self.mask_for([ixp_acronym], group)
 
     def reachable_ixps(self) -> list[str]:
         """All IXPs in the study's reachable set, sorted."""
-        return sorted(self._ixp_row)
+        return list(self._members.ixps)
 
     # -- traffic -------------------------------------------------------------------
 
@@ -143,11 +133,11 @@ class OffloadEstimator:
         self, ixps: Iterable[str], group: int
     ) -> tuple[float, float]:
         """(inbound, outbound) offloadable traffic for reached IXPs."""
-        mask = self.mask_for(ixps, group)
+        reached = np.flatnonzero(self.mask_for(ixps, group))
         matrix = self.world.matrix
         return (
-            float(matrix.inbound_bps[mask].sum()),
-            float(matrix.outbound_bps[mask].sum()),
+            float(matrix.inbound_bps[reached].sum()),
+            float(matrix.outbound_bps[reached].sum()),
         )
 
     def offload_fractions(
@@ -167,12 +157,14 @@ class OffloadEstimator:
 
     def single_ixp_ranking(self, group: int, top: int = 10) -> list[tuple[str, float]]:
         """IXPs ranked by single-IXP offload potential (Figure 7's x-axis)."""
-        matrix = self.group_matrix(group)
+        indptr, indices = self.group_rows(group)
         world_matrix = self.world.matrix
         totals = world_matrix.inbound_bps + world_matrix.outbound_bps
         scored = [
-            (acronym, float(totals[matrix[row]].sum()))
-            for acronym, row in self._ixp_row.items()
+            (acronym, float(totals[indices[start:end]].sum()))
+            for acronym, start, end in zip(
+                self._members.ixps, indptr[:-1], indptr[1:]
+            )
         ]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:top]

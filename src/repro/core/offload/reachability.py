@@ -6,9 +6,10 @@ reachable only through transit providers*: ~2.6 billion addresses sit
 behind the transit hierarchy, and reaching IXPs moves the cones of their
 members (per peer group) into peering reach.
 
-Like the traffic-side estimator, the implementation precomputes one
-boolean cone-membership matrix per peer group — here (IXP × *all* ASes),
-since the metric counts every announced address, not just the contributing
+Like the traffic-side estimator, the implementation builds one cone CSR
+per peer group from the world's member arrays — here over *all* ASes
+(:meth:`~repro.sim.offload_world.OffloadWorld.member_all_cones`), since
+the metric counts every announced address, not just the contributing
 networks' — and answers coverage queries with masked reductions over the
 per-AS address-space vector.
 """
@@ -20,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.offload.bitsets import cached_group_bitset, greedy_cover_rows
-from repro.core.offload.peergroups import ALL_GROUPS, PeerGroups
+from repro.core.offload.bitsets import cone_rows, greedy_cover_rows
+from repro.core.offload.peergroups import PeerGroups
 from repro.errors import ConfigurationError
 from repro.sim.offload_world import OffloadWorld
 
@@ -41,47 +42,35 @@ class ReachabilityStep:
 
 
 class _AddressMatrix:
-    """Per-group (IXP × all-AS) cone bitsets plus the address-space vector."""
+    """Per-group (IXP × all-AS) cone CSRs plus the address-space vector."""
 
     def __init__(self, world: OffloadWorld, groups: PeerGroups) -> None:
         self.world = world
         self.groups = groups
+        self.members = world.member_arrays()
         self.asns = world.graph.asns()
-        self.candidates = sorted(world.memberships)
         self.space = np.array(
             [world.graph.get(a).address_space for a in self.asns], dtype=float
         )
-        self._matrices: dict[int, np.ndarray] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _member_arrays(self, acronym: str, in_group) -> list[np.ndarray]:
-        world = self.world
-        members = world.memberships.get(acronym)
-        if members is None:
-            raise ConfigurationError(f"unknown IXP {acronym!r}")
-        return [world.cone_all_indices(m) for m in members & in_group]
-
-    def matrix(self, group: int) -> np.ndarray:
-        def row_arrays():
-            in_group = self.groups.group_members(group)
-            return (
-                (row, self._member_arrays(acronym, in_group))
-                for row, acronym in enumerate(self.candidates)
+    def rows(self, group: int) -> tuple[np.ndarray, np.ndarray]:
+        cached = self._rows.get(group)
+        if cached is None:
+            cone_indptr, cone_indices = self.world.member_all_cones()
+            cached = self._rows[group] = cone_rows(
+                self.members, self.groups.member_mask(group),
+                cone_indptr, cone_indices, len(self.asns),
             )
-
-        return cached_group_bitset(
-            self._matrices, group, ALL_GROUPS,
-            (len(self.candidates), len(self.asns)), row_arrays,
-        )
+        return cached
 
     def combined_mask(self, ixps: Iterable[str], group: int) -> np.ndarray:
-        """Coverage of just the requested IXPs (no full-matrix assembly)."""
-        if group not in ALL_GROUPS:
-            raise ConfigurationError(f"unknown peer group {group}")
-        in_group = self.groups.group_members(group)
+        """Coverage of the requested IXPs."""
+        indptr, indices = self.rows(group)
         combined = np.zeros(len(self.asns), dtype=bool)
         for acronym in ixps:
-            for indices in self._member_arrays(acronym, in_group):
-                combined[indices] = True
+            row = self.members.row_of(acronym)
+            combined[indices[indptr[row]:indptr[row + 1]]] = True
         return combined
 
 
@@ -111,21 +100,19 @@ def greedy_reachability(
     """Greedy expansion minimising transit-only reachable addresses.
 
     Mirrors Figure 10: at each step add the IXP whose members' cones cover
-    the most not-yet-covered address space — one matrix-vector product and
-    an argmax per rank, with the chosen row zeroing the address vector.
+    the most not-yet-covered address space (the shared set-cover kernel,
+    ties to the alphabetically first IXP).
     """
     matrices = _AddressMatrix(world, groups)
-    candidates = matrices.candidates
+    candidates = matrices.members.ixps
     limit = len(candidates) if max_ixps is None else min(max_ixps, len(candidates))
     if limit <= 0:
         raise ConfigurationError("max_ixps must be positive")
-    bitset = matrices.matrix(group)
-    gain_matrix = bitset.astype(np.float32)
+    indptr, indices = matrices.rows(group)
     total = float(matrices.space.sum())
-    uncovered_space = matrices.space.astype(np.float32)
     steps: list[ReachabilityStep] = []
     for rank, best, covered in greedy_cover_rows(
-        bitset, gain_matrix, uncovered_space, limit
+        indptr, indices, matrices.space, limit
     ):
         remaining = total - float(matrices.space[covered].sum())
         fresh_gain = (

@@ -57,6 +57,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci
 from repro.experiments.engine import StudyResult
 from repro.netflow.billing import offload_billing_report
+from repro.netflow.timeseries import DiurnalProfile
 from repro.rand import derive_seed
 from repro.sim.offload_batch import OffloadWorldView, build_offload_views
 from repro.sim.offload_world import (
@@ -259,18 +260,27 @@ def measure_economics_trial(
     # Month of 5-minute bins: transit = offloadable + non-offloadable
     # components, same diurnal shape, independent per-bin noise — so the
     # offloadable share never exceeds transit and peaks coincide (Fig 5b).
+    # Each component's diurnal shape is drawn once and scaled by each
+    # direction's average rate.
     mask = estimator.mask_for(all_ixps, spec.group)
     collector = world.collector
-    offload_seed = derive_seed(spec.seed, "economics", "offload-series")
-    remaining_seed = derive_seed(spec.seed, "economics", "remaining-series")
+    profile = DiurnalProfile()
+    offload_shape = profile.series(
+        collector.days,
+        seed=derive_seed(spec.seed, "economics", "offload-series"),
+    )
+    remaining_shape = profile.series(
+        collector.days,
+        seed=derive_seed(spec.seed, "economics", "remaining-series"),
+    )
     offload_series = np.zeros(collector.bins())
     remaining_series = np.zeros(collector.bins())
     for direction in (TrafficDirection.INBOUND, TrafficDirection.OUTBOUND):
-        offload_series = offload_series + collector.aggregate_series(
-            direction, mask=mask, seed=offload_seed
+        offload_series = offload_series + (
+            collector.aggregate_rate(direction, mask) * offload_shape
         )
-        remaining_series = remaining_series + collector.aggregate_series(
-            direction, mask=~mask, seed=remaining_seed
+        remaining_series = remaining_series + (
+            collector.aggregate_rate(direction, ~mask) * remaining_shape
         )
     transit_series = offload_series + remaining_series
     billing = offload_billing_report(

@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.offload.bitsets import greedy_cover_rows
 from repro.errors import ConfigurationError
 from repro.rand import child_rng, double_pareto_rates
 from repro.sim.megatopo import MegaWorld, MegaWorldConfig, build_mega_world
@@ -114,28 +115,29 @@ def greedy_coverage(
 
     Coverage is membership-level (peering at an exchange reaches the
     members' own prefixes; the cone-propagated mask saturates at mega
-    densities — see ``MegaWorld.membership_masks``).  Ties break toward
-    the lower catalog index, so the expansion is deterministic.
+    densities — see ``MegaWorld.membership_masks``).  The picks come from
+    the offload estimators' set-cover kernel
+    (:func:`~repro.core.offload.bitsets.greedy_cover_rows`) over the
+    membership CSR: exact float64 gains, ties to the lower catalog index,
+    so the expansion is deterministic.  Each pick's reported gain is the
+    traffic of its members not yet covered, and the expansion stops
+    before the first pick that adds none.
     Returns ``(picked ixp indices, marginal gains)``.
     """
     covered = np.zeros(len(world), dtype=bool)
     picked: list[int] = []
     gains: list[float] = []
-    members = [world.members_of(j) for j in range(world.ixp_count)]
-    for _ in range(min(max_ixps, world.ixp_count)):
-        best_j, best_gain = -1, -1.0
-        for j in range(world.ixp_count):
-            if j in picked:
-                continue
-            m = members[j]
-            gain = float(traffic[m[~covered[m]]].sum())
-            if gain > best_gain:
-                best_j, best_gain = j, gain
-        if best_j < 0 or best_gain <= 0.0:
+    for _, j, _ in greedy_cover_rows(
+        world.member_indptr, world.member_indices, traffic,
+        min(max_ixps, world.ixp_count),
+    ):
+        m = world.members_of(j)
+        gain = float(traffic[m[~covered[m]]].sum())
+        if gain <= 0.0:
             break
-        picked.append(best_j)
-        gains.append(best_gain)
-        covered[members[best_j]] = True
+        picked.append(j)
+        gains.append(gain)
+        covered[m] = True
     return picked, gains
 
 

@@ -82,6 +82,21 @@ class FlowCollector:
                 )
         return records
 
+    def aggregate_rate(
+        self, direction: TrafficDirection, mask: np.ndarray | None = None
+    ) -> float:
+        """Average rate of a subset of counterparties (None = all)."""
+        rates = (
+            self.matrix.inbound_bps
+            if direction is TrafficDirection.INBOUND
+            else self.matrix.outbound_bps
+        )
+        if mask is not None:
+            if mask.shape != rates.shape:
+                raise AnalysisError("mask must align with the traffic matrix")
+            rates = rates[mask]
+        return float(rates.sum())
+
     def aggregate_series(
         self,
         direction: TrafficDirection,
@@ -95,16 +110,7 @@ class FlowCollector:
         average is modulated by the diurnal/weekly profile, matching how
         Figure 5b plots transit vs offload-potential series.
         """
-        rates = (
-            self.matrix.inbound_bps
-            if direction is TrafficDirection.INBOUND
-            else self.matrix.outbound_bps
-        )
-        if mask is not None:
-            if mask.shape != rates.shape:
-                raise AnalysisError("mask must align with the traffic matrix")
-            rates = rates[mask]
-        average = float(rates.sum())
+        average = self.aggregate_rate(direction, mask)
         profile = profile or DiurnalProfile()
         return average * profile.series(self.days, seed=seed)
 

@@ -27,17 +27,24 @@ same array shapes in the same order, which ``repro lint
 --draw-programs`` verifies statically as the ``batched`` engine next to
 the single-world ``vectorized`` one.
 
-Customer cones without the graph
---------------------------------
-The reference world derives cone index tables from a Kahn level order
-over the full provider DAG.  The topology is only three levels deep
-(tier-1 ← tier-2 ← stub), so the batch path builds the same tables
-directly from the drawn edge arrays: one argsort turns the stub→tier-2
-edges into per-tier-2 CSR member lists (own index first — the tier-2's
-contributing index is below every stub index, so segments stay
-ascending), and tier-1 cones are the union of their direct contributing
-customers plus their customer tier-2s' segments.  Output arrays match
-the reference tables exactly (``int32``, ascending, own index included).
+Memberships and customer cones as arrays
+----------------------------------------
+A view carries what :mod:`repro.core.offload` reads as index arrays
+(:class:`~repro.sim.offload_world.MemberArrays`): the IXP membership
+table, a policy code per member and the member cones as a CSR over
+contributing indices.  The ``memberships`` frozenset dict is built from
+them only when something asks for it.
+
+The graph world derives its cone tables from a Kahn level order over the
+full provider DAG.  The topology is only three levels deep (tier-1 ←
+tier-2 ← stub), so the batch path builds the member cones directly from
+the drawn edge arrays: one argsort turns the stub→tier-2 edges into
+per-tier-2 CSR member lists (own index first — the tier-2's contributing
+index is below every stub index, so segments stay ascending), tier-1
+cones are the union of their direct contributing customers plus their
+customer tier-2s' segments, and giants and stubs are their own
+singletons.  The arrays match the graph world's exactly (ascending, own
+index included).
 """
 
 from __future__ import annotations
@@ -66,18 +73,19 @@ from repro.sim.offload_world import (
     _REGION_TRAFFIC_MULTIPLIER,
     _REGIONS,
     _STUB_KINDS,
+    POLICY_CODES,
+    MemberArrays,
     OffloadWorldConfig,
     _OffloadBuilder,
     _StubDraws,
     _Tier2Draws,
+    csr_indptr,
+    gather_runs,
 )
 from repro.types import ASN, NetworkKind, PeeringPolicy
 
-_EMPTY_I32 = np.empty(0, dtype=np.int32)
-
-_STUB_POLICY_VALUES = (
-    PeeringPolicy.OPEN, PeeringPolicy.SELECTIVE, PeeringPolicy.RESTRICTIVE,
-)
+#: First ASN of each numbered block (the single-world builder's layout).
+_TIER1_BASE, _GIANT_BASE, _TIER2_BASE, _STUB_BASE = 101, 2001, 3001, 10_001
 
 #: Per-kind-slot lookups so per-seed stub scoring is one gather instead of
 #: ~30k dict probes.  Values mirror the reference tables bit-for-bit.
@@ -117,10 +125,9 @@ class _BatchStatics:
     contributing: list
     euroix: tuple[EuroIXSpec, ...]
     mega_carriers: list[ASN]
-    tier2_propensity: dict[ASN, float]
     giant_kinds: list[NetworkKind]
-    static_policy: dict[int, PeeringPolicy]
-    static_region: dict[int, str]
+    #: Policy code by ASN below the tier-2 block (-1: no such network).
+    scaffold_policy: np.ndarray
     #: Initial announced space per ASN, ascending-ASN order (stub slots 256).
     base_space: np.ndarray
     #: TIER1/TRANSIT scaffold positions (the non-stub carrier multipliers).
@@ -129,7 +136,7 @@ class _BatchStatics:
     stub_offset: int
     #: Contributing ASN → array index; shared read-only by every seed.
     contrib_index: dict
-    #: ``arange(contributing_count, dtype=int32)`` shared by the views.
+    #: ``arange(contributing_count, dtype=int32)``: singleton cones.
     contrib_arange: np.ndarray
     #: ``_INBOUND_SHARE`` of the giants + tier-2s (the static head of the
     #: contributing list); the stub tail is gathered per seed by kind code.
@@ -140,41 +147,29 @@ def _build_statics(config: OffloadWorldConfig) -> _BatchStatics:
     cfg = config
     giant_count = len(_GIANTS)
     stub_count = cfg.contributing_count - giant_count - cfg.tier2_count
-    tier1s = [ASN(101 + i) for i in range(cfg.tier1_count)]
+    tier1s = [ASN(_TIER1_BASE + i) for i in range(cfg.tier1_count)]
     rediris = ASN(766)
     geant = ASN(900)
     nrens = tuple(ASN(901 + i) for i in range(cfg.nren_count))
-    giants = [ASN(2001 + i) for i in range(giant_count)]
+    giants = [ASN(_GIANT_BASE + i) for i in range(giant_count)]
     cdns = tuple(ASN(2101 + i) for i in range(6))
-    tier2s = [ASN(3001 + i) for i in range(cfg.tier2_count)]
-    stubs = list(range(10_001, 10_001 + stub_count))
+    tier2s = [ASN(_TIER2_BASE + i) for i in range(cfg.tier2_count)]
+    stubs = list(range(_STUB_BASE, _STUB_BASE + stub_count))
     giant_kinds = [
         NetworkKind.CDN if i % 2 else NetworkKind.CONTENT
         for i in range(giant_count)
     ]
 
-    probe = _OffloadBuilder(cfg)  # for the shared propensity formula
-    tier2_propensity: dict[ASN, float] = {}
-    for i, tier2 in enumerate(tier2s):
-        propensity = probe._tier2_propensity(i)
-        if propensity is not None:
-            tier2_propensity[tier2] = propensity
-
-    static_policy: dict[int, PeeringPolicy] = {rediris: PeeringPolicy.SELECTIVE}
-    static_region: dict[int, str] = {rediris: "europe"}
-    for i, tier1 in enumerate(tier1s):
-        static_policy[tier1] = PeeringPolicy.RESTRICTIVE
-        static_region[tier1] = "north_america" if i % 2 else "europe"
-    static_policy[geant] = PeeringPolicy.SELECTIVE
-    static_region[geant] = "europe"
-    for nren in nrens:
-        static_policy[nren] = PeeringPolicy.SELECTIVE
-        static_region[nren] = "europe"
-    for giant, (_, policy) in zip(giants, _GIANTS):
-        static_policy[giant] = policy
-    for cdn in cdns:
-        static_policy[cdn] = PeeringPolicy.OPEN
-        static_region[cdn] = "europe"
+    static_policy: dict[int, PeeringPolicy] = {
+        rediris: PeeringPolicy.SELECTIVE, geant: PeeringPolicy.SELECTIVE,
+    }
+    static_policy.update(dict.fromkeys(tier1s, PeeringPolicy.RESTRICTIVE))
+    static_policy.update(dict.fromkeys(nrens, PeeringPolicy.SELECTIVE))
+    static_policy.update(zip(giants, (policy for _, policy in _GIANTS)))
+    static_policy.update(dict.fromkeys(cdns, PeeringPolicy.OPEN))
+    scaffold_policy = np.full(_TIER2_BASE, -1, dtype=np.int8)
+    for asn, policy in static_policy.items():
+        scaffold_policy[asn] = POLICY_CODES.index(policy)
 
     # Ascending-ASN scaffold for the address-space stage: tier-1s, RedIRIS,
     # GÉANT, NRENs, giants, peered CDNs, tier-2s, stubs — the exact order
@@ -217,10 +212,8 @@ def _build_statics(config: OffloadWorldConfig) -> _BatchStatics:
         contributing=contributing,
         euroix=euroix_catalog(),
         mega_carriers=tier2s[: cfg.mega_carrier_count],
-        tier2_propensity=tier2_propensity,
         giant_kinds=giant_kinds,
-        static_policy=static_policy,
-        static_region=static_region,
+        scaffold_policy=scaffold_policy,
         base_space=base_space,
         carrier_static=carrier_static,
         stub_offset=stub_offset,
@@ -236,12 +229,12 @@ class OffloadWorldView:
 
     Duck-types :class:`~repro.sim.offload_world.OffloadWorld` for
     ``PeerGroups.build``, :class:`OffloadEstimator`, the greedy expansion
-    and the economics collector arithmetic.  Values are bit-identical to
-    the built world's; what is *absent* is the graph, AS paths and the
+    and the economics collector arithmetic, all of which read the
+    :meth:`member_arrays` index arrays.  Values are bit-identical to the
+    built world's; what is *absent* is the graph, AS paths and the
     routing table (``collector.flow_records`` raises — no study measure
-    calls it).  ``region_of`` covers every network whose region the
-    measures can read (scaffold tiers, giants, tier-2s, IXP-goer stubs);
-    non-goer stub regions stay in the stage draw arrays.
+    calls it).  The ``memberships`` frozenset dict is built from the
+    member arrays on first access only.
     """
 
     config: OffloadWorldConfig
@@ -253,63 +246,33 @@ class OffloadWorldView:
     giants: tuple[ASN, ...]
     direct_peer_cdns: tuple[ASN, ...]
     euroix: tuple[EuroIXSpec, ...]
-    memberships: dict[str, frozenset[ASN]]
     contributing: list
     matrix: TrafficMatrix
     collector: FlowCollector
-    region_of: dict
+    _members: MemberArrays
+    #: Each IXP's members as an ascending ASN array, in catalog order.
+    _member_rows: dict[str, np.ndarray]
     _contrib_index: dict
-    _cones: dict
-    _static_policy: dict[int, PeeringPolicy]
-    _tier2_draws: _Tier2Draws
-    _stub_policy_codes: np.ndarray
     _address_space: np.ndarray
-    #: Shared ``arange(len(contributing), dtype=int32)``; single-network
-    #: cones are served as one-element slices of it.
-    _contrib_arange: np.ndarray
+    _memberships: dict[str, frozenset[ASN]] | None = None
+
+    @property
+    def memberships(self) -> dict[str, frozenset[ASN]]:
+        """IXP acronym → member ASNs (built on first access)."""
+        if self._memberships is None:
+            self._memberships = {
+                acronym: frozenset(asns.tolist())
+                for acronym, asns in self._member_rows.items()
+            }
+        return self._memberships
+
+    def member_arrays(self) -> MemberArrays:
+        """The memberships and the member cones as index arrays."""
+        return self._members
 
     def contributing_index(self, asn: ASN) -> int | None:
         """Index of ``asn`` in the contributing arrays, or None."""
         return self._contrib_index.get(asn)
-
-    def policy_of(self, asn: ASN) -> PeeringPolicy:
-        """Published peering policy, resolved from the stage draws."""
-        value = int(asn)
-        if value >= 10_001:
-            return _STUB_POLICY_VALUES[
-                int(self._stub_policy_codes[value - 10_001])
-            ]
-        if value >= 3001:
-            i = value - 3001
-            return self._tier2_draws.policy(
-                i, i < self.config.mega_carrier_count
-            )
-        return self._static_policy[value]
-
-    def cone_contrib_indices(self, asn: ASN) -> np.ndarray:
-        """Contributing-array indices covered by ``asn``'s customer cone."""
-        got = self._cones.get(asn)
-        if got is not None:
-            return got
-        index = self._contrib_index.get(asn)
-        if index is None:
-            got = _EMPTY_I32
-        else:
-            # Giants and stubs have no customers: their cone is themselves,
-            # served as a slice of one shared arange (no allocation).
-            got = self._contrib_arange[index: index + 1]
-        self._cones[asn] = got
-        return got
-
-    def contributing_mask_for_members(
-        self, members: frozenset[ASN]
-    ) -> np.ndarray:
-        """Boolean offloadable mask over contributing networks."""
-        mask = np.zeros(len(self.contributing), dtype=bool)
-        # Scattering True is commutative over member order.  # repro-lint: ok[det-set-iter]
-        for member in members:
-            mask[self.cone_contrib_indices(member)] = True
-        return mask
 
     def total_address_space(self) -> float:
         """Announced space of the whole world (Figure 10's 2.6 B)."""
@@ -341,22 +304,14 @@ class _BatchSeedBuilder(_OffloadBuilder):
     def _build_giants(self, tier1s: list[ASN]) -> list[ASN]:
         keys = self._stage_rng("giants").random((len(_GIANTS), len(tier1s)))
         self._giant_tier1_picks = np.argsort(keys, axis=1)[:, :2]
-        giants = self._static.giants
         self._giant_kinds = list(self._static.giant_kinds)
-        for giant in giants:
-            self.region_of[giant] = "north_america"
-            self.ixp_propensity[giant] = 50.0
-        return giants
+        return self._static.giants
 
     def _materialize_tier2s(
         self, tier1s: list[ASN], draws: _Tier2Draws
     ) -> list[ASN]:
         cfg = self.config
-        tier2s = self._static.tier2s
-        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
-        self.region_of.update(zip(tier2s, regions))
         self.mega_carriers = list(self._static.mega_carriers)
-        self.ixp_propensity.update(self._static.tier2_propensity)
         # Uplink edges in (tier-2 index, tier-1 index) space for the cones.
         col = np.arange(draws.uplink_order.shape[1])
         take = col[None, :] < draws.uplink_count[:, None]
@@ -364,23 +319,20 @@ class _BatchSeedBuilder(_OffloadBuilder):
             np.arange(cfg.tier2_count), draws.uplink_count
         )
         self._tier2_uplink_prov = draws.uplink_order[take]
-        return tier2s
+        return self._static.tier2s
 
     def _materialize_stubs(
         self, tier1s: list[ASN], tier2s: list[ASN], draws: _StubDraws
     ) -> list[int]:
+        # Row selections are index takes (``np.flatnonzero`` first): the
+        # same elements in the same order as boolean masks, at a fraction
+        # of their cost.
         cfg = self.config
-        stubs = self._static.stubs
-
         big = draws.big_eyeball
         tier1_only = draws.tier1_only
         normal = ~big & ~tier1_only
-        stub_arr = np.asarray(stubs, dtype=np.int64)
         self._big_pos = np.flatnonzero(big)
         self._t1o_pos = np.flatnonzero(tier1_only)
-        self.big_eyeballs = [ASN(a) for a in stub_arr[big].tolist()]
-        self.tier1_only_stubs = [ASN(a) for a in stub_arr[tier1_only].tolist()]
-        self.tier1_only_stubs_set = set(self.tier1_only_stubs)
 
         # Big eyeballs: two tier-1s each, often plus one mega-carrier.
         self._eyeball_t1 = draws.eyeball_order[:, :2]
@@ -395,17 +347,17 @@ class _BatchSeedBuilder(_OffloadBuilder):
             self._eyeball_mega_prov = np.empty(0, dtype=np.int64)
 
         # Tier-1-only stubs: 1-3 distinct tier-1s by ascending key.
-        t1o_counts = np.minimum(draws.provider_count[tier1_only], 3)
+        t1o_counts = np.minimum(draws.provider_count[self._t1o_pos], 3)
         col = np.arange(draws.tier1_only_order.shape[1])
         take = col[None, :] < t1o_counts[:, None]
         self._t1o_cust = np.repeat(self._t1o_pos, t1o_counts)
-        self._t1o_t1 = draws.tier1_only_order[take]
+        self._t1o_t1 = draws.tier1_only_order.ravel()[np.flatnonzero(take)]
 
         # Normal stubs: the single-world builder's pool arithmetic, but in
         # tier-2 *index* space (pool position == tier-2 index for the mega
         # and global pools; the regional pools concatenate index runs).
         normal_pos = np.flatnonzero(normal)
-        region_codes = draws.region_idx[normal]
+        region_codes = draws.region_idx[normal_pos]
         tier2_region_idx = self._tier2_draws.region_idx
         local_members = [
             np.flatnonzero(tier2_region_idx == r)
@@ -418,26 +370,26 @@ class _BatchSeedBuilder(_OffloadBuilder):
         )
         local_offsets = np.concatenate(([0], np.cumsum(local_sizes)[:-1]))
         mega_count = len(self.mega_carriers)
-        u = draws.pool_u[normal]
+        u = draws.pool_u[normal_pos]
         local_len = local_sizes[region_codes]
         cat_mega = (u < 0.15) & (mega_count > 0)
         cat_local = ~cat_mega & (u < 0.85) & (local_len > 0)
-        cat_global = ~cat_mega & ~cat_local
         pool_len = np.where(
             cat_mega, mega_count,
             np.where(cat_local, local_len, cfg.tier2_count),
         )
-        counts = draws.provider_count[normal]
+        counts = draws.provider_count[normal_pos]
         idx = np.minimum(
             (draws.pick_u * pool_len[:, None]).astype(np.int64),
             np.maximum(pool_len[:, None] - 1, 0),
         )
-        provider_mat = np.empty_like(idx)
-        provider_mat[cat_mega] = idx[cat_mega]
-        provider_mat[cat_local] = local_concat[
-            local_offsets[region_codes[cat_local], None] + idx[cat_local]
+        # Mega and global pool positions are tier-2 indices already; only
+        # the regional picks map through their pool.
+        provider_mat = idx.copy()
+        local = np.flatnonzero(cat_local)
+        provider_mat[local] = local_concat[
+            local_offsets[region_codes[local], None] + idx[local]
         ]
-        provider_mat[cat_global] = idx[cat_global]
         # Per-row dedupe (<= 3 picks): index equality is ASN equality.
         col = np.arange(3)
         take = col[None, :] < counts[:, None]
@@ -446,21 +398,8 @@ class _BatchSeedBuilder(_OffloadBuilder):
             provider_mat[:, 2] != provider_mat[:, 1]
         )
         self._normal_cust = np.repeat(normal_pos, take.sum(axis=1))
-        self._normal_prov = provider_mat[take]
-
-        # Only IXP-goer stubs ever have their region read (the membership
-        # pools); everyone else's region stays in the draw arrays.
-        goer_idx = np.flatnonzero(normal & draws.ixpgoer)
-        goer_regions = draws.region_idx[goer_idx].tolist()
-        goer_propensity = draws.propensity[goer_idx].tolist()
-        for i, r, p in zip(goer_idx.tolist(), goer_regions, goer_propensity):
-            stub = stubs[i]
-            self.region_of[stub] = _REGIONS[r]
-            self.ixp_propensity[stub] = p
-        self._stub_policy_codes = np.where(
-            draws.policy_u < 0.62, 0, np.where(draws.policy_u < 0.90, 1, 2)
-        )
-        return stubs
+        self._normal_prov = provider_mat.ravel()[np.flatnonzero(take)]
+        return self._static.stubs
 
     def _pin_head_to_tier1_only(
         self, totals: np.ndarray, contributing: list, rng,
@@ -474,24 +413,25 @@ class _BatchSeedBuilder(_OffloadBuilder):
         therefore every downstream draw — are bit-identical.
         """
         cfg = self.config
-        if not self.tier1_only_stubs:
+        if not self._t1o_pos.size:
             return
         draws = self._stub_draws
         giant_count = len(_GIANTS)
         base = giant_count + cfg.tier2_count
-        pool = (base + self._t1o_pos).tolist()
+        pool = base + self._t1o_pos
+        tier1_only = np.zeros(len(contributing), dtype=bool)
+        tier1_only[pool] = True
         kind_weights = _KIND_WEIGHT_BY_SLOT[
             draws.kind_idx[self._t1o_pos]
         ]
         weights = (
             _REGION_MULT_TABLE[draws.region_idx[self._t1o_pos]] * kind_weights
         )
-        draw_count = min(cfg.head_pin_count, len(pool))
+        draw_count = min(cfg.head_pin_count, pool.size)
         picks = weighted_top_k(rng, weights, draw_count)
-        picks = sorted(
-            picks.tolist(), key=lambda i: -float(kind_weights[i])
-        )
-        chosen = iter(pool[int(i)] for i in picks)
+        # Content-first seating, stable within equal kind weight.
+        picks = picks[np.argsort(-kind_weights[picks], kind="stable")]
+        chosen = iter(pool[picks].tolist())
         order = np.argsort(totals)[::-1]
         giant_rank_set = set(_GIANT_RANKS[:giant_count])
         pinned: set[int] = set()
@@ -501,7 +441,7 @@ class _BatchSeedBuilder(_OffloadBuilder):
             holder = int(order[rank - 1])
             if holder < giant_count or holder in pinned:
                 continue
-            if contributing[holder] in self.tier1_only_stubs_set:
+            if tier1_only[holder]:
                 pinned.add(holder)
                 continue
             try:
@@ -580,9 +520,9 @@ class _BatchSeedBuilder(_OffloadBuilder):
             / (1.0 - cfg.big_eyeball_space_share)
             * other_total
         )
-        if self.big_eyeballs:
+        if self._big_pos.size:
             per_eyeball_weight = rng.lognormal(
-                0.0, 0.8, size=len(self.big_eyeballs)
+                0.0, 0.8, size=self._big_pos.size
             )
             per_eyeball_weight /= per_eyeball_weight.sum()
             big_positions = np.flatnonzero(big_mask)
@@ -592,15 +532,16 @@ class _BatchSeedBuilder(_OffloadBuilder):
         scale = cfg.total_address_space / float(space.sum())
         return np.maximum(1, np.floor(space * scale).astype(np.int64))
 
-    # -- cone index tables from the drawn edges -------------------------------
+    # -- member arrays from the drawn edges ----------------------------------
 
-    def _cone_tables(self) -> dict:
-        """Per-candidate cone index arrays, straight from the edge draws.
+    def _member_cones(self, asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Member cone CSR over contributing indices, from the edge draws.
 
-        Matches the reference Kahn tables exactly: ``int32``, ascending,
+        Matches the graph world's Kahn tables exactly: ``int32``, ascending,
         the owner's own contributing index included.  The provider DAG is
-        three levels deep, so tier-2 cones are one sorted CSR build and
-        tier-1 cones one gather over their customer tier-2s' segments.
+        three levels deep, so tier-2 cones are one sorted CSR build,
+        tier-1 cones one gather over their customer tier-2s' segments,
+        and giants and stubs (no customers) are their own singletons.
         """
         cfg = self.config
         st = self._static
@@ -615,20 +556,14 @@ class _BatchSeedBuilder(_OffloadBuilder):
         ])
         prov2 = np.concatenate([self._normal_prov, self._eyeball_mega_prov])
         order = np.argsort(prov2 * np.int64(total) + cust2)
-        cust2_sorted = cust2[order]
         member_counts = np.bincount(prov2, minlength=n2)
         seg_len = member_counts + 1
         seg_start = np.concatenate(([0], np.cumsum(seg_len)))[:-1]
         values = np.empty(int(seg_len.sum()), dtype=np.int32)
-        own_slots = np.zeros(values.size, dtype=bool)
-        own_slots[seg_start] = True
-        values[own_slots] = (giant_count + np.arange(n2)).astype(np.int32)
-        values[~own_slots] = cust2_sorted.astype(np.int32)
-
-        cones: dict = {}
-        for j, tier2 in enumerate(st.tier2s):
-            s = int(seg_start[j])
-            cones[tier2] = values[s: s + int(seg_len[j])]
+        values[seg_start] = giant_count + np.arange(n2)
+        # The k-th sorted edge sits after its provider's own slot and the
+        # own slots of every lower provider.
+        values[np.arange(order.size) + prov2[order] + 1] = cust2[order]
 
         # tier-1 cones: direct contributing customers + the cones of their
         # customer tier-2s (which carry the transitive stub members).
@@ -645,21 +580,54 @@ class _BatchSeedBuilder(_OffloadBuilder):
             self._t1o_t1,
         ])
         seg_lens = seg_len[self._tier2_uplink_cust]
-        starts = np.repeat(seg_start[self._tier2_uplink_cust], seg_lens)
-        offsets = np.arange(seg_lens.sum()) - np.repeat(
-            np.cumsum(seg_lens) - seg_lens, seg_lens
+        indirect_cust = gather_runs(
+            values, seg_start[self._tier2_uplink_cust], seg_lens
         )
-        indirect_cust = values[starts + offsets]
         indirect_prov = np.repeat(self._tier2_uplink_prov, seg_lens)
-        all_cust = np.concatenate([direct_cust, indirect_cust])
-        all_prov = np.concatenate([direct_prov, indirect_prov])
-        # Dedup by scatter: one (tier-1, member) bitmap, then flatnonzero
-        # per tier-1 yields the sorted unique members directly.
+        # Dedup by scatter: one (tier-1, member) bitmap, read back
+        # row-major as the sorted unique members of each tier-1.
         covered = np.zeros((len(st.tier1s), total), dtype=bool)
-        covered[all_prov, all_cust] = True
-        for t, tier1 in enumerate(st.tier1s):
-            cones[tier1] = np.flatnonzero(covered[t]).astype(np.int32)
-        return cones
+        covered[
+            np.concatenate([direct_prov, indirect_prov]),
+            np.concatenate([direct_cust, indirect_cust]),
+        ] = True
+        tier1_len = np.count_nonzero(covered, axis=1)
+        tier1_values = np.flatnonzero(covered) - np.repeat(
+            np.arange(len(st.tier1s)) * total, tier1_len
+        )
+
+        # One source array: singletons | tier-2 segments | tier-1 cones.
+        source = np.concatenate([
+            st.contrib_arange, values, tier1_values.astype(np.int32),
+        ])
+        starts = np.zeros(asns.size, dtype=np.int64)
+        lengths = np.zeros(asns.size, dtype=np.int64)
+        for first, count, block_starts, block_lengths in (
+            (_GIANT_BASE, giant_count, np.arange(giant_count), 1),
+            (_TIER2_BASE, n2, total + seg_start, seg_len),
+            (_STUB_BASE, len(st.stubs), base + np.arange(len(st.stubs)), 1),
+            (_TIER1_BASE, len(st.tier1s),
+             total + values.size + np.cumsum(tier1_len) - tier1_len,
+             tier1_len),
+        ):
+            offset = asns - first
+            hit = (offset >= 0) & (offset < count)
+            starts[hit] = block_starts[offset[hit]]
+            lengths[hit] = np.broadcast_to(block_lengths, count)[offset[hit]]
+        return csr_indptr(lengths), gather_runs(source, starts, lengths)
+
+    def _member_policies(self, asns: np.ndarray) -> np.ndarray:
+        """Member policy codes: stub and tier-2 draws, scaffold table."""
+        stub = asns >= _STUB_BASE
+        tier2 = ~stub & (asns >= _TIER2_BASE)
+        rest = ~stub & ~tier2
+        codes = np.empty(asns.size, dtype=np.int8)
+        codes[stub] = self._stub_draws.policy_codes()[asns[stub] - _STUB_BASE]
+        codes[tier2] = self._tier2_draws.policy_codes(
+            self.config.mega_carrier_count
+        )[asns[tier2] - _TIER2_BASE]
+        codes[rest] = self._static.scaffold_policy[asns[rest]]
+        return codes
 
     # -- realization ----------------------------------------------------------
 
@@ -667,19 +635,17 @@ class _BatchSeedBuilder(_OffloadBuilder):
         """Realize this seed: the documented stage order, no graph."""
         cfg = self.config
         st = self._static
-        self.region_of.update(st.static_region)
         giants = self._build_giants(st.tier1s)
         self._tier2_draws = _Tier2Draws.draw(self)
         tier2s = self._materialize_tier2s(st.tier1s, self._tier2_draws)
         self._stub_draws = _StubDraws.draw(self, st.tier1s)
-        stubs = self._materialize_stubs(st.tier1s, tier2s, self._stub_draws)
+        self._materialize_stubs(st.tier1s, tier2s, self._stub_draws)
         contributing = st.contributing  # validated once per variant
         matrix = self._build_traffic(contributing)
-        memberships = self._build_memberships(
-            st.rediris, st.tier1s, giants, tier2s, stubs
+        member_rows = self._build_memberships(
+            st.rediris, st.tier1s, giants, tier2s
         )
         address_space = self._scale_address_space()
-        cones = self._cone_tables()
         collector = FlowCollector(
             table=None,
             matrix=matrix,
@@ -696,18 +662,15 @@ class _BatchSeedBuilder(_OffloadBuilder):
             giants=tuple(giants),
             direct_peer_cdns=st.direct_peer_cdns,
             euroix=st.euroix,
-            memberships=memberships,
             contributing=contributing,
             matrix=matrix,
             collector=collector,
-            region_of=self.region_of,
+            _members=MemberArrays.build(
+                member_rows, self._member_policies, self._member_cones
+            ),
+            _member_rows=member_rows,
             _contrib_index=st.contrib_index,
-            _cones=cones,
-            _static_policy=st.static_policy,
-            _tier2_draws=self._tier2_draws,
-            _stub_policy_codes=self._stub_policy_codes,
             _address_space=address_space,
-            _contrib_arange=st.contrib_arange,
         )
 
 

@@ -75,8 +75,10 @@ documented here:
 
 from __future__ import annotations
 
+import bisect
 import gc
 from dataclasses import dataclass, field
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -170,10 +172,17 @@ _STUB_KINDS = (
     + [NetworkKind.CDN] * 2 + [NetworkKind.TRANSIT] * 4
 )
 
-#: Tier-2 policy mix (percent slots).
-_TIER2_POLICIES = (
-    [PeeringPolicy.OPEN] * 62 + [PeeringPolicy.SELECTIVE] * 26
-    + [PeeringPolicy.RESTRICTIVE] * 12
+#: The policy behind each code of a ``policy_codes`` array (and of
+#: :attr:`MemberArrays.policy`).
+POLICY_CODES = (
+    PeeringPolicy.OPEN, PeeringPolicy.SELECTIVE, PeeringPolicy.RESTRICTIVE,
+)
+_OPEN, _SELECTIVE, _RESTRICTIVE = range(3)
+_POLICY_CODE = {policy: code for code, policy in enumerate(POLICY_CODES)}
+
+#: Tier-2 policy mix (percent slots), as policy codes.
+_TIER2_POLICY_CODES = np.repeat(
+    np.array([_OPEN, _SELECTIVE, _RESTRICTIVE], dtype=np.int8), [62, 26, 12]
 )
 
 @dataclass(frozen=True, slots=True)
@@ -234,25 +243,143 @@ class OffloadWorldConfig:
             )
 
 
-def _split_by_owner(
-    asns: list, owners: np.ndarray, values: np.ndarray
-) -> dict:
-    """Split owner-sorted (owner, value) pairs into per-owner array views.
+def gather_runs(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """``values[s:s + n]`` for every ``(s, n)`` pair, concatenated.
 
-    ``owners`` must be non-decreasing; the returned dict maps each present
-    owner's ASN to a read-only-by-convention view of its contiguous run in
-    ``values`` (no copies — ``np.split`` costs ~100 ms for the paper
-    world's ~30k runs, plain slicing is ~milliseconds).
+    One gather for many CSR segments: the index array is a running sum of
+    unit steps that jumps at each run boundary.
     """
-    if owners.size == 0:
-        return {}
-    bounds = np.flatnonzero(np.diff(owners)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [owners.size]))
-    return {
-        asns[int(owners[s])]: values[s:e]
-        for s, e in zip(starts.tolist(), ends.tolist())
-    }
+    keep = np.flatnonzero(lengths)
+    starts, lengths = starts[keep], lengths[keep]
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    steps = np.ones(total, dtype=np.intp)
+    if total:
+        steps[0] = starts[0]
+        steps[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    return values[np.cumsum(steps, out=steps)]
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` through one sort (numpy's hash-based
+    ``unique`` is several times slower on these integer arrays)."""
+    ordered = np.sort(values)
+    distinct = np.ones(ordered.size, dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
+    return ordered[distinct]
+
+
+def csr_indptr(lengths: np.ndarray) -> np.ndarray:
+    """The ``int64`` row pointer of a CSR with these row lengths."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True, eq=False)
+class MemberArrays:
+    """IXP memberships, member policies and member cones as index arrays.
+
+    The one surface :mod:`repro.core.offload` reads from either world
+    type (:class:`OffloadWorld` and the trial-batch ``OffloadWorldView``).
+    The members are the distinct ASNs seated at some IXP, ascending:
+    member ``k`` is ``asns[k]``, its published policy is
+    ``POLICY_CODES[policy[k]]``, and its customer cone, as ascending
+    indices into the world's contributing list (itself included when it
+    contributes), is ``cone_indices[cone_indptr[k]:cone_indptr[k + 1]]``.
+    IXP row ``r`` is ``ixps[r]`` (acronyms sorted); it seats the members
+    ``ixp_members[ixp_indptr[r]:ixp_indptr[r + 1]]``, ascending.
+    """
+
+    ixps: tuple[str, ...]
+    ixp_indptr: np.ndarray
+    ixp_members: np.ndarray
+    asns: np.ndarray
+    policy: np.ndarray
+    cone_indptr: np.ndarray
+    cone_indices: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        memberships: Mapping[str, np.ndarray],
+        policy_codes: Callable[[np.ndarray], np.ndarray],
+        cones: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    ) -> "MemberArrays":
+        """From per-IXP ascending member-ASN arrays.
+
+        ``policy_codes`` and ``cones`` map the ascending member ASNs to
+        their policy codes and to their cone CSR ``(indptr, indices)``.
+        """
+        ixps = tuple(sorted(memberships))
+        rows = [memberships[acronym] for acronym in ixps]
+        entries = (
+            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        )
+        asns = sorted_distinct(entries)
+        cone_indptr, cone_indices = cones(asns)
+        return cls(
+            ixps=ixps,
+            ixp_indptr=csr_indptr(np.array([len(r) for r in rows])),
+            ixp_members=np.searchsorted(asns, entries),
+            asns=asns,
+            policy=policy_codes(asns),
+            cone_indptr=cone_indptr,
+            cone_indices=cone_indices,
+        )
+
+    def row_of(self, acronym: str) -> int:
+        """The row of one IXP; an unknown acronym raises."""
+        row = bisect.bisect_left(self.ixps, acronym)
+        if row == len(self.ixps) or self.ixps[row] != acronym:
+            raise ConfigurationError(f"unknown IXP {acronym!r}")
+        return row
+
+    def members_at(self, row: int) -> np.ndarray:
+        """Member indices seated at IXP row ``row``, ascending."""
+        return self.ixp_members[
+            self.ixp_indptr[row]:self.ixp_indptr[row + 1]
+        ]
+
+
+class _Csr(NamedTuple):
+    """Row ``i`` is ``values[indptr[i]:indptr[i + 1]]``."""
+
+    indptr: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_pairs(
+        cls, rows: np.ndarray, values: np.ndarray, n: int
+    ) -> "_Csr":
+        """From (row, value) pairs already sorted by row."""
+        return cls(csr_indptr(np.bincount(rows, minlength=n)), values)
+
+    def row(self, i: int) -> np.ndarray:
+        return self.values[self.indptr[i]:self.indptr[i + 1]]
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sub-CSR of ``rows``, as ``(indptr, values)``."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        return csr_indptr(lengths), gather_runs(self.values, starts, lengths)
+
+
+_NO_CONE = np.empty(0, dtype=np.int32)
+
+
+class _ConeTables(NamedTuple):
+    """Every AS's customer cone, as CSRs over the sorted-ASN ids."""
+
+    asns: np.ndarray   # sorted ASNs: id ``v`` is ``asns[v]``
+    contrib: _Csr      # id → contributing indices in the cone
+    all: _Csr          # id → sorted-ASN ids in the cone
+
+    def id_of(self, asn: ASN) -> int | None:
+        v = int(np.searchsorted(self.asns, asn))
+        return v if v < self.asns.size and self.asns[v] == asn else None
 
 
 @dataclass
@@ -277,14 +404,13 @@ class OffloadWorld:
     region_of: dict[ASN, str]
     _contrib_index: dict[ASN, int] = field(default_factory=dict)
     _cone_cache: dict[ASN, frozenset[ASN]] = field(default_factory=dict)
-    _cone_tables: tuple[dict, dict] | None = field(
-        default=None, repr=False, compare=False
+    # Derived caches: not init fields, so ``dataclasses.replace`` (say,
+    # with other memberships) rebuilds them.
+    _cone_tables: _ConeTables | None = field(
+        default=None, init=False, repr=False, compare=False
     )
-    _cone_contrib_arrays: dict[ASN, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _cone_all_arrays: dict[ASN, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
+    _members: MemberArrays | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -315,24 +441,21 @@ class OffloadWorld:
 
     # -- cone index tables (the offload bitsets' raw material) -------------------
 
-    def _cone_index_tables(self) -> tuple[dict, dict]:
-        """Per-AS cone membership as index arrays, built bottom-up.
+    def _cone_index_tables(self) -> _ConeTables:
+        """Per-AS cone membership as index CSRs, built bottom-up.
 
-        Returns ``(contrib_table, all_table)``: ``contrib_table[a]`` holds
-        the indices (into :attr:`contributing`) of the contributing
-        networks inside ``a``'s customer cone; ``all_table[a]`` the indices
-        into the sorted :meth:`all_asns` list.  The relation is inverted —
+        ``contrib`` row ``v`` holds the indices (into :attr:`contributing`)
+        of the contributing networks inside the cone of the ``v``-th
+        sorted ASN; ``all`` row ``v`` the indices into the sorted
+        :meth:`all_asns` list.  The relation is inverted —
         ``i ∈ cone(a)  ⇔  a ∈ closure(i)`` where *closure* is a network
         plus its transitive providers — and closures are computed as one
         array program over the customer→provider DAG: a Kahn level order
         (all providers of a level-``k`` node sit in levels ``< k``), then
         per level one gather of every provider closure (CSR multi-slice),
         one ``np.unique`` dedup over packed (member, ancestor) keys, and
-        one COO append.  A final argsort by (ancestor, member) splits the
-        pair list into the per-ancestor index tables.  The previous
-        implementation did the same walk with per-AS frozenset unions and
-        a Python scatter loop (~0.3 s of the old ``offload_groups_build``
-        stage on the paper world).
+        one COO append.  A final argsort by (ancestor, member) lays the
+        pair list out as the per-ancestor CSR rows.
         """
         if self._cone_tables is None:
             asns = self.graph.asns()
@@ -372,12 +495,10 @@ class OffloadWorld:
                     e_cust, e_prov = cust[sel], prov[sel]
                     lens = closure_len[e_prov]
                     # Multi-slice gather of every provider closure.
-                    starts = np.repeat(closure_start[e_prov], lens)
-                    offsets = np.arange(lens.sum()) - np.repeat(
-                        np.cumsum(lens) - lens, lens
+                    ancestors = gather_runs(
+                        closure_values, closure_start[e_prov], lens
                     )
                     owners = np.repeat(e_cust, lens)
-                    ancestors = closure_values[starts + offsets]
                     owners = np.concatenate([owners, frontier])
                     ancestors = np.concatenate([ancestors, frontier])
                 else:  # first level: roots close over themselves only
@@ -412,35 +533,32 @@ class OffloadWorld:
             order = np.argsort(ancestors * np.int64(n) + members)
             members = members[order].astype(np.int32)
             ancestors = ancestors[order]
-            all_table = _split_by_owner(asns, ancestors, members)
 
             contrib_of = np.full(n, -1, dtype=np.int64)
             for asn, ci in self._contrib_index.items():
                 contrib_of[id_of[asn]] = ci
             keep = contrib_of[members] >= 0
-            c_members = contrib_of[members[keep]].astype(np.int32)
-            c_ancestors = ancestors[keep]
-            contrib_table = _split_by_owner(asns, c_ancestors, c_members)
-            self._cone_tables = (contrib_table, all_table)
+            self._cone_tables = _ConeTables(
+                asns=np.asarray(asns, dtype=np.int64),
+                contrib=_Csr.from_pairs(
+                    ancestors[keep],
+                    contrib_of[members[keep]].astype(np.int32), n,
+                ),
+                all=_Csr.from_pairs(ancestors, members, n),
+            )
         return self._cone_tables
 
     def cone_contrib_indices(self, asn: ASN) -> np.ndarray:
         """Contributing-array indices covered by ``asn``'s customer cone."""
-        got = self._cone_contrib_arrays.get(asn)
-        if got is None:
-            table = self._cone_index_tables()[0]
-            got = np.asarray(table.get(asn, ()), dtype=np.int32)
-            self._cone_contrib_arrays[asn] = got
-        return got
+        tables = self._cone_index_tables()
+        v = tables.id_of(asn)
+        return _NO_CONE if v is None else tables.contrib.row(v)
 
     def cone_all_indices(self, asn: ASN) -> np.ndarray:
         """Sorted-ASN-array indices covered by ``asn``'s customer cone."""
-        got = self._cone_all_arrays.get(asn)
-        if got is None:
-            table = self._cone_index_tables()[1]
-            got = np.asarray(table.get(asn, ()), dtype=np.int32)
-            self._cone_all_arrays[asn] = got
-        return got
+        tables = self._cone_index_tables()
+        v = tables.id_of(asn)
+        return _NO_CONE if v is None else tables.all.row(v)
 
     def contributing_mask_for_members(self, members: frozenset[ASN]) -> np.ndarray:
         """Boolean mask over contributing networks offloadable via ``members``.
@@ -454,6 +572,39 @@ class OffloadWorld:
         for member in members:
             mask[self.cone_contrib_indices(member)] = True
         return mask
+
+    # -- the array surface of repro.core.offload -----------------------------
+
+    def member_arrays(self) -> MemberArrays:
+        """The memberships and the member cones as index arrays (cached)."""
+        if self._members is None:
+            tables = self._cone_index_tables()
+            self._members = MemberArrays.build(
+                {
+                    acronym: np.array(sorted(members), dtype=np.int64)
+                    for acronym, members in self.memberships.items()
+                },
+                lambda asns: np.array(
+                    [_POLICY_CODE[self.graph.get(a).policy]
+                     for a in asns.tolist()],
+                    dtype=np.int8,
+                ),
+                lambda asns: tables.contrib.take(
+                    np.searchsorted(tables.asns, asns)
+                ),
+            )
+        return self._members
+
+    def member_all_cones(self) -> tuple[np.ndarray, np.ndarray]:
+        """Member cones over the sorted :meth:`all_asns` ids, as a CSR.
+
+        Rows follow :meth:`member_arrays` members; Figure 10's address
+        metric counts every AS in a cone, not only the contributing ones.
+        """
+        tables = self._cone_index_tables()
+        return tables.all.take(
+            np.searchsorted(tables.asns, self.member_arrays().asns)
+        )
 
     def all_asns(self) -> list[ASN]:
         """Every ASN in the world, sorted."""
@@ -501,7 +652,6 @@ class _OffloadBuilder:
         self.config = config
         self.graph = ASGraph()
         self.region_of: dict[ASN, str] = {}
-        self.ixp_propensity: dict[ASN, float] = {}
         self.tier1_only_stubs: list[ASN] = []
         self.tier1_only_stubs_set: set[ASN] = set()
         self.mega_carriers: list[ASN] = []
@@ -562,9 +712,11 @@ class _OffloadBuilder:
 
         contributing = self._contributing_list(giants, tier2s, stubs)
         matrix = self._build_traffic(contributing)
-        memberships = self._build_memberships(
-            rediris, tier1s, giants, tier2s, stubs
-        )
+        members = self._build_memberships(rediris, tier1s, giants, tier2s)
+        memberships = {
+            acronym: frozenset(asns.tolist())
+            for acronym, asns in members.items()
+        }
         self._scale_address_space()
 
         computation = RouteComputation(self.graph)
@@ -642,7 +794,6 @@ class _OffloadBuilder:
             )
             for p in provider_picks[i]:
                 self.graph.add_customer_provider(giant, tier1s[int(p)])
-            self.ixp_propensity[giant] = 50.0  # giants are at every big IXP
             self._giant_kinds.append(kind)
             giants.append(giant)
         return giants
@@ -668,13 +819,14 @@ class _OffloadBuilder:
         cfg = self.config
         n2 = cfg.tier2_count
         regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
+        policies = draws.policy_codes(cfg.mega_carrier_count).tolist()
         tier2s = [ASN(3001 + i) for i in range(n2)]
         self.graph.add_ases_bulk(
             AutonomousSystem.make_unchecked(
                 tier2s[i],
                 f"transit-{regions[i]}-{i}",
                 NetworkKind.TRANSIT,
-                draws.policy(i, i < cfg.mega_carrier_count),
+                POLICY_CODES[policies[i]],
                 2 ** 16,
             )
             for i in range(n2)
@@ -687,11 +839,6 @@ class _OffloadBuilder:
         providers = tier1_arr[draws.uplink_order[take]]
         self.graph.add_customer_provider_arrays(customers, providers)
         self.mega_carriers = tier2s[: cfg.mega_carrier_count]
-        for i, tier2 in enumerate(tier2s):
-            propensity = self._tier2_propensity(i)
-            if propensity is None:
-                break  # propensities stop at the member cut
-            self.ixp_propensity[tier2] = propensity
         return tier2s
 
     def _materialize_stubs(
@@ -709,17 +856,11 @@ class _OffloadBuilder:
             for i, k in enumerate(draws.kind_idx.tolist())
         ]
         self._stub_kinds = kind_list
-        policy_codes = np.where(
-            draws.policy_u < 0.62, 0, np.where(draws.policy_u < 0.90, 1, 2)
-        ).tolist()
-        policy_values = (
-            PeeringPolicy.OPEN, PeeringPolicy.SELECTIVE,
-            PeeringPolicy.RESTRICTIVE,
-        )
+        policy_codes = draws.policy_codes().tolist()
         stubs = list(range(10_001, 10_001 + n))
         make = AutonomousSystem.make_unchecked
         self.graph.add_ases_bulk(
-            make(asn, f"stub-{region}-{i}", kind, policy_values[code])
+            make(asn, f"stub-{region}-{i}", kind, POLICY_CODES[code])
             for i, (asn, region, kind, code) in enumerate(
                 zip(stubs, regions, kind_list, policy_codes)
             )
@@ -821,23 +962,25 @@ class _OffloadBuilder:
         self.graph.add_customer_provider_arrays(
             np.concatenate(pairs_customers), np.concatenate(pairs_providers)
         )
-        goer_idx = np.flatnonzero(normal & draws.ixpgoer)
-        for i in goer_idx.tolist():
-            self.ixp_propensity[stubs[i]] = float(draws.propensity[i])
         self.tier1_only_stubs_set = set(self.tier1_only_stubs)
         return stubs
 
-    def _tier2_propensity(self, i: int) -> float | None:
-        """Deterministic IXP propensity of tier-2 number ``i`` (or None)."""
+    def _tier2_propensities(self) -> np.ndarray:
+        """IXP propensities of the member tier-2s, a prefix of the tier."""
         cfg = self.config
-        if i < cfg.mega_carrier_count:
-            # Global mega-carriers: everywhere, with worldwide cones.
-            return 45.0
-        if i < int(cfg.member_tier2_fraction * cfg.tier2_count):
-            # Transit networks reliably show up at their region's
-            # exchanges (floor), and the biggest ones dominate the draw.
-            return 8.0 + float((1 + i) ** -0.7) * 30.0
-        return None
+        member_cut = int(cfg.member_tier2_fraction * cfg.tier2_count)
+        propensities: list[float] = []
+        for i in range(cfg.tier2_count):
+            if i < cfg.mega_carrier_count:
+                # Global mega-carriers: everywhere, with worldwide cones.
+                propensities.append(45.0)
+            elif i < member_cut:
+                # Transit networks reliably show up at their region's
+                # exchanges (floor), and the biggest ones dominate the draw.
+                propensities.append(8.0 + float((1 + i) ** -0.7) * 30.0)
+            else:
+                break
+        return np.array(propensities, dtype=float)
 
     # -- traffic -----------------------------------------------------------------------
 
@@ -988,64 +1131,84 @@ class _OffloadBuilder:
     # -- memberships ------------------------------------------------------------------------
 
     def _build_memberships(
-        self, rediris, tier1s, giants, tier2s, stubs
-    ) -> dict[str, frozenset[ASN]]:
-        """Draw the 65 IXPs' member lists from regional pools."""
-        goers = sorted(self.ixp_propensity)
-        by_region: dict[str, list[ASN]] = {r: [] for r in _REGIONS}
-        for asn in goers:
-            by_region[self.region_of[asn]].append(asn)
-        mega_set = set(self.mega_carriers)
-        eligible = [
-            t for t in tier2s
-            if t not in mega_set and t in self.ixp_propensity
-        ]
-        global_u = self._stage_rng("globals").random(len(eligible))
-        globals_ = [*giants, *self.mega_carriers] + [
-            t for t, u in zip(eligible, global_u) if u < 0.18
-        ]
-        memberships: dict[str, frozenset[ASN]] = {}
+        self, rediris: ASN, tier1s: list[ASN], giants: list[ASN],
+        tier2s: list[ASN],
+    ) -> dict[str, np.ndarray]:
+        """Draw the 65 IXPs' member lists from regional pools.
+
+        The IXP-goers — the giants, the member tier-2s and the IXP-goer
+        stubs — are one ascending-ASN array with region codes, propensity
+        weights and a global flag, read straight off the stage draws; a
+        pool is a mask over it.  Returns each IXP's members as an
+        ascending ASN array, in catalog order.
+        """
+        draws = self._stub_draws
+        tier2_weights = self._tier2_propensities()
+        member_tier2s = len(tier2_weights)
+        mega_count = len(self.mega_carriers)
+        goer_stubs = np.flatnonzero(
+            ~draws.big_eyeball & ~draws.tier1_only & draws.ixpgoer
+        )
+        # Non-mega member tier-2s go global with probability 0.18.
+        global_u = self._stage_rng("globals").random(
+            member_tier2s - mega_count
+        )
+        goer_asns = np.concatenate([
+            np.asarray(giants, dtype=np.int64),
+            np.asarray(tier2s[:member_tier2s], dtype=np.int64),
+            10_001 + goer_stubs,
+        ])
+        goer_regions = np.concatenate([
+            np.full(len(giants), _REGIONS.index("north_america")),
+            self._tier2_draws.region_idx[:member_tier2s],
+            draws.region_idx[goer_stubs],
+        ])
+        goer_weights = np.concatenate([
+            np.full(len(giants), 50.0),  # giants are at every big IXP
+            tier2_weights,
+            draws.propensity[goer_stubs],
+        ])
+        goer_global = np.concatenate([
+            np.ones(len(giants) + mega_count, dtype=bool),
+            global_u < 0.18,
+            np.zeros(len(goer_stubs), dtype=bool),
+        ])
+        members: dict[str, np.ndarray] = {}
         # RedIRIS's two home IXPs are small local exchanges: their members
         # come from the regional pool only.  Were the global carriers seated
         # there, the exclusion rules would sweep every mega-carrier out of
         # the candidate set — which is neither realistic nor the paper's
         # situation.
-        local_only = {"CATNIX", "ESpanix"}
-        globals_set = set(globals_)
-        # Distinct (regions, local-only) keys share one sorted pool and one
-        # propensity-weight array — the sort and the weight lookups were
-        # the membership stage's cost, and 65 IXPs use only a handful of
-        # distinct pools.
-        pool_cache: dict[tuple, tuple[list[ASN], np.ndarray]] = {}
+        local_only = ("CATNIX", "ESpanix")
+        # 65 IXPs use only a handful of distinct (regions, local-only)
+        # pools; each is built once.
+        pool_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         for spec in euroix_catalog():
             rng = child_rng(self.config.seed, "membership", spec.acronym)
             regions = _IXP_POOL_OVERRIDES.get(spec.acronym, (spec.region,))
             key = (regions, spec.acronym in local_only)
             cached = pool_cache.get(key)
             if cached is None:
-                members_set = {a for r in regions for a in by_region[r]}
+                pooled_region = np.zeros(len(_REGIONS), dtype=bool)
+                pooled_region[[_REGIONS.index(r) for r in regions]] = True
+                in_pool = pooled_region[goer_regions]
                 if spec.acronym not in local_only:
-                    members_set |= globals_set
-                pool = sorted(members_set)
-                weights = np.array(
-                    [self.ixp_propensity.get(a, 1.0) for a in pool],
-                    dtype=float,
+                    in_pool |= goer_global
+                cached = pool_cache[key] = (
+                    goer_asns[in_pool], goer_weights[in_pool],
                 )
-                cached = pool_cache[key] = (pool, weights)
             pool, weights = cached
             size = min(spec.member_count, len(pool))
             picks = weighted_top_k(rng, weights, size)
-            members = {pool[int(i)] for i in picks}
-            memberships[spec.acronym] = frozenset(members)
+            members[spec.acronym] = np.sort(pool[picks])
         # RedIRIS's own IXPs: ESpanix hosts every tier-1 (the paper's reason
         # to exclude them), CATNIX is the small Catalan exchange.
-        memberships["ESpanix"] = frozenset(
-            set(memberships.get("ESpanix", frozenset())) | set(tier1s) | {rediris}
+        none = np.empty(0, dtype=np.int64)
+        members["ESpanix"] = np.union1d(
+            members.get("ESpanix", none), [*tier1s, rediris]
         )
-        memberships["CATNIX"] = frozenset(
-            set(memberships.get("CATNIX", frozenset())) | {rediris}
-        )
-        return memberships
+        members["CATNIX"] = np.union1d(members.get("CATNIX", none), [rediris])
+        return members
 
     # -- address space -------------------------------------------------------------------------
 
@@ -1108,6 +1271,20 @@ class _OffloadBuilder:
 # Stage draws (in the documented order).
 
 
+def _lowest(keys: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` lowest keys, ties to the lower index.
+
+    The first ``k`` entries of a stable argsort, as a set, from one
+    partition instead of a full sort.
+    """
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(keys, k - 1)[k - 1]
+    below = np.flatnonzero(keys < kth)
+    tied = np.flatnonzero(keys == kth)
+    return np.concatenate([below, tied[: k - below.size]])
+
+
 def _region_indices(u: np.ndarray) -> np.ndarray:
     """Inverse-CDF regional draw over ``_STUB_REGION_WEIGHTS``."""
     cum = np.cumsum(_STUB_REGION_WEIGHTS)
@@ -1143,14 +1320,16 @@ class _Tier2Draws:
             uplink_order=np.argsort(uplink_keys, axis=1),
         )
 
-    def policy(self, i: int, mega: bool) -> PeeringPolicy:
-        if mega:
-            # Large carriers peer selectively or restrictively; none of
-            # them shows up behind an open-policy route server.
-            return PeeringPolicy.SELECTIVE if i % 3 else PeeringPolicy.RESTRICTIVE
-        return _TIER2_POLICIES[
-            int(self.policy_u[i] * len(_TIER2_POLICIES))
+    def policy_codes(self, mega_carrier_count: int) -> np.ndarray:
+        """Per-tier-2 policy codes (``POLICY_CODES`` order)."""
+        codes = _TIER2_POLICY_CODES[
+            (self.policy_u * len(_TIER2_POLICY_CODES)).astype(np.int64)
         ]
+        # Large carriers peer selectively or restrictively; none of them
+        # shows up behind an open-policy route server.
+        mega = np.arange(min(mega_carrier_count, codes.size))
+        codes[mega] = np.where(mega % 3, _SELECTIVE, _RESTRICTIVE)
+        return codes
 
 
 @dataclass(frozen=True, slots=True)
@@ -1189,10 +1368,7 @@ class _StubDraws:
         propensity_u = rng.random(n)
 
         big = np.zeros(n, dtype=bool)
-        slots = np.argsort(eyeball_keys, kind="stable")[
-            : min(cfg.big_eyeball_count, n)
-        ]
-        big[slots] = True
+        big[_lowest(eyeball_keys, min(cfg.big_eyeball_count, n))] = True
         tier1_only = (tier1_only_u < cfg.tier1_only_stub_fraction) & ~big
         normal = ~big & ~tier1_only
 
@@ -1225,10 +1401,9 @@ class _StubDraws:
             pick_u=pick_u,
         )
 
-    def policy(self, i: int) -> PeeringPolicy:
-        u = self.policy_u[i]
-        if u < 0.62:
-            return PeeringPolicy.OPEN
-        if u < 0.90:
-            return PeeringPolicy.SELECTIVE
-        return PeeringPolicy.RESTRICTIVE
+    def policy_codes(self) -> np.ndarray:
+        """Per-stub policy codes (``POLICY_CODES`` order)."""
+        u = self.policy_u
+        return np.where(
+            u < 0.62, _OPEN, np.where(u < 0.90, _SELECTIVE, _RESTRICTIVE)
+        ).astype(np.int8)

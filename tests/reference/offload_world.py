@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.sim.offload_world import (
     _REGIONS,
     _STUB_KINDS,
+    POLICY_CODES,
     OffloadWorld,
     OffloadWorldConfig,
     _OffloadBuilder,
@@ -37,21 +38,19 @@ class ScalarOffloadBuilder(_OffloadBuilder):
         self, tier1s: list[ASN], draws: _Tier2Draws
     ) -> list[ASN]:
         cfg = self.config
+        policies = draws.policy_codes(cfg.mega_carrier_count)
         tier2s = []
         for i in range(cfg.tier2_count):
             region = _REGIONS[int(draws.region_idx[i])]
             mega = i < cfg.mega_carrier_count
             tier2 = self._add(
                 3001 + i, f"transit-{region}-{i}", NetworkKind.TRANSIT,
-                draws.policy(i, mega), region, 2 ** 16,
+                POLICY_CODES[policies[i]], region, 2 ** 16,
             )
             for u in draws.uplink_order[i, : int(draws.uplink_count[i])]:
                 self.graph.add_customer_provider(tier2, tier1s[int(u)])
             if mega:
                 self.mega_carriers.append(tier2)
-            propensity = self._tier2_propensity(i)
-            if propensity is not None:
-                self.ixp_propensity[tier2] = propensity
             tier2s.append(tier2)
         return tier2s
 
@@ -63,6 +62,7 @@ class ScalarOffloadBuilder(_OffloadBuilder):
         tier2_by_region: dict[str, list[ASN]] = {r: [] for r in _REGIONS}
         for t in tier2s:
             tier2_by_region[self.region_of[t]].append(t)
+        policies = draws.policy_codes()
         stubs = []
         eyeball_row = tier1_only_row = normal_row = 0
         for i in range(n):
@@ -73,7 +73,8 @@ class ScalarOffloadBuilder(_OffloadBuilder):
                 else _STUB_KINDS[int(draws.kind_idx[i])]
             )
             stub = self._add(
-                10_001 + i, f"stub-{region}-{i}", kind, draws.policy(i), region,
+                10_001 + i, f"stub-{region}-{i}", kind,
+                POLICY_CODES[policies[i]], region,
             )
             self._stub_kinds.append(kind)
             if big_eyeball:
@@ -89,8 +90,6 @@ class ScalarOffloadBuilder(_OffloadBuilder):
                 self._home_stub(stub, region, tier2_by_region, tier2s,
                                 draws, normal_row, i)
                 normal_row += 1
-                if draws.ixpgoer[i]:
-                    self.ixp_propensity[stub] = float(draws.propensity[i])
             stubs.append(stub)
         self.tier1_only_stubs_set = set(self.tier1_only_stubs)
         return stubs

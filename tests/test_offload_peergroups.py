@@ -116,6 +116,16 @@ class TestGroups:
         with pytest.raises(ConfigurationError):
             small_groups.in_group(next(iter(small_groups.candidates)), 5)
 
+    def test_unknown_group_rejected_without_candidates(self, small_groups):
+        """Validation does not depend on the data: with no candidates
+        left (the joint study's restriction when detection calls nothing
+        remote) an unknown group still raises."""
+        empty = small_groups.restrict(frozenset())
+        with pytest.raises(ConfigurationError):
+            empty.group_members(9)
+        with pytest.raises(ConfigurationError):
+            empty.ixp_group_members("AMS-IX", 9)
+
     def test_ixp_group_members(self, small_groups):
         members = small_groups.ixp_group_members("AMS-IX", 4)
         assert members <= small_groups.candidates

@@ -229,3 +229,21 @@ class TestBulkGraphAPIs:
         assert graph.providers_of(1) == frozenset()
         assert graph.degree(1) == 0
         assert graph.provider_free() == [1, 2, 3]
+
+
+class TestLowestKeys:
+    """The big-eyeball slot pick equals a stable argsort's first k."""
+
+    def test_matches_stable_argsort_with_ties(self):
+        from repro.sim.offload_world import _lowest
+
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(0, n + 1))
+            keys = rng.integers(0, 5, n).astype(float)  # many ties
+            picked = _lowest(keys, k)
+            assert len(picked) == k
+            assert set(picked.tolist()) == set(
+                np.argsort(keys, kind="stable")[:k].tolist()
+            )
