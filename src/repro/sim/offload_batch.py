@@ -250,8 +250,6 @@ class OffloadWorldView:
     matrix: TrafficMatrix
     collector: FlowCollector
     _members: MemberArrays
-    #: Each IXP's members as an ascending ASN array, in catalog order.
-    _member_rows: dict[str, np.ndarray]
     _contrib_index: dict
     _address_space: np.ndarray
     _memberships: dict[str, frozenset[ASN]] | None = None
@@ -260,9 +258,12 @@ class OffloadWorldView:
     def memberships(self) -> dict[str, frozenset[ASN]]:
         """IXP acronym → member ASNs (built on first access)."""
         if self._memberships is None:
+            members = self._members
             self._memberships = {
-                acronym: frozenset(asns.tolist())
-                for acronym, asns in self._member_rows.items()
+                acronym: frozenset(
+                    members.asns[members.members_at(row)].tolist()
+                )
+                for row, acronym in enumerate(members.ixps)
             }
         return self._memberships
 
@@ -642,7 +643,7 @@ class _BatchSeedBuilder(_OffloadBuilder):
         self._materialize_stubs(st.tier1s, tier2s, self._stub_draws)
         contributing = st.contributing  # validated once per variant
         matrix = self._build_traffic(contributing)
-        member_rows = self._build_memberships(
+        members = self._build_memberships(
             st.rediris, st.tier1s, giants, tier2s
         )
         address_space = self._scale_address_space()
@@ -666,9 +667,8 @@ class _BatchSeedBuilder(_OffloadBuilder):
             matrix=matrix,
             collector=collector,
             _members=MemberArrays.build(
-                member_rows, self._member_policies, self._member_cones
+                members, self._member_policies, self._member_cones
             ),
-            _member_rows=member_rows,
             _contrib_index=st.contrib_index,
             _address_space=address_space,
         )

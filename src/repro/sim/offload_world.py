@@ -439,7 +439,7 @@ class OffloadWorld:
         """Business type of a network."""
         return self.graph.get(asn).kind
 
-    # -- cone index tables (the offload bitsets' raw material) -------------------
+    # -- cone index tables (the offload cone CSRs' raw material) -----------------
 
     def _cone_index_tables(self) -> _ConeTables:
         """Per-AS cone membership as index CSRs, built bottom-up.

@@ -1,8 +1,8 @@
-"""Scalar reference engines: the oracles the world-builder suites compare to.
+"""Scalar reference engines: the oracles the equivalence suites compare to.
 
-Each module here is the seed implementation's one-draw-at-a-time
-realization of a world builder whose product path in ``src/`` is an
-array program:
+Each world-builder module here is the seed implementation's
+one-draw-at-a-time realization of a builder whose product path in
+``src/`` is an array program:
 
 * :mod:`tests.reference.netpool` — the per-network pool loop and an
   object pool with its propensity sampler;
@@ -10,6 +10,10 @@ array program:
   and realization on that object pool;
 * :mod:`tests.reference.offload_world` — one-network-at-a-time insertion
   through the fully checked graph APIs.
+
+:mod:`tests.reference.greedy` keeps the dense float32 greedy expansions
+and the mega study's per-exchange loop that the sparse set-cover kernel
+replaced (``tests/test_greedy_oracle.py``).
 
 The product never imports this package and pytest collects nothing from
 it (no ``test_*`` modules).  The references subclass or call the product
