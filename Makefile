@@ -82,12 +82,23 @@ serve-smoke:
 # digests, warm replay from the artifact, batch vs per-trial reference
 # path, shm vs pickle transport) and exits 1 on any WRONG: line, which
 # fails the target.  perfbench measures src/ of this checkout itself.
-PERF_WORKLOADS := detection-batch economics-paper65 mega-shm
+# For detection and economics its reference path (trial_batch=1) runs
+# the same build and measure code as the timed path, so a change that
+# moves both still reads correct: each workload's seed-3 results digest
+# is pinned here as well, and a different digest fails the target.
+PERF_DIGESTS := detection-batch=d4f1fd2d99a29504 \
+	economics-paper65=5976cc0b1cc85a75 mega-shm=ccd55238726eabcf
 
 perf-check:
-	for workload in $(PERF_WORKLOADS); do \
-		python3 perfbench/run.py --workload $$workload --seed 3 \
-			--seconds 1 --trace 0 || exit 1; \
+	for pin in $(PERF_DIGESTS); do \
+		workload=$${pin%%=*}; digest=$${pin#*=}; \
+		out=$$(python3 perfbench/run.py --workload $$workload --seed 3 \
+			--seconds 1 --trace 0 2>&1); status=$$?; \
+		echo "$$out"; \
+		[ $$status -eq 0 ] || exit 1; \
+		echo "$$out" | grep -q "results digest $$digest" || { \
+			echo "WRONG: $$workload results digest is not $$digest"; \
+			exit 1; }; \
 	done
 
 # The paper-shape gate: every pytest-benchmark item outside

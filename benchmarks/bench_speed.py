@@ -1,8 +1,7 @@
 """End-to-end speed benchmark: the numbers the perf work is held to.
 
 Times the hot paths of every study — detection-world build, the probing
-campaign under the batch *and* the scalar engine, the filter pipeline
-(array-stat pass), a 16-trial mini-world detection ensemble, a 256-trial
+campaign, the filter pipeline (segment reductions), a 16-trial mini-world detection ensemble, a 256-trial
 small-world detection campaign (the trial-batch scheduling path at
 scale), the offload-world build, the peer-group/cone-table setup, the greedy IXP expansion, a 16-trial
 paper-scale offload ensemble under the per-trial *and* the trial-batch
@@ -31,8 +30,8 @@ Run it directly (it is a script, not a pytest-benchmark module)::
 
 ``--quick`` (what ``make smoke`` uses through
 ``benchmarks/check_regression.py --quick``) skips the slow reference
-stages — the scalar probe engine, the per-trial paper-scale offload
-ensemble, and the 256-trial detection campaign — and compares only the
+stages — the per-trial paper-scale offload ensemble and the 256-trial
+detection campaign — and compares only the
 stages it ran.  The *batched* paper-scale offload ensemble stays in
 quick mode: it is the fastest full-scale end-to-end gate in the suite.  ``benchmarks/check_regression.py``
 reruns these stages and fails when any of them regresses more than 2x
@@ -78,8 +77,9 @@ def _peak_rss_mb() -> float:
 def collect_payload(quick: bool = False) -> dict:
     """Run every timed stage and assemble the BENCH payload.
 
-    ``quick=True`` drops the scalar probe engine and the paper-scale
-    offload ensemble (the slow half of the run) — the regression guard
+    ``quick=True`` drops the per-trial paper-scale offload ensemble and
+    the 256-trial detection campaign (the slow half of the run) — the
+    regression guard
     only compares stages present on both sides, so the quick payload
     still gates every vectorized hot path.
     """
@@ -166,16 +166,8 @@ def collect_payload(quick: bool = False) -> dict:
         "detection_world_build", lambda: scenarios.paper22(seed=WORLD_SEED)
     )
 
-    batch_campaign = ProbeCampaign(
-        world, CampaignConfig(seed=CAMPAIGN_SEED, engine="batch")
-    )
+    batch_campaign = ProbeCampaign(world, CampaignConfig(seed=CAMPAIGN_SEED))
     batch_measurements = stage("collect_batch", batch_campaign.collect)
-
-    if not quick:
-        scalar_campaign = ProbeCampaign(
-            world, CampaignConfig(seed=CAMPAIGN_SEED, engine="scalar")
-        )
-        stage("collect_scalar", scalar_campaign.collect)
 
     pipeline = FilterPipeline()
     report = stage("filter_pipeline", lambda: pipeline.run(batch_measurements)
@@ -368,9 +360,6 @@ def collect_payload(quick: bool = False) -> dict:
             timings["offload_ensemble_16trials"]
             / timings["offload_ensemble_16trials_batched"], 2
         )
-        payload["collect_speedup_batch_vs_scalar"] = round(
-            timings["collect_scalar"] / timings["collect_batch"], 2
-        )
         payload["offload_ensemble"] = {
             "trials": offload_summary.trials,
             "inbound_mean": round(offload_summary.inbound_fraction.mean, 4),
@@ -400,8 +389,9 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="skip the scalar probe engine and the paper-scale offload "
-        "ensemble; print the payload without overwriting the baseline",
+        help="skip the per-trial paper-scale offload ensemble and the "
+        "256-trial detection campaign; print the payload without "
+        "overwriting the baseline",
     )
     args = parser.parse_args(argv)
     payload = collect_payload(quick=args.quick)

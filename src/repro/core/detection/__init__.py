@@ -10,7 +10,10 @@ against ground truth the way Section 3.3 used TorIX.
 """
 
 from repro.core.detection.campaign import CampaignConfig, ProbeCampaign
-from repro.core.detection.measurements import InterfaceMeasurement
+from repro.core.detection.measurements import (
+    InterfaceMeasurement,
+    MeasurementTable,
+)
 from repro.core.detection.filters import (
     FilterConfig,
     FilterPipeline,
@@ -39,6 +42,7 @@ __all__ = [
     "CampaignConfig",
     "ProbeCampaign",
     "InterfaceMeasurement",
+    "MeasurementTable",
     "FilterConfig",
     "FilterPipeline",
     "FILTER_ORDER",

@@ -1,13 +1,20 @@
 """The six conservative filters of Section 3.1, applied in the paper's order.
 
 Order: sample-size, TTL-switch, TTL-match, RTT-consistent, LG-consistent,
-ASN-change.  Each filter either passes an interface (possibly returning a
-*new* measurement with a trimmed reply set — stages never mutate their
-input) or discards it, and the pipeline records exactly one discard reason
-per interface — mirroring how the paper reports the 20 / 82 / 20 / 100 /
-28 / 5 counts.  Statistics are read off the measurements' RTT/TTL arrays,
-so batch-collected (struct-of-arrays) and scalar (per-reply object)
-evidence flow through the same pipeline.
+ASN-change.  Each filter either passes an interface (TTL-match may trim
+its reply set) or discards it, and the pipeline records exactly one
+discard reason per interface — the first failing filter in the paper's
+order — mirroring how the paper reports the 20 / 82 / 20 / 100 / 28 / 5
+counts.
+
+Every filter statistic is a segment reduction over a
+:class:`~repro.core.detection.measurements.MeasurementTable`: per
+(interface, operator) segment and per interface, with ``bincount`` and
+``reduceat`` passes over the flat reply arrays.  The report's ``passed``
+is a row selection of that table plus the TTL-match kept mask, so
+nothing is copied and the input is never modified; the same raw table
+can be re-filtered under many configurations (threshold and drop-one
+sweeps).
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.detection.measurements import InterfaceMeasurement
+from repro.core.detection.measurements import (
+    InterfaceMeasurement,
+    MeasurementTable,
+)
 from repro.errors import ConfigurationError
 from repro.net.device import TTL_LINUX, TTL_NETWORK_OS
-from repro.net.icmp import EchoReply, ReplyBatch
 
 #: Canonical filter order (Section 3.1, "Choice of IXPs" paragraph).
 FILTER_ORDER = (
@@ -54,11 +63,42 @@ class FilterConfig:
         return max(self.consistency_abs_ms, self.consistency_frac * min_rtt_ms)
 
 
+@dataclass(eq=False, slots=True)
+class PassedRows:
+    """The interfaces that survived every filter, as a table selection.
+
+    ``rows`` index ``table``; ``kept`` masks the table's flat replies
+    (False for a reply TTL-match trimmed).  The per-interface and
+    per-segment minima over kept replies are the ones the filters
+    computed, so aggregation needs no second pass.  As a sequence it
+    yields each survivor's trimmed :class:`InterfaceMeasurement`.
+    """
+
+    table: MeasurementTable
+    rows: np.ndarray
+    kept: np.ndarray
+    #: Per table row / per table segment: minimum kept RTT (``inf`` when
+    #: none) and kept reply count.
+    min_rtt_ms: np.ndarray
+    kept_count: np.ndarray
+    seg_min_ms: np.ndarray
+    seg_kept: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> InterfaceMeasurement:
+        return self.table.row(int(self.rows[k]), self.kept)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
 @dataclass
 class FilterReport:
     """Outcome of running the pipeline over a set of measurements."""
 
-    passed: list[InterfaceMeasurement] = field(default_factory=list)
+    passed: PassedRows
     discard_counts: dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in FILTER_ORDER}
     )
@@ -70,37 +110,13 @@ class FilterReport:
 
 
 class FilterPipeline:
-    """Applies the six filters in order, trimming or discarding interfaces.
-
-    Stages are pure: they never modify the measurement they are given, so
-    the same raw measurements can be re-filtered under many configurations
-    (threshold/drop-one sweeps) without defensive copying.
-    """
+    """Applies the six filters in order, trimming or discarding interfaces."""
 
     def __init__(self, config: FilterConfig | None = None) -> None:
         self.config = config or FilterConfig()
         self._accepted_ttls = np.array(
             sorted(self.config.accepted_ttls), dtype=np.int64
         )
-
-    # Individual filters.  Each returns None to discard, or the (possibly
-    # trimmed) measurement to keep.
-
-    def sample_size(self, m: InterfaceMeasurement) -> InterfaceMeasurement | None:
-        """Require >= 8 replies from *each* probing LG server."""
-        for operator in m.operators():
-            if m.reply_count(operator) < self.config.min_replies_per_lg:
-                return None
-        if not m.operators():
-            return None
-        return m
-
-    def ttl_switch(self, m: InterfaceMeasurement) -> InterfaceMeasurement | None:
-        """Discard interfaces whose reply TTL changes during the campaign."""
-        ttls = m.ttls()
-        if ttls.size and bool((ttls != ttls[0]).any()):
-            return None
-        return m
 
     def _accepted_mask(self, ttls: np.ndarray) -> np.ndarray:
         # accepted_ttls is tiny (two values in the paper's config): an OR
@@ -110,178 +126,34 @@ class FilterPipeline:
             mask |= ttls == value
         return mask
 
-    def ttl_match(self, m: InterfaceMeasurement) -> InterfaceMeasurement | None:
-        """Drop replies whose TTL is not an expected maximum (64 or 255).
-
-        If dropping leaves any probing LG below the sample-size floor the
-        interface is discarded here (its usable evidence is gone).  When
-        trimming removes anything, a *new* measurement is returned; the
-        input is never modified.
-        """
-        trimmed: dict[str, list[EchoReply] | ReplyBatch] = {}
-        changed = False
-        for operator, replies in m.replies_by_operator.items():
-            if isinstance(replies, ReplyBatch):
-                keep = self._accepted_mask(replies.ttl)
-                kept_count = int(keep.sum())
-                if kept_count < self.config.min_replies_per_lg:
-                    return None
-                if kept_count == len(replies):
-                    trimmed[operator] = replies
-                else:
-                    trimmed[operator] = replies.select(keep)
-                    changed = True
-            else:
-                kept = [
-                    r for r in replies if r.ttl in self.config.accepted_ttls
-                ]
-                if len(kept) < self.config.min_replies_per_lg:
-                    return None
-                if len(kept) == len(replies):
-                    trimmed[operator] = replies
-                else:
-                    trimmed[operator] = kept
-                    changed = True
-        if not changed:
-            return m
-        return m.with_replies(trimmed)
-
-    def rtt_consistent(self, m: InterfaceMeasurement) -> InterfaceMeasurement | None:
-        """Require >= 4 replies within max(5 ms, 10%) of the minimum RTT."""
-        rtts = m.rtts()
-        if rtts.size == 0:
-            return None
-        floor = float(rtts.min())
-        ceiling = floor + self.config.envelope_ms(floor)
-        if int((rtts <= ceiling).sum()) < 4:
-            return None
-        return m
-
-    def lg_consistent(self, m: InterfaceMeasurement) -> InterfaceMeasurement | None:
-        """For dual-LG IXPs, require the two per-LG minima to agree."""
-        minima = [
-            m.min_rtt_ms(operator)
-            for operator in m.operators()
-            if m.reply_count(operator) > 0
-        ]
-        if len(minima) < 2:
-            return m
-        low, high = min(minima), max(minima)  # type: ignore[type-var]
-        if high > low + self.config.envelope_ms(low):
-            return None
-        return m
-
-    def asn_change(self, m: InterfaceMeasurement) -> InterfaceMeasurement | None:
-        """Discard interfaces whose identified ASN changed mid-campaign."""
-        if (
-            m.asn_at_start is not None
-            and m.asn_at_end is not None
-            and m.asn_at_start != m.asn_at_end
-        ):
-            return None
-        return m
-
-    # Pipeline.
-
-    def stages(self) -> tuple[tuple[str, object], ...]:
-        """(name, callable) pairs in the paper's order."""
-        return (
-            ("sample-size", self.sample_size),
-            ("ttl-switch", self.ttl_switch),
-            ("ttl-match", self.ttl_match),
-            ("rtt-consistent", self.rtt_consistent),
-            ("lg-consistent", self.lg_consistent),
-            ("asn-change", self.asn_change),
-        )
-
     def run(
         self,
-        measurements: list[InterfaceMeasurement],
+        measured: MeasurementTable | list[InterfaceMeasurement],
         skip: str | None = None,
-        batched: bool | None = None,
     ) -> FilterReport:
         """Apply all six filters in the paper's order.
 
-        ``skip`` omits one named stage — the drop-one-filter ablation.
-        Because stages are non-mutating, the same raw measurements can be
-        passed to many ``run`` calls without copying.
-
-        When every reply set is a struct-of-arrays :class:`ReplyBatch`
-        (what the batch campaign engine produces), the pipeline runs as
-        array-stat passes over one concatenated reply table instead of a
-        Python stage loop per interface; the two paths produce identical
-        reports (the equivalence suite asserts it).  ``batched`` forces a
-        path — ``None`` auto-detects.
+        ``measured`` is a campaign's table or a list of measurements
+        (packed into a table first).  ``skip`` omits one named stage — the
+        drop-one-filter ablation.  Each stage yields a per-interface
+        failure flag; the first failing stage in the paper's order is
+        charged.
         """
         if skip is not None and skip not in FILTER_ORDER:
             raise ConfigurationError(f"unknown filter {skip!r}")
-        if batched is None:
-            batched = all(
-                isinstance(replies, ReplyBatch)
-                for m in measurements
-                for replies in m.replies_by_operator.values()
-            )
-        if batched and measurements:
-            return self._run_arrays(measurements, skip)
-        return self._run_scalar(measurements, skip)
-
-    def _run_scalar(
-        self, measurements: list[InterfaceMeasurement], skip: str | None
-    ) -> FilterReport:
-        """Reference path: the per-interface stage loop."""
-        report = FilterReport()
-        stages = self.stages()
-        for measurement in measurements:
-            key = (measurement.ixp_acronym, measurement.address.value)
-            survivor: InterfaceMeasurement | None = measurement
-            for name, stage in stages:
-                if name == skip:
-                    continue
-                survivor = stage(survivor)  # type: ignore[operator]
-                if survivor is None:
-                    report.discard_counts[name] += 1
-                    report.discard_reason[key] = name
-                    break
-            if survivor is not None:
-                report.passed.append(survivor)
-        return report
-
-    def _run_arrays(
-        self, measurements: list[InterfaceMeasurement], skip: str | None
-    ) -> FilterReport:
-        """Array path: every filter statistic in a handful of vector passes.
-
-        All replies live in one concatenated table ordered by
-        (measurement, operator, probe) — the same order the scalar
-        accessors produce — with two index levels: *segments* (one
-        (measurement, operator) reply run) and measurements.  Per-segment
-        and per-measurement statistics come from ``bincount``/``reduceat``
-        reductions; each stage yields a per-measurement failure flag, and
-        the first failing stage in the paper's order is charged, exactly
-        as the scalar loop does.
-        """
+        table = (
+            measured if isinstance(measured, MeasurementTable)
+            else MeasurementTable.from_measurements(list(measured))
+        )
         config = self.config
-        meas_count = len(measurements)
-        seg_meas_list: list[int] = []
-        seg_batches: list[ReplyBatch] = []
-        for mi, m in enumerate(measurements):
-            for op in sorted(m.replies_by_operator):
-                seg_meas_list.append(mi)
-                seg_batches.append(m.replies_by_operator[op])  # type: ignore[arg-type]
-        seg_count = len(seg_batches)
-        seg_len = np.array([len(b) for b in seg_batches], dtype=np.int64)
-        meas_of_seg = np.array(seg_meas_list, dtype=np.intp)
+        meas_count = len(table)
+        meas_of_seg = table.seg_row
+        seg_count = len(meas_of_seg)
+        seg_len = table.seg_len
+        seg_starts = table.seg_offsets[:-1]
+        rtt, ttl = table.rtt_ms, table.ttl
+        total = len(rtt)
         segs_per_meas = np.bincount(meas_of_seg, minlength=meas_count)
-        total = int(seg_len.sum())
-        if seg_count:
-            rtt = np.concatenate([b.rtt_ms for b in seg_batches])
-            ttl = np.concatenate([b.ttl for b in seg_batches])
-        else:
-            rtt = np.zeros(0)
-            ttl = np.zeros(0, dtype=np.int64)
-        seg_starts = np.zeros(seg_count, dtype=np.intp)
-        if seg_count:
-            np.cumsum(seg_len[:-1], out=seg_starts[1:])
         seg_id = np.repeat(np.arange(seg_count, dtype=np.intp), seg_len)
         meas_id = meas_of_seg[seg_id]
         replies_per_meas = np.bincount(meas_id, minlength=meas_count)
@@ -297,16 +169,6 @@ class FilterPipeline:
             return np.bincount(
                 meas_id, weights=flags, minlength=meas_count
             ) > 0
-
-        def segment_min(values: np.ndarray) -> np.ndarray:
-            """Per-segment minimum (``inf`` for empty segments)."""
-            out = np.full(seg_count, np.inf)
-            nonempty = seg_len > 0
-            if total and nonempty.any():
-                out[nonempty] = np.minimum.reduceat(
-                    values, seg_starts[nonempty]
-                )
-            return out
 
         # sample-size: every probing LG needs >= the reply floor, and at
         # least one LG must have probed.
@@ -335,7 +197,6 @@ class FilterPipeline:
             fail_match = any_over_segs(
                 kept_per_seg < config.min_replies_per_lg
             )
-        seg_trimmed = kept_per_seg < seg_len
 
         # rtt-consistent: >= 4 kept replies inside max(5 ms, 10%) of the
         # kept minimum.
@@ -356,7 +217,12 @@ class FilterPipeline:
         )
 
         # lg-consistent: per-LG kept minima of dual-LG interfaces agree.
-        seg_min = segment_min(masked_rtt)
+        seg_min = np.full(seg_count, np.inf)
+        nonempty = seg_len > 0
+        if total and nonempty.any():
+            seg_min[nonempty] = np.minimum.reduceat(
+                masked_rtt, seg_starts[nonempty]
+            )
         seg_has_kept = kept_per_seg > 0
         lg_count = np.bincount(
             meas_of_seg, weights=seg_has_kept, minlength=meas_count
@@ -382,16 +248,10 @@ class FilterPipeline:
                 )
             )
 
-        # asn-change: scalar metadata, cheap Python pass.
-        fail_asn = np.fromiter(
-            (
-                m.asn_at_start is not None
-                and m.asn_at_end is not None
-                and m.asn_at_start != m.asn_at_end
-                for m in measurements
-            ),
-            dtype=bool,
-            count=meas_count,
+        # asn-change: both endpoints identified, and they differ.
+        fail_asn = (
+            (table.asn_start >= 0) & (table.asn_end >= 0)
+            & (table.asn_start != table.asn_end)
         )
 
         stage_fails = [
@@ -403,41 +263,26 @@ class FilterPipeline:
             ("asn-change", fail_asn),
         ]
         active = [(name, flags) for name, flags in stage_fails if name != skip]
-        fail_matrix = np.stack([flags for _, flags in active])
-        failed_any = fail_matrix.any(axis=0)
-        first_fail = np.argmax(fail_matrix, axis=0)
-
-        trim_ran = skip != "ttl-match"
-        meas_trimmed = (
-            any_over_segs(seg_trimmed)
-            if trim_ran
-            else np.zeros(meas_count, dtype=bool)
-        )
-
-        report = FilterReport()
-        failed_list = failed_any.tolist()
-        first_list = first_fail.tolist()
-        trimmed_list = meas_trimmed.tolist()
         names = [name for name, _ in active]
-        for mi, m in enumerate(measurements):
-            if failed_list[mi]:
-                name = names[first_list[mi]]
-                report.discard_counts[name] += 1
-                report.discard_reason[(m.ixp_acronym, m.address.value)] = name
-                continue
-            if not trimmed_list[mi]:
-                report.passed.append(m)
-                continue
-            lo = int(meas_seg_starts[mi])
-            hi = lo + int(segs_per_meas[mi])
-            operators = sorted(m.replies_by_operator)
-            trimmed: dict[str, list[EchoReply] | ReplyBatch] = {}
-            for seg in range(lo, hi):
-                op = operators[seg - lo]
-                batch = seg_batches[seg]
-                if seg_trimmed[seg]:
-                    start = int(seg_starts[seg])
-                    batch = batch.select(kept[start:start + int(seg_len[seg])])
-                trimmed[op] = batch
-            report.passed.append(m.with_replies(trimmed))
+        fail_matrix = np.stack([flags for _, flags in active])
+        failed = np.flatnonzero(fail_matrix.any(axis=0))
+        first_fail = np.argmax(fail_matrix[:, failed], axis=0).tolist()
+
+        report = FilterReport(
+            passed=PassedRows(
+                table=table,
+                rows=np.flatnonzero(~fail_matrix.any(axis=0)),
+                kept=kept,
+                min_rtt_ms=floor,
+                kept_count=kept_per_meas,
+                seg_min_ms=seg_min,
+                seg_kept=kept_per_seg,
+            )
+        )
+        for row, stage in zip(failed.tolist(), first_fail):
+            name = names[stage]
+            report.discard_counts[name] += 1
+            report.discard_reason[(
+                table.ixp_names[int(table.ixp[row])], int(table.address[row])
+            )] = name
         return report

@@ -10,18 +10,31 @@ from:
 * Figure 4b — ``band_fractions_by_ixp_count()``;
 * Table 1's last column — ``analyzed_count_by_ixp()``;
 * the filter paragraph — ``discard_counts``.
+
+A result holds its analyzed interfaces as :class:`AnalyzedColumns`
+(IXP, address, minimum RTT, per-operator minima, ASN, identification
+source, reply count), which :func:`build_result` fills by gathering the
+filter pass's reductions.  The per-interface
+:class:`AnalyzedInterface` records (``analyzed``) and the per-network
+grouping behind the Figure 4 views are built on first access; a result
+built from a list of records packs them into the same columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.detection.classify import BAND_LABELS, band_label, is_remote
+from repro.core.detection.classify import (
+    BAND_LABELS,
+    RTT_BANDS,
+    band_label,
+    is_remote,
+)
 from repro.core.detection.filters import FilterReport
-from repro.core.detection.measurements import InterfaceMeasurement
+from repro.core.detection.measurements import SOURCE_NAMES, MeasurementTable
 from repro.errors import AnalysisError
 from repro.net.addr import IPv4Address
 from repro.types import ASN
@@ -54,59 +67,204 @@ class AnalyzedInterface:
         return is_remote(self.min_rtt_ms, threshold_ms)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
+class AnalyzedColumns:
+    """Analyzed interfaces as columns, one row each.
+
+    ``asn`` is -1 for an unidentified interface; ``source`` indexes
+    :data:`~repro.core.detection.measurements.SOURCE_NAMES`;
+    ``operator_min_ms[i, k]`` is the minimum RTT seen by ``operators[k]``
+    (NaN when that operator has no reply).
+    """
+
+    ixp_names: tuple[str, ...]
+    ixp: np.ndarray
+    address: np.ndarray
+    min_rtt_ms: np.ndarray
+    asn: np.ndarray
+    source: np.ndarray
+    reply_count: np.ndarray
+    operators: tuple[str, ...]
+    operator_min_ms: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.address)
+
+    @classmethod
+    def pack(cls, interfaces: list[AnalyzedInterface]) -> "AnalyzedColumns":
+        """Columns of a list of records (their order kept)."""
+        ixp_names = tuple(dict.fromkeys(i.ixp_acronym for i in interfaces))
+        ixp_code = {name: k for k, name in enumerate(ixp_names)}
+        operators = tuple(sorted({
+            op for i in interfaces for op, _ in i.per_operator_min_ms
+        }))
+        op_code = {op: k for k, op in enumerate(operators)}
+        operator_min = np.full((len(interfaces), len(operators)), np.nan)
+        for row, iface in enumerate(interfaces):
+            for op, value in iface.per_operator_min_ms:
+                operator_min[row, op_code[op]] = value
+        return cls(
+            ixp_names=ixp_names,
+            ixp=np.array(
+                [ixp_code[i.ixp_acronym] for i in interfaces], dtype=np.int64
+            ),
+            address=np.array(
+                [i.address.value for i in interfaces], dtype=np.int64
+            ),
+            min_rtt_ms=np.array(
+                [i.min_rtt_ms for i in interfaces], dtype=float
+            ),
+            asn=np.array(
+                [-1 if i.asn is None else int(i.asn) for i in interfaces],
+                dtype=np.int64,
+            ),
+            source=np.array(
+                [SOURCE_NAMES.index(i.identification_source)
+                 for i in interfaces],
+                dtype=np.int64,
+            ),
+            reply_count=np.array(
+                [i.reply_count for i in interfaces], dtype=np.int64
+            ),
+            operators=operators,
+            operator_min_ms=operator_min,
+        )
+
+    def records(self) -> list[AnalyzedInterface]:
+        """One :class:`AnalyzedInterface` per row."""
+        ixp = self.ixp.tolist()
+        asn = self.asn.tolist()
+        source = self.source.tolist()
+        minima = self.operator_min_ms.tolist()
+        return [
+            AnalyzedInterface(
+                ixp_acronym=self.ixp_names[ixp[i]],
+                address=IPv4Address(address),
+                min_rtt_ms=min_rtt,
+                per_operator_min_ms=tuple(
+                    (op, value)
+                    for op, value in zip(self.operators, minima[i])
+                    if value == value  # NaN: no reply from this operator
+                ),
+                asn=None if asn[i] < 0 else ASN(asn[i]),
+                identification_source=SOURCE_NAMES[source[i]],
+                reply_count=replies,
+            )
+            for i, (address, min_rtt, replies) in enumerate(zip(
+                self.address.tolist(),
+                self.min_rtt_ms.tolist(),
+                self.reply_count.tolist(),
+            ))
+        ]
+
+
+def band_codes(min_rtts: np.ndarray) -> np.ndarray:
+    """Index into :data:`BAND_LABELS` of each minimum RTT."""
+    if (min_rtts < 0).any():
+        raise AnalysisError(f"negative RTT {min_rtts[min_rtts < 0][0]}")
+    edges = np.array([low for _, low, _ in RTT_BANDS[1:]])
+    return np.searchsorted(edges, min_rtts, side="right")
+
+
 class CampaignResult:
     """Filtered, classified output of one measurement campaign."""
 
-    analyzed: list[AnalyzedInterface]
-    discard_counts: dict[str, int]
-    threshold_ms: float
-    candidate_count: int
-    _by_network: dict[ASN, list[AnalyzedInterface]] = field(default_factory=dict)
+    def __init__(
+        self,
+        analyzed: list[AnalyzedInterface] | None = None,
+        discard_counts: dict[str, int] | None = None,
+        threshold_ms: float = 10.0,
+        candidate_count: int = 0,
+        *,
+        columns: AnalyzedColumns | None = None,
+    ) -> None:
+        if columns is None:
+            analyzed = list(analyzed or [])
+            columns = AnalyzedColumns.pack(analyzed)
+        self.columns = columns
+        self.discard_counts = dict(discard_counts or {})
+        self.threshold_ms = threshold_ms
+        self.candidate_count = candidate_count
+        self._analyzed = analyzed
+        self._by_network: dict[ASN, list[AnalyzedInterface]] | None = None
 
-    def __post_init__(self) -> None:
-        if not self._by_network:
+    @property
+    def analyzed(self) -> list[AnalyzedInterface]:
+        """The analyzed interfaces as records, in result order."""
+        if self._analyzed is None:
+            self._analyzed = self.columns.records()
+        return self._analyzed
+
+    def _networks(self) -> dict[ASN, list[AnalyzedInterface]]:
+        if self._by_network is None:
             grouped: dict[ASN, list[AnalyzedInterface]] = defaultdict(list)
             for iface in self.analyzed:
                 if iface.asn is not None:
                     grouped[iface.asn].append(iface)
             self._by_network = dict(grouped)
+        return self._by_network
+
+    def _remote_mask(self) -> np.ndarray:
+        rtts = self.columns.min_rtt_ms
+        if (rtts < 0).any():
+            raise AnalysisError(f"negative RTT {rtts[rtts < 0][0]}")
+        return rtts >= self.threshold_ms
+
+    def _ixps_in_order(self, mask: np.ndarray | None = None) -> list[int]:
+        """IXP codes present (under ``mask``), in first-seen row order."""
+        codes = self.columns.ixp if mask is None else self.columns.ixp[mask]
+        unique, first = np.unique(codes, return_index=True)
+        return unique[np.argsort(first)].tolist()
 
     # -- interface-level views ----------------------------------------------------
 
     def analyzed_count(self) -> int:
         """Total analyzed interfaces (paper: 4,451)."""
-        return len(self.analyzed)
+        return len(self.columns)
 
     def analyzed_count_by_ixp(self) -> dict[str, int]:
         """Table 1's "number of analyzed interfaces" column."""
-        counts: Counter[str] = Counter(i.ixp_acronym for i in self.analyzed)
-        return dict(counts)
+        counts = np.bincount(
+            self.columns.ixp, minlength=len(self.columns.ixp_names)
+        )
+        return {
+            self.columns.ixp_names[code]: int(counts[code])
+            for code in self._ixps_in_order()
+        }
 
     def min_rtts(self) -> np.ndarray:
         """Minimum RTTs of all analyzed interfaces (Figure 2's sample)."""
-        return np.array([i.min_rtt_ms for i in self.analyzed], dtype=float)
+        return self.columns.min_rtt_ms.copy()
 
     def band_counts_by_ixp(self) -> dict[str, dict[str, int]]:
         """Figure 3: per-IXP interface counts in the four RTT bands."""
-        table: dict[str, dict[str, int]] = defaultdict(
-            lambda: {label: 0 for label in BAND_LABELS}
-        )
-        for iface in self.analyzed:
-            table[iface.ixp_acronym][iface.band] += 1
-        return dict(table)
+        bands = band_codes(self.columns.min_rtt_ms)
+        table = np.zeros((len(self.columns.ixp_names), len(BAND_LABELS)), int)
+        np.add.at(table, (self.columns.ixp, bands), 1)
+        return {
+            self.columns.ixp_names[code]: dict(
+                zip(BAND_LABELS, table[code].tolist())
+            )
+            for code in self._ixps_in_order()
+        }
 
     def remote_interfaces(self) -> list[AnalyzedInterface]:
         """Interfaces at or above the remoteness threshold."""
-        return [i for i in self.analyzed if i.remote(self.threshold_ms)]
+        analyzed = self.analyzed
+        return [analyzed[i] for i in np.flatnonzero(self._remote_mask())]
 
     def ixps_with_remote_peering(self) -> list[str]:
         """IXPs where at least one remote interface was detected."""
-        return sorted({i.ixp_acronym for i in self.remote_interfaces()})
+        return sorted(
+            self.columns.ixp_names[code]
+            for code in self._ixps_in_order(self._remote_mask())
+        )
 
     def studied_ixps(self) -> list[str]:
         """All IXPs contributing analyzed interfaces."""
-        return sorted({i.ixp_acronym for i in self.analyzed})
+        return sorted(
+            self.columns.ixp_names[code] for code in self._ixps_in_order()
+        )
 
     def remote_spread_fraction(self) -> float:
         """Fraction of studied IXPs showing remote peering (paper: 91%)."""
@@ -115,27 +273,40 @@ class CampaignResult:
             raise AnalysisError("no analyzed interfaces")
         return len(self.ixps_with_remote_peering()) / len(studied)
 
+    def remote_fraction_by_ixp(self) -> dict[str, float]:
+        """Per studied IXP, the fraction of analyzed interfaces called
+        remote, in acronym order."""
+        names = self.columns.ixp_names
+        total = np.bincount(self.columns.ixp, minlength=len(names)).tolist()
+        remote = np.bincount(
+            self.columns.ixp, weights=self._remote_mask(), minlength=len(names)
+        ).tolist()
+        return {
+            names[code]: int(remote[code]) / total[code]
+            for code in sorted(self._ixps_in_order(), key=names.__getitem__)
+        }
+
     # -- network-level views ---------------------------------------------------------
 
     def identified_interface_count(self) -> int:
         """Analyzed interfaces mapped to an ASN (paper: 3,242)."""
-        return sum(1 for i in self.analyzed if i.identified)
+        return int((self.columns.asn >= 0).sum())
 
     def identified_networks(self) -> dict[ASN, list[AnalyzedInterface]]:
         """All identified networks and their analyzed interfaces."""
-        return dict(self._by_network)
+        return dict(self._networks())
 
     def remotely_peering_networks(self) -> dict[ASN, list[AnalyzedInterface]]:
         """Networks with >= 1 interface classified remote (paper: 285)."""
         return {
             asn: ifaces
-            for asn, ifaces in self._by_network.items()
+            for asn, ifaces in self._networks().items()
             if any(i.remote(self.threshold_ms) for i in ifaces)
         }
 
     def ixp_count_of(self, asn: ASN) -> int:
         """Number of studied IXPs where the network has analyzed interfaces."""
-        ifaces = self._by_network.get(asn)
+        ifaces = self._networks().get(asn)
         if not ifaces:
             return 0
         return len({i.ixp_acronym for i in ifaces})
@@ -143,7 +314,7 @@ class CampaignResult:
     def ixp_count_distribution(self, remote_only: bool = False) -> dict[int, int]:
         """Figure 4a: histogram of networks over their IXP counts."""
         networks = (
-            self.remotely_peering_networks() if remote_only else self._by_network
+            self.remotely_peering_networks() if remote_only else self._networks()
         )
         histogram: Counter[int] = Counter()
         for asn in networks:
@@ -168,35 +339,43 @@ class CampaignResult:
 
 
 def build_result(
-    measurements: list[InterfaceMeasurement],
+    measurements: MeasurementTable | list,
     report: FilterReport,
     threshold_ms: float,
 ) -> CampaignResult:
-    """Assemble the result object from filtered measurements."""
-    analyzed = []
-    for m in report.passed:
-        min_rtt = m.min_rtt_ms()
-        if min_rtt is None:  # pragma: no cover - filters guarantee replies
-            raise AnalysisError(f"filtered interface {m.address} has no replies")
-        per_operator = tuple(
-            (operator, float(m.min_rtt_ms(operator)))  # type: ignore[arg-type]
-            for operator in m.operators()
-            if m.reply_count(operator) > 0
-        )
-        analyzed.append(
-            AnalyzedInterface(
-                ixp_acronym=m.ixp_acronym,
-                address=m.address,
-                min_rtt_ms=float(min_rtt),
-                per_operator_min_ms=per_operator,
-                asn=m.asn_at_start if m.asn_at_start is not None else m.asn_at_end,
-                identification_source=m.identification_source,
-                reply_count=m.reply_count(),
-            )
-        )
+    """Assemble the result from the filter report's survivors.
+
+    The minimum RTT, per-operator minima and reply count of each survivor
+    are the filter pass's reductions over its kept replies, gathered for
+    the passed rows.
+    """
+    passed = report.passed
+    table = passed.table
+    rows = passed.rows
+    if np.isinf(passed.min_rtt_ms[rows]).any():  # pragma: no cover
+        raise AnalysisError("a filtered interface has no replies")
+    operators = table.operators
+    operator_min = np.full((len(table), len(operators)), np.nan)
+    has_kept = passed.seg_kept > 0
+    operator_min[
+        table.seg_row[has_kept], table.seg_operator[has_kept]
+    ] = passed.seg_min_ms[has_kept]
+    asn = np.where(
+        table.asn_start[rows] >= 0, table.asn_start[rows], table.asn_end[rows]
+    )
     return CampaignResult(
-        analyzed=analyzed,
         discard_counts=dict(report.discard_counts),
         threshold_ms=threshold_ms,
         candidate_count=len(measurements),
+        columns=AnalyzedColumns(
+            ixp_names=table.ixp_names,
+            ixp=table.ixp[rows],
+            address=table.address[rows],
+            min_rtt_ms=passed.min_rtt_ms[rows],
+            asn=asn,
+            source=table.source[rows],
+            reply_count=passed.kept_count[rows].astype(np.int64),
+            operators=operators,
+            operator_min_ms=operator_min[rows],
+        ),
     )

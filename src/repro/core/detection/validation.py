@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.detection.results import CampaignResult
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.lg.server import LookingGlassServer
+from repro.net.addr import IPv4Address
 from repro.rand import child_rng
 from repro.sim.detection_world import DetectionWorld
 
@@ -66,28 +67,37 @@ def validate_against_truth(
     """Confusion matrix of remote calls vs ground truth.
 
     Restricting to one IXP reproduces the TorIX check; leaving it None
-    evaluates the whole study.
+    evaluates the whole study.  Each analyzed interface is looked up in
+    the world's interface table by (IXP, address); a pair the world has
+    no row for is a :class:`~repro.errors.ConfigurationError`.
     """
     threshold = threshold_ms if threshold_ms is not None else result.threshold_ms
-    tp = fp = tn = fn = 0
-    for iface in result.analyzed:
-        if ixp_acronym is not None and iface.ixp_acronym != ixp_acronym:
-            continue
-        truth = world.truth_for(iface.ixp_acronym, iface.address)
-        called_remote = iface.remote(threshold)
-        if truth.is_remote and called_remote:
-            tp += 1
-        elif truth.is_remote and not called_remote:
-            fn += 1
-        elif not truth.is_remote and called_remote:
-            fp += 1
-        else:
-            tn += 1
+    columns = result.columns
+    names = columns.ixp_names
+    selected = np.ones(len(columns), dtype=bool)
+    if ixp_acronym is not None:
+        selected = np.array([n == ixp_acronym for n in names], bool)[columns.ixp]
+    ixp = columns.ixp[selected]
+    world_ixp = np.array(
+        [world.exchange_index.get(n, -1) for n in names], np.int64
+    )[ixp]
+    addresses = columns.address[selected]
+    rows = world.table.find_rows(world_ixp, addresses)
+    missing = np.flatnonzero((rows < 0) | (world_ixp < 0))
+    if len(missing):
+        name = names[int(ixp[missing[0]])]
+        address = IPv4Address(int(addresses[missing[0]]))
+        raise ConfigurationError(f"no ground truth for {name}/{address}")
+    rtts = columns.min_rtt_ms[selected]
+    if (rtts < 0).any():
+        raise AnalysisError(f"negative RTT {rtts[rtts < 0][0]}")
+    called = rtts >= threshold
+    truly = world.table.is_remote[rows]
     return GroundTruthReport(
-        true_positives=tp,
-        false_positives=fp,
-        true_negatives=tn,
-        false_negatives=fn,
+        true_positives=int((truly & called).sum()),
+        false_positives=int((~truly & called).sum()),
+        true_negatives=int((~truly & ~called).sum()),
+        false_negatives=int((truly & ~called).sum()),
     )
 
 
@@ -124,7 +134,9 @@ def route_server_cross_check(
     Mirrors TorIX's staff measuring minimum RTTs "between the TorIX route
     server and member interfaces": we attach a new LG-like port to the
     IXP's fabric, ping every analyzed interface, and compare the new minima
-    against the campaign's.  The default of one 5-ping burst per interface
+    against the campaign's.  The re-measurement probes the world's object
+    view one ping at a time (:meth:`LookingGlassServer.query`), whose draw
+    order is the report's contract.  The default of one 5-ping burst per interface
     matches the quick one-shot character of the paper's re-measurement —
     its 0.3 ms mean / 1.6 ms² variance come from transient queueing that a
     single burst cannot average away.

@@ -10,18 +10,18 @@ along the configured MRO.
 That extraction serves two purposes:
 
 * ``repro lint`` compares the programs of every multi-engine subsystem
-  (the offload world's single-world and trial-batched realizers, the
-  campaign's scalar and batch probe engines) and fails when they diverge
+  (the offload world's single-world and trial-batched realizers) and
+  fails when they diverge
   (rule ``draw-engine-parity``) — the invariant the cross-engine
   equivalence suites check dynamically, enforced before a single test
   runs;
 * ``repro lint --draw-programs`` renders the table, replacing the
   hand-maintained stream-order docstrings.
 
-The scalar reference builders of the pool, detection and offload worlds
-live outside ``src/`` (``tests/reference/``); ``tests/test_repro_lint.py``
-extracts their programs with the same machinery and holds each to its
-product builder's program.
+The scalar references of the pool, detection and offload worlds and of
+the probe campaign live outside ``src/`` (``tests/reference/``);
+``tests/test_repro_lint.py`` extracts their programs with the same
+machinery and holds each to its product's program.
 
 Sites are listed in *scope order* (shared scopes first, then the engine
 class walked base-most first, each scope in source order).  Within one
@@ -85,7 +85,8 @@ class _Scope:
     method: str | None = None        # for kind == "method"
     mro: tuple[str, ...] = ()        # for kind == "class", derived-first
     #: Parity-key override for engine entry methods whose *names* differ
-    #: across engines (e.g. _sweep_server_scalar vs _sweep_server_batch)
+    #: across engines (e.g. the reference campaign's _sweep_server_scalar
+    #: vs the product's _sweep_server_batch)
     #: while their stream contracts must match.
     alias: str | None = None
     #: Module holding this scope when it differs from the subsystem's
@@ -152,9 +153,6 @@ SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
         module="repro/core/detection/campaign.py",
         shared=(_Scope("method", "ProbeCampaign", method="_retry_plan"),),
         engines={
-            "scalar": (_Scope("method", "ProbeCampaign",
-                              method="_sweep_server_scalar",
-                              alias="sweep_server"),),
             "vectorized": (_Scope("method", "ProbeCampaign",
                                   method="_sweep_server_batch",
                                   alias="sweep_server"),),

@@ -86,10 +86,10 @@ intensity are byte-identical to a fault-free run.  The streams:
   into one per-server downtime function;
 * ``(seed, "faults", "probe-loss", ixp)`` — loss bursts scaling every
   response probability down by the configured severity;
-* ``(seed, "faults", "backoff", ixp, operator)`` — retry jitter.  Both
-  probe engines plan retries on the *identical* planned query grid with
-  this one stream, so retry counts, served masks and effective send
-  times agree bit-for-bit across ``batch`` and ``scalar``.
+* ``(seed, "faults", "backoff", ixp, operator)`` — retry jitter.  The
+  probe engine and its per-probe reference plan retries on the
+  *identical* planned query grid with this one stream, so retry counts,
+  served masks and effective send times agree bit-for-bit across them.
 
 The trial-batch data flow (seed groups → one array program)
 -----------------------------------------------------------

@@ -21,8 +21,8 @@ Fault streams (see :mod:`repro.rand` for the discipline):
   "rate-limit-storm", server)`` — unavailability windows per LG server;
 * ``(seed, "faults", "probe-loss", ixp)`` — loss bursts per IXP LAN;
 * ``(seed, "faults", "backoff", ixp, operator)`` — the retry planner's
-  jitter draws (consumed identically by the scalar and batch probe
-  engines, so retry counts agree bit-for-bit across engines).
+  jitter draws (consumed identically by the probe engine and its
+  per-probe reference, so retry counts agree bit-for-bit across them).
 """
 
 from repro.faults.retry import RetryPlan, RetryPolicy, plan_retries

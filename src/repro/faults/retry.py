@@ -6,8 +6,8 @@ the outage or the attempt budget is exhausted.  The planner is *pure*:
 given the planned query times, an availability predicate and one
 dedicated RNG stream it computes every slot's effective send time,
 attempt count and served/dropped verdict in a single vectorized pass —
-so the scalar and batch probe engines, which share the stream and call
-it with identical inputs, produce bit-identical retry plans.
+so the probe engine and its per-probe reference, which share the stream
+and call it with identical inputs, produce bit-identical retry plans.
 
 The jitter draw has a *fixed shape* — ``(slots, max_attempts - 1)``
 uniforms regardless of how many slots actually retry — which is what

@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.faults.retry import RetryPolicy
 from repro.layer2.failover import FailoverState
+from repro.net.addr import IPv4Address
 from repro.rand import child_rng
 from repro.units import DAY, FIVE_MINUTES, HOUR, MINUTE
 
@@ -286,9 +287,10 @@ def build_fault_schedule(
 ) -> FaultSchedule:
     """Materialize a world's fault schedule from its dedicated streams.
 
-    Iteration is over *sorted* keys, and each component draws from its own
-    ``(seed, "faults", kind, ...)`` stream, so the schedule is identical
-    regardless of world build engine or iteration quirks — and adding a
+    Iteration is over *sorted* keys (IXPs by acronym, interfaces by
+    address, read from the world's interface table), and each component
+    draws from its own ``(seed, "faults", kind, ...)`` stream, so the
+    schedule is identical regardless of iteration quirks — and adding a
     fault kind never perturbs the others.
     """
     span = world.window.duration_s
@@ -299,8 +301,9 @@ def build_fault_schedule(
     flaps: dict[str, dict[int, np.ndarray]] = {}
     loss: dict[str, np.ndarray] = {}
     server_down: dict[str, np.ndarray] = {}
+    exchanges = sorted(world.exchanges, key=lambda entry: entry.acronym)
 
-    for acronym in sorted(world.ixps):
+    for acronym in (entry.acronym for entry in exchanges):
         edges = draw_windows(
             child_rng(seed, "faults", PROBE_LOSS, acronym),
             config.loss_rate, config.loss_mean_s, span,
@@ -310,8 +313,9 @@ def build_fault_schedule(
             loss[acronym] = edges
             events += _edge_events(PROBE_LOSS, acronym, acronym, edges)
 
-    for acronym in sorted(world.lg_servers):
-        for server in world.lg_servers[acronym]:
+    for entry in exchanges:
+        acronym = entry.acronym
+        for server in entry.vantages:
             outages = draw_windows(
                 child_rng(seed, "faults", LG_OUTAGE, server.name),
                 config.lg_outage_rate, config.lg_outage_mean_s, span,
@@ -336,34 +340,42 @@ def build_fault_schedule(
             if merged.size:
                 server_down[server.name] = merged
 
-    for (acronym, addr_value) in sorted(world.truth):
-        truth = world.truth[(acronym, addr_value)]
-        flap_edges = draw_windows(
-            child_rng(seed, "faults", PORT_FLAP, acronym, addr_value),
-            config.flap_rate, config.flap_mean_s, span,
-            config.intensity, config.duration_scale,
-        )
-        if flap_edges.size:
-            flaps.setdefault(acronym, {})[addr_value] = flap_edges
-            events += _edge_events(
-                PORT_FLAP, acronym, str(truth.address), flap_edges
-            )
-        if truth.is_remote and truth.on_lan:
-            dark_edges = draw_windows(
-                child_rng(seed, "faults", PSEUDOWIRE_DARK, acronym,
-                          addr_value),
-                config.dark_rate, config.dark_mean_s, span,
+    # Interfaces in (IXP, address) order: each IXP's rows are ascending.
+    table = world.table
+    for entry in exchanges:
+        acronym = entry.acronym
+        rows = slice(entry.start, entry.stop)
+        dark_candidates = (table.is_remote[rows] & table.on_lan[rows]).tolist()
+        base_rtts = table.base_rtt_ms[rows].tolist()
+        for j, addr_value in enumerate(table.address[rows].tolist()):
+            flap_edges = draw_windows(
+                child_rng(seed, "faults", PORT_FLAP, acronym, addr_value),
+                config.flap_rate, config.flap_mean_s, span,
                 config.intensity, config.duration_scale,
             )
-            if dark_edges.size:
-                extra_ms = (
-                    truth.base_rtt_ms * (config.fallback_rtt_factor - 1.0)
-                    + config.fallback_extra_ms
-                )
-                failover_windows[addr_value] = (dark_edges, extra_ms)
+            if flap_edges.size:
+                flaps.setdefault(acronym, {})[addr_value] = flap_edges
                 events += _edge_events(
-                    PSEUDOWIRE_DARK, acronym, str(truth.address), dark_edges
+                    PORT_FLAP, acronym, str(IPv4Address(addr_value)),
+                    flap_edges,
                 )
+            if dark_candidates[j]:
+                dark_edges = draw_windows(
+                    child_rng(seed, "faults", PSEUDOWIRE_DARK, acronym,
+                              addr_value),
+                    config.dark_rate, config.dark_mean_s, span,
+                    config.intensity, config.duration_scale,
+                )
+                if dark_edges.size:
+                    extra_ms = (
+                        base_rtts[j] * (config.fallback_rtt_factor - 1.0)
+                        + config.fallback_extra_ms
+                    )
+                    failover_windows[addr_value] = (dark_edges, extra_ms)
+                    events += _edge_events(
+                        PSEUDOWIRE_DARK, acronym, str(IPv4Address(addr_value)),
+                        dark_edges,
+                    )
 
     events.sort(key=lambda e: (e.start_s, e.kind, e.ixp, e.target))
     return FaultSchedule(

@@ -7,10 +7,14 @@ the whole city database per query (the seed implementation) costs
 O(C log C) each time; this module computes the full C x C great-circle
 matrix once (vectorized haversine, ~160 x 160 for the built-in database)
 and answers every band query with a boolean mask over one row.
+:meth:`CityDistanceMatrix.for_cities` shares one read-only matrix among
+every city database with the same content (the detection builder asks
+once per world, each world over its own fresh ``default_city_db()``).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +46,7 @@ class CityDistanceMatrix:
 
     ``cities`` fixes the index order (the database's insertion order), so
     row ``i`` of ``km`` holds the distances from ``cities[i]`` to every
-    city.  Build once per world; query with :meth:`row`/:meth:`within`.
+    city; ``km`` is read-only.  Query with :meth:`row`/:meth:`within`.
     """
 
     cities: tuple[City, ...]
@@ -57,11 +61,31 @@ class CityDistanceMatrix:
             raise ConfigurationError("cannot build a distance matrix of no cities")
         lat = np.array([c.point.lat for c in cities])
         lon = np.array([c.point.lon for c in cities])
+        km = pairwise_distance_km(lat, lon)
+        km.flags.writeable = False
         return cls(
             cities=cities,
             index={c.name: i for i, c in enumerate(cities)},
-            km=pairwise_distance_km(lat, lon),
+            km=km,
         )
+
+    @classmethod
+    def for_cities(cls, city_db: CityDB) -> "CityDistanceMatrix":
+        """The matrix of ``city_db``, shared by every database holding the
+        same cities (names, countries, continents and coordinates) in the
+        same insertion order."""
+        key = tuple(
+            (c.name, c.country, c.continent, c.point.lat, c.point.lon)
+            for c in city_db.cities.values()
+        )
+        matrix = _SHARED.get(key)
+        if matrix is None:
+            matrix = _SHARED[key] = cls.build(city_db)
+            while len(_SHARED) > _SHARED_LIMIT:
+                _SHARED.popitem(last=False)
+        else:
+            _SHARED.move_to_end(key)
+        return matrix
 
     def __len__(self) -> int:
         return len(self.cities)
@@ -97,3 +121,9 @@ class CityDistanceMatrix:
         """Cities in the [low, high] km band of ``city``, in index order."""
         mask = self.band_mask(city, low_km, high_km)
         return [c for c, keep in zip(self.cities, mask) if keep]
+
+
+#: Matrices shared by content (most recently used last), and how many
+#: distinct city tables keep one.
+_SHARED: OrderedDict[tuple, CityDistanceMatrix] = OrderedDict()
+_SHARED_LIMIT = 8

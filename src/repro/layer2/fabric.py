@@ -15,6 +15,9 @@ from repro.net.addr import IPv4Address
 if TYPE_CHECKING:  # pragma: no cover
     from repro.layer2.failover import FailoverState
 
+#: RTT of one crossing of the IXP switch (both directions).
+SWITCH_CROSSING_MS = 0.02
+
 
 @dataclass(slots=True)
 class PeeringFabric:
@@ -27,7 +30,7 @@ class PeeringFabric:
 
     name: str
     jitter: JitterModel = field(default_factory=JitterModel)
-    switch_crossing_ms: float = 0.02
+    switch_crossing_ms: float = SWITCH_CROSSING_MS
     _ports: dict[int, Port] = field(default_factory=dict)
     _site_of_port: dict[int, str] = field(default_factory=dict)
     _intersite_rtt_ms: dict[tuple[str, str], float] = field(default_factory=dict)

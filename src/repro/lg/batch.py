@@ -1,16 +1,16 @@
-"""Vectorized batch probe engine for looking-glass sweep campaigns.
+"""The probe engine for looking-glass sweep campaigns.
 
-The scalar path (:meth:`LookingGlassServer.query`) simulates one probe per
-Python call — fine for interactive queries, far too slow for the
-four-month campaign's ~300k probes.  This module compiles each
-(LG server x target list) sweep into a numpy *probe plan* and realizes
-every round's stochastic components as array draws.
+Simulating one probe per Python call (:meth:`LookingGlassServer.query`,
+kept for interactive queries such as the route-server cross-check) is far
+too slow for the four-month campaign's ~300k probes.  This module
+compiles each (LG server x target list) sweep into a numpy *probe plan*
+and realizes every round's stochastic components as array draws.
 
-Array layout
-------------
-A :class:`ProbePlan` holds one row per target, in sweep order (index ``j``
-below).  All static per-(server, target) quantities are 1-D arrays of
-length ``N = len(addresses)``:
+Plans
+-----
+A :class:`ProbePlan` holds one row per target, in sweep order (index
+``j`` below).  All static per-(server, target) quantities are 1-D arrays
+of length ``N``:
 
 * ``base_rtt_ms[j]``   — deterministic path RTT: port tails + switch
   crossing + inter-site backhaul + this operator's LAG/ECMP bias for
@@ -23,38 +23,48 @@ length ``N = len(addresses)``:
 * ``reachable[j]``     — False when the address is published but answers
   nowhere (probes time out).
 
-Congestion is *grouped*: targets sharing a congestion process are listed
-once under that process, so the common ``NoCongestion`` case costs
-nothing and each distinct process does one vectorized draw per sweep.
+:func:`compile_probe_plan` reads one IXP's rows of a detection world's
+interface table for one LG vantage.  Congestion is *grouped*: targets
+sharing a congestion process are listed once under that process, so the
+common ``NoCongestion`` case costs nothing and each distinct process does
+one vectorized draw per sweep.
 
+Reply table
+-----------
 Execution (:func:`run_sweeps`) broadcasts the plan over ``R`` rounds and
 ``P`` pings per query into ``(R, N, P)`` arrays — probe send times follow
 the campaign discipline exactly (queries one minute apart within a round,
 pings one second apart within a query).  Stochastic components are drawn
 in a fixed, documented order from the per-(seed, ixp, operator) stream
 (see :mod:`repro.rand`): queueing jitter, then each congestion group in
-plan order, then response loss, then slow-path processing.  The result is
-one struct-of-arrays :class:`ReplyBatch` per target instead of ~300k
-:class:`EchoReply` objects.
+plan order, then response loss, then slow-path processing.  The answered
+probes come back as one :class:`SweepReplies` table: three flat arrays
+(RTT, received TTL, send time), target-major and in probe order within a
+target, plus the per-target reply counts.  ``SweepReplies[j]`` is target
+``j``'s :class:`ReplyBatch` as a view into those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
-from repro.delaymodel.congestion import CongestionProcess, NoCongestion
+from repro.delaymodel.congestion import CongestionProcess
 from repro.delaymodel.jitter import JitterModel
-from repro.lg.server import LookingGlassServer
-from repro.net.addr import IPv4Address
+from repro.layer2.fabric import SWITCH_CROSSING_MS
+from repro.lg.server import LG_TAIL_RTT_MS, LGVantage
 from repro.net.icmp import ReplyBatch
 from repro.units import MINUTE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.schedule import ProbeFaults
+    from repro.sim.detection_world import ExchangeEntry, InterfaceTable
+
+#: The jitter law of every generated fabric (the ``PeeringFabric``
+#: default).
+DEFAULT_JITTER = JitterModel()
 
 
 @dataclass(slots=True)
@@ -64,7 +74,7 @@ class ProbePlan:
     server_name: str
     operator: str
     pings_per_query: int
-    addresses: list[IPv4Address]
+    address_values: np.ndarray  # int64[N], IPv4 values in sweep order
     reachable: np.ndarray      # bool[N]
     base_rtt_ms: np.ndarray    # float[N]
     respond_prob: np.ndarray   # float[N]
@@ -73,93 +83,75 @@ class ProbePlan:
     ttl_after: np.ndarray      # int[N]
     os_change_s: np.ndarray    # float[N], +inf when the OS never changes
     extra_hops: np.ndarray     # int[N]
-    #: (process, target indices) pairs: the LG port's own process first
-    #: (if any), then target-port processes in first-seen target order.
-    #: A target index never repeats inside one group, so fancy-indexed
+    #: (process, target indices) pairs in first-seen target order.  A
+    #: target index never repeats inside one group, so fancy-indexed
     #: accumulation applies every endpoint's contribution.
     congestion_groups: list[tuple[CongestionProcess, np.ndarray]]
     jitter: JitterModel
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return len(self.address_values)
 
 
 def compile_probe_plan(
-    server: LookingGlassServer, addresses: list[IPv4Address]
+    table: "InterfaceTable", entry: "ExchangeEntry", vantage: LGVantage
 ) -> ProbePlan:
-    """Compile the static per-target arrays for one server's sweep."""
-    n = len(addresses)
-    reachable = np.zeros(n, dtype=bool)
-    base_rtt = np.zeros(n, dtype=float)
-    respond_prob = np.zeros(n, dtype=float)
-    processing = np.zeros(n, dtype=float)
-    ttl_init = np.ones(n, dtype=np.int64)
-    ttl_after = np.ones(n, dtype=np.int64)
-    os_change = np.full(n, np.inf)
-    extra_hops = np.zeros(n, dtype=np.int64)
-    # The LG port's own congestion gets a dedicated group (it applies to
-    # every on-LAN target); target-port processes are grouped by value.
-    # Keeping the two endpoints in separate groups guarantees a target
-    # index never repeats inside one group's fancy index, so each endpoint
-    # contributes its own independent draw — matching the scalar path even
-    # when both ports carry equal-valued processes.
-    lg_indices: list[int] = []
-    group_indices: dict[CongestionProcess, list[int]] = {}
+    """Compile one IXP's interface rows for one LG vantage.
 
-    fabric = server.fabric
-    lg_congestion = server.port.profile.congestion
-    for j, address in enumerate(addresses):
-        if fabric.has_address(address):
-            port = fabric.port_for(address)
-            device = port.interface.device
-            base_rtt[j] = fabric.base_path_rtt_ms(
-                server.port, port
-            ) + port.operator_bias.get(server.operator, 0.0)
-            extra_hops[j] = device.reply_extra_hops
-            if not isinstance(lg_congestion, NoCongestion):
-                lg_indices.append(j)
-            if not isinstance(port.profile.congestion, NoCongestion):
-                group_indices.setdefault(port.profile.congestion, []).append(j)
-        else:
-            offlan = server.offlan_targets.get(address.value)
-            if offlan is None:
-                continue  # published but unreachable: every probe times out
-            device = offlan.device
-            base_rtt[j] = offlan.base_rtt_ms
-            extra_hops[j] = offlan.extra_hops
-        reachable[j] = True
-        respond_prob[j] = device.respond_probability
-        processing[j] = device.processing_ms
-        ttl_init[j] = device.ttl_init
-        if device.ttl_after_change is not None:
-            ttl_after[j] = device.ttl_after_change
-            os_change[j] = device.os_change_time
-        else:
-            ttl_after[j] = device.ttl_init
+    Row order is the IXP's address order (the published target list).
+    The base RTT sums exactly as the fabric does —
+    ``((lg_tail + tail) + switch_crossing) + intersite``, then the
+    operator's bias — so a plan matches the object model's bit for bit.
+    """
+    from repro.sim.detection_world import (
+        CONGESTION_NONE,
+        LG_OPERATORS,
+        congestion_process,
+    )
+
+    rows = slice(entry.start, entry.stop)
+    on_lan = table.on_lan[rows]
+    base = (LG_TAIL_RTT_MS + table.tail_rtt_ms[rows]) + SWITCH_CROSSING_MS
+    if entry.intersite_rtt_ms is not None:
+        base = base + np.where(
+            table.site_b[rows], entry.intersite_rtt_ms, 0.0
+        )
+    base = base + table.bias_ms[rows, LG_OPERATORS.index(vantage.operator)]
+    # Target-port processes are grouped by value, in first-seen row order;
+    # constructing each one validates its parameters.
+    kinds = table.congestion[rows]
+    congested = np.flatnonzero(on_lan & (kinds != CONGESTION_NONE))
+    keyed: dict[tuple, list[int]] = {}
+    for j, key in zip(
+        congested.tolist(),
+        zip(
+            kinds[congested].tolist(),
+            table.congestion_a[rows][congested].tolist(),
+            table.congestion_b[rows][congested].tolist(),
+        ),
+    ):
+        keyed.setdefault(key, []).append(j)
 
     return ProbePlan(
-        server_name=server.name,
-        operator=server.operator,
-        pings_per_query=server.pings_per_query,
-        addresses=list(addresses),
-        reachable=reachable,
-        base_rtt_ms=base_rtt,
-        respond_prob=respond_prob,
-        processing_ms=processing,
-        ttl_init=ttl_init,
-        ttl_after=ttl_after,
-        os_change_s=os_change,
-        extra_hops=extra_hops,
-        congestion_groups=(
-            [(lg_congestion, np.array(lg_indices, dtype=np.intp))]
-            if lg_indices
-            else []
-        )
-        + [
-            (process, np.array(indices, dtype=np.intp))
-            for process, indices in group_indices.items()
+        server_name=vantage.name,
+        operator=vantage.operator,
+        pings_per_query=vantage.pings_per_query,
+        address_values=table.address[rows],
+        reachable=np.ones(len(on_lan), dtype=bool),
+        base_rtt_ms=np.where(on_lan, base, table.offlan_rtt_ms[rows]),
+        respond_prob=table.respond_prob[rows],
+        processing_ms=table.processing_ms[rows],
+        ttl_init=table.ttl_init[rows],
+        ttl_after=table.ttl_after[rows],
+        os_change_s=table.os_change_s[rows],
+        extra_hops=np.where(
+            on_lan, table.reply_hops[rows], table.offlan_hops[rows]
+        ),
+        congestion_groups=[
+            (congestion_process(*key), np.array(js, dtype=np.intp))
+            for key, js in keyed.items()
         ],
-        jitter=fabric.jitter,
+        jitter=DEFAULT_JITTER,
     )
 
 
@@ -192,11 +184,11 @@ def compile_sweep_faults(
     """Re-key one IXP's :class:`ProbeFaults` by plan target index."""
     flap_by_index: dict[int, np.ndarray] = {}
     dark_by_index: dict[int, tuple[np.ndarray, float]] = {}
-    for j, address in enumerate(plan.addresses):
-        flap_edges = faults.flap_edges.get(address.value)
+    for j, value in enumerate(plan.address_values.tolist()):
+        flap_edges = faults.flap_edges.get(value)
         if flap_edges is not None and flap_edges.size:
             flap_by_index[j] = flap_edges
-        dark = faults.failover.windows.get(address.value)
+        dark = faults.failover.windows.get(value)
         if dark is not None and dark[0].size:
             dark_by_index[j] = dark
     return SweepFaults(
@@ -212,6 +204,47 @@ def _edge_mask(edges: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, times, side="right") % 2 == 1
 
 
+@dataclass(eq=False, slots=True)
+class SweepReplies:
+    """One sweep's answered probes as a reply table.
+
+    ``rtt_ms``, ``ttl`` and ``sent_at_s`` are flat and target-major (probe
+    order within a target); ``counts[j]`` is target ``j``'s reply count.
+    As a sequence it yields one :class:`ReplyBatch` view per target.
+    """
+
+    rtt_ms: np.ndarray
+    ttl: np.ndarray
+    sent_at_s: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, j: int) -> ReplyBatch:
+        if not -len(self) <= j < len(self):
+            raise IndexError(j)
+        j %= len(self)
+        start = int(self.counts[:j].sum())
+        stop = start + int(self.counts[j])
+        return ReplyBatch(
+            rtt_ms=self.rtt_ms[start:stop],
+            ttl=self.ttl[start:stop],
+            sent_at_s=self.sent_at_s[start:stop],
+        )
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            return len(self) == len(other) and all(  # type: ignore[arg-type]
+                a == b for a, b in zip(self, other)  # type: ignore[call-overload]
+            )
+        except TypeError:
+            return NotImplemented
+
+
 def run_sweeps(
     plan: ProbePlan,
     starts: np.ndarray,
@@ -219,8 +252,8 @@ def run_sweeps(
     query_times: np.ndarray | None = None,
     served: np.ndarray | None = None,
     faults: SweepFaults | None = None,
-) -> list[ReplyBatch]:
-    """Realize all rounds of one plan; returns per-target reply batches.
+) -> SweepReplies:
+    """Realize all rounds of one plan into one reply table.
 
     ``starts`` holds the R round start times.  ``query_times`` accepts the
     ``(R, N)`` grid from :func:`sweep_query_times` when the caller already
@@ -281,25 +314,17 @@ def run_sweeps(
 
     rtt += rng.exponential(1.0, (rounds, n, pings)) * plan.processing_ms[None, :, None]
 
-    # Target-major views so each measurement slices one contiguous row.
+    # Target-major, so boolean indexing (row-major) gathers the answered
+    # probes grouped by target, in probe order.
     flat = rounds * pings
-    rtt_t = np.ascontiguousarray(rtt.transpose(1, 0, 2)).reshape(n, flat)
-    ttl_t = np.ascontiguousarray(ttl.transpose(1, 0, 2)).reshape(n, flat)
-    sent_t = np.ascontiguousarray(sent.transpose(1, 0, 2)).reshape(n, flat)
     answered_t = np.ascontiguousarray(answered.transpose(1, 0, 2)).reshape(n, flat)
 
-    if n == 0:
-        return []
-    # One concatenated gather for the whole sweep: boolean indexing a 2-D
-    # array walks row-major, so the answered replies come out grouped by
-    # target in probe order; per-target batches are then views into the
-    # three flat arrays (no per-target masking pass).
-    counts = answered_t.sum(axis=1)
-    boundaries = np.cumsum(counts)[:-1]
-    rtt_parts = np.split(rtt_t[answered_t], boundaries)
-    ttl_parts = np.split(ttl_t[answered_t], boundaries)
-    sent_parts = np.split(sent_t[answered_t], boundaries)
-    return [
-        ReplyBatch(rtt_ms=r, ttl=t, sent_at_s=s)
-        for r, t, s in zip(rtt_parts, ttl_parts, sent_parts)
-    ]
+    def gather(values: np.ndarray) -> np.ndarray:
+        return values.transpose(1, 0, 2).reshape(n, flat)[answered_t]
+
+    return SweepReplies(
+        rtt_ms=gather(rtt),
+        ttl=gather(ttl),
+        sent_at_s=gather(sent),
+        counts=answered_t.sum(axis=1),
+    )

@@ -1,49 +1,30 @@
 """The measurement client that drives LG servers politely.
 
 Section 3.1 ("Measurement overhead"): at most one HTML query per minute per
-LG server, measurements spread over four months.  The client enforces the
-rate limit against *simulated* time, so a mis-scheduled campaign fails
-loudly instead of silently hammering a server.
+LG server, measurements spread over four months.  The client keeps the
+campaign's rate-limit ledger against *simulated* time: each sweep's whole
+query schedule is validated before a probe is realized, so a
+mis-scheduled campaign fails loudly instead of silently hammering a
+server.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.errors import RateLimitError
-from repro.lg.server import LookingGlassServer
-from repro.net.addr import IPv4Address
-from repro.net.icmp import EchoReply
 from repro.units import MINUTE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.retry import RetryPlan
-    from repro.faults.schedule import ProbeFaults
-
-
-@dataclass(frozen=True, slots=True)
-class QueryResult:
-    """The outcome of one HTML query to one LG server."""
-
-    server_name: str
-    operator: str
-    target: IPv4Address
-    sent_at_s: float
-    replies: tuple[EchoReply, ...]
-
-    @property
-    def reply_count(self) -> int:
-        """How many pings were answered."""
-        return len(self.replies)
 
 
 @dataclass
 class LookingGlassClient:
-    """Rate-limited front end to a set of LG servers."""
+    """The per-server rate-limit ledger and retry tallies of a campaign."""
 
     min_interval_s: float = MINUTE
     _last_query_at: dict[str, float] = field(default_factory=dict)
@@ -51,62 +32,12 @@ class LookingGlassClient:
     _retry_counts: dict[str, int] = field(default_factory=dict)
     _dropped_counts: dict[str, int] = field(default_factory=dict)
 
-    def submit(
-        self,
-        server: LookingGlassServer,
-        target: IPv4Address,
-        time_s: float,
-        rng: np.random.Generator,
-        effective_s: float | None = None,
-        served: bool = True,
-        faults: "ProbeFaults | None" = None,
-    ) -> QueryResult:
-        """Submit one HTML query, enforcing the per-server rate limit.
-
-        The rate limit is enforced on the *planned* slot ``time_s``; under
-        a fault schedule the retry planner may shift the actual send to
-        ``effective_s`` (bounded so it stays within the slot — see
-        :class:`~repro.faults.retry.RetryPolicy`) or declare the slot
-        unservable (``served=False``), in which case the query is counted
-        as dropped and no probes are sent.
-        """
-        last = self._last_query_at.get(server.name)
-        # The 1 ms tolerance absorbs float rounding of minute-spaced
-        # schedules at large simulated timestamps.
-        if last is not None and time_s - last < self.min_interval_s - 1e-3:
-            raise RateLimitError(
-                f"{server.name}: query at t={time_s:.0f}s violates the "
-                f"{self.min_interval_s:.0f}s per-server interval "
-                f"(previous at t={last:.0f}s)"
-            )
-        self._last_query_at[server.name] = time_s
-        self._query_counts[server.name] = self._query_counts.get(server.name, 0) + 1
-        if not served:
-            # Dropped slots are tallied once per sweep via record_retries
-            # (both engines record the identical plan), not per submit.
-            return QueryResult(
-                server_name=server.name,
-                operator=server.operator,
-                target=target,
-                sent_at_s=time_s,
-                replies=(),
-            )
-        sent_at = time_s if effective_s is None else effective_s
-        replies = server.query(target, sent_at, rng, faults)
-        return QueryResult(
-            server_name=server.name,
-            operator=server.operator,
-            target=target,
-            sent_at_s=sent_at,
-            replies=tuple(replies),
-        )
-
     def record_sweep(self, server_name: str, times_s: np.ndarray) -> None:
         """Enter a vectorized sweep's query times into the rate-limit ledger.
 
-        The batch probe engine issues a whole campaign's queries to one
-        server in a single call, so the ledger validates the entire schedule
-        at once: the sorted query times must keep the per-server minimum
+        The probe engine issues a whole campaign's queries to one server
+        in a single call, so the ledger validates the entire schedule at
+        once: the sorted query times must keep the per-server minimum
         interval among themselves *and* against any previously recorded
         query.  A violation anywhere in the schedule fails the sweep before
         a single simulated probe is sent.
@@ -138,9 +69,7 @@ class LookingGlassClient:
     def record_retries(self, server_name: str, plan: "RetryPlan") -> None:
         """Add one retry plan's tallies to the per-server counters.
 
-        The batch engine plans a whole sweep's retries in one call; the
-        scalar engine records the identical plan before submitting slot by
-        slot — both engines therefore report the same counts.
+        The campaign plans a whole sweep's retries in one call.
         """
         self._retry_counts[server_name] = (
             self._retry_counts.get(server_name, 0) + plan.retries

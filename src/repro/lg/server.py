@@ -22,6 +22,31 @@ if TYPE_CHECKING:  # pragma: no cover
 PCH_PINGS = 5
 RIPE_PINGS = 3
 
+#: Tail RTT of a looking glass's own port to the IXP switch.
+LG_TAIL_RTT_MS = 0.05
+
+
+@dataclass(frozen=True, slots=True)
+class LGVantage:
+    """What a sweep needs of one LG server: its name, operator and ping
+    burst (the server's port is implied: a direct ``LG_TAIL_RTT_MS`` tail
+    at the main site, without congestion)."""
+
+    name: str
+    operator: str  # "PCH" or "RIPE"
+    pings_per_query: int
+
+    @classmethod
+    def at(cls, operator: str, ixp_acronym: str) -> "LGVantage":
+        """The vantage of ``operator``'s LG server at one IXP."""
+        if operator not in ("PCH", "RIPE"):
+            raise ConfigurationError(f"unknown LG operator {operator!r}")
+        return cls(
+            name=f"{operator}@{ixp_acronym}",
+            operator=operator,
+            pings_per_query=PCH_PINGS if operator == "PCH" else RIPE_PINGS,
+        )
+
 
 def _in_windows(edges: np.ndarray, time_s: float) -> bool:
     """Whether ``time_s`` falls inside a merged window set (see faults)."""
@@ -77,7 +102,7 @@ class LookingGlassServer:
         fabric: PeeringFabric,
         address: IPv4Address,
         site: str = "main",
-        tail_rtt_ms: float = 0.05,
+        tail_rtt_ms: float = LG_TAIL_RTT_MS,
     ) -> "LookingGlassServer":
         """Build an LG server and attach its own port to ``fabric``."""
         device = Device(
@@ -90,14 +115,14 @@ class LookingGlassServer:
             profile=PortProfile(tail_rtt_ms=tail_rtt_ms),
         )
         fabric.attach(port, site=site)
-        pings = PCH_PINGS if operator == "PCH" else RIPE_PINGS
+        vantage = LGVantage.at(operator, ixp_acronym)
         return cls(
-            name=f"{operator}@{ixp_acronym}",
+            name=vantage.name,
             operator=operator,
             ixp_acronym=ixp_acronym,
             fabric=fabric,
             port=port,
-            pings_per_query=pings,
+            pings_per_query=vantage.pings_per_query,
         )
 
     def register_offlan_target(

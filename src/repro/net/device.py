@@ -29,7 +29,8 @@ TTL_NETWORK_OS = 255
 #: Rare initial TTLs that the TTL-match filter rejects.
 TTL_RARE = (32, 128)
 
-_VALID_TTLS = frozenset({TTL_LINUX, TTL_NETWORK_OS, *TTL_RARE})
+#: Every initial TTL a device may stamp.
+VALID_TTLS = frozenset({TTL_LINUX, TTL_NETWORK_OS, *TTL_RARE})
 
 _device_ids = itertools.count(1)
 
@@ -88,10 +89,10 @@ class Device:
     device_id: int = field(default_factory=lambda: next(_device_ids))
 
     def __post_init__(self) -> None:
-        if self.ttl_init not in _VALID_TTLS:
+        if self.ttl_init not in VALID_TTLS:
             raise ConfigurationError(f"unrealistic initial TTL {self.ttl_init}")
         if self.ttl_after_change is not None:
-            if self.ttl_after_change not in _VALID_TTLS:
+            if self.ttl_after_change not in VALID_TTLS:
                 raise ConfigurationError(
                     f"unrealistic post-change TTL {self.ttl_after_change}"
                 )

@@ -9,14 +9,15 @@ RNG stream discipline
 ---------------------
 The probing campaign derives exactly one stream per
 ``(seed, "campaign", ixp, operator)`` label path — one independent
-generator per LG server per campaign.  Within a stream, a given engine
-draws in a fixed, documented order (the batch engine: round start times,
-then per sweep jitter, congestion groups in plan order, response loss,
-slow-path processing — see :mod:`repro.lg.batch`), so a (seed, engine)
-pair is bit-for-bit reproducible.  The scalar and batch engines consume
-the *same streams in different orders*; they therefore agree statistically
-rather than sample-for-sample, and results that must hold across engines
-are asserted with tolerances, never exact draws.  World generation uses
+generator per LG server per campaign.  Within a stream, the probe engine
+draws in a fixed, documented order (round start times, then per sweep
+jitter, congestion groups in plan order, response loss, slow-path
+processing — see :mod:`repro.lg.batch`), so a seed is bit-for-bit
+reproducible.  The per-probe reference engine in ``tests/reference/``
+consumes the *same streams in a different order*; the two therefore
+agree statistically rather than sample-for-sample, and results that
+must hold across them are asserted with tolerances, never exact draws.
+World generation uses
 the disjoint label paths ``(seed, "ixp", acronym)`` etc., so campaign
 replays never disturb the world.
 

@@ -96,7 +96,7 @@ def _validation_section(world: DetectionWorld, result: CampaignResult) -> str:
         f"precision {truth.precision:.4f}, recall {truth.recall:.4f} over "
         f"{truth.total} interfaces",
     ]
-    if "TorIX" in world.ixps:
+    if "TorIX" in world.exchange_index:
         cross = route_server_cross_check(world, result, "TorIX")
         lines.append(
             f"TorIX cross-check: mean {cross.mean_ms:.2f} ms, "

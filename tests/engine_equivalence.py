@@ -12,8 +12,9 @@ reference — the seed implementation, kept as an oracle in
   in distribution: the moment/count comparators and the two-sample
   Kolmogorov–Smirnov helpers below.
 
-The probe campaign keeps both of its engines in ``src/`` and is held to
-the statistical standard too, through the campaign signatures below.
+The probe campaign's per-probe reference (``tests/reference/campaign.py``)
+is held to the statistical standard too, through the campaign signatures
+below.
 
 Fixed-seed world *pairs* (product, reference) are built through the
 ``*_pair`` factories so every suite compares the same worlds.  This
@@ -118,9 +119,10 @@ def campaign_signature(result):
 def retry_signature(campaign):
     """Per-server (retries, dropped) counts from a campaign's client ledger.
 
-    Both probe engines plan retries on the identical query grid with the
-    same ``(seed, "faults", "backoff", ...)`` stream, so these counts —
-    unlike raw probe draws — must agree bit-for-bit *across* engines.
+    The probe engine and its reference plan retries on the identical query
+    grid with the same ``(seed, "faults", "backoff", ...)`` stream, so
+    these counts — unlike raw probe draws — must agree bit-for-bit
+    *across* engines.
     """
     client = campaign.client
     names = sorted(set(client._retry_counts) | set(client._dropped_counts))

@@ -1,4 +1,6 @@
-"""Fault injection through the probe campaign, on both engines.
+"""Fault injection through the probe campaign, on the product's array
+engine ("batch") and the per-probe reference engine ("scalar",
+``tests/reference/campaign.py``).
 
 Three contracts:
 
@@ -25,6 +27,7 @@ from repro.sim.detection_world import (
     build_detection_world,
 )
 from tests.engine_equivalence import campaign_signature, retry_signature
+from tests.reference.campaign import ReferenceCampaign
 
 CHAOS = FaultConfig(intensity=2.0)
 
@@ -37,9 +40,8 @@ def world():
 
 
 def run(world, engine, faults):
-    campaign = ProbeCampaign(
-        world, CampaignConfig(seed=13, engine=engine, faults=faults)
-    )
+    kind = ProbeCampaign if engine == "batch" else ReferenceCampaign
+    campaign = kind(world, CampaignConfig(seed=13, faults=faults))
     result = campaign.run()
     return campaign, result
 

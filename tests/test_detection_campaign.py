@@ -19,6 +19,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CampaignConfig(remoteness_threshold_ms=0)
 
+    def test_engine_not_settable(self):
+        """One probe engine: ``engine`` keeps its place in the repr, which
+        study fingerprints hash, but cannot be passed."""
+        with pytest.raises(TypeError):
+            CampaignConfig(engine="scalar")
+        assert CampaignConfig().engine == "batch"
+        assert repr(CampaignConfig()).endswith(", engine='batch', faults=None)")
+
 
 class TestCollection:
     def test_every_target_measured(self, mini_world, mini_result):

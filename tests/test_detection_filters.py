@@ -1,4 +1,9 @@
-"""The six conservative filters, each exercised with crafted measurements."""
+"""The six conservative filters, each exercised with crafted measurements.
+
+Each filter's cases run one hand-built measurement through the whole
+pipeline and read its discard reason (``None``: it survived), so a case
+also checks that no earlier filter claims it.
+"""
 
 import pytest
 
@@ -6,16 +11,18 @@ from repro.core.detection.filters import FILTER_ORDER, FilterConfig, FilterPipel
 from repro.core.detection.measurements import InterfaceMeasurement
 from repro.errors import ConfigurationError
 from repro.net.addr import IPv4Address
-from repro.net.icmp import EchoReply
+from repro.net.icmp import EchoReply, ReplyBatch
 from repro.types import ASN
 
 
 def replies(rtts, ttl=255, operator_offset=0.0):
-    return [
-        EchoReply(rtt_ms=r + operator_offset, ttl=ttl,
+    """One operator's replies; ``ttl`` is one value or one per reply."""
+    ttls = ttl if isinstance(ttl, list) else [ttl] * len(rtts)
+    return ReplyBatch.from_replies([
+        EchoReply(rtt_ms=r + operator_offset, ttl=t,
                   target_address="10.0.0.1", sent_at_s=float(i))
-        for i, r in enumerate(rtts)
-    ]
+        for i, (r, t) in enumerate(zip(rtts, ttls))
+    ])
 
 
 def measurement(pch_rtts=None, ripe_rtts=None, pch_ttl=255, ripe_ttl=255,
@@ -37,59 +44,65 @@ def pipeline():
     return FilterPipeline()
 
 
+def reason(pipeline, m):
+    """The filter that discards ``m``, or None when it survives."""
+    report = pipeline.run([m])
+    return report.discard_reason.get((m.ixp_acronym, m.address.value))
+
+
 GOOD = [1.0, 1.1, 1.05, 1.2, 1.0, 1.15, 1.08, 1.12, 1.03, 1.2]
 
 
 class TestSampleSize:
     def test_enough_replies_pass(self, pipeline):
-        assert pipeline.sample_size(measurement(pch_rtts=GOOD)) is not None
+        assert reason(pipeline, measurement(pch_rtts=GOOD)) is None
 
     def test_too_few_from_one_lg_discards(self, pipeline):
         m = measurement(pch_rtts=GOOD, ripe_rtts=GOOD[:5])
-        assert pipeline.sample_size(m) is None
+        assert reason(pipeline, m) == "sample-size"
 
     def test_no_replies_discards(self, pipeline):
-        assert pipeline.sample_size(measurement()) is None
+        assert reason(pipeline, measurement()) == "sample-size"
 
 
 class TestTTLSwitch:
     def test_stable_ttl_passes(self, pipeline):
-        assert pipeline.ttl_switch(measurement(pch_rtts=GOOD)) is not None
+        assert reason(pipeline, measurement(pch_rtts=GOOD)) is None
 
     def test_changed_ttl_discards(self, pipeline):
         m = measurement(pch_rtts=GOOD)
-        m.replies_by_operator["PCH"][4] = EchoReply(
-            rtt_ms=1.0, ttl=64, target_address="10.0.0.1", sent_at_s=4.0
-        )
-        assert pipeline.ttl_switch(m) is None
+        ttls = [255] * len(GOOD)
+        ttls[4] = 64
+        m.replies_by_operator["PCH"] = replies(GOOD, ttl=ttls)
+        assert reason(pipeline, m) == "ttl-switch"
 
     def test_cross_lg_ttl_difference_discards(self, pipeline):
         m = measurement(pch_rtts=GOOD, ripe_rtts=GOOD, pch_ttl=255,
                         ripe_ttl=64)
-        assert pipeline.ttl_switch(m) is None
+        assert reason(pipeline, m) == "ttl-switch"
 
 
 class TestTTLMatch:
     def test_expected_ttls_pass(self, pipeline):
-        assert pipeline.ttl_match(measurement(pch_rtts=GOOD, pch_ttl=64)) is not None
-        assert pipeline.ttl_match(measurement(pch_rtts=GOOD, pch_ttl=255)) is not None
+        assert reason(pipeline, measurement(pch_rtts=GOOD, pch_ttl=64)) is None
+        assert reason(pipeline, measurement(pch_rtts=GOOD, pch_ttl=255)) is None
 
     def test_rare_ttl_discards(self, pipeline):
-        assert pipeline.ttl_match(measurement(pch_rtts=GOOD, pch_ttl=128)) is None
+        assert reason(pipeline, measurement(pch_rtts=GOOD, pch_ttl=128)) == "ttl-match"
 
     def test_decremented_ttl_discards(self, pipeline):
         """Stale off-LAN targets reply with TTL 254: one extra hop."""
-        assert pipeline.ttl_match(measurement(pch_rtts=GOOD, pch_ttl=254)) is None
+        assert reason(pipeline, measurement(pch_rtts=GOOD, pch_ttl=254)) == "ttl-match"
 
 
 class TestRTTConsistent:
     def test_clustered_minimum_passes(self, pipeline):
-        assert pipeline.rtt_consistent(measurement(pch_rtts=GOOD)) is not None
+        assert reason(pipeline, measurement(pch_rtts=GOOD)) is None
 
     def test_scattered_samples_discard(self, pipeline):
         scattered = [5.0, 80.0, 140.0, 60.0, 200.0, 170.0, 90.0, 120.0,
                      220.0, 45.0]
-        assert pipeline.rtt_consistent(measurement(pch_rtts=scattered)) is None
+        assert reason(pipeline, measurement(pch_rtts=scattered)) == "rtt-consistent"
 
     def test_envelope_is_max_of_abs_and_fraction(self):
         config = FilterConfig()
@@ -100,40 +113,40 @@ class TestRTTConsistent:
         """A remote interface at 100 ms keeps a 10 ms envelope."""
         rtts = [100.0, 104.0, 108.0, 109.0, 130.0, 150.0, 170.0, 101.0,
                 140.0, 160.0]
-        assert pipeline.rtt_consistent(measurement(pch_rtts=rtts)) is not None
+        assert reason(pipeline, measurement(pch_rtts=rtts)) is None
 
 
 class TestLGConsistent:
     def test_single_lg_passes(self, pipeline):
-        assert pipeline.lg_consistent(measurement(pch_rtts=GOOD)) is not None
+        assert reason(pipeline, measurement(pch_rtts=GOOD)) is None
 
     def test_agreeing_lgs_pass(self, pipeline):
         m = measurement(pch_rtts=GOOD, ripe_rtts=[r + 0.5 for r in GOOD])
-        assert pipeline.lg_consistent(m) is not None
+        assert reason(pipeline, m) is None
 
     def test_disagreeing_lgs_discard(self, pipeline):
         m = measurement(pch_rtts=GOOD, ripe_rtts=[r + 20.0 for r in GOOD])
-        assert pipeline.lg_consistent(m) is None
+        assert reason(pipeline, m) == "lg-consistent"
 
     def test_proportional_tolerance_at_high_rtt(self, pipeline):
         """At 100 ms minima, a 8 ms disagreement is within 10%."""
         base = [100.0 + i * 0.3 for i in range(10)]
         m = measurement(pch_rtts=base, ripe_rtts=[r + 8.0 for r in base])
-        assert pipeline.lg_consistent(m) is not None
+        assert reason(pipeline, m) is None
 
 
 class TestASNChange:
     def test_stable_asn_passes(self, pipeline):
         m = measurement(pch_rtts=GOOD, asn_start=100, asn_end=100)
-        assert pipeline.asn_change(m) is not None
+        assert reason(pipeline, m) is None
 
     def test_changed_asn_discards(self, pipeline):
         m = measurement(pch_rtts=GOOD, asn_start=100, asn_end=200)
-        assert pipeline.asn_change(m) is None
+        assert reason(pipeline, m) == "asn-change"
 
     def test_unidentified_passes(self, pipeline):
         m = measurement(pch_rtts=GOOD, asn_start=None, asn_end=200)
-        assert pipeline.asn_change(m) is not None
+        assert reason(pipeline, m) is None
 
 
 class TestPipeline:
@@ -156,7 +169,7 @@ class TestPipeline:
     def test_survivors_trimmed_and_kept(self, pipeline):
         good = measurement(pch_rtts=GOOD)
         report = pipeline.run([good])
-        assert report.passed == [good]
+        assert list(report.passed) == [good]
         assert report.total_discarded() == 0
 
     def test_config_validation(self):
@@ -174,7 +187,7 @@ class TestPipelineEdgeCases:
         by the sample-size stage, not silently passed."""
         empty = measurement()  # no operators at all
         report = pipeline.run([empty])
-        assert report.passed == []
+        assert len(report.passed) == 0
         assert report.discard_counts["sample-size"] == 1
         key = (empty.ixp_acronym, empty.address.value)
         assert report.discard_reason[key] == "sample-size"
@@ -221,25 +234,30 @@ class TestPipelineEdgeCases:
 
 
 class TestArrayScalarEquivalence:
-    """The array-stat pass and the per-interface stage loop are one
-    pipeline: identical reports on real batch-engine evidence, for every
-    drop-one ablation."""
+    """The segment-reduction pipeline and the per-interface stage loop of
+    the reference (``tests/reference/filters.py``) are one pipeline:
+    identical reports on real campaign evidence, for every drop-one
+    ablation."""
 
     @pytest.fixture(scope="class")
     def measurements(self, mini_world):
         from repro.core.detection import CampaignConfig, ProbeCampaign
 
-        return ProbeCampaign(
-            mini_world, CampaignConfig(seed=13, engine="batch")
-        ).collect()
+        return ProbeCampaign(mini_world, CampaignConfig(seed=13)).collect()
 
     @pytest.mark.parametrize("skip", (None, *FILTER_ORDER))
     def test_reports_identical(self, measurements, skip):
         import numpy as np
 
-        pipeline = FilterPipeline()
-        arrays = pipeline.run(measurements, skip=skip, batched=True)
-        scalar = pipeline.run(measurements, skip=skip, batched=False)
+        from tests.reference.filters import (
+            ReferenceFilterPipeline,
+            reference_measurement,
+        )
+
+        arrays = FilterPipeline().run(measurements, skip=skip)
+        scalar = ReferenceFilterPipeline().run(
+            [reference_measurement(m) for m in measurements], skip=skip
+        )
         assert arrays.discard_counts == scalar.discard_counts
         assert arrays.discard_reason == scalar.discard_reason
         assert len(arrays.passed) == len(scalar.passed)
@@ -253,17 +271,30 @@ class TestArrayScalarEquivalence:
                 assert np.array_equal(a.ttls(op), b.ttls(op))
 
     def test_untrimmed_survivors_keep_identity(self, measurements):
-        pipeline = FilterPipeline()
-        report = pipeline.run(measurements, batched=True)
-        originals = {id(m) for m in measurements}
-        trimmed = [m for m in report.passed if id(m) not in originals]
-        untouched = [m for m in report.passed if id(m) in originals]
-        assert untouched, "most survivors should be the original objects"
-        # Trimmed survivors are siblings, never mutated originals.
-        for sibling in trimmed:
-            assert id(sibling) not in originals
+        """Untrimmed survivors are views of the campaign's table; trimmed
+        ones are masked copies; the table itself is never modified."""
+        import numpy as np
 
-    def test_mixed_reply_types_fall_back_to_scalar(self):
+        before = measurements.rtt_ms.copy()
+        report = FilterPipeline().run(measurements)
+        assert report.passed.table is measurements
+        views = 0
+        for k, survivor in enumerate(report.passed):
+            row = measurements[int(report.passed.rows[k])]
+            for op in survivor.operators():
+                if len(survivor.rtts(op)) == len(row.rtts(op)):
+                    assert np.shares_memory(
+                        survivor.rtts(op), measurements.rtt_ms
+                    )
+                    views += 1
+                else:
+                    assert not np.shares_memory(
+                        survivor.rtts(op), measurements.rtt_ms
+                    )
+        assert views, "most survivors should be views"
+        assert np.array_equal(measurements.rtt_ms, before)
+
+    def test_hand_built_list_packs_into_a_table(self):
         m = measurement(pch_rtts=GOOD)
-        report = FilterPipeline().run([m])  # list-based evidence
-        assert report.passed == [m]
+        report = FilterPipeline().run([m])  # a list, not a campaign table
+        assert list(report.passed) == [m]

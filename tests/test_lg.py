@@ -1,4 +1,5 @@
-"""Looking-glass servers and the rate-limited client."""
+"""Looking-glass servers, and the per-query client of the reference
+probe engine (``tests/reference/campaign.py``)."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from repro.geo.cities import default_city_db
 from repro.ixp.ixp import IXP
 from repro.bgp.asys import AutonomousSystem
 from repro.layer2.pseudowire import Pseudowire
-from repro.lg.client import LookingGlassClient
 from repro.lg.server import LookingGlassServer, OffLanTarget, PCH_PINGS, RIPE_PINGS
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.net.device import Device, TTL_LINUX, TTL_NETWORK_OS
 from repro.types import ASN, PortKind
+from tests.reference.campaign import ReferenceClient
 
 
 @pytest.fixture
@@ -104,7 +105,7 @@ class TestServer:
 
 class TestClient:
     def test_rate_limit_enforced(self, ixp, pch):
-        client = LookingGlassClient()
+        client = ReferenceClient()
         target = ixp.interfaces()[0].address
         rng = np.random.default_rng(0)
         client.submit(pch, target, 0.0, rng)
@@ -112,7 +113,7 @@ class TestClient:
             client.submit(pch, target, 30.0, rng)
 
     def test_minute_spacing_allowed(self, ixp, pch):
-        client = LookingGlassClient()
+        client = ReferenceClient()
         target = ixp.interfaces()[0].address
         rng = np.random.default_rng(0)
         client.submit(pch, target, 0.0, rng)
@@ -125,14 +126,14 @@ class TestClient:
                                         ixp.allocate_address())
         ripe = LookingGlassServer.create("RIPE", ixp.acronym, ixp.fabric,
                                          ixp.allocate_address())
-        client = LookingGlassClient()
+        client = ReferenceClient()
         target = ixp.interfaces()[0].address
         rng = np.random.default_rng(0)
         client.submit(pch, target, 0.0, rng)
         client.submit(ripe, target, 1.0, rng)  # different server: fine
 
     def test_result_metadata(self, ixp, pch):
-        client = LookingGlassClient()
+        client = ReferenceClient()
         target = ixp.interfaces()[0].address
         rng = np.random.default_rng(0)
         result = client.submit(pch, target, 0.0, rng)

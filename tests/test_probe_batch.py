@@ -1,5 +1,5 @@
-"""The vectorized batch probe engine, and its equivalence with the scalar
-reference path.
+"""The array probe engine, and its equivalence with the per-probe
+reference engine (``tests/reference/campaign.py``).
 
 The two engines consume the same per-(seed, ixp, operator) RNG streams but
 draw in different orders, so equivalence is statistical: reply counts,
@@ -20,7 +20,7 @@ from repro.errors import RateLimitError
 from repro.geo.cities import default_city_db
 from repro.ixp.ixp import IXP
 from repro.layer2.pseudowire import Pseudowire
-from repro.lg.batch import compile_probe_plan, run_sweeps, sweep_query_times
+from repro.lg.batch import run_sweeps, sweep_query_times
 from repro.lg.client import LookingGlassClient
 from repro.lg.server import LookingGlassServer, OffLanTarget
 from repro.net.addr import IPv4Address, IPv4Prefix
@@ -28,6 +28,8 @@ from repro.net.device import Device, TTL_LINUX, TTL_NETWORK_OS
 from repro.net.icmp import ReplyBatch
 from repro.sim import scenarios
 from repro.types import ASN, PortKind
+from tests.reference.campaign import ReferenceCampaign, compile_fabric_plan
+from tests.reference.filters import product_measurement
 
 
 @pytest.fixture
@@ -84,7 +86,7 @@ class TestReplyBatch:
 class TestProbePlan:
     def test_static_arrays(self, ixp, pch):
         addresses = [iface.address for iface in ixp.interfaces()]
-        plan = compile_probe_plan(pch, addresses)
+        plan = compile_fabric_plan(pch, addresses)
         assert len(plan) == 2
         assert plan.reachable.all()
         # Direct member: sub-ms base; Dublin-Tokyo remote: intercontinental.
@@ -97,11 +99,11 @@ class TestProbePlan:
                                          ixp.allocate_address())
         iface = ixp.interfaces()[0]
         iface.port.operator_bias["RIPE"] = 15.0
-        plan = compile_probe_plan(ripe, [iface.address])
+        plan = compile_fabric_plan(ripe, [iface.address])
         assert plan.base_rtt_ms[0] > 15.0
 
     def test_unreachable_address(self, ixp, pch):
-        plan = compile_probe_plan(pch, [IPv4Address.parse("10.60.0.250")])
+        plan = compile_fabric_plan(pch, [IPv4Address.parse("10.60.0.250")])
         assert not plan.reachable[0]
         batches = run_sweeps(plan, np.array([0.0]), np.random.default_rng(0))
         assert len(batches[0]) == 0
@@ -116,7 +118,7 @@ class TestProbePlan:
                 base_rtt_ms=3.0, extra_hops=2,
             ),
         )
-        plan = compile_probe_plan(pch, [stale])
+        plan = compile_fabric_plan(pch, [stale])
         assert plan.reachable[0] and plan.extra_hops[0] == 2
         batches = run_sweeps(plan, np.array([0.0]), np.random.default_rng(0))
         assert len(batches[0]) > 0
@@ -126,7 +128,7 @@ class TestProbePlan:
 class TestRunSweeps:
     def test_reply_caps_and_rtt_ranges(self, ixp, pch):
         addresses = [iface.address for iface in ixp.interfaces()]
-        plan = compile_probe_plan(pch, addresses)
+        plan = compile_fabric_plan(pch, addresses)
         starts = np.array([0.0, 7200.0, 86_400.0])
         assert sweep_query_times(plan, starts).shape == (3, 2)
         batches = run_sweeps(plan, starts, np.random.default_rng(1))
@@ -137,14 +139,14 @@ class TestRunSweeps:
 
     def test_deterministic_given_stream(self, ixp, pch):
         addresses = [iface.address for iface in ixp.interfaces()]
-        plan = compile_probe_plan(pch, addresses)
+        plan = compile_fabric_plan(pch, addresses)
         starts = np.array([0.0, 7200.0])
         a = run_sweeps(plan, starts, np.random.default_rng(3))
         b = run_sweeps(plan, starts, np.random.default_rng(3))
         assert a == b
 
     def test_query_time_grid(self, ixp, pch):
-        plan = compile_probe_plan(pch, [i.address for i in ixp.interfaces()])
+        plan = compile_fabric_plan(pch, [i.address for i in ixp.interfaces()])
         times = sweep_query_times(plan, np.array([100.0]))
         assert list(times[0]) == [100.0, 160.0]
 
@@ -157,7 +159,7 @@ class TestRunSweeps:
 
         iface = ixp.interfaces()[0]
         object.__setattr__(iface.port.profile, "congestion", Fixed())
-        plan = compile_probe_plan(pch, [iface.address])
+        plan = compile_fabric_plan(pch, [iface.address])
         batches = run_sweeps(plan, np.array([0.0, 7200.0]),
                                 np.random.default_rng(0))
         # Every probe crosses the fixed 2.5 ms standing delay.
@@ -171,7 +173,7 @@ class TestRunSweeps:
         lg = LookingGlassServer.create("PCH", ixp.acronym, ixp.fabric,
                                        ixp.allocate_address())
         object.__setattr__(lg.port.profile, "congestion", congested)
-        plan = compile_probe_plan(lg, [iface.address])
+        plan = compile_fabric_plan(lg, [iface.address])
         groups = [indices for _, indices in plan.congestion_groups]
         assert sum(int((indices == 0).sum()) for indices in groups) == 2
         assert all(len(np.unique(indices)) == len(indices) for indices in groups)
@@ -186,7 +188,7 @@ class TestRunSweeps:
             Device(name="r300", ttl_init=TTL_LINUX, respond_probability=0.0),
             PortKind.DIRECT, tail_rtt_ms=0.5,
         )
-        plan = compile_probe_plan(pch, [iface.address])
+        plan = compile_fabric_plan(pch, [iface.address])
         batches = run_sweeps(plan, np.array([0.0, 7200.0]),
                                 np.random.default_rng(0))
         assert len(batches[0]) == 0
@@ -222,12 +224,17 @@ class TestFilterPurity:
             ttl=np.array([255] * 11 + [254]),
             sent_at_s=np.arange(12.0),
         )
-        survivor = FilterPipeline().ttl_match(m)
+        # Mixed TTLs trip ttl-switch first; trimming shows without it.
+        report = FilterPipeline().run([m], skip="ttl-switch")
+        (survivor,) = report.passed
         assert survivor is not m
         assert m.reply_count("PCH") == 12  # input untouched
         assert survivor.reply_count("PCH") == 11
+        assert len(report.passed.table.rtt_ms) == 12  # trimmed by mask
 
     def test_no_trim_returns_same_object(self):
+        """An untrimmed survivor is a view of the table: its replies are
+        the input's, and no reply array was copied for it."""
         m = InterfaceMeasurement(
             ixp_acronym="X-IX", address=IPv4Address.parse("10.0.0.1")
         )
@@ -236,12 +243,18 @@ class TestFilterPurity:
             ttl=np.array([255] * 12),
             sent_at_s=np.arange(12.0),
         )
-        assert FilterPipeline().ttl_match(m) is m
+        report = FilterPipeline().run([m])
+        (survivor,) = report.passed
+        assert survivor == m
+        assert np.shares_memory(
+            survivor.rtts("PCH"), report.passed.table.rtt_ms
+        )
 
 
 @pytest.mark.slow
 class TestScalarBatchEquivalence:
-    """Full 22-IXP world: the two engines must agree statistically."""
+    """Full 22-IXP world: the array engine and the per-probe reference
+    must agree statistically."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -249,15 +262,14 @@ class TestScalarBatchEquivalence:
 
     @pytest.fixture(scope="class")
     def scalar_measurements(self, world):
-        return ProbeCampaign(
-            world, CampaignConfig(seed=7, engine="scalar")
-        ).collect()
+        return [
+            product_measurement(m)
+            for m in ReferenceCampaign(world, CampaignConfig(seed=7)).collect()
+        ]
 
     @pytest.fixture(scope="class")
     def batch_measurements(self, world):
-        return ProbeCampaign(
-            world, CampaignConfig(seed=7, engine="batch")
-        ).collect()
+        return ProbeCampaign(world, CampaignConfig(seed=7)).collect()
 
     def test_operator_keys_match_scalar(
         self, scalar_measurements, batch_measurements
@@ -317,6 +329,58 @@ class TestScalarBatchEquivalence:
 
 class TestEmptyPlan:
     def test_zero_target_sweep_returns_no_batches(self, pch):
-        plan = compile_probe_plan(pch, [])
+        plan = compile_fabric_plan(pch, [])
         batches = run_sweeps(plan, np.array([0.0]), np.random.default_rng(0))
         assert batches == []
+
+
+class TestReplyTable:
+    """A sweep's replies are one flat table; per-target batches are views."""
+
+    def test_flat_layout_and_views(self, ixp, pch):
+        plan = compile_fabric_plan(pch, [i.address for i in ixp.interfaces()])
+        table = run_sweeps(plan, np.array([0.0, 7200.0]),
+                           np.random.default_rng(2))
+        assert list(table.counts) == [len(b) for b in table]
+        assert len(table.rtt_ms) == int(table.counts.sum())
+        second = table[1]
+        assert np.shares_memory(second.rtt_ms, table.rtt_ms)
+        assert np.array_equal(
+            second.rtt_ms, table.rtt_ms[int(table.counts[0]):]
+        )
+        # Probe order within a target: send times never decrease.
+        assert (np.diff(second.sent_at_s) >= 0).all()
+
+    def test_table_plan_matches_object_plan(self):
+        """The campaign's table plan and a plan compiled from the same
+        world's object view (the reference compiler) agree on every
+        static array, bit for bit."""
+        from repro.lg.batch import compile_probe_plan
+        from repro.sim.detection_world import (
+            DetectionWorldConfig,
+            build_detection_world,
+        )
+        from repro.sim.scenarios import mini_specs
+
+        world = build_detection_world(
+            DetectionWorldConfig(seed=11, specs=mini_specs())
+        )
+        for entry in world.exchanges:
+            servers = world.lg_servers[entry.acronym]
+            targets = [
+                r.address for r in world.directory.targets_for(entry.acronym)
+            ]
+            for vantage, server in zip(entry.vantages, servers):
+                table_plan = compile_probe_plan(world.table, entry, vantage)
+                object_plan = compile_fabric_plan(server, targets)
+                for name in ("address_values", "reachable", "base_rtt_ms",
+                             "respond_prob", "processing_ms", "ttl_init",
+                             "ttl_after", "os_change_s", "extra_hops"):
+                    assert np.array_equal(
+                        getattr(table_plan, name), getattr(object_plan, name)
+                    ), name
+                assert [
+                    (p, list(i)) for p, i in table_plan.congestion_groups
+                ] == [
+                    (p, list(i)) for p, i in object_plan.congestion_groups
+                ]

@@ -204,11 +204,12 @@ class TestDrawPrograms:
             by_subsystem.setdefault(program.subsystem, []).append(program)
         # The offload world registers two engines: the trial-batched
         # realizer (repro/sim/offload_batch.py) must open the same
-        # streams as the single-world builder.  The detection world and
-        # the pool have one engine each in src/; their references are
-        # held to them by test_reference_programs_match_product.
+        # streams as the single-world builder.  The detection world, the
+        # pool and the campaign have one engine each in src/; their
+        # references are held to them by
+        # test_reference_programs_match_product.
         engine_counts = {"detection-world": 1, "offload-world": 2,
-                         "netpool": 1, "campaign": 2}
+                         "netpool": 1, "campaign": 1}
         for subsystem, expected in engine_counts.items():
             group = by_subsystem[subsystem]
             assert len(group) == expected, subsystem
@@ -219,12 +220,15 @@ class TestDrawPrograms:
     @pytest.mark.parametrize("subsystem,module,scope", [
         ("detection-world", "detection_world.py",
          _Scope("class", "ScalarWorldBuilder",
-                mro=("ScalarWorldBuilder", "_WorldBuilder"))),
+                mro=("ScalarWorldBuilder",))),
         ("offload-world", "offload_world.py",
          _Scope("class", "ScalarOffloadBuilder",
                 mro=("ScalarOffloadBuilder", "_OffloadBuilder"))),
         ("netpool", "netpool.py",
          _Scope("function", "generate_scalar_pool", alias="generate")),
+        ("campaign", "campaign.py",
+         _Scope("method", "ReferenceCampaign",
+                method="_sweep_server_scalar", alias="sweep_server")),
     ])
     def test_reference_programs_match_product(self, subsystem, module, scope):
         """Each scalar reference in tests/reference/ opens the same

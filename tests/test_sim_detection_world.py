@@ -1,8 +1,12 @@
 """Detection-world generation invariants."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import AddressError, ConfigurationError
+from repro.ixp.catalog import spec_by_acronym
 from repro.sim.detection_world import (
     BehaviorRates,
     DetectionWorldConfig,
@@ -25,6 +29,60 @@ class TestBehaviorRates:
     def test_rates_must_sum_below_one(self):
         with pytest.raises(ConfigurationError):
             BehaviorRates(blackhole=0.5, os_change=0.5, stale=0.3)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("second_interface_fraction", -1.0),
+        ("second_interface_fraction", 1.5),
+        ("far_metro_fraction", 2.0),
+        ("far_metro_fraction", -0.01),
+        ("short_remote_fraction", -0.5),
+        ("short_remote_fraction", 1.01),
+        ("target_scale", -1.0),
+        ("target_scale", 0.0),
+    ])
+    def test_out_of_range_field_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            DetectionWorldConfig(**{name: value})
+
+    def test_edges_accepted(self):
+        config = DetectionWorldConfig(
+            second_interface_fraction=0.0, far_metro_fraction=1.0,
+            short_remote_fraction=1.0, target_scale=1e-9,
+        )
+        assert config.far_metro_fraction == 1.0
+
+
+class TestLanBound:
+    """Interface addresses fill the IXP's /22 after its looking glasses;
+    the world keeps the allocator's bound and error.  The slot count
+    depends on the seed's draws, so the edge is pinned at seed 3."""
+
+    @staticmethod
+    def torix(analyzed_interfaces: int) -> DetectionWorldConfig:
+        spec = replace(
+            spec_by_acronym("TorIX"), analyzed_interfaces=analyzed_interfaces
+        )
+        return DetectionWorldConfig(seed=3, specs=(spec,))
+
+    def test_lan_filled_to_its_last_host(self):
+        world = build_detection_world(self.torix(966))
+        assert world.candidate_count() == 1021
+        (entry,) = world.exchanges
+        assert len(entry.vantages) + world.candidate_count() == (
+            entry.lan.usable_hosts()
+        )
+        assert int(world.table.address.max()) == (
+            entry.lan.network.value + entry.lan.usable_hosts()
+        )
+
+    def test_one_more_interface_overflows(self):
+        with pytest.raises(
+            AddressError,
+            match=r"host index 1023 out of range for 193\.128\.0\.0/22",
+        ):
+            build_detection_world(self.torix(967))
 
 
 class TestWorldStructure:
@@ -125,3 +183,60 @@ class TestAnchors:
         )
         anchors = [t for t in world.truth.values() if 64_600 <= t.asn < 64_650]
         assert not anchors
+
+
+class TestRowChecks:
+    """The builder checks its columns as the object model checks its
+    objects: a bad value raises the constructor's own error."""
+
+    @staticmethod
+    def columns(world):
+        from dataclasses import fields
+
+        from repro.sim.detection_world import InterfaceTable
+
+        return {
+            f.name: getattr(world.table, f.name).copy()
+            for f in fields(InterfaceTable)
+        }
+
+    @staticmethod
+    def object_error(make) -> str:
+        with pytest.raises(ConfigurationError) as caught:
+            make()
+        return str(caught.value)
+
+    def test_bad_values_raise_the_object_errors(self, mini_world):
+        from repro.layer2.port import PortProfile
+        from repro.lg.server import OffLanTarget
+        from repro.net.device import Device
+        from repro.sim.detection_world import ATTACH_STALE, _check_rows
+
+        stale = int(np.flatnonzero(
+            mini_world.table.attachment == ATTACH_STALE
+        )[0])
+        lan = int(np.flatnonzero(mini_world.table.on_lan)[0])
+        device = Device(name="d")
+        cases = [
+            ("ttl_init", lan, 100,
+             lambda: Device(name="d", ttl_init=100)),
+            ("ttl_after", lan, 7, lambda: Device(
+                name="d", ttl_after_change=7, os_change_time=1.0)),
+            ("respond_prob", lan, 1.5,
+             lambda: Device(name="d", respond_probability=1.5)),
+            ("processing_ms", lan, -0.1,
+             lambda: Device(name="d", processing_ms=-0.1)),
+            ("tail_rtt_ms", lan, -1.0,
+             lambda: PortProfile(tail_rtt_ms=-1.0)),
+            ("offlan_rtt_ms", stale, -1.0,
+             lambda: OffLanTarget(device=device, base_rtt_ms=-1.0)),
+            ("offlan_hops", stale, 0, lambda: OffLanTarget(
+                device=device, base_rtt_ms=1.0, extra_hops=0)),
+        ]
+        for column, row, value, make in cases:
+            columns = self.columns(mini_world)
+            columns[column][row] = value
+            with pytest.raises(ConfigurationError) as caught:
+                _check_rows(columns)
+            assert str(caught.value) == self.object_error(make), column
+        _check_rows(self.columns(mini_world))  # the built world is valid

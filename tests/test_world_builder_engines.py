@@ -40,6 +40,8 @@ from tests.engine_equivalence import (
     detection_world_pair,
     network_pool_pair,
 )
+from tests.reference.campaign import ReferenceCampaign
+from tests.reference.filters import ReferenceFilterPipeline
 from tests.reference.detection_world import (
     ScalarWorldBuilder,
     build_scalar_detection_world,
@@ -87,6 +89,30 @@ class TestCityDistanceMatrix:
     def test_unknown_city_raises(self, matrix):
         with pytest.raises(ConfigurationError):
             matrix.row("Atlantis")
+
+    def test_one_shared_read_only_matrix_per_city_table(self):
+        from repro.geo.cities import City
+        from repro.geo.coords import GeoPoint
+
+        first = build_detection_world(DetectionWorldConfig(
+            seed=3, specs=(_spec(),)
+        ))
+        second = build_detection_world(DetectionWorldConfig(
+            seed=4, specs=(_spec(),)
+        ))
+        assert first.city_db is not second.city_db
+        assert first.matrix is second.matrix
+        assert first.matrix is CityDistanceMatrix.for_cities(default_city_db())
+        with pytest.raises(ValueError):
+            first.matrix.km[0, 1] = 0.0
+        grown = default_city_db()
+        grown.add(City("Atlantis", "Nowhere", "EU", GeoPoint(40.0, -30.0)))
+        own = CityDistanceMatrix.for_cities(grown)
+        assert own is not first.matrix
+        assert len(own) == len(first.matrix) + 1
+        assert own.distance_km("Amsterdam", "Tokyo") == (
+            first.matrix.distance_km("Amsterdam", "Tokyo")
+        )
 
 
 class TestEngineSelection:
@@ -171,8 +197,9 @@ class TestEngineSelection:
 
 
 class TestSeatedViews:
-    """The builder keeps its pool as columns and materializes a network
-    view only for an index the world seats, once per world."""
+    """The builder keeps its pool as columns and seats no network view; the
+    world's object view materializes one only for an index the world
+    seats, once per world."""
 
     @pytest.fixture(scope="class")
     def seated(self, mini_specs):
@@ -188,6 +215,8 @@ class TestSeatedViews:
             world = build_detection_world(
                 DetectionWorldConfig(seed=11, specs=mini_specs)
             )
+            assert calls == []  # the build path assembles no objects
+            world.ixps  # noqa: B018 - realizes the object view
         return world, calls
 
     def test_one_view_per_seated_network(self, seated):
@@ -398,13 +427,16 @@ class TestFullScaleEngineEquivalence:
 
     def test_filter_discard_counts_close(self, worlds):
         vec, sca = worlds
-        pipeline = FilterPipeline()
-        reports = {}
-        for name, world in (("vec", vec), ("sca", sca)):
-            measurements = ProbeCampaign(
-                world, CampaignConfig(seed=7)
-            ).collect()
-            reports[name] = pipeline.run(measurements)
+        # Each world with its own engines: the product campaign and
+        # filters, and the reference's per-probe campaign and stage loop.
+        reports = {
+            "vec": FilterPipeline().run(
+                ProbeCampaign(vec, CampaignConfig(seed=7)).collect()
+            ),
+            "sca": ReferenceFilterPipeline().run(
+                ReferenceCampaign(sca, CampaignConfig(seed=7)).collect()
+            ),
+        }
         for name, count in reports["sca"].discard_counts.items():
             measured = reports["vec"].discard_counts[name]
             assert max(count, 1) / 2 <= max(measured, 1) <= max(count, 1) * 2, name
