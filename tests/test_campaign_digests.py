@@ -9,6 +9,12 @@ the mini3 world at seed 11 with ``CampaignConfig(seed=7)``, once clean
 and once under an active fault schedule.  A change that moves any reply
 by one ulp (a different addition order in a base RTT, say) changes
 them.
+
+The per-probe campaign and the per-stage filter loop of the seed
+implementation, kept as oracles in ``tests/reference/``, are pinned the
+same way (``TestReferenceCampaignDigests``).  Their campaign digests run
+over the product world's object view, so they also pin that view to the
+objects the seed implementation built.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ from repro.sim.detection_world import (
     build_detection_world,
 )
 from repro.sim.scenarios import mini_specs
+from tests.reference.campaign import ReferenceCampaign
+from tests.reference.filters import (
+    ReferenceFilterPipeline,
+    reference_measurement,
+)
 
 CAMPAIGN_DIGESTS = {
     "clean": (
@@ -74,6 +85,23 @@ REPORT_DIGESTS = {
     'asn-change': (
         "3d091be736e77af743e0f68f0652850b"
         "873f11df5a8225049d8199c3af3b3ae2"
+    ),
+}
+
+#: The per-probe campaign on the mini3 world (seed 11), and the stage
+#: loop's report over its clean measurements.
+REFERENCE_CAMPAIGN_DIGESTS = {
+    "clean": (
+        "75ef37b515c126c7b6450cc9a13123d9"
+        "eb90fa97d4efc430d2433fd1f2ba182b"
+    ),
+    "faulted": (
+        "17e26d5871226c1652a6b6f05cccd7c9"
+        "141cb765b6f5691b936faa12d650bb12"
+    ),
+    "report": (
+        "bad63e6bee21b683ee1bd785faa3f5f9"
+        "6a4ab839b82842e3701d9b4d55ad4cc1"
     ),
 }
 
@@ -188,3 +216,32 @@ class TestTableIdentification:
                     assert (names[pick] if pick >= 0 else None) == result.source
                 checked += 1
         assert checked == len(table)
+
+
+class TestReferenceCampaignDigests:
+    def test_scalar_campaign_digest(self, world):
+        measured = ReferenceCampaign(
+            world, CampaignConfig(seed=7)
+        ).collect()
+        assert measurements_digest(measured) == (
+            REFERENCE_CAMPAIGN_DIGESTS["clean"]
+        )
+        report = ReferenceFilterPipeline().run(measured)
+        assert report_digest(report) == REFERENCE_CAMPAIGN_DIGESTS["report"]
+
+    def test_scalar_faulted_campaign_digest(self, world):
+        measured = ReferenceCampaign(
+            world, CampaignConfig(seed=7, faults=CHAOS)
+        ).collect()
+        assert measurements_digest(measured) == (
+            REFERENCE_CAMPAIGN_DIGESTS["faulted"]
+        )
+
+    @pytest.mark.parametrize("skip", (None, *FILTER_ORDER))
+    def test_stage_loop_report_digest(self, clean, skip):
+        """The reference stage loop over the product campaign's
+        measurements (materialized as reply lists)."""
+        report = ReferenceFilterPipeline().run(
+            [reference_measurement(m) for m in clean], skip=skip
+        )
+        assert report_digest(report) == REPORT_DIGESTS[skip]

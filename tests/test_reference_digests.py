@@ -3,11 +3,8 @@
 The references in ``tests/reference/`` are oracles: the statistical
 suites are only as good as the references are faithful to the seed
 implementation.  These digests were taken from that implementation's
-pools, detection worlds, probe campaigns and filter reports before it
-moved out of ``src/``; any change to a reference's draws or realization
-changes them.  The campaign digests run the per-probe reference over
-the product world's object view (mini3, seed 11), so they also pin that
-view to the objects the seed implementation built.
+pools and detection worlds before it moved out of ``src/``; any change
+to a reference's draws or realization changes them.
 """
 
 from __future__ import annotations
@@ -15,26 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-import pytest
-
-from repro.core.detection import FILTER_ORDER, CampaignConfig, ProbeCampaign
 from repro.geo.cities import default_city_db
-from repro.sim.detection_world import DetectionWorldConfig, build_detection_world
+from repro.sim.detection_world import DetectionWorldConfig
 from repro.sim.netpool import NetworkPoolConfig
 from repro.sim.scenarios import mini_specs
-from tests.reference.campaign import ReferenceCampaign
 from tests.reference.detection_world import build_scalar_detection_world
-from tests.reference.filters import (
-    ReferenceFilterPipeline,
-    reference_measurement,
-)
 from tests.reference.netpool import generate_scalar_pool
-from tests.test_campaign_digests import (
-    CHAOS,
-    REPORT_DIGESTS,
-    measurements_digest,
-    report_digest,
-)
 from tests.test_detection_world_digests import world_digest
 
 POOL_DIGESTS = {
@@ -56,24 +39,6 @@ WORLD_DIGESTS = {
     "paper22-seed42": (
         "ca4a4755bf37a36a4eaf21ece6ce1e44"
         "a60a02a863e029f72426b879970c3d22"
-    ),
-}
-
-
-#: The per-probe campaign on the mini3 world (seed 11), and the stage
-#: loop's report over its clean measurements.
-REFERENCE_CAMPAIGN_DIGESTS = {
-    "clean": (
-        "75ef37b515c126c7b6450cc9a13123d9"
-        "eb90fa97d4efc430d2433fd1f2ba182b"
-    ),
-    "faulted": (
-        "17e26d5871226c1652a6b6f05cccd7c9"
-        "141cb765b6f5691b936faa12d650bb12"
-    ),
-    "report": (
-        "bad63e6bee21b683ee1bd785faa3f5f9"
-        "6a4ab839b82842e3701d9b4d55ad4cc1"
     ),
 }
 
@@ -116,40 +81,3 @@ class TestReferenceWorldDigests:
     def test_scalar_paper_scale_world_digest(self):
         world = build_scalar_detection_world(DetectionWorldConfig(seed=42))
         assert world_digest(world) == WORLD_DIGESTS["paper22-seed42"]
-
-
-@pytest.fixture(scope="module")
-def mini3_world():
-    return build_detection_world(
-        DetectionWorldConfig(seed=11, specs=mini_specs())
-    )
-
-
-class TestReferenceCampaignDigests:
-    def test_scalar_campaign_digest(self, mini3_world):
-        measured = ReferenceCampaign(
-            mini3_world, CampaignConfig(seed=7)
-        ).collect()
-        assert measurements_digest(measured) == (
-            REFERENCE_CAMPAIGN_DIGESTS["clean"]
-        )
-        report = ReferenceFilterPipeline().run(measured)
-        assert report_digest(report) == REFERENCE_CAMPAIGN_DIGESTS["report"]
-
-    def test_scalar_faulted_campaign_digest(self, mini3_world):
-        measured = ReferenceCampaign(
-            mini3_world, CampaignConfig(seed=7, faults=CHAOS)
-        ).collect()
-        assert measurements_digest(measured) == (
-            REFERENCE_CAMPAIGN_DIGESTS["faulted"]
-        )
-
-    @pytest.mark.parametrize("skip", (None, *FILTER_ORDER))
-    def test_stage_loop_report_digest(self, mini3_world, skip):
-        """The reference stage loop over the product campaign's
-        measurements (materialized as reply lists)."""
-        measured = ProbeCampaign(mini3_world, CampaignConfig(seed=7)).collect()
-        report = ReferenceFilterPipeline().run(
-            [reference_measurement(m) for m in measured], skip=skip
-        )
-        assert report_digest(report) == REPORT_DIGESTS[skip]
