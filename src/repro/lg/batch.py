@@ -103,6 +103,7 @@ def compile_probe_plan(
     ``((lg_tail + tail) + switch_crossing) + intersite``, then the
     operator's bias — so a plan matches the object model's bit for bit.
     """
+    # Imported here: the world module imports this package.
     from repro.sim.detection_world import (
         CONGESTION_NONE,
         LG_OPERATORS,
