@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from repro.devtools.lint.drawprograms import (
     _Scope,
     _scope_sites,
 )
+from tests.test_golden_reports import assert_matches_golden
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC_ROOT = Path(__file__).parent.parent / "src"
@@ -289,6 +291,15 @@ class TestDrawPrograms:
     def test_no_parity_violations_on_live_tree(self):
         assert parity_failures(extract_draw_programs(SRC_ROOT)) == []
         assert draw_parity_violations(SRC_ROOT) == []
+
+    def test_inventory_matches_golden(self):
+        """The stream inventory, line numbers stripped, is a snapshot:
+        a moved, added or reordered stream shows up as a golden diff
+        (regenerate with REPRO_UPDATE_GOLDENS=1 and review it)."""
+        table = render_draw_programs(extract_draw_programs(SRC_ROOT))
+        assert_matches_golden(
+            "draw_programs.txt", re.sub(r":\d+(?=  )", "", table)
+        )
 
     def test_render_table_and_cli(self, capsys):
         programs = extract_draw_programs(SRC_ROOT)
