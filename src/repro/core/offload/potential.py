@@ -9,9 +9,8 @@ networks of this peer group and their customer cones contribute").
 
 Masks, rankings and the greedy expansion read the world only through
 its member arrays (:class:`~repro.sim.offload_world.MemberArrays`) and
-the traffic matrix, so the graph-built world and the trial-batch view
-take one path; only Figure 6's decomposition needs the graph world's
-AS paths.
+the traffic matrix; only Figure 6's decomposition reads the AS paths,
+which a world assembles on first access.
 """
 
 from __future__ import annotations

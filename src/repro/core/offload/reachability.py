@@ -11,7 +11,7 @@ per peer group from the world's member arrays — here over *all* ASes
 (:meth:`~repro.sim.offload_world.OffloadWorld.member_all_cones`), since
 the metric counts every announced address, not just the contributing
 networks' — and answers coverage queries with masked reductions over the
-per-AS address-space vector.
+world's per-AS address-space array.  No AS graph is read.
 """
 
 from __future__ import annotations
@@ -48,10 +48,7 @@ class _AddressMatrix:
         self.world = world
         self.groups = groups
         self.members = world.member_arrays()
-        self.asns = world.graph.asns()
-        self.space = np.array(
-            [world.graph.get(a).address_space for a in self.asns], dtype=float
-        )
+        self.space = np.asarray(world.address_space, dtype=float)
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def rows(self, group: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,14 +57,14 @@ class _AddressMatrix:
             cone_indptr, cone_indices = self.world.member_all_cones()
             cached = self._rows[group] = cone_rows(
                 self.members, self.groups.member_mask(group),
-                cone_indptr, cone_indices, len(self.asns),
+                cone_indptr, cone_indices, self.space.size,
             )
         return cached
 
     def combined_mask(self, ixps: Iterable[str], group: int) -> np.ndarray:
         """Coverage of the requested IXPs."""
         indptr, indices = self.rows(group)
-        combined = np.zeros(len(self.asns), dtype=bool)
+        combined = np.zeros(self.space.size, dtype=bool)
         for acronym in ixps:
             row = self.members.row_of(acronym)
             combined[indices[indptr[row]:indptr[row + 1]]] = True

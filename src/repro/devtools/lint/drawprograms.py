@@ -10,18 +10,19 @@ along the configured MRO.
 That extraction serves two purposes:
 
 * ``repro lint`` compares the programs of every multi-engine subsystem
-  (the offload world's single-world and trial-batched realizers) and
-  fails when they diverge
-  (rule ``draw-engine-parity``) — the invariant the cross-engine
-  equivalence suites check dynamically, enforced before a single test
-  runs;
+  and fails when they diverge (rule ``draw-engine-parity``) — the
+  invariant the cross-engine equivalence suites check dynamically,
+  enforced before a single test runs.  Every subsystem in ``src/`` has
+  one engine today;
 * ``repro lint --draw-programs`` renders the table, replacing the
-  hand-maintained stream-order docstrings.
+  hand-maintained stream-order docstrings (``tests/golden/
+  draw_programs.txt`` pins it, line numbers stripped).
 
 The scalar references of the pool, detection and offload worlds and of
-the probe campaign live outside ``src/`` (``tests/reference/``);
-``tests/test_repro_lint.py`` extracts their programs with the same
-machinery and holds each to its product's program.
+the probe campaign live outside ``src/`` (``tests/reference/``), each
+with its own copy of its draw stages; ``tests/test_repro_lint.py``
+extracts their programs with the same machinery and holds each to its
+product's program.
 
 Sites are listed in *scope order* (shared scopes first, then the engine
 class walked base-most first, each scope in source order).  Within one
@@ -89,11 +90,6 @@ class _Scope:
     #: vs the product's _sweep_server_batch)
     #: while their stream contracts must match.
     alias: str | None = None
-    #: Module holding this scope when it differs from the subsystem's
-    #: module (e.g. the trial-batch offload engine lives in its own file
-    #: but subclasses — and must stream-match — the in-module builder).
-    #: MRO entries not found here are resolved in the subsystem module.
-    module: str | None = None
 
 
 @dataclass(frozen=True)
@@ -106,10 +102,11 @@ class SubsystemSpec:
     engines: dict[str, tuple[_Scope, ...]]
 
 
-#: The multi-engine subsystems whose stream parity the repro rests on,
-#: plus the single-engine builders and the fault scheduler (extracted for
-#: the inventory, and as the programs the ``tests/reference/`` builders
-#: are held to).
+#: The stochastic subsystems: each builder and the fault scheduler, with
+#: one engine each (extracted for the inventory, and as the programs the
+#: ``tests/reference/`` builders are held to).  A second engine
+#: registered for a subsystem is held to the first by
+#: ``draw-engine-parity``.
 SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
     SubsystemSpec(
         name="detection-world",
@@ -128,15 +125,10 @@ SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
             _Scope("class", "_StubDraws", mro=("_StubDraws",)),
         ),
         engines={
-            "vectorized": (_Scope("class", "_OffloadBuilder",
-                                  mro=("_OffloadBuilder",)),),
-            # The trial-batch engine realizes k seeds per call but draws
-            # every per-seed stream through the same sites, so its program
-            # must match the single-world builder's entry for entry.
-            "batched": (_Scope("class", "_BatchSeedBuilder",
-                               mro=("_BatchSeedBuilder",
-                                    "_OffloadBuilder"),
-                               module="repro/sim/offload_batch.py"),),
+            # One builder realizes one seed or a seed batch, running every
+            # per-seed stream through the same sites once per seed.
+            "batched": (_Scope("class", "_OffloadBuilder",
+                               mro=("_OffloadBuilder",)),),
         },
     ),
     SubsystemSpec(
@@ -288,11 +280,7 @@ def tags_in_function(
     return sites
 
 
-def _scope_sites(
-    index: _ModuleIndex,
-    scope: _Scope,
-    fallback: _ModuleIndex | None = None,
-) -> list[DrawSite]:
+def _scope_sites(index: _ModuleIndex, scope: _Scope) -> list[DrawSite]:
     if scope.kind == "function":
         func = index.functions.get(scope.name)
         if func is None:
@@ -311,62 +299,41 @@ def _scope_sites(
             parity_name=scope.alias,
         )
     # kind == "class": resolve effective methods over the configured MRO,
-    # base-most first so scalar and vectorized engines list shared
-    # methods in the same (base-defined) order; an override replaces the
-    # base implementation in place.  MRO entries may span modules (a
-    # cross-module subclass resolves its bases in the subsystem module);
-    # each method's tags normalize against its *defining* module's
-    # constants.
+    # base-most first so engines list shared methods in the same
+    # (base-defined) order; an override replaces the base implementation
+    # in place.
     order: list[str] = []
-    impl: dict[str, tuple[str, ast.FunctionDef, dict[str, str]]] = {}
+    impl: dict[str, tuple[str, ast.FunctionDef]] = {}
     for cls_name in reversed(scope.mro):
-        methods = None
-        constants = index.constants
-        if cls_name in index.classes:
-            methods = index.classes[cls_name]
-        elif fallback is not None and cls_name in fallback.classes:
-            methods = fallback.classes[cls_name]
-            constants = fallback.constants
+        methods = index.classes.get(cls_name)
         if methods is None:
             raise LookupError(f"class {cls_name!r} not found")
         for method_name, func in methods.items():
             if method_name not in impl:
                 order.append(method_name)
-            impl[method_name] = (cls_name, func, constants)
+            impl[method_name] = (cls_name, func)
     sites: list[DrawSite] = []
     for method_name in order:
-        cls_name, func, constants = impl[method_name]
+        cls_name, func = impl[method_name]
         sites.extend(tags_in_function(
-            func, constants, f"{cls_name}.{method_name}"
+            func, index.constants, f"{cls_name}.{method_name}"
         ))
     return sites
 
 
 def extract_draw_programs(src_root: Path) -> list[DrawProgram]:
     """Extract every configured engine's draw program from the live tree."""
-    indexes: dict[str, _ModuleIndex] = {}
-
-    def module_index(module: str) -> _ModuleIndex:
-        if module not in indexes:
-            module_path = Path(src_root) / module
-            tree = ast.parse(module_path.read_text(encoding="utf-8"))
-            indexes[module] = _ModuleIndex(tree)
-        return indexes[module]
-
     programs: list[DrawProgram] = []
     for spec in SUBSYSTEMS:
-        index = module_index(spec.module)
+        source = (Path(src_root) / spec.module).read_text(encoding="utf-8")
+        index = _ModuleIndex(ast.parse(source))
         shared_sites: list[DrawSite] = []
         for scope in spec.shared:
             shared_sites.extend(_scope_sites(index, scope))
         for engine, scopes in spec.engines.items():
             sites = list(shared_sites)
             for scope in scopes:
-                scope_index = (
-                    module_index(scope.module) if scope.module else index
-                )
-                sites.extend(_scope_sites(scope_index, scope,
-                                          fallback=index))
+                sites.extend(_scope_sites(index, scope))
             programs.append(DrawProgram(
                 subsystem=spec.name,
                 engine=engine,

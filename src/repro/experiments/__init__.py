@@ -91,29 +91,29 @@ intensity are byte-identical to a fault-free run.  The streams:
   *identical* planned query grid with this one stream, so retry counts,
   served masks and effective send times agree bit-for-bit across them.
 
-The trial-batch data flow (seed groups → one array program)
+The trial-batch data flow (seed groups → one batched build)
 -----------------------------------------------------------
-``StudyConfig.trial_batch = k`` (CLI: ``--trial-batch``) turns on the
-batched execution path: after grid expansion and resume filtering, the
+``StudyConfig.trial_batch = k`` (CLI: ``--trial-batch``) sets the batch
+width and nothing else: after grid expansion and resume filtering, the
 engine chunks the pending trials of **each variant** into groups of up
 to k seeds and hands every multi-trial group to the study's
 ``run_batch(specs)`` hook instead of looping ``build → measure`` per
-trial.  The batched studies realize the whole group as one array
-program — :func:`repro.sim.offload_batch.build_offload_views` stacks k
-seeds' worlds along one extra leading trial axis over shared
-struct-of-arrays static tables (one per variant, since statics depend
-only on the variant's config), then splits per-seed views back out for
-measurement.  Batching is strictly a **performance path**: per-seed
-child streams are drawn in the same fixed order the
-``draw-engine-parity`` lint rule verifies, so a ``trial_batch=k`` run
-is bit-identical (modulo timing fields) to k independent single-trial
-runs — ``tests/test_trial_batch.py`` pins this for the detection,
-offload and economics studies.  Everything downstream is unchanged:
-results fan into the same JSONL artifacts, resume skips completed
-trials at per-trial granularity (a run killed mid-batch re-executes
-only the unwritten trials), and a group whose ``run_batch`` raises
-(anything but :class:`~repro.errors.ConfigurationError`) or returns the
-wrong number of results falls back to per-trial execution — counted in
+trial.  The offload and economics studies realize the group with
+:func:`repro.sim.offload_world.build_offload_views` — the same builder
+their per-trial ``build`` calls, run once per seed over static tables
+shared by the variant (statics depend only on the variant's config) —
+and the detection study loops its per-trial build with garbage
+collection paused.  Batching is strictly a **performance path**: each
+seed's child streams are drawn exactly as in a single-trial run, so a
+``trial_batch=k`` run is bit-identical (modulo timing fields) to k
+independent single-trial runs — ``tests/test_trial_batch.py`` pins this
+for the detection, offload and economics studies.  Everything
+downstream is unchanged: results fan into the same JSONL artifacts,
+resume skips completed trials at per-trial granularity (a run killed
+mid-batch re-executes only the unwritten trials), and a group whose
+``run_batch`` raises (anything but
+:class:`~repro.errors.ConfigurationError`) or returns the wrong number
+of results falls back to per-trial execution — counted in
 ``StudyResult.batch_fallbacks`` and surfaced by ``coverage_note()`` —
 so batching can never lose a trial or change a number.
 

@@ -33,7 +33,6 @@ worked example.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -56,13 +55,14 @@ from repro.core.offload import (
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci
 from repro.experiments.engine import StudyResult
+from repro.gcpause import paused_gc
 from repro.netflow.billing import offload_billing_report
 from repro.netflow.timeseries import DiurnalProfile
 from repro.rand import derive_seed
-from repro.sim.offload_batch import OffloadWorldView, build_offload_views
 from repro.sim.offload_world import (
     OffloadWorld,
     OffloadWorldConfig,
+    build_offload_views,
     build_offload_world,
 )
 from repro.types import TrafficDirection
@@ -243,7 +243,7 @@ class EconomicsTrialResult:
 
 def measure_economics_trial(
     spec: EconomicsTrialSpec,
-    world: OffloadWorld | OffloadWorldView,
+    world: OffloadWorld,
     build_s: float,
 ) -> EconomicsTrialResult:
     """Sections 4 → 2.1 → 5 against an already-built world."""
@@ -371,27 +371,22 @@ class EconomicsStudy:
     def run_batch(
         self, specs: Sequence[EconomicsTrialSpec]
     ) -> list[EconomicsTrialResult]:
-        """Measure a same-variant seed batch against batched world views.
+        """Measure a same-variant seed batch against one batched build.
 
-        The economics pipeline reads only the view surface (estimator
+        The economics pipeline reads only the array surface (estimator
         inputs plus the collector's aggregate-series arithmetic), and the
         billing-series seeds derive from ``spec.seed``, so results are
         bit-identical per seed to ``build`` + ``measure``.
         """
-        resume_gc = gc.isenabled()
-        if resume_gc:
-            gc.disable()
-        try:
+        # As in OffloadStudy.run_batch: ~100k short-lived arrays per seed.
+        with paused_gc():
             t0 = time.perf_counter()
-            views = build_offload_views([spec.world for spec in specs])
+            worlds = build_offload_views([spec.world for spec in specs])
             build_s = (time.perf_counter() - t0) / max(len(specs), 1)
             return [
-                measure_economics_trial(spec, view, build_s)
-                for spec, view in zip(specs, views)
+                measure_economics_trial(spec, world, build_s)
+                for spec, world in zip(specs, worlds)
             ]
-        finally:
-            if resume_gc:
-                gc.enable()
 
     def metrics(self, result: EconomicsTrialResult) -> dict[str, float]:
         return {

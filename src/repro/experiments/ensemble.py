@@ -12,7 +12,6 @@ finished run into the per-variant aggregates the report renders.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -30,6 +29,7 @@ from repro.experiments.aggregate import (
     optional_mean_ci,
 )
 from repro.experiments.engine import StudyResult
+from repro.gcpause import paused_gc
 from repro.rand import derive_seed
 from repro.sim.detection_world import (
     DetectionWorld,
@@ -254,10 +254,7 @@ class DetectionStudy:
         table).  Per-seed results are bit-identical to ``build`` +
         ``measure`` because the loop below *is* that code.
         """
-        resume_gc = gc.isenabled()
-        if resume_gc:
-            gc.disable()
-        try:
+        with paused_gc():
             results = []
             for spec in specs:
                 t0 = time.perf_counter()
@@ -265,9 +262,6 @@ class DetectionStudy:
                 build_s = time.perf_counter() - t0
                 results.append(self.measure(spec, world, build_s))
             return results
-        finally:
-            if resume_gc:
-                gc.enable()
 
     def metrics(self, result: TrialResult) -> dict[str, float]:
         out = {

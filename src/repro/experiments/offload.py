@@ -32,7 +32,6 @@ Grids sweep any :class:`OffloadWorldConfig` field via dotted
 
 from __future__ import annotations
 
-import gc
 import itertools
 import time
 from collections import Counter
@@ -48,10 +47,11 @@ from repro.core.offload import (
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci
 from repro.experiments.engine import StudyResult
-from repro.sim.offload_batch import OffloadWorldView, build_offload_views
+from repro.gcpause import paused_gc
 from repro.sim.offload_world import (
     OffloadWorld,
     OffloadWorldConfig,
+    build_offload_views,
     build_offload_world,
 )
 
@@ -178,7 +178,7 @@ class OffloadTrialResult:
 
 def measure_offload_trial(
     spec: OffloadTrialSpec,
-    world: OffloadWorld | OffloadWorldView,
+    world: OffloadWorld,
     build_s: float,
 ) -> OffloadTrialResult:
     """Measure one trial against an already-built world.
@@ -269,30 +269,24 @@ class OffloadStudy:
     def run_batch(
         self, specs: Sequence[OffloadTrialSpec]
     ) -> list[OffloadTrialResult]:
-        """Measure a same-variant seed batch against batched world views.
+        """Measure a same-variant seed batch against one batched build.
 
-        Bit-identical per seed to ``build`` + ``measure`` — the views
+        Bit-identical per seed to ``build`` + ``measure`` — the worlds
         share the static tables but every seed consumes its own child
-        streams (see :mod:`repro.sim.offload_batch`) — so only the
+        streams (see :mod:`repro.sim.offload_world`) — so only the
         amortized ``build_s`` timing differs from per-trial runs.
         """
         # Realization and measurement allocate ~100k short-lived arrays
         # per seed; generational collections mid-batch scan the shared
         # statics repeatedly for nothing.
-        resume_gc = gc.isenabled()
-        if resume_gc:
-            gc.disable()
-        try:
+        with paused_gc():
             t0 = time.perf_counter()
-            views = build_offload_views([spec.world for spec in specs])
+            worlds = build_offload_views([spec.world for spec in specs])
             build_s = (time.perf_counter() - t0) / max(len(specs), 1)
             return [
-                measure_offload_trial(spec, view, build_s)
-                for spec, view in zip(specs, views)
+                measure_offload_trial(spec, world, build_s)
+                for spec, world in zip(specs, worlds)
             ]
-        finally:
-            if resume_gc:
-                gc.enable()
 
     def metrics(self, result: OffloadTrialResult) -> dict[str, float]:
         return {

@@ -10,6 +10,8 @@ table, and time-series profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -25,14 +27,13 @@ from repro.types import ASN, TrafficDirection
 class FlowCollector:
     """Produces flow records and aggregate series for the studied network.
 
-    ``table`` may be None for collectors built by the trial-batch world
-    views, which never materialize a routing table: the aggregate-series
-    arithmetic (what the economics study consumes) only needs the traffic
-    matrix, while per-flow records require the BGP join and raise without
-    a table.
+    ``routes`` builds the routing table of the BGP join on the first read
+    of :attr:`table`.  Per-flow records need it; the aggregate-series
+    arithmetic (what the economics study consumes) only needs the
+    traffic matrix, so study trials never build one.
     """
 
-    table: RoutingTable | None
+    routes: Callable[[], RoutingTable]
     matrix: TrafficMatrix
     counterparties: list[ASN]
     days: int = 28
@@ -42,6 +43,11 @@ class FlowCollector:
             raise AnalysisError(
                 "counterparty list must align with the traffic matrix"
             )
+
+    @cached_property
+    def table(self) -> RoutingTable:
+        """The routing table of the BGP join (built on first read)."""
+        return self.routes()
 
     def flow_records(
         self, bin_index: int, top_n: int | None = None
@@ -53,11 +59,6 @@ class FlowCollector:
         the offload arithmetic consumes.  Emitting all ~30k counterparties
         per bin is possible but rarely useful; ``top_n`` keeps it sane.
         """
-        if self.table is None:
-            raise AnalysisError(
-                "flow records need a routing table for the BGP join; this "
-                "collector was built without one (trial-batch world view)"
-            )
         order = np.argsort(self.matrix.total_bps)[::-1]
         if top_n is not None:
             order = order[:top_n]

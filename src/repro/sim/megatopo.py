@@ -36,7 +36,6 @@ Draw program (statically inventoried by ``repro lint --draw-programs``):
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -45,6 +44,7 @@ import numpy as np
 from repro.bgp.relationships import ASGraph
 from repro.errors import ConfigurationError, TopologyError
 from repro.geo.cities import default_city_db
+from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog, scaled_member_count
 from repro.rand import child_rng, derive_seed
 from repro.sim.netpool import (
@@ -380,14 +380,8 @@ def build_mega_world(config: MegaWorldConfig | None = None) -> MegaWorld:
     mid-build scan long-lived arrays and reclaim nothing).
     """
     config = config or MegaWorldConfig()
-    resume_gc = gc.isenabled()
-    if resume_gc:
-        gc.disable()
-    try:
+    with paused_gc():
         return _build(config)
-    finally:
-        if resume_gc:
-            gc.enable()
 
 
 def _build(config: MegaWorldConfig) -> MegaWorld:

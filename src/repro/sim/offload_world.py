@@ -26,27 +26,23 @@ Calibration levers and what they buy:
 Draw order
 ----------
 The builder draws every stage's arrays from a dedicated child stream in
-a fixed order, then materializes each drawn tier as struct-of-arrays and
-inserts networks and edges through the bulk
-:class:`~repro.bgp.relationships.ASGraph` APIs.  Two realizers consume
-these draws:
+a fixed order and realizes them as index arrays over a static scaffold
+shared by every seed of a variant (:class:`_Statics`: the ASN layout,
+the scaffold networks, the Euro-IX catalog, the seed-independent
+address-space and traffic-share tables).  One realizer consumes these
+draws: :func:`build_offload_world` realizes one seed and
+:func:`build_offload_views` a seed batch (``StudyConfig.trial_batch``),
+running the same stages once per seed in seed order, so a batched build
+is bit-identical to k single builds.  The one-network-at-a-time
+reference in ``tests/reference/offload_world.py`` keeps its own copy of
+the seed implementation's graph builder and must build bit-identical
+worlds (``tests/test_offload_world_engines.py``).
 
-* the trial-batched builder of :mod:`repro.sim.offload_batch` inherits
-  this module's draw-bearing stages unchanged and stacks k seeds' worlds
-  over shared static tables for ``StudyConfig.trial_batch`` runs — same
-  streams, same order, once per seed, so a batched build is bit-identical
-  to k single builds;
-* the one-network-at-a-time reference in
-  ``tests/reference/offload_world.py`` inserts through the fully checked
-  ``add_as``/``add_customer_provider`` calls and must build bit-identical
-  worlds (``tests/test_offload_world_engines.py``).
-
-The per-realizer stream inventory is *generated*, not hand-maintained:
-``repro lint --draw-programs`` extracts it statically, and the
-``draw-engine-parity`` lint rule fails the build if this builder's and
-the batched builder's streams ever diverge.  What no extractor can read
-off is the draw order *within* each stream — that contract stays
-documented here:
+The stream inventory is *generated*, not hand-maintained: ``repro lint
+--draw-programs`` extracts it statically, ``tests/test_repro_lint.py``
+holds the reference to it, and a golden of it makes any moved stream a
+reviewed diff.  What no extractor can read off is the draw order
+*within* each stream — that contract stays documented here:
 
 * ``(seed, "offload", "giants")`` — provider keys ``U(G, T)``; each giant
   takes the two lowest-key tier-1s of its row.
@@ -71,14 +67,36 @@ documented here:
 * ``(seed, "offload", "addrspace")`` — access-network multipliers
   ``U(10, 80)`` then tier-1/transit multipliers ``U(4, 40)`` (each in
   ascending-ASN order), then big-eyeball log-normal share weights.
+
+What a world carries
+--------------------
+An :class:`OffloadWorld` carries what :mod:`repro.core.offload` reads as
+index arrays (:class:`MemberArrays`: the IXP membership table, a policy
+code per member and the member cones as a CSR over contributing
+indices), the traffic matrix and every AS's announced space.  The
+topology is three levels deep (tier-1 ← tier-2 ← stub), so the member
+cones come straight from the drawn edge arrays: one argsort turns the
+stub→tier-2 edges into per-tier-2 CSR member lists (own index first —
+the tier-2's contributing index is below every stub index, so segments
+stay ascending), tier-1 cones are the union of their direct contributing
+customers plus their customer tier-2s' segments, and giants and stubs
+are their own singletons.
+
+The AS graph, the inbound AS paths, the regions and the flow
+collector's routing table are assembled on first access, from the
+world's config: the tier stages re-run (same streams, so the same
+arrays), the networks and edges go in through the bulk
+:class:`~repro.bgp.relationships.ASGraph` APIs, each AS takes its space
+from the world's address-space array, and the routes are computed.
+No study's trial reads them; Figure 6's transient traffic, per-flow
+records and the single-run reports do.
 """
 
 from __future__ import annotations
 
 import bisect
-import gc
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,10 +105,12 @@ from repro.bgp.cone import customer_cone
 from repro.bgp.relationships import ASGraph
 from repro.bgp.routing import ASPath, RouteComputation
 from repro.bgp.table import ReversedPathTable
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
+from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog
 from repro.netflow.collector import FlowCollector
 from repro.netflow.traffic import (
+    _INBOUND_SHARE,
     TrafficMatrix,
     TrafficMatrixConfig,
     rank_profile_totals,
@@ -185,6 +205,43 @@ _TIER2_POLICY_CODES = np.repeat(
     np.array([_OPEN, _SELECTIVE, _RESTRICTIVE], dtype=np.int8), [62, 26, 12]
 )
 
+#: First ASN of each numbered block.
+_TIER1_BASE, _GIANT_BASE, _TIER2_BASE, _STUB_BASE = 101, 2001, 3001, 10_001
+
+#: Per-kind-slot lookups so per-seed stub scoring is one gather instead of
+#: ~30k dict probes.
+_REGION_MULT_TABLE = np.array(
+    [_REGION_TRAFFIC_MULTIPLIER[r] for r in _REGIONS]
+)
+#: Head-pinning weight by business type: content-ish kinds keep the
+#: unreachable head inbound-heavy (see ``_pin_head_to_tier1_only``).
+_PIN_KIND_WEIGHT = {
+    NetworkKind.CONTENT: 4.0,
+    NetworkKind.CDN: 4.0,
+    NetworkKind.HOSTING: 2.5,
+    NetworkKind.ENTERPRISE: 1.5,
+    NetworkKind.TRANSIT: 1.0,
+    NetworkKind.ACCESS: 0.35,
+    NetworkKind.NREN: 1.0,
+    NetworkKind.TIER1: 1.0,
+}
+_KIND_WEIGHT_BY_SLOT = np.array([_PIN_KIND_WEIGHT[k] for k in _STUB_KINDS])
+_KIND_IS_ACCESS = np.array([k is NetworkKind.ACCESS for k in _STUB_KINDS])
+_KIND_IS_TRANSIT = np.array([k is NetworkKind.TRANSIT for k in _STUB_KINDS])
+_SHARE_BY_SLOT = np.array([_INBOUND_SHARE[k] for k in _STUB_KINDS])
+_ACCESS_SHARE = _INBOUND_SHARE[NetworkKind.ACCESS]
+
+_FRACTIONS = (
+    "tier1_only_stub_fraction",
+    "member_tier2_fraction",
+    "ixpgoer_stub_fraction",
+    "big_eyeball_mega_homed",
+)
+_COUNTS = (
+    "nren_count", "mega_carrier_count", "big_eyeball_count", "head_pin_count",
+)
+
+
 @dataclass(frozen=True, slots=True)
 class OffloadWorldConfig:
     """Size and calibration knobs for the offload world."""
@@ -223,24 +280,43 @@ class OffloadWorldConfig:
     engine: str = field(default="vectorized", init=False)
 
     def __post_init__(self) -> None:
-        giants = len(_GIANTS)
-        if self.contributing_count <= self.tier2_count + giants + 200:
-            raise ConfigurationError("contributing_count too small")
-        if self.tier1_count < 2:
-            raise ConfigurationError("need at least two tier-1s for RedIRIS")
-        for name in (
-            "tier1_only_stub_fraction",
-            "member_tier2_fraction",
-            "ixpgoer_stub_fraction",
-            "big_eyeball_mega_homed",
+        # One chained test on the fast path: every trial spec ``replace``s
+        # this config, and a warm study rerun resolves every trial.
+        if (
+            self.contributing_count > self.tier2_count + len(_GIANTS) + 200
+            and self.tier1_count >= 3
+            and self.tier2_count >= 1
+            and min(self.nren_count, self.mega_carrier_count,
+                    self.big_eyeball_count, self.head_pin_count) >= 0
+            and self.days >= 1
+            and self.total_address_space > 0
+            and 0.0 <= self.tier1_only_stub_fraction <= 1.0
+            and 0.0 <= self.member_tier2_fraction <= 1.0
+            and 0.0 <= self.ixpgoer_stub_fraction <= 1.0
+            and 0.0 <= self.big_eyeball_mega_homed <= 1.0
+            and 0.0 <= self.big_eyeball_space_share < 1.0
         ):
+            return
+        if self.contributing_count <= self.tier2_count + len(_GIANTS) + 200:
+            raise ConfigurationError("contributing_count too small")
+        # RedIRIS buys transit from the first two tier-1s and GÉANT peers
+        # with the third.
+        if self.tier1_count < 3:
+            raise ConfigurationError("tier1_count must be at least 3")
+        if self.tier2_count < 1:
+            raise ConfigurationError("tier2_count must be at least 1")
+        for name in _COUNTS:
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} cannot be negative")
+        if self.days < 1:
+            raise ConfigurationError("days must be at least 1")
+        if not self.total_address_space > 0:
+            raise ConfigurationError("total_address_space must be positive")
+        for name in _FRACTIONS:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1]")
         # The big eyeballs are scaled to share / (1 - share) of the rest.
-        if not 0.0 <= self.big_eyeball_space_share < 1.0:
-            raise ConfigurationError(
-                "big_eyeball_space_share must be in [0, 1)"
-            )
+        raise ConfigurationError("big_eyeball_space_share must be in [0, 1)")
 
 
 def gather_runs(
@@ -282,10 +358,9 @@ def csr_indptr(lengths: np.ndarray) -> np.ndarray:
 class MemberArrays:
     """IXP memberships, member policies and member cones as index arrays.
 
-    The one surface :mod:`repro.core.offload` reads from either world
-    type (:class:`OffloadWorld` and the trial-batch ``OffloadWorldView``).
-    The members are the distinct ASNs seated at some IXP, ascending:
-    member ``k`` is ``asns[k]``, its published policy is
+    The one surface :mod:`repro.core.offload` reads from a world.  The
+    members are the distinct ASNs seated at some IXP, ascending: member
+    ``k`` is ``asns[k]``, its published policy is
     ``POLICY_CODES[policy[k]]``, and its customer cone, as ascending
     indices into the world's contributing list (itself included when it
     contributes), is ``cone_indices[cone_indptr[k]:cone_indptr[k + 1]]``.
@@ -330,6 +405,35 @@ class MemberArrays:
             cone_indices=cone_indices,
         )
 
+    def select(
+        self, memberships: Mapping[str, Iterable[ASN]]
+    ) -> "MemberArrays":
+        """The arrays of ``memberships``, whose seats must be among these.
+
+        Policy codes and cones are gathered from these members' rows.
+        """
+
+        def rows(asns: np.ndarray) -> np.ndarray:
+            return np.searchsorted(self.asns, asns)
+
+        def cones(asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            seats = rows(asns)
+            starts = self.cone_indptr[seats]
+            lengths = self.cone_indptr[seats + 1] - starts
+            return (
+                csr_indptr(lengths),
+                gather_runs(self.cone_indices, starts, lengths),
+            )
+
+        return MemberArrays.build(
+            {
+                acronym: np.array(sorted(members), dtype=np.int64)
+                for acronym, members in memberships.items()
+            },
+            lambda asns: self.policy[rows(asns)],
+            cones,
+        )
+
     def row_of(self, acronym: str) -> int:
         """The row of one IXP; an unknown acronym raises."""
         row = bisect.bisect_left(self.ixps, acronym)
@@ -344,50 +448,239 @@ class MemberArrays:
         ]
 
 
-class _Csr(NamedTuple):
-    """Row ``i`` is ``values[indptr[i]:indptr[i + 1]]``."""
+class _ScaffoldAS(NamedTuple):
+    """One network every seed of a variant shares."""
 
-    indptr: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def from_pairs(
-        cls, rows: np.ndarray, values: np.ndarray, n: int
-    ) -> "_Csr":
-        """From (row, value) pairs already sorted by row."""
-        return cls(csr_indptr(np.bincount(rows, minlength=n)), values)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.values[self.indptr[i]:self.indptr[i + 1]]
-
-    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sub-CSR of ``rows``, as ``(indptr, values)``."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        return csr_indptr(lengths), gather_runs(self.values, starts, lengths)
-
-
-_NO_CONE = np.empty(0, dtype=np.int32)
-
-
-class _ConeTables(NamedTuple):
-    """Every AS's customer cone, as CSRs over the sorted-ASN ids."""
-
-    asns: np.ndarray   # sorted ASNs: id ``v`` is ``asns[v]``
-    contrib: _Csr      # id → contributing indices in the cone
-    all: _Csr          # id → sorted-ASN ids in the cone
-
-    def id_of(self, asn: ASN) -> int | None:
-        v = int(np.searchsorted(self.asns, asn))
-        return v if v < self.asns.size and self.asns[v] == asn else None
+    asn: ASN
+    name: str
+    kind: NetworkKind
+    policy: PeeringPolicy
+    region: str
+    space: int  # announced space before the address-space stage
 
 
 @dataclass
+class _Statics:
+    """Everything seed-independent, computed once per variant."""
+
+    #: Tier-1s, RedIRIS, GÉANT, NRENs, giants and peered CDNs, ascending.
+    scaffold: tuple[_ScaffoldAS, ...]
+    tier1s: tuple[ASN, ...]
+    rediris: ASN
+    geant: ASN
+    nrens: tuple[ASN, ...]
+    giants: tuple[ASN, ...]
+    direct_peer_cdns: tuple[ASN, ...]
+    #: Customer→provider edges whose customer does not contribute, as an
+    #: ``(m, 2)`` ASN array: RedIRIS under the two transit tier-1s, the
+    #: NRENs under GÉANT, each peered CDN under its tier-1.  None of these
+    #: customers has customers of its own.
+    scaffold_customers: np.ndarray
+    #: Peerings: the tier-1 clique, RedIRIS–GÉANT, GÉANT–third tier-1 and
+    #: RedIRIS–each peered CDN.
+    scaffold_peers: tuple[tuple[ASN, ASN], ...]
+    euroix: tuple[EuroIXSpec, ...]
+    #: Giants, tier-2s, stubs: ascending ASN, the traffic matrix's order.
+    contributing: list[ASN]
+    #: Contributing ASN → array index; shared read-only by every seed.
+    contrib_index: dict[ASN, int]
+    #: ``arange(contributing_count, dtype=int32)``: singleton cones.
+    contrib_arange: np.ndarray
+    #: Every ASN, ascending: the address-space array's order.
+    all_asns: np.ndarray
+    #: Position in :attr:`all_asns` of each contributing network.
+    contrib_ids: np.ndarray
+    #: Whether each AS of :attr:`all_asns` contributes.
+    contributes: np.ndarray
+    #: Policy code by ASN below the tier-2 block (-1: no such network).
+    scaffold_policy: np.ndarray
+    #: Announced space per AS before the address-space stage (stubs 256).
+    base_space: np.ndarray
+    #: TIER1/TRANSIT scaffold positions (the non-stub carrier multipliers).
+    carrier_static: np.ndarray
+    #: Offset of the stub block in :attr:`all_asns`.
+    stub_offset: int
+    #: ``_INBOUND_SHARE`` of the giants + tier-2s (the static head of the
+    #: contributing list); the stub tail is gathered per seed by kind code.
+    head_share: np.ndarray
+
+
+def _build_statics(config: OffloadWorldConfig) -> _Statics:
+    cfg = config
+    make = _ScaffoldAS
+    tier1s = [
+        make(ASN(_TIER1_BASE + i), f"tier1-{i}", NetworkKind.TIER1,
+             PeeringPolicy.RESTRICTIVE,
+             "north_america" if i % 2 else "europe", 2 ** 22)
+        for i in range(cfg.tier1_count)
+    ]
+    rediris = make(ASN(766), "rediris", NetworkKind.NREN,
+                   PeeringPolicy.SELECTIVE, "europe", 2 ** 20)
+    geant = make(ASN(900), "geant-like", NetworkKind.NREN,
+                 PeeringPolicy.SELECTIVE, "europe", 2 ** 18)
+    nrens = [
+        make(ASN(901 + i), f"nren-{i}", NetworkKind.NREN,
+             PeeringPolicy.SELECTIVE, "europe", 2 ** 17)
+        for i in range(cfg.nren_count)
+    ]
+    giants = [
+        make(ASN(_GIANT_BASE + i), name,
+             NetworkKind.CDN if i % 2 else NetworkKind.CONTENT, policy,
+             "north_america", 2 ** 19)
+        for i, (name, policy) in enumerate(_GIANTS)
+    ]
+    # CDNs RedIRIS already peers with — their traffic is not transit.
+    cdns = [
+        make(ASN(2101 + i), f"peered-cdn-{i}", NetworkKind.CDN,
+             PeeringPolicy.OPEN, "europe", 2 ** 17)
+        for i in range(6)
+    ]
+    scaffold = (*tier1s, rediris, geant, *nrens, *giants, *cdns)
+    t1 = [row.asn for row in tier1s]
+
+    tier2s = [ASN(_TIER2_BASE + i) for i in range(cfg.tier2_count)]
+    stub_count = cfg.contributing_count - len(_GIANTS) - cfg.tier2_count
+    stubs = [ASN(_STUB_BASE + i) for i in range(stub_count)]
+    contributing = [*(row.asn for row in giants), *tier2s, *stubs]
+    all_asns = np.array(
+        [*(row.asn for row in scaffold), *tier2s, *stubs], dtype=np.int64
+    )
+    contrib_ids = np.searchsorted(all_asns, contributing)
+    contributes = np.zeros(all_asns.size, dtype=bool)
+    contributes[contrib_ids] = True
+
+    scaffold_policy = np.full(_TIER2_BASE, -1, dtype=np.int8)
+    for row in scaffold:
+        scaffold_policy[row.asn] = _POLICY_CODE[row.policy]
+    base_space = np.concatenate([
+        np.array([float(row.space) for row in scaffold]),
+        np.full(cfg.tier2_count, float(2 ** 16)),
+        np.full(stub_count, 256.0),
+    ])
+    stub_offset = base_space.size - stub_count
+    carrier_static = np.zeros(base_space.size, dtype=bool)
+    carrier_static[: len(scaffold)] = [
+        row.kind is NetworkKind.TIER1 for row in scaffold
+    ]
+    carrier_static[len(scaffold): stub_offset] = True
+    head_share = np.concatenate([
+        np.array([_INBOUND_SHARE[row.kind] for row in giants]),
+        np.full(cfg.tier2_count, _INBOUND_SHARE[NetworkKind.TRANSIT]),
+    ])
+    return _Statics(
+        scaffold=scaffold,
+        tier1s=tuple(t1),
+        rediris=rediris.asn,
+        geant=geant.asn,
+        nrens=tuple(row.asn for row in nrens),
+        giants=tuple(row.asn for row in giants),
+        direct_peer_cdns=tuple(row.asn for row in cdns),
+        scaffold_customers=np.array([
+            (rediris.asn, t1[0]), (rediris.asn, t1[1]),
+            *((row.asn, geant.asn) for row in nrens),
+            *((row.asn, t1[i % len(t1)]) for i, row in enumerate(cdns)),
+        ], dtype=np.int64),
+        scaffold_peers=(
+            *((a, b) for i, a in enumerate(t1) for b in t1[i + 1:]),
+            (rediris.asn, geant.asn), (geant.asn, t1[2]),
+            *((rediris.asn, row.asn) for row in cdns),
+        ),
+        euroix=euroix_catalog(),
+        contributing=contributing,
+        contrib_index={a: i for i, a in enumerate(contributing)},
+        contrib_arange=np.arange(len(contributing), dtype=np.int32),
+        all_asns=all_asns,
+        contrib_ids=contrib_ids,
+        contributes=contributes,
+        scaffold_policy=scaffold_policy,
+        base_space=base_space,
+        carrier_static=carrier_static,
+        stub_offset=stub_offset,
+        head_share=head_share,
+    )
+
+
+class _Topology(NamedTuple):
+    """The object side of a world: graph, routes and regions."""
+
+    graph: ASGraph
+    inbound_paths: dict[ASN, ASPath]
+    region_of: dict[ASN, str]
+    table: ReversedPathTable
+
+
+class _LazyTopology:
+    """A world's :class:`_Topology`, assembled from its draws on first use.
+
+    Shared by the world and its flow collector (whose BGP join reads the
+    routing table), so neither holds the other.
+    """
+
+    def __init__(
+        self,
+        config: OffloadWorldConfig,
+        statics: _Statics,
+        address_space: np.ndarray,
+    ) -> None:
+        self._inputs = (config, statics, address_space)
+        self._built: _Topology | None = None
+
+    def get(self) -> _Topology:
+        if self._built is None:
+            config, statics, address_space = self._inputs
+            # ~100k long-lived objects (ASes, adjacency sets, paths).
+            with paused_gc():
+                self._built = _OffloadBuilder(
+                    config, statics
+                ).assemble_topology(address_space)
+        return self._built
+
+    def routing_table(self) -> ReversedPathTable:
+        return self.get().table
+
+
+class _Memberships:
+    """``OffloadWorld.memberships``: IXP acronym → member ASNs.
+
+    Built in catalog order from the drawn member arrays on first read.
+    Assigning it, as ``dataclasses.replace(world, memberships=...)``
+    does, narrows the world's member arrays to the given seats, which
+    must be drawn ones.
+    """
+
+    def __get__(self, world, owner=None):
+        if world is None:
+            return None  # the field default: the drawn memberships
+        if world._seats is None:
+            drawn = world._drawn
+            world._seats = {
+                spec.acronym: frozenset(drawn.asns[
+                    drawn.members_at(drawn.row_of(spec.acronym))
+                ].tolist())
+                for spec in world.euroix
+            }
+        return world._seats
+
+    def __set__(self, world, memberships) -> None:
+        world._seats = memberships
+        world._members = (
+            world._drawn if memberships is None
+            else world._drawn.select(memberships)
+        )
+
+
+@dataclass(eq=False)
 class OffloadWorld:
-    """The generated world plus every precomputed view the study needs."""
+    """One seed's offload world (see the module docstring).
+
+    The studies read the array surface: :meth:`member_arrays`, the
+    traffic matrix and the collector's aggregate rates, and
+    :attr:`address_space`.  :attr:`graph`, :attr:`inbound_paths`,
+    :attr:`region_of` and the collector's routing table are assembled on
+    first access.
+    """
 
     config: OffloadWorldConfig
-    graph: ASGraph
     rediris: ASN
     transit_providers: tuple[ASN, ASN]
     tier1s: tuple[ASN, ...]
@@ -396,39 +689,87 @@ class OffloadWorld:
     giants: tuple[ASN, ...]
     direct_peer_cdns: tuple[ASN, ...]
     euroix: tuple[EuroIXSpec, ...]
-    memberships: dict[str, frozenset[ASN]]
     contributing: list[ASN]
     matrix: TrafficMatrix
-    inbound_paths: dict[ASN, ASPath]
     collector: FlowCollector
-    region_of: dict[ASN, str]
-    _contrib_index: dict[ASN, int] = field(default_factory=dict)
-    _cone_cache: dict[ASN, frozenset[ASN]] = field(default_factory=dict)
-    # Derived caches: not init fields, so ``dataclasses.replace`` (say,
-    # with other memberships) rebuilds them.
-    _cone_tables: _ConeTables | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _members: MemberArrays | None = field(
-        default=None, init=False, repr=False, compare=False
+    #: Final announced space of every AS, in ascending-ASN order.
+    address_space: np.ndarray
+    _statics: _Statics
+    _drawn: MemberArrays
+    _topology: _LazyTopology
+    memberships: dict[str, frozenset[ASN]] = _Memberships()
+    _cones: dict[ASN, frozenset[ASN]] = field(
+        default_factory=dict, init=False, repr=False
     )
 
-    def __post_init__(self) -> None:
-        if not self._contrib_index:
-            self._contrib_index = {a: i for i, a in enumerate(self.contributing)}
+    # -- the array surface of repro.core.offload -----------------------------
 
-    # -- lookups -----------------------------------------------------------------
+    def member_arrays(self) -> MemberArrays:
+        """The memberships and the member cones as index arrays."""
+        return self._members
+
+    def member_all_cones(self) -> tuple[np.ndarray, np.ndarray]:
+        """Member cones over every AS, as a CSR of ascending-ASN ids.
+
+        Rows follow :meth:`member_arrays`; Figure 10's address metric
+        counts every AS in a cone, not only the contributing ones.  A row
+        is the member's contributing cone plus the networks in it that do
+        not contribute: the member itself when it is a tier-1 or RedIRIS,
+        and its non-contributing scaffold customers.
+        """
+        members = self.member_arrays()
+        st = self._statics
+        ids = np.searchsorted(st.all_asns, members.asns)
+        own = np.flatnonzero(~st.contributes[ids])
+        customer, provider = st.scaffold_customers.T
+        seated = np.isin(provider, members.asns)
+        owner = np.concatenate([
+            np.repeat(np.arange(members.asns.size),
+                      np.diff(members.cone_indptr)),
+            own,
+            np.searchsorted(members.asns, provider[seated]),
+        ])
+        column = np.concatenate([
+            st.contrib_ids[members.cone_indices],
+            ids[own],
+            np.searchsorted(st.all_asns, customer[seated]),
+        ])
+        order = np.lexsort((column, owner))
+        return (
+            csr_indptr(np.bincount(owner, minlength=members.asns.size)),
+            column[order],
+        )
 
     def contributing_index(self, asn: ASN) -> int | None:
         """Index of ``asn`` in the contributing arrays, or None."""
-        return self._contrib_index.get(asn)
+        return self._statics.contrib_index.get(asn)
+
+    def total_address_space(self) -> float:
+        """Announced space of the whole world (Figure 10's 2.6 B)."""
+        return float(self.address_space.sum())
+
+    # -- the object side, assembled on first access ---------------------------
+
+    @property
+    def graph(self) -> ASGraph:
+        return self._topology.get().graph
+
+    @property
+    def inbound_paths(self) -> dict[ASN, ASPath]:
+        """Each network's best AS path towards RedIRIS."""
+        return self._topology.get().inbound_paths
+
+    @property
+    def region_of(self) -> dict[ASN, str]:
+        return self._topology.get().region_of
 
     def cone(self, asn: ASN) -> frozenset[ASN]:
-        """Customer cone of ``asn`` (cached)."""
-        cached = self._cone_cache.get(asn)
+        """Customer cone of ``asn`` over the graph (cached)."""
+        cached = self._cones.get(asn)
         if cached is None:
-            cached = frozenset(customer_cone(self.graph, asn))
-            self._cone_cache[asn] = cached
+            cached = self._cones[asn] = frozenset(
+                customer_cone(self.graph, asn)
+            )
         return cached
 
     def policy_of(self, asn: ASN) -> PeeringPolicy:
@@ -439,531 +780,193 @@ class OffloadWorld:
         """Business type of a network."""
         return self.graph.get(asn).kind
 
-    # -- cone index tables (the offload cone CSRs' raw material) -----------------
-
-    def _cone_index_tables(self) -> _ConeTables:
-        """Per-AS cone membership as index CSRs, built bottom-up.
-
-        ``contrib`` row ``v`` holds the indices (into :attr:`contributing`)
-        of the contributing networks inside the cone of the ``v``-th
-        sorted ASN; ``all`` row ``v`` the indices into the sorted
-        :meth:`all_asns` list.  The relation is inverted —
-        ``i ∈ cone(a)  ⇔  a ∈ closure(i)`` where *closure* is a network
-        plus its transitive providers — and closures are computed as one
-        array program over the customer→provider DAG: a Kahn level order
-        (all providers of a level-``k`` node sit in levels ``< k``), then
-        per level one gather of every provider closure (CSR multi-slice),
-        one ``np.unique`` dedup over packed (member, ancestor) keys, and
-        one COO append.  A final argsort by (ancestor, member) lays the
-        pair list out as the per-ancestor CSR rows.
-        """
-        if self._cone_tables is None:
-            asns = self.graph.asns()
-            n = len(asns)
-            id_of = {asn: i for i, asn in enumerate(asns)}
-
-            # customer→provider edges as id arrays.
-            cust_ids: list[int] = []
-            prov_ids: list[int] = []
-            pending = np.zeros(n, dtype=np.int64)  # unresolved providers
-            for asn, providers in self.graph.provider_sets().items():
-                if not providers:
-                    continue
-                v = id_of[asn]
-                pending[v] = len(providers)
-                for provider in providers:
-                    cust_ids.append(v)
-                    prov_ids.append(id_of[provider])
-            cust = np.asarray(cust_ids, dtype=np.int64)
-            prov = np.asarray(prov_ids, dtype=np.int64)
-
-            # CSR closure storage, appended level by level.
-            closure_start = np.zeros(n, dtype=np.int64)
-            closure_len = np.zeros(n, dtype=np.int64)
-            closure_values = np.empty(0, dtype=np.int64)
-            member_chunks: list[np.ndarray] = []   # COO: member ids
-            ancestor_chunks: list[np.ndarray] = []  # COO: ancestor ids
-
-            frontier = np.flatnonzero(pending == 0)
-            resolved = 0
-            while frontier.size:
-                resolved += frontier.size
-                if closure_values.size:
-                    in_frontier = np.zeros(n, dtype=bool)
-                    in_frontier[frontier] = True
-                    sel = in_frontier[cust]
-                    e_cust, e_prov = cust[sel], prov[sel]
-                    lens = closure_len[e_prov]
-                    # Multi-slice gather of every provider closure.
-                    ancestors = gather_runs(
-                        closure_values, closure_start[e_prov], lens
-                    )
-                    owners = np.repeat(e_cust, lens)
-                    owners = np.concatenate([owners, frontier])
-                    ancestors = np.concatenate([ancestors, frontier])
-                else:  # first level: roots close over themselves only
-                    owners = ancestors = frontier
-                # Dedup (owner, ancestor) pairs; keys sort owner-major, so
-                # each owner's closure lands contiguous and v-ascending.
-                keys = np.unique(owners * np.int64(n) + ancestors)
-                owners, ancestors = keys // n, keys % n
-                uniq, first, counts = np.unique(
-                    owners, return_index=True, return_counts=True
-                )
-                closure_start[uniq] = closure_values.size + first
-                closure_len[uniq] = counts
-                closure_values = np.concatenate([closure_values, ancestors])
-                member_chunks.append(owners)
-                ancestor_chunks.append(ancestors)
-                # Kahn step: release customers whose providers are done.
-                in_frontier = np.zeros(n, dtype=bool)
-                in_frontier[frontier] = True
-                done = in_frontier[prov]
-                pending -= np.bincount(cust[done], minlength=n)
-                pending[frontier] = -1  # never re-enter the frontier
-                frontier = np.flatnonzero(pending == 0)
-            if resolved != n:
-                raise TopologyError(
-                    "provider graph has a cycle; cone tables undefined"
-                )
-
-            members = np.concatenate(member_chunks)
-            ancestors = np.concatenate(ancestor_chunks)
-            # Per-ancestor member lists, members ascending within each.
-            order = np.argsort(ancestors * np.int64(n) + members)
-            members = members[order].astype(np.int32)
-            ancestors = ancestors[order]
-
-            contrib_of = np.full(n, -1, dtype=np.int64)
-            for asn, ci in self._contrib_index.items():
-                contrib_of[id_of[asn]] = ci
-            keep = contrib_of[members] >= 0
-            self._cone_tables = _ConeTables(
-                asns=np.asarray(asns, dtype=np.int64),
-                contrib=_Csr.from_pairs(
-                    ancestors[keep],
-                    contrib_of[members[keep]].astype(np.int32), n,
-                ),
-                all=_Csr.from_pairs(ancestors, members, n),
-            )
-        return self._cone_tables
-
-    def cone_contrib_indices(self, asn: ASN) -> np.ndarray:
-        """Contributing-array indices covered by ``asn``'s customer cone."""
-        tables = self._cone_index_tables()
-        v = tables.id_of(asn)
-        return _NO_CONE if v is None else tables.contrib.row(v)
-
-    def cone_all_indices(self, asn: ASN) -> np.ndarray:
-        """Sorted-ASN-array indices covered by ``asn``'s customer cone."""
-        tables = self._cone_index_tables()
-        v = tables.id_of(asn)
-        return _NO_CONE if v is None else tables.all.row(v)
-
-    def contributing_mask_for_members(self, members: frozenset[ASN]) -> np.ndarray:
-        """Boolean mask over contributing networks offloadable via ``members``.
-
-        A contributing network is offloadable when it belongs to a member's
-        customer cone (members themselves included).
-        """
-        mask = np.zeros(len(self.contributing), dtype=bool)
-        # Scattering True into a boolean mask is commutative: any member
-        # order produces the same mask.  # repro-lint: ok[det-set-iter]
-        for member in members:
-            mask[self.cone_contrib_indices(member)] = True
-        return mask
-
-    # -- the array surface of repro.core.offload -----------------------------
-
-    def member_arrays(self) -> MemberArrays:
-        """The memberships and the member cones as index arrays (cached)."""
-        if self._members is None:
-            tables = self._cone_index_tables()
-            self._members = MemberArrays.build(
-                {
-                    acronym: np.array(sorted(members), dtype=np.int64)
-                    for acronym, members in self.memberships.items()
-                },
-                lambda asns: np.array(
-                    [_POLICY_CODE[self.graph.get(a).policy]
-                     for a in asns.tolist()],
-                    dtype=np.int8,
-                ),
-                lambda asns: tables.contrib.take(
-                    np.searchsorted(tables.asns, asns)
-                ),
-            )
-        return self._members
-
-    def member_all_cones(self) -> tuple[np.ndarray, np.ndarray]:
-        """Member cones over the sorted :meth:`all_asns` ids, as a CSR.
-
-        Rows follow :meth:`member_arrays` members; Figure 10's address
-        metric counts every AS in a cone, not only the contributing ones.
-        """
-        tables = self._cone_index_tables()
-        return tables.all.take(
-            np.searchsorted(tables.asns, self.member_arrays().asns)
-        )
-
-    def all_asns(self) -> list[ASN]:
-        """Every ASN in the world, sorted."""
-        return self.graph.asns()
-
-    def address_space_of(self, asns) -> float:
-        """Total announced address space of a set of ASes."""
-        return float(sum(self.graph.get(a).address_space for a in asns))
-
-    def total_address_space(self) -> float:
-        """Announced space of the whole world (Figure 10's 2.6 B)."""
-        return self.address_space_of(self.graph.asns())
-
 
 # ---------------------------------------------------------------------------
 
 
-def build_offload_world(config: OffloadWorldConfig | None = None) -> OffloadWorld:
+def build_offload_world(
+    config: OffloadWorldConfig | None = None,
+) -> OffloadWorld:
     """Generate the offload world deterministically from ``config.seed``."""
-    config = config or OffloadWorldConfig()
-    builder = _OffloadBuilder(config)
-    # The build allocates ~100k long-lived objects (ASes, paths, sets);
-    # generational collections triggered mid-build scan them repeatedly and
-    # cost ~25% wall time while reclaiming nothing.  Suspend collection for
-    # the allocation burst.
-    resume_gc = gc.isenabled()
-    if resume_gc:
-        gc.disable()
-    try:
-        return builder.build()
-    finally:
-        if resume_gc:
-            gc.enable()
+    return build_offload_views([config or OffloadWorldConfig()])[0]
+
+
+def build_offload_views(
+    configs: Sequence[OffloadWorldConfig],
+) -> list[OffloadWorld]:
+    """Realize one world per config, sharing statics per variant.
+
+    The trial axis: configs differing only in ``seed`` share one
+    :class:`_Statics`; each seed then runs the stages over the shared
+    scaffold, in config order, so every world equals
+    ``build_offload_world`` on its config.
+    """
+    statics: dict[str, _Statics] = {}
+    worlds: list[OffloadWorld] = []
+    # Each seed allocates ~10⁵ short-lived arrays; collections fired
+    # mid-batch would scan the shared statics for nothing.
+    with paused_gc():
+        for config in configs:
+            key = repr(replace(config, seed=0))
+            shared = statics.get(key)
+            if shared is None:
+                shared = statics[key] = _build_statics(config)
+            worlds.append(_OffloadBuilder(config, shared).build())
+    return worlds
 
 
 class _OffloadBuilder:
-    """The stage-array draw program (see module doc) and its realization.
+    """One seed's draw program (see the module docstring), as arrays.
 
-    Scaffold tiers are built network by network; each drawn tier is
-    materialized as arrays and bulk-inserted; traffic, memberships,
-    address space and routing are array-native.
+    :meth:`build` runs every stage in the documented order;
+    :meth:`assemble_topology` re-runs the tier stages alone to insert a
+    world's networks and edges into an AS graph.  ``repro lint
+    --draw-programs`` inventories this class.
     """
 
-    def __init__(self, config: OffloadWorldConfig) -> None:
+    def __init__(self, config: OffloadWorldConfig, statics: _Statics) -> None:
         self.config = config
-        self.graph = ASGraph()
-        self.region_of: dict[ASN, str] = {}
-        self.tier1_only_stubs: list[ASN] = []
-        self.tier1_only_stubs_set: set[ASN] = set()
-        self.mega_carriers: list[ASN] = []
-        self.big_eyeballs: list[ASN] = []
-        # Business kinds recorded as the tiers materialize, so the traffic
-        # split never re-derives (and can never disagree with) the graph.
-        self._giant_kinds: list[NetworkKind] = []
-        self._stub_kinds: list[NetworkKind] = []
-
-    # -- AS creation helpers ------------------------------------------------------
-
-    def _add(
-        self,
-        asn: int,
-        name: str,
-        kind: NetworkKind,
-        policy: PeeringPolicy,
-        region: str,
-        address_space: int = 256,
-    ) -> ASN:
-        value = ASN(asn)
-        self.graph.add_as(
-            AutonomousSystem(
-                asn=value,
-                name=name,
-                kind=kind,
-                policy=policy,
-                address_space=address_space,
-            )
-        )
-        self.region_of[value] = region
-        return value
+        self._static = statics
+        self._mega_count = min(config.mega_carrier_count, config.tier2_count)
 
     def _stage_rng(self, stage: str) -> np.random.Generator:
         """The child stream for one build stage."""
         return child_rng(self.config.seed, "offload", stage)
 
-    # -- build ------------------------------------------------------------------------
+    # -- realization ----------------------------------------------------------
 
     def build(self) -> OffloadWorld:
+        """Realize this seed: the documented stage order, no graph."""
         cfg = self.config
-        rediris = self._add(
-            766, "rediris", NetworkKind.NREN, PeeringPolicy.SELECTIVE, "europe",
-            2 ** 20,
-        )
-        tier1s = self._build_tier1s()
-        t1a, t1b = tier1s[0], tier1s[1]
-        self.graph.add_customer_provider(rediris, t1a)
-        self.graph.add_customer_provider(rediris, t1b)
-
-        geant, nrens = self._build_geant(rediris, tier1s)
-        giants = self._build_giants(tier1s)
-        direct_cdns = self._build_direct_peer_cdns(rediris, tier1s)
-        self._tier2_draws = _Tier2Draws.draw(self)
-        tier2s = self._materialize_tier2s(tier1s, self._tier2_draws)
-        self._stub_draws = _StubDraws.draw(self, tier1s)
-        stubs = self._materialize_stubs(tier1s, tier2s, self._stub_draws)
-
-        contributing = self._contributing_list(giants, tier2s, stubs)
-        matrix = self._build_traffic(contributing)
-        members = self._build_memberships(rediris, tier1s, giants, tier2s)
-        memberships = {
-            acronym: frozenset(asns.tolist())
-            for acronym, asns in members.items()
-        }
-        self._scale_address_space()
-
-        computation = RouteComputation(self.graph)
-        inbound_paths = computation.best_paths_to(rediris)
-        table = ReversedPathTable(self.graph, rediris, inbound_paths)
-        collector = FlowCollector(
-            table=table,
-            matrix=matrix,
-            counterparties=contributing,
-            days=cfg.days,
-        )
+        st = self._static
+        self._build_tiers()
+        matrix = self._build_traffic()
+        members = self._build_memberships()
+        address_space = self._scale_address_space()
+        topology = _LazyTopology(cfg, st, address_space)
         return OffloadWorld(
             config=cfg,
-            graph=self.graph,
-            rediris=rediris,
-            transit_providers=(t1a, t1b),
-            tier1s=tuple(tier1s),
-            geant=geant,
-            nrens=tuple(nrens),
-            giants=tuple(giants),
-            direct_peer_cdns=tuple(direct_cdns),
-            euroix=euroix_catalog(),
-            memberships=memberships,
-            contributing=contributing,
+            rediris=st.rediris,
+            transit_providers=(st.tier1s[0], st.tier1s[1]),
+            tier1s=st.tier1s,
+            geant=st.geant,
+            nrens=st.nrens,
+            giants=st.giants,
+            direct_peer_cdns=st.direct_peer_cdns,
+            euroix=st.euroix,
+            contributing=st.contributing,
             matrix=matrix,
-            inbound_paths=inbound_paths,
-            collector=collector,
-            region_of=self.region_of,
+            collector=FlowCollector(
+                routes=topology.routing_table,
+                matrix=matrix,
+                counterparties=st.contributing,
+                days=cfg.days,
+            ),
+            address_space=address_space,
+            _statics=st,
+            _drawn=MemberArrays.build(
+                members, self._member_policies, self._member_cones
+            ),
+            _topology=topology,
         )
 
-    # -- deterministic scaffold tiers ---------------------------------------------
+    def _build_tiers(self) -> None:
+        """The giants', tier-2s' and stubs' stages, in draw order."""
+        self._build_giants()
+        self._tier2_draws = _Tier2Draws.draw(self)
+        self._materialize_tier2s(self._tier2_draws)
+        self._stub_draws = _StubDraws.draw(self, self._static.tier1s)
+        self._materialize_stubs(self._stub_draws)
 
-    def _build_tier1s(self) -> list[ASN]:
-        tier1s = [
-            self._add(
-                101 + i,
-                f"tier1-{i}",
-                NetworkKind.TIER1,
-                PeeringPolicy.RESTRICTIVE,
-                "north_america" if i % 2 else "europe",
-                2 ** 22,
-            )
-            for i in range(self.config.tier1_count)
-        ]
-        for i, a in enumerate(tier1s):
-            for b in tier1s[i + 1:]:
-                self.graph.add_peering(a, b)
-        return tier1s
+    # -- drawn tiers, as edge arrays in index space ---------------------------
 
-    def _build_geant(self, rediris: ASN, tier1s: list[ASN]):
-        geant = self._add(
-            900, "geant-like", NetworkKind.NREN, PeeringPolicy.SELECTIVE,
-            "europe", 2 ** 18,
+    def _build_giants(self) -> None:
+        keys = self._stage_rng("giants").random(
+            (len(_GIANTS), self.config.tier1_count)
         )
-        self.graph.add_peering(rediris, geant)
-        self.graph.add_peering(geant, tier1s[2])
-        nrens = []
-        for i in range(self.config.nren_count):
-            nren = self._add(
-                901 + i, f"nren-{i}", NetworkKind.NREN,
-                PeeringPolicy.SELECTIVE, "europe", 2 ** 17,
-            )
-            self.graph.add_customer_provider(nren, geant)
-            nrens.append(nren)
-        return geant, nrens
+        self._giant_tier1_picks = np.argsort(keys, axis=1)[:, :2]
 
-    def _build_giants(self, tier1s: list[ASN]) -> list[ASN]:
-        keys = self._stage_rng("giants").random((len(_GIANTS), len(tier1s)))
-        provider_picks = np.argsort(keys, axis=1)[:, :2]
-        giants = []
-        for i, (name, policy) in enumerate(_GIANTS):
-            kind = NetworkKind.CDN if i % 2 else NetworkKind.CONTENT
-            giant = self._add(
-                2001 + i, name, kind, policy, "north_america", 2 ** 19,
-            )
-            for p in provider_picks[i]:
-                self.graph.add_customer_provider(giant, tier1s[int(p)])
-            self._giant_kinds.append(kind)
-            giants.append(giant)
-        return giants
-
-    def _build_direct_peer_cdns(self, rediris: ASN, tier1s: list[ASN]) -> list[ASN]:
-        """CDNs RedIRIS already peers with — their traffic is not transit."""
-        cdns = []
-        for i in range(6):
-            cdn = self._add(
-                2101 + i, f"peered-cdn-{i}", NetworkKind.CDN,
-                PeeringPolicy.OPEN, "europe", 2 ** 17,
-            )
-            self.graph.add_customer_provider(cdn, tier1s[i % len(tier1s)])
-            self.graph.add_peering(rediris, cdn)
-            cdns.append(cdn)
-        return cdns
-
-    # -- drawn tiers --------------------------------------------------------------
-
-    def _materialize_tier2s(
-        self, tier1s: list[ASN], draws: _Tier2Draws
-    ) -> list[ASN]:
-        cfg = self.config
-        n2 = cfg.tier2_count
-        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
-        policies = draws.policy_codes(cfg.mega_carrier_count).tolist()
-        tier2s = [ASN(3001 + i) for i in range(n2)]
-        self.graph.add_ases_bulk(
-            AutonomousSystem.make_unchecked(
-                tier2s[i],
-                f"transit-{regions[i]}-{i}",
-                NetworkKind.TRANSIT,
-                POLICY_CODES[policies[i]],
-                2 ** 16,
-            )
-            for i in range(n2)
-        )
-        self.region_of.update(zip(tier2s, regions))
-        tier1_arr = np.array(tier1s, dtype=np.int64)
+    def _materialize_tier2s(self, draws: _Tier2Draws) -> None:
+        # Uplink edges as (tier-2 index, tier-1 index) pairs.
         col = np.arange(draws.uplink_order.shape[1])
         take = col[None, :] < draws.uplink_count[:, None]
-        customers = np.repeat(np.array(tier2s), draws.uplink_count)
-        providers = tier1_arr[draws.uplink_order[take]]
-        self.graph.add_customer_provider_arrays(customers, providers)
-        self.mega_carriers = tier2s[: cfg.mega_carrier_count]
-        return tier2s
+        self._tier2_uplink_cust = np.repeat(
+            np.arange(self.config.tier2_count), draws.uplink_count
+        )
+        self._tier2_uplink_prov = draws.uplink_order[take]
 
-    def _materialize_stubs(
-        self, tier1s: list[ASN], tier2s: list[ASN], draws: _StubDraws
-    ) -> list[ASN]:
+    def _materialize_stubs(self, draws: _StubDraws) -> None:
+        # Row selections are index takes (``np.flatnonzero`` first): the
+        # same elements in the same order as boolean masks, at a fraction
+        # of their cost.
         cfg = self.config
-        n = len(draws.region_idx)
-        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
         big = draws.big_eyeball
         tier1_only = draws.tier1_only
         normal = ~big & ~tier1_only
-        big_list = big.tolist()
-        kind_list = [
-            NetworkKind.ACCESS if big_list[i] else _STUB_KINDS[k]
-            for i, k in enumerate(draws.kind_idx.tolist())
-        ]
-        self._stub_kinds = kind_list
-        policy_codes = draws.policy_codes().tolist()
-        stubs = list(range(10_001, 10_001 + n))
-        make = AutonomousSystem.make_unchecked
-        self.graph.add_ases_bulk(
-            make(asn, f"stub-{region}-{i}", kind, POLICY_CODES[code])
-            for i, (asn, region, kind, code) in enumerate(
-                zip(stubs, regions, kind_list, policy_codes)
-            )
-        )
-        self.region_of.update(zip(stubs, regions))
-        stub_arr = np.array(stubs, dtype=np.int64)
+        self._big_pos = np.flatnonzero(big)
+        self._t1o_pos = np.flatnonzero(tier1_only)
 
-        pairs_customers: list[np.ndarray] = []
-        pairs_providers: list[np.ndarray] = []
-
-        # Big eyeballs: two tier-1s each, often plus one mega-carrier.  All
-        # of one eyeball's edges stay contiguous (the arrays edge API
-        # assembles each customer's provider set from one run).
-        tier1_arr = np.array(tier1s, dtype=np.int64)
-        eyeball_asns = stub_arr[big]
-        if len(eyeball_asns):
-            count_b = len(eyeball_asns)
-            provider3 = np.zeros((count_b, 3), dtype=np.int64)
-            provider3[:, :2] = tier1_arr[draws.eyeball_order[:, :2]]
-            take3 = np.zeros((count_b, 3), dtype=bool)
-            take3[:, :2] = True
-            if self.mega_carriers:
-                mega_arr = np.array(self.mega_carriers, dtype=np.int64)
-                homed = draws.eyeball_mega_homed
-                mega_idx = (
-                    draws.eyeball_mega_pick_u[homed] * len(mega_arr)
-                ).astype(np.int64)
-                provider3[homed, 2] = mega_arr[mega_idx]
-                take3[:, 2] = homed
-            pairs_customers.append(
-                np.repeat(eyeball_asns, take3.sum(axis=1))
-            )
-            pairs_providers.append(provider3[take3])
-            for asn in eyeball_asns.tolist():
-                self.graph.get(ASN(asn)).tags.add("big-eyeball")
-            self.big_eyeballs = [ASN(a) for a in eyeball_asns.tolist()]
+        # Big eyeballs: two tier-1s each, often plus one mega-carrier.
+        self._eyeball_t1 = draws.eyeball_order[:, :2]
+        self._eyeball_homed = draws.eyeball_mega_homed & (self._mega_count > 0)
+        self._eyeball_mega_cust = self._big_pos[self._eyeball_homed]
+        self._eyeball_mega_prov = (
+            draws.eyeball_mega_pick_u[self._eyeball_homed] * self._mega_count
+        ).astype(np.int64)
 
         # Tier-1-only stubs: 1-3 distinct tier-1s by ascending key.
-        t1o_asns = stub_arr[tier1_only]
-        if len(t1o_asns):
-            counts = np.minimum(draws.provider_count[tier1_only], 3)
-            col = np.arange(draws.tier1_only_order.shape[1])
-            take = col[None, :] < counts[:, None]
-            pairs_customers.append(np.repeat(t1o_asns, counts))
-            pairs_providers.append(tier1_arr[draws.tier1_only_order[take]])
-            self.tier1_only_stubs = [ASN(a) for a in t1o_asns.tolist()]
+        t1o_counts = np.minimum(draws.provider_count[self._t1o_pos], 3)
+        col = np.arange(draws.tier1_only_order.shape[1])
+        take = col[None, :] < t1o_counts[:, None]
+        self._t1o_cust = np.repeat(self._t1o_pos, t1o_counts)
+        self._t1o_t1 = draws.tier1_only_order.ravel()[np.flatnonzero(take)]
 
         # Normal stubs: providers from the mega / regional / global tier-2
-        # pool chosen by the homing-pool uniform, indices by floor(u * len).
-        normal_asns = stub_arr[normal]
-        if len(normal_asns):
-            tier2_arr = np.array(tier2s, dtype=np.int64)
-            mega_count = len(self.mega_carriers)
-            region_codes = draws.region_idx[normal]
-            tier2_regions = np.array(
-                [_REGIONS.index(self.region_of[t]) for t in tier2s]
-            )
-            local_members = [
-                tier2_arr[tier2_regions == r] for r in range(len(_REGIONS))
-            ]
-            local_sizes = np.array([len(m) for m in local_members])
-            local_concat = (
-                np.concatenate(local_members) if len(tier2_arr) else tier2_arr
-            )
-            local_offsets = np.concatenate(
-                ([0], np.cumsum(local_sizes)[:-1])
-            )
-            u = draws.pool_u[normal]
-            local_len = local_sizes[region_codes]
-            cat_mega = (u < 0.15) & (mega_count > 0)
-            cat_local = ~cat_mega & (u < 0.85) & (local_len > 0)
-            cat_global = ~cat_mega & ~cat_local
-            pool_len = np.where(
-                cat_mega, mega_count,
-                np.where(cat_local, local_len, len(tier2_arr)),
-            )
-            counts = draws.provider_count[normal]
-            idx = np.minimum(
-                (draws.pick_u * pool_len[:, None]).astype(np.int64),
-                np.maximum(pool_len[:, None] - 1, 0),
-            )
-            provider_mat = np.empty_like(idx)
-            provider_mat[cat_mega] = tier2_arr[:mega_count][idx[cat_mega]]
-            provider_mat[cat_local] = local_concat[
-                local_offsets[region_codes[cat_local], None] + idx[cat_local]
-            ]
-            provider_mat[cat_global] = tier2_arr[idx[cat_global]]
-            # Per-row dedupe (<= 3 picks): repeated draws of one provider
-            # collapse to a single edge.
-            col = np.arange(3)
-            take = col[None, :] < counts[:, None]
-            take[:, 1] &= provider_mat[:, 1] != provider_mat[:, 0]
-            take[:, 2] &= (provider_mat[:, 2] != provider_mat[:, 0]) & (
-                provider_mat[:, 2] != provider_mat[:, 1]
-            )
-            pairs_customers.append(np.repeat(normal_asns, take.sum(axis=1)))
-            pairs_providers.append(provider_mat[take])
-
-        self.graph.add_customer_provider_arrays(
-            np.concatenate(pairs_customers), np.concatenate(pairs_providers)
+        # pool chosen by the homing-pool uniform, indices by
+        # floor(u * len), in tier-2 *index* space (pool position == tier-2
+        # index for the mega and global pools; the regional pools
+        # concatenate index runs).
+        normal_pos = np.flatnonzero(normal)
+        region_codes = draws.region_idx[normal_pos]
+        tier2_region_idx = self._tier2_draws.region_idx
+        local_members = [
+            np.flatnonzero(tier2_region_idx == r)
+            for r in range(len(_REGIONS))
+        ]
+        local_sizes = np.array([len(m) for m in local_members])
+        local_concat = np.concatenate(local_members)
+        local_offsets = np.concatenate(([0], np.cumsum(local_sizes)[:-1]))
+        mega_count = self._mega_count
+        u = draws.pool_u[normal_pos]
+        local_len = local_sizes[region_codes]
+        cat_mega = (u < 0.15) & (mega_count > 0)
+        cat_local = ~cat_mega & (u < 0.85) & (local_len > 0)
+        pool_len = np.where(
+            cat_mega, mega_count,
+            np.where(cat_local, local_len, cfg.tier2_count),
         )
-        self.tier1_only_stubs_set = set(self.tier1_only_stubs)
-        return stubs
+        counts = draws.provider_count[normal_pos]
+        idx = np.minimum(
+            (draws.pick_u * pool_len[:, None]).astype(np.int64),
+            np.maximum(pool_len[:, None] - 1, 0),
+        )
+        # Mega and global pool positions are tier-2 indices already; only
+        # the regional picks map through their pool.
+        provider_mat = idx.copy()
+        local = np.flatnonzero(cat_local)
+        provider_mat[local] = local_concat[
+            local_offsets[region_codes[local], None] + idx[local]
+        ]
+        # Per-row dedupe (<= 3 picks): repeated draws of one provider
+        # collapse to a single edge.
+        col = np.arange(3)
+        take = col[None, :] < counts[:, None]
+        take[:, 1] &= provider_mat[:, 1] != provider_mat[:, 0]
+        take[:, 2] &= (provider_mat[:, 2] != provider_mat[:, 0]) & (
+            provider_mat[:, 2] != provider_mat[:, 1]
+        )
+        self._normal_cust = np.repeat(normal_pos, take.sum(axis=1))
+        self._normal_prov = provider_mat.ravel()[np.flatnonzero(take)]
 
     def _tier2_propensities(self) -> np.ndarray:
         """IXP propensities of the member tier-2s, a prefix of the tier."""
@@ -982,53 +985,44 @@ class _OffloadBuilder:
                 break
         return np.array(propensities, dtype=float)
 
-    # -- traffic -----------------------------------------------------------------------
+    # -- traffic ------------------------------------------------------------------
 
-    def _contributing_list(self, giants, tier2s, stubs) -> list[ASN]:
-        contributing = [*giants, *tier2s, *stubs]
-        if len(contributing) != self.config.contributing_count:
-            raise ConfigurationError(
-                f"contributing count {len(contributing)} != "
-                f"{self.config.contributing_count}"
-            )
-        return contributing
-
-    def _build_traffic(self, contributing: list[ASN]) -> TrafficMatrix:
+    def _build_traffic(self) -> TrafficMatrix:
         """Traffic calibrated to Figures 5a/6.
 
         Pipeline: double-Pareto totals → regional bias (Spanish NREN
         traffic is EU/NA-heavy) → pin the content giants onto their
         reserved top ranks → pin the rest of the head onto tier-1-only
         eyeballs (the never-offloadable mass) → split in/out by business
-        type and normalise the direction totals.
+        type and normalise the direction totals.  The inbound shares are
+        gathered by kind *code* from tables built from ``_INBOUND_SHARE``.
         """
         cfg = self.config
         traffic_cfg = cfg.traffic or TrafficMatrixConfig(seed=cfg.seed)
         rng = child_rng(cfg.seed, "traffic")
-        count = len(contributing)
+        count = cfg.contributing_count
         totals = rank_profile_totals(count, traffic_cfg, rng)
         totals = totals[rng.permutation(count)]
-        totals = totals * self._region_multipliers(contributing)
+        totals = totals * self._region_multipliers()
 
         self._pin_giants(totals)
-        kinds = self._contrib_kinds()
-        self._pin_head_to_tier1_only(totals, contributing, rng, kinds)
+        self._pin_head_to_tier1_only(totals, rng)
 
-        return split_totals_by_kind(totals, kinds, traffic_cfg, rng)
+        draws = self._stub_draws
+        stub_share = _SHARE_BY_SLOT[draws.kind_idx]
+        stub_share[draws.big_eyeball] = _ACCESS_SHARE
+        base_share = np.concatenate([self._static.head_share, stub_share])
+        return split_totals_by_kind(
+            totals, None, traffic_cfg, rng, base_share=base_share
+        )
 
-    def _contrib_kinds(self) -> list[NetworkKind]:
-        """Business types of the contributing list, recorded at build time."""
-        tier2 = [NetworkKind.TRANSIT] * self.config.tier2_count
-        return [*self._giant_kinds, *tier2, *self._stub_kinds]
-
-    def _region_multipliers(self, contributing: list[ASN]) -> np.ndarray:
+    def _region_multipliers(self) -> np.ndarray:
         # contributing = [giants (all north_america), tier-2s, stubs]; the
         # tier regional codes come straight from the stage draws.
-        table = np.array([_REGION_TRAFFIC_MULTIPLIER[r] for r in _REGIONS])
         return np.concatenate([
             np.full(len(_GIANTS), _REGION_TRAFFIC_MULTIPLIER["north_america"]),
-            table[self._tier2_draws.region_idx],
-            table[self._stub_draws.region_idx],
+            _REGION_MULT_TABLE[self._tier2_draws.region_idx],
+            _REGION_MULT_TABLE[self._stub_draws.region_idx],
         ])
 
     def _pin_giants(self, totals: np.ndarray) -> None:
@@ -1054,44 +1048,33 @@ class _OffloadBuilder:
             position[giant_idx], position[target_idx] = pt, pg
 
     def _pin_head_to_tier1_only(
-        self, totals: np.ndarray, contributing: list[ASN], rng,
-        kinds: list[NetworkKind],
+        self, totals: np.ndarray, rng: np.random.Generator
     ) -> None:
         """Seat tier-1-only eyeballs on the non-giant head ranks.
 
         The paper's maximum offload sits near 25–33% because the largest
         transit counterparties are broadband/content networks that peer
         nowhere RedIRIS can reach; pinning them to tier-1-only stubs (whose
-        cones no candidate peer carries) reproduces that ceiling.
+        cones no candidate peer carries) reproduces that ceiling.  The
+        pool is weighted by region (EU/NA eyeballs carry the head) and by
+        business type: content-ish kinds keep the unreachable head
+        inbound-heavy, so the *offloadable* remainder is outbound-tilted
+        as in the paper (27% inbound vs 33% outbound at 65 IXPs).
+        ``weighted_top_k`` consumes ``len(pool)`` uniforms.
         """
         cfg = self.config
-        if not self.tier1_only_stubs:
+        if not self._t1o_pos.size:
             return
-        index_of = {a: i for i, a in enumerate(contributing)}
+        draws = self._stub_draws
         giant_count = len(_GIANTS)
-        pool = [index_of[a] for a in self.tier1_only_stubs]
-        # Weight by region (EU/NA eyeballs carry the head) and by business
-        # type: content-ish kinds keep the unreachable head inbound-heavy,
-        # so the *offloadable* remainder is outbound-tilted as in the paper
-        # (27% inbound vs 33% outbound at 65 IXPs).
-        kind_weight = {
-            NetworkKind.CONTENT: 4.0,
-            NetworkKind.CDN: 4.0,
-            NetworkKind.HOSTING: 2.5,
-            NetworkKind.ENTERPRISE: 1.5,
-            NetworkKind.TRANSIT: 1.0,
-            NetworkKind.ACCESS: 0.35,
-            NetworkKind.NREN: 1.0,
-            NetworkKind.TIER1: 1.0,
-        }
-        weights = np.array(
-            [
-                _REGION_TRAFFIC_MULTIPLIER[self.region_of[contributing[i]]]
-                * kind_weight[kinds[i]]
-                for i in pool
-            ]
+        pool = giant_count + cfg.tier2_count + self._t1o_pos
+        tier1_only = np.zeros(len(totals), dtype=bool)
+        tier1_only[pool] = True
+        kind_weights = _KIND_WEIGHT_BY_SLOT[draws.kind_idx[self._t1o_pos]]
+        weights = (
+            _REGION_MULT_TABLE[draws.region_idx[self._t1o_pos]] * kind_weights
         )
-        draw_count = min(cfg.head_pin_count, len(pool))
+        draw_count = min(cfg.head_pin_count, pool.size)
         picks = weighted_top_k(rng, weights, draw_count)
         # Seat the picks content-first: the heaviest head ranks go to the
         # most content-ish eyeballs (stable within equal kind weight).  The
@@ -1099,11 +1082,8 @@ class _OffloadBuilder:
         # business type to chance made the in/out offload split swing
         # wildly across seeds; Figure 6's top contributors are
         # endpoint-dominant content networks, not broadband eyeballs.
-        picks = sorted(
-            picks.tolist(),
-            key=lambda i: -kind_weight[kinds[pool[i]]],
-        )
-        chosen = iter(pool[int(i)] for i in picks)
+        picks = picks[np.argsort(-kind_weights[picks], kind="stable")]
+        chosen = iter(pool[picks].tolist())
         order = np.argsort(totals)[::-1]
         giant_rank_set = set(_GIANT_RANKS[:giant_count])
         pinned: set[int] = set()
@@ -1113,7 +1093,7 @@ class _OffloadBuilder:
             holder = int(order[rank - 1])
             if holder < giant_count or holder in pinned:
                 continue  # a giant or an already-pinned eyeball holds it
-            if contributing[holder] in self.tier1_only_stubs_set:
+            if tier1_only[holder]:
                 pinned.add(holder)
                 continue  # already a tier-1-only network
             try:
@@ -1128,12 +1108,9 @@ class _OffloadBuilder:
             totals[holder], totals[eyeball] = totals[eyeball], totals[holder]
             pinned.add(eyeball)
 
-    # -- memberships ------------------------------------------------------------------------
+    # -- memberships --------------------------------------------------------------
 
-    def _build_memberships(
-        self, rediris: ASN, tier1s: list[ASN], giants: list[ASN],
-        tier2s: list[ASN],
-    ) -> dict[str, np.ndarray]:
+    def _build_memberships(self) -> dict[str, np.ndarray]:
         """Draw the 65 IXPs' member lists from regional pools.
 
         The IXP-goers — the giants, the member tier-2s and the IXP-goer
@@ -1142,10 +1119,11 @@ class _OffloadBuilder:
         pool is a mask over it.  Returns each IXP's members as an
         ascending ASN array, in catalog order.
         """
+        st = self._static
         draws = self._stub_draws
         tier2_weights = self._tier2_propensities()
         member_tier2s = len(tier2_weights)
-        mega_count = len(self.mega_carriers)
+        mega_count = self._mega_count
         goer_stubs = np.flatnonzero(
             ~draws.big_eyeball & ~draws.tier1_only & draws.ixpgoer
         )
@@ -1154,22 +1132,22 @@ class _OffloadBuilder:
             member_tier2s - mega_count
         )
         goer_asns = np.concatenate([
-            np.asarray(giants, dtype=np.int64),
-            np.asarray(tier2s[:member_tier2s], dtype=np.int64),
-            10_001 + goer_stubs,
+            np.asarray(st.giants, dtype=np.int64),
+            _TIER2_BASE + np.arange(member_tier2s, dtype=np.int64),
+            _STUB_BASE + goer_stubs,
         ])
         goer_regions = np.concatenate([
-            np.full(len(giants), _REGIONS.index("north_america")),
+            np.full(len(st.giants), _REGIONS.index("north_america")),
             self._tier2_draws.region_idx[:member_tier2s],
             draws.region_idx[goer_stubs],
         ])
         goer_weights = np.concatenate([
-            np.full(len(giants), 50.0),  # giants are at every big IXP
+            np.full(len(st.giants), 50.0),  # giants are at every big IXP
             tier2_weights,
             draws.propensity[goer_stubs],
         ])
         goer_global = np.concatenate([
-            np.ones(len(giants) + mega_count, dtype=bool),
+            np.ones(len(st.giants) + mega_count, dtype=bool),
             global_u < 0.18,
             np.zeros(len(goer_stubs), dtype=bool),
         ])
@@ -1183,7 +1161,7 @@ class _OffloadBuilder:
         # 65 IXPs use only a handful of distinct (regions, local-only)
         # pools; each is built once.
         pool_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        for spec in euroix_catalog():
+        for spec in st.euroix:
             rng = child_rng(self.config.seed, "membership", spec.acronym)
             regions = _IXP_POOL_OVERRIDES.get(spec.acronym, (spec.region,))
             key = (regions, spec.acronym in local_only)
@@ -1205,41 +1183,40 @@ class _OffloadBuilder:
         # to exclude them), CATNIX is the small Catalan exchange.
         none = np.empty(0, dtype=np.int64)
         members["ESpanix"] = np.union1d(
-            members.get("ESpanix", none), [*tier1s, rediris]
+            members.get("ESpanix", none), [*st.tier1s, st.rediris]
         )
-        members["CATNIX"] = np.union1d(members.get("CATNIX", none), [rediris])
+        members["CATNIX"] = np.union1d(members.get("CATNIX", none), [st.rediris])
         return members
 
-    # -- address space -------------------------------------------------------------------------
+    # -- address space --------------------------------------------------------------
 
-    def _scale_address_space(self) -> None:
+    def _scale_address_space(self) -> np.ndarray:
         """Scale announced space so the world totals ~2.6 B addresses.
 
         Big eyeballs end up holding ``big_eyeball_space_share`` of all
         space — the real IPv4 Internet concentrates its addresses in a few
         hundred broadband networks, and Figure 10's steep first-IXP drop
         depends on that concentration.  Multipliers are drawn as one array
-        per kind class, in the order the module docstring documents.
+        per kind class over the ascending-ASN layout, in the order the
+        module docstring documents.  Returns the final space per AS.
         """
         cfg = self.config
+        st = self._static
         rng = self._stage_rng("addrspace")
-        ases = self.graph.ases()
-        count = len(ases)
-        big = set(self.big_eyeballs)
-        space = np.fromiter(
-            (a.address_space for a in ases), dtype=np.float64, count=count
-        )
-        big_mask = np.fromiter(
-            (a.asn in big for a in ases), dtype=bool, count=count
-        )
-        access_mask = np.fromiter(
-            (a.kind is NetworkKind.ACCESS for a in ases), dtype=bool,
-            count=count,
-        ) & ~big_mask
-        carrier_mask = np.fromiter(
-            (a.kind in (NetworkKind.TIER1, NetworkKind.TRANSIT) for a in ases),
-            dtype=bool, count=count,
-        ) & ~big_mask
+        draws = self._stub_draws
+        space = st.base_space.copy()
+        count = space.size
+
+        big_mask = np.zeros(count, dtype=bool)
+        big_mask[st.stub_offset + self._big_pos] = True
+        # Big-eyeball slots are forced ACCESS kind; both masks exclude them.
+        access_mask = np.zeros(count, dtype=bool)
+        access_mask[st.stub_offset:] = _KIND_IS_ACCESS[draws.kind_idx]
+        access_mask &= ~big_mask
+        carrier_mask = st.carrier_static.copy()
+        carrier_mask[st.stub_offset:] = _KIND_IS_TRANSIT[draws.kind_idx]
+        carrier_mask &= ~big_mask
+
         space[access_mask] = np.floor(
             space[access_mask]
             * rng.uniform(10, 80, size=int(access_mask.sum()))
@@ -1254,17 +1231,215 @@ class _OffloadBuilder:
             / (1.0 - cfg.big_eyeball_space_share)
             * other_total
         )
-        if big:
-            per_eyeball_weight = rng.lognormal(0.0, 0.8, size=len(big))
+        if self._big_pos.size:
+            per_eyeball_weight = rng.lognormal(
+                0.0, 0.8, size=self._big_pos.size
+            )
             per_eyeball_weight /= per_eyeball_weight.sum()
             big_positions = np.flatnonzero(big_mask)  # ascending ASN order
             space[big_positions] = np.maximum(
                 1.0, np.floor(big_total_target * per_eyeball_weight)
             )
         scale = cfg.total_address_space / float(space.sum())
-        final = np.maximum(1, np.floor(space * scale).astype(np.int64)).tolist()
-        for asys, value in zip(ases, final):
-            asys.address_space = value
+        return np.maximum(1, np.floor(space * scale).astype(np.int64))
+
+    # -- member arrays from the drawn edges -----------------------------------
+
+    def _member_cones(self, asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Member cone CSR over contributing indices, from the edge draws.
+
+        ``int32``, ascending, the owner's own contributing index included.
+        The provider DAG is three levels deep, so tier-2 cones are one
+        sorted CSR build, tier-1 cones one gather over their customer
+        tier-2s' segments, and giants and stubs (no customers) are their
+        own singletons.
+        """
+        cfg = self.config
+        st = self._static
+        giant_count = len(st.giants)
+        n2 = cfg.tier2_count
+        base = giant_count + n2
+        total = cfg.contributing_count
+        stub_count = total - base
+
+        # stub → tier-2 edges in contributing-index space.
+        cust2 = np.concatenate([
+            base + self._normal_cust, base + self._eyeball_mega_cust,
+        ])
+        prov2 = np.concatenate([self._normal_prov, self._eyeball_mega_prov])
+        order = np.argsort(prov2 * np.int64(total) + cust2)
+        member_counts = np.bincount(prov2, minlength=n2)
+        seg_len = member_counts + 1
+        seg_start = np.concatenate(([0], np.cumsum(seg_len)))[:-1]
+        values = np.empty(int(seg_len.sum()), dtype=np.int32)
+        values[seg_start] = giant_count + np.arange(n2)
+        # The k-th sorted edge sits after its provider's own slot and the
+        # own slots of every lower provider.
+        values[np.arange(order.size) + prov2[order] + 1] = cust2[order]
+
+        # tier-1 cones: direct contributing customers + the cones of their
+        # customer tier-2s (which carry the transitive stub members).
+        direct_cust = np.concatenate([
+            np.repeat(np.arange(giant_count), 2),
+            giant_count + self._tier2_uplink_cust,
+            base + np.repeat(self._big_pos, 2),
+            base + self._t1o_cust,
+        ])
+        direct_prov = np.concatenate([
+            self._giant_tier1_picks.ravel(),
+            self._tier2_uplink_prov,
+            self._eyeball_t1.ravel(),
+            self._t1o_t1,
+        ])
+        seg_lens = seg_len[self._tier2_uplink_cust]
+        indirect_cust = gather_runs(
+            values, seg_start[self._tier2_uplink_cust], seg_lens
+        )
+        indirect_prov = np.repeat(self._tier2_uplink_prov, seg_lens)
+        # Dedup by scatter: one (tier-1, member) bitmap, read back
+        # row-major as the sorted unique members of each tier-1.
+        tier1_count = len(st.tier1s)
+        covered = np.zeros((tier1_count, total), dtype=bool)
+        covered[
+            np.concatenate([direct_prov, indirect_prov]),
+            np.concatenate([direct_cust, indirect_cust]),
+        ] = True
+        tier1_len = np.count_nonzero(covered, axis=1)
+        tier1_values = np.flatnonzero(covered) - np.repeat(
+            np.arange(tier1_count) * total, tier1_len
+        )
+
+        # One source array: singletons | tier-2 segments | tier-1 cones.
+        source = np.concatenate([
+            st.contrib_arange, values, tier1_values.astype(np.int32),
+        ])
+        starts = np.zeros(asns.size, dtype=np.int64)
+        lengths = np.zeros(asns.size, dtype=np.int64)
+        for first, count, block_starts, block_lengths in (
+            (_GIANT_BASE, giant_count, np.arange(giant_count), 1),
+            (_TIER2_BASE, n2, total + seg_start, seg_len),
+            (_STUB_BASE, stub_count, base + np.arange(stub_count), 1),
+            (_TIER1_BASE, tier1_count,
+             total + values.size + np.cumsum(tier1_len) - tier1_len,
+             tier1_len),
+        ):
+            offset = asns - first
+            hit = (offset >= 0) & (offset < count)
+            starts[hit] = block_starts[offset[hit]]
+            lengths[hit] = np.broadcast_to(block_lengths, count)[offset[hit]]
+        return csr_indptr(lengths), gather_runs(source, starts, lengths)
+
+    def _member_policies(self, asns: np.ndarray) -> np.ndarray:
+        """Member policy codes: stub and tier-2 draws, scaffold table."""
+        stub = asns >= _STUB_BASE
+        tier2 = ~stub & (asns >= _TIER2_BASE)
+        rest = ~stub & ~tier2
+        codes = np.empty(asns.size, dtype=np.int8)
+        codes[stub] = self._stub_draws.policy_codes()[asns[stub] - _STUB_BASE]
+        codes[tier2] = self._tier2_draws.policy_codes(
+            self.config.mega_carrier_count
+        )[asns[tier2] - _TIER2_BASE]
+        codes[rest] = self._static.scaffold_policy[asns[rest]]
+        return codes
+
+    # -- the object side ------------------------------------------------------
+
+    def assemble_topology(self, address_space: np.ndarray) -> _Topology:
+        """The AS graph, inbound paths, regions and routing table.
+
+        Re-runs the tier stages, then inserts the scaffold and its edges,
+        the giants' uplinks, the tier-2s and their uplinks in one call,
+        and the stubs and one edge call of big eyeballs (two tier-1s, then
+        the mega-carrier), tier-1-only stubs and normal stubs: the bulk
+        edge API needs each customer's edges contiguous and fresh.
+        """
+        self._build_tiers()
+        cfg = self.config
+        st = self._static
+        make = AutonomousSystem.make_unchecked
+        graph = ASGraph()
+        region_of: dict[ASN, str] = {}
+        tier1_arr = np.array(st.tier1s, dtype=np.int64)
+
+        graph.add_ases_bulk(
+            make(row.asn, row.name, row.kind, row.policy)
+            for row in st.scaffold
+        )
+        region_of.update((row.asn, row.region) for row in st.scaffold)
+        for a, b in st.scaffold_peers:
+            graph.add_peering(a, b)
+        for customer, provider in st.scaffold_customers.tolist():
+            graph.add_customer_provider(customer, provider)
+        graph.add_customer_provider_arrays(
+            np.repeat(np.asarray(st.giants, dtype=np.int64), 2),
+            tier1_arr[self._giant_tier1_picks].ravel(),
+        )
+
+        tier2_draws = self._tier2_draws
+        regions = [_REGIONS[i] for i in tier2_draws.region_idx.tolist()]
+        policies = tier2_draws.policy_codes(cfg.mega_carrier_count).tolist()
+        tier2s = range(_TIER2_BASE, _TIER2_BASE + cfg.tier2_count)
+        graph.add_ases_bulk(
+            make(asn, f"transit-{region}-{i}", NetworkKind.TRANSIT,
+                 POLICY_CODES[code])
+            for i, (asn, region, code) in enumerate(
+                zip(tier2s, regions, policies)
+            )
+        )
+        region_of.update(zip(tier2s, regions))
+        graph.add_customer_provider_arrays(
+            _TIER2_BASE + self._tier2_uplink_cust,
+            tier1_arr[self._tier2_uplink_prov],
+        )
+
+        draws = self._stub_draws
+        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
+        kinds = [
+            NetworkKind.ACCESS if big else _STUB_KINDS[k]
+            for big, k in zip(draws.big_eyeball.tolist(),
+                              draws.kind_idx.tolist())
+        ]
+        policies = draws.policy_codes().tolist()
+        stubs = range(_STUB_BASE, _STUB_BASE + len(regions))
+        graph.add_ases_bulk(
+            make(asn, f"stub-{region}-{i}", kind, POLICY_CODES[code])
+            for i, (asn, region, kind, code) in enumerate(
+                zip(stubs, regions, kinds, policies)
+            )
+        )
+        region_of.update(zip(stubs, regions))
+        eyeballs = _STUB_BASE + self._big_pos
+        eyeball_providers = np.zeros((eyeballs.size, 3), dtype=np.int64)
+        eyeball_providers[:, :2] = tier1_arr[self._eyeball_t1]
+        eyeball_providers[self._eyeball_homed, 2] = (
+            _TIER2_BASE + self._eyeball_mega_prov
+        )
+        eyeball_take = np.ones((eyeballs.size, 3), dtype=bool)
+        eyeball_take[:, 2] = self._eyeball_homed
+        graph.add_customer_provider_arrays(
+            np.concatenate([
+                np.repeat(eyeballs, eyeball_take.sum(axis=1)),
+                _STUB_BASE + self._t1o_cust,
+                _STUB_BASE + self._normal_cust,
+            ]),
+            np.concatenate([
+                eyeball_providers[eyeball_take],
+                tier1_arr[self._t1o_t1],
+                _TIER2_BASE + self._normal_prov,
+            ]),
+        )
+        for asn in eyeballs.tolist():
+            graph.get(asn).tags.add("big-eyeball")
+
+        for asys, space in zip(graph.ases(), address_space.tolist()):
+            asys.address_space = space
+        inbound_paths = RouteComputation(graph).best_paths_to(st.rediris)
+        return _Topology(
+            graph=graph,
+            inbound_paths=inbound_paths,
+            region_of=region_of,
+            table=ReversedPathTable(graph, st.rediris, inbound_paths),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1352,7 +1527,9 @@ class _StubDraws:
     pick_u: np.ndarray            # float[K2, 3]
 
     @classmethod
-    def draw(cls, builder: _OffloadBuilder, tier1s: list[ASN]) -> "_StubDraws":
+    def draw(
+        cls, builder: _OffloadBuilder, tier1s: Sequence[ASN]
+    ) -> "_StubDraws":
         cfg = builder.config
         rng = builder._stage_rng("stubs")
         n = cfg.contributing_count - len(_GIANTS) - cfg.tier2_count

@@ -26,6 +26,8 @@ a cheap fixed-seed world (``tiny_offload_config``).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -231,10 +233,24 @@ def assert_graphs_identical(vec, sca):
         )
 
 
+def assert_member_arrays_identical(vec, sca):
+    """Two :class:`~repro.sim.offload_world.MemberArrays` agree entry for
+    entry: seats, policy codes and cones."""
+    assert vec.ixps == sca.ixps
+    for field in dataclasses.fields(vec):
+        if field.name != "ixps":
+            assert np.array_equal(
+                getattr(vec, field.name), getattr(sca, field.name)
+            ), field.name
+
+
 def assert_offload_worlds_identical(vec, sca):
-    """Two offload worlds are bit-identical (the reference contract)."""
+    """Two offload worlds are bit-identical (the reference contract): the
+    graph, memberships (in catalog order), traffic, regions and routes,
+    and the member arrays, all-AS member cones and address space the
+    studies read."""
     assert_graphs_identical(vec.graph, sca.graph)
-    assert vec.memberships == sca.memberships
+    assert list(vec.memberships.items()) == list(sca.memberships.items())
     assert vec.contributing == sca.contributing
     assert np.array_equal(vec.matrix.inbound_bps, sca.matrix.inbound_bps)
     assert np.array_equal(vec.matrix.outbound_bps, sca.matrix.outbound_bps)
@@ -242,3 +258,7 @@ def assert_offload_worlds_identical(vec, sca):
     assert set(vec.inbound_paths) == set(sca.inbound_paths)
     for asn in vec.inbound_paths:
         assert vec.inbound_paths[asn].asns == sca.inbound_paths[asn].asns
+    assert_member_arrays_identical(vec.member_arrays(), sca.member_arrays())
+    for a, b in zip(vec.member_all_cones(), sca.member_all_cones()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(vec.address_space, sca.address_space)

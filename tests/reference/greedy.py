@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.bgp.cone import customer_cone
 from repro.core.offload.greedy import GreedyStep
 from repro.core.offload.peergroups import PeerGroups
 from repro.core.offload.reachability import ReachabilityStep
@@ -153,7 +154,10 @@ def greedy_expansion(
 def greedy_reachability(
     groups: PeerGroups, group: int, max_ixps: int | None = None
 ) -> list[ReachabilityStep]:
-    """Figure 10's expansion on the dense float32 (IXP × all-AS) bitset."""
+    """Figure 10's expansion on the dense float32 (IXP × all-AS) bitset.
+
+    Cones are breadth-first customer cones over the world's AS graph.
+    """
     world = groups.world
     asns = world.graph.asns()
     space = np.array(
@@ -163,7 +167,12 @@ def greedy_reachability(
     limit = len(candidates) if max_ixps is None else min(
         max_ixps, len(candidates)
     )
-    bitset = dense_bitset(groups, group, world.cone_all_indices, len(asns))
+    column_of = {asn: v for v, asn in enumerate(asns)}
+
+    def cone_of(asn: int) -> list[int]:
+        return [column_of[a] for a in customer_cone(world.graph, asn)]
+
+    bitset = dense_bitset(groups, group, cone_of, len(asns))
     total = float(space.sum())
     steps: list[ReachabilityStep] = []
     for rank, best, covered in greedy_cover_rows(

@@ -22,8 +22,7 @@ from repro.core.offload import (
 )
 from repro.experiments.mega import draw_traffic, greedy_coverage
 from repro.sim.megatopo import build_mega_world
-from repro.sim.offload_batch import build_offload_views
-from repro.sim.offload_world import build_offload_world
+from repro.sim.offload_world import build_offload_views, build_offload_world
 from repro.sim.scenarios import mega_preset_config, offload_preset_config
 from tests.reference import greedy as reference
 
@@ -33,14 +32,14 @@ GROUPS = (1, 2, 3, 4)
 
 def _assert_expansions_match(preset: str) -> None:
     base = offload_preset_config(preset)
-    views = build_offload_views([replace(base, seed=s) for s in SEEDS])
-    for view in views:
-        groups = PeerGroups.build(view)
-        estimator = OffloadEstimator(view, groups)
+    worlds = build_offload_views([replace(base, seed=s) for s in SEEDS])
+    for world in worlds:
+        groups = PeerGroups.build(world)
+        estimator = OffloadEstimator(world, groups)
         for group in GROUPS:
             assert greedy_expansion(estimator, group) == (
                 reference.greedy_expansion(groups, group)
-            ), (view.config.seed, group)
+            ), (world.config.seed, group)
 
 
 class TestGreedyExpansionOracle:

@@ -1,4 +1,10 @@
-"""The member arrays both offload world types expose to the estimators."""
+"""The member arrays a world exposes to the estimators.
+
+The product builds them from its drawn edge arrays and policy draws;
+the reference world (:mod:`tests.reference.offload_world`) reads the
+policies off its AS objects and the cones off breadth-first searches of
+its graph.  Both must agree entry for entry.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +14,18 @@ import numpy as np
 import pytest
 
 from repro.core.offload import PeerGroups
-from repro.sim.offload_batch import build_offload_views
-from repro.sim.offload_world import MemberArrays, build_offload_world
+from repro.sim.offload_world import MemberArrays
 from repro.sim.scenarios import offload_preset_config
+from tests.engine_equivalence import offload_world_pair
 
 
 @pytest.fixture(scope="module", params=range(3))
 def world_and_view(request):
-    config = dataclasses.replace(
+    """(reference world, product world) for one small-preset seed."""
+    product, reference = offload_world_pair(dataclasses.replace(
         offload_preset_config("small"), seed=request.param
-    )
-    return build_offload_world(config), build_offload_views([config])[0]
+    ))
+    return reference, product
 
 
 class TestViewMatchesGraphWorld:
@@ -33,14 +40,18 @@ class TestViewMatchesGraphWorld:
                 ), field.name
 
     def test_cones_match_the_per_network_tables(self, world_and_view):
-        world, _ = world_and_view
-        members = world.member_arrays()
+        _, view = world_and_view
+        members = view.member_arrays()
         for k in range(0, members.asns.size, 7):
             cone = members.cone_indices[
                 members.cone_indptr[k]:members.cone_indptr[k + 1]
             ]
-            expected = world.cone_contrib_indices(int(members.asns[k]))
-            assert cone.tolist() == expected.tolist()
+            expected = sorted(
+                view.contributing_index(member)
+                for member in view.cone(int(members.asns[k]))
+                if view.contributing_index(member) is not None
+            )
+            assert cone.tolist() == expected
 
     def test_peer_groups_identical(self, world_and_view):
         world, view = world_and_view
@@ -54,25 +65,41 @@ class TestViewMatchesGraphWorld:
 
     def test_view_memberships_built_on_first_access(self, world_and_view):
         world, view = world_and_view
-        fresh = dataclasses.replace(view, _memberships=None)
-        assert fresh._memberships is None
-        assert fresh.memberships == world.memberships
-        assert fresh._memberships is not None
+        fresh = dataclasses.replace(view, memberships=None)
+        assert fresh._seats is None
+        # Catalog order, as the reference world's dict.
+        assert list(fresh.memberships.items()) == list(
+            world.memberships.items()
+        )
+        assert fresh._seats is not None
 
 
 class TestGraphWorldArrays:
     def test_follow_replaced_memberships(self, world_and_view):
-        world, _ = world_and_view
+        _, world = world_and_view
         lone = dataclasses.replace(
             world, memberships={"AMS-IX": world.memberships["AMS-IX"]}
         )
         members = lone.member_arrays()
         assert members.ixps == ("AMS-IX",)
         assert members.asns.tolist() == sorted(world.memberships["AMS-IX"])
+        # Rows are gathered from the drawn members' policies and cones.
+        drawn = world.member_arrays()
+        rows = np.searchsorted(drawn.asns, members.asns)
+        assert np.array_equal(members.policy, drawn.policy[rows])
+        for k, row in enumerate(rows.tolist()):
+            assert np.array_equal(
+                members.cone_indices[
+                    members.cone_indptr[k]:members.cone_indptr[k + 1]
+                ],
+                drawn.cone_indices[
+                    drawn.cone_indptr[row]:drawn.cone_indptr[row + 1]
+                ],
+            )
 
     def test_unknown_ixp_row_rejected(self, world_and_view):
         from repro.errors import ConfigurationError
 
-        world, _ = world_and_view
+        _, world = world_and_view
         with pytest.raises(ConfigurationError):
             world.member_arrays().row_of("NOPE-IX")

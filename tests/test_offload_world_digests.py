@@ -1,12 +1,13 @@
 """Golden digests of offload worlds.
 
-The bit-exact suites compare the builder with a reference that inherits
-its draw-bearing stages (``tests/reference/offload_world.py``) or with
-the batched realizer that inherits them too, so they cannot see a change
-that moves both sides at once.  These digests were taken from worlds
-built before the single-world builders were merged into one, and any
-drift in an AS, an edge, a membership, the contributing order, the
-traffic matrix or an inbound path changes them.
+The bit-exact suites compare the builder with the reference in
+``tests/reference/offload_world.py``, which has its own copy of the
+seed implementation's stages; these digests hold both to the worlds
+built before the single-world builders were merged into one
+(``tests/test_reference_digests.py`` runs the reference through them).
+Any drift in an AS, an edge, a membership, the contributing order, the
+traffic matrix or an inbound path changes them; the product's graph,
+paths and regions here are the ones a world assembles on first access.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
 """The offload-world builder and its scalar reference.
 
-The builder and the reference (:mod:`tests.reference.offload_world`)
-consume identical stage-stream draws (see the
-:mod:`repro.sim.offload_world` docstring), so equivalence here is
-*bit-exact* — stronger than the detection world's statistical suite: the
-graphs, memberships, traffic matrices, address space and (on the full
-paper world) the greedy IXP expansion order must match member-for-member.
-The reference inserts every network and edge through the fully checked
-graph APIs, which is what validates the bulk fast paths.  The identity
-assertions and the fixed-seed world pairs live in
-:mod:`tests.engine_equivalence`, shared with the detection-engine suite.
+The reference (:mod:`tests.reference.offload_world`) is the seed
+implementation's graph builder with its own copy of every stage draw,
+so equivalence here is *bit-exact* — stronger than the detection world's
+statistical suite: the graphs, memberships, traffic matrices, address
+space, member arrays and (on the full paper world) the greedy IXP
+expansion order must match member-for-member.  The reference inserts
+every network and edge through the fully checked graph APIs, which is
+what validates the bulk fast paths, and reads member cones off
+breadth-first searches of its graph.  The identity assertions and the
+fixed-seed world pairs live in :mod:`tests.engine_equivalence`, shared
+with the detection-engine suite.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -66,6 +69,39 @@ class TestProbabilityFields:
     def test_out_of_range_rejected(self, make, field, value):
         with pytest.raises(ConfigurationError, match=field):
             make(**{field: value})
+
+
+class TestSizeFields:
+    """Sizes the builder cannot build are rejected when the config is
+    made, naming the field.  Two tier-1s used to pass and then fail
+    inside the build (GÉANT peers with the third), as did no tier-2s and
+    negative counts; ``days=0`` built a world whose every economics
+    trial raised, and a non-positive address-space target built a world
+    of a few hundred addresses."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("tier1_count", 2),
+        ("tier2_count", 0),
+        ("nren_count", -1),
+        ("mega_carrier_count", -1),
+        ("big_eyeball_count", -1),
+        ("head_pin_count", -1),
+        ("days", 0),
+        ("total_address_space", 0.0),
+        ("total_address_space", -1.0),
+    ])
+    def test_unbuildable_size_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            tiny_offload_config(**{field: value})
+
+    def test_smallest_sizes_build(self):
+        assert_offload_worlds_identical(*offload_world_pair(
+            tiny_offload_config(
+                tier1_count=3, tier2_count=1, nren_count=0,
+                mega_carrier_count=0, big_eyeball_count=0,
+                head_pin_count=0, days=1,
+            )
+        ))
 
 
 class TestEngineIdentity:
@@ -128,42 +164,55 @@ class TestPaperScaleEngineIdentity:
 
 
 class TestConeIndexTables:
-    """The bottom-up closure tables agree with the BFS customer cones."""
+    """The member cone CSRs, built from the drawn edge arrays, agree with
+    breadth-first customer cones over the world's assembled graph."""
 
     @pytest.fixture(scope="class")
     def world(self):
         return build_offload_world(small_offload_config())
 
     def test_contrib_indices_match_bfs_cone(self, world):
-        samples = [*world.tier1s[:2], *world.giants[:2],
-                   *world.contributing[30:90:20]]
-        for asn in samples:
+        members = world.member_arrays()
+        for k in range(members.asns.size):
+            asn = int(members.asns[k])
             expected = sorted(
                 idx
                 for member in world.cone(asn)
                 if (idx := world.contributing_index(member)) is not None
             )
-            assert sorted(world.cone_contrib_indices(asn).tolist()) == expected
+            cone = members.cone_indices[
+                members.cone_indptr[k]:members.cone_indptr[k + 1]
+            ]
+            assert cone.tolist() == expected, asn
 
     def test_all_indices_match_bfs_cone(self, world):
-        all_index = {a: v for v, a in enumerate(world.all_asns())}
-        for asn in (world.tier1s[0], world.geant, world.contributing[100]):
+        all_index = {a: v for v, a in enumerate(world.graph.asns())}
+        indptr, indices = world.member_all_cones()
+        members = world.member_arrays()
+        for k in range(members.asns.size):
+            asn = int(members.asns[k])
             expected = sorted(all_index[m] for m in world.cone(asn))
-            assert sorted(world.cone_all_indices(asn).tolist()) == expected
+            assert indices[indptr[k]:indptr[k + 1]].tolist() == expected, asn
 
     def test_unknown_member_is_empty(self, world):
-        from repro.types import ASN
-
-        missing = ASN(999_999)
-        assert world.cone_contrib_indices(missing).size == 0
-        assert world.cone_all_indices(missing).size == 0
+        lone = dataclasses.replace(world, memberships={"AMS-IX": frozenset()})
+        members = lone.member_arrays()
+        assert members.ixps == ("AMS-IX",)
+        assert members.asns.size == members.cone_indices.size == 0
+        indptr, indices = lone.member_all_cones()
+        assert indptr.tolist() == [0] and indices.size == 0
 
     def test_mask_for_members_uses_tables(self, world):
-        members = frozenset(world.giants[:3])
-        mask = world.contributing_mask_for_members(members)
-        for giant in members:
+        giants = frozenset(world.giants[:3])
+        estimator = OffloadEstimator(
+            world, PeerGroups(world=world, candidates=giants)
+        )
+        mask = estimator.mask_for(estimator.reachable_ixps(), 4)
+        seated = giants & frozenset().union(*world.memberships.values())
+        assert seated
+        for giant in seated:
             assert mask[world.contributing_index(giant)]
-        assert mask.sum() >= len(members)
+        assert mask.sum() == len(seated)
 
 
 class TestBulkGraphAPIs:

@@ -4,7 +4,10 @@ The references in ``tests/reference/`` are oracles: the statistical
 suites are only as good as the references are faithful to the seed
 implementation.  These digests were taken from that implementation's
 pools and detection worlds before it moved out of ``src/``; any change
-to a reference's draws or realization changes them.
+to a reference's draws or realization changes them.  The offload
+reference is held to the product's pinned world digests
+(``tests/test_offload_world_digests.py``): the two builders share no
+stage code, so a change that moved both would have to move them alike.
 """
 
 from __future__ import annotations
@@ -12,13 +15,22 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.geo.cities import default_city_db
 from repro.sim.detection_world import DetectionWorldConfig
 from repro.sim.netpool import NetworkPoolConfig
-from repro.sim.scenarios import mini_specs
+from repro.sim.offload_world import OffloadWorldConfig
+from repro.sim.scenarios import mini_specs, rediris_small_config
+from tests.engine_equivalence import tiny_offload_config
 from tests.reference.detection_world import build_scalar_detection_world
 from tests.reference.netpool import generate_scalar_pool
+from tests.reference.offload_world import build_scalar_offload_world
 from tests.test_detection_world_digests import world_digest
+from tests.test_offload_world_digests import (
+    WORLD_DIGESTS as OFFLOAD_WORLD_DIGESTS,
+    offload_world_digest,
+)
 
 POOL_DIGESTS = {
     (2000, 7): (
@@ -81,3 +93,14 @@ class TestReferenceWorldDigests:
     def test_scalar_paper_scale_world_digest(self):
         world = build_scalar_detection_world(DetectionWorldConfig(seed=42))
         assert world_digest(world) == WORLD_DIGESTS["paper22-seed42"]
+
+
+class TestReferenceOffloadWorldDigests:
+    @pytest.mark.parametrize("name,config", [
+        ("tiny-seed9", tiny_offload_config(seed=9)),
+        ("rediris-small-seed5", rediris_small_config(5)),
+        ("paper-seed42", OffloadWorldConfig(seed=42)),
+    ])
+    def test_scalar_offload_world_digest(self, name, config):
+        world = build_scalar_offload_world(config)
+        assert offload_world_digest(world) == OFFLOAD_WORLD_DIGESTS[name]
