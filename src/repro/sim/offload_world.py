@@ -231,6 +231,8 @@ _KIND_IS_TRANSIT = np.array([k is NetworkKind.TRANSIT for k in _STUB_KINDS])
 _SHARE_BY_SLOT = np.array([_INBOUND_SHARE[k] for k in _STUB_KINDS])
 _ACCESS_SHARE = _INBOUND_SHARE[NetworkKind.ACCESS]
 
+#: Giants plus the fewest stubs a world is built with.
+_MIN_STUBS = len(_GIANTS) + 200
 _FRACTIONS = (
     "tier1_only_stub_fraction",
     "member_tier2_fraction",
@@ -283,11 +285,13 @@ class OffloadWorldConfig:
         # One chained test on the fast path: every trial spec ``replace``s
         # this config, and a warm study rerun resolves every trial.
         if (
-            self.contributing_count > self.tier2_count + len(_GIANTS) + 200
+            self.contributing_count > self.tier2_count + _MIN_STUBS
             and self.tier1_count >= 3
             and self.tier2_count >= 1
-            and min(self.nren_count, self.mega_carrier_count,
-                    self.big_eyeball_count, self.head_pin_count) >= 0
+            and self.nren_count >= 0
+            and self.mega_carrier_count >= 0
+            and self.big_eyeball_count >= 0
+            and self.head_pin_count >= 0
             and self.days >= 1
             and self.total_address_space > 0
             and 0.0 <= self.tier1_only_stub_fraction <= 1.0
@@ -297,7 +301,7 @@ class OffloadWorldConfig:
             and 0.0 <= self.big_eyeball_space_share < 1.0
         ):
             return
-        if self.contributing_count <= self.tier2_count + len(_GIANTS) + 200:
+        if self.contributing_count <= self.tier2_count + _MIN_STUBS:
             raise ConfigurationError("contributing_count too small")
         # RedIRIS buys transit from the first two tier-1s and GÉANT peers
         # with the third.
@@ -408,13 +412,20 @@ class MemberArrays:
     def select(
         self, memberships: Mapping[str, Iterable[ASN]]
     ) -> "MemberArrays":
-        """The arrays of ``memberships``, whose seats must be among these.
-
-        Policy codes and cones are gathered from these members' rows.
-        """
+        """The arrays of ``memberships``, which may seat only these
+        members: their policy codes and cones are gathered from these
+        rows, so an unknown member raises."""
 
         def rows(asns: np.ndarray) -> np.ndarray:
-            return np.searchsorted(self.asns, asns)
+            found = np.searchsorted(self.asns, asns)
+            if found.size and (
+                found[-1] >= self.asns.size
+                or not np.array_equal(self.asns[found], asns)
+            ):
+                raise ConfigurationError(
+                    "memberships may only seat the world's drawn members"
+                )
+            return found
 
         def cones(asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             seats = rows(asns)

@@ -97,6 +97,15 @@ class TestGraphWorldArrays:
                 ],
             )
 
+    def test_replaced_memberships_seat_only_drawn_members(
+        self, world_and_view
+    ):
+        from repro.errors import ConfigurationError
+
+        _, world = world_and_view
+        with pytest.raises(ConfigurationError, match="drawn members"):
+            dataclasses.replace(world, memberships={"AMS-IX": {world.geant}})
+
     def test_unknown_ixp_row_rejected(self, world_and_view):
         from repro.errors import ConfigurationError
 
