@@ -2,8 +2,10 @@
 # in-tree package on the path; no installation required.
 #
 #   make test        full tier-1 suite (what CI holds the repo to)
-#   make smoke       quick gate: fast tests, perf regression guard, and a
-#                    2-seed run of every `repro study` kind
+#   make smoke       quick gate: fast tests, perf regression guard, and the
+#                    front-door gate below
+#   make cli-smoke   front-door gate: a 2-seed run of every `repro study`
+#                    kind, a batched scenario run and every single run
 #   make lint        static analysis: repro lint (+ ruff/mypy when installed)
 #   make chaos       fault-injection gate: chaos suites + a small failover run
 #   make mega-smoke  mega-scale gate: 20k-world study over shm transport
@@ -17,8 +19,8 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test smoke lint chaos mega-smoke serve-smoke perf-check paper-check \
-	bench regression
+.PHONY: test smoke cli-smoke lint chaos mega-smoke serve-smoke perf-check \
+	paper-check bench regression
 
 test:
 	$(PY) -m pytest -x -q
@@ -29,9 +31,21 @@ STUDY_KINDS := detection offload economics joint mega
 smoke:
 	$(PY) -m pytest -m "not slow" -q
 	$(PY) benchmarks/check_regression.py --quick
+	$(MAKE) cli-smoke
+
+# Every `repro` command that runs a study, through the one request front
+# door: the study kinds, a scenario with its engine flags, and the
+# one-seed single runs.
+cli-smoke:
 	for kind in $(STUDY_KINDS); do \
 		$(PY) -m repro study $$kind --seeds 2 --workers 1 || exit 1; \
 	done
+	$(PY) -m repro scenarios run exclusion-ablation --seeds 2 --workers 1 \
+		--trial-batch 2
+	$(PY) -m repro detect --ixps TorIX --seed 3
+	$(PY) -m repro offload --seed 3 --max-ixps 3
+	$(PY) -m repro report --small --seed 3 -o /dev/null
+	$(PY) -m repro econ --decay 0.8
 
 # The determinism & draw-stream static analysis (always available), plus
 # ruff and the strict-ish mypy profile for the typed surfaces

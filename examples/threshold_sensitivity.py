@@ -16,7 +16,12 @@ from repro import (
     build_detection_world,
 )
 from repro.analysis.tables import render_table
-from repro.core.detection import filter_drop_sweep, threshold_sweep
+from repro.core.detection import (
+    FILTER_ORDER,
+    FilterPipeline,
+    validate_against_truth,
+)
+from repro.core.detection.results import build_result
 from repro.ixp.catalog import paper_catalog
 
 
@@ -28,20 +33,19 @@ def main() -> None:
     campaign = ProbeCampaign(world, CampaignConfig(seed=21))
     result = campaign.run()
 
-    points = threshold_sweep(
-        world, result, thresholds=(2.5, 5.0, 7.5, 10.0, 15.0, 20.0)
-    )
-    rows = [
-        [
-            f"{p.threshold_ms:g} ms",
-            p.remote_calls,
-            p.report.false_positives,
-            p.report.false_negatives,
-            round(p.precision, 4),
-            round(p.recall, 4),
-        ]
-        for p in points
-    ]
+    # The filters do not depend on the threshold, so each point is one
+    # confusion matrix over the already-filtered result.
+    rows = []
+    for threshold in (2.5, 5.0, 7.5, 10.0, 15.0, 20.0):
+        report = validate_against_truth(world, result, threshold_ms=threshold)
+        rows.append([
+            f"{threshold:g} ms",
+            sum(1 for i in result.analyzed if i.remote(threshold)),
+            report.false_positives,
+            report.false_negatives,
+            round(report.precision, 4),
+            round(report.recall, 4),
+        ])
     print()
     print(render_table(
         ["threshold", "remote calls", "FP", "FN", "precision", "recall"],
@@ -53,16 +57,22 @@ def main() -> None:
 
     print("\nRe-collecting raw measurements for the filter ablation...")
     measurements = campaign.collect()
-    drops = filter_drop_sweep(world, measurements)
-    rows = [
-        [
-            point.dropped or "(full pipeline)",
-            point.analyzed_count,
-            point.report.false_positives,
-            round(point.report.precision, 4),
-        ]
-        for point in drops
-    ]
+    pipeline = FilterPipeline()
+    rows = []
+    for dropped in (None, *FILTER_ORDER):
+        # Stages never mutate their input: every run re-reads the same
+        # raw measurements.
+        filtered = build_result(
+            measurements, pipeline.run(measurements, skip=dropped),
+            threshold_ms=10.0,
+        )
+        report = validate_against_truth(world, filtered)
+        rows.append([
+            dropped or "(full pipeline)",
+            filtered.analyzed_count(),
+            report.false_positives,
+            round(report.precision, 4),
+        ])
     print()
     print(render_table(
         ["dropped filter", "analyzed", "false positives", "precision"],

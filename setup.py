@@ -1,7 +1,7 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Setup shim; it declares no package metadata and no scripts.
 
-All metadata lives in ``pyproject.toml``; this file only enables legacy
-editable installs (``pip install -e . --no-use-pep517``) on offline boxes.
+Nothing needs installing: every entry point runs from the repo root with
+``PYTHONPATH=src`` as ``python -m repro <command>``.
 """
 
 from setuptools import setup

@@ -1,4 +1,4 @@
-"""``python -m repro`` — the same entry point as the ``repro`` script."""
+"""``python -m repro <command>`` — the :func:`repro.cli.main` dispatcher."""
 
 import sys
 

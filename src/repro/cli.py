@@ -1,188 +1,111 @@
-"""Command-line entry points: ``repro-detect``, ``repro-offload``,
-``repro-econ`` — and the ``repro <command>`` dispatcher that fronts them
-all.
+"""Command-line entry points: the ``repro <command>`` dispatcher.
 
-The single-world commands build one synthetic world, run the study and
-print the paper-shaped report as plain text.  The multi-seed front end is
-``repro study <kind>`` for every kind of the study registry
-(:mod:`repro.experiments.requests`): each flag is ``--`` plus a request
-key with ``_`` → ``-``, so a command line and a ``POST /studies`` body
-describe the same run and share its result fingerprint.  Every study runs
-on the shared engine (seed × grid expansion, per-variant world caching,
-process-pool fan-out, resumable ``--out`` artifacts).  ``repro scenarios
-list|run`` fronts the scenario library
-(:mod:`repro.experiments.scenarios`): named variant grids, reported
-through the same registry renderers.
+Every study a command runs is a request of the study registry
+(:mod:`repro.experiments.requests`): one flag generator turns a kind's
+schema into ``--`` plus each request key with ``_`` → ``-``, so a command
+line and a ``POST /studies`` body describe the same run and share its
+result fingerprint, and :func:`~repro.experiments.requests.render_report`
+prints every report.
+
+* ``repro study <kind>`` runs a multi-seed study of any registry kind
+  (``--seeds N --seed-offset K``; resumable ``--out`` artifacts);
+* ``repro scenarios list|run`` fronts the scenario library
+  (:mod:`repro.experiments.scenarios`), with the scenario schema's flags;
+* ``repro detect`` and ``repro offload`` are one-seed detection and
+  offload requests: ``--seed S`` is ``{"seeds": [S]}``;
+* ``repro report`` runs one-seed detection, offload and economics
+  requests and writes their reports as one text;
+* ``repro econ`` evaluates the Section 5 closed forms, with the decay
+  rate ``b`` given or fitted by one economics trial.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analysis.tables import render_table
-from repro.core.detection import CampaignConfig, ProbeCampaign
-from repro.core.detection.classify import BAND_LABELS
-from repro.core.economics import (
-    CostModel,
-    CostParameters,
-    fit_exponential_decay,
-    viability_condition,
-)
-from repro.core.offload import (
-    GROUP_LABELS,
-    OffloadEstimator,
-    PeerGroups,
-    greedy_expansion,
-)
-from repro.ixp.catalog import paper_catalog
-from repro.sim import (
-    DetectionWorldConfig,
-    OffloadWorldConfig,
-    build_detection_world,
-    build_offload_world,
-)
-from repro.units import format_rate
+from repro.core.economics import CostModel, CostParameters, viability_condition
 
 if TYPE_CHECKING:  # the study stack is imported lazily, per command
-    from repro.experiments.engine import StudyResult
+    from repro.experiments.engine import Study, StudyResult
+    from repro.experiments.requests import Option
+
+#: ``repro report``'s sections: banner, study kind, and its preset with
+#: and without ``--small``.
+_REPORT_SECTIONS = (
+    ("REMOTE PEERING DETECTION STUDY", "detection", "mini3", "paper22"),
+    ("TRAFFIC OFFLOAD STUDY", "offload", "small", "paper65"),
+    ("ECONOMIC VIABILITY (Section 5)", "economics", "small", "paper65"),
+)
 
 
 def detect_main(argv: list[str] | None = None) -> int:
-    """Run the Section 3 detection study and print per-IXP findings."""
-    parser = argparse.ArgumentParser(
-        prog="repro-detect",
-        description="Ping-based detection of remote peering at the 22 "
-        "studied IXPs (synthetic world).",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="world seed")
-    parser.add_argument(
-        "--threshold-ms", type=float, default=10.0,
-        help="remoteness threshold (paper: 10 ms)",
-    )
-    parser.add_argument(
-        "--ixps", nargs="*", default=None,
-        help="restrict to these IXP acronyms (default: all 22)",
-    )
-    args = parser.parse_args(argv)
-
-    specs = paper_catalog()
-    if args.ixps:
-        specs = tuple(s for s in specs if s.acronym in set(args.ixps))
-        if not specs:
-            parser.error("no matching IXPs")
-    world = build_detection_world(
-        DetectionWorldConfig(seed=args.seed, specs=specs)
-    )
-    config = CampaignConfig(
-        seed=args.seed, remoteness_threshold_ms=args.threshold_ms
-    )
-    result = ProbeCampaign(world, config).run()
-
-    bands = result.band_counts_by_ixp()
-    rows = []
-    for acronym in sorted(bands):
-        counts = bands[acronym]
-        remote = sum(v for k, v in counts.items() if k != "<10ms")
-        rows.append([acronym, *(counts[label] for label in BAND_LABELS), remote])
-    print(render_table(
-        ["IXP", *BAND_LABELS, "remote"],
-        rows,
-        title="Analyzed interfaces by minimum-RTT band",
-    ))
-    print()
-    print(f"analyzed interfaces : {result.analyzed_count()}")
-    print(f"identified networks : {len(result.identified_networks())}")
-    print(f"remotely peering    : {len(result.remotely_peering_networks())}")
-    print(f"IXPs with remote peering: "
-          f"{len(result.ixps_with_remote_peering())}/{len(result.studied_ixps())} "
-          f"({result.remote_spread_fraction():.0%})")
-    return 0
+    """``repro detect`` — one seed of the Section 3 detection study."""
+    return _single_run("detect", "detection", argv, per_ixp=True)
 
 
 def offload_main(argv: list[str] | None = None) -> int:
-    """Run the Section 4 offload study and print the greedy expansion."""
-    parser = argparse.ArgumentParser(
-        prog="repro-offload",
-        description="Transit-offload potential of a RedIRIS-like NREN over "
-        "the 65 Euro-IX IXPs (synthetic world).",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="world seed")
-    parser.add_argument(
-        "--group", type=int, default=4, choices=(1, 2, 3, 4),
-        help="peer group (paper Section 4.2)",
-    )
-    parser.add_argument(
-        "--max-ixps", type=int, default=10, help="greedy expansion depth"
-    )
-    args = parser.parse_args(argv)
+    """``repro offload`` — one seed of the Section 4 offload study."""
+    return _single_run("offload", "offload", argv)
 
-    world = build_offload_world(OffloadWorldConfig(seed=args.seed))
-    estimator = OffloadEstimator(world, PeerGroups.build(world))
-    all_ixps = estimator.reachable_ixps()
-    fi, fo = estimator.offload_fractions(all_ixps, args.group)
-    print(f"peer group {args.group} ({GROUP_LABELS[args.group]})")
-    print(f"candidates after exclusions: {estimator.groups.candidate_count()}")
-    print(f"max offload at {len(all_ixps)} IXPs: "
-          f"inbound {fi:.1%}, outbound {fo:.1%}")
-    print()
-    rows = []
-    for step in greedy_expansion(estimator, args.group, max_ixps=args.max_ixps):
-        rows.append([
-            step.rank,
-            step.ixp,
-            format_rate(step.gained_total_bps),
-            format_rate(step.remaining_total_bps),
-        ])
-    print(render_table(
-        ["#", "IXP", "gained", "remaining transit"],
-        rows,
-        title="Greedy IXP expansion",
-    ))
+
+def _single_run(
+    command: str, kind: str, argv: list[str] | None, **flags: bool
+) -> int:
+    """Run ``repro <command>``: a one-seed request of study ``kind``."""
+    from repro.experiments.requests import STUDIES, render_report
+
+    options = STUDIES[kind].options
+    parser = argparse.ArgumentParser(
+        prog=f"repro {command}",
+        description=f"{STUDIES[kind].about}, at one seed.  Every flag but "
+        f"--seed is a request key, as in `repro study {kind}`.",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=42, help="trial seed (default: 42)"
+    )
+    _add_request_flags(parser, options)
+    args = parser.parse_args(argv)
+    config = {**_request_config(args, options), "seeds": [args.seed]}
+    study, result = _run_request(parser, kind, config)
+    print(render_report(study, result, **flags))
     return 0
 
 
 def report_main(argv: list[str] | None = None) -> int:
-    """Run every study and write one combined plain-text report."""
+    """Run every study at one seed and write one combined report."""
+    from repro.experiments.requests import render_report
+
     parser = argparse.ArgumentParser(
-        prog="repro-report",
-        description="Run the detection, offload, and economics studies and "
-        "write a combined report.",
+        prog="repro report",
+        description="Run the detection, offload and economics studies at "
+        "one seed and write a combined report.",
     )
-    parser.add_argument("--seed", type=int, default=42, help="world seed")
+    parser.add_argument(
+        "--seed", type=int, default=42, help="trial seed (default: 42)"
+    )
     parser.add_argument(
         "--output", "-o", default="-",
         help="output file (default: stdout)",
     )
     parser.add_argument(
         "--small", action="store_true",
-        help="use the small scenarios (seconds instead of ~20 s)",
+        help="use the small presets (mini3 and the ~3k-network offload "
+        "world) instead of paper22 and paper65",
     )
     args = parser.parse_args(argv)
 
-    from repro.core.detection import CampaignConfig, ProbeCampaign
-    from repro.reporting import (
-        detection_report,
-        economics_report,
-        offload_report,
-    )
-    from repro.sim import scenarios
-
-    world = scenarios.mini3(args.seed) if args.small else scenarios.paper22(args.seed)
-    result = ProbeCampaign(world, CampaignConfig(seed=args.seed)).run()
-    offload_world = (
-        scenarios.rediris_small(args.seed) if args.small
-        else scenarios.rediris(args.seed)
-    )
-    estimator = OffloadEstimator(offload_world, PeerGroups.build(offload_world))
-
-    divider = "\n\n" + "=" * 72 + "\n\n"
-    text = divider.join([
-        detection_report(world, result),
-        offload_report(estimator),
-        economics_report(estimator),
-    ])
+    sections = []
+    for banner, kind, small, full in _REPORT_SECTIONS:
+        study, result = _run_request(parser, kind, {
+            "preset": small if args.small else full,
+            "seeds": [args.seed],
+            "workers": 1,
+        })
+        sections.append(f"{banner}\n\n{render_report(study, result)}")
+    text = ("\n\n" + "=" * 72 + "\n\n").join(sections)
     if args.output == "-":
         print(text)
     else:
@@ -195,7 +118,7 @@ def report_main(argv: list[str] | None = None) -> int:
 def econ_main(argv: list[str] | None = None) -> int:
     """Evaluate the Section 5 viability condition for given prices."""
     parser = argparse.ArgumentParser(
-        prog="repro-econ",
+        prog="repro econ",
         description="Economic viability of remote peering vs transit and "
         "direct peering (paper eq. 14).",
     )
@@ -206,24 +129,27 @@ def econ_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--remote-unit", "-v", type=float, default=1.5)
     parser.add_argument(
         "--decay", "-b", type=float, default=None,
-        help="transit decay rate b; default: fit it from the offload world",
+        help="transit decay rate b; default: fit it from one paper65 "
+        "economics trial",
     )
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument(
+        "--seed", type=int, default=42,
+        help="seed of the fitted trial (default: 42)",
+    )
     args = parser.parse_args(argv)
 
     b = args.decay
     if b is None:
-        import numpy as np
-
-        from repro.core.offload import remaining_traffic_series
-
-        world = build_offload_world(OffloadWorldConfig(seed=args.seed))
-        estimator = OffloadEstimator(world, PeerGroups.build(world))
-        series = remaining_traffic_series(estimator, 4, max_ixps=20)
-        fit = fit_exponential_decay(np.array(series))
-        b = fit.rate
+        _, result = _run_request(parser, "economics", {
+            "preset": "paper65", "seeds": [args.seed], "workers": 1,
+        })
+        if result.failures:
+            print(f"Note: {result.coverage_note()}", file=sys.stderr)
+            return 1
+        (trial,) = result.trials
+        b = trial.decay_rate
         print(f"fitted b = {b:.3f} from the offload world "
-              f"(floor {fit.floor:.0%} of traffic stays on transit)")
+              f"(floor {trial.decay_floor:.0%} of traffic stays on transit)")
     params = CostParameters(
         p=args.transit_price, g=args.direct_fixed, u=args.direct_unit,
         h=args.remote_fixed, v=args.remote_unit, b=b,
@@ -256,7 +182,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     asyncio loop, none of which belongs in study start-up.
     """
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog="repro serve",
         description="Serve studies over HTTP: POST /studies submits a "
         "declarative study request onto a priority job queue, GET "
         "/studies/{id}?watch=1 streams progress, and repeated identical "
@@ -303,8 +229,11 @@ def serve_main(argv: list[str] | None = None) -> int:
 
 def scenarios_main(argv: list[str] | None = None) -> int:
     """``repro scenarios list|run <name>`` — the scenario-library front end."""
+    from repro.experiments.requests import SCENARIO_OPTIONS, render_report
+    from repro.experiments.scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
-        prog="repro-scenarios",
+        prog="repro scenarios",
         description="Named, parameterized study grids: the ROADMAP's "
         "scenario backlog as runnable presets on the study engine.",
     )
@@ -312,24 +241,16 @@ def scenarios_main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="show every registered scenario")
     runner = sub.add_parser("run", help="run one scenario preset")
     runner.add_argument("name", help="scenario name (see `scenarios list`)")
-    runner.add_argument(
-        "--preset", choices=("small", "paper"), default="small",
-        help="world scale (default: small, seconds; paper = full scale)",
-    )
+    options = [o for o in SCENARIO_OPTIONS if o.key != "name"]
     _add_seed_flags(runner, 16)
-    runner.add_argument(
-        "--workers", type=int, default=0,
-        help="trial processes (0 = one per core, 1 = inline)",
-    )
+    _add_request_flags(runner, options)
     _add_out_flag(runner)
     args = parser.parse_args(argv)
-
-    from repro.experiments.scenarios import SCENARIOS
 
     if args.action == "list":
         rows = []
         for scenario in SCENARIOS.values():
-            study = scenario.build(preset="small", seeds=(0,)).study
+            study = scenario.grid("small")
             rows.append([
                 scenario.name,
                 study.name,
@@ -342,21 +263,21 @@ def scenarios_main(argv: list[str] | None = None) -> int:
             title="Scenario library (presets: small, paper)",
         ))
         return 0
-    _run_request(runner, "scenario", {
+    study, result = _run_request(runner, "scenario", {
+        **_request_config(args, options),
         "name": args.name,
-        "preset": args.preset,
         "seeds": {"count": args.seeds, "offset": args.seed_offset},
-        "workers": args.workers,
     }, args.out)
+    print(render_report(study, result))
     return 0
 
 
 def study_main(argv: list[str] | None = None) -> int:
     """``repro study <kind> [--key value ...]`` — one flag per request key."""
-    from repro.experiments.requests import STUDIES, request_kinds
+    from repro.experiments.requests import STUDIES, render_report, request_kinds
 
     parser = argparse.ArgumentParser(
-        prog="repro-study",
+        prog="repro study",
         description="Run a multi-seed study of the study registry.  Every "
         "flag is a request key (--max-ixps is max_ixps), so the same "
         "study submitted to `repro serve` shares this run's fingerprint.",
@@ -369,18 +290,7 @@ def study_main(argv: list[str] | None = None) -> int:
             name, help=kind.about, description=kind.about
         )
         _add_seed_flags(command, kind.seeds)
-        for option in kind.options:
-            default = option.default
-            if isinstance(default, tuple):
-                default = " ".join(map(str, default))
-            command.add_argument(
-                "--" + option.key.replace("_", "-"),
-                type=option.type,
-                nargs="+" if option.many else None,
-                choices=option.choices or None,
-                help=option.help if default is None
-                else f"{option.help} (default: {default})",
-            )
+        _add_request_flags(command, kind.options)
         for flag, text in kind.flags:
             command.add_argument(
                 "--" + flag.replace("_", "-"), action="store_true", help=text
@@ -390,16 +300,14 @@ def study_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     kind = STUDIES[args.kind]
-    config = {
-        option.key: getattr(args, option.key)
-        for option in kind.options
-        if getattr(args, option.key) is not None
-    }
+    config = _request_config(args, kind.options)
     config["seeds"] = {"count": args.seeds, "offset": args.seed_offset}
     flags = {flag: getattr(args, flag) for flag, _ in kind.flags}
     strict_transport = flags.pop("strict_transport", False)
-    result = _run_request(commands[args.kind], args.kind, config, args.out,
-                          **flags)
+    study, result = _run_request(
+        commands[args.kind], args.kind, config, args.out
+    )
+    print(render_report(study, result, **flags))
     if strict_transport and result.transport_fallbacks:
         print(
             f"error: --strict-transport set and {result.transport_fallbacks} "
@@ -408,6 +316,39 @@ def study_main(argv: list[str] | None = None) -> int:
         )
         return 1
     return 0
+
+
+def _add_request_flags(
+    parser: argparse.ArgumentParser, options: Iterable[Option]
+) -> None:
+    """One ``--key`` flag per request option, ``_`` written as ``-``.
+
+    Every flag defaults to None, so an unset flag leaves its key out of
+    the request and the registry's default applies.
+    """
+    for option in options:
+        default = option.default
+        if isinstance(default, tuple):
+            default = " ".join(map(str, default))
+        parser.add_argument(
+            "--" + option.key.replace("_", "-"),
+            type=option.type,
+            nargs="+" if option.many else None,
+            choices=option.choices or None,
+            help=option.help if default is None
+            else f"{option.help} (default: {default})",
+        )
+
+
+def _request_config(
+    args: argparse.Namespace, options: Iterable[Option]
+) -> dict[str, Any]:
+    """The request keys a command line set."""
+    return {
+        option.key: getattr(args, option.key)
+        for option in options
+        if getattr(args, option.key) is not None
+    }
 
 
 def _add_seed_flags(parser: argparse.ArgumentParser, count: int) -> None:
@@ -433,10 +374,9 @@ def _run_request(
     parser: argparse.ArgumentParser,
     kind: str,
     config: dict[str, Any],
-    out_dir: str | None,
-    **flags: bool,
-) -> StudyResult:
-    """Resolve one request, run it and print its report; returns the result.
+    out_dir: str | None = None,
+) -> tuple[Study, StudyResult]:
+    """Resolve one request and run it; returns the study and its result.
 
     A malformed request is a usage error of ``parser`` (exit status 2).
     """
@@ -444,15 +384,13 @@ def _run_request(
 
     from repro.errors import ConfigurationError
     from repro.experiments.engine import run_study
-    from repro.experiments.requests import render_report, resolve
+    from repro.experiments.requests import resolve
 
     try:
         _, study, study_config = resolve(kind, config)
     except ConfigurationError as error:
         parser.error(str(error))
-    result = run_study(study, replace(study_config, out_dir=out_dir))
-    print(render_report(study, result, **flags))
-    return result
+    return study, run_study(study, replace(study_config, out_dir=out_dir))
 
 
 #: Subcommands of the ``repro`` dispatcher.

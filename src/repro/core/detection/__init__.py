@@ -31,12 +31,6 @@ from repro.core.detection.validation import (
     validate_against_truth,
     route_server_cross_check,
 )
-from repro.core.detection.sweep import (
-    FilterDropPoint,
-    ThresholdPoint,
-    filter_drop_sweep,
-    threshold_sweep,
-)
 
 __all__ = [
     "CampaignConfig",
@@ -55,8 +49,4 @@ __all__ = [
     "GroundTruthReport",
     "validate_against_truth",
     "route_server_cross_check",
-    "FilterDropPoint",
-    "ThresholdPoint",
-    "filter_drop_sweep",
-    "threshold_sweep",
 ]

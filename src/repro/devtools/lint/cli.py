@@ -36,7 +36,7 @@ def _src_root() -> Path:
 
 def lint_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-lint",
+        prog="repro lint",
         description="AST static analysis for the repro's determinism, "
         "draw-stream, pool-purity and report-stability contracts.",
     )

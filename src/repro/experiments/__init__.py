@@ -47,7 +47,8 @@ package runs those distributions through a single *study engine*:
     typed request schema, a factory from a validated request to its
     ``Study``, and a renderer; :func:`render_report` reports any finished
     run and appends its coverage note.  ``repro study <kind>`` maps its
-    flags onto the schema, ``POST /studies`` bodies are requests, and
+    flags onto the schema, ``repro detect|offload|report|econ`` run
+    one-seed requests, ``POST /studies`` bodies are requests, and
     scenarios render through the same registry.
 
 ``mega`` / ``transport``
@@ -61,9 +62,10 @@ package runs those distributions through a single *study engine*:
 ``scenarios``
     The scenario library: named, parameterized grids over these studies
     (``behavior-stress``, ``exclusion-ablation``, ``price-plane``,
-    ``joint``, ``failover``, ``churned-detection``) resolved from preset
-    names into runnable study + :class:`StudyConfig` pairs — the CLI
-    front end is ``repro scenarios list|run``.
+    ``joint``, ``failover``, ``churned-detection``), each a function
+    from a preset name to its variant grid.  A scenario runs as a
+    ``{"study": "scenario"}`` request; the CLI front end is ``repro
+    scenarios list|run``.
 
 The fault data flow (chaos schedule → probes → billing)
 -------------------------------------------------------
@@ -350,7 +352,6 @@ from repro.experiments.transport import (
 from repro.experiments.scenarios import (
     SCENARIOS,
     Scenario,
-    ScenarioRun,
     get_scenario,
     scenario_names,
 )
@@ -397,7 +398,6 @@ __all__ = [
     "SCENARIOS",
     "STUDIES",
     "Scenario",
-    "ScenarioRun",
     "SegmentDescriptor",
     "SegmentManager",
     "StreamingMeanCI",

@@ -72,11 +72,11 @@ from repro.types import TrafficDirection
 class EconomicsVariant:
     """One named cell of the economics grid.
 
-    Price defaults follow the repo's Section 5 baseline (the values the
-    single-run :func:`repro.reporting.economics_report` uses): transit at
-    p=5 per unit, direct peering g=1 fixed / u=0.5 per unit, remote
-    peering h=0.25 fixed / v=1.5 per unit.  The decay rate ``b`` is never
-    configured — it is fitted per trial from the measured offload curve.
+    Price defaults follow the repo's Section 5 baseline (the defaults of
+    ``repro econ``): transit at p=5 per unit, direct peering g=1 fixed /
+    u=0.5 per unit, remote peering h=0.25 fixed / v=1.5 per unit.  The
+    decay rate ``b`` is never configured — it is fitted per trial from
+    the measured offload curve.
     """
 
     name: str

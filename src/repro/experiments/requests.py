@@ -16,11 +16,13 @@ Every front end goes through it:
 * ``repro study <kind>`` offers one flag per config key — ``--`` plus the
   key with ``_`` → ``-`` (``--seeds N --seed-offset K`` is the
   ``{"count": N, "offset": K}`` form of ``seeds``) — and resolves the
-  flags with :func:`resolve`;
+  flags with :func:`resolve`; ``repro detect`` and ``repro offload`` are
+  the same requests at one seed (``--seed S`` is ``[S]``), and ``repro
+  report`` and ``repro econ`` build one-seed requests of their own;
 * ``POST /studies`` bodies are requests (:mod:`repro.serve.jobs`);
 * ``repro scenarios run`` and ``{"study": "scenario"}`` requests resolve
   a named variant grid of :mod:`repro.experiments.scenarios` through the
-  ``scenario`` schema below;
+  ``scenario`` schema below (every key but ``name`` is a flag);
 
 and every finished run is reported by :func:`render_report`, which ends
 with the run's :meth:`~repro.experiments.engine.StudyResult.coverage_note`
@@ -303,7 +305,7 @@ def _mega(values: dict[str, Any]) -> MegaStudy:
 # -- renderers: (study, StudyResult) -> report body ---------------------------
 
 
-def _detection_report(
+def _render_detection(
     study: DetectionStudy, result: StudyResult, per_ixp: bool = False
 ) -> str:
     return render_ensemble_report(
@@ -311,29 +313,29 @@ def _detection_report(
     )
 
 
-def _offload_report(study: OffloadStudy, result: StudyResult) -> str:
+def _render_offload(study: OffloadStudy, result: StudyResult) -> str:
     return render_offload_ensemble_report(
         result, offload_summaries(study, result)
     )
 
 
-def _economics_report(study: EconomicsStudy, result: StudyResult) -> str:
+def _render_economics(study: EconomicsStudy, result: StudyResult) -> str:
     return render_economics_ensemble_report(
         result, economics_summaries(study, result)
     )
 
 
-def _joint_report(study: JointStudy, result: StudyResult) -> str:
+def _render_joint(study: JointStudy, result: StudyResult) -> str:
     return render_joint_ensemble_report(result, joint_summaries(study, result))
 
 
-def _failover_report(study: FailoverStudy, result: StudyResult) -> str:
+def _render_failover(study: FailoverStudy, result: StudyResult) -> str:
     return render_failover_ensemble_report(
         result, failover_summaries(study, result)
     )
 
 
-def _mega_report(study: MegaStudy, result: StudyResult) -> str:
+def _render_mega(study: MegaStudy, result: StudyResult) -> str:
     return render_mega_report(result, study.variant_names())
 
 
@@ -359,7 +361,7 @@ STUDIES: dict[str, StudyKind] = {
                 *ENGINE,
             ),
             build=_detection,
-            render=_detection_report,
+            render=_render_detection,
             flags=(("per_ixp",
                     "also print per-IXP detected remote fractions"),),
         ),
@@ -384,7 +386,7 @@ STUDIES: dict[str, StudyKind] = {
                 *ENGINE,
             ),
             build=_offload,
-            render=_offload_report,
+            render=_render_offload,
         ),
         StudyKind(
             name="economics",
@@ -411,7 +413,7 @@ STUDIES: dict[str, StudyKind] = {
                 *ENGINE,
             ),
             build=_economics,
-            render=_economics_report,
+            render=_render_economics,
         ),
         StudyKind(
             name="joint",
@@ -432,7 +434,7 @@ STUDIES: dict[str, StudyKind] = {
                 _WORKERS,
             ),
             build=_joint,
-            render=_joint_report,
+            render=_render_joint,
         ),
         StudyKind(
             name="mega",
@@ -448,7 +450,7 @@ STUDIES: dict[str, StudyKind] = {
                 replace(_TRANSPORT, default="shm"),
             ),
             build=_mega,
-            render=_mega_report,
+            render=_render_mega,
             seeds=4,
             flags=(("strict_transport",
                     "fail (exit 1) if any trial fell back from "
@@ -458,7 +460,7 @@ STUDIES: dict[str, StudyKind] = {
             name="failover",
             about="Offload savings eroded by pseudowire dark windows "
             "(the failover scenario)",
-            render=_failover_report,
+            render=_render_failover,
         ),
     )
 }
@@ -517,9 +519,9 @@ def resolve(kind: Any, config: Any) -> tuple[str, Study, StudyConfig]:
         values, seeds = _validate(SCENARIO_OPTIONS, config, 16)
         if values["name"] is None:
             raise ConfigurationError("scenario requests need a 'name'")
-        run = SCENARIOS[values["name"]].build(values["preset"], seeds)
+        study = SCENARIOS[values["name"]].grid(values["preset"])
         config = _study_config(values, seeds)
-        return f"scenario:{values['name']}", run.study, config
+        return f"scenario:{values['name']}", study, config
     entry = STUDIES.get(kind) if isinstance(kind, str) else None
     if entry is None or entry.build is None:
         raise ConfigurationError(

@@ -3,11 +3,12 @@
 The ROADMAP's scenario backlog — ``BehaviorRates`` filter stress grids,
 exclusion-rule ablations, price-plane economics grids and joint
 detection→offload sweeps — lives here as a registry of runnable presets
-instead of prose.  Each scenario resolves a preset name (``small`` for
-seconds-scale worlds, ``paper`` for the full-scale ones) into the study
-engine's inputs: a ``Study`` instance carrying the variant grid plus a
-:class:`~repro.experiments.engine.StudyConfig`.  Running one is
-:func:`~repro.experiments.engine.run_study` followed by
+instead of prose.  A scenario is a name, a description and a grid: a
+function from a preset name (``small`` for seconds-scale worlds,
+``paper`` for the full-scale ones) to a ``Study`` carrying the variant
+grid.  Running one is a ``{"study": "scenario", "config": {"name":
+...}}`` request of :mod:`repro.experiments.requests`, which adds the
+seeds and engine keys and reports through
 :func:`~repro.experiments.requests.render_report`, the same report path
 every other front end uses.
 
@@ -52,7 +53,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import Study, StudyConfig
+from repro.experiments.engine import Study
 from repro.sim.detection_world import BehaviorRates, DetectionWorldConfig
 from repro.sim.offload_world import OffloadWorldConfig
 from repro.sim.scenarios import (
@@ -81,44 +82,18 @@ FAULT_INTENSITIES = (0.0, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True, slots=True)
-class ScenarioRun:
-    """One resolved (scenario, preset) cell: what ``run_study`` consumes."""
-
-    scenario: str
-    preset: str
-    study: Study
-    study_config: StudyConfig
-
-    def trial_count(self) -> int:
-        """Trials the run will schedule (variants × seeds)."""
-        return len(self.study.variant_names()) * len(self.study_config.seeds)
-
-
-@dataclass(frozen=True, slots=True)
 class Scenario:
-    """A named scenario: a description plus its preset → variant grid."""
+    """A named scenario: a description plus its preset → variant grid.
+
+    ``grid`` takes a preset of :data:`PRESETS` (``small`` builds the
+    seconds-scale worlds, anything else the paper-scale ones); running
+    a scenario is a ``{"study": "scenario"}`` request, which checks the
+    preset.
+    """
 
     name: str
     description: str
     grid: Callable[[str], Study]
-
-    def build(
-        self,
-        preset: str = "small",
-        seeds: tuple[int, ...] = tuple(range(16)),
-        workers: int = 0,
-    ) -> ScenarioRun:
-        """Resolve one preset into a runnable :class:`ScenarioRun`."""
-        if preset not in PRESETS:
-            raise ConfigurationError(
-                f"unknown preset {preset!r} (expected one of {PRESETS})"
-            )
-        return ScenarioRun(
-            scenario=self.name,
-            preset=preset,
-            study=self.grid(preset),
-            study_config=StudyConfig(seeds=tuple(seeds), workers=workers),
-        )
 
 
 def scaled_behavior_rates(factor: float) -> BehaviorRates:

@@ -1,14 +1,12 @@
-"""Full-study report generation.
+"""Plain-text study reports.
 
-Turns the three studies' outputs into the plain-text reports a release
-user wants: one call, every headline number.  Backed by the same result
-objects the benches use, so the reports always agree with
-`benchmarks/out/`.
+Every report a front end prints is a multi-seed study report: the
+registry renderers of :mod:`repro.reporting.ensembles`, paired with
+their study's summaries by :func:`repro.experiments.requests.
+render_report`.  Single runs (``repro detect``, ``repro offload``,
+``repro report``) are one-seed studies and report the same way.
 """
 
-from repro.reporting.detection import detection_report
-from repro.reporting.offload import offload_report
-from repro.reporting.economics import economics_report
 from repro.reporting.ensembles import (
     ensemble_title,
     render_economics_ensemble_report,
@@ -20,10 +18,7 @@ from repro.reporting.ensembles import (
 )
 
 __all__ = [
-    "detection_report",
-    "economics_report",
     "ensemble_title",
-    "offload_report",
     "render_economics_ensemble_report",
     "render_ensemble_report",
     "render_failover_ensemble_report",

@@ -66,8 +66,8 @@ and looking-glass vantages.  Trials read only these tables.  The object
 model — :attr:`DetectionWorld.ixps` with their fabrics, ports and
 devices, ``lg_servers``, ``directory``, ``identification``, ``truth``
 and the providers' circuits — is built from them in one pass, in catalog
-IXP order, the first time any of it is read (the single-run CLI, the
-route-server cross-check, structure views, examples).
+IXP order, the first time any of it is read (the route-server
+cross-check, structure views, examples).
 
 The seed implementation's per-interface draws over an object pool are
 kept as the oracle in ``tests/reference/detection_world.py``.  It opens

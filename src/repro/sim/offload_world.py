@@ -88,8 +88,8 @@ world's config: the tier stages re-run (same streams, so the same
 arrays), the networks and edges go in through the bulk
 :class:`~repro.bgp.relationships.ASGraph` APIs, each AS takes its space
 from the world's address-space array, and the routes are computed.
-No study's trial reads them; Figure 6's transient traffic, per-flow
-records and the single-run reports do.
+No study's trial reads them; Figure 6's transient traffic and per-flow
+records do.
 """
 
 from __future__ import annotations
@@ -207,6 +207,12 @@ _TIER2_POLICY_CODES = np.repeat(
 
 #: First ASN of each numbered block.
 _TIER1_BASE, _GIANT_BASE, _TIER2_BASE, _STUB_BASE = 101, 2001, 3001, 10_001
+_REDIRIS_ASN, _GEANT_ASN, _NREN_BASE = 766, 900, 901
+
+#: The most networks each sized block holds before it runs into the next.
+_MAX_TIER1 = _REDIRIS_ASN - _TIER1_BASE
+_MAX_NREN = _GIANT_BASE - _NREN_BASE
+_MAX_TIER2 = _STUB_BASE - _TIER2_BASE
 
 #: Per-kind-slot lookups so per-seed stub scoring is one gather instead of
 #: ~30k dict probes.
@@ -286,9 +292,9 @@ class OffloadWorldConfig:
         # this config, and a warm study rerun resolves every trial.
         if (
             self.contributing_count > self.tier2_count + _MIN_STUBS
-            and self.tier1_count >= 3
-            and self.tier2_count >= 1
-            and self.nren_count >= 0
+            and 3 <= self.tier1_count <= _MAX_TIER1
+            and 1 <= self.tier2_count <= _MAX_TIER2
+            and 0 <= self.nren_count <= _MAX_NREN
             and self.mega_carrier_count >= 0
             and self.big_eyeball_count >= 0
             and self.head_pin_count >= 0
@@ -312,6 +318,14 @@ class OffloadWorldConfig:
         for name in _COUNTS:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} cannot be negative")
+        # Each block's ASNs must stay below the next block's first ASN.
+        for name, most in (
+            ("tier1_count", _MAX_TIER1),
+            ("tier2_count", _MAX_TIER2),
+            ("nren_count", _MAX_NREN),
+        ):
+            if getattr(self, name) > most:
+                raise ConfigurationError(f"{name} must be at most {most}")
         if self.days < 1:
             raise ConfigurationError("days must be at least 1")
         if not self.total_address_space > 0:
@@ -525,12 +539,12 @@ def _build_statics(config: OffloadWorldConfig) -> _Statics:
              "north_america" if i % 2 else "europe", 2 ** 22)
         for i in range(cfg.tier1_count)
     ]
-    rediris = make(ASN(766), "rediris", NetworkKind.NREN,
+    rediris = make(ASN(_REDIRIS_ASN), "rediris", NetworkKind.NREN,
                    PeeringPolicy.SELECTIVE, "europe", 2 ** 20)
-    geant = make(ASN(900), "geant-like", NetworkKind.NREN,
+    geant = make(ASN(_GEANT_ASN), "geant-like", NetworkKind.NREN,
                  PeeringPolicy.SELECTIVE, "europe", 2 ** 18)
     nrens = [
-        make(ASN(901 + i), f"nren-{i}", NetworkKind.NREN,
+        make(ASN(_NREN_BASE + i), f"nren-{i}", NetworkKind.NREN,
              PeeringPolicy.SELECTIVE, "europe", 2 ** 17)
         for i in range(cfg.nren_count)
     ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.asys import AutonomousSystem
+from repro.bgp.cone import customer_cone
 from repro.bgp.relationships import ASGraph, Relationship
 from repro.bgp.routing import ASPath, RouteComputation, RouteKind
 from repro.errors import RoutingError
@@ -142,6 +143,104 @@ class TestRouteComputation:
         rc.invalidate()
         assert rc.best_paths_to(ASN(7)) is not first
 
+
+
+#: The mini-internet's provider lists, customer -> providers: tier-2s
+#: 11 and 12, then the stubs.  Tier-1s 2, 3 and 4 peer in a clique.
+MINI_INTERNET_PROVIDERS = {
+    11: (2, 3),
+    12: (2, 4),
+    150: (2,), 151: (2,),
+    152: (12,), 153: (12,),
+    154: (11,),
+    160: (3,), 161: (3,), 162: (3,),
+    163: (4,), 164: (4,),
+    170: (11, 12),
+}
+
+
+@pytest.fixture
+def mini_internet():
+    """The seed-emulator mini-internet's AS hierarchy (SNIPPETS.md), with
+    its transit links as customer-provider edges and no route servers."""
+    g = ASGraph()
+    for asn in (2, 3, 4, *MINI_INTERNET_PROVIDERS):
+        g.add_as(AutonomousSystem(asn=ASN(asn), name=f"as{asn}"))
+    for a, b in ((2, 3), (2, 4), (3, 4)):
+        g.add_peering(ASN(a), ASN(b))
+    for customer, providers in MINI_INTERNET_PROVIDERS.items():
+        for provider in providers:
+            g.add_customer_provider(ASN(customer), ASN(provider))
+    return g
+
+
+class TestMiniInternetOracle:
+    """Cones and best paths on the mini-internet, worked out by hand.
+
+    Gao–Rexford as ``RouteComputation`` implements it: prefer customer
+    over peer over provider routes, then the shorter path, then the lower
+    next hop; export customer routes to everyone and peer or provider
+    routes to customers only.
+    """
+
+    def test_customer_cones(self, mini_internet):
+        # cone(2): customers 11, 12, 150, 151; through 11 also 154 and
+        # 170, through 12 also 152, 153 (and 170 again).
+        # cone(3): customers 11, 160-162; through 11, 154 and 170.
+        # cone(4): customers 12, 163, 164; through 12, 152, 153 and 170.
+        expected = {
+            2: {2, 11, 12, 150, 151, 152, 153, 154, 170},
+            3: {3, 11, 154, 160, 161, 162, 170},
+            4: {4, 12, 152, 153, 163, 164, 170},
+            11: {11, 154, 170},
+            12: {12, 152, 153, 170},
+        }
+        for asn, cone in expected.items():
+            assert customer_cone(mini_internet, ASN(asn)) == cone
+
+    def test_paths_to_a_tier1_stub(self, mini_internet):
+        paths = RouteComputation(mini_internet).best_paths_to(ASN(160))
+        expected = {
+            # 160 is 3's customer; 2 and 4 see it only from their peer 3.
+            3: ((3, 160), RouteKind.CUSTOMER),
+            2: ((2, 3, 160), RouteKind.PEER),
+            4: ((4, 3, 160), RouteKind.PEER),
+            # 11 hears it from provider 3 (2 hops) and provider 2 (3
+            # hops): the shorter wins.
+            11: ((11, 3, 160), RouteKind.PROVIDER),
+            # 12 hears (12, 2, 3, 160) and (12, 4, 3, 160): equal length,
+            # so the lower next hop, 2, wins.
+            12: ((12, 2, 3, 160), RouteKind.PROVIDER),
+            # 170 via 11 is 3 hops, via 12 is 4.
+            170: ((170, 11, 3, 160), RouteKind.PROVIDER),
+            152: ((152, 12, 2, 3, 160), RouteKind.PROVIDER),
+        }
+        for asn, (hops, kind) in expected.items():
+            assert paths[ASN(asn)].asns == hops
+            assert paths[ASN(asn)].kind is kind
+
+    def test_paths_to_a_multihomed_stub(self, mini_internet):
+        paths = RouteComputation(mini_internet).best_paths_to(ASN(170))
+        # 2 has customer routes through both 11 and 12, equal length:
+        # the lower next hop, 11, wins.
+        assert paths[ASN(2)].asns == (2, 11, 170)
+        assert paths[ASN(2)].kind is RouteKind.CUSTOMER
+        # 4's customer 12 is a customer route that beats any peer route.
+        assert paths[ASN(4)].asns == (4, 12, 170)
+        assert paths[ASN(4)].kind is RouteKind.CUSTOMER
+        assert paths[ASN(163)].asns == (163, 4, 12, 170)
+        assert paths[ASN(163)].kind is RouteKind.PROVIDER
+
+    def test_paths_to_another_tier1_stub(self, mini_internet):
+        paths = RouteComputation(mini_internet).best_paths_to(ASN(163))
+        # 3's customer 11 holds only a provider route to 163, which it
+        # does not export up to 3: 3 takes its peer 4's route.
+        assert paths[ASN(3)].asns == (3, 4, 163)
+        assert paths[ASN(3)].kind is RouteKind.PEER
+        # 11 hears (11, 2, 4, 163) and (11, 3, 4, 163): equal length,
+        # the lower next hop, 2, wins.
+        assert paths[ASN(11)].asns == (11, 2, 4, 163)
+        assert paths[ASN(11)].kind is RouteKind.PROVIDER
 
 def _random_hierarchy(seed: int) -> ASGraph:
     """Random 3-tier topology for property tests."""

@@ -28,12 +28,19 @@ class TestDetectCLI:
         assert detect_main(["--seed", "3", "--ixps", "TOP-IX", "Netnod"]) == 0
         out = capsys.readouterr().out
         assert "TOP-IX" in out
-        assert "analyzed interfaces" in out
-        assert "IXPs with remote peering" in out
+        assert "analyzed" in out
+        assert "Detected remote fraction" in out
 
     def test_unknown_ixp_errors(self):
         with pytest.raises(SystemExit):
             detect_main(["--ixps", "NOPE-IX"])
+
+    def test_typo_among_known_ixps_is_a_usage_error(self, capsys):
+        # Each name is looked up, so a typo cannot shrink the study.
+        with pytest.raises(SystemExit) as exit_info:
+            detect_main(["--ixps", "TOP-IX", "NOPE-IX"])
+        assert exit_info.value.code == 2
+        assert "NOPE-IX" in capsys.readouterr().err
 
 
 @pytest.mark.slow
@@ -42,8 +49,8 @@ class TestOffloadCLI:
         assert offload_main(["--seed", "3", "--group", "4",
                              "--max-ixps", "3"]) == 0
         out = capsys.readouterr().out
-        assert "Greedy IXP expansion" in out
-        assert "candidates after exclusions" in out
+        assert "Greedy expansion consensus" in out
+        assert "candidates" in out
 
 
 class TestReportCLI:

@@ -1,4 +1,9 @@
-"""The worked multi-seed examples run end to end and print their report."""
+"""Every worked example runs end to end and prints its first line.
+
+The multi-seed examples start with their report's title; the
+single-world ones (which call the library directly, so a removed or
+renamed API breaks them) with their first progress line.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +24,16 @@ ROOT = Path(__file__).resolve().parent.parent
      "Economics ensemble: 32 trials (2 variant(s) x 16 seed(s)"),
     ("joint_study.py",
      "Joint detection->offload ensemble: 32 trials (2 variant(s) x 16 seed(s)"),
+    ("quickstart.py", "Building a synthetic world with 3 IXPs...\n"),
+    ("detect_remote_peering.py",
+     "Building the 22-IXP world and running the campaign...\n"),
+    ("offload_study.py",
+     "Building the offload world (29,570 contributing networks)...\n"),
+    ("economic_viability.py",
+     "Fitting the transit decay rate b from the offload study...\n"),
+    ("structural_implications.py", "Building the 22-IXP world...\n"),
+    ("threshold_sensitivity.py",
+     "Building a 10-IXP world and running the campaign...\n"),
 ])
 def test_example_runs(script, title):
     source = os.pathsep.join(

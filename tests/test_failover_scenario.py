@@ -15,8 +15,9 @@ from repro.experiments import (
     FailoverStudy,
     FailoverVariant,
     StudyConfig,
-    get_scenario,
+    expand_trials,
     render_report,
+    resolve,
     run_study,
     scenario_names,
 )
@@ -46,16 +47,19 @@ class TestRegistry:
         assert "churned-detection" in names
 
     def test_failover_resolves_both_presets(self):
-        scenario = get_scenario("failover")
         for preset in ("small", "paper"):
-            run = scenario.build(preset, seeds=(0, 1), workers=1)
-            assert run.scenario == "failover"
-            assert run.study.name == "failover"
-            assert run.trial_count() == len(DARK_DURATION_SCALES) * 2
+            label, study, config = resolve("scenario", {
+                "name": "failover", "preset": preset, "seeds": [0, 1],
+                "workers": 1,
+            })
+            assert label == "scenario:failover"
+            assert study.name == "failover"
+            assert len(expand_trials(study, config.seeds)) == \
+                len(DARK_DURATION_SCALES) * 2
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_scenario("failover").build("huge")
+        with pytest.raises(ConfigurationError, match="preset"):
+            resolve("scenario", {"name": "failover", "preset": "huge"})
 
 
 SWEEP = FailoverStudy(variants=scale_variants((0.0, 1.0, 4.0), max_ixps=4))

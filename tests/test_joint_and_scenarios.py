@@ -15,6 +15,7 @@ from repro.experiments import (
     get_scenario,
     joint_summaries,
     render_report,
+    resolve,
     run_study,
     scenario_names,
 )
@@ -218,8 +219,10 @@ class TestScenarioRegistry:
             get_scenario("quantum-peering")
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_scenario("joint").build(preset="huge")
+        # grid() builds at paper scale for any preset but "small"; the
+        # request's preset option is what checks the name.
+        with pytest.raises(ConfigurationError, match="preset"):
+            resolve("scenario", {"name": "joint", "preset": "huge"})
 
     def test_runs_expose_study_and_config(self):
         expected_variants = {
@@ -230,17 +233,18 @@ class TestScenarioRegistry:
             "failover": 5,
             "churned-detection": 5,
         }
-        for name, scenario in SCENARIOS.items():
-            run = scenario.build(preset="small", seeds=(0, 1), workers=1)
-            assert run.scenario == name
-            assert run.preset == "small"
-            assert len(run.study.variant_names()) == expected_variants[name]
-            assert run.study_config.seeds == (0, 1)
-            assert run.trial_count() == 2 * expected_variants[name]
+        for name in SCENARIOS:
+            label, study, config = resolve("scenario", {
+                "name": name, "seeds": [0, 1], "workers": 1,
+            })
+            assert label == f"scenario:{name}"
+            assert len(study.variant_names()) == expected_variants[name]
+            assert config.seeds == (0, 1) and config.workers == 1
+            assert len(expand_trials(study, config.seeds)) == \
+                2 * expected_variants[name]
 
     def test_behavior_stress_scales_rates(self):
-        run = get_scenario("behavior-stress").build(seeds=(0,))
-        names = run.study.variant_names()
+        names = get_scenario("behavior-stress").grid("small").variant_names()
         assert names[0] == "stress=0.0x" and names[-1] == "stress=4.0x"
         rates = scaled_behavior_rates(2.0)
         from repro.sim.detection_world import BehaviorRates
@@ -254,8 +258,8 @@ class TestScenarioRegistry:
             scaled_behavior_rates(-1.0)
 
     def test_exclusion_ablation_toggles_rules(self):
-        run = get_scenario("exclusion-ablation").build(seeds=(0,))
-        by_name = {v.name: v for v in run.study.variants}
+        grid = get_scenario("exclusion-ablation").grid("small")
+        by_name = {v.name: v for v in grid.variants}
         assert by_name["all-rules"].exclude_transit_providers
         assert not by_name["keep-providers"].exclude_transit_providers
         assert not any((
@@ -265,27 +269,27 @@ class TestScenarioRegistry:
         ))
 
     def test_price_plane_is_a_full_grid(self):
-        run = get_scenario("price-plane").build(seeds=(0,))
-        names = run.study.variant_names()
+        grid = get_scenario("price-plane").grid("small")
+        names = grid.variant_names()
         assert len(names) == 9
         assert "transit_price=3.0|remote_fixed=0.1" in names
         prices = {v.name: (v.transit_price, v.remote_fixed)
-                  for v in run.study.variants}
+                  for v in grid.variants}
         assert len(set(prices.values())) == 9
 
     def test_joint_scenario_executes(self, tmp_path):
         from dataclasses import replace
 
-        run = get_scenario("joint").build(seeds=(0, 1), workers=1)
-        result = run_study(
-            run.study, replace(run.study_config, out_dir=str(tmp_path))
-        )
-        report = render_report(run.study, result)
+        _, study, config = resolve("scenario", {
+            "name": "joint", "seeds": [0, 1], "workers": 1,
+        })
+        result = run_study(study, replace(config, out_dir=str(tmp_path)))
+        report = render_report(study, result)
         assert len(result.trials) == 2
         assert "Joint detection->offload ensemble" in report
         assert "detected offload" in report
         # The run left resumable artifacts behind.
-        assert _artifact_path(run.study, str(tmp_path)).exists()
+        assert _artifact_path(study, str(tmp_path)).exists()
 
 
 class TestEconomicsPriceAxes:

@@ -103,6 +103,36 @@ class TestSizeFields:
             )
         ))
 
+    # The numbered ASN blocks start at 101 (tier-1s), 766 (RedIRIS), 901
+    # (NRENs), 2001 (giants), 3001 (tier-2s) and 10001 (stubs).  One more
+    # network than a block holds used to build silently and then fail
+    # the graph assembly with a duplicate ASN.
+    @pytest.mark.parametrize("sizes", [
+        {"tier1_count": 666},
+        {"nren_count": 1101},
+        {"tier2_count": 7001, "contributing_count": 7600},
+    ])
+    def test_overlapping_asn_block_rejected(self, sizes):
+        field = next(iter(sizes))
+        with pytest.raises(ConfigurationError, match=field):
+            dataclasses.replace(small_offload_config(), **sizes)
+
+    @pytest.mark.parametrize("sizes", [
+        {"tier1_count": 665},
+        {"nren_count": 1100},
+        {"tier2_count": 7000, "contributing_count": 7600},
+    ])
+    def test_fullest_asn_blocks_build(self, sizes):
+        config = dataclasses.replace(small_offload_config(), **sizes)
+        world = build_offload_world(config)
+        # Every AS once: the contributors, the tier-1s and NRENs, plus
+        # RedIRIS, GÉANT and the six CDNs RedIRIS already peers with.
+        assert len(set(world.contributing)) == config.contributing_count
+        assert len(world.graph) == (
+            config.contributing_count + config.tier1_count
+            + config.nren_count + 8
+        )
+
 
 class TestEngineIdentity:
     """Builder and reference draw identically: worlds are bit-identical."""

@@ -87,11 +87,10 @@ class TestPinnedFingerprints:
 
     @pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
     def test_scenario_fingerprint(self, name):
-        run = SCENARIOS[name].build(preset="small", seeds=(0, 1))
-        assert study_fingerprint(run.study, run.study_config.seeds) == \
-            PINNED_SCENARIOS[name]
-        _, study, _ = resolve("scenario", {"name": name, "seeds": [0, 1]})
-        assert study_fingerprint(study, (0, 1)) == PINNED_SCENARIOS[name]
+        grid = SCENARIOS[name].grid("small")
+        assert study_fingerprint(grid, (0, 1)) == PINNED_SCENARIOS[name]
+        _, study, config = resolve("scenario", {"name": name, "seeds": [0, 1]})
+        assert study_fingerprint(study, config.seeds) == PINNED_SCENARIOS[name]
 
 
 class TestRegistry:

@@ -1,9 +1,9 @@
 """Trial-axis batching (``StudyConfig.trial_batch``): the bit-exactness,
 resume, and fallback contracts.
 
-The batched engines realize whole seed batches as one array program
-(:mod:`repro.sim.offload_batch`) or as a GC-suspended group loop
-(detection), and the contract that makes them safe to enable anywhere is
+The batched engines realize whole seed batches through one builder
+over shared statics (:func:`repro.sim.offload_world.build_offload_views`)
+or as a GC-suspended group loop (detection), and the contract that makes them safe to enable anywhere is
 *per-seed bit-identity*: a batched run must produce exactly the results
 of k independent single-trial runs, modulo the timing fields.  These
 suites pin that contract for all three world-view studies, the engine's
