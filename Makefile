@@ -73,13 +73,29 @@ chaos:
 	$(PY) -m repro scenarios run failover --preset small --seeds 2 --workers 1
 
 # The mega-scale gate: the ~20k-network smoke world through the study
-# engine over the zero-copy shared-memory transport.  --strict-transport
-# fails the target if any trial fell back to pickling, so the shm path
-# cannot silently rot.
+# engine over the zero-copy shared-memory transport, on two workers so
+# the worlds build in the pool even on a one-core runner.
+# --strict-transport fails the target if any trial fell back to
+# pickling, so the shm path cannot silently rot.  The run's output goes
+# through a pipe, which stays open until the resource tracker (started
+# by the run, writing to the same stderr) has exited, so its leak report
+# is read too: any resource_tracker line fails the target, and so does a
+# /dev/shm segment the run left behind.
 mega-smoke:
 	$(PY) -m pytest -q tests/test_megatopo.py tests/test_transport.py
-	$(PY) -m repro study mega --preset mega-smoke --seeds 4 \
-		--strict-transport
+	@log=$$(mktemp); LC_ALL=C ls /dev/shm > $$log.shm; \
+	{ $(PY) -m repro study mega --preset mega-smoke --seeds 4 \
+		--workers 2 --strict-transport; echo $$? > $$log.status; } 2>&1 \
+		| tee $$log; \
+	status=$$(cat $$log.status); \
+	leaked=$$(LC_ALL=C ls /dev/shm | LC_ALL=C comm -13 $$log.shm -); \
+	tracker=$$(grep -c resource_tracker $$log); \
+	rm -f $$log $$log.shm $$log.status; \
+	[ "$$status" = 0 ] || exit 1; \
+	[ -z "$$leaked" ] || { echo "WRONG: leaked /dev/shm segments: $$leaked"; \
+		exit 1; }; \
+	[ "$$tracker" = 0 ] || { echo "WRONG: resource_tracker wrote to stderr"; \
+		exit 1; }
 
 # The service gate: the scheduler and HTTP suites, then the end-to-end
 # smoke — the real asyncio server on an ephemeral port, driven over HTTP

@@ -127,34 +127,49 @@ hooks — ``export_world(world) -> (meta, columns)`` returning plain
 numeric numpy arrays, and ``attach_world(meta, columns) -> world``
 rebuilding a view-backed world.  The lifecycle, end to end:
 
-1. **Build + publish (parent).**  For each world-key group the parent
-   builds the world once (under the trial deadline), exports its
-   columns and packs them into one
-   ``multiprocessing.shared_memory`` segment via
-   :class:`~repro.experiments.transport.SegmentManager`, created with
-   one reference per trial in the group.
-2. **Dispatch (tiny pickles).**  Each trial ships only a
+1. **Reserve (parent).**  For each world-key group the parent reserves
+   a segment name with
+   :meth:`~repro.experiments.transport.SegmentManager.reserve` and
+   submits one *publish* item carrying it.  No pool, name or segment is
+   made when every trial resumes from the artifact.
+2. **Build + pack (worker).**  A pool worker (or the parent itself on
+   the inline ``workers=1`` driver) builds the world under the trial
+   deadline, exports its columns and packs them into one
+   ``multiprocessing.shared_memory`` segment under the reserved name
+   (:meth:`~repro.experiments.transport.SegmentManager.create` with
+   ``name``).  Only a
    :class:`~repro.experiments.transport.SegmentDescriptor` (segment
-   name + per-column dtype/shape/offset) — bytes, not megabytes —
-   through the normal executor channel.
-3. **Attach (worker).**  The worker attaches, drops the duplicate
-   ``resource_tracker`` registration (the parent owns the lifetime),
-   rebuilds read-only numpy views over the shared pages and measures
-   the trial; its ``finally`` closes the mapping.
-4. **Release + unlink (parent).**  As each trial's future completes
+   name + per-column dtype/shape/offset) goes back — bytes, not
+   megabytes; the columns never pass through the parent's heap.  Worlds
+   of different groups build in parallel.
+3. **Adopt + fan out (parent).**  The moment a descriptor lands, the
+   parent adopts the segment
+   (:meth:`~repro.experiments.transport.SegmentManager.adopt`, one
+   reference per trial of the group) and submits one *attach* item per
+   trial, ahead of any build still queued, so a world's trials overlap
+   the next build.
+4. **Attach (worker).**  The worker attaches, rebuilds read-only numpy
+   views over the shared pages and measures the trial; its ``finally``
+   closes the mapping.  Workers share the parent's resource tracker and
+   never unregister a segment: that is the owner's unlink.
+5. **Release + unlink (parent).**  As each trial's future completes
    (success, failure or retry exhaustion) the parent releases one
    reference; the segment is unlinked at zero.  ``close_all()`` runs
    in the engine's ``finally`` so quarantined groups, pool restarts,
-   and interrupted runs all converge on the same sweep — a killed
-   study never leaks ``/dev/shm`` segments.
+   and interrupted runs all converge on the same sweep, which also
+   unlinks every reserved name a dead worker may have half-created — a
+   killed study never leaks ``/dev/shm`` segments.  A pool restart
+   re-runs an unfinished publish item under a fresh name.
 
-A world that cannot cross the transport (export raises, or a column
-holds Python objects) falls back to the pickle path for that group —
-counted in ``StudyResult.transport_fallbacks`` and surfaced by
-``coverage_note()``; results are unaffected.  Raw ``SharedMemory``
-construction outside :mod:`repro.experiments.transport` is a lint
-error (``pool-raw-shm``), keeping every segment inside the refcounted
-lifecycle above.
+A failed build fails its own group's trials only.  A world that cannot
+cross the transport (its export or packing raises) is measured by the
+worker that built it — counted in ``StudyResult.transport_fallbacks``
+and surfaced by ``coverage_note()``; results are unaffected.  A column
+of Python objects is a :class:`~repro.errors.ConfigurationError`, which
+stops the study like any other.  Raw
+``SharedMemory`` construction outside :mod:`repro.experiments.transport`
+is a lint error (``pool-raw-shm``), keeping every segment inside the
+refcounted lifecycle above.
 
 The trial-quarantine lifecycle
 ------------------------------

@@ -138,9 +138,9 @@ class StudyConfig:
     #: How built worlds reach the worker processes.  ``"pickle"``
     #: (default) ships each trial group's study+specs and rebuilds the
     #: world inside the worker.  ``"shm"`` builds each world-key group's
-    #: world once in the parent and publishes its array columns through
-    #: a refcounted shared-memory segment; workers attach zero-copy
-    #: views.  Requires ``export_world``/``attach_world`` hooks on the
+    #: world once, in a worker, which packs its array columns into a
+    #: shared-memory segment the parent owns and refcounts; the trials'
+    #: workers attach zero-copy views.  Requires ``export_world``/``attach_world`` hooks on the
     #: study (studies without them silently keep the pickle path) and is
     #: mutually exclusive with ``trial_batch`` batching, whose per-seed
     #: lightweight worlds have nothing to share.
@@ -204,8 +204,8 @@ class StudyResult:
     #: same bit-identical result.
     batch_fallbacks: int = 0
     #: Trials whose world could not cross the shared-memory transport
-    #: (export failed / non-array columns) and were dispatched through
-    #: the pickle path instead.  Like ``batch_fallbacks``, a fallback is
+    #: (its export or packing failed) and were measured by the worker
+    #: that built it instead.  Like ``batch_fallbacks``, a fallback is
     #: a performance detour, not lost coverage.
     transport_fallbacks: int = 0
 

@@ -102,9 +102,8 @@ def draw_traffic(world: MegaWorld, seed: int, bend_rank: int) -> np.ndarray:
         head_exponent=0.8,
         tail_exponent=1.6,
     )
-    order = np.argsort(-world.pool.propensity, kind="stable")
     traffic = np.empty(n, dtype=float)
-    traffic[order] = rates
+    traffic[world.propensity_order] = rates
     return traffic
 
 

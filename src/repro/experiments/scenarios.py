@@ -85,15 +85,24 @@ FAULT_INTENSITIES = (0.0, 0.5, 1.0, 2.0, 4.0)
 class Scenario:
     """A named scenario: a description plus its preset → variant grid.
 
-    ``grid`` takes a preset of :data:`PRESETS` (``small`` builds the
-    seconds-scale worlds, anything else the paper-scale ones); running
-    a scenario is a ``{"study": "scenario"}`` request, which checks the
-    preset.
+    :meth:`grid` is the one way to a scenario's study, for the request
+    registry, the CLI and library callers alike; ``make`` builds it for
+    a checked preset.
     """
 
     name: str
     description: str
-    grid: Callable[[str], Study]
+    make: Callable[[str], Study]
+
+    def grid(self, preset: str) -> Study:
+        """The study of ``preset`` (``small``: seconds-scale worlds,
+        ``paper``: the paper-scale ones); any other name raises."""
+        if preset not in PRESETS:
+            raise ConfigurationError(
+                f"unknown preset {preset!r} for scenario {self.name!r} "
+                f"(expected one of {', '.join(PRESETS)})"
+            )
+        return self.make(preset)
 
 
 def scaled_behavior_rates(factor: float) -> BehaviorRates:
@@ -232,42 +241,42 @@ SCENARIOS: dict[str, Scenario] = {
             description="BehaviorRates stress grid: detection precision/"
             "recall and per-filter discards from 0x to 4x the calibrated "
             "pathological-behaviour rates",
-            grid=_behavior_stress,
+            make=_behavior_stress,
         ),
         Scenario(
             name="exclusion-ablation",
             description="Section 4.2 exclusion-rule ablation: offload "
             "fractions with each 'unlikely to peer' rule disabled, one "
             "shared world build per seed",
-            grid=_exclusion_ablation,
+            make=_exclusion_ablation,
         ),
         Scenario(
             name="price-plane",
             description="Transit-price x remote-port-price grid over the "
             "Sections 3+4+5 pipeline: bill savings and the eq. 14 "
             "viability vote across the tariff plane",
-            grid=_price_plane,
+            make=_price_plane,
         ),
         Scenario(
             name="joint",
             description="Joint detection->offload study: measured "
             "precision/recall propagated into the peer map, "
             "oracle-vs-detected offload gap and billing error",
-            grid=_joint,
+            make=_joint,
         ),
         Scenario(
             name="failover",
             description="Pseudowire failover sweep: offload savings vs "
             "dark-window duration scale under 95th-percentile billing, "
             "with the billing error monotone along the sweep per seed",
-            grid=_failover,
+            make=_failover,
         ),
         Scenario(
             name="churned-detection",
             description="Detection under chaos: precision/recall as LG "
             "outages, rate-limit storms, port flaps and probe-loss "
             "bursts scale from 0x to 4x the calibrated fault intensity",
-            grid=_churned_detection,
+            make=_churned_detection,
         ),
     )
 }

@@ -5,17 +5,27 @@ blocking ``run_study`` call, split into two layers:
 
 :func:`execute_study`
     The trial execution core.  Seed × grid expansion yields the pending
-    trials, which are lowered to a list of work items — a world-key
-    group, a same-variant seed batch, or one trial attached to a world
-    the parent built and published over zero-copy shared memory — and
-    every item runs through :func:`_run_item`, inline or on a
-    ``ProcessPoolExecutor``, with per-trial deadlines, bounded retry and
-    quarantine.  Two optional hooks: ``on_trial`` (a progress callback
-    fired for every recorded trial, resumed or executed) and ``cancel``
-    (a :class:`threading.Event` checked between items; a set event
-    abandons the remaining work, raises :class:`StudyCancelled`, and
-    still sweeps every shared-memory segment and closes the artifact on
-    the way out).  :func:`repro.experiments.engine.run_study` is a thin
+    trials, which are lowered to work items, and every item runs
+    through :func:`_run_item`, inline or on a ``ProcessPoolExecutor``,
+    with per-trial deadlines, bounded retry and quarantine.  The items:
+
+    * a world-key group: one build, every trial measured against it;
+    * a same-variant seed batch: one ``run_batch`` call;
+    * on the shared-memory transport, a world-key group's *publish*
+      item: build the world under the trial deadline and pack its
+      columns into a segment whose name the parent reserved; only the
+      descriptor comes back;
+    * one *attach* item per trial of a published world, submitted the
+      moment the parent adopts the segment, so worlds build side by
+      side and a landed world's trials can overlap the next build.
+
+    The inline and pool drivers drain the same items.  Two optional
+    hooks: ``on_trial`` (a progress callback fired for every recorded
+    trial, resumed or executed) and ``cancel`` (a
+    :class:`threading.Event` checked between items; a set event abandons
+    the remaining work, raises :class:`StudyCancelled`, and still sweeps
+    every shared-memory segment and closes the artifact on the way
+    out).  :func:`repro.experiments.engine.run_study` is a thin
     front end over this function with no hooks attached.
 
 :class:`StudyScheduler`
@@ -49,6 +59,7 @@ import signal
 import threading
 import time
 import uuid
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED, Future, ProcessPoolExecutor, wait,
 )
@@ -56,7 +67,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import transport
@@ -141,7 +152,7 @@ def _failure(spec: Any, error: BaseException, attempts: int) -> TrialFailure:
     )
 
 
-#: ``(descriptor, meta, build_s)`` of a world the parent published.
+#: ``(descriptor, meta, build_s)`` of a world a publish item packed.
 _Attach = tuple[transport.SegmentDescriptor, Any, float]
 
 
@@ -151,13 +162,25 @@ class _WorkItem:
 
     The specs of one item run in one call: a world-key group (one build,
     every trial measured against it), a same-variant seed chunk with
-    ``batch`` set (one ``run_batch`` call), or a single trial whose
-    ``attach`` names the shared-memory world the parent already built.
+    ``batch`` set (one ``run_batch`` call), a world-key group with
+    ``publish`` set (one build, packed into that reserved shared-memory
+    segment), or a single trial whose ``attach`` names a published world.
     """
 
     specs: list[Any]
     batch: bool = False
+    publish: str | None = None
     attach: _Attach | None = None
+
+
+class _Outcome(NamedTuple):
+    """What one work item hands back to the parent."""
+
+    results: list[Any]
+    batch_fallbacks: int = 0
+    transport_fallbacks: int = 0
+    #: A publish item's world, for the parent to adopt and fan out.
+    published: _Attach | None = None
 
 
 def _run_group(
@@ -167,18 +190,25 @@ def _run_group(
     retries: int,
     quarantine: bool,
     attach: _Attach | None = None,
-) -> list[Any]:
+    publish: str | None = None,
+) -> _Outcome:
     """Get the group's world once, then measure every trial against it.
 
     The world is built here or, given ``attach``, rebuilt around
-    zero-copy views of the columns the parent published
-    (``study.attach_world``); the mapping is closed on the way out, while
-    the segment itself stays owned by the parent.  One poison trial must
-    not lose the group: each trial is retried up to ``retries`` times
-    under the per-trial deadline and then, with quarantine on, recorded
-    as a :class:`TrialFailure` while the rest of the group keeps running.
+    zero-copy views of the published columns (``study.attach_world``);
+    the mapping is closed on the way out, while the segment itself stays
+    owned by the parent.  Given ``publish``, the built world's columns
+    are packed into that reserved segment instead and only the
+    descriptor goes back: the parent adopts the segment and fans the
+    group out, one attach item per trial.  A world that cannot cross the
+    transport (its export or packing raises) is measured right here and
+    counted as a transport fallback.
+
     A failed world fails every trial of the group (there is nothing to
-    measure against).
+    measure against).  One poison trial must not lose the group: each
+    trial is retried up to ``retries`` times under the per-trial
+    deadline and then, with quarantine on, recorded as a
+    :class:`TrialFailure` while the rest of the group keeps running.
     """
     box: dict[str, Any] = {}
 
@@ -192,9 +222,21 @@ def _run_group(
     try:
         world, error = _guarded(timeout_s, quarantine, _world)
         if error is not None:
-            return [_failure(spec, error, attempts=1) for spec in specs]
+            return _Outcome([_failure(spec, error, attempts=1)
+                             for spec in specs])
         build_s = (time.perf_counter() - start if attach is None
                    else attach[2])
+        fallbacks = 0
+        if publish is not None:
+            try:
+                meta, columns = study.export_world(world)  # type: ignore[attr-defined]
+                descriptor = transport.SegmentManager().create(
+                    columns, name=publish)
+                return _Outcome([], published=(descriptor, meta, build_s))
+            except ConfigurationError:
+                raise
+            except Exception:
+                fallbacks = len(specs)
         results: list[Any] = []
         for spec in specs:
             for _ in range(1 + retries):
@@ -206,7 +248,7 @@ def _run_group(
                     break
             results.append(result if error is None
                            else _failure(spec, error, attempts=1 + retries))
-        return results
+        return _Outcome(results, transport_fallbacks=fallbacks)
     finally:
         world = None  # drop the world's views before unmapping them
         if "attached" in box:
@@ -219,8 +261,8 @@ def _run_item(
     timeout_s: float | None,
     retries: int,
     quarantine: bool,
-) -> tuple[list[Any], int]:
-    """Run one work item; returns ``(results, batch_fallbacks)``.
+) -> _Outcome:
+    """Run one work item.
 
     The one worker the process pool runs, and what the inline driver
     calls.  A batch item makes one batched call with a budget of
@@ -237,15 +279,15 @@ def _run_item(
             lambda: list(study.run_batch(specs)),  # type: ignore[attr-defined]
         )
         if error is None and len(results) == len(specs):
-            return results, 0
-        return [
+            return _Outcome(results)
+        return _Outcome([
             result
             for spec in specs
             for result in _run_group(study, [spec], timeout_s, retries,
-                                     quarantine)
-        ], len(specs)
+                                     quarantine).results
+        ], batch_fallbacks=len(specs))
     return _run_group(study, specs, timeout_s, retries, quarantine,
-                      item.attach), 0
+                      item.attach, item.publish)
 
 
 def execute_study(
@@ -306,10 +348,10 @@ def execute_study(
             for chunk in group_list
             for i in range(0, len(chunk), config.trial_batch)
         ]
-    # Shared-memory transport: world-key groups are built once in the
-    # parent and fan out per trial; studies without the export/attach
-    # hooks keep the pickle path, and so do seed batches (their per-seed
-    # worlds have nothing to share).
+    # Shared-memory transport: each world-key group's world is built once,
+    # by a publish item, and fans out one attach item per trial; studies
+    # without the export/attach hooks keep the pickle path, and so do
+    # seed batches (their per-seed worlds have nothing to share).
     use_shm = (
         config.transport == "shm"
         and not use_batches
@@ -352,6 +394,8 @@ def execute_study(
     pool_restarts = 0
     batch_fallbacks = 0
     transport_fallbacks = 0
+    #: Every item not yet finished, by id: what a broken pool re-runs.
+    unfinished: dict[int, _WorkItem] = {}
 
     def check_cancel(futures: Iterable[Future[Any]] = ()) -> None:
         if cancel is not None and cancel.is_set():
@@ -362,109 +406,105 @@ def execute_study(
                 f"{len(completed)}/{total} trials recorded"
             )
 
-    def finish(item: _WorkItem, payload: tuple[list[Any], int]) -> None:
-        nonlocal batch_fallbacks
-        results, fell_back = payload
-        batch_fallbacks += fell_back
-        for result in results:
+    def finish(item: _WorkItem, outcome: _Outcome) -> list[_WorkItem]:
+        """Record a finished item; returns the items it spawns."""
+        nonlocal batch_fallbacks, transport_fallbacks
+        del unfinished[id(item)]
+        batch_fallbacks += outcome.batch_fallbacks
+        transport_fallbacks += outcome.transport_fallbacks
+        for result in outcome.results:
             record(result)
         if item.attach is not None:
             manager.release(item.attach[0].segment)
+        if outcome.published is None:
+            return []
+        manager.adopt(outcome.published[0], refs=len(item.specs))
+        spawned = [_WorkItem([spec], attach=outcome.published)
+                   for spec in item.specs]
+        unfinished.update((id(new), new) for new in spawned)
+        return spawned
 
-    def run_pool(items: list[_WorkItem]) -> None:
-        # Drain in completion order so finished items land in the resume
-        # artifact immediately — a slow head-of-line item must not hold
-        # every other item's trials hostage to a mid-run kill.  With a
-        # cancel event the wait wakes every 0.2 s to poll it.  Trial order
-        # is restored at the end.
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            futures = {
-                pool.submit(_run_item, study, item, *item_args): item
-                for item in items
-            }
-            running = set(futures)
-            while running:
-                check_cancel(running)
-                done, running = wait(
-                    running,
-                    timeout=0.2 if cancel is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    finish(futures[future], future.result())
+    def drain(items: list[_WorkItem],
+              pool: ProcessPoolExecutor | None) -> None:
+        # Run ``items`` and every item they spawn, inline or on ``pool``.
+        # A landed world's attach items jump the queue, so its segment is
+        # released before more worlds are built.  The pool holds at most
+        # one item beyond its workers, and finished items are drained in
+        # completion order so their trials land in the resume artifact
+        # immediately — a slow head-of-line item must not hold every
+        # other item's trials hostage to a mid-run kill.  With a cancel
+        # event the wait wakes every 0.2 s to poll it.  Trial order is
+        # restored at the end.
+        unfinished.clear()
+        unfinished.update((id(item), item) for item in items)
+        queue = deque(items)
+        running: dict[Future[_Outcome], _WorkItem] = {}
+        while queue or running:
+            check_cancel(running)
+            if pool is None:
+                item = queue.popleft()
+                queue.extendleft(reversed(
+                    finish(item, _run_item(study, item, *item_args))))
+                continue
+            while queue and len(running) <= pool_size:
+                item = queue.popleft()
+                running[pool.submit(_run_item, study, item, *item_args)] = item
+            done, _ = wait(
+                running,
+                timeout=0.2 if cancel is not None else None,
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                queue.extendleft(reversed(
+                    finish(running.pop(future), future.result())))
 
+    executed = sum(len(group) for group in group_list)
     writer = _ArtifactWriter(study, config.out_dir, fingerprint)
-    manager = transport.SegmentManager() if use_shm else None
+    manager = transport.SegmentManager() if use_shm and group_list else None
     try:
         check_cancel()
-        items: list[_WorkItem] = []
-        for group in group_list:
-            if not use_shm:
-                items.append(_WorkItem(group, batch=use_batches))
-                continue
-            if needs_workers:
-                # The parent-side build cannot take its deadline here.
-                transport_fallbacks += len(group)
-                items.append(_WorkItem(group))
-                continue
-            # Build the group's world once, publish its columns through a
-            # refcounted segment (one reference per trial), and dispatch
-            # one item per trial so the pool stays saturated.  A world
-            # that cannot cross the transport becomes one pickle item.
-            check_cancel()
-            start = time.perf_counter()
-            world, error = _guarded(config.trial_timeout_s, config.quarantine,
-                                    lambda: study.build(group[0]))
-            if error is not None:
-                for spec in group:
-                    record(_failure(spec, error, attempts=1))
-                continue
-            build_s = time.perf_counter() - start
-            try:
-                meta, columns = study.export_world(world)  # type: ignore[attr-defined]
-                descriptor = manager.create(columns, refs=len(group))
-            except ConfigurationError:
-                raise
-            except Exception:
-                transport_fallbacks += len(group)
-                items.append(_WorkItem(group))
-                continue
-            items.extend(_WorkItem([spec], attach=(descriptor, meta, build_s))
-                         for spec in group)
-
+        items = [
+            _WorkItem(group, publish=manager.reserve()) if manager
+            else _WorkItem(group, batch=use_batches)
+            for group in group_list
+        ]
+        # Items that can run side by side: a shm group's trials fan out.
+        parallel = executed if use_shm else len(items)
         workers = config.workers or min(
             os.cpu_count() or 1, max(len(group_list), 1)
         )
-        if items and (needs_workers or (workers > 1 and len(items) > 1)):
+        pool_size = min(workers, parallel)
+        if items and (needs_workers or (workers > 1 and parallel > 1)):
             for attempt in (0, 1):
                 try:
-                    run_pool(items)
+                    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                        drain(items, pool)
                     break
                 except BrokenProcessPool:
                     # A crashed worker (OOM kill, segfault, os._exit)
-                    # breaks the whole pool; one restart re-runs the
-                    # items whose trials have not completed.
+                    # breaks the whole pool; one restart re-runs every
+                    # unfinished item.  A publish item gets a fresh name:
+                    # the dead worker may have half-created the old one,
+                    # which close_all sweeps.
                     items = [
-                        item for item in items
-                        if any(spec.trial_id not in completed
-                               for spec in item.specs)
+                        replace(item, publish=manager.reserve())
+                        if item.publish else item
+                        for item in unfinished.values()
                     ]
                     if attempt == 1 or not items:
                         raise
                     pool_restarts += 1
         else:
-            for item in items:
-                check_cancel()
-                finish(item, _run_item(study, item, *item_args))
+            drain(items, None)
     finally:
         writer.close()
         if manager is not None:
             # Belt and braces: every exit path (success, quarantine,
             # cancellation, BrokenProcessPool, KeyboardInterrupt) unlinks
-            # whatever segments the refcounts have not already released.
+            # whatever segments the refcounts have not already released,
+            # and every reserved name a worker may have half-created.
             manager.close_all()
 
-    executed = sum(len(group) for group in group_list)
     # In batched mode every seed realizes its own (lightweight) world, so
     # there is no cross-trial build sharing to account for.
     world_builds = executed if use_batches else len(group_list)

@@ -5,48 +5,57 @@ no longer computing trials but *moving the world*: pickling a built
 world into every ``ProcessPoolExecutor`` worker copies hundreds of
 megabytes per dispatch.  This module moves the arrays exactly once:
 
-1. the study parent builds the world, asks it for its array columns
-   (``export_columns``) and packs them into one
-   :class:`multiprocessing.shared_memory.SharedMemory` segment;
-2. each worker receives only a tiny :class:`SegmentDescriptor` (segment
-   name + per-column dtype/shape/offset) through the normal pickle
-   channel, attaches, and rebuilds numpy views directly over the shared
-   pages — no copy, no deserialization proportional to world size;
-3. the parent refcounts the segment (one reference per dispatched trial
-   group) and unlinks it when the last reference is released;
-   :meth:`SegmentManager.close_all` is the belt-and-braces sweep the
-   study engine runs on *every* exit path (success, quarantine, pool
-   restart, KeyboardInterrupt), so a killed run never leaks segments.
+1. the study parent reserves a segment name (:meth:`SegmentManager.
+   reserve`) and sends it with the world-key group's build item;
+2. whichever process runs that item builds the world, asks it for its
+   array columns (``export_columns``) and packs them into one
+   :class:`multiprocessing.shared_memory.SharedMemory` segment under the
+   reserved name (:meth:`SegmentManager.create` with ``name``); only the
+   tiny :class:`SegmentDescriptor` (segment name + per-column
+   dtype/shape/offset) travels back;
+3. the parent adopts the segment (:meth:`SegmentManager.adopt`, one
+   reference per trial of the group) and stays its only owner;
+4. each trial item carries the descriptor through the normal pickle
+   channel; its worker attaches and rebuilds numpy views directly over
+   the shared pages — no copy, no deserialization proportional to world
+   size;
+5. the parent releases one reference per finished trial and unlinks the
+   segment at zero.  :meth:`SegmentManager.close_all` is the
+   belt-and-braces sweep the study engine runs on *every* exit path
+   (success, quarantine, pool restart, cancellation, KeyboardInterrupt):
+   it unlinks every adopted segment and every reserved name a dead
+   worker may have half-created, so a killed run never leaks segments.
 
 Raw ``SharedMemory`` construction anywhere else in the tree is a lint
 error (``pool-raw-shm`` in :mod:`repro.devtools.lint.poolpurity`):
 segments that bypass the refcounted lifecycle are exactly the ones that
 survive crashes as orphans in ``/dev/shm``.
 
-Workers must *attach*, never own: :func:`attach_columns` unregisters the
-mapping from :mod:`multiprocessing.resource_tracker`, because the
-tracker would otherwise unlink the parent's segment when the first
-worker exits (the well-known CPython 3.11 over-tracking behaviour).
+Who unregisters a segment from :mod:`multiprocessing.resource_tracker`:
+only the owner, as it unlinks the segment.  A :class:`SegmentManager`
+starts the tracker when it is made — before any pool forks — so every
+process of the run talks to that one tracker, whose registry is a set.
+Creating or attaching a segment in a worker registers the name again,
+which changes nothing, and a worker never unregisters: that would drop
+the one registration, and a crashed owner's segments would then outlive
+it.  A worker with a tracker of its own would instead unlink its
+segments when it exits, with a leak warning on stderr.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import secrets
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
+import _posixshmem
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 #: Column starts are aligned so every dtype's natural alignment holds.
 _ALIGN = 64
-
-#: Segment names created by *this* process.  Attaching from the creating
-#: process (the inline ``workers=1`` path, tests) must keep the resource
-#: tracker registration — it is the only one — while worker-side attaches
-#: drop their duplicate registration (see :func:`attach_columns`).
-_OWNED: set[str] = set()
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,40 +143,77 @@ class SegmentManager:
     """Parent-side owner of every world segment of one study run.
 
     ``create`` packs columns into a fresh segment with an initial
-    reference count; ``add_refs``/``release`` track outstanding trial
-    groups; the segment is unlinked when the count reaches zero.
-    ``close_all`` force-releases everything — the study engine calls it
-    in a ``finally`` so quarantined groups, pool restarts and hard kills
-    of the run all converge on the same cleanup path.
+    reference count; ``reserve`` hands out a name for another process to
+    ``create`` under, and ``adopt`` takes that segment over;
+    ``add_refs``/``release`` track outstanding trials; the segment is
+    unlinked when the count reaches zero.  ``close_all`` force-releases
+    everything, reserved names included — the study engine calls it in a
+    ``finally`` so quarantined groups, pool restarts and hard kills of
+    the run all converge on the same cleanup path.  The manager maps no
+    segment itself: it holds names and counts.
     """
 
     def __init__(self) -> None:
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._refs: dict[str, int] = {}
+        self._reserved: set[str] = set()
+        # Before any pool forks: every process of the run shares this
+        # tracker (see the module docstring).
+        resource_tracker.ensure_running()
 
     def create(
-        self, columns: dict[str, np.ndarray], refs: int = 1
+        self,
+        columns: dict[str, np.ndarray],
+        refs: int = 1,
+        name: str | None = None,
     ) -> SegmentDescriptor:
-        """Pack ``columns`` into a new segment holding ``refs`` references."""
+        """Pack ``columns`` into a new segment holding ``refs`` references.
+
+        With ``name`` — reserved by the owning manager, usually in another
+        process — the segment is created under that name for the owner to
+        :meth:`adopt`, and this manager keeps no record of it (``refs`` is
+        then the owner's to give).
+        """
         if refs < 1:
             raise ConfigurationError("a new segment needs >= 1 reference")
         specs, nbytes = _layout(columns)
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        for spec in specs:
-            array = np.ascontiguousarray(columns[spec.name])
-            dest = np.ndarray(
-                spec.shape,
-                dtype=array.dtype,
-                buffer=shm.buf,
-                offset=spec.offset,
-            )
-            dest[...] = array
-        self._segments[shm.name] = shm
-        self._refs[shm.name] = refs
-        _OWNED.add(shm.name)
+        shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
+        if name is None:
+            self._refs[shm.name] = refs
+        try:
+            for spec in specs:
+                np.ndarray(
+                    spec.shape,
+                    dtype=np.dtype(spec.dtype),
+                    buffer=shm.buf,
+                    offset=spec.offset,
+                )[...] = columns[spec.name]
+        finally:
+            shm.close()
         return SegmentDescriptor(
             segment=shm.name, columns=specs, nbytes=nbytes
         )
+
+    def reserve(self) -> str:
+        """A fresh segment name for another process to :meth:`create` under.
+
+        Until :meth:`adopt` takes the segment over, :meth:`close_all`
+        unlinks the name in whatever state its creator left it.
+        """
+        name = f"repro_{os.getpid()}_{secrets.token_hex(6)}"
+        self._reserved.add(name)
+        return name
+
+    def adopt(self, descriptor: SegmentDescriptor, refs: int) -> None:
+        """Own the segment created under a reserved name, with ``refs``
+        references."""
+        if descriptor.segment not in self._reserved:
+            raise ConfigurationError(
+                f"segment {descriptor.segment!r} was not reserved here"
+            )
+        if refs < 1:
+            raise ConfigurationError("an adopted segment needs >= 1 reference")
+        self._reserved.discard(descriptor.segment)
+        self._refs[descriptor.segment] = refs
 
     def add_refs(self, segment: str, count: int) -> None:
         """Register ``count`` more outstanding references on ``segment``."""
@@ -186,48 +232,48 @@ class SegmentManager:
             return
         self._refs[segment] -= 1
         if self._refs[segment] <= 0:
-            self._destroy(segment)
+            del self._refs[segment]
+            _unlink(segment)
 
     def live_segments(self) -> tuple[str, ...]:
         """Names of segments not yet unlinked (test/diagnostic hook)."""
-        return tuple(sorted(self._segments))
+        return tuple(sorted(self._refs))
 
     def close_all(self) -> None:
-        """Unlink every remaining segment regardless of reference count."""
-        for name in sorted(self._segments):
-            self._destroy(name)
+        """Unlink every owned segment regardless of reference count, and
+        every reserved name not yet adopted."""
+        for name in sorted(self._refs) + sorted(self._reserved):
+            _unlink(name)
+        self._refs.clear()
+        self._reserved.clear()
 
-    def _destroy(self, segment: str) -> None:
-        shm = self._segments.pop(segment, None)
-        self._refs.pop(segment, None)
-        _OWNED.discard(segment)
-        if shm is None:
-            return
-        try:
-            shm.close()
-        except BufferError:  # parent-side views still alive
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # already gone (external cleanup)
-            pass
+
+def _unlink(name: str) -> None:
+    """Unlink segment ``name`` if it exists, and drop its registration.
+
+    The creator may have died before registering the name with the
+    tracker, or after: registering it again first makes the unregister
+    valid either way.
+    """
+    path = f"/{name}"
+    try:
+        _posixshmem.shm_unlink(path)
+    except FileNotFoundError:  # never created, or already gone
+        return
+    resource_tracker.register(path, "shared_memory")
+    resource_tracker.unregister(path, "shared_memory")
 
 
 def attach_columns(descriptor: SegmentDescriptor) -> AttachedColumns:
     """Attach to a parent-owned segment and rebuild the column views.
 
-    The resource tracker registration is dropped immediately: the
-    *parent* owns the segment's lifetime, and leaving the registration
-    in place makes the first exiting worker's tracker unlink the
-    segment under every other worker still using it.
+    Attaching registers the name with the run's one resource tracker,
+    where it is registered already; the registration stays the owner's
+    to drop (see the module docstring).
     """
-    shm = shared_memory.SharedMemory(name=descriptor.segment)
-    if shm.name not in _OWNED:
-        try:
-            resource_tracker.unregister(f"/{shm.name}", "shared_memory")
-        except (KeyError, ValueError):  # pragma: no cover - tracker internals
-            pass
-    return AttachedColumns(descriptor, shm)
+    return AttachedColumns(
+        descriptor, shared_memory.SharedMemory(name=descriptor.segment)
+    )
 
 
 def segment_exists(name: str) -> bool:

@@ -132,6 +132,9 @@ class MegaWorld:
     pool: ColumnarNetworkPool
     #: Tier code per network (TIER_CLIQUE … TIER_STUB).
     tier: np.ndarray
+    #: Pool indices by descending propensity (stable), int32: the order
+    #: the tiers are assigned in and a trial's traffic ranks follow.
+    propensity_order: np.ndarray
     #: CSR provider table: network ``i``'s providers are
     #: ``provider_indices[provider_indptr[i]:provider_indptr[i+1]]``
     #: (pool indices, not ASNs — the object graph never materializes).
@@ -282,6 +285,7 @@ class MegaWorld:
             "pool.scope_mask": self.pool.scope_mask,
             "pool.address_space": self.pool.address_space,
             "tier": self.tier,
+            "propensity_order": self.propensity_order,
             "provider_indptr": self.provider_indptr,
             "provider_indices": self.provider_indices,
             "member_counts": self.member_counts,
@@ -318,6 +322,7 @@ class MegaWorld:
             config=config,
             pool=pool,
             tier=columns["tier"],
+            propensity_order=columns["propensity_order"],
             provider_indptr=columns["provider_indptr"],
             provider_indices=columns["provider_indices"],
             catalog=euroix_catalog(),
@@ -455,6 +460,7 @@ def _build(config: MegaWorldConfig) -> MegaWorld:
         config=config,
         pool=pool,
         tier=tier,
+        propensity_order=order.astype(np.int32),
         provider_indptr=indptr,
         provider_indices=indices,
         catalog=catalog,

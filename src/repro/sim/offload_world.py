@@ -29,7 +29,8 @@ The builder draws every stage's arrays from a dedicated child stream in
 a fixed order and realizes them as index arrays over a static scaffold
 shared by every seed of a variant (:class:`_Statics`: the ASN layout,
 the scaffold networks, the Euro-IX catalog, the seed-independent
-address-space and traffic-share tables).  One realizer consumes these
+address-space and traffic-share tables; kept across calls for the eight
+most recent variants, arrays read-only).  One realizer consumes these
 draws: :func:`build_offload_world` realizes one seed and
 :func:`build_offload_views` a seed batch (``StudyConfig.trial_batch``),
 running the same stages once per seed in seed order, so a batched build
@@ -95,6 +96,7 @@ records do.
 from __future__ import annotations
 
 import bisect
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -530,6 +532,28 @@ class _Statics:
     head_share: np.ndarray
 
 
+#: Statics by variant (the config's ``repr`` at seed 0), least recently
+#: used first, shared by every world built from the variant.
+_STATICS: OrderedDict[str, _Statics] = OrderedDict()
+_STATICS_LIMIT = 8
+
+
+def _statics_for(config: OffloadWorldConfig) -> _Statics:
+    """The shared statics of ``config``'s variant (built on first use).
+
+    Pop and re-insert rather than look up and move: no step fails when
+    another thread evicts the entry in between.
+    """
+    key = repr(replace(config, seed=0))
+    statics = _STATICS.pop(key, None)
+    if statics is None:
+        statics = _build_statics(config)
+    _STATICS[key] = statics
+    while len(_STATICS) > _STATICS_LIMIT:
+        _STATICS.pop(next(iter(_STATICS)), None)
+    return statics
+
+
 def _build_statics(config: OffloadWorldConfig) -> _Statics:
     cfg = config
     make = _ScaffoldAS
@@ -592,7 +616,7 @@ def _build_statics(config: OffloadWorldConfig) -> _Statics:
         np.array([_INBOUND_SHARE[row.kind] for row in giants]),
         np.full(cfg.tier2_count, _INBOUND_SHARE[NetworkKind.TRANSIT]),
     ])
-    return _Statics(
+    statics = _Statics(
         scaffold=scaffold,
         tier1s=tuple(t1),
         rediris=rediris.asn,
@@ -623,6 +647,10 @@ def _build_statics(config: OffloadWorldConfig) -> _Statics:
         stub_offset=stub_offset,
         head_share=head_share,
     )
+    for value in vars(statics).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return statics
 
 
 class _Topology(NamedTuple):
@@ -822,22 +850,17 @@ def build_offload_views(
     """Realize one world per config, sharing statics per variant.
 
     The trial axis: configs differing only in ``seed`` share one
-    :class:`_Statics`; each seed then runs the stages over the shared
-    scaffold, in config order, so every world equals
-    ``build_offload_world`` on its config.
+    :class:`_Statics` (:func:`_statics_for`); each seed then runs the
+    stages over the shared scaffold, in config order, so every world
+    equals ``build_offload_world`` on its config.
     """
-    statics: dict[str, _Statics] = {}
-    worlds: list[OffloadWorld] = []
     # Each seed allocates ~10⁵ short-lived arrays; collections fired
     # mid-batch would scan the shared statics for nothing.
     with paused_gc():
-        for config in configs:
-            key = repr(replace(config, seed=0))
-            shared = statics.get(key)
-            if shared is None:
-                shared = statics[key] = _build_statics(config)
-            worlds.append(_OffloadBuilder(config, shared).build())
-    return worlds
+        return [
+            _OffloadBuilder(config, _statics_for(config)).build()
+            for config in configs
+        ]
 
 
 class _OffloadBuilder:

@@ -243,6 +243,12 @@ class TestScenarioRegistry:
             assert len(expand_trials(study, config.seeds)) == \
                 2 * expected_variants[name]
 
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_grid_rejects_preset_outside_presets(self, name):
+        # A typo must not silently build the paper-scale grid.
+        with pytest.raises(ConfigurationError, match="'Small'"):
+            get_scenario(name).grid("Small")
+
     def test_behavior_stress_scales_rates(self):
         names = get_scenario("behavior-stress").grid("small").variant_names()
         assert names[0] == "stress=0.0x" and names[-1] == "stress=4.0x"

@@ -127,6 +127,13 @@ class TestDeterminism:
         assert np.array_equal(
             rebuilt.coverage_masks(), small_world.coverage_masks()
         )
+        # The traffic ranks follow the stored propensity order, so it
+        # must cross the transport unchanged.
+        assert rebuilt.propensity_order.dtype == np.int32
+        assert np.array_equal(
+            rebuilt.propensity_order,
+            np.argsort(-small_world.pool.propensity, kind="stable"),
+        )
 
 
 class TestMemberships:

@@ -52,6 +52,29 @@ class TestEngineSelection:
         assert np.array_equal(a.matrix.inbound_bps, b.matrix.inbound_bps)
 
 
+class TestSharedStatics:
+    """Per-call builds of one variant share its statics, read-only."""
+
+    def test_two_seeds_share_one_statics_object(self):
+        a = build_offload_world(tiny_offload_config(seed=5))
+        b = build_offload_world(tiny_offload_config(seed=6))
+        assert a._statics is b._statics
+
+    def test_other_variant_gets_its_own(self):
+        a = build_offload_world(tiny_offload_config(seed=5))
+        b = build_offload_world(tiny_offload_config(seed=5, tier2_count=61))
+        assert b._statics is not a._statics
+
+    def test_statics_arrays_are_read_only(self):
+        statics = build_offload_world(tiny_offload_config(seed=5))._statics
+        arrays = [v for v in vars(statics).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) == 9
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+
 class TestProbabilityFields:
     """Probability and share fields are range-checked when the config is
     made, naming the field.  A space share of 1 used to divide by zero in
