@@ -249,6 +249,6 @@ class OffloadEstimator:
         members: set[ASN] = set()
         for acronym in reached:
             members |= self.groups.ixp_group_members(acronym, group)
-        shares = [self.contributor_share(asn) for asn in members]
+        shares = [self.contributor_share(asn) for asn in sorted(members)]
         shares.sort(key=lambda s: (-s.total_bps, s.asn))
         return shares[:top]

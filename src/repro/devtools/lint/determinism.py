@@ -1,10 +1,10 @@
 """Rule family 1 — determinism in the simulation packages.
 
-Everything under ``sim/``, ``lg/``, ``faults/``, ``bgp/``, ``netflow/``
-and ``delaymodel/`` must be a pure function of explicit seeds: the
-cross-engine equivalence suites compare draws bit-for-bit, so a single
-``random.random()``, wall-clock read, or set-ordering iteration silently
-breaks reproducibility in a way no unit test pins down.
+Everything under ``sim/``, ``lg/``, ``faults/``, ``bgp/``, ``netflow/``,
+``delaymodel/`` and ``core/`` must be a pure function of explicit seeds:
+the cross-engine equivalence suites compare draws bit-for-bit, so a
+single ``random.random()``, wall-clock read, or set-ordering iteration
+silently breaks reproducibility in a way no unit test pins down.
 
 Rules
 -----
@@ -16,8 +16,11 @@ Rules
     legacy global state.  ``default_rng()`` with no argument seeds from
     OS entropy and is equally banned.
 ``det-wallclock``
-    ``time.time()``, ``datetime.now()`` and friends make draws depend on
-    when the study ran.  Simulated time comes from the campaign window.
+    ``time.time()``, ``time.perf_counter()``, ``datetime.now()`` and
+    friends make draws (or results) depend on when the study ran,
+    whether called through the module or as a bare name imported with
+    ``from time import ...``.  Simulated time comes from the campaign
+    window; trial timings are the scheduler's.
 ``det-entropy``
     ``os.urandom`` / ``uuid.uuid4`` / ``secrets`` are entropy sources by
     design — never reproducible.
@@ -37,7 +40,7 @@ import ast
 
 from repro.devtools.lint.framework import Checker, FileContext
 
-#: The simulation packages held to the determinism contract.
+#: The model packages held to the determinism contract.
 AUDITED_PACKAGES = (
     "repro/sim/",
     "repro/lg/",
@@ -45,6 +48,7 @@ AUDITED_PACKAGES = (
     "repro/bgp/",
     "repro/netflow/",
     "repro/delaymodel/",
+    "repro/core/",
 )
 
 _WALLCLOCK_CALLS = {
@@ -52,6 +56,10 @@ _WALLCLOCK_CALLS = {
     ("time", "time_ns"),
     ("time", "monotonic"),
     ("time", "monotonic_ns"),
+    ("time", "perf_counter"),
+    ("time", "perf_counter_ns"),
+    ("time", "process_time"),
+    ("time", "process_time_ns"),
     ("datetime", "now"),
     ("datetime", "utcnow"),
     ("date", "today"),
@@ -82,10 +90,22 @@ class DeterminismChecker(Checker):
     rules = {
         "det-random": "stdlib random module (global unseeded state)",
         "det-np-random": "np.random legacy global state / unseeded default_rng",
-        "det-wallclock": "wall-clock reads (time.time, datetime.now, ...)",
+        "det-wallclock": "clock reads (time.time, perf_counter, datetime.now, ...)",
         "det-entropy": "OS entropy (os.urandom, uuid4, secrets)",
         "det-popitem": "dict.popitem removes an arbitrary element",
     }
+
+    def __init__(self, ctx: FileContext) -> None:
+        super().__init__(ctx)
+        # ``from time import perf_counter as pc`` anywhere in the file
+        # makes a bare ``pc()`` a clock read.
+        self._clocks: dict[str, tuple[str, str]] = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names
+            if (node.module, alias.name) in _WALLCLOCK_CALLS
+        }
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -116,6 +136,8 @@ class DeterminismChecker(Checker):
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)
+        if len(dotted) == 1 and dotted[0] in self._clocks:
+            dotted = self._clocks[dotted[0]]
         if dotted:
             self._check_dotted_call(node, dotted)
         if (

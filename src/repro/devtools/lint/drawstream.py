@@ -48,7 +48,7 @@ PROJECT_RULES = {
 class DrawTagChecker(Checker):
     """``draw-nonliteral-tag``: stream tags must be statically readable."""
 
-    packages = AUDITED_PACKAGES + ("repro/core/", "repro/experiments/")
+    packages = AUDITED_PACKAGES + ("repro/experiments/",)
     rules = {
         "draw-nonliteral-tag":
             "stream tags must be built from literals/names, first label "

@@ -21,8 +21,10 @@ package runs those distributions through a single *study engine*:
     seed × grid expansion, ``ProcessPoolExecutor`` fan-out, per-variant
     world caching (trials that share a world configuration reuse one
     build), resumable sharded execution (skip-completed on rerun),
-    streaming mean ± 95% CI aggregation, thread-safe per-trial deadlines
-    and the ``on_trial`` / ``cancel`` hooks; and
+    mean ± 95% CI aggregation of each variant's headline metrics,
+    per-trial phase timings recorded next to (never inside) each result,
+    thread-safe per-trial deadlines and the ``on_trial`` / ``cancel``
+    hooks; and
     :class:`~repro.experiments.scheduler.StudyScheduler` is a resumable
     priority job queue over it (the engine room of ``repro serve`` — see
     the data-flow section below).
@@ -107,9 +109,11 @@ shared by the variant (statics depend only on the variant's config) —
 and the detection study loops its per-trial build with garbage
 collection paused.  Batching is strictly a **performance path**: each
 seed's child streams are drawn exactly as in a single-trial run, so a
-``trial_batch=k`` run is bit-identical (modulo timing fields) to k
-independent single-trial runs — ``tests/test_trial_batch.py`` pins this
-for the detection, offload and economics studies.  Everything
+``trial_batch=k`` run is bit-identical to k independent single-trial
+runs — ``tests/test_trial_batch.py`` pins this for the detection,
+offload and economics studies.  Only the timings the scheduler records
+differ: a batched trial carries its share of the batch call
+(``batch_s``) instead of ``build_s`` and ``measure_s``.  Everything
 downstream is unchanged: results fan into the same JSONL artifacts,
 resume skips completed trials at per-trial granularity (a run killed
 mid-batch re-executes only the unwritten trials), and a group whose
@@ -287,7 +291,6 @@ and ``examples/joint_study.py`` are worked examples.
 
 from repro.experiments.aggregate import (
     MeanCI,
-    StreamingMeanCI,
     VariantSummary,
     mean_ci,
 )
@@ -415,7 +418,6 @@ __all__ = [
     "Scenario",
     "SegmentDescriptor",
     "SegmentManager",
-    "StreamingMeanCI",
     "Study",
     "StudyCancelled",
     "StudyConfig",

@@ -86,40 +86,6 @@ def optional_mean_ci(values: list[float | None]) -> MeanCI | None:
     return mean_ci(defined) if defined else None
 
 
-class StreamingMeanCI:
-    """Welford accumulator producing :class:`MeanCI` snapshots.
-
-    The study engine aggregates headline metrics as trials finish; this
-    keeps the running mean and variance in O(1) memory (no per-trial
-    lists) while matching :func:`mean_ci` up to floating-point noise.
-    """
-
-    __slots__ = ("n", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Absorb one observation."""
-        value = float(value)
-        self.n += 1
-        delta = value - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (value - self._mean)
-
-    def snapshot(self) -> MeanCI:
-        """The current mean ± 95% CI (zero width for a single sample)."""
-        if self.n == 0:
-            raise AnalysisError("cannot aggregate an empty sample")
-        if self.n == 1:
-            return MeanCI(mean=self._mean, half_width=0.0, n=1)
-        variance = self._m2 / (self.n - 1)
-        half = t_critical_95(self.n - 1) * math.sqrt(variance / self.n)
-        return MeanCI(mean=self._mean, half_width=half, n=self.n)
-
-
 @dataclass(frozen=True, slots=True)
 class VariantSummary:
     """Aggregated metrics for one configuration variant."""

@@ -34,7 +34,6 @@ worked example.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -107,13 +106,6 @@ class EconomicsVariant:
         CostParameters(
             p=self.transit_price, g=self.direct_fixed, u=self.direct_unit,
             h=self.remote_fixed, v=self.remote_unit, b=0.5,
-        )
-
-    def cost_parameters(self, b: float) -> CostParameters:
-        """The Section 5 parameter set at a fitted decay rate."""
-        return CostParameters(
-            p=self.transit_price, g=self.direct_fixed, u=self.direct_unit,
-            h=self.remote_fixed, v=self.remote_unit, b=b,
         )
 
 
@@ -237,17 +229,12 @@ class EconomicsTrialResult:
     viability_threshold: float   # e^b
     optimal_direct_ixps: float   # ñ (eq. 11)
     optimal_remote_ixps: float   # m̃ (eq. 13)
-    build_s: float
-    study_s: float
 
 
 def measure_economics_trial(
-    spec: EconomicsTrialSpec,
-    world: OffloadWorld,
-    build_s: float,
+    spec: EconomicsTrialSpec, world: OffloadWorld
 ) -> EconomicsTrialResult:
     """Sections 4 → 2.1 → 5 against an already-built world."""
-    t1 = time.perf_counter()
     estimator = OffloadEstimator(world, PeerGroups.build(world))
     all_ixps = estimator.reachable_ixps()
     inbound, outbound = estimator.offload_fractions(all_ixps, spec.group)
@@ -294,7 +281,6 @@ def measure_economics_trial(
     )
     model = CostModel(params)
     verdict = viability_condition(params)
-    t2 = time.perf_counter()
     return EconomicsTrialResult(
         trial_id=spec.trial_id,
         variant=spec.variant,
@@ -313,8 +299,6 @@ def measure_economics_trial(
         viability_threshold=verdict.threshold,
         optimal_direct_ixps=model.optimal_direct(),
         optimal_remote_ixps=verdict.optimal_remote_ixps,
-        build_s=build_s,
-        study_s=t2 - t1,
     )
 
 
@@ -364,9 +348,9 @@ class EconomicsStudy:
         return build_offload_world(spec.world)
 
     def measure(
-        self, spec: EconomicsTrialSpec, world: OffloadWorld, build_s: float
+        self, spec: EconomicsTrialSpec, world: OffloadWorld
     ) -> EconomicsTrialResult:
-        return measure_economics_trial(spec, world, build_s)
+        return measure_economics_trial(spec, world)
 
     def run_batch(
         self, specs: Sequence[EconomicsTrialSpec]
@@ -380,11 +364,9 @@ class EconomicsStudy:
         """
         # As in OffloadStudy.run_batch: ~100k short-lived arrays per seed.
         with paused_gc():
-            t0 = time.perf_counter()
             worlds = build_offload_views([spec.world for spec in specs])
-            build_s = (time.perf_counter() - t0) / max(len(specs), 1)
             return [
-                measure_economics_trial(spec, world, build_s)
+                measure_economics_trial(spec, world)
                 for spec, world in zip(specs, worlds)
             ]
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Hashable, Protocol, Sequence, TextIO
@@ -37,11 +38,27 @@ from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI
 
 #: Schema tag written to every artifact header line.  Success rows are
-#: ``{"trial_id", "variant", "seed", "result"}``; quarantined trials add
-#: a failure row instead: ``{"trial_id", "variant", "seed",
-#: "status": "failed", "error", "attempts"}`` — same schema tag, same
-#: fingerprint, so resumes skip failed trials rather than re-running them.
-ARTIFACT_SCHEMA = "study_trials/v1"
+#: ``{"trial_id", "variant", "seed", "result", "timings"}``: ``result``
+#: is the study's encoded payload, pure model output, and ``timings`` the
+#: scheduler's phase seconds for that trial (``build_s`` and
+#: ``measure_s``, or ``batch_s`` for a trial of a seed batch).
+#: Quarantined trials add a failure row instead: ``{"trial_id",
+#: "variant", "seed", "status": "failed", "error", "attempts"}`` — same
+#: schema tag, same fingerprint, so resumes skip failed trials rather
+#: than re-running them.
+ARTIFACT_SCHEMA = "study_trials/v2"
+
+#: The schema before timings left the results.  Its rows carried the
+#: phase seconds inside ``result``; the reader moves them to ``timings``.
+_V1_SCHEMA = "study_trials/v1"
+
+#: v1 ``result`` timing keys and the ``timings`` keys they become.
+_V1_TIMINGS = {
+    "build_s": "build_s",
+    "collect_s": "collect_s",
+    "filter_s": "filter_s",
+    "study_s": "measure_s",
+}
 
 
 class Study(Protocol):
@@ -76,12 +93,12 @@ class Study(Protocol):
         """Build the world for one trial group (cached across the group)."""
         ...
 
-    def measure(self, spec: Any, world: Any, build_s: float) -> Any:
+    def measure(self, spec: Any, world: Any) -> Any:
         """Run one trial against a built world; returns the trial result."""
         ...
 
     def metrics(self, result: Any) -> dict[str, float]:
-        """Headline scalars for streaming aggregation (may be empty)."""
+        """Headline scalars aggregated per variant (may be empty)."""
         ...
 
     def encode(self, result: Any) -> dict[str, Any]:
@@ -153,8 +170,12 @@ class StudyConfig:
             raise ConfigurationError("study seeds must be distinct")
         if self.workers < 0:
             raise ConfigurationError("workers cannot be negative")
-        if self.trial_timeout_s is not None and self.trial_timeout_s <= 0:
-            raise ConfigurationError("trial_timeout_s must be positive")
+        if self.trial_timeout_s is not None and not (
+            math.isfinite(self.trial_timeout_s) and self.trial_timeout_s > 0
+        ):
+            raise ConfigurationError(
+                "trial_timeout_s must be a positive finite number of seconds"
+            )
         if self.trial_retries < 0:
             raise ConfigurationError("trial_retries cannot be negative")
         if self.trial_batch < 1:
@@ -171,8 +192,8 @@ class TrialFailure:
     """A quarantined trial: identity, the error, and attempts consumed.
 
     Stands in a result's slot so resumes and trial-order bookkeeping keep
-    working; carries no metrics, so streaming aggregates cover survivors
-    only (the degraded-coverage note says how many are missing).
+    working; carries no metrics, so the aggregates cover survivors only
+    (the degraded-coverage note says how many are missing).
     """
 
     trial_id: int
@@ -193,7 +214,13 @@ class StudyResult:
     world_builds: int = 0   # worlds actually built this run
     world_reuses: int = 0   # trials served from a shared build
     resumed: int = 0        # trials loaded from artifacts instead of run
+    #: ``mean_ci`` of each metric of ``Study.metrics`` over the surviving
+    #: trials, per variant (trial order).
     streaming: dict[str, dict[str, MeanCI]] = field(default_factory=dict)
+    #: Phase seconds the scheduler recorded for each surviving trial, by
+    #: trial id (resumed trials as their artifact rows carry them).  Never
+    #: part of a result, so results compare and digest as model output.
+    timings: dict[int, dict[str, float]] = field(default_factory=dict)
     #: Quarantined trials (trial-id order); ``trials`` holds survivors only.
     failures: list[TrialFailure] = field(default_factory=list)
     pool_restarts: int = 0  # broken process pools survived this run
@@ -320,7 +347,8 @@ def _artifact_header(path: Path, first: str | None = None) -> dict[str, Any]:
     Raises :class:`ConfigurationError` for files that are not study
     artifacts at all (unparseable first line, not a JSON object, wrong
     schema tag) — a foreign file squatting on an artifact name should
-    fail loudly, not be silently shadowed.
+    fail loudly, not be silently shadowed.  Both the current schema and
+    v1 are accepted.
     """
     if first is None:
         with path.open("r", encoding="utf-8") as handle:
@@ -329,7 +357,9 @@ def _artifact_header(path: Path, first: str | None = None) -> dict[str, Any]:
         header = json.loads(first)
     except json.JSONDecodeError:
         raise ConfigurationError(f"{path} is not a study artifact file")
-    if not isinstance(header, dict) or header.get("schema") != ARTIFACT_SCHEMA:
+    if not isinstance(header, dict) or header.get("schema") not in (
+        ARTIFACT_SCHEMA, _V1_SCHEMA
+    ):
         raise ConfigurationError(
             f"{path} has schema "
             f"{header.get('schema') if isinstance(header, dict) else None!r}, "
@@ -364,28 +394,34 @@ def _resolve_artifact_path(
 
 def _load_artifacts(
     study: Study, path: Path, fingerprint: str, trial_count: int
-) -> dict[int, Any]:
-    """Completed trials from a previous run (empty when none are usable).
+) -> tuple[dict[int, Any], dict[int, dict[str, float]]]:
+    """Completed trials from a previous run, and their recorded timings.
 
-    The file is streamed line-by-line — service-scale artifacts
-    (hundreds of seeds × many variants) must not be slurped into one
-    list — with the original healing semantics intact: a truncated
-    final line (a killed run) is skipped; a header whose fingerprint
-    disagrees with the current configuration raises instead of silently
-    merging results from two different studies.
+    Both maps are empty when nothing is usable.  The file is streamed
+    line-by-line — service-scale artifacts (hundreds of seeds × many
+    variants) must not be slurped into one list — with the original
+    healing semantics intact: a truncated final line (a killed run) is
+    skipped; a header whose fingerprint disagrees with the current
+    configuration raises instead of silently merging results from two
+    different studies.  A v1 artifact's rows carry their phase seconds
+    inside ``result``; they are moved to the trial's timings (``study_s``
+    as ``measure_s``) before the payload is decoded.
     """
-    if not path.exists():
-        return {}
     completed: dict[int, Any] = {}
+    timings: dict[int, dict[str, float]] = {}
+    if not path.exists():
+        return completed, timings
     with path.open("r", encoding="utf-8") as handle:
         first = handle.readline()
         if not first:
-            return {}
-        if _artifact_header(path, first).get("fingerprint") != fingerprint:
+            return completed, timings
+        header = _artifact_header(path, first)
+        if header.get("fingerprint") != fingerprint:
             raise ConfigurationError(
                 f"{path} was written by a different study configuration "
                 "(seeds/variants changed?); use a fresh --out directory"
             )
+        legacy = header["schema"] == _V1_SCHEMA
         for line in handle:
             try:
                 record = json.loads(line)
@@ -402,9 +438,19 @@ def _load_artifacts(
                     error=record.get("error", ""),
                     attempts=record.get("attempts", 1),
                 )
-            else:
-                completed[trial_id] = study.decode(record["result"])
-    return completed
+                continue
+            payload = record["result"]
+            timing = record.get("timings")
+            if legacy:
+                payload = dict(payload)
+                timing = {
+                    new: payload.pop(old)
+                    for old, new in _V1_TIMINGS.items() if old in payload
+                } | (timing or {})
+            completed[trial_id] = study.decode(payload)
+            if timing:
+                timings[trial_id] = timing
+    return completed, timings
 
 
 class _ArtifactWriter:
@@ -443,7 +489,9 @@ class _ArtifactWriter:
         self._handle.write(json.dumps(record) + "\n")
         self._handle.flush()
 
-    def append(self, result: Any) -> None:
+    def append(
+        self, result: Any, timings: dict[str, float] | None = None
+    ) -> None:
         if self._handle is None:
             return
         if isinstance(result, TrialFailure):
@@ -461,6 +509,7 @@ class _ArtifactWriter:
             "variant": result.variant,
             "seed": result.seed,
             "result": self._study.encode(result),
+            "timings": timings,
         })
 
     def close(self) -> None:

@@ -13,7 +13,6 @@ finished run into the per-variant aggregates the report renders.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -139,9 +138,6 @@ class TrialResult:
     false_negatives: int
     remote_fraction_by_ixp: dict[str, float]
     shortfall: int
-    build_s: float
-    collect_s: float
-    filter_s: float
 
     @property
     def precision(self) -> float | None:
@@ -157,7 +153,7 @@ class TrialResult:
 
 
 def measure_detection_trial(
-    spec: TrialSpec, world: DetectionWorld, build_s: float
+    spec: TrialSpec, world: DetectionWorld
 ) -> TrialResult:
     """Measure one trial against an already-built world.
 
@@ -166,11 +162,8 @@ def measure_detection_trial(
     seed), so the engine can share one build across every trial whose
     world configuration matches.
     """
-    t1 = time.perf_counter()
     measured = ProbeCampaign(world, spec.campaign).collect()
-    t2 = time.perf_counter()
     report = FilterPipeline(spec.campaign.filters).run(measured)
-    t3 = time.perf_counter()
     result = build_result(
         measurements=measured,
         report=report,
@@ -190,9 +183,6 @@ def measure_detection_trial(
         false_negatives=truth.false_negatives,
         remote_fraction_by_ixp=result.remote_fraction_by_ixp(),
         shortfall=world.total_shortfall(),
-        build_s=build_s,
-        collect_s=t2 - t1,
-        filter_s=t3 - t2,
     )
 
 
@@ -235,10 +225,8 @@ class DetectionStudy:
     def build(self, spec: TrialSpec) -> DetectionWorld:
         return build_detection_world(spec.world)
 
-    def measure(
-        self, spec: TrialSpec, world: DetectionWorld, build_s: float
-    ) -> TrialResult:
-        return measure_detection_trial(spec, world, build_s)
+    def measure(self, spec: TrialSpec, world: DetectionWorld) -> TrialResult:
+        return measure_detection_trial(spec, world)
 
     def run_batch(self, specs: Sequence[TrialSpec]) -> list[TrialResult]:
         """Measure a same-variant seed batch of detection trials.
@@ -255,13 +243,7 @@ class DetectionStudy:
         ``measure`` because the loop below *is* that code.
         """
         with paused_gc():
-            results = []
-            for spec in specs:
-                t0 = time.perf_counter()
-                world = self.build(spec)
-                build_s = time.perf_counter() - t0
-                results.append(self.measure(spec, world, build_s))
-            return results
+            return [self.measure(spec, self.build(spec)) for spec in specs]
 
     def metrics(self, result: TrialResult) -> dict[str, float]:
         out = {

@@ -28,7 +28,6 @@ windows can only raise the realized percentile).
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -108,8 +107,6 @@ class FailoverTrialResult:
     ideal_savings_fraction: float     # fault-free offload savings
     realized_savings_fraction: float  # savings after failover bursts
     burst_penalty: float              # extra monthly charge from bursts
-    build_s: float
-    study_s: float
 
     @property
     def offload_fraction(self) -> float:
@@ -123,10 +120,9 @@ class FailoverTrialResult:
 
 
 def measure_failover_trial(
-    spec: FailoverTrialSpec, world: OffloadWorld, build_s: float
+    spec: FailoverTrialSpec, world: OffloadWorld
 ) -> FailoverTrialResult:
     """Sections 4 → 2.1 with dark windows, against a built offload world."""
-    t1 = time.perf_counter()
     groups = PeerGroups.build(world)
     estimator = OffloadEstimator(world, groups)
     steps = greedy_expansion(estimator, spec.group, max_ixps=spec.max_ixps)
@@ -182,7 +178,6 @@ def measure_failover_trial(
         transit_series, offload_series, fallback_series,
         price_per_mbps=spec.price_per_mbps, percentile=spec.percentile,
     )
-    t2 = time.perf_counter()
     return FailoverTrialResult(
         trial_id=spec.trial_id,
         variant=spec.variant,
@@ -198,8 +193,6 @@ def measure_failover_trial(
         ideal_savings_fraction=report.ideal_savings_fraction,
         realized_savings_fraction=report.realized_savings_fraction,
         burst_penalty=report.burst_penalty,
-        build_s=build_s,
-        study_s=t2 - t1,
     )
 
 
@@ -245,9 +238,9 @@ class FailoverStudy:
         return build_offload_world(spec.world)
 
     def measure(
-        self, spec: FailoverTrialSpec, world: OffloadWorld, build_s: float
+        self, spec: FailoverTrialSpec, world: OffloadWorld
     ) -> FailoverTrialResult:
-        return measure_failover_trial(spec, world, build_s)
+        return measure_failover_trial(spec, world)
 
     def metrics(self, result: FailoverTrialResult) -> dict[str, float]:
         return {

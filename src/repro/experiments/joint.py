@@ -42,7 +42,6 @@ is a worked example.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -154,8 +153,6 @@ class JointTrialResult:
     oracle_savings_fraction: float
     believed_savings_fraction: float   # forecast from the detected map
     realized_savings_fraction: float   # what the operator actually saves
-    build_s: float
-    study_s: float
 
     @property
     def oracle_fraction(self) -> float:
@@ -199,7 +196,6 @@ def _detection_confusion(
             campaign=spec.campaign,
         ),
         world,
-        build_s=0.0,
     )
     truly_direct = detection.false_positives + detection.true_negatives
     fp_rate = detection.false_positives / truly_direct if truly_direct else 0.0
@@ -213,10 +209,9 @@ def _detection_confusion(
 
 
 def measure_joint_trial(
-    spec: JointTrialSpec, worlds: JointWorlds, build_s: float
+    spec: JointTrialSpec, worlds: JointWorlds
 ) -> JointTrialResult:
     """Sections 3 → 4 → 2.1 against an already-built world family."""
-    t1 = time.perf_counter()
     precision, recall, fp_rate, truth_fraction = _detection_confusion(
         spec, worlds.detection
     )
@@ -296,7 +291,6 @@ def measure_joint_trial(
     before_bill, oracle_savings = savings(oracle_mask)
     _, believed_savings = savings(detected_mask)
     _, realized_savings = savings(realized_mask)
-    t2 = time.perf_counter()
     return JointTrialResult(
         trial_id=spec.trial_id,
         variant=spec.variant,
@@ -320,8 +314,6 @@ def measure_joint_trial(
         oracle_savings_fraction=oracle_savings,
         believed_savings_fraction=believed_savings,
         realized_savings_fraction=realized_savings,
-        build_s=build_s,
-        study_s=t2 - t1,
     )
 
 
@@ -373,9 +365,9 @@ class JointStudy:
         )
 
     def measure(
-        self, spec: JointTrialSpec, world: JointWorlds, build_s: float
+        self, spec: JointTrialSpec, world: JointWorlds
     ) -> JointTrialResult:
-        return measure_joint_trial(spec, world, build_s)
+        return measure_joint_trial(spec, world)
 
     def metrics(self, result: JointTrialResult) -> dict[str, float]:
         out = {

@@ -25,7 +25,6 @@ descriptor instead of a pickled world (see
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -80,8 +79,6 @@ class MegaTrialResult:
     covered_fraction: float    # traffic share covered at max_ixps
     covered_networks: int      # distinct member networks covered
     five_ixp_share: float      # share of the expansion's gain from 5 IXPs
-    build_s: float
-    study_s: float
 
 
 def draw_traffic(world: MegaWorld, seed: int, bend_rank: int) -> np.ndarray:
@@ -141,10 +138,9 @@ def greedy_coverage(
 
 
 def measure_mega_trial(
-    spec: MegaTrialSpec, world: MegaWorld, build_s: float
+    spec: MegaTrialSpec, world: MegaWorld
 ) -> MegaTrialResult:
     """Run one trial against a built (or attached) mega world."""
-    t0 = time.perf_counter()
     traffic = draw_traffic(world, spec.seed, spec.traffic_bend_rank)
     total = float(traffic.sum())
     picked, gains = greedy_coverage(world, traffic, spec.max_ixps)
@@ -155,7 +151,6 @@ def measure_mega_trial(
     five_share = (
         sum(gains[:5]) / gain_total if gain_total > 0 else 0.0
     )
-    study_s = time.perf_counter() - t0
     return MegaTrialResult(
         trial_id=spec.trial_id,
         variant=spec.variant,
@@ -166,8 +161,6 @@ def measure_mega_trial(
         covered_fraction=gain_total / total if total > 0 else 0.0,
         covered_networks=int(covered.sum()),
         five_ixp_share=five_share,
-        build_s=build_s,
-        study_s=study_s,
     )
 
 
@@ -212,9 +205,9 @@ class MegaStudy:
         return build_mega_world(spec.world)
 
     def measure(
-        self, spec: MegaTrialSpec, world: MegaWorld, build_s: float
+        self, spec: MegaTrialSpec, world: MegaWorld
     ) -> MegaTrialResult:
-        return measure_mega_trial(spec, world, build_s)
+        return measure_mega_trial(spec, world)
 
     # --- zero-copy transport hooks -------------------------------------------
 

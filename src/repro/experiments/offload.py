@@ -33,7 +33,6 @@ Grids sweep any :class:`OffloadWorldConfig` field via dotted
 from __future__ import annotations
 
 import itertools
-import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -167,19 +166,10 @@ class OffloadTrialResult:
     outbound_fraction: float
     expansion: tuple[str, ...]  # greedy order, best first
     five_ixp_share: float     # share of the expansion's gain from 5 IXPs
-    build_s: float
-    study_s: float
-
-    @property
-    def total_fraction_mean(self) -> float:
-        """Average of the two directional offload fractions."""
-        return 0.5 * (self.inbound_fraction + self.outbound_fraction)
 
 
 def measure_offload_trial(
-    spec: OffloadTrialSpec,
-    world: OffloadWorld,
-    build_s: float,
+    spec: OffloadTrialSpec, world: OffloadWorld
 ) -> OffloadTrialResult:
     """Measure one trial against an already-built world.
 
@@ -188,7 +178,6 @@ def measure_offload_trial(
     deterministic read-only inputs the engine shares across the variants
     of one seed.
     """
-    t1 = time.perf_counter()
     groups = PeerGroups.build(
         world,
         exclude_transit_providers=spec.exclude_transit_providers,
@@ -202,7 +191,6 @@ def measure_offload_trial(
     gains = [s.gained_total_bps for s in steps]
     total_gain = sum(gains)
     five_share = sum(gains[:5]) / total_gain if total_gain > 0 else 0.0
-    t2 = time.perf_counter()
     return OffloadTrialResult(
         trial_id=spec.trial_id,
         variant=spec.variant,
@@ -215,8 +203,6 @@ def measure_offload_trial(
         outbound_fraction=outbound,
         expansion=tuple(s.ixp for s in steps),
         five_ixp_share=five_share,
-        build_s=build_s,
-        study_s=t2 - t1,
     )
 
 
@@ -262,29 +248,26 @@ class OffloadStudy:
         return build_offload_world(spec.world)
 
     def measure(
-        self, spec: OffloadTrialSpec, world: OffloadWorld, build_s: float
+        self, spec: OffloadTrialSpec, world: OffloadWorld
     ) -> OffloadTrialResult:
-        return measure_offload_trial(spec, world, build_s)
+        return measure_offload_trial(spec, world)
 
     def run_batch(
         self, specs: Sequence[OffloadTrialSpec]
     ) -> list[OffloadTrialResult]:
         """Measure a same-variant seed batch against one batched build.
 
-        Bit-identical per seed to ``build`` + ``measure`` — the worlds
+        Bit-identical per seed to ``build`` + ``measure``: the worlds
         share the static tables but every seed consumes its own child
-        streams (see :mod:`repro.sim.offload_world`) — so only the
-        amortized ``build_s`` timing differs from per-trial runs.
+        streams (see :mod:`repro.sim.offload_world`).
         """
         # Realization and measurement allocate ~100k short-lived arrays
         # per seed; generational collections mid-batch scan the shared
         # statics repeatedly for nothing.
         with paused_gc():
-            t0 = time.perf_counter()
             worlds = build_offload_views([spec.world for spec in specs])
-            build_s = (time.perf_counter() - t0) / max(len(specs), 1)
             return [
-                measure_offload_trial(spec, world, build_s)
+                measure_offload_trial(spec, world)
                 for spec, world in zip(specs, worlds)
             ]
 

@@ -54,9 +54,9 @@ scenario    ``name``, ``preset`` (small|paper), engine keys
 The engine keys are ``workers``, ``trial_timeout_s``, ``trial_retries``,
 ``trial_batch`` and ``transport``: :class:`~repro.experiments.engine.
 StudyConfig` fields, passed through with its validation.  A misspelled
-key, a wrong JSON type or a value outside its choices raises
-:class:`~repro.errors.ConfigurationError` naming the key — a 400 over
-HTTP, a usage error on the CLI.
+key, a wrong JSON type, a non-finite number or a value outside its
+choices raises :class:`~repro.errors.ConfigurationError` naming the key
+— a 400 over HTTP, a usage error on the CLI.
 
 ``failover`` is registered for its renderer only: it runs as the
 ``failover`` scenario and takes no request of its own.  A new study kind
@@ -65,6 +65,7 @@ is one more :class:`StudyKind` entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -112,9 +113,10 @@ from repro.sim.scenarios import (
 class Option:
     """One config key of a request: its JSON type, default and help text.
 
-    ``type`` is ``int``, ``float`` (which also takes JSON integers) or
-    ``str``.  A ``many`` key takes a non-empty list, deduplicated in order
-    (a grid axis).  A key whose default is None also takes ``null``.
+    ``type`` is ``int``, ``float`` (which also takes JSON integers, but
+    neither ``NaN`` nor ``±Infinity``) or ``str``.  A ``many`` key takes a
+    non-empty list, deduplicated in order (a grid axis).  A key whose
+    default is None also takes ``null``.
     """
 
     key: str
@@ -142,6 +144,10 @@ class Option:
                 f"got {value!r}"
             )
         value = self.type(value)
+        if self.type is float and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{self.key} takes finite numbers, got {value!r}"
+            )
         if self.choices and value not in self.choices:
             raise ConfigurationError(
                 f"{self.key} must be one of "

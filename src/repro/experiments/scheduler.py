@@ -71,7 +71,7 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import transport
-from repro.experiments.aggregate import StreamingMeanCI
+from repro.experiments.aggregate import MeanCI, mean_ci
 from repro.experiments.engine import (
     Study,
     StudyConfig,
@@ -173,10 +173,16 @@ class _WorkItem:
     attach: _Attach | None = None
 
 
+#: Phase seconds of one trial, as recorded next to its result.
+_Timings = dict[str, float]
+
+
 class _Outcome(NamedTuple):
     """What one work item hands back to the parent."""
 
     results: list[Any]
+    #: Phase seconds of each trial that succeeded, by trial id.
+    timings: dict[int, _Timings] = {}
     batch_fallbacks: int = 0
     transport_fallbacks: int = 0
     #: A publish item's world, for the parent to adopt and fan out.
@@ -209,6 +215,10 @@ def _run_group(
     trial is retried up to ``retries`` times under the per-trial
     deadline and then, with quarantine on, recorded as a
     :class:`TrialFailure` while the rest of the group keeps running.
+
+    Each measured trial's timings are the world's build seconds (for an
+    attached world, its build in the publish item) and the seconds of
+    its successful ``study.measure`` call.
     """
     box: dict[str, Any] = {}
 
@@ -238,17 +248,22 @@ def _run_group(
             except Exception:
                 fallbacks = len(specs)
         results: list[Any] = []
+        timings: dict[int, _Timings] = {}
         for spec in specs:
             for _ in range(1 + retries):
+                began = time.perf_counter()
                 result, error = _guarded(
-                    timeout_s, quarantine,
-                    lambda: study.measure(spec, world, build_s),
+                    timeout_s, quarantine, lambda: study.measure(spec, world),
                 )
                 if error is None:
+                    timings[spec.trial_id] = {
+                        "build_s": build_s,
+                        "measure_s": time.perf_counter() - began,
+                    }
                     break
             results.append(result if error is None
                            else _failure(spec, error, attempts=1 + retries))
-        return _Outcome(results, transport_fallbacks=fallbacks)
+        return _Outcome(results, timings, transport_fallbacks=fallbacks)
     finally:
         world = None  # drop the world's views before unmapping them
         if "attached" in box:
@@ -266,26 +281,35 @@ def _run_item(
 
     The one worker the process pool runs, and what the inline driver
     calls.  A batch item makes one batched call with a budget of
-    ``timeout_s`` per seed; any failure, or a result-count mismatch
-    (which would mis-assign trials), re-runs its trials one by one
-    through :func:`_run_group`, whose timeout / retry / quarantine
+    ``timeout_s`` per seed, and each of its trials is timed as an equal
+    share of that call (``batch_s``); any failure, or a result-count
+    mismatch (which would mis-assign trials), re-runs its trials one by
+    one through :func:`_run_group`, whose timeout / retry / quarantine
     semantics are then exactly those of an unbatched study.
     """
     specs = item.specs
     if item.batch and len(specs) > 1:
         budget = None if timeout_s is None else timeout_s * len(specs)
+        began = time.perf_counter()
         results, error = _guarded(
             budget, True,
             lambda: list(study.run_batch(specs)),  # type: ignore[attr-defined]
         )
         if error is None and len(results) == len(specs):
-            return _Outcome(results)
-        return _Outcome([
-            result
+            share = (time.perf_counter() - began) / len(specs)
+            return _Outcome(results, {
+                result.trial_id: {"batch_s": share} for result in results
+            })
+        outcomes = [
+            _run_group(study, [spec], timeout_s, retries, quarantine)
             for spec in specs
-            for result in _run_group(study, [spec], timeout_s, retries,
-                                     quarantine).results
-        ], batch_fallbacks=len(specs))
+        ]
+        return _Outcome(
+            [result for outcome in outcomes for result in outcome.results],
+            {trial_id: timing for outcome in outcomes
+             for trial_id, timing in outcome.timings.items()},
+            batch_fallbacks=len(specs),
+        )
     return _run_group(study, specs, timeout_s, retries, quarantine,
                       item.attach, item.publish)
 
@@ -301,6 +325,11 @@ def execute_study(
 
     Results come back in trial order regardless of completion order, so
     studies are reproducible artifacts: same configuration, same report.
+    This is the one place a study run reads the clock: each executed
+    trial's phase seconds are recorded beside its result, in the
+    artifact row's ``timings`` and in ``StudyResult.timings``, and never
+    inside it.  ``StudyResult.streaming`` is computed once, after the
+    run, over the surviving trials in trial order.
 
     ``on_trial(result, done, total)`` fires once per recorded trial —
     resumed trials first (in trial order), then executed ones as they
@@ -316,8 +345,9 @@ def execute_study(
     fingerprint = _fingerprint(study, specs)
 
     completed: dict[int, Any] = {}
+    timings: dict[int, _Timings] = {}
     if config.out_dir is not None:
-        completed = _load_artifacts(
+        completed, timings = _load_artifacts(
             study,
             _resolve_artifact_path(study, config.out_dir, fingerprint),
             fingerprint,
@@ -365,24 +395,14 @@ def execute_study(
         and threading.current_thread() is not threading.main_thread()
     )
 
-    streams: dict[str, dict[str, StreamingMeanCI]] = {}
-
-    def absorb(result: Any) -> None:
-        if isinstance(result, TrialFailure):
-            return  # survivors only: failures carry no metrics
-        per_variant = streams.setdefault(result.variant, {})
-        for metric, value in study.metrics(result).items():
-            per_variant.setdefault(metric, StreamingMeanCI()).add(value)
-
-    def record(result: Any) -> None:
+    def record(result: Any, timing: _Timings | None) -> None:
         completed[result.trial_id] = result
-        writer.append(result)
-        absorb(result)
+        if timing is not None:
+            timings[result.trial_id] = timing
+        writer.append(result, timing)
         if on_trial is not None:
             on_trial(result, len(completed), total)
 
-    for trial_id in sorted(completed):
-        absorb(completed[trial_id])
     if on_trial is not None:
         done_so_far = 0
         for trial_id in sorted(completed):
@@ -413,7 +433,7 @@ def execute_study(
         batch_fallbacks += outcome.batch_fallbacks
         transport_fallbacks += outcome.transport_fallbacks
         for result in outcome.results:
-            record(result)
+            record(result, outcome.timings.get(result.trial_id))
         if item.attach is not None:
             manager.release(item.attach[0].segment)
         if outcome.published is None:
@@ -509,23 +529,37 @@ def execute_study(
     # there is no cross-trial build sharing to account for.
     world_builds = executed if use_batches else len(group_list)
     ordered = [completed[i] for i in range(total)]
+    survivors = [r for r in ordered if not isinstance(r, TrialFailure)]
     return StudyResult(
         study=study.name,
         config=config,
-        trials=[r for r in ordered if not isinstance(r, TrialFailure)],
+        trials=survivors,
         wall_s=time.perf_counter() - t0,
         world_builds=world_builds,
         world_reuses=executed - world_builds,
         resumed=resumed,
-        streaming={
-            variant: {m: s.snapshot() for m, s in metrics.items()}
-            for variant, metrics in streams.items()
-        },
+        streaming=_aggregate(study, survivors),
+        timings=dict(sorted(timings.items())),
         failures=[r for r in ordered if isinstance(r, TrialFailure)],
         pool_restarts=pool_restarts,
         batch_fallbacks=batch_fallbacks,
         transport_fallbacks=transport_fallbacks,
     )
+
+
+def _aggregate(
+    study: Study, trials: list[Any]
+) -> dict[str, dict[str, MeanCI]]:
+    """``mean_ci`` of every headline metric, per variant, in trial order."""
+    samples: dict[str, dict[str, list[float]]] = {}
+    for trial in trials:
+        per_variant = samples.setdefault(trial.variant, {})
+        for metric, value in study.metrics(trial).items():
+            per_variant.setdefault(metric, []).append(value)
+    return {
+        variant: {metric: mean_ci(v) for metric, v in metrics.items()}
+        for variant, metrics in samples.items()
+    }
 
 
 # --------------------------------------------------------------------------

@@ -268,9 +268,6 @@ class FaultSchedule:
         edges = self.server_down.get(name, _NO_EDGES)
         return lambda times_s: window_mask(edges, times_s)
 
-    def events_of_kind(self, kind: str) -> tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind == kind)
-
 
 def _edge_events(
     kind: str, ixp: str, target: str, edges: np.ndarray

@@ -121,28 +121,3 @@ class PeeringFabric:
             rtt += failover.extra_ms(a.interface.address, time_s)
             rtt += failover.extra_ms(b.interface.address, time_s)
         return rtt
-
-    def path_rtt_batch_ms(
-        self,
-        a: Port,
-        b: Port,
-        times_s: np.ndarray,
-        rng: np.random.Generator,
-        failover: "FailoverState | None" = None,
-    ) -> np.ndarray:
-        """Path RTTs for many probes between one port pair, vectorized.
-
-        Same law as :meth:`path_rtt_ms` (baseline + jitter + both ports'
-        congestion, plus the draw-free failover detour while an endpoint
-        is dark), realized as one array draw per stochastic component.
-        """
-        times_s = np.asarray(times_s, dtype=float)
-        rtt = self.base_path_rtt_ms(a, b) + self.jitter.sample_batch_ms(
-            rng, times_s.shape
-        )
-        rtt += a.profile.congestion.delay_batch_ms(times_s, rng)
-        rtt += b.profile.congestion.delay_batch_ms(times_s, rng)
-        if failover is not None and failover:
-            rtt = rtt + failover.extra_batch_ms(a.interface.address, times_s)
-            rtt = rtt + failover.extra_batch_ms(b.interface.address, times_s)
-        return rtt

@@ -34,14 +34,6 @@ class FailoverState:
     def __bool__(self) -> bool:
         return bool(self.windows)
 
-    def is_dark(self, address: IPv4Address, time_s: float) -> bool:
-        """Whether ``address``'s pseudowire is dark at ``time_s``."""
-        entry = self.windows.get(address.value)
-        if entry is None:
-            return False
-        edges, _ = entry
-        return bool(np.searchsorted(edges, time_s, side="right") % 2 == 1)
-
     def extra_ms(self, address: IPv4Address, time_s: float) -> float:
         """Transit-detour RTT penalty for one probe instant (0 when lit)."""
         entry = self.windows.get(address.value)
@@ -51,15 +43,3 @@ class FailoverState:
         if np.searchsorted(edges, time_s, side="right") % 2 == 1:
             return extra
         return 0.0
-
-    def extra_batch_ms(
-        self, address: IPv4Address, times_s: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`extra_ms` over an array of probe instants."""
-        times_s = np.asarray(times_s, dtype=float)
-        entry = self.windows.get(address.value)
-        if entry is None:
-            return np.zeros(times_s.shape)
-        edges, extra = entry
-        dark = np.searchsorted(edges, times_s, side="right") % 2 == 1
-        return np.where(dark, extra, 0.0)

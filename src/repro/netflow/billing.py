@@ -136,13 +136,6 @@ class FailoverBillingReport:
         """Extra monthly charge the failover bursts caused."""
         return self.realized_after_bill - self.ideal_after_bill
 
-    @property
-    def penalty_fraction(self) -> float:
-        """Burst penalty as a fraction of the fault-free bill."""
-        if self.before_bill == 0:
-            return 0.0
-        return self.burst_penalty / self.before_bill
-
 
 def failover_billing_report(
     transit_series_bps: np.ndarray,

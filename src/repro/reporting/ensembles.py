@@ -329,9 +329,10 @@ def render_economics_ensemble_report(
 def render_mega_report(result: StudyResult, variants: Sequence[str]) -> str:
     """Render the mega expansion: covered-traffic CIs + the first world.
 
-    The headline table reads the engine's streaming aggregates (a mega
+    The headline table reads the engine's per-variant aggregates (a mega
     trial carries no per-variant summary type); the trailer describes the
-    first surviving trial's world and its greedy expansion order.
+    first surviving trial's world, the phase seconds the scheduler
+    recorded for it, and its greedy expansion order.
     """
     rows = []
     for variant in variants:
@@ -356,10 +357,12 @@ def render_mega_report(result: StudyResult, variants: Sequence[str]) -> str:
     )]
     if result.trials:
         first = result.trials[0]
+        timing = result.timings[first.trial_id]
         blocks.append(
             f"World: {first.network_count:,} networks, "
             f"{first.member_total:,} IXP memberships "
-            f"(build {first.build_s:.2f} s, trial {first.study_s:.2f} s).\n"
+            f"(build {timing['build_s']:.2f} s, "
+            f"trial {timing['measure_s']:.2f} s).\n"
             f"Greedy expansion (seed {first.seed}): "
             f"{' -> '.join(first.expansion)}"
         )

@@ -26,6 +26,7 @@ graceful shutdown) is owned by :func:`serve`.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 from typing import Any, Iterable
 from urllib.parse import parse_qsl, urlsplit
@@ -116,12 +117,7 @@ class StudyService:
     def result_rows(
         self, fingerprint: str, limit: int
     ) -> list[dict[str, Any]]:
-        rows: list[dict[str, Any]] = []
-        for record in self.store.rows(fingerprint):
-            rows.append(record)
-            if len(rows) >= limit:
-                break
-        return rows
+        return list(itertools.islice(self.store.rows(fingerprint), limit))
 
 
 class HttpServer:

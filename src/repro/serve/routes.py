@@ -149,6 +149,8 @@ async def _result(service: Any, request: Request, fingerprint: str) -> Response:
             limit = min(int(request.query["limit"]), MAX_RESULT_ROWS)
         except ValueError:
             raise ConfigurationError("limit must be an integer")
+        if limit < 0:
+            raise ConfigurationError("limit cannot be negative")
     summary = service.result_status(fingerprint)
     if not summary.get("exists"):
         return Response(404, summary)

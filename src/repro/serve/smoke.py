@@ -19,7 +19,9 @@ actual HTTP:
    error, and once the job is done no worker process may be left
    running: the deadline stopped the work, not just the wait.
 4. **Store reads** — ``GET /results/{fingerprint}`` must replay the
-   cold run's rows; a cancellation round-trips; unknown jobs 404.
+   cold run's rows, each with the scheduler's ``timings`` beside a
+   ``result`` that carries no timing key; a cancellation round-trips;
+   unknown jobs 404.
 
 Exit code 0 when every assertion holds.
 """
@@ -193,6 +195,10 @@ def run_smoke(verbose: bool = True) -> int:
             )
             assert status == 200 and result["trials"] == total, result
             assert len(result["rows"]) == total, result
+            for row in result["rows"]:
+                assert set(row["timings"]) == {"build_s", "measure_s"}, row
+                assert not [key for key in row["result"]
+                            if key.endswith("_s")], row
             status, metrics = _call(base, "GET", "/metrics")
             assert status == 200, metrics
             store_stats = metrics["store"]

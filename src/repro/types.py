@@ -62,14 +62,3 @@ class TrafficDirection(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-class TrafficRole(enum.Enum):
-    """Role of a network in a traffic flow (Section 4.1)."""
-
-    ORIGIN = "origin"
-    DESTINATION = "destination"
-    TRANSIENT = "transient"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value

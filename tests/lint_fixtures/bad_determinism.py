@@ -1,6 +1,7 @@
 """Known-bad fixture: every determinism rule should fire in here."""
 
 import random                                   # det-random
+from time import monotonic, perf_counter as tick
 
 import numpy as np
 
@@ -12,6 +13,10 @@ def draw_everything(counts: dict, items: set) -> list:
     import time
 
     stamp = time.time()                         # det-wallclock
+    started = time.perf_counter()               # det-wallclock
+    ticks = time.perf_counter_ns()              # det-wallclock
+    cpu = time.process_time()                   # det-wallclock
+    elapsed = tick() - monotonic()              # det-wallclock x2
     import os
 
     token = os.urandom(8)                       # det-entropy
@@ -19,4 +24,5 @@ def draw_everything(counts: dict, items: set) -> list:
     ordered = [x for x in items]                # det-set-iter
     for item in {1, 2, 3}:                      # det-set-iter
         ordered.append(item)
-    return [value, noise, unseeded, stamp, token, pair, ordered]
+    return [value, noise, unseeded, stamp, started, ticks, cpu, elapsed,
+            token, pair, ordered]

@@ -70,7 +70,7 @@ class CrashStudy:
             raise RuntimeError("poison build")
         return {"seed": spec.seed}
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         if spec.variant == "boom" and spec.seed == self.poison_seed:
             if self.marker_dir:
                 marker = os.path.join(self.marker_dir, "attempted")
@@ -117,7 +117,7 @@ class KillerStudy:
     def build(self, spec):
         return {"seed": spec.seed}
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         if spec.seed == 2:
             marker = os.path.join(self.marker_dir, "killed")
             if not os.path.exists(marker):
@@ -172,7 +172,7 @@ class TestQuarantine:
     def test_configuration_errors_always_propagate(self):
         @dataclass(frozen=True, slots=True)
         class BadStudy(CrashStudy):
-            def measure(self, spec, world, build_s):
+            def measure(self, spec, world):
                 raise ConfigurationError("malformed grid")
 
         with pytest.raises(ConfigurationError):
@@ -190,6 +190,8 @@ class TestQuarantine:
         assert [(t.variant, t.seed) for t in result.trials] == [
             ("ok", 1), ("boom", 1),
         ]
+        # A failed build times nothing: only survivors carry timings.
+        assert set(result.timings) == {t.trial_id for t in result.trials}
 
     def test_retry_rescues_a_flaky_trial(self, tmp_path):
         result = run_study(
@@ -238,6 +240,13 @@ class TestFailedArtifacts:
             "status": "failed", "error": "RuntimeError: poison trial",
             "attempts": 1,
         }
+        # Success rows carry the scheduler's timings; the failure row
+        # above carries none.
+        succeeded = [r for r in rows if r.get("status") != "failed"]
+        assert all(set(r["timings"]) == {"build_s", "measure_s"}
+                   for r in succeeded)
+        assert first.timings == {r["trial_id"]: r["timings"]
+                                 for r in succeeded}
 
         # Resume: the failed row is loaded, not re-run, and aggregates
         # match the first pass.
@@ -252,6 +261,7 @@ class TestFailedArtifacts:
             t.value for t in first.trials
         ]
         assert again.streaming["boom"]["value"].n == 2
+        assert again.timings == first.timings
 
 
 @pytest.mark.slow

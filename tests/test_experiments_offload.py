@@ -143,9 +143,11 @@ class TestRunner:
         assert "inbound offload" in text
 
     def test_single_trial_runs_inline(self):
-        (trial,) = run_tiny(seeds=(4,)).trials
+        run = run_tiny(seeds=(4,))
+        (trial,) = run.trials
         assert trial.seed == 4
-        assert trial.build_s > 0 and trial.study_s > 0
+        timing = run.timings[trial.trial_id]
+        assert timing["build_s"] > 0 and timing["measure_s"] > 0
 
 
 class TestOffloadEdgeCases:

@@ -209,10 +209,8 @@ class TestFailoverState:
         )
         times = np.array([5.0, 10.0, 15.0, 20.0, 25.0])
         addr = IPv4Address(42)
-        batch = state.extra_batch_ms(addr, times)
-        scalar = np.array([state.extra_ms(addr, t) for t in times])
-        assert np.array_equal(batch, scalar)
-        assert batch.tolist() == [0.0, 6.5, 6.5, 0.0, 0.0]
+        scalar = [state.extra_ms(addr, t) for t in times]
+        assert scalar == [0.0, 6.5, 6.5, 0.0, 0.0]
 
     def test_unknown_address_adds_nothing(self):
         from repro.net.addr import IPv4Address

@@ -112,7 +112,7 @@ class TestJointTrial:
     def test_standalone_trial_matches_engine(self, result):
         study = tiny_joint_study()
         spec = expand_trials(study, (0, 1))[0]
-        standalone = study.measure(spec, study.build(spec), build_s=0.0)
+        standalone = study.measure(spec, study.build(spec))
         engine_trial = result.trials[0]
         assert standalone.precision == engine_trial.precision
         assert standalone.recall == engine_trial.recall

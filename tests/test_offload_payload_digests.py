@@ -3,10 +3,10 @@
 The golden reports print rounded means and the world digests pin the AS
 graph, not the member-cone CSR the studies read; ``make perf-check``
 pins only the paper-scale economics batch.  These digests hash every
-trial's encoded payload (timing fields dropped) of the offload,
-economics, joint and failover studies on the ~3k-AS world, so any drift
-in a member cone, a policy code, the traffic matrix or a study's
-arithmetic changes them.  Offload and economics run once per trial and
+trial's encoded payload, as it is (results carry no timing), of the
+offload, economics, joint and failover studies on the ~3k-AS world, so
+any drift in a member cone, a policy code, the traffic matrix or a
+study's arithmetic changes them.  Offload and economics run once per trial and
 once in seed batches of three; both must give the pinned digest.
 """
 
@@ -35,9 +35,6 @@ from repro.sim.detection_world import DetectionWorldConfig
 from repro.sim.scenarios import rediris_small_config
 
 SEEDS = (1, 2, 3)
-
-#: Wall-clock fields: the only payload bytes that differ run to run.
-TIMING_FIELDS = ("build_s", "study_s", "collect_s", "filter_s")
 
 PAYLOAD_DIGESTS = {
     "offload": (
@@ -94,12 +91,10 @@ def payload_digest(study, trial_batch: int) -> str:
         seeds=SEEDS, workers=1, trial_batch=trial_batch,
     ))
     assert not result.failures
-    rows = []
-    for trial in sorted(result.trials, key=lambda t: t.trial_id):
-        payload = study.encode(trial)
-        for field in TIMING_FIELDS:
-            payload.pop(field, None)
-        rows.append(payload)
+    rows = [
+        study.encode(trial)
+        for trial in sorted(result.trials, key=lambda t: t.trial_id)
+    ]
     return hashlib.sha256(
         json.dumps(rows, sort_keys=True).encode()
     ).hexdigest()

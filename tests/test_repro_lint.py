@@ -51,6 +51,9 @@ class TestBadFixtures:
         ("bad_determinism.py", "repro/sim/fixture.py",
          {"det-random", "det-np-random", "det-wallclock", "det-entropy",
           "det-popitem", "det-set-iter"}),
+        ("bad_determinism.py", "repro/core/fixture.py",
+         {"det-random", "det-np-random", "det-wallclock", "det-entropy",
+          "det-popitem", "det-set-iter"}),
         ("bad_drawstream.py", "repro/sim/fixture.py",
          {"draw-nonliteral-tag"}),
         ("bad_poolpurity.py", "repro/experiments/fixture.py",
@@ -75,6 +78,9 @@ class TestBadFixtures:
         assert by_rule["det-random"] == 2
         assert by_rule["det-np-random"] == 2
         assert by_rule["det-set-iter"] == 2
+        # time.time, perf_counter, perf_counter_ns, process_time and the
+        # two bare from-imported clocks.
+        assert by_rule["det-wallclock"] == 6
 
     def test_bad_poolpurity_counts(self):
         violations = lint_fixture(

@@ -174,10 +174,10 @@ def _poison_seed_one(monkeypatch):
     """Make every detection trial of seed 1 raise inside ``measure``."""
     measure = ensemble.measure_detection_trial
 
-    def poisoned(spec, world, build_s):
+    def poisoned(spec, world):
         if spec.seed == 1:
             raise RuntimeError("poisoned probe")
-        return measure(spec, world, build_s)
+        return measure(spec, world)
 
     monkeypatch.setattr(ensemble, "measure_detection_trial", poisoned)
 
@@ -224,6 +224,49 @@ def test_clean_run_has_no_note():
     result = run_study(study, config)
     assert result.coverage_note() is None
     assert "Note:" not in render_report(study, result)
+
+
+#: Every float key of every request schema, as (kind, option) pairs.
+FLOAT_OPTIONS = [
+    (kind, option)
+    for kind, options in (
+        *((kind, STUDIES[kind].options) for kind in request_kinds()),
+        ("scenario", SCENARIO_OPTIONS),
+    )
+    for option in options
+    if option.type is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "kind, option", FLOAT_OPTIONS,
+    ids=[f"{kind}-{option.key}" for kind, option in FLOAT_OPTIONS],
+)
+def test_float_keys_reject_non_finite_numbers(kind, option, value):
+    # Python's JSON parser reads NaN and ±Infinity, and argparse's float
+    # reads "nan" and "inf": neither may reach a study.
+    number = float(value)
+    config = {option.key: [number] if option.many else number}
+    if kind == "scenario":
+        config["name"] = "failover"
+    with pytest.raises(ConfigurationError, match=option.key):
+        resolve(kind, config)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_study_config_rejects_a_non_finite_timeout(value):
+    with pytest.raises(ConfigurationError, match="trial_timeout_s"):
+        StudyConfig(seeds=(0,), trial_timeout_s=float(value))
+
+
+def test_study_cli_rejects_nan_as_a_usage_error(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["study", "economics", "--price-per-mbps", "nan", "--seeds", "1"])
+    assert exit_info.value.code == 2
+    assert "price_per_mbps" in capsys.readouterr().err
 
 
 def test_study_config_engine_keys_pass_through():

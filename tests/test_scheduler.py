@@ -81,7 +81,7 @@ class SleepyStudy:
     def build(self, spec):
         return {"seed": spec.seed}
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         if self.sleep_s:
             time.sleep(self.sleep_s)
         return _Result(
@@ -125,7 +125,7 @@ class SlowShmStudy:
     def attach_world(self, meta, columns):
         return {"seed": meta, "values": columns["values"]}
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         time.sleep(self.sleep_s)
         return _Result(
             trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,

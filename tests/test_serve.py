@@ -188,6 +188,15 @@ class TestHttpApi:
         })
         assert status == 400 and "max_ixps" in body["error"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_are_400(self, base, value):
+        # json.dumps writes NaN/Infinity, which the service's parser reads.
+        status, body = _call(base, "POST", "/studies", {
+            "study": "detection",
+            "config": {"ixps": ["TorIX"], "trial_timeout_s": float(value)},
+        })
+        assert status == 400 and "trial_timeout_s" in body["error"]
+
     @pytest.mark.parametrize("kind, config", [
         ("detection", {"ixps": ["TorIX"]}),
         ("offload", {"max_ixps": 2}),
@@ -229,6 +238,17 @@ class TestHttpApi:
             base, "GET", f"/results/{fingerprint}?limit=1"
         )
         assert status == 200 and len(limited["rows"]) == 1
+        status, summary = _call(
+            base, "GET", f"/results/{fingerprint}?limit=0"
+        )
+        assert status == 200 and summary["trials"] == 2
+        assert summary["rows"] == []
+        status, body = _call(base, "GET", f"/results/{fingerprint}?limit=-3")
+        assert status == 400 and "limit" in body["error"]
+        # Rows carry the scheduler's timings beside a timing-free result.
+        for row in result["rows"]:
+            assert set(row["timings"]) == {"build_s", "measure_s"}
+            assert not [key for key in row["result"] if key.endswith("_s")]
 
     def test_unknown_result_404s(self, base):
         status, body = _call(base, "GET", "/results/" + "0" * 16)
@@ -297,10 +317,10 @@ def test_quarantined_trial_reaches_the_job_snapshot(tmp_path, monkeypatch):
 
     measure = ensemble.measure_detection_trial
 
-    def poisoned(spec, world, build_s):
+    def poisoned(spec, world):
         if spec.seed == 1:
             raise RuntimeError("poisoned probe")
-        return measure(spec, world, build_s)
+        return measure(spec, world)
 
     monkeypatch.setattr(ensemble, "measure_detection_trial", poisoned)
     server = _ServerThread(str(tmp_path))

@@ -1,8 +1,9 @@
-"""The generic study engine: expansion, caching, resume, streaming."""
+"""The generic study engine: expansion, caching, resume, aggregates."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import json
+from dataclasses import asdict, dataclass, fields
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ConfigVariant,
     DetectionStudy,
-    StreamingMeanCI,
+    MeanCI,
     StudyConfig,
     detection_summaries,
     expand_trials,
@@ -18,7 +19,11 @@ from repro.experiments import (
     mean_ci,
     run_study,
 )
-from repro.experiments.engine import _artifact_path, study_fingerprint
+from repro.experiments.engine import (
+    ARTIFACT_SCHEMA,
+    _artifact_path,
+    study_fingerprint,
+)
 from repro.ixp.catalog import spec_by_acronym
 from repro.sim.detection_world import DetectionWorldConfig
 
@@ -64,7 +69,7 @@ class ToyStudy:
     def build(self, spec):
         return {"seed": spec.seed}
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         assert world["seed"] == spec.seed
         return _ToyResult(
             trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
@@ -125,33 +130,22 @@ class TestWorldCache:
             t.value for t in inline.trials
         ]
         assert pooled.world_builds == 2 and pooled.world_reuses == 2
+        # The aggregates follow trial order, not completion order.
+        assert pooled.streaming == inline.streaming
 
 
 class TestStreaming:
-    def test_streaming_matches_mean_ci(self):
-        values = [1.0, 4.0, 2.5, 9.0, 3.0]
-        acc = StreamingMeanCI()
-        for v in values:
-            acc.add(v)
-        snap = acc.snapshot()
-        direct = mean_ci(values)
-        assert snap.mean == pytest.approx(direct.mean, abs=1e-12)
-        assert snap.half_width == pytest.approx(direct.half_width, abs=1e-12)
-        assert snap.n == direct.n == 5
-
     def test_single_sample_zero_width(self):
-        acc = StreamingMeanCI()
-        acc.add(7.0)
-        snap = acc.snapshot()
-        assert snap.mean == 7.0 and snap.half_width == 0.0 and snap.n == 1
+        result = run_study(ToyStudy(), StudyConfig(seeds=(7,), workers=1))
+        assert result.streaming["a"]["value"] == MeanCI(7.0, 0.0, 1)
 
     def test_engine_streams_per_variant(self):
         result = run_study(ToyStudy(), StudyConfig(seeds=(1, 2, 3), workers=1))
-        assert set(result.streaming) == {"a", "b"}
-        a = result.streaming["a"]["value"]
-        direct = mean_ci([1.0, 2.0, 3.0])
-        assert a.mean == pytest.approx(direct.mean)
-        assert a.half_width == pytest.approx(direct.half_width)
+        # One mean_ci per variant and metric, over its trials in order.
+        assert result.streaming == {
+            "a": {"value": mean_ci([1.0, 2.0, 3.0])},
+            "b": {"value": mean_ci([2.0, 4.0, 6.0])},
+        }
 
 
 class TestResume:
@@ -174,8 +168,8 @@ class TestResume:
         assert [t.value for t in resumed.trials] == [
             t.value for t in full.trials
         ]
-        # Streaming aggregates absorb resumed trials too.
-        assert resumed.streaming["a"]["value"].n == 3
+        # The aggregates cover resumed trials too, bit for bit.
+        assert resumed.streaming == full.streaming
 
         # A third run finds everything done and executes nothing.
         again = run_study(study, config)
@@ -271,7 +265,7 @@ class TestDetectionOnEngine:
         assert result.world_builds == 2 and result.world_reuses == 2
         # Shared-world trials still match a standalone build + measure.
         spec = expand_trials(study, (0, 1))[0]
-        standalone = study.measure(spec, study.build(spec), build_s=0.0)
+        standalone = study.measure(spec, study.build(spec))
         engine_trial = result.trials[0]
         assert engine_trial.analyzed_count == standalone.analyzed_count
         assert engine_trial.discard_counts == standalone.discard_counts
@@ -290,3 +284,97 @@ class TestDetectionOnEngine:
         assert a.recall == b.recall
         assert a.analyzed == b.analyzed
         assert a.discards == b.discards
+
+
+#: The phase-seconds fields a parent-format (v1) detection result carried.
+V1_DETECTION_TIMINGS = {"build_s": 0.25, "collect_s": 0.5, "filter_s": 0.125}
+
+
+def read_artifact(path):
+    header, *rows = map(json.loads, path.read_text().splitlines())
+    return header, rows
+
+
+def write_v1_artifact(path, header, rows, timing):
+    """Rewrite ``rows`` as the parent wrote them: timing inside ``result``."""
+    lines = [{**header, "schema": "study_trials/v1"}]
+    for row in rows:
+        row = {key: value for key, value in row.items() if key != "timings"}
+        lines.append({**row, "result": {**row["result"], **timing}})
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
+class TestTrialTimings:
+    """Timings live next to the results: on artifact rows and in the run."""
+
+    STUDY = TestDetectionOnEngine.STUDY
+
+    def _run(self, out_dir):
+        return run_study(
+            self.STUDY, StudyConfig(seeds=(0, 1), workers=1, out_dir=out_dir)
+        )
+
+    def test_fresh_rows_carry_timings_beside_the_result(self, tmp_path):
+        result = self._run(str(tmp_path))
+        header, rows = read_artifact(_artifact_path(self.STUDY, str(tmp_path)))
+        assert header["schema"] == ARTIFACT_SCHEMA == "study_trials/v2"
+        assert len(rows) == 2
+        for row in rows:
+            assert set(row["timings"]) == {"build_s", "measure_s"}
+            assert all(value > 0 for value in row["timings"].values())
+            assert not [key for key in row["result"] if key.endswith("_s")]
+        assert result.timings == {row["trial_id"]: row["timings"]
+                                  for row in rows}
+
+    @pytest.mark.parametrize("kept", [2, 1])
+    def test_v1_artifact_resumes_with_its_timings_mapped(self, tmp_path, kept):
+        fresh = self._run(str(tmp_path))
+        path = _artifact_path(self.STUDY, str(tmp_path))
+        header, rows = read_artifact(path)
+        write_v1_artifact(path, header, rows[:kept], V1_DETECTION_TIMINGS)
+
+        resumed = self._run(str(tmp_path))
+        assert resumed.resumed == kept
+        assert resumed.trials == fresh.trials
+        assert resumed.streaming == fresh.streaming
+        for trial_id in range(kept):
+            assert resumed.timings[trial_id] == V1_DETECTION_TIMINGS
+        # A v1 artifact resumed in part takes v2 rows from then on, and
+        # the mixed file still reads back whole.
+        again = self._run(str(tmp_path))
+        assert again.resumed == 2
+        assert again.trials == fresh.trials
+        assert again.timings == resumed.timings
+
+    def test_v1_study_seconds_become_measure_seconds(self, tmp_path):
+        study = ToyStudy()
+        config = StudyConfig(seeds=(1, 2), workers=1, out_dir=str(tmp_path))
+        fresh = run_study(study, config)
+        path = _artifact_path(study, str(tmp_path))
+        header, rows = read_artifact(path)
+        write_v1_artifact(path, header, rows,
+                          {"build_s": 0.5, "study_s": 0.25})
+        resumed = run_study(study, config)
+        assert resumed.resumed == 4
+        assert resumed.trials == fresh.trials
+        assert set(resumed.timings) == {0, 1, 2, 3}
+        assert all(timing == {"build_s": 0.5, "measure_s": 0.25}
+                   for timing in resumed.timings.values())
+
+
+def test_no_result_type_carries_a_timing_field():
+    from repro.experiments import (
+        EconomicsTrialResult,
+        FailoverTrialResult,
+        JointTrialResult,
+        MegaTrialResult,
+        OffloadTrialResult,
+        TrialResult,
+    )
+
+    timing = {"build_s", "study_s", "collect_s", "filter_s"}
+    for result_type in (TrialResult, OffloadTrialResult, EconomicsTrialResult,
+                        JointTrialResult, FailoverTrialResult,
+                        MegaTrialResult):
+        names = {field.name for field in fields(result_type)}
+        assert not names & timing, result_type.__name__

@@ -233,7 +233,7 @@ class ExportBombStudy:
     def attach_world(self, meta, columns):
         raise AssertionError("a fallback group must never attach")
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         return _Result(
             trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
             value=float(world["seed"]),
@@ -276,7 +276,7 @@ class ShmKillerStudy:
     def attach_world(self, meta, columns):
         return {"seed": meta, "values": columns["values"]}
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         if spec.seed == 2:
             marker = os.path.join(self.marker_dir, "killed")
             if not os.path.exists(marker):
@@ -336,7 +336,7 @@ class BuildKillerStudy:
     def attach_world(self, meta, columns):
         return {"seed": meta, "values": columns["values"]}
 
-    def measure(self, spec, world, build_s):
+    def measure(self, spec, world):
         return _Result(
             trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
             value=float(world["values"].sum()),
@@ -425,12 +425,8 @@ class TestStudyTransport:
 
 
 def payloads(study, result) -> list[dict]:
-    """Trial payloads without their timing fields."""
-    return [
-        {k: v for k, v in study.encode(t).items()
-         if k not in ("build_s", "study_s")}
-        for t in result.trials
-    ]
+    """Every trial's encoded payload, in trial order."""
+    return [study.encode(t) for t in result.trials]
 
 
 def assert_quiet(capfd) -> None:
