@@ -34,18 +34,26 @@ smoke:
 	$(MAKE) cli-smoke
 
 # Every `repro` command that runs a study, through the one request front
-# door: the study kinds, a scenario with its engine flags, and the
-# one-seed single runs.
+# door: the study kinds, a scenario and two seed batches with their
+# engine flags, and the one-seed single runs.  A price outside the
+# Section 5 model must be a usage error (exit status 2).
 cli-smoke:
 	for kind in $(STUDY_KINDS); do \
 		$(PY) -m repro study $$kind --seeds 2 --workers 1 || exit 1; \
 	done
 	$(PY) -m repro scenarios run exclusion-ablation --seeds 2 --workers 1 \
 		--trial-batch 2
+	$(PY) -m repro study detection --threshold-ms 5 10 20 --seeds 2 \
+		--trial-batch 4 --workers 1
+	$(PY) -m repro study economics --seeds 4 --trial-batch 4 --workers 1
 	$(PY) -m repro detect --ixps TorIX --seed 3
 	$(PY) -m repro offload --seed 3 --max-ixps 3
 	$(PY) -m repro report --small --seed 3 -o /dev/null
 	$(PY) -m repro econ --decay 0.8
+	$(PY) -m repro econ --transit-price 1 --decay 0.5; status=$$?; \
+		[ $$status -eq 2 ] || { \
+		echo "WRONG: repro econ exited $$status on a bad price, not 2"; \
+		exit 1; }
 
 # The determinism & draw-stream static analysis (always available), plus
 # ruff and the strict-ish mypy profile for the typed surfaces

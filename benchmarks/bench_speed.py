@@ -4,9 +4,9 @@ Times the hot paths of every study — detection-world build, the probing
 campaign, the filter pipeline (segment reductions), a 16-trial mini-world detection ensemble, a 256-trial
 small-world detection campaign (the trial-batch scheduling path at
 scale), the offload-world build, the peer-group/cone-table setup, the greedy IXP expansion, a 16-trial
-paper-scale offload ensemble under the per-trial *and* the trial-batch
-engine (``StudyConfig.trial_batch``: whole seed batches realized as one
-array program), a 16-trial small-world *economics* ensemble (Sections
+paper-scale offload ensemble at ``StudyConfig.trial_batch`` 1 *and* 16
+(sixteen worlds per work item, each built, measured and dropped in turn
+under one GC pause), a 16-trial small-world *economics* ensemble (Sections
 3+4+5 end-to-end), a 16-trial small joint detection→offload ensemble
 (measured detection confusion propagated into the offload peer map and
 the bill), and the small ``failover`` scenario (pseudowire dark windows

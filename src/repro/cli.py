@@ -22,11 +22,13 @@ prints every report.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analysis.tables import render_table
 from repro.core.economics import CostModel, CostParameters, viability_condition
+from repro.errors import EconomicsError
 
 if TYPE_CHECKING:  # the study stack is imported lazily, per command
     from repro.experiments.engine import Study, StudyResult
@@ -115,6 +117,13 @@ def report_main(argv: list[str] | None = None) -> int:
     return 0
 
 
+#: ``repro econ``'s flags, by the :class:`CostParameters` field each sets.
+_ECON_FLAGS = {
+    "p": "--transit-price", "g": "--direct-fixed", "u": "--direct-unit",
+    "h": "--remote-fixed", "v": "--remote-unit", "b": "--decay",
+}
+
+
 def econ_main(argv: list[str] | None = None) -> int:
     """Evaluate the Section 5 viability condition for given prices."""
     parser = argparse.ArgumentParser(
@@ -138,8 +147,22 @@ def econ_main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    b = args.decay
-    if b is None:
+    def cost_parameters(b: float) -> CostParameters:
+        try:
+            return CostParameters(
+                p=args.transit_price, g=args.direct_fixed,
+                u=args.direct_unit, h=args.remote_fixed,
+                v=args.remote_unit, b=b,
+            )
+        except EconomicsError as error:
+            # The message names each parameter it is about as ``x=value``.
+            flags = [flag for name, flag in _ECON_FLAGS.items()
+                     if re.search(rf"\b{name}=", str(error))]
+            parser.error(f"argument {'/'.join(flags)}: {error}")
+
+    # The prices, and a given decay, are checked before anything is fitted.
+    params = cost_parameters(0.0 if args.decay is None else args.decay)
+    if args.decay is None:
         _, result = _run_request(parser, "economics", {
             "preset": "paper65", "seeds": [args.seed], "workers": 1,
         })
@@ -147,13 +170,9 @@ def econ_main(argv: list[str] | None = None) -> int:
             print(f"Note: {result.coverage_note()}", file=sys.stderr)
             return 1
         (trial,) = result.trials
-        b = trial.decay_rate
-        print(f"fitted b = {b:.3f} from the offload world "
+        params = cost_parameters(trial.decay_rate)
+        print(f"fitted b = {params.b:.3f} from the offload world "
               f"(floor {trial.decay_floor:.0%} of traffic stays on transit)")
-    params = CostParameters(
-        p=args.transit_price, g=args.direct_fixed, u=args.direct_unit,
-        h=args.remote_fixed, v=args.remote_unit, b=b,
-    )
     model = CostModel(params)
     verdict = viability_condition(params)
     print(f"optimal direct-peering IXPs  ñ = {model.optimal_direct():.2f}")

@@ -34,8 +34,13 @@ class CostParameters:
     b: float  # transit-fraction decay rate per reached IXP
 
     def __post_init__(self) -> None:
-        if min(self.p, self.g, self.u, self.h, self.v) < 0:
-            raise EconomicsError("prices cannot be negative")
+        # Every message names each parameter it is about as ``x=value``.
+        for name in ("p", "g", "u", "h", "v", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise EconomicsError(f"{name}={value} must be finite")
+            if value < 0:
+                raise EconomicsError(f"{name}={value} cannot be negative")
         if not self.h < self.g:
             raise EconomicsError(
                 f"remote fixed cost h={self.h} must be below direct g={self.g}"
@@ -45,8 +50,6 @@ class CostParameters:
                 f"per-unit costs must satisfy u < v < p, got "
                 f"u={self.u}, v={self.v}, p={self.p}"
             )
-        if self.b < 0:
-            raise EconomicsError("decay rate b cannot be negative")
 
 
 @dataclass(frozen=True, slots=True)

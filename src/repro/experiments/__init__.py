@@ -95,33 +95,20 @@ intensity are byte-identical to a fault-free run.  The streams:
   *identical* planned query grid with this one stream, so retry counts,
   served masks and effective send times agree bit-for-bit across them.
 
-The trial-batch data flow (seed groups → one batched build)
------------------------------------------------------------
-``StudyConfig.trial_batch = k`` (CLI: ``--trial-batch``) sets the batch
-width and nothing else: after grid expansion and resume filtering, the
-engine chunks the pending trials of **each variant** into groups of up
-to k seeds and hands every multi-trial group to the study's
-``run_batch(specs)`` hook instead of looping ``build → measure`` per
-trial.  The offload and economics studies realize the group with
-:func:`repro.sim.offload_world.build_offload_views` — the same builder
-their per-trial ``build`` calls, run once per seed over static tables
-shared by the variant (statics depend only on the variant's config) —
-and the detection study loops its per-trial build with garbage
-collection paused.  Batching is strictly a **performance path**: each
-seed's child streams are drawn exactly as in a single-trial run, so a
-``trial_batch=k`` run is bit-identical to k independent single-trial
-runs — ``tests/test_trial_batch.py`` pins this for the detection,
-offload and economics studies.  Only the timings the scheduler records
-differ: a batched trial carries its share of the batch call
-(``batch_s``) instead of ``build_s`` and ``measure_s``.  Everything
-downstream is unchanged: results fan into the same JSONL artifacts,
-resume skips completed trials at per-trial granularity (a run killed
-mid-batch re-executes only the unwritten trials), and a group whose
-``run_batch`` raises (anything but
-:class:`~repro.errors.ConfigurationError`) or returns the wrong number
-of results falls back to per-trial execution — counted in
-``StudyResult.batch_fallbacks`` and surfaced by ``coverage_note()`` —
-so batching can never lose a trial or change a number.
+Seed batches (world-key groups → one work item)
+-----------------------------------------------
+Pending trials always group by world key, so every world builds once,
+whatever the grid.  ``StudyConfig.trial_batch = k`` (CLI:
+``--trial-batch``) only packs up to k consecutive groups into one work
+item, which runs them in turn under one GC pause: each group builds its
+world, measures its trials under the per-trial deadline, retries and
+quarantine, and drops the world before the next build.  A batch
+therefore holds one world in memory at a time, a poison seed fails
+alone, every trial records its own ``build_s`` and ``measure_s``, and
+results are those of the unbatched run (``tests/test_trial_batch.py``).
+Resume is per trial: a run killed mid-batch re-executes only the
+unwritten trials.  On the shared-memory transport every world keeps its
+own publish item, at any ``trial_batch``.
 
 The shared-memory world transport (build once → attach everywhere)
 -------------------------------------------------------------------

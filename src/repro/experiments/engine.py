@@ -41,7 +41,8 @@ from repro.experiments.aggregate import MeanCI
 #: ``{"trial_id", "variant", "seed", "result", "timings"}``: ``result``
 #: is the study's encoded payload, pure model output, and ``timings`` the
 #: scheduler's phase seconds for that trial (``build_s`` and
-#: ``measure_s``, or ``batch_s`` for a trial of a seed batch).
+#: ``measure_s``; rows written by older versions may carry ``batch_s``, a
+#: seed-batch trial's share of its batch call, and still read).
 #: Quarantined trials add a failure row instead: ``{"trial_id",
 #: "variant", "seed", "status": "failed", "error", "attempts"}`` — same
 #: schema tag, same fingerprint, so resumes skip failed trials rather
@@ -136,7 +137,8 @@ class StudyConfig:
     #: worker processes even at ``workers=1``, each on its worker's main
     #: thread, so a timed-out trial stops instead of running on.  A
     #: trial that blows the budget is retried and then quarantined like
-    #: any other failure.  A seed batch gets the budget once per seed.
+    #: any other failure.  Each build and each measure of a batched item
+    #: gets the budget on its own, as in an unbatched run.
     trial_timeout_s: float | None = None
     #: Extra measure attempts before a trial is declared poison.
     trial_retries: int = 0
@@ -144,23 +146,21 @@ class StudyConfig:
     #: artifact row and the study completes over the survivors; off, the
     #: first trial exception propagates and tears the run down.
     quarantine: bool = True
-    #: Seed-batch width for studies exposing a ``run_batch`` hook: pending
-    #: trials of one variant are realized in chunks of up to this many
-    #: seeds by a single batched call (one array program over the whole
-    #: chunk).  ``1`` (default) keeps the per-trial path; studies without
-    #: the hook ignore the setting.  A chunk that fails for any reason
-    #: falls back to per-trial execution, so timeout / retry / quarantine
-    #: semantics are identical to an unbatched run.
+    #: Worlds per work item under one GC pause: up to this many world-key
+    #: groups run one after another in one item, each built, measured
+    #: and dropped before the next build.  ``1`` (default) gives every
+    #: world its own item.  Results, world builds and timeout / retry /
+    #: quarantine semantics are those of an unbatched run; the
+    #: shared-memory transport keeps one item per world.
     trial_batch: int = 1
     #: How built worlds reach the worker processes.  ``"pickle"``
     #: (default) ships each trial group's study+specs and rebuilds the
     #: world inside the worker.  ``"shm"`` builds each world-key group's
     #: world once, in a worker, which packs its array columns into a
     #: shared-memory segment the parent owns and refcounts; the trials'
-    #: workers attach zero-copy views.  Requires ``export_world``/``attach_world`` hooks on the
-    #: study (studies without them silently keep the pickle path) and is
-    #: mutually exclusive with ``trial_batch`` batching, whose per-seed
-    #: lightweight worlds have nothing to share.
+    #: workers attach zero-copy views.  Requires
+    #: ``export_world``/``attach_world`` hooks on the study (studies
+    #: without them silently keep the pickle path).
     transport: str = "pickle"
 
     def __post_init__(self) -> None:
@@ -224,16 +224,14 @@ class StudyResult:
     #: Quarantined trials (trial-id order); ``trials`` holds survivors only.
     failures: list[TrialFailure] = field(default_factory=list)
     pool_restarts: int = 0  # broken process pools survived this run
-    #: Trials that fell back from a failed seed batch to the per-trial
-    #: path.  Distinct from ``trial_retries`` bookkeeping: a fallback trial
-    #: may still succeed on its first per-trial attempt, so it is not a
-    #: retry and not (necessarily) a failure — just a slower route to the
-    #: same bit-identical result.
+    #: Always 0: a batched item runs every group through the per-trial
+    #: path, so nothing falls back.  Kept, with its job-snapshot key, for
+    #: readers of the benchmark trace until ``trial_batch`` itself goes.
     batch_fallbacks: int = 0
     #: Trials whose world could not cross the shared-memory transport
     #: (its export or packing failed) and were measured by the worker
-    #: that built it instead.  Like ``batch_fallbacks``, a fallback is
-    #: a performance detour, not lost coverage.
+    #: that built it instead.  A fallback is a performance detour, not
+    #: lost coverage.
     transport_fallbacks: int = 0
 
     def by_variant(self) -> dict[str, list[Any]]:
@@ -246,11 +244,10 @@ class StudyResult:
     def coverage_note(self) -> str | None:
         """Human-readable degraded-coverage warning, or None when clean.
 
-        Batch fallbacks, transport fallbacks and pool restarts are
-        reported separately from quarantined trials: each re-executes the
-        same trials by another route (identical results, no lost
-        coverage), while a quarantined trial is missing from the
-        aggregates.
+        Transport fallbacks and pool restarts are reported separately
+        from quarantined trials: each re-executes the same trials by
+        another route (identical results, no lost coverage), while a
+        quarantined trial is missing from the aggregates.
         """
         parts: list[str] = []
         if self.failures:
@@ -261,12 +258,6 @@ class StudyResult:
                 f"{len(self.trials) + len(self.failures)} trials failed and "
                 f"were quarantined (trial ids {ids}{suffix}); aggregates "
                 "cover the surviving trials only"
-            )
-        if self.batch_fallbacks:
-            parts.append(
-                f"{self.batch_fallbacks} trial(s) fell back from batched "
-                "to per-trial execution (results are unaffected; batching "
-                "is a performance path only)"
             )
         if self.transport_fallbacks:
             parts.append(

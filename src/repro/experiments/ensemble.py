@@ -28,7 +28,6 @@ from repro.experiments.aggregate import (
     optional_mean_ci,
 )
 from repro.experiments.engine import StudyResult
-from repro.gcpause import paused_gc
 from repro.rand import derive_seed
 from repro.sim.detection_world import (
     DetectionWorld,
@@ -227,23 +226,6 @@ class DetectionStudy:
 
     def measure(self, spec: TrialSpec, world: DetectionWorld) -> TrialResult:
         return measure_detection_trial(spec, world)
-
-    def run_batch(self, specs: Sequence[TrialSpec]) -> list[TrialResult]:
-        """Measure a same-variant seed batch of detection trials.
-
-        Each seed is built and measured on its own: a world is one
-        interface table filled by array draws, and the campaign, filters
-        and verdict are passes over its columns.  The batch suspends the
-        cyclic GC across the group: a trial still allocates a few
-        thousand GC-tracked objects (registry coverage memo entries,
-        congestion processes, plan and result containers), and letting
-        the collector fire mid-trial costs ~5% of a cold mini3 trial
-        (11.9 vs 11.3 ms on a 2-vCPU host; ~21% before the interface
-        table).  Per-seed results are bit-identical to ``build`` +
-        ``measure`` because the loop below *is* that code.
-        """
-        with paused_gc():
-            return [self.measure(spec, self.build(spec)) for spec in specs]
 
     def metrics(self, result: TrialResult) -> dict[str, float]:
         out = {

@@ -46,11 +46,9 @@ from repro.core.offload import (
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import MeanCI, mean_ci
 from repro.experiments.engine import StudyResult
-from repro.gcpause import paused_gc
 from repro.sim.offload_world import (
     OffloadWorld,
     OffloadWorldConfig,
-    build_offload_views,
     build_offload_world,
 )
 
@@ -251,25 +249,6 @@ class OffloadStudy:
         self, spec: OffloadTrialSpec, world: OffloadWorld
     ) -> OffloadTrialResult:
         return measure_offload_trial(spec, world)
-
-    def run_batch(
-        self, specs: Sequence[OffloadTrialSpec]
-    ) -> list[OffloadTrialResult]:
-        """Measure a same-variant seed batch against one batched build.
-
-        Bit-identical per seed to ``build`` + ``measure``: the worlds
-        share the static tables but every seed consumes its own child
-        streams (see :mod:`repro.sim.offload_world`).
-        """
-        # Realization and measurement allocate ~100k short-lived arrays
-        # per seed; generational collections mid-batch scan the shared
-        # statics repeatedly for nothing.
-        with paused_gc():
-            worlds = build_offload_views([spec.world for spec in specs])
-            return [
-                measure_offload_trial(spec, world)
-                for spec, world in zip(specs, worlds)
-            ]
 
     def metrics(self, result: OffloadTrialResult) -> dict[str, float]:
         return {

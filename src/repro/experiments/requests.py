@@ -223,8 +223,8 @@ ENGINE = (
     Option("trial_retries", int, 0,
            "extra attempts before a trial is quarantined"),
     Option("trial_batch", int, 1,
-           "seeds per trial batch: >1 realizes same-variant seeds "
-           "together (bit-identical per seed)"),
+           "worlds per work item under one GC pause, each built, "
+           "measured and dropped in turn (results unchanged)"),
     _TRANSPORT,
 )
 _ENGINE_KEYS = tuple(option.key for option in ENGINE)

@@ -5,12 +5,14 @@ blocking ``run_study`` call, split into two layers:
 
 :func:`execute_study`
     The trial execution core.  Seed × grid expansion yields the pending
-    trials, which are lowered to work items, and every item runs
-    through :func:`_run_item`, inline or on a ``ProcessPoolExecutor``,
-    with per-trial deadlines, bounded retry and quarantine.  The items:
+    trials, grouped by world key, which are lowered to work items, and
+    every item runs through :func:`_run_item`, inline or on a
+    ``ProcessPoolExecutor``, with per-trial deadlines, bounded retry and
+    quarantine.  The items:
 
-    * a world-key group: one build, every trial measured against it;
-    * a same-variant seed batch: one ``run_batch`` call;
+    * up to ``trial_batch`` consecutive world-key groups, run in turn
+      under one GC pause: each builds its world, measures every trial
+      against it and drops it before the next build;
     * on the shared-memory transport, a world-key group's *publish*
       item: build the world under the trial deadline and pack its
       columns into a segment whose name the parent reserved; only the
@@ -83,6 +85,7 @@ from repro.experiments.engine import (
     _resolve_artifact_path,
     expand_trials,
 )
+from repro.gcpause import paused_gc
 
 
 class StudyCancelled(ReproError):
@@ -160,15 +163,14 @@ _Attach = tuple[transport.SegmentDescriptor, Any, float]
 class _WorkItem:
     """One dispatch unit of :func:`execute_study`.
 
-    The specs of one item run in one call: a world-key group (one build,
-    every trial measured against it), a same-variant seed chunk with
-    ``batch`` set (one ``run_batch`` call), a world-key group with
-    ``publish`` set (one build, packed into that reserved shared-memory
-    segment), or a single trial whose ``attach`` names a published world.
+    The world-key groups of one item run in one call, one after another:
+    up to ``trial_batch`` groups (one build each, every trial of the
+    group measured against it), one group with ``publish`` set (one
+    build, packed into that reserved shared-memory segment), or a single
+    trial whose ``attach`` names a published world.
     """
 
-    specs: list[Any]
-    batch: bool = False
+    groups: list[list[Any]]
     publish: str | None = None
     attach: _Attach | None = None
 
@@ -183,7 +185,6 @@ class _Outcome(NamedTuple):
     results: list[Any]
     #: Phase seconds of each trial that succeeded, by trial id.
     timings: dict[int, _Timings] = {}
-    batch_fallbacks: int = 0
     transport_fallbacks: int = 0
     #: A publish item's world, for the parent to adopt and fan out.
     published: _Attach | None = None
@@ -277,41 +278,30 @@ def _run_item(
     retries: int,
     quarantine: bool,
 ) -> _Outcome:
-    """Run one work item.
+    """Run one work item: its groups in turn, under one GC pause.
 
     The one worker the process pool runs, and what the inline driver
-    calls.  A batch item makes one batched call with a budget of
-    ``timeout_s`` per seed, and each of its trials is timed as an equal
-    share of that call (``batch_s``); any failure, or a result-count
-    mismatch (which would mis-assign trials), re-runs its trials one by
-    one through :func:`_run_group`, whose timeout / retry / quarantine
-    semantics are then exactly those of an unbatched study.
+    calls.  Each group goes through :func:`_run_group`, so the groups of
+    a batch keep exactly the deadline, retry and quarantine semantics of
+    one group per item, and each group's world is dropped before the
+    next one is built.  Builds and trials allocate bursts of GC-tracked
+    objects that refcounting frees; collections fired mid-item rescan
+    them for nothing (~5% of a cold mini3 detection trial).  Only a
+    single-group item publishes or attaches a world.
     """
-    specs = item.specs
-    if item.batch and len(specs) > 1:
-        budget = None if timeout_s is None else timeout_s * len(specs)
-        began = time.perf_counter()
-        results, error = _guarded(
-            budget, True,
-            lambda: list(study.run_batch(specs)),  # type: ignore[attr-defined]
-        )
-        if error is None and len(results) == len(specs):
-            share = (time.perf_counter() - began) / len(specs)
-            return _Outcome(results, {
-                result.trial_id: {"batch_s": share} for result in results
-            })
+    with paused_gc():
         outcomes = [
-            _run_group(study, [spec], timeout_s, retries, quarantine)
-            for spec in specs
+            _run_group(study, group, timeout_s, retries, quarantine,
+                       item.attach, item.publish)
+            for group in item.groups
         ]
-        return _Outcome(
-            [result for outcome in outcomes for result in outcome.results],
-            {trial_id: timing for outcome in outcomes
-             for trial_id, timing in outcome.timings.items()},
-            batch_fallbacks=len(specs),
-        )
-    return _run_group(study, specs, timeout_s, retries, quarantine,
-                      item.attach, item.publish)
+    if len(outcomes) == 1:
+        return outcomes[0]
+    return _Outcome(
+        [result for outcome in outcomes for result in outcome.results],
+        {trial_id: timing for outcome in outcomes
+         for trial_id, timing in outcome.timings.items()},
+    )
 
 
 def execute_study(
@@ -355,36 +345,19 @@ def execute_study(
         )
     resumed = len(completed)
 
-    # Group the remaining trials for execution.  Default: by world key,
-    # preserving trial order within and across groups, so every trial in
-    # a group reuses one build.  Batched mode (``trial_batch > 1`` on a
-    # study with a ``run_batch`` hook): same-variant trials are chunked
-    # into seed batches instead — each chunk is realized as one array
-    # program with a leading trial axis, and every seed builds its own
-    # (lightweight) world, so the world cache does not apply.
-    use_batches = (
-        config.trial_batch > 1
-        and getattr(study, "run_batch", None) is not None
-    )
+    # Group the remaining trials by world key, preserving trial order
+    # within and across groups, so every trial in a group reuses one
+    # build.
     groups: dict[Hashable, list[Any]] = {}
     for spec in specs:
         if spec.trial_id not in completed:
-            key = spec.variant if use_batches else study.world_key(spec)
-            groups.setdefault(key, []).append(spec)
+            groups.setdefault(study.world_key(spec), []).append(spec)
     group_list = list(groups.values())
-    if use_batches:
-        group_list = [
-            chunk[i:i + config.trial_batch]
-            for chunk in group_list
-            for i in range(0, len(chunk), config.trial_batch)
-        ]
     # Shared-memory transport: each world-key group's world is built once,
     # by a publish item, and fans out one attach item per trial; studies
-    # without the export/attach hooks keep the pickle path, and so do
-    # seed batches (their per-seed worlds have nothing to share).
+    # without the export/attach hooks keep the pickle path.
     use_shm = (
         config.transport == "shm"
-        and not use_batches
         and getattr(study, "export_world", None) is not None
         and getattr(study, "attach_world", None) is not None
     )
@@ -412,7 +385,6 @@ def execute_study(
     item_args = (config.trial_timeout_s, config.trial_retries,
                  config.quarantine)
     pool_restarts = 0
-    batch_fallbacks = 0
     transport_fallbacks = 0
     #: Every item not yet finished, by id: what a broken pool re-runs.
     unfinished: dict[int, _WorkItem] = {}
@@ -428,9 +400,8 @@ def execute_study(
 
     def finish(item: _WorkItem, outcome: _Outcome) -> list[_WorkItem]:
         """Record a finished item; returns the items it spawns."""
-        nonlocal batch_fallbacks, transport_fallbacks
+        nonlocal transport_fallbacks
         del unfinished[id(item)]
-        batch_fallbacks += outcome.batch_fallbacks
         transport_fallbacks += outcome.transport_fallbacks
         for result in outcome.results:
             record(result, outcome.timings.get(result.trial_id))
@@ -438,9 +409,10 @@ def execute_study(
             manager.release(item.attach[0].segment)
         if outcome.published is None:
             return []
-        manager.adopt(outcome.published[0], refs=len(item.specs))
-        spawned = [_WorkItem([spec], attach=outcome.published)
-                   for spec in item.specs]
+        (group,) = item.groups
+        manager.adopt(outcome.published[0], refs=len(group))
+        spawned = [_WorkItem([[spec]], attach=outcome.published)
+                   for spec in group]
         unfinished.update((id(new), new) for new in spawned)
         return spawned
 
@@ -483,15 +455,17 @@ def execute_study(
     manager = transport.SegmentManager() if use_shm and group_list else None
     try:
         check_cancel()
-        items = [
-            _WorkItem(group, publish=manager.reserve()) if manager
-            else _WorkItem(group, batch=use_batches)
-            for group in group_list
-        ]
+        if manager is not None:
+            items = [_WorkItem([group], publish=manager.reserve())
+                     for group in group_list]
+        else:
+            batch = config.trial_batch
+            items = [_WorkItem(group_list[i:i + batch])
+                     for i in range(0, len(group_list), batch)]
         # Items that can run side by side: a shm group's trials fan out.
         parallel = executed if use_shm else len(items)
         workers = config.workers or min(
-            os.cpu_count() or 1, max(len(group_list), 1)
+            os.cpu_count() or 1, max(len(items), 1)
         )
         pool_size = min(workers, parallel)
         if items and (needs_workers or (workers > 1 and parallel > 1)):
@@ -525,9 +499,7 @@ def execute_study(
             # and every reserved name a worker may have half-created.
             manager.close_all()
 
-    # In batched mode every seed realizes its own (lightweight) world, so
-    # there is no cross-trial build sharing to account for.
-    world_builds = executed if use_batches else len(group_list)
+    world_builds = len(group_list)
     ordered = [completed[i] for i in range(total)]
     survivors = [r for r in ordered if not isinstance(r, TrialFailure)]
     return StudyResult(
@@ -542,7 +514,6 @@ def execute_study(
         timings=dict(sorted(timings.items())),
         failures=[r for r in ordered if isinstance(r, TrialFailure)],
         pool_restarts=pool_restarts,
-        batch_fallbacks=batch_fallbacks,
         transport_fallbacks=transport_fallbacks,
     )
 

@@ -1,6 +1,6 @@
 """One pause of the cyclic garbage collector for allocation bursts.
 
-World builds and batched measurements allocate tens of thousands of
+World builds and the scheduler's work items allocate tens of thousands of
 long-lived objects and arrays at once.  Generational collections that
 fire mid-burst scan them again and again while reclaiming nothing, so
 each such site runs inside :func:`paused_gc` and states its reason.

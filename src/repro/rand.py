@@ -34,15 +34,6 @@ The full per-engine stream inventory is generated by ``repro lint
 :mod:`repro.devtools.lint`): stream tags must be built from literal
 parts, and the engines of every multi-engine subsystem must create
 identical streams.
-
-Seed batches (``StudyConfig.trial_batch``) keep the same discipline with
-one extra leading axis: a batch of k trials derives the *identical* k
-per-seed child streams a loop of k single-trial runs would
-(:func:`batch_child_rngs` is the helper), and every stage consumes each
-seed's stream in the same fixed order.  Because streams are keyed by
-``(seed, label, ...)`` and never shared across seeds, a batched
-realization is bit-for-bit the k independent single-seed realizations —
-the property the batch↔scalar identity suites assert.
 """
 
 from __future__ import annotations
@@ -83,25 +74,6 @@ def derive_seed(root_seed: int, *labels: str | int) -> int:
 def child_rng(root_seed: int, *labels: str | int) -> np.random.Generator:
     """Shorthand for ``make_rng(derive_seed(root_seed, *labels))``."""
     return make_rng(derive_seed(root_seed, *labels))
-
-
-def batch_child_rngs(
-    root_seeds: "list[int] | tuple[int, ...]", *labels: str | int
-) -> list[np.random.Generator]:
-    """One independent child stream per root seed, same label path.
-
-    The trial-batch engines realize k seeds side by side; each seed must
-    consume exactly the stream a single-seed run would, so a batch draws
-    from k parallel generators rather than one widened stream:
-
-    >>> a, b = batch_child_rngs([1, 2], "offload", "giants")
-
-    is bit-identical to ``[child_rng(1, "offload", "giants"),
-    child_rng(2, "offload", "giants")]`` — skipping or reordering *seeds*
-    never perturbs another seed's draws, mirroring how labels already
-    isolate consumers within one seed.
-    """
-    return [child_rng(seed, *labels) for seed in root_seeds]
 
 
 def weighted_top_k(

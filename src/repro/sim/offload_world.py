@@ -31,13 +31,14 @@ shared by every seed of a variant (:class:`_Statics`: the ASN layout,
 the scaffold networks, the Euro-IX catalog, the seed-independent
 address-space and traffic-share tables; kept across calls for the eight
 most recent variants, arrays read-only).  One realizer consumes these
-draws: :func:`build_offload_world` realizes one seed and
-:func:`build_offload_views` a seed batch (``StudyConfig.trial_batch``),
-running the same stages once per seed in seed order, so a batched build
-is bit-identical to k single builds.  The one-network-at-a-time
-reference in ``tests/reference/offload_world.py`` keeps its own copy of
-the seed implementation's graph builder and must build bit-identical
-worlds (``tests/test_offload_world_engines.py``).
+draws: :func:`build_offload_world` realizes one seed.
+:func:`build_offload_views` realizes a list of configs, one seed at a
+time; no study passes it more than one, and it stays only as the name
+the benchmark's layer trace wraps around the economics study's build.
+The one-network-at-a-time reference in
+``tests/reference/offload_world.py`` keeps its own copy of the seed
+implementation's graph builder and must build bit-identical worlds
+(``tests/test_offload_world_engines.py``).
 
 The stream inventory is *generated*, not hand-maintained: ``repro lint
 --draw-programs`` extracts it statically, ``tests/test_repro_lint.py``
@@ -849,10 +850,12 @@ def build_offload_views(
 ) -> list[OffloadWorld]:
     """Realize one world per config, sharing statics per variant.
 
-    The trial axis: configs differing only in ``seed`` share one
-    :class:`_Statics` (:func:`_statics_for`); each seed then runs the
-    stages over the shared scaffold, in config order, so every world
-    equals ``build_offload_world`` on its config.
+    Configs differing only in ``seed`` share one :class:`_Statics`
+    (:func:`_statics_for`); each seed then runs the stages over the
+    shared scaffold, in config order, so every world equals
+    ``build_offload_world`` on its config.  The studies pass one config
+    at a time: the economics study calls it by this name for the
+    benchmark's layer trace.
     """
     # Each seed allocates ~10⁵ short-lived arrays; collections fired
     # mid-batch would scan the shared statics for nothing.

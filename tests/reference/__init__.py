@@ -22,7 +22,9 @@ The detection pipeline's per-call engines are kept the same way:
 
 :mod:`tests.reference.greedy` keeps the dense float32 greedy expansions
 and the mega study's per-exchange loop that the sparse set-cover kernel
-replaced (``tests/test_greedy_oracle.py``).
+replaced (``tests/test_greedy_oracle.py``), and
+:mod:`tests.reference.fitting` the one-floor-at-a-time decay fit that
+the array-pass floor grid replaced (``tests/test_economics_fitting.py``).
 
 The product never imports this package and pytest collects nothing from
 it (no ``test_*`` modules).  ``tests/test_repro_lint.py`` checks

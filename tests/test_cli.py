@@ -16,11 +16,31 @@ class TestEconCLI:
         assert econ_main(["--decay", "3.0"]) == 0
         assert "viable: NO" in capsys.readouterr().out
 
-    def test_bad_prices_raise(self):
-        from repro.errors import EconomicsError
-
-        with pytest.raises(EconomicsError):
+    def test_bad_prices_raise(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             econ_main(["--decay", "0.5", "--remote-unit", "9.0"])
+        assert exit_info.value.code == 2
+        assert "--remote-unit" in capsys.readouterr().err
+
+    def test_price_outside_the_model_is_a_usage_error(self, capsys):
+        # p = 1 puts transit below remote peering's per-unit price.
+        with pytest.raises(SystemExit) as exit_info:
+            econ_main(["--transit-price", "1", "--decay", "0.5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument" in err and "--transit-price" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--decay", "nan"), ("--decay", "inf"), ("--transit-price", "inf"),
+    ])
+    def test_non_finite_value_is_a_usage_error(self, capsys, flag, value):
+        argv = ["--decay", "0.5", flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            econ_main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "must be finite" in err
 
 
 class TestDetectCLI:

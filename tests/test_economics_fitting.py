@@ -81,3 +81,48 @@ class TestModelSelection:
         assert exp_fit.rate > 0
         # Near-perfect fit in fraction space: eq. 3 is a sound abstraction.
         assert exp_fit.sse < 0.01
+
+
+def random_monotone_series(rng: np.random.Generator) -> np.ndarray:
+    """A non-increasing series of 3-30 points with a positive baseline:
+    greedy-like step curves with plateaus, exact decays toward a floor,
+    sorted uniforms with flat tails, and small integers full of ties."""
+    n = int(rng.integers(3, 31))
+    shape = int(rng.integers(4))
+    if shape == 0:
+        steps = rng.exponential(1.0, n - 1) * (rng.random(n - 1) < 0.8)
+        drops = np.concatenate([[0.0], np.cumsum(steps)])
+        series = drops[-1] + rng.random() * 5.0 - drops
+    elif shape == 1:
+        floor = rng.uniform(0.0, 0.95)
+        decay = np.exp(-rng.uniform(0.01, 2.0) * np.arange(n))
+        series = 1e9 * (floor + (1.0 - floor) * decay)
+    elif shape == 2:
+        series = np.sort(rng.random(n))[::-1] * rng.uniform(1.0, 1e10)
+        if rng.random() < 0.5:
+            series[int(rng.integers(1, n)):] = series[-1]
+    else:
+        series = np.sort(rng.integers(0, 5, n))[::-1] + rng.integers(1, 3)
+    return np.asarray(series, dtype=float)
+
+
+@pytest.mark.slow
+class TestGridMatchesScalarOracle:
+    """The array-pass floor grid is the one-floor-at-a-time fit, bit for
+    bit: every ``DecayFit`` field compares with ``==``."""
+
+    @pytest.mark.parametrize("family", ["exponential", "power"])
+    def test_random_monotone_series(self, family):
+        from repro.core.economics.fitting import _fit
+        from tests.reference.fitting import scalar_fit
+
+        rng = np.random.default_rng(20_261_019)
+        for _ in range(2_000):
+            series = random_monotone_series(rng)
+            assert _fit(family, series) == scalar_fit(family, series), (
+                series.tolist()
+            )
+
+    def test_non_finite_series_rejected(self):
+        with pytest.raises(AnalysisError, match="finite"):
+            fit_exponential_decay(np.array([1.0, np.nan, 0.5]))

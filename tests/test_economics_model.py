@@ -27,6 +27,12 @@ class TestParameters:
     def test_valid_accepted(self):
         params()
 
+    @pytest.mark.parametrize("field", ["p", "g", "u", "h", "v", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(EconomicsError, match=rf"{field}=.* must be finite"):
+            params(**{field: value})
+
 
 class TestAllocation:
     def test_fractions_sum_to_one(self):

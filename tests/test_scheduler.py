@@ -39,7 +39,7 @@ from repro.experiments.scheduler import (
     execute_study,
 )
 from tests.test_engine_quarantine import CrashStudy
-from tests.test_trial_batch import BatchToyStudy
+from tests.test_trial_batch import ToyStudy
 
 
 def shm_snapshot() -> set[str]:
@@ -263,7 +263,7 @@ class TestExecuteStudyHooks:
 
     @pytest.mark.parametrize("study,knobs", [
         (SleepyStudy(), {"workers": 1}),
-        (BatchToyStudy(), {"workers": 1, "trial_batch": 2}),
+        (ToyStudy(), {"workers": 1, "trial_batch": 2}),
         (SleepyStudy(sleep_s=0.05), {"workers": 2}),
     ], ids=["inline-group", "inline-batch", "pickle-pool"])
     def test_mid_run_cancel_resumes_what_it_recorded(
