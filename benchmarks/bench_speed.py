@@ -97,15 +97,12 @@ def collect_payload(quick: bool = False) -> dict:
         OffloadStudy,
         OffloadVariant,
         StudyConfig,
-        detection_summaries,
-        economics_summaries,
-        failover_summaries,
-        joint_summaries,
-        offload_summaries,
+        aggregate,
         run_study,
     )
     from repro.experiments.transport import SegmentManager, attach_columns
     from repro.faults import FaultConfig
+    from repro.reporting import expansion_consensus
     from repro.sim import DetectionWorldConfig, build_mega_world, scenarios
     from repro.sim.scenarios import (
         joint_preset_configs,
@@ -182,14 +179,14 @@ def collect_payload(quick: bool = False) -> dict:
             mini3, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (ensemble_summary,) = detection_summaries(ensemble_result)
+    (ensemble_stats,) = aggregate(mini3, ensemble_result).values()
 
     if not quick:
         big_ensemble = stage("detection_ensemble_256trials_small", lambda: run_study(
                 mini3, StudyConfig(seeds=tuple(range(256)), trial_batch=16)
             )
         )
-        (big_ensemble_summary,) = detection_summaries(big_ensemble)
+        (big_ensemble_stats,) = aggregate(mini3, big_ensemble).values()
 
     offload_world = stage("offload_world_build", lambda: scenarios.rediris(seed=WORLD_SEED)
     )
@@ -209,13 +206,15 @@ def collect_payload(quick: bool = False) -> dict:
                 paper65, StudyConfig(seeds=tuple(range(16)))
             )
         )
-        (offload_summary,) = offload_summaries(paper65, offload_ensemble)
+        (offload_stats,) = aggregate(paper65, offload_ensemble).values()
+        offload_consensus = expansion_consensus(offload_ensemble.trials)
 
     batched_ensemble = stage("offload_ensemble_16trials_batched", lambda: run_study(
             paper65, StudyConfig(seeds=tuple(range(16)), trial_batch=16)
         )
     )
-    (batched_summary,) = offload_summaries(paper65, batched_ensemble)
+    (batched_stats,) = aggregate(paper65, batched_ensemble).values()
+    batched_consensus = expansion_consensus(batched_ensemble.trials)
 
     economics = EconomicsStudy(variants=(
         EconomicsVariant(name="small", world=rediris_small_config()),
@@ -224,7 +223,8 @@ def collect_payload(quick: bool = False) -> dict:
             economics, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (economics_summary,) = economics_summaries(economics, economics_ensemble)
+    (economics_stats,) = aggregate(economics, economics_ensemble).values()
+    viable = economics_stats["viable"]
 
     joint_detection, joint_offload = joint_preset_configs("small")
     joint = JointStudy(variants=(
@@ -238,7 +238,7 @@ def collect_payload(quick: bool = False) -> dict:
             joint, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (joint_summary,) = joint_summaries(joint, joint_ensemble)
+    (joint_stats,) = aggregate(joint, joint_ensemble).values()
 
     failover = FailoverStudy(variants=(
         FailoverVariant(
@@ -249,7 +249,7 @@ def collect_payload(quick: bool = False) -> dict:
             failover, StudyConfig(seeds=tuple(range(16)))
         )
     )
-    (failover_summary,) = failover_summaries(failover, failover_ensemble)
+    (failover_stats,) = aggregate(failover, failover_ensemble).values()
 
     payload = {
         "schema": "bench_speed/v8",
@@ -281,11 +281,11 @@ def collect_payload(quick: bool = False) -> dict:
             "analyzed": len(report.passed),
         },
         "ensemble_mini3": {
-            "trials": ensemble_summary.trials,
-            "precision_mean": round(ensemble_summary.precision.mean, 4),
-            "precision_ci95": round(ensemble_summary.precision.half_width, 4),
-            "recall_mean": round(ensemble_summary.recall.mean, 4),
-            "recall_ci95": round(ensemble_summary.recall.half_width, 4),
+            "trials": len(ensemble_result.trials),
+            "precision_mean": round(ensemble_stats["precision"].mean, 4),
+            "precision_ci95": round(ensemble_stats["precision"].half_width, 4),
+            "recall_mean": round(ensemble_stats["recall"].mean, 4),
+            "recall_ci95": round(ensemble_stats["recall"].half_width, 4),
         },
         "offload": {
             "expansion_steps": [s.ixp for s in steps],
@@ -294,89 +294,82 @@ def collect_payload(quick: bool = False) -> dict:
             "max_offload_outbound": round(max_out, 4),
         },
         "economics_ensemble_small": {
-            "trials": economics_summary.trials,
-            "savings_mean": round(economics_summary.savings_fraction.mean, 4),
+            "trials": len(economics_ensemble.trials),
+            "savings_mean": round(economics_stats["savings_fraction"].mean, 4),
             "savings_ci95": round(
-                economics_summary.savings_fraction.half_width, 4
+                economics_stats["savings_fraction"].half_width, 4
             ),
-            "decay_rate_mean": round(economics_summary.decay_rate.mean, 4),
-            "viable_votes": economics_summary.viable_votes,
+            "decay_rate_mean": round(economics_stats["decay_rate"].mean, 4),
+            "viable_votes": round(viable.mean * viable.n),
         },
         "failover_scenario_small": {
-            "trials": failover_summary.trials,
+            "trials": len(failover_ensemble.trials),
             "ideal_savings_mean": round(
-                failover_summary.ideal_savings.mean, 4
+                failover_stats["ideal_savings"].mean, 4
             ),
             "realized_savings_mean": round(
-                failover_summary.realized_savings.mean, 4
+                failover_stats["realized_savings"].mean, 4
             ),
             "billing_error_mean": round(
-                failover_summary.billing_error.mean, 4
+                failover_stats["billing_error"].mean, 4
             ),
             "dark_fraction_mean": round(
-                failover_summary.dark_fraction.mean, 4
+                failover_stats["dark_fraction"].mean, 4
             ),
         },
         "joint_study_small": {
-            "trials": joint_summary.trials,
-            "precision_mean": round(joint_summary.precision.mean, 4),
-            "recall_mean": round(joint_summary.recall.mean, 4),
+            "trials": len(joint_ensemble.trials),
+            "precision_mean": round(joint_stats["precision"].mean, 4),
+            "recall_mean": round(joint_stats["recall"].mean, 4),
             "detected_offload_mean": round(
-                joint_summary.detected_fraction.mean, 4
+                joint_stats["detected_fraction"].mean, 4
             ),
-            "offload_gap_mean": round(joint_summary.offload_gap.mean, 4),
+            "offload_gap_mean": round(joint_stats["offload_gap"].mean, 4),
             "realized_savings_mean": round(
-                joint_summary.realized_savings.mean, 4
+                joint_stats["realized_savings"].mean, 4
             ),
-            "billing_error_mean": round(joint_summary.billing_error.mean, 4),
+            "billing_error_mean": round(joint_stats["billing_error"].mean, 4),
         },
     }
     payload["offload_ensemble_batched"] = {
-        "trials": batched_summary.trials,
-        "inbound_mean": round(batched_summary.inbound_fraction.mean, 4),
-        "outbound_mean": round(batched_summary.outbound_fraction.mean, 4),
-        "rank1_ixp": (
-            batched_summary.expansion_consensus[0].ixp
-            if batched_summary.expansion_consensus else None
-        ),
+        "trials": len(batched_ensemble.trials),
+        "inbound_mean": round(batched_stats["inbound_fraction"].mean, 4),
+        "outbound_mean": round(batched_stats["outbound_fraction"].mean, 4),
+        "rank1_ixp": batched_consensus[0][0] if batched_consensus else None,
     }
     if not quick:
         payload["detection_ensemble_256"] = {
-            "trials": big_ensemble_summary.trials,
-            "precision_mean": round(big_ensemble_summary.precision.mean, 4),
-            "recall_mean": round(big_ensemble_summary.recall.mean, 4),
+            "trials": len(big_ensemble.trials),
+            "precision_mean": round(big_ensemble_stats["precision"].mean, 4),
+            "recall_mean": round(big_ensemble_stats["recall"].mean, 4),
         }
         # The trial-batch engine must reproduce the per-trial ensemble
-        # exactly (same seeds, same variant), so the two summaries agree
+        # exactly (same seeds, same variant), so the two aggregates agree
         # to the last digit; the baseline records that invariant.
         payload["offload_batched_equals_pertrial"] = (
-            batched_summary.inbound_fraction == offload_summary.inbound_fraction
-            and batched_summary.outbound_fraction
-            == offload_summary.outbound_fraction
-            and batched_summary.expansion_consensus
-            == offload_summary.expansion_consensus
+            batched_stats == offload_stats
+            and batched_consensus == offload_consensus
         )
         payload["offload_ensemble_speedup_batched_vs_pertrial"] = round(
             timings["offload_ensemble_16trials"]
             / timings["offload_ensemble_16trials_batched"], 2
         )
+        rank1_ixp, rank1_agreement = (
+            offload_consensus[0] if offload_consensus else (None, None)
+        )
         payload["offload_ensemble"] = {
-            "trials": offload_summary.trials,
-            "inbound_mean": round(offload_summary.inbound_fraction.mean, 4),
+            "trials": len(offload_ensemble.trials),
+            "inbound_mean": round(offload_stats["inbound_fraction"].mean, 4),
             "inbound_ci95": round(
-                offload_summary.inbound_fraction.half_width, 4
+                offload_stats["inbound_fraction"].half_width, 4
             ),
-            "outbound_mean": round(offload_summary.outbound_fraction.mean, 4),
+            "outbound_mean": round(offload_stats["outbound_fraction"].mean, 4),
             "outbound_ci95": round(
-                offload_summary.outbound_fraction.half_width, 4
+                offload_stats["outbound_fraction"].half_width, 4
             ),
-            "rank1_ixp": (
-                offload_summary.expansion_consensus[0].ixp
-                if offload_summary.expansion_consensus else None
-            ),
+            "rank1_ixp": rank1_ixp,
             "rank1_agreement": (
-                round(offload_summary.expansion_consensus[0].agreement, 4)
-                if offload_summary.expansion_consensus else None
+                None if rank1_agreement is None else round(rank1_agreement, 4)
             ),
         }
     return payload

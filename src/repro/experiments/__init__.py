@@ -21,7 +21,6 @@ package runs those distributions through a single *study engine*:
     seed × grid expansion, ``ProcessPoolExecutor`` fan-out, per-variant
     world caching (trials that share a world configuration reuse one
     build), resumable sharded execution (skip-completed on rerun),
-    mean ± 95% CI aggregation of each variant's headline metrics,
     per-trial phase timings recorded next to (never inside) each result,
     thread-safe per-trial deadlines and the ``on_trial`` / ``cancel``
     hooks; and
@@ -39,9 +38,14 @@ package runs those distributions through a single *study engine*:
     eq. 14 viability), :class:`JointStudy` (below) and
     :class:`FailoverStudy` (offload savings eroded by pseudowire dark
     windows), each with its variant type, grid builder and a
-    ``*_summaries(…)`` function turning a :class:`StudyResult` into
-    per-variant mean ± 95% CI aggregates.  All of them run through
-    :func:`run_study`.
+    ``metrics`` method naming every per-trial scalar its report prints.
+    All of them run through :func:`run_study`.
+
+``aggregate``
+    :func:`~repro.experiments.aggregate.aggregate` turns a finished
+    :class:`StudyResult` into per-variant mean ± 95% CI aggregates of
+    ``Study.metrics`` — the one aggregate every report, the ``repro
+    serve`` job's ``metrics`` and the speed benchmark read.
 
 ``requests``
     The study registry behind every front end: for each study kind
@@ -278,7 +282,7 @@ and ``examples/joint_study.py`` are worked examples.
 
 from repro.experiments.aggregate import (
     MeanCI,
-    VariantSummary,
+    aggregate,
     mean_ci,
 )
 from repro.experiments.engine import (
@@ -301,7 +305,6 @@ from repro.experiments.ensemble import (
     DetectionStudy,
     TrialResult,
     TrialSpec,
-    detection_summaries,
     grid_variants,
 )
 from repro.experiments.offload import (
@@ -309,35 +312,26 @@ from repro.experiments.offload import (
     OffloadTrialResult,
     OffloadTrialSpec,
     OffloadVariant,
-    OffloadVariantSummary,
-    RankConsensus,
     offload_grid_variants,
-    offload_summaries,
 )
 from repro.experiments.economics import (
     EconomicsStudy,
     EconomicsTrialResult,
     EconomicsTrialSpec,
     EconomicsVariant,
-    EconomicsVariantSummary,
     economics_grid_variants,
-    economics_summaries,
 )
 from repro.experiments.joint import (
     JointStudy,
     JointTrialResult,
     JointTrialSpec,
     JointVariant,
-    JointVariantSummary,
-    joint_summaries,
 )
 from repro.experiments.failover import (
     FailoverStudy,
     FailoverTrialResult,
     FailoverTrialSpec,
     FailoverVariant,
-    FailoverVariantSummary,
-    failover_summaries,
     measure_failover_trial,
 )
 from repro.experiments.mega import (
@@ -377,18 +371,15 @@ __all__ = [
     "EconomicsTrialResult",
     "EconomicsTrialSpec",
     "EconomicsVariant",
-    "EconomicsVariantSummary",
     "FailoverStudy",
     "FailoverTrialResult",
     "FailoverTrialSpec",
     "FailoverVariant",
-    "FailoverVariantSummary",
     "JobState",
     "JointStudy",
     "JointTrialResult",
     "JointTrialSpec",
     "JointVariant",
-    "JointVariantSummary",
     "MeanCI",
     "MegaStudy",
     "MegaTrialResult",
@@ -398,8 +389,6 @@ __all__ = [
     "OffloadTrialResult",
     "OffloadTrialSpec",
     "OffloadVariant",
-    "OffloadVariantSummary",
-    "RankConsensus",
     "SCENARIOS",
     "STUDIES",
     "Scenario",
@@ -414,22 +403,17 @@ __all__ = [
     "StudyScheduler",
     "TrialResult",
     "TrialSpec",
-    "VariantSummary",
+    "aggregate",
     "attach_columns",
-    "detection_summaries",
     "economics_grid_variants",
-    "economics_summaries",
     "execute_study",
     "expand_trials",
-    "failover_summaries",
     "get_scenario",
     "grid_variants",
-    "joint_summaries",
     "mean_ci",
     "measure_failover_trial",
     "measure_mega_trial",
     "offload_grid_variants",
-    "offload_summaries",
     "render_report",
     "request_kinds",
     "resolve",

@@ -1,4 +1,10 @@
-"""Aggregation of ensemble trials into mean ± confidence-interval summaries.
+"""The one aggregate of a study run: mean ± 95% CI of every metric.
+
+:func:`aggregate` reduces a finished run to ``{variant: {metric:
+MeanCI}}`` over ``Study.metrics`` of its surviving trials.  It is what
+every report (:func:`repro.experiments.requests.render_report`), the
+``repro serve`` job's ``metrics`` and the speed benchmark read; nothing
+else averages trials.
 
 Confidence intervals use the Student-t critical value for the trial count
 (the ensembles this repo runs are 8-32 trials, squarely where the normal
@@ -14,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
+from repro.experiments.engine import Study, StudyResult
 
 #: Two-sided 95% Student-t critical values, indexed by degrees of freedom.
 _T_95 = (
@@ -75,27 +82,25 @@ def mean_ci(values: list[float] | tuple[float, ...]) -> MeanCI:
     return MeanCI(mean=mean, half_width=half, n=n)
 
 
-def optional_mean_ci(values: list[float | None]) -> MeanCI | None:
-    """:func:`mean_ci` over the defined values; None when all are None.
+#: Per-variant metric aggregates: ``{variant: {metric: MeanCI}}``.
+Aggregates = dict[str, dict[str, MeanCI]]
 
-    Precision/recall-style metrics are undefined in some trials (nothing
-    called remote, no true remotes); summaries aggregate the defined
-    subset and render ``n/a`` only when *every* trial lacked the metric.
+
+def aggregate(study: Study, result: StudyResult) -> Aggregates:
+    """``mean_ci`` of every ``study.metrics`` key, per variant.
+
+    Variants and metrics appear in trial order (first appearance); a
+    metric a trial leaves out — precision with nothing called remote, a
+    remote fraction for an IXP with no analyzed interface — is averaged
+    over the trials that report it.  Variants without a surviving trial
+    are absent.
     """
-    defined = [v for v in values if v is not None]
-    return mean_ci(defined) if defined else None
-
-
-@dataclass(frozen=True, slots=True)
-class VariantSummary:
-    """Aggregated metrics for one configuration variant."""
-
-    variant: str
-    trials: int
-    precision: MeanCI | None  # None when undefined in every trial
-    recall: MeanCI | None
-    analyzed: MeanCI
-    candidates: MeanCI
-    discards: dict[str, MeanCI]
-    remote_fraction_by_ixp: dict[str, MeanCI]
-    shortfall: MeanCI
+    samples: dict[str, dict[str, list[float]]] = {}
+    for trial in result.trials:
+        per_variant = samples.setdefault(trial.variant, {})
+        for metric, value in study.metrics(trial).items():
+            per_variant.setdefault(metric, []).append(value)
+    return {
+        variant: {metric: mean_ci(v) for metric, v in metrics.items()}
+        for variant, metrics in samples.items()
+    }

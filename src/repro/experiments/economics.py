@@ -52,8 +52,6 @@ from repro.core.offload import (
     remaining_traffic_series,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.aggregate import MeanCI, mean_ci
-from repro.experiments.engine import StudyResult
 from repro.netflow.billing import offload_billing_report
 from repro.netflow.timeseries import DiurnalProfile
 from repro.rand import derive_seed
@@ -363,6 +361,12 @@ class EconomicsStudy:
             "savings_fraction": result.savings_fraction,
             "decay_rate": result.decay_rate,
             "viable": 1.0 if result.viable else 0.0,
+            "before_bill": result.before_bill,
+            "after_bill": result.after_bill,
+            "inbound_fraction": result.inbound_fraction,
+            "outbound_fraction": result.outbound_fraction,
+            "optimal_direct_ixps": result.optimal_direct_ixps,
+            "optimal_remote_ixps": result.optimal_remote_ixps,
         }
 
     def encode(self, result: EconomicsTrialResult) -> dict:
@@ -371,55 +375,3 @@ class EconomicsStudy:
     def decode(self, payload: dict) -> EconomicsTrialResult:
         return EconomicsTrialResult(**payload)
 
-
-@dataclass(frozen=True, slots=True)
-class EconomicsVariantSummary:
-    """Aggregated economics metrics for one variant."""
-
-    variant: str
-    trials: int
-    group: int
-    savings_fraction: MeanCI
-    decay_rate: MeanCI
-    before_bill: MeanCI
-    after_bill: MeanCI
-    inbound_fraction: MeanCI
-    outbound_fraction: MeanCI
-    optimal_direct_ixps: MeanCI
-    optimal_remote_ixps: MeanCI
-    viable_votes: int   # trials whose eq. 14 verdict came out viable
-
-    @property
-    def viability_vote(self) -> float:
-        """Fraction of trials finding remote peering viable (eq. 14)."""
-        return self.viable_votes / self.trials if self.trials else 0.0
-
-
-def economics_summaries(
-    study: EconomicsStudy, result: StudyResult
-) -> list[EconomicsVariantSummary]:
-    """Mean ± 95% CI aggregates plus the viability vote, per variant."""
-    group_of = {v.name: v.group for v in study.variants}
-    return [
-        _summarize(variant, group_of[variant], trials)
-        for variant, trials in result.by_variant().items()
-    ]
-
-
-def _summarize(
-    variant: str, group: int, trials: list[EconomicsTrialResult]
-) -> EconomicsVariantSummary:
-    return EconomicsVariantSummary(
-        variant=variant,
-        trials=len(trials),
-        group=group,
-        savings_fraction=mean_ci([t.savings_fraction for t in trials]),
-        decay_rate=mean_ci([t.decay_rate for t in trials]),
-        before_bill=mean_ci([t.before_bill for t in trials]),
-        after_bill=mean_ci([t.after_bill for t in trials]),
-        inbound_fraction=mean_ci([t.inbound_fraction for t in trials]),
-        outbound_fraction=mean_ci([t.outbound_fraction for t in trials]),
-        optimal_direct_ixps=mean_ci([t.optimal_direct_ixps for t in trials]),
-        optimal_remote_ixps=mean_ci([t.optimal_remote_ixps for t in trials]),
-        viable_votes=sum(1 for t in trials if t.viable),
-    )

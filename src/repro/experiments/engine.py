@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Any, Hashable, Protocol, Sequence, TextIO
 
 from repro.errors import ConfigurationError
-from repro.experiments.aggregate import MeanCI
 
 #: Schema tag written to every artifact header line.  Success rows are
 #: ``{"trial_id", "variant", "seed", "result", "timings"}``: ``result``
@@ -99,7 +98,13 @@ class Study(Protocol):
         ...
 
     def metrics(self, result: Any) -> dict[str, float]:
-        """Headline scalars aggregated per variant (may be empty)."""
+        """Every per-trial scalar the kind's report and job metrics
+        aggregate (:func:`repro.experiments.aggregate.aggregate`).
+
+        A key the trial cannot define (precision with nothing called
+        remote) is left out rather than set to a placeholder, so the
+        aggregate covers the trials that define it.
+        """
         ...
 
     def encode(self, result: Any) -> dict[str, Any]:
@@ -205,18 +210,20 @@ class TrialFailure:
 
 @dataclass
 class StudyResult:
-    """All trial results (trial-id order) plus execution accounting."""
+    """All trial results (trial-id order) plus execution accounting.
+
+    A run carries no aggregates: reports and job metrics reduce it with
+    :func:`repro.experiments.aggregate.aggregate` when they need them.
+    """
 
     study: str
     config: StudyConfig
     trials: list[Any]
     wall_s: float = 0.0
     world_builds: int = 0   # worlds actually built this run
-    world_reuses: int = 0   # trials served from a shared build
+    #: Trials of the groups whose world was built, minus the builds.
+    world_reuses: int = 0
     resumed: int = 0        # trials loaded from artifacts instead of run
-    #: ``mean_ci`` of each metric of ``Study.metrics`` over the surviving
-    #: trials, per variant (trial order).
-    streaming: dict[str, dict[str, MeanCI]] = field(default_factory=dict)
     #: Phase seconds the scheduler recorded for each surviving trial, by
     #: trial id (resumed trials as their artifact rows carry them).  Never
     #: part of a result, so results compare and digest as model output.

@@ -6,8 +6,8 @@ filter pipeline, and validate the remote/direct calls against the
 simulator's ground truth.  :class:`DetectionStudy` expresses that as the
 engine's ``build → run → measure`` contract; scheduling, world caching,
 resume artifacts and parallelism all come from
-:mod:`repro.experiments.engine`, and :func:`detection_summaries` turns a
-finished run into the per-variant aggregates the report renders.
+:mod:`repro.experiments.engine`, and :meth:`DetectionStudy.metrics`
+names every per-trial scalar the report aggregates.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ from repro.core.detection.filters import FilterPipeline
 from repro.core.detection.results import build_result
 from repro.core.detection.validation import validate_against_truth
 from repro.errors import ConfigurationError
-from repro.experiments.aggregate import (
-    MeanCI,
-    VariantSummary,
-    mean_ci,
-    optional_mean_ci,
-)
-from repro.experiments.engine import StudyResult
 from repro.rand import derive_seed
 from repro.sim.detection_world import (
     DetectionWorld,
@@ -228,14 +221,22 @@ class DetectionStudy:
         return measure_detection_trial(spec, world)
 
     def metrics(self, result: TrialResult) -> dict[str, float]:
+        """Headline counts, ``discards/<filter>`` per filter and
+        ``remote_fraction/<IXP>`` per IXP with analyzed interfaces (a
+        trial without evidence for an IXP is left out, not counted 0)."""
         out = {
             "analyzed": float(result.analyzed_count),
             "candidates": float(result.candidate_count),
+            "shortfall": float(result.shortfall),
         }
         if result.precision is not None:
             out["precision"] = result.precision
         if result.recall is not None:
             out["recall"] = result.recall
+        for name, count in result.discard_counts.items():
+            out[f"discards/{name}"] = float(count)
+        for acronym, fraction in result.remote_fraction_by_ixp.items():
+            out[f"remote_fraction/{acronym}"] = fraction
         return out
 
     def encode(self, result: TrialResult) -> dict:
@@ -244,43 +245,3 @@ class DetectionStudy:
     def decode(self, payload: dict) -> TrialResult:
         return TrialResult(**payload)
 
-
-def detection_summaries(result: StudyResult) -> list[VariantSummary]:
-    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
-    return [
-        _summarize(variant, trials)
-        for variant, trials in result.by_variant().items()
-    ]
-
-
-def _summarize(variant: str, trials: list[TrialResult]) -> VariantSummary:
-    filter_names: list[str] = []
-    for trial in trials:
-        for name in trial.discard_counts:
-            if name not in filter_names:
-                filter_names.append(name)
-    ixps = sorted({acr for t in trials for acr in t.remote_fraction_by_ixp})
-    return VariantSummary(
-        variant=variant,
-        trials=len(trials),
-        precision=optional_mean_ci([t.precision for t in trials]),
-        recall=optional_mean_ci([t.recall for t in trials]),
-        analyzed=mean_ci([t.analyzed_count for t in trials]),
-        candidates=mean_ci([t.candidate_count for t in trials]),
-        discards={
-            name: mean_ci([t.discard_counts.get(name, 0) for t in trials])
-            for name in filter_names
-        },
-        # Trials where an IXP had no analyzed interfaces carry no fraction
-        # for it; they are excluded (not counted as 0.0) so means/CIs
-        # reflect only trials with evidence.
-        remote_fraction_by_ixp={
-            acr: mean_ci([
-                t.remote_fraction_by_ixp[acr]
-                for t in trials
-                if acr in t.remote_fraction_by_ixp
-            ])
-            for acr in ixps
-        },
-        shortfall=mean_ci([t.shortfall for t in trials]),
-    )

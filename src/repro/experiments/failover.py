@@ -34,8 +34,6 @@ import numpy as np
 
 from repro.core.offload import ALL_GROUPS, OffloadEstimator, PeerGroups, greedy_expansion
 from repro.errors import ConfigurationError
-from repro.experiments.aggregate import MeanCI, mean_ci
-from repro.experiments.engine import StudyResult
 from repro.faults.schedule import (
     PSEUDOWIRE_DARK,
     FaultConfig,
@@ -249,6 +247,10 @@ class FailoverStudy:
             "realized_savings": result.realized_savings_fraction,
             "billing_error": result.billing_error,
             "dark_fraction": result.dark_time_fraction,
+            "ixp_count": float(result.ixp_count),
+            "dark_windows": float(result.dark_window_count),
+            "before_bill": result.before_bill,
+            "burst_penalty": result.burst_penalty,
         }
 
     def encode(self, result: FailoverTrialResult) -> dict:
@@ -257,52 +259,3 @@ class FailoverStudy:
     def decode(self, payload: dict) -> FailoverTrialResult:
         return FailoverTrialResult(**payload)
 
-
-@dataclass(frozen=True, slots=True)
-class FailoverVariantSummary:
-    """Aggregated failover metrics for one variant."""
-
-    variant: str
-    trials: int
-    group: int
-    ixp_count: MeanCI
-    dark_windows: MeanCI
-    dark_fraction: MeanCI
-    offload_fraction: MeanCI
-    before_bill: MeanCI
-    ideal_savings: MeanCI
-    realized_savings: MeanCI
-    billing_error: MeanCI
-    burst_penalty: MeanCI
-
-
-def failover_summaries(
-    study: FailoverStudy, result: StudyResult
-) -> list[FailoverVariantSummary]:
-    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
-    group_of = {v.name: v.group for v in study.variants}
-    return [
-        _summarize(variant, group_of[variant], trials)
-        for variant, trials in result.by_variant().items()
-    ]
-
-
-def _summarize(
-    variant: str, group: int, trials: list[FailoverTrialResult]
-) -> FailoverVariantSummary:
-    return FailoverVariantSummary(
-        variant=variant,
-        trials=len(trials),
-        group=group,
-        ixp_count=mean_ci([t.ixp_count for t in trials]),
-        dark_windows=mean_ci([t.dark_window_count for t in trials]),
-        dark_fraction=mean_ci([t.dark_time_fraction for t in trials]),
-        offload_fraction=mean_ci([t.offload_fraction for t in trials]),
-        before_bill=mean_ci([t.before_bill for t in trials]),
-        ideal_savings=mean_ci([t.ideal_savings_fraction for t in trials]),
-        realized_savings=mean_ci(
-            [t.realized_savings_fraction for t in trials]
-        ),
-        billing_error=mean_ci([t.billing_error for t in trials]),
-        burst_penalty=mean_ci([t.burst_penalty for t in trials]),
-    )

@@ -50,8 +50,6 @@ import numpy as np
 from repro.core.detection.campaign import CampaignConfig
 from repro.core.offload import ALL_GROUPS, OffloadEstimator, PeerGroups
 from repro.errors import ConfigurationError
-from repro.experiments.aggregate import MeanCI, mean_ci, optional_mean_ci
-from repro.experiments.engine import StudyResult
 from repro.experiments.ensemble import TrialSpec, measure_detection_trial
 from repro.netflow.billing import offload_billing_report
 from repro.rand import child_rng, derive_seed
@@ -372,9 +370,17 @@ class JointStudy:
     def metrics(self, result: JointTrialResult) -> dict[str, float]:
         out = {
             "detected_fraction": result.detected_fraction,
+            "oracle_fraction": result.oracle_fraction,
+            "realized_fraction": result.realized_fraction,
             "offload_gap": result.offload_gap,
+            "oracle_savings": result.oracle_savings_fraction,
+            "believed_savings": result.believed_savings_fraction,
             "realized_savings": result.realized_savings_fraction,
             "billing_error": result.billing_error,
+            "before_bill": result.before_bill,
+            "oracle_peers": float(result.oracle_peer_count),
+            "detected_peers": float(result.detected_peer_count),
+            "phantom_peers": float(result.phantom_peer_count),
         }
         if result.precision is not None:
             out["precision"] = result.precision
@@ -388,64 +394,3 @@ class JointStudy:
     def decode(self, payload: dict) -> JointTrialResult:
         return JointTrialResult(**payload)
 
-
-@dataclass(frozen=True, slots=True)
-class JointVariantSummary:
-    """Aggregated joint metrics for one variant."""
-
-    variant: str
-    trials: int
-    group: int
-    precision: MeanCI | None   # None when undefined in every trial
-    recall: MeanCI | None
-    oracle_fraction: MeanCI
-    detected_fraction: MeanCI
-    realized_fraction: MeanCI
-    offload_gap: MeanCI
-    oracle_savings: MeanCI
-    believed_savings: MeanCI
-    realized_savings: MeanCI
-    billing_error: MeanCI
-    before_bill: MeanCI
-    oracle_peers: MeanCI
-    detected_peers: MeanCI
-    phantom_peers: MeanCI
-
-
-def joint_summaries(
-    study: JointStudy, result: StudyResult
-) -> list[JointVariantSummary]:
-    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
-    group_of = {v.name: v.group for v in study.variants}
-    return [
-        _summarize(variant, group_of[variant], trials)
-        for variant, trials in result.by_variant().items()
-    ]
-
-
-def _summarize(
-    variant: str, group: int, trials: list[JointTrialResult]
-) -> JointVariantSummary:
-    return JointVariantSummary(
-        variant=variant,
-        trials=len(trials),
-        group=group,
-        precision=optional_mean_ci([t.precision for t in trials]),
-        recall=optional_mean_ci([t.recall for t in trials]),
-        oracle_fraction=mean_ci([t.oracle_fraction for t in trials]),
-        detected_fraction=mean_ci([t.detected_fraction for t in trials]),
-        realized_fraction=mean_ci([t.realized_fraction for t in trials]),
-        offload_gap=mean_ci([t.offload_gap for t in trials]),
-        oracle_savings=mean_ci([t.oracle_savings_fraction for t in trials]),
-        believed_savings=mean_ci(
-            [t.believed_savings_fraction for t in trials]
-        ),
-        realized_savings=mean_ci(
-            [t.realized_savings_fraction for t in trials]
-        ),
-        billing_error=mean_ci([t.billing_error for t in trials]),
-        before_bill=mean_ci([t.before_bill for t in trials]),
-        oracle_peers=mean_ci([t.oracle_peer_count for t in trials]),
-        detected_peers=mean_ci([t.detected_peer_count for t in trials]),
-        phantom_peers=mean_ci([t.phantom_peer_count for t in trials]),
-    )

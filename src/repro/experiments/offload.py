@@ -33,7 +33,6 @@ Grids sweep any :class:`OffloadWorldConfig` field via dotted
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -44,8 +43,6 @@ from repro.core.offload import (
     greedy_expansion,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.aggregate import MeanCI, mean_ci
-from repro.experiments.engine import StudyResult
 from repro.sim.offload_world import (
     OffloadWorld,
     OffloadWorldConfig,
@@ -254,6 +251,8 @@ class OffloadStudy:
         return {
             "inbound_fraction": result.inbound_fraction,
             "outbound_fraction": result.outbound_fraction,
+            "offloadable_networks": float(result.offloadable_networks),
+            "candidates": float(result.candidate_count),
             "five_ixp_share": result.five_ixp_share,
         }
 
@@ -265,65 +264,3 @@ class OffloadStudy:
         payload["expansion"] = tuple(payload["expansion"])
         return OffloadTrialResult(**payload)
 
-
-@dataclass(frozen=True, slots=True)
-class RankConsensus:
-    """Agreement on one greedy rank across a variant's trials."""
-
-    rank: int            # 1-based expansion position
-    ixp: str             # modal IXP at this rank
-    agreement: float     # fraction of trials picking the modal IXP here
-
-
-@dataclass(frozen=True, slots=True)
-class OffloadVariantSummary:
-    """Aggregated offload metrics for one variant."""
-
-    variant: str
-    trials: int
-    group: int
-    inbound_fraction: MeanCI
-    outbound_fraction: MeanCI
-    offloadable_networks: MeanCI
-    candidate_count: MeanCI
-    five_ixp_share: MeanCI
-    expansion_consensus: tuple[RankConsensus, ...]
-
-
-def offload_summaries(
-    study: OffloadStudy, result: StudyResult
-) -> list[OffloadVariantSummary]:
-    """Mean ± 95% CI aggregates, one per variant with surviving trials."""
-    group_of = {v.name: v.group for v in study.variants}
-    return [
-        _summarize(variant, group_of[variant], trials)
-        for variant, trials in result.by_variant().items()
-    ]
-
-
-def _summarize(
-    variant: str, group: int, trials: list[OffloadTrialResult]
-) -> OffloadVariantSummary:
-    depth = max((len(t.expansion) for t in trials), default=0)
-    consensus = []
-    for rank in range(depth):
-        picks = Counter(
-            t.expansion[rank] for t in trials if len(t.expansion) > rank
-        )
-        ixp, count = picks.most_common(1)[0]
-        consensus.append(
-            RankConsensus(
-                rank=rank + 1, ixp=ixp, agreement=count / len(trials)
-            )
-        )
-    return OffloadVariantSummary(
-        variant=variant,
-        trials=len(trials),
-        group=group,
-        inbound_fraction=mean_ci([t.inbound_fraction for t in trials]),
-        outbound_fraction=mean_ci([t.outbound_fraction for t in trials]),
-        offloadable_networks=mean_ci([t.offloadable_networks for t in trials]),
-        candidate_count=mean_ci([t.candidate_count for t in trials]),
-        five_ixp_share=mean_ci([t.five_ixp_share for t in trials]),
-        expansion_consensus=tuple(consensus),
-    )

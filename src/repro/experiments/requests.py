@@ -9,8 +9,8 @@ kind plus a flat ``config`` object::
 
 :data:`STUDIES` maps each study kind to three things: the typed schema of
 its config keys (:class:`Option` entries), a factory from a validated
-config to the kind's :class:`~repro.experiments.engine.Study`, and a
-renderer of a finished :class:`~repro.experiments.engine.StudyResult`.
+config to the kind's :class:`~repro.experiments.engine.Study`, and its
+report, a renderer of :mod:`repro.reporting.ensembles`.
 Every front end goes through it:
 
 * ``repro study <kind>`` offers one flag per config key — ``--`` plus the
@@ -24,10 +24,12 @@ Every front end goes through it:
   a named variant grid of :mod:`repro.experiments.scenarios` through the
   ``scenario`` schema below (every key but ``name`` is a flag);
 
-and every finished run is reported by :func:`render_report`, which ends
-with the run's :meth:`~repro.experiments.engine.StudyResult.coverage_note`
-whenever there is one, so a quarantined trial, a fallback or a pool
-restart always reaches the report.
+and every finished run is reported by :func:`render_report`, which hands
+the kind's renderer the run's one aggregate
+(:func:`~repro.experiments.aggregate.aggregate`) and ends with the run's
+:meth:`~repro.experiments.engine.StudyResult.coverage_note` whenever
+there is one, so a quarantined trial, a fallback or a pool restart
+always reaches the report.
 
 Config keys (every key is optional; ``seeds`` is a list or
 ``{"count": N, "offset": K}`` and defaults to 16 seeds, 4 for ``mega``):
@@ -71,25 +73,13 @@ from typing import Any, Callable
 
 from repro.core.offload import ALL_GROUPS
 from repro.errors import ConfigurationError, EconomicsError
-from repro.experiments.economics import (
-    EconomicsStudy,
-    EconomicsVariant,
-    economics_summaries,
-)
+from repro.experiments.aggregate import aggregate
+from repro.experiments.economics import EconomicsStudy, EconomicsVariant
 from repro.experiments.engine import Study, StudyConfig, StudyResult
-from repro.experiments.ensemble import (
-    DetectionStudy,
-    detection_summaries,
-    grid_variants,
-)
-from repro.experiments.failover import FailoverStudy, failover_summaries
-from repro.experiments.joint import JointStudy, JointVariant, joint_summaries
+from repro.experiments.ensemble import DetectionStudy, grid_variants
+from repro.experiments.joint import JointStudy, JointVariant
 from repro.experiments.mega import MegaStudy, MegaVariant
-from repro.experiments.offload import (
-    OffloadStudy,
-    offload_grid_variants,
-    offload_summaries,
-)
+from repro.experiments.offload import OffloadStudy, offload_grid_variants
 from repro.experiments.scenarios import PRESETS, SCENARIOS
 from repro.ixp.catalog import spec_by_acronym
 from repro.reporting.ensembles import (
@@ -161,12 +151,13 @@ class StudyKind:
     """One registry entry: how a study kind is requested and reported.
 
     ``build`` turns a validated config — every key of ``options``, with
-    defaults filled in — into the study; ``render`` reports a finished
-    run of it.  ``flags`` are the CLI-only switches of ``repro study
-    <kind>`` as (name, help) pairs: ``strict_transport`` makes the
-    command fail on a transport fallback, any other switch is passed to
-    ``render``.  A kind without ``build`` is registered for its report
-    only.
+    defaults filled in — into the study; ``render(study, result, stats,
+    **flags)`` reports a finished run of it from ``stats``, the run's
+    :func:`~repro.experiments.aggregate.aggregate`.  ``flags`` are the
+    CLI-only switches of ``repro study <kind>`` as (name, help) pairs:
+    ``strict_transport`` makes the command fail on a transport fallback,
+    any other switch is passed to ``render``.  A kind without ``build``
+    is registered for its report only.
     """
 
     name: str
@@ -308,43 +299,6 @@ def _mega(values: dict[str, Any]) -> MegaStudy:
     ))
 
 
-# -- renderers: (study, StudyResult) -> report body ---------------------------
-
-
-def _render_detection(
-    study: DetectionStudy, result: StudyResult, per_ixp: bool = False
-) -> str:
-    return render_ensemble_report(
-        result, detection_summaries(result), per_ixp=per_ixp
-    )
-
-
-def _render_offload(study: OffloadStudy, result: StudyResult) -> str:
-    return render_offload_ensemble_report(
-        result, offload_summaries(study, result)
-    )
-
-
-def _render_economics(study: EconomicsStudy, result: StudyResult) -> str:
-    return render_economics_ensemble_report(
-        result, economics_summaries(study, result)
-    )
-
-
-def _render_joint(study: JointStudy, result: StudyResult) -> str:
-    return render_joint_ensemble_report(result, joint_summaries(study, result))
-
-
-def _render_failover(study: FailoverStudy, result: StudyResult) -> str:
-    return render_failover_ensemble_report(
-        result, failover_summaries(study, result)
-    )
-
-
-def _render_mega(study: MegaStudy, result: StudyResult) -> str:
-    return render_mega_report(result, study.variant_names())
-
-
 #: The registry: every study kind, in presentation order.
 STUDIES: dict[str, StudyKind] = {
     kind.name: kind
@@ -367,7 +321,7 @@ STUDIES: dict[str, StudyKind] = {
                 *ENGINE,
             ),
             build=_detection,
-            render=_render_detection,
+            render=render_ensemble_report,
             flags=(("per_ixp",
                     "also print per-IXP detected remote fractions"),),
         ),
@@ -392,7 +346,7 @@ STUDIES: dict[str, StudyKind] = {
                 *ENGINE,
             ),
             build=_offload,
-            render=_render_offload,
+            render=render_offload_ensemble_report,
         ),
         StudyKind(
             name="economics",
@@ -419,7 +373,7 @@ STUDIES: dict[str, StudyKind] = {
                 *ENGINE,
             ),
             build=_economics,
-            render=_render_economics,
+            render=render_economics_ensemble_report,
         ),
         StudyKind(
             name="joint",
@@ -440,7 +394,7 @@ STUDIES: dict[str, StudyKind] = {
                 _WORKERS,
             ),
             build=_joint,
-            render=_render_joint,
+            render=render_joint_ensemble_report,
         ),
         StudyKind(
             name="mega",
@@ -456,7 +410,7 @@ STUDIES: dict[str, StudyKind] = {
                 replace(_TRANSPORT, default="shm"),
             ),
             build=_mega,
-            render=_render_mega,
+            render=render_mega_report,
             seeds=4,
             flags=(("strict_transport",
                     "fail (exit 1) if any trial fell back from "
@@ -466,7 +420,7 @@ STUDIES: dict[str, StudyKind] = {
             name="failover",
             about="Offload savings eroded by pseudowire dark windows "
             "(the failover scenario)",
-            render=_render_failover,
+            render=render_failover_ensemble_report,
         ),
     )
 }
@@ -548,6 +502,7 @@ def render_report(study: Study, result: StudyResult, **flags: bool) -> str:
     ``flags`` are the kind's report switches (``per_ixp`` for detection);
     every front end but the CLI renders with none.
     """
-    text = STUDIES[study.name].render(study, result, **flags)
+    render = STUDIES[study.name].render
+    text = render(study, result, aggregate(study, result), **flags)
     note = result.coverage_note()
     return f"{text}\n\nNote: {note}" if note else text

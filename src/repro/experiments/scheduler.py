@@ -73,7 +73,7 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import transport
-from repro.experiments.aggregate import MeanCI, mean_ci
+from repro.experiments.aggregate import aggregate
 from repro.experiments.engine import (
     Study,
     StudyConfig,
@@ -188,6 +188,10 @@ class _Outcome(NamedTuple):
     transport_fallbacks: int = 0
     #: A publish item's world, for the parent to adopt and fan out.
     published: _Attach | None = None
+    #: Worlds this item built (a failed build counts none), and the
+    #: trials of their groups beyond the first.
+    world_builds: int = 0
+    world_reuses: int = 0
 
 
 def _run_group(
@@ -219,7 +223,11 @@ def _run_group(
 
     Each measured trial's timings are the world's build seconds (for an
     attached world, its build in the publish item) and the seconds of
-    its successful ``study.measure`` call.
+    its successful ``study.measure`` call.  A world counts as built
+    only when its build returned, and then serves its group's trials:
+    every trial past the first is a reuse, whether the group is measured
+    here or fanned out from a published segment (an attach item counts
+    nothing).
     """
     box: dict[str, Any] = {}
 
@@ -237,13 +245,16 @@ def _run_group(
                              for spec in specs])
         build_s = (time.perf_counter() - start if attach is None
                    else attach[2])
+        builds = int(attach is None)
+        reuses = builds * (len(specs) - 1)
         fallbacks = 0
         if publish is not None:
             try:
                 meta, columns = study.export_world(world)  # type: ignore[attr-defined]
                 descriptor = transport.SegmentManager().create(
                     columns, name=publish)
-                return _Outcome([], published=(descriptor, meta, build_s))
+                return _Outcome([], published=(descriptor, meta, build_s),
+                                world_builds=builds, world_reuses=reuses)
             except ConfigurationError:
                 raise
             except Exception:
@@ -264,7 +275,8 @@ def _run_group(
                     break
             results.append(result if error is None
                            else _failure(spec, error, attempts=1 + retries))
-        return _Outcome(results, timings, transport_fallbacks=fallbacks)
+        return _Outcome(results, timings, transport_fallbacks=fallbacks,
+                        world_builds=builds, world_reuses=reuses)
     finally:
         world = None  # drop the world's views before unmapping them
         if "attached" in box:
@@ -301,6 +313,8 @@ def _run_item(
         [result for outcome in outcomes for result in outcome.results],
         {trial_id: timing for outcome in outcomes
          for trial_id, timing in outcome.timings.items()},
+        world_builds=sum(outcome.world_builds for outcome in outcomes),
+        world_reuses=sum(outcome.world_reuses for outcome in outcomes),
     )
 
 
@@ -318,8 +332,11 @@ def execute_study(
     This is the one place a study run reads the clock: each executed
     trial's phase seconds are recorded beside its result, in the
     artifact row's ``timings`` and in ``StudyResult.timings``, and never
-    inside it.  ``StudyResult.streaming`` is computed once, after the
-    run, over the surviving trials in trial order.
+    inside it.  The run is not aggregated here: ``Study.metrics`` is
+    never called, and readers apply
+    :func:`repro.experiments.aggregate.aggregate` to the result.
+    ``world_builds`` counts the worlds whose build returned and
+    ``world_reuses`` the trials of their groups beyond the first.
 
     ``on_trial(result, done, total)`` fires once per recorded trial —
     resumed trials first (in trial order), then executed ones as they
@@ -386,6 +403,8 @@ def execute_study(
                  config.quarantine)
     pool_restarts = 0
     transport_fallbacks = 0
+    world_builds = 0
+    world_reuses = 0
     #: Every item not yet finished, by id: what a broken pool re-runs.
     unfinished: dict[int, _WorkItem] = {}
 
@@ -400,9 +419,11 @@ def execute_study(
 
     def finish(item: _WorkItem, outcome: _Outcome) -> list[_WorkItem]:
         """Record a finished item; returns the items it spawns."""
-        nonlocal transport_fallbacks
+        nonlocal transport_fallbacks, world_builds, world_reuses
         del unfinished[id(item)]
         transport_fallbacks += outcome.transport_fallbacks
+        world_builds += outcome.world_builds
+        world_reuses += outcome.world_reuses
         for result in outcome.results:
             record(result, outcome.timings.get(result.trial_id))
         if item.attach is not None:
@@ -450,7 +471,6 @@ def execute_study(
                 queue.extendleft(reversed(
                     finish(running.pop(future), future.result())))
 
-    executed = sum(len(group) for group in group_list)
     writer = _ArtifactWriter(study, config.out_dir, fingerprint)
     manager = transport.SegmentManager() if use_shm and group_list else None
     try:
@@ -463,7 +483,7 @@ def execute_study(
             items = [_WorkItem(group_list[i:i + batch])
                      for i in range(0, len(group_list), batch)]
         # Items that can run side by side: a shm group's trials fan out.
-        parallel = executed if use_shm else len(items)
+        parallel = sum(map(len, group_list)) if use_shm else len(items)
         workers = config.workers or min(
             os.cpu_count() or 1, max(len(items), 1)
         )
@@ -499,38 +519,20 @@ def execute_study(
             # and every reserved name a worker may have half-created.
             manager.close_all()
 
-    world_builds = len(group_list)
     ordered = [completed[i] for i in range(total)]
-    survivors = [r for r in ordered if not isinstance(r, TrialFailure)]
     return StudyResult(
         study=study.name,
         config=config,
-        trials=survivors,
+        trials=[r for r in ordered if not isinstance(r, TrialFailure)],
         wall_s=time.perf_counter() - t0,
         world_builds=world_builds,
-        world_reuses=executed - world_builds,
+        world_reuses=world_reuses,
         resumed=resumed,
-        streaming=_aggregate(study, survivors),
         timings=dict(sorted(timings.items())),
         failures=[r for r in ordered if isinstance(r, TrialFailure)],
         pool_restarts=pool_restarts,
         transport_fallbacks=transport_fallbacks,
     )
-
-
-def _aggregate(
-    study: Study, trials: list[Any]
-) -> dict[str, dict[str, MeanCI]]:
-    """``mean_ci`` of every headline metric, per variant, in trial order."""
-    samples: dict[str, dict[str, list[float]]] = {}
-    for trial in trials:
-        per_variant = samples.setdefault(trial.variant, {})
-        for metric, value in study.metrics(trial).items():
-            per_variant.setdefault(metric, []).append(value)
-    return {
-        variant: {metric: mean_ci(v) for metric, v in metrics.items()}
-        for variant, metrics in samples.items()
-    }
 
 
 # --------------------------------------------------------------------------
@@ -964,6 +966,19 @@ class StudyScheduler:
                     job.study, job.config,
                     on_trial=on_trial, cancel=job.cancel_event,
                 )
+            # Aggregated inside the isolation boundary (a study's
+            # ``metrics`` may raise) and outside the scheduler lock.
+            metrics = {
+                variant: {
+                    metric: {
+                        "mean": ci.mean,
+                        "half_width": ci.half_width,
+                        "n": ci.n,
+                    }
+                    for metric, ci in stats.items()
+                }
+                for variant, stats in aggregate(job.study, result).items()
+            }
         except StudyCancelled as error:
             with self._lock:
                 self._finish(job, JobState.CANCELLED, error=str(error))
@@ -984,17 +999,7 @@ class StudyScheduler:
             job.cache_hit = (
                 result.resumed == job.trials_total and job.trials_total > 0
             )
-            job.metrics = {
-                variant: {
-                    metric: {
-                        "mean": ci.mean,
-                        "half_width": ci.half_width,
-                        "n": ci.n,
-                    }
-                    for metric, ci in metrics.items()
-                }
-                for variant, metrics in result.streaming.items()
-            }
+            job.metrics = metrics
             self._trial_hits += result.resumed
             self._trial_misses += job.trials_total - result.resumed
             self._finish(job, JobState.DONE)

@@ -3,25 +3,32 @@
 One scaffold serves every study: a headline mean ± 95% CI table per
 variant under a shared title format, followed by study-specific blocks
 (per-filter discards, greedy-expansion consensus, the viability vote).
-Each renderer takes the run's :class:`~repro.experiments.engine.
-StudyResult` (trial counts, seeds, wall time) and the per-variant
-summaries its study computes; :func:`repro.experiments.requests.
-render_report` pairs the two and appends the run's coverage note.
+Each renderer is its registry kind's ``render`` and is called as
+``render(study, result, stats, **flags)``: ``stats`` is the run's one
+aggregate, :func:`repro.experiments.aggregate.aggregate` — ``{variant:
+{metric: MeanCI}}`` over ``Study.metrics`` of the surviving trials —
+and a variant's trial count is the ``n`` of a metric every trial
+reports.  :func:`repro.experiments.requests.render_report` computes
+``stats`` and appends the run's coverage note.  Only the offload
+report's expansion consensus, a mode per greedy rank rather than a
+mean, reads the trials themselves (:func:`expansion_consensus`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.analysis.tables import render_table
 
-if TYPE_CHECKING:  # result types only — avoids a reporting ↔ experiments cycle
-    from repro.experiments.aggregate import MeanCI, VariantSummary
-    from repro.experiments.economics import EconomicsVariantSummary
-    from repro.experiments.engine import StudyResult
-    from repro.experiments.failover import FailoverVariantSummary
-    from repro.experiments.joint import JointVariantSummary
-    from repro.experiments.offload import OffloadVariantSummary
+if TYPE_CHECKING:  # types only — avoids a reporting ↔ experiments cycle
+    from repro.experiments.aggregate import Aggregates, MeanCI
+    from repro.experiments.economics import EconomicsStudy
+    from repro.experiments.engine import Study, StudyResult
+    from repro.experiments.failover import FailoverStudy
+    from repro.experiments.joint import JointStudy
+    from repro.experiments.mega import MegaStudy
+    from repro.experiments.offload import OffloadStudy
 
 
 def _ci(
@@ -34,19 +41,55 @@ def _ci(
     return f"{value.mean:.{decimals}f} ± {value.half_width:.{decimals}f}"
 
 
+def _by_prefix(stats: dict[str, MeanCI], prefix: str) -> dict[str, MeanCI]:
+    """The ``<prefix><name>`` metrics of one variant, keyed by name."""
+    return {
+        key[len(prefix):]: ci
+        for key, ci in stats.items() if key.startswith(prefix)
+    }
+
+
+def _groups(study: Any) -> dict[str, int]:
+    """Each variant's peer group."""
+    return {v.name: v.group for v in study.variants}
+
+
 def ensemble_title(
-    label: str, trials: int, variants: int, seeds: int, wall_s: float
+    label: str, study: Study, result: StudyResult, *extra: str
 ) -> str:
-    """The shared headline-table title of every ensemble report."""
-    return (
-        f"{label}: {trials} trials ({variants} variant(s) x {seeds} "
-        f"seed(s), {wall_s:.1f} s wall)"
-    )
+    """The shared headline-table title of every ensemble report.
+
+    It counts the trials attempted and the study's variants, so a run
+    whose variant lost every trial still reports the grid it ran.
+    """
+    trials = len(result.trials) + len(result.failures)
+    details = ", ".join((
+        f"{len(study.variant_names())} variant(s) x "
+        f"{len(result.config.seeds)} seed(s)",
+        f"{result.wall_s:.1f} s wall",
+        *extra,
+    ))
+    return f"{label}: {trials} trials ({details})"
+
+
+def expansion_consensus(trials: Sequence[Any]) -> list[tuple[str, float]]:
+    """The modal IXP at each greedy rank, with the share of ``trials``
+    that picked it there (rank ``i`` is entry ``i - 1``)."""
+    depth = max((len(t.expansion) for t in trials), default=0)
+    consensus = []
+    for rank in range(depth):
+        picks = Counter(
+            t.expansion[rank] for t in trials if len(t.expansion) > rank
+        )
+        ixp, count = picks.most_common(1)[0]
+        consensus.append((ixp, count / len(trials)))
+    return consensus
 
 
 def render_ensemble_report(
+    study: Study,
     result: StudyResult,
-    summaries: Sequence[VariantSummary],
+    stats: Aggregates,
     per_ixp: bool = False,
 ) -> str:
     """Render the detection study's per-variant mean ± 95% CI tables.
@@ -58,51 +101,50 @@ def render_ensemble_report(
     blocks: list[str] = []
 
     headline_rows = []
-    for s in summaries:
+    for variant, s in stats.items():
         headline_rows.append([
-            s.variant,
-            s.trials,
-            _ci(s.precision, as_percent=True),
-            _ci(s.recall, as_percent=True),
-            _ci(s.analyzed),
-            _ci(s.candidates),
-            _ci(s.shortfall),
+            variant,
+            s["candidates"].n,
+            _ci(s.get("precision"), as_percent=True),
+            _ci(s.get("recall"), as_percent=True),
+            _ci(s["analyzed"]),
+            _ci(s["candidates"]),
+            _ci(s["shortfall"]),
         ])
     blocks.append(render_table(
         ["variant", "trials", "precision", "recall", "analyzed",
          "candidates", "shortfall"],
         headline_rows,
-        title=ensemble_title(
-            "Ensemble", len(result.trials), len(summaries),
-            len(result.config.seeds), result.wall_s,
-        ),
+        title=ensemble_title("Ensemble", study, result),
     ))
 
-    for s in summaries:
-        rows = [[name, _ci(ci)] for name, ci in s.discards.items()]
+    for variant, s in stats.items():
+        rows = [[name, _ci(ci)]
+                for name, ci in _by_prefix(s, "discards/").items()]
         blocks.append(render_table(
             ["filter", "discards"],
             rows,
-            title=f"Per-filter discards — {s.variant}",
+            title=f"Per-filter discards — {variant}",
         ))
 
     if per_ixp:
-        for s in summaries:
+        for variant, s in stats.items():
             rows = [
                 [acr, _ci(ci, as_percent=True)]
-                for acr, ci in s.remote_fraction_by_ixp.items()
+                for acr, ci in sorted(
+                    _by_prefix(s, "remote_fraction/").items())
             ]
             blocks.append(render_table(
                 ["IXP", "remote fraction"],
                 rows,
-                title=f"Detected remote fraction — {s.variant}",
+                title=f"Detected remote fraction — {variant}",
             ))
 
     return "\n\n".join(blocks)
 
 
 def render_offload_ensemble_report(
-    result: StudyResult, summaries: Sequence[OffloadVariantSummary]
+    study: OffloadStudy, result: StudyResult, stats: Aggregates
 ) -> str:
     """Render the offload ensemble: fractions table + expansion consensus.
 
@@ -113,45 +155,44 @@ def render_offload_ensemble_report(
     modal greedy order with per-rank agreement across seeds.
     """
     blocks: list[str] = []
+    group = _groups(study)
 
     headline_rows = []
-    for s in summaries:
+    for variant, s in stats.items():
         headline_rows.append([
-            s.variant,
-            s.group,
-            s.trials,
-            _ci(s.inbound_fraction, as_percent=True),
-            _ci(s.outbound_fraction, as_percent=True),
-            _ci(s.offloadable_networks),
-            _ci(s.candidate_count),
-            _ci(s.five_ixp_share, as_percent=True),
+            variant,
+            group[variant],
+            s["inbound_fraction"].n,
+            _ci(s["inbound_fraction"], as_percent=True),
+            _ci(s["outbound_fraction"], as_percent=True),
+            _ci(s["offloadable_networks"]),
+            _ci(s["candidates"]),
+            _ci(s["five_ixp_share"], as_percent=True),
         ])
     blocks.append(render_table(
         ["variant", "group", "trials", "inbound offload", "outbound offload",
          "offloadable nets", "candidates", "5-IXP share"],
         headline_rows,
-        title=ensemble_title(
-            "Offload ensemble", len(result.trials), len(summaries),
-            len(result.config.seeds), result.wall_s,
-        ),
+        title=ensemble_title("Offload ensemble", study, result),
     ))
 
-    for s in summaries:
+    for variant, trials in result.by_variant().items():
         rows = [
-            [c.rank, c.ixp, f"{c.agreement:.0%}"]
-            for c in s.expansion_consensus
+            [rank, ixp, f"{agreement:.0%}"]
+            for rank, (ixp, agreement)
+            in enumerate(expansion_consensus(trials), start=1)
         ]
         blocks.append(render_table(
             ["#", "modal IXP", "agreement"],
             rows,
-            title=f"Greedy expansion consensus — {s.variant}",
+            title=f"Greedy expansion consensus — {variant}",
         ))
 
     return "\n\n".join(blocks)
 
 
 def render_joint_ensemble_report(
-    result: StudyResult, summaries: Sequence[JointVariantSummary]
+    study: JointStudy, result: StudyResult, stats: Aggregates
 ) -> str:
     """Render the joint detection→offload ensemble.
 
@@ -164,57 +205,58 @@ def render_joint_ensemble_report(
     vs realized savings, the forecast error, the baseline bill).
     """
     blocks: list[str] = []
+    group = _groups(study)
 
     headline_rows = []
-    for s in summaries:
+    for variant, s in stats.items():
         headline_rows.append([
-            s.variant,
-            s.group,
-            s.trials,
-            _ci(s.precision, as_percent=True),
-            _ci(s.recall, as_percent=True),
-            _ci(s.detected_fraction, as_percent=True),
-            _ci(s.oracle_fraction, as_percent=True),
-            _ci(s.offload_gap, as_percent=True),
-            _ci(s.realized_savings, as_percent=True),
+            variant,
+            group[variant],
+            s["detected_fraction"].n,
+            _ci(s.get("precision"), as_percent=True),
+            _ci(s.get("recall"), as_percent=True),
+            _ci(s["detected_fraction"], as_percent=True),
+            _ci(s["oracle_fraction"], as_percent=True),
+            _ci(s["offload_gap"], as_percent=True),
+            _ci(s["realized_savings"], as_percent=True),
         ])
     blocks.append(render_table(
         ["variant", "group", "trials", "precision", "recall",
          "detected offload", "oracle offload", "gap", "realized savings"],
         headline_rows,
         title=ensemble_title(
-            "Joint detection->offload ensemble", len(result.trials),
-            len(summaries), len(result.config.seeds), result.wall_s,
+            "Joint detection->offload ensemble", study, result
         ),
     ))
 
-    for s in summaries:
+    for variant, s in stats.items():
         rows = [
-            ["oracle remote peers", _ci(s.oracle_peers)],
-            ["detected remote peers", _ci(s.detected_peers)],
-            ["phantom peers (false calls)", _ci(s.phantom_peers)],
+            ["oracle remote peers", _ci(s["oracle_peers"])],
+            ["detected remote peers", _ci(s["detected_peers"])],
+            ["phantom peers (false calls)", _ci(s["phantom_peers"])],
             ["offload realized via detected map",
-             _ci(s.realized_fraction, as_percent=True)],
-            ["bill before offload", _ci(s.before_bill)],
+             _ci(s["realized_fraction"], as_percent=True)],
+            ["bill before offload", _ci(s["before_bill"])],
             ["savings forecast from detected map",
-             _ci(s.believed_savings, as_percent=True)],
-            ["savings realized", _ci(s.realized_savings, as_percent=True)],
-            ["savings with oracle map", _ci(s.oracle_savings,
-                                            as_percent=True)],
-            ["billing forecast error", _ci(s.billing_error,
-                                           as_percent=True)],
+             _ci(s["believed_savings"], as_percent=True)],
+            ["savings realized",
+             _ci(s["realized_savings"], as_percent=True)],
+            ["savings with oracle map",
+             _ci(s["oracle_savings"], as_percent=True)],
+            ["billing forecast error",
+             _ci(s["billing_error"], as_percent=True)],
         ]
         blocks.append(render_table(
             ["quantity", "mean ± 95% CI"],
             rows,
-            title=f"Peer map and billing — {s.variant}",
+            title=f"Peer map and billing — {variant}",
         ))
 
     return "\n\n".join(blocks)
 
 
 def render_failover_ensemble_report(
-    result: StudyResult, summaries: Sequence[FailoverVariantSummary]
+    study: FailoverStudy, result: StudyResult, stats: Aggregates
 ) -> str:
     """Render the failover ensemble: savings eroded by dark pseudowires.
 
@@ -226,52 +268,52 @@ def render_failover_ensemble_report(
     dark-time fraction, IXP footprint).
     """
     blocks: list[str] = []
+    group = _groups(study)
 
     headline_rows = []
-    for s in summaries:
+    for variant, s in stats.items():
+        error, dark = s["billing_error"], s["dark_fraction"]
         headline_rows.append([
-            s.variant,
-            s.group,
-            s.trials,
-            _ci(s.offload_fraction, as_percent=True),
-            _ci(s.ideal_savings, as_percent=True),
-            _ci(s.realized_savings, as_percent=True),
-            f"{s.billing_error.mean:.2%} ± {s.billing_error.half_width:.2%}",
-            f"{s.dark_fraction.mean:.2%} ± {s.dark_fraction.half_width:.2%}",
+            variant,
+            group[variant],
+            s["offload_fraction"].n,
+            _ci(s["offload_fraction"], as_percent=True),
+            _ci(s["ideal_savings"], as_percent=True),
+            _ci(s["realized_savings"], as_percent=True),
+            f"{error.mean:.2%} ± {error.half_width:.2%}",
+            f"{dark.mean:.2%} ± {dark.half_width:.2%}",
         ])
     blocks.append(render_table(
         ["variant", "group", "trials", "offload", "ideal savings",
          "realized savings", "billing error", "dark time"],
         headline_rows,
-        title=ensemble_title(
-            "Failover ensemble", len(result.trials), len(summaries),
-            len(result.config.seeds), result.wall_s,
-        ),
+        title=ensemble_title("Failover ensemble", study, result),
     ))
 
-    for s in summaries:
+    for variant, s in stats.items():
+        error, dark = s["billing_error"], s["dark_fraction"]
         rows = [
-            ["IXPs in greedy footprint", _ci(s.ixp_count, decimals=1)],
-            ["pseudowire dark windows", _ci(s.dark_windows, decimals=1)],
+            ["IXPs in greedy footprint", _ci(s["ixp_count"], decimals=1)],
+            ["pseudowire dark windows", _ci(s["dark_windows"], decimals=1)],
             ["dark time fraction",
-             f"{s.dark_fraction.mean:.3%} ± {s.dark_fraction.half_width:.3%}"],
-            ["bill before offload", _ci(s.before_bill)],
-            ["burst penalty (bill units)", _ci(s.burst_penalty, decimals=2)],
+             f"{dark.mean:.3%} ± {dark.half_width:.3%}"],
+            ["bill before offload", _ci(s["before_bill"])],
+            ["burst penalty (bill units)",
+             _ci(s["burst_penalty"], decimals=2)],
             ["savings lost to failover",
-             f"{s.billing_error.mean:.3%} ± "
-             f"{s.billing_error.half_width:.3%}"],
+             f"{error.mean:.3%} ± {error.half_width:.3%}"],
         ]
         blocks.append(render_table(
             ["quantity", "mean ± 95% CI"],
             rows,
-            title=f"Failover billing — {s.variant}",
+            title=f"Failover billing — {variant}",
         ))
 
     return "\n\n".join(blocks)
 
 
 def render_economics_ensemble_report(
-    result: StudyResult, summaries: Sequence[EconomicsVariantSummary]
+    study: EconomicsStudy, result: StudyResult, stats: Aggregates
 ) -> str:
     """Render the economics ensemble: savings CIs + the eq. 14 vote.
 
@@ -279,80 +321,79 @@ def render_economics_ensemble_report(
     transit-bill savings fraction, the fitted equation 3 decay rate, the
     closed-form optimal footprints (ñ direct, m̃ remote), the maximum
     offload fractions the savings derive from, and the viability vote —
-    how many seeds' fitted decay satisfied equation 14.
+    how many seeds' fitted decay satisfied equation 14 (the ``viable``
+    metric is 1 or 0 per trial, so its mean times ``n`` counts them, and
+    the verdict is a majority: a mean of at least one half).
     """
     blocks: list[str] = []
+    group = _groups(study)
 
     headline_rows = []
-    for s in summaries:
+    for variant, s in stats.items():
+        viable = s["viable"]
         headline_rows.append([
-            s.variant,
-            s.group,
-            s.trials,
-            _ci(s.savings_fraction, as_percent=True),
-            _ci(s.decay_rate, decimals=3),
-            _ci(s.optimal_direct_ixps, decimals=2),
-            _ci(s.optimal_remote_ixps, decimals=2),
-            f"{s.viable_votes}/{s.trials} ({s.viability_vote:.0%})",
+            variant,
+            group[variant],
+            viable.n,
+            _ci(s["savings_fraction"], as_percent=True),
+            _ci(s["decay_rate"], decimals=3),
+            _ci(s["optimal_direct_ixps"], decimals=2),
+            _ci(s["optimal_remote_ixps"], decimals=2),
+            f"{viable.mean * viable.n:.0f}/{viable.n} ({viable.mean:.0%})",
         ])
     blocks.append(render_table(
         ["variant", "group", "trials", "bill savings", "decay b",
          "ñ direct", "m̃ remote", "viable (eq. 14)"],
         headline_rows,
-        title=ensemble_title(
-            "Economics ensemble", len(result.trials), len(summaries),
-            len(result.config.seeds), result.wall_s,
-        ),
+        title=ensemble_title("Economics ensemble", study, result),
     ))
 
-    for s in summaries:
+    for variant, s in stats.items():
         rows = [
-            ["bill before offload", _ci(s.before_bill)],
-            ["bill after offload", _ci(s.after_bill)],
-            ["inbound offload fraction", _ci(s.inbound_fraction,
-                                             as_percent=True)],
-            ["outbound offload fraction", _ci(s.outbound_fraction,
-                                              as_percent=True)],
+            ["bill before offload", _ci(s["before_bill"])],
+            ["bill after offload", _ci(s["after_bill"])],
+            ["inbound offload fraction",
+             _ci(s["inbound_fraction"], as_percent=True)],
+            ["outbound offload fraction",
+             _ci(s["outbound_fraction"], as_percent=True)],
             ["eq. 14 verdict",
-             "VIABLE" if 2 * s.viable_votes >= s.trials else "not viable"
-             ],
+             "VIABLE" if s["viable"].mean >= 0.5 else "not viable"],
         ]
         blocks.append(render_table(
             ["quantity", "mean ± 95% CI"],
             rows,
-            title=f"Billing and viability — {s.variant}",
+            title=f"Billing and viability — {variant}",
         ))
 
     return "\n\n".join(blocks)
 
 
-def render_mega_report(result: StudyResult, variants: Sequence[str]) -> str:
+def render_mega_report(
+    study: MegaStudy, result: StudyResult, stats: Aggregates
+) -> str:
     """Render the mega expansion: covered-traffic CIs + the first world.
 
-    The headline table reads the engine's per-variant aggregates (a mega
-    trial carries no per-variant summary type); the trailer describes the
-    first surviving trial's world, the phase seconds the scheduler
-    recorded for it, and its greedy expansion order.
+    The headline table lists every variant of the study (``n/a`` for one
+    without a surviving trial); the trailer describes the first
+    surviving trial's world, the phase seconds the scheduler recorded
+    for it, and its greedy expansion order.
     """
     rows = []
-    for variant in variants:
-        stats = result.streaming.get(variant, {})
-        members = stats.get("covered_networks")
+    for variant in study.variant_names():
+        s = stats.get(variant, {})
+        members = s.get("covered_networks")
         rows.append([
             variant,
-            _ci(stats.get("covered_fraction"), as_percent=True),
-            _ci(stats.get("five_ixp_share"), as_percent=True),
+            _ci(s.get("covered_fraction"), as_percent=True),
+            _ci(s.get("five_ixp_share"), as_percent=True),
             "n/a" if members is None else f"{members.mean:,.0f}",
         ])
-    trials = len(result.trials) + len(result.failures)
     blocks = [render_table(
         ["variant", "covered traffic", "5-IXP share", "covered networks"],
         rows,
-        title=(
-            f"Mega expansion: {trials} trials "
-            f"({len(variants)} variant(s) x {len(result.config.seeds)} "
-            f"seed(s), {result.wall_s:.1f} s wall, "
-            f"transport={result.config.transport})"
+        title=ensemble_title(
+            "Mega expansion", study, result,
+            f"transport={result.config.transport}",
         ),
     )]
     if result.trials:

@@ -6,11 +6,13 @@ real content-addressed store in a temp directory) and drives it over
 actual HTTP:
 
 1. **Cold run** — submit a tiny single-IXP detection study, follow it to
-   completion, and require every trial to have executed (no store hit).
+   completion, and require every trial to have executed (no store hit)
+   and the job's ``metrics`` to carry the report's aggregates: precision,
+   recall, the shortfall and every per-filter discard count.
 2. **Warm run** — resubmit the byte-identical request and require a
    **100% cache hit**: all trials resumed from the artifact, zero
    recomputed, ``cache_hit`` flagged on the job and counted by
-   ``/metrics``.
+   ``/metrics``, and the same job ``metrics`` as the cold run.
 3. **Thread-safe deadline** — submit the same study with fresh seeds and
    a deliberately impossible ``trial_timeout_s``; the job runs on a
    scheduler thread (not a main thread), where SIGALRM cannot fire, so
@@ -48,6 +50,12 @@ SMOKE_REQUEST: dict[str, Any] = {
         "workers": 1,
     },
 }
+
+#: The detection report's per-filter discard metrics.
+DISCARD_METRICS = tuple(f"discards/{name}" for name in (
+    "sample-size", "ttl-switch", "ttl-match", "rtt-consistent",
+    "lg-consistent", "asn-change",
+))
 
 #: The deadline study: fresh seeds (a different fingerprint — the budget
 #: is not part of the content address, so reusing the cached seeds would
@@ -155,6 +163,9 @@ def run_smoke(verbose: bool = True) -> int:
             assert cold["trials"]["done"] == total, cold
             assert cold["trials"]["resumed"] == 0, cold
             assert not cold["cache_hit"], cold
+            wanted = {"precision", "recall", "shortfall", *DISCARD_METRICS}
+            missing = wanted - set(cold["metrics"].get("base", {}))
+            assert not missing, f"job metrics lack {sorted(missing)}: {cold}"
             say(f"cold run done: {total} trials executed "
                 f"({cold['wall_s']:.2f}s)")
 
@@ -167,6 +178,7 @@ def run_smoke(verbose: bool = True) -> int:
             assert warm["fingerprint"] == cold["fingerprint"], (cold, warm)
             assert warm["trials"]["resumed"] == total, warm
             assert warm["cache_hit"], warm
+            assert warm["metrics"] == cold["metrics"], (cold, warm)
             say(f"warm run done: 100% cache hit ({total}/{total} resumed, "
                 f"0 recomputed)")
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import pytest
 
-from repro.experiments import StudyConfig, run_study
+from repro.experiments import StudyConfig, aggregate, run_study
 from repro.experiments.engine import _artifact_path
 
 try:
@@ -140,7 +140,7 @@ def check_resume_idempotent(
         assert [t.trial_id for t in resumed.trials] == [
             t.trial_id for t in full.trials
         ]
-        assert resumed.streaming == full.streaming
+        assert aggregate(study, resumed) == aggregate(study, full)
         # The healed artifact carries every trial exactly once.  The
         # writer newline-terminates a truncated tail rather than erasing
         # it, so at most that one fragment line may fail to parse.

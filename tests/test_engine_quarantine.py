@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.aggregate import aggregate
 from repro.experiments.engine import (
     StudyConfig,
     TrialFailure,
@@ -154,7 +155,7 @@ class TestQuarantine:
             ("ok", 1), ("ok", 2), ("ok", 3), ("boom", 1), ("boom", 3),
         ]
         # Aggregates cover the survivors only.
-        assert result.streaming["boom"]["value"].n == 2
+        assert aggregate(CrashStudy(), result)["boom"]["value"].n == 2
         note = result.coverage_note()
         assert note is not None and "1 of 6 trials failed" in note
 
@@ -260,7 +261,7 @@ class TestFailedArtifacts:
         assert [t.value for t in again.trials] == [
             t.value for t in first.trials
         ]
-        assert again.streaming["boom"]["value"].n == 2
+        assert aggregate(study, again)["boom"]["value"].n == 2
         assert again.timings == first.timings
 
 

@@ -7,7 +7,7 @@ from repro.experiments import (
     ConfigVariant,
     DetectionStudy,
     StudyConfig,
-    detection_summaries,
+    aggregate,
     expand_trials,
     grid_variants,
     mean_ci,
@@ -147,20 +147,22 @@ class TestRunTrial:
 
 
 class TestRunEnsemble:
-    def test_inline_run_and_summaries(self):
+    def test_inline_run_and_aggregate(self):
         result = run_tiny(seeds=(0, 1, 2))
         assert [t.seed for t in result.trials] == [0, 1, 2]
-        (summary,) = detection_summaries(result)
-        assert summary.variant == "tiny" and summary.trials == 3
-        assert summary.precision is not None
-        assert 0.9 <= summary.precision.mean <= 1.0
-        assert summary.recall is not None and summary.recall.mean > 0.5
-        assert summary.analyzed.n == 3
-        assert set(summary.discards) == {
-            "sample-size", "ttl-switch", "ttl-match", "rtt-consistent",
-            "lg-consistent", "asn-change",
+        stats = aggregate(TINY, result)
+        assert list(stats) == ["tiny"]
+        tiny = stats["tiny"]
+        assert tiny["candidates"].n == 3
+        assert 0.9 <= tiny["precision"].mean <= 1.0
+        assert tiny["recall"].mean > 0.5
+        assert tiny["analyzed"].n == 3
+        assert {key for key in tiny if key.startswith("discards/")} == {
+            "discards/sample-size", "discards/ttl-switch",
+            "discards/ttl-match", "discards/rtt-consistent",
+            "discards/lg-consistent", "discards/asn-change",
         }
-        assert "TorIX" in summary.remote_fraction_by_ixp
+        assert "remote_fraction/TorIX" in tiny
 
     def test_report_renders(self):
         text = render_report(TINY, run_tiny(seeds=(0, 1)), per_ixp=True)
@@ -173,16 +175,16 @@ class TestRunEnsemble:
             world=DetectionWorldConfig(specs=TORIX),
             axes={"campaign.remoteness_threshold_ms": (5.0, 20.0)},
         )
-        result = run_tiny(study=DetectionStudy(variants=variants))
-        summaries = {s.variant: s for s in detection_summaries(result)}
-        assert len(summaries) == 2
+        study = DetectionStudy(variants=variants)
+        stats = aggregate(study, run_tiny(study=study))
+        assert len(stats) == 2
         loose, tight = (
-            summaries["remoteness_threshold_ms=20.0"],
-            summaries["remoteness_threshold_ms=5.0"],
+            stats["remoteness_threshold_ms=20.0"],
+            stats["remoteness_threshold_ms=5.0"],
         )
         # Lower thresholds call at least as many interfaces remote.
-        tight_fraction = tight.remote_fraction_by_ixp["TorIX"].mean
-        loose_fraction = loose.remote_fraction_by_ixp["TorIX"].mean
+        tight_fraction = tight["remote_fraction/TorIX"].mean
+        loose_fraction = loose["remote_fraction/TorIX"].mean
         assert tight_fraction >= loose_fraction
 
 

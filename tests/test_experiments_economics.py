@@ -11,8 +11,9 @@ from repro.experiments import (
     EconomicsStudy,
     EconomicsVariant,
     StudyConfig,
+    aggregate,
     economics_grid_variants,
-    economics_summaries,
+    mean_ci,
     render_report,
     run_study,
 )
@@ -94,14 +95,12 @@ class TestEconomicsTrial:
         the Figure 9 'few IXPs realize most potential' shape makes remote
         peering *unnecessary* for a RedIRIS-like NREN at these prices."""
         study = small_study()
-        (summary,) = economics_summaries(
+        (small,) = aggregate(
             study, run_inline(study, seeds=(0, 1, 2))
-        )
-        assert summary.trials == 3
-        assert summary.viable_votes == 0
-        assert summary.viability_vote == 0.0
-        assert 1.0 < summary.decay_rate.mean < 2.2
-        assert 0.2 < summary.savings_fraction.mean < 0.4
+        ).values()
+        assert small["viable"] == mean_ci([0.0, 0.0, 0.0])
+        assert 1.0 < small["decay_rate"].mean < 2.2
+        assert 0.2 < small["savings_fraction"].mean < 0.4
         # The same seeds with an Africa-like fixed-cost advantage
         # (h << g, expensive transit) flip every vote — Section 5.2.
         africa = small_study(
@@ -109,11 +108,10 @@ class TestEconomicsTrial:
             transit_price=10.0, direct_fixed=8.0, direct_unit=1.0,
             remote_fixed=0.8, remote_unit=3.0,
         )
-        (africa_summary,) = economics_summaries(
+        (africa_stats,) = aggregate(
             africa, run_inline(africa, seeds=(0, 1, 2))
-        )
-        assert africa_summary.viable_votes == 3
-        assert africa_summary.viability_vote == 1.0
+        ).values()
+        assert africa_stats["viable"] == mean_ci([1.0, 1.0, 1.0])
 
     def test_group_grid_shares_worlds(self):
         result = run_inline(EconomicsStudy(variants=(
@@ -138,11 +136,7 @@ class TestEconomicsResume:
         path.write_text("".join(lines[:2]))
         resumed = run_inline(study, out_dir=str(tmp_path))
         assert resumed.resumed == 1
-        (a,) = economics_summaries(study, full)
-        (b,) = economics_summaries(study, resumed)
-        assert a.savings_fraction == b.savings_fraction
-        assert a.decay_rate == b.decay_rate
-        assert a.viable_votes == b.viable_votes
+        assert aggregate(study, resumed) == aggregate(study, full)
 
 
 class TestEconomicsReport:

@@ -17,9 +17,9 @@ from repro.experiments import (
     OffloadStudy,
     OffloadVariant,
     StudyConfig,
+    aggregate,
     expand_trials,
     offload_grid_variants,
-    offload_summaries,
     render_report,
     run_study,
 )
@@ -29,6 +29,7 @@ from repro.netflow.traffic import (
     rank_profile_totals,
 )
 from repro.rand import make_rng
+from repro.reporting import expansion_consensus
 from repro.sim.offload_world import OffloadWorldConfig
 
 TINY_WORLD = OffloadWorldConfig(
@@ -119,13 +120,15 @@ class TestRunner:
             assert trial.expansion  # at least one IXP gains traffic
 
     def test_summaries_and_consensus(self, result):
-        (summary,) = offload_summaries(TINY, result)
-        assert summary.trials == 3
-        assert summary.group == 4
-        assert 0 < summary.inbound_fraction.mean < 1
-        assert summary.expansion_consensus
-        first = summary.expansion_consensus[0]
-        assert first.rank == 1 and 0 < first.agreement <= 1.0
+        (stats,) = aggregate(TINY, result).values()
+        assert stats["inbound_fraction"].n == 3
+        assert 0 < stats["inbound_fraction"].mean < 1
+        (trials,) = result.by_variant().values()
+        consensus = expansion_consensus(trials)
+        assert consensus
+        ixp, agreement = consensus[0]
+        assert ixp in {t.expansion[0] for t in trials}
+        assert 0 < agreement <= 1.0
 
     def test_deterministic(self, result):
         again = run_tiny(seeds=(0, 1, 2))

@@ -3,7 +3,7 @@
 The repo's change log repeatedly claims "reports are byte-identical"
 across refactors; these snapshots make that a gate instead of an
 assertion.  Each test runs a small fixed-seed study inline, zeroes the
-wall-clock figure (the only nondeterministic byte in a report), and
+wall-clock figures (the only nondeterministic bytes in a report), and
 compares the text of :func:`~repro.experiments.requests.render_report`
 against a committed golden file.
 
@@ -29,6 +29,8 @@ from repro.experiments import (
     FailoverVariant,
     JointStudy,
     JointVariant,
+    MegaStudy,
+    MegaVariant,
     OffloadStudy,
     OffloadVariant,
     StudyConfig,
@@ -39,6 +41,7 @@ from repro.experiments import (
 from repro.faults import FaultConfig
 from repro.ixp.catalog import spec_by_acronym
 from repro.sim.detection_world import DetectionWorldConfig
+from repro.sim.megatopo import MegaWorldConfig
 from tests.engine_equivalence import tiny_offload_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -65,9 +68,13 @@ def assert_matches_golden(name: str, report: str) -> None:
 
 
 def golden_report(study, seeds, **flags) -> str:
-    """The inline run's report with the wall-clock figure zeroed."""
+    """The inline run's report with every wall-clock figure zeroed."""
     result = run_study(study, StudyConfig(seeds=seeds, workers=1))
     result.wall_s = 0.0
+    result.timings = {
+        trial_id: dict.fromkeys(timing, 0.0)
+        for trial_id, timing in result.timings.items()
+    }
     return render_report(study, result, **flags)
 
 
@@ -137,4 +144,14 @@ class TestGoldenReports:
         ))
         assert_matches_golden(
             "joint_ensemble.txt", golden_report(study, (0, 1))
+        )
+
+    def test_mega_report(self):
+        world = MegaWorldConfig(size=600, seed=5)
+        study = MegaStudy(variants=tuple(
+            MegaVariant(name=f"depth={depth}", world=world, max_ixps=depth)
+            for depth in (3, 8)
+        ))
+        assert_matches_golden(
+            "mega_ensemble.txt", golden_report(study, (0, 1))
         )

@@ -10,10 +10,10 @@ from repro.experiments import (
     JointStudy,
     JointVariant,
     StudyConfig,
+    aggregate,
     economics_grid_variants,
     expand_trials,
     get_scenario,
-    joint_summaries,
     render_report,
     resolve,
     run_study,
@@ -167,12 +167,7 @@ class TestJointTrial:
         path.write_text("".join(lines[:2]))  # keep header + first trial
         resumed = run_inline(study, out_dir=str(tmp_path))
         assert resumed.resumed == 1
-        (a,) = joint_summaries(study, full)
-        (b,) = joint_summaries(study, resumed)
-        assert a.precision == b.precision
-        assert a.detected_fraction == b.detected_fraction
-        assert a.offload_gap == b.offload_gap
-        assert a.realized_savings == b.realized_savings
+        assert aggregate(study, resumed) == aggregate(study, full)
 
 
 class TestPeerGroupRestriction:

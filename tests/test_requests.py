@@ -190,7 +190,9 @@ class TestPoisonedTrialReachesTheReport:
         )
         result = run_study(study, config)
         report = render_report(study, result)
-        assert report.startswith("Ensemble: 2 trials (1 variant(s) x 3 seed(s)")
+        # The title counts the trials attempted, the table the survivors.
+        assert report.startswith("Ensemble: 3 trials (1 variant(s) x 3 seed(s)")
+        assert report.splitlines()[3].split()[:2] == ["base", "2"]
         assert report.endswith(f"\n\nNote: {result.coverage_note()}")
         assert "degraded coverage: 1 of 3 trials failed" in report
 
@@ -215,6 +217,17 @@ class TestPoisonedTrialReachesTheReport:
         ]) == 0
         assert "degraded coverage: 5 of 15 trials failed" in \
             capsys.readouterr().out
+
+
+def test_title_counts_a_variant_that_lost_every_trial(capsys):
+    from repro.cli import main
+
+    assert main([
+        "study", "detection", "--seeds", "1", "--trial-timeout-s", "0.001",
+        "--workers", "1",
+    ]) == 0
+    title = capsys.readouterr().out.splitlines()[0]
+    assert title.startswith("Ensemble: 1 trials (1 variant(s) x 1 seed(s)")
 
 
 def test_clean_run_has_no_note():

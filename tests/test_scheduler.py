@@ -17,12 +17,13 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.aggregate import aggregate
 from repro.experiments.engine import (
     StudyConfig,
     _artifact_path,
@@ -315,6 +316,44 @@ class TestPriorityOrdering:
         started = {job.name: job.started_s for job in jobs}
         assert started["high"] < started["high-2"]  # FIFO within a tie
         assert started["high-2"] < started["mid"] < started["low"]
+
+
+@dataclass(frozen=True, slots=True)
+class NoMetricsStudy(SleepyStudy):
+    """Its trials run, but the study cannot aggregate them."""
+
+    def metrics(self, result):
+        raise RuntimeError("no metrics for this study")
+
+
+class TestJobMetrics:
+    def test_metrics_are_the_aggregate_and_a_bad_study_fails_alone(
+        self, tmp_path
+    ):
+        study = SleepyStudy()
+        config = StudyConfig(seeds=(1, 2, 3), workers=1)
+        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler.start()
+        try:
+            job = _await(scheduler.submit(study=study, config=config))
+            bad = _await(scheduler.submit(
+                study=NoMetricsStudy(), config=replace(config, seeds=(4,)),
+            ))
+            after = _await(scheduler.submit(
+                study=study, config=replace(config, seeds=(5,)),
+            ))
+        finally:
+            scheduler.shutdown()
+        assert job.state is JobState.DONE
+        ci = aggregate(study, job.result)["base"]["value"]
+        assert job.metrics == {"base": {"value": {
+            "mean": ci.mean, "half_width": ci.half_width, "n": ci.n,
+        }}}
+        # A study whose metrics raise fails its own job; the scheduler
+        # thread lives on and runs the next one.
+        assert bad.state is JobState.FAILED
+        assert "no metrics for this study" in bad.error
+        assert after.state is JobState.DONE
 
 
 class TestDuplicateSubmissions:

@@ -13,7 +13,7 @@ from repro.experiments import (
     DetectionStudy,
     MeanCI,
     StudyConfig,
-    detection_summaries,
+    aggregate,
     expand_trials,
     grid_variants,
     mean_ci,
@@ -86,6 +86,16 @@ class ToyStudy:
         return _ToyResult(**payload)
 
 
+@dataclass(frozen=True, slots=True)
+class BrokenSeedStudy(ToyStudy):
+    """The toy study, except that seed 1's world never builds."""
+
+    def build(self, spec):
+        if spec.seed == 1:
+            raise RuntimeError("seed 1 cannot build")
+        return ToyStudy.build(self, spec)
+
+
 class TestExpansion:
     def test_variant_major_stable_ids(self):
         specs = expand_trials(ToyStudy(), (3, 4))
@@ -122,6 +132,22 @@ class TestWorldCache:
         assert [t.trial_id for t in result.trials] == [0, 1, 2, 3]
         assert [t.value for t in result.trials] == [5.0, 6.0, 10.0, 12.0]
 
+    @pytest.mark.parametrize(
+        "trial_batch, workers", [(1, 1), (3, 1), (1, 2)],
+        ids=("batch-1", "batch-3", "pool-2"),
+    )
+    def test_failed_build_is_not_counted(self, trial_batch, workers):
+        result = run_study(BrokenSeedStudy(), StudyConfig(
+            seeds=(0, 1, 2), workers=workers, trial_batch=trial_batch,
+        ))
+        assert [(f.variant, f.seed) for f in result.failures] == [
+            ("a", 1), ("b", 1),
+        ]
+        # Seeds 0 and 2 built one world each, which both variants used;
+        # seed 1's group built nothing and measured nothing.
+        assert result.world_builds == 2
+        assert result.world_reuses == 2
+
     @pytest.mark.slow
     def test_parallel_matches_inline(self):
         inline = run_study(ToyStudy(), StudyConfig(seeds=(1, 2), workers=1))
@@ -131,21 +157,31 @@ class TestWorldCache:
         ]
         assert pooled.world_builds == 2 and pooled.world_reuses == 2
         # The aggregates follow trial order, not completion order.
-        assert pooled.streaming == inline.streaming
+        assert aggregate(ToyStudy(), pooled) == aggregate(ToyStudy(), inline)
 
 
-class TestStreaming:
+class TestAggregate:
     def test_single_sample_zero_width(self):
         result = run_study(ToyStudy(), StudyConfig(seeds=(7,), workers=1))
-        assert result.streaming["a"]["value"] == MeanCI(7.0, 0.0, 1)
+        assert aggregate(ToyStudy(), result)["a"]["value"] == MeanCI(
+            7.0, 0.0, 1
+        )
 
-    def test_engine_streams_per_variant(self):
+    def test_one_mean_ci_per_variant_and_metric(self):
         result = run_study(ToyStudy(), StudyConfig(seeds=(1, 2, 3), workers=1))
         # One mean_ci per variant and metric, over its trials in order.
-        assert result.streaming == {
+        assert aggregate(ToyStudy(), result) == {
             "a": {"value": mean_ci([1.0, 2.0, 3.0])},
             "b": {"value": mean_ci([2.0, 4.0, 6.0])},
         }
+
+    def test_a_run_is_not_aggregated(self, monkeypatch):
+        def refuse(self, result):
+            raise AssertionError("execute_study called Study.metrics")
+
+        monkeypatch.setattr(ToyStudy, "metrics", refuse)
+        result = run_study(ToyStudy(), StudyConfig(seeds=(1, 2), workers=1))
+        assert len(result.trials) == 4
 
 
 class TestResume:
@@ -169,7 +205,7 @@ class TestResume:
             t.value for t in full.trials
         ]
         # The aggregates cover resumed trials too, bit for bit.
-        assert resumed.streaming == full.streaming
+        assert aggregate(study, resumed) == aggregate(study, full)
 
         # A third run finds everything done and executes nothing.
         again = run_study(study, config)
@@ -278,12 +314,7 @@ class TestDetectionOnEngine:
         path.write_text("".join(lines[:2]))  # keep header + first trial
         resumed = self._run(out_dir=str(tmp_path))
         assert resumed.resumed == 1
-        (a,) = detection_summaries(full)
-        (b,) = detection_summaries(resumed)
-        assert a.precision == b.precision
-        assert a.recall == b.recall
-        assert a.analyzed == b.analyzed
-        assert a.discards == b.discards
+        assert aggregate(self.STUDY, resumed) == aggregate(self.STUDY, full)
 
 
 #: The phase-seconds fields a parent-format (v1) detection result carried.
@@ -336,7 +367,7 @@ class TestTrialTimings:
         resumed = self._run(str(tmp_path))
         assert resumed.resumed == kept
         assert resumed.trials == fresh.trials
-        assert resumed.streaming == fresh.streaming
+        assert aggregate(self.STUDY, resumed) == aggregate(self.STUDY, fresh)
         for trial_id in range(kept):
             assert resumed.timings[trial_id] == V1_DETECTION_TIMINGS
         # A v1 artifact resumed in part takes v2 rows from then on, and

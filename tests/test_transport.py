@@ -505,6 +505,8 @@ class TestPooledBuilds:
         assert all("never builds" in f.error for f in result.failures)
         assert sorted(t.seed for t in result.trials) == [1, 1, 3, 3]
         assert result.transport_fallbacks == 0
+        # Two publish items built worlds; the failed one built nothing.
+        assert result.world_builds == 2 and result.world_reuses == 2
         assert shm_snapshot() == before
         assert_quiet(capfd)
 

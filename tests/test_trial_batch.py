@@ -30,6 +30,7 @@ from repro.experiments import (
     OffloadStudy,
     OffloadVariant,
     StudyConfig,
+    aggregate,
     run_study,
 )
 from repro.experiments.engine import _artifact_path
@@ -261,7 +262,7 @@ def check_batched_aggregates_match(seeds: list[int], k: int) -> None:
     assert [asdict(t) for t in batched.trials] == [
         asdict(t) for t in pertrial.trials
     ]
-    assert batched.streaming == pertrial.streaming
+    assert aggregate(study, batched) == aggregate(study, pertrial)
     assert batched.world_builds == pertrial.world_builds == len(seeds)
 
 
