@@ -80,9 +80,11 @@ chaos:
 		tests/test_engine_quarantine.py tests/test_failover_scenario.py
 	$(PY) -m repro scenarios run failover --preset small --seeds 2 --workers 1
 
-# The mega-scale gate: the ~20k-network smoke world through the study
-# engine over the zero-copy shared-memory transport, on two workers so
-# the worlds build in the pool even on a one-core runner.
+# The mega-scale gate: the weighted samplers most of a mega build runs
+# (held to numpy's choice/searchsorted as oracle), then the ~20k-network
+# smoke world through the study engine over the zero-copy shared-memory
+# transport, on two workers so the worlds build in the pool even on a
+# one-core runner.
 # --strict-transport fails the target if any trial fell back to
 # pickling, so the shm path cannot silently rot.  The run's output goes
 # through a pipe, which stays open until the resource tracker (started
@@ -90,7 +92,8 @@ chaos:
 # is read too: any resource_tracker line fails the target, and so does a
 # /dev/shm segment the run left behind.
 mega-smoke:
-	$(PY) -m pytest -q tests/test_megatopo.py tests/test_transport.py
+	$(PY) -m pytest -q tests/test_weighted_sampling.py tests/test_megatopo.py \
+		tests/test_transport.py
 	@log=$$(mktemp); LC_ALL=C ls /dev/shm > $$log.shm; \
 	{ $(PY) -m repro study mega --preset mega-smoke --seeds 4 \
 		--workers 2 --strict-transport; echo $$? > $$log.status; } 2>&1 \

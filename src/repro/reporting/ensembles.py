@@ -8,8 +8,11 @@ Each renderer is its registry kind's ``render`` and is called as
 aggregate, :func:`repro.experiments.aggregate.aggregate` — ``{variant:
 {metric: MeanCI}}`` over ``Study.metrics`` of the surviving trials —
 and a variant's trial count is the ``n`` of a metric every trial
-reports.  :func:`repro.experiments.requests.render_report` computes
-``stats`` and appends the run's coverage note.  Only the offload
+reports.  Every headline table lists each of ``study.variant_names()``,
+a variant that lost every trial with ``n/a`` cells and 0 trials; the
+per-variant blocks below it describe the variants with survivors.
+:func:`repro.experiments.requests.render_report` computes ``stats`` and
+appends the run's coverage note.  Only the offload
 report's expansion consensus, a mode per greedy rank rather than a
 mean, reads the trials themselves (:func:`expansion_consensus`).
 """
@@ -36,9 +39,15 @@ def _ci(
 ) -> str:
     if value is None:
         return "n/a"
-    if as_percent:
-        return f"{value.mean:.1%} ± {value.half_width:.1%}"
-    return f"{value.mean:.{decimals}f} ± {value.half_width:.{decimals}f}"
+    spec = f".{decimals}{'%' if as_percent else 'f'}"
+    return f"{value.mean:{spec}} ± {value.half_width:{spec}}"
+
+
+def _trials(stats: dict[str, MeanCI], metric: str) -> int:
+    """A variant's surviving trials: the ``n`` of ``metric``, which
+    every trial reports (0 for a variant that lost every trial)."""
+    value = stats.get(metric)
+    return 0 if value is None else value.n
 
 
 def _by_prefix(stats: dict[str, MeanCI], prefix: str) -> dict[str, MeanCI]:
@@ -101,15 +110,16 @@ def render_ensemble_report(
     blocks: list[str] = []
 
     headline_rows = []
-    for variant, s in stats.items():
+    for variant in study.variant_names():
+        s = stats.get(variant, {})
         headline_rows.append([
             variant,
-            s["candidates"].n,
+            _trials(s, "candidates"),
             _ci(s.get("precision"), as_percent=True),
             _ci(s.get("recall"), as_percent=True),
-            _ci(s["analyzed"]),
-            _ci(s["candidates"]),
-            _ci(s["shortfall"]),
+            _ci(s.get("analyzed")),
+            _ci(s.get("candidates")),
+            _ci(s.get("shortfall")),
         ])
     blocks.append(render_table(
         ["variant", "trials", "precision", "recall", "analyzed",
@@ -158,16 +168,17 @@ def render_offload_ensemble_report(
     group = _groups(study)
 
     headline_rows = []
-    for variant, s in stats.items():
+    for variant in study.variant_names():
+        s = stats.get(variant, {})
         headline_rows.append([
             variant,
             group[variant],
-            s["inbound_fraction"].n,
-            _ci(s["inbound_fraction"], as_percent=True),
-            _ci(s["outbound_fraction"], as_percent=True),
-            _ci(s["offloadable_networks"]),
-            _ci(s["candidates"]),
-            _ci(s["five_ixp_share"], as_percent=True),
+            _trials(s, "inbound_fraction"),
+            _ci(s.get("inbound_fraction"), as_percent=True),
+            _ci(s.get("outbound_fraction"), as_percent=True),
+            _ci(s.get("offloadable_networks")),
+            _ci(s.get("candidates")),
+            _ci(s.get("five_ixp_share"), as_percent=True),
         ])
     blocks.append(render_table(
         ["variant", "group", "trials", "inbound offload", "outbound offload",
@@ -208,17 +219,18 @@ def render_joint_ensemble_report(
     group = _groups(study)
 
     headline_rows = []
-    for variant, s in stats.items():
+    for variant in study.variant_names():
+        s = stats.get(variant, {})
         headline_rows.append([
             variant,
             group[variant],
-            s["detected_fraction"].n,
+            _trials(s, "detected_fraction"),
             _ci(s.get("precision"), as_percent=True),
             _ci(s.get("recall"), as_percent=True),
-            _ci(s["detected_fraction"], as_percent=True),
-            _ci(s["oracle_fraction"], as_percent=True),
-            _ci(s["offload_gap"], as_percent=True),
-            _ci(s["realized_savings"], as_percent=True),
+            _ci(s.get("detected_fraction"), as_percent=True),
+            _ci(s.get("oracle_fraction"), as_percent=True),
+            _ci(s.get("offload_gap"), as_percent=True),
+            _ci(s.get("realized_savings"), as_percent=True),
         ])
     blocks.append(render_table(
         ["variant", "group", "trials", "precision", "recall",
@@ -271,17 +283,17 @@ def render_failover_ensemble_report(
     group = _groups(study)
 
     headline_rows = []
-    for variant, s in stats.items():
-        error, dark = s["billing_error"], s["dark_fraction"]
+    for variant in study.variant_names():
+        s = stats.get(variant, {})
         headline_rows.append([
             variant,
             group[variant],
-            s["offload_fraction"].n,
-            _ci(s["offload_fraction"], as_percent=True),
-            _ci(s["ideal_savings"], as_percent=True),
-            _ci(s["realized_savings"], as_percent=True),
-            f"{error.mean:.2%} ± {error.half_width:.2%}",
-            f"{dark.mean:.2%} ± {dark.half_width:.2%}",
+            _trials(s, "offload_fraction"),
+            _ci(s.get("offload_fraction"), as_percent=True),
+            _ci(s.get("ideal_savings"), as_percent=True),
+            _ci(s.get("realized_savings"), as_percent=True),
+            _ci(s.get("billing_error"), as_percent=True, decimals=2),
+            _ci(s.get("dark_fraction"), as_percent=True, decimals=2),
         ])
     blocks.append(render_table(
         ["variant", "group", "trials", "offload", "ideal savings",
@@ -291,17 +303,16 @@ def render_failover_ensemble_report(
     ))
 
     for variant, s in stats.items():
-        error, dark = s["billing_error"], s["dark_fraction"]
         rows = [
             ["IXPs in greedy footprint", _ci(s["ixp_count"], decimals=1)],
             ["pseudowire dark windows", _ci(s["dark_windows"], decimals=1)],
             ["dark time fraction",
-             f"{dark.mean:.3%} ± {dark.half_width:.3%}"],
+             _ci(s["dark_fraction"], as_percent=True, decimals=3)],
             ["bill before offload", _ci(s["before_bill"])],
             ["burst penalty (bill units)",
              _ci(s["burst_penalty"], decimals=2)],
             ["savings lost to failover",
-             f"{error.mean:.3%} ± {error.half_width:.3%}"],
+             _ci(s["billing_error"], as_percent=True, decimals=3)],
         ]
         blocks.append(render_table(
             ["quantity", "mean ± 95% CI"],
@@ -329,16 +340,18 @@ def render_economics_ensemble_report(
     group = _groups(study)
 
     headline_rows = []
-    for variant, s in stats.items():
-        viable = s["viable"]
+    for variant in study.variant_names():
+        s = stats.get(variant, {})
+        viable = s.get("viable")
         headline_rows.append([
             variant,
             group[variant],
-            viable.n,
-            _ci(s["savings_fraction"], as_percent=True),
-            _ci(s["decay_rate"], decimals=3),
-            _ci(s["optimal_direct_ixps"], decimals=2),
-            _ci(s["optimal_remote_ixps"], decimals=2),
+            _trials(s, "viable"),
+            _ci(s.get("savings_fraction"), as_percent=True),
+            _ci(s.get("decay_rate"), decimals=3),
+            _ci(s.get("optimal_direct_ixps"), decimals=2),
+            _ci(s.get("optimal_remote_ixps"), decimals=2),
+            "n/a" if viable is None else
             f"{viable.mean * viable.n:.0f}/{viable.n} ({viable.mean:.0%})",
         ])
     blocks.append(render_table(

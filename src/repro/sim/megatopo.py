@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.geo.cities import default_city_db
 from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog, scaled_member_count
-from repro.rand import child_rng, derive_seed
+from repro.rand import child_rng, derive_seed, sorted_probe_search
 from repro.sim.netpool import (
     SCOPE_CONTINENTS,
     ColumnarNetworkPool,
@@ -350,17 +350,25 @@ def _weighted_rows(
 ) -> np.ndarray:
     """``rows × k`` distinct weighted picks from ``candidates``.
 
-    Inverse-CDF sampling via searchsorted on the cumulative weights, so
-    memory stays O(rows × k) — a per-row probability matrix would be
+    Inverse-CDF sampling on the cumulative weights, so memory stays
+    O(rows × k) — a per-row probability matrix would be
     O(rows × len(candidates)), which at 10⁶ stubs × 6k T2s is ruinous.
     Rows containing duplicates are redrawn whole; with k ≤ 3 and dozens
     of candidates the redraw set collapses geometrically.
+
+    Stream contract: the picks are numpy's ``searchsorted(cum,
+    uniforms * total, side="right")`` for the same uniforms, looked up
+    in sorted order by :func:`repro.rand.sorted_probe_search`
+    (``tests/test_weighted_sampling.py`` holds the two equal).
     """
     cum = np.cumsum(weights)
     total = cum[-1]
-    picks = candidates[
-        np.searchsorted(cum, rng.random((rows, k)) * total, side="right")
-    ]
+
+    def draw(count: int) -> np.ndarray:
+        hits, _ = sorted_probe_search(cum, rng.random((count, k)) * total)
+        return candidates[hits]
+
+    picks = draw(rows)
     if k == 1:
         return picks
     while True:
@@ -368,11 +376,7 @@ def _weighted_rows(
         dup_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
         if not dup_rows.size:
             return picks
-        picks[dup_rows] = candidates[
-            np.searchsorted(
-                cum, rng.random((dup_rows.size, k)) * total, side="right"
-            )
-        ]
+        picks[dup_rows] = draw(dup_rows.size)
 
 
 def build_mega_world(config: MegaWorldConfig | None = None) -> MegaWorld:

@@ -33,7 +33,7 @@ import numpy as np
 from repro.bgp.asys import AutonomousSystem
 from repro.errors import ConfigurationError
 from repro.geo.cities import City, CityDB
-from repro.rand import make_rng
+from repro.rand import make_rng, weighted_choice
 from repro.types import ASN, NetworkKind, PeeringPolicy
 
 #: Continent mix of IXP-going networks: the studied IXPs are mostly
@@ -243,6 +243,15 @@ def weighted_index_sample(
     positives are exhausted, and an all-zero vector falls back to a fully
     uniform draw — a bare ``rng.choice(p=...)`` would produce NaN weights
     or raise when the positives are fewer than ``count``.
+
+    Stream contract: the positive-weight path consumes the same uniforms
+    and returns the same indices as numpy's ``Generator.choice(indices,
+    size=count, replace=False, p=weights / weights.sum())`` — it runs
+    that loop itself (:func:`repro.rand.weighted_choice`), and
+    ``tests/test_weighted_sampling.py`` holds it to ``choice`` as an
+    oracle, so world digests do not depend on ``choice``'s internals.  A
+    NaN or negative weight on that path raises ``ValueError``, as
+    ``choice`` does.
     """
     if indices is None:
         indices = np.arange(len(weights))
@@ -254,7 +263,7 @@ def weighted_index_sample(
         zeros = indices[weights <= 0]
         extra = rng.choice(zeros, size=count - len(nonzero), replace=False)
         return np.concatenate([nonzero, extra])
-    return rng.choice(indices, size=count, replace=False, p=weights / total)
+    return indices[weighted_choice(rng, weights / total, count)]
 
 
 def generate_network_pool(

@@ -8,6 +8,8 @@ distribution only (``tests/test_world_builder_engines.py``).
 builds on; :func:`object_pool` wraps a columnar pool's views in it, which
 is how the suites compare the object sampler with
 :meth:`~repro.sim.netpool.ColumnarNetworkPool.sample_member_indices`.
+The object sampler draws with numpy's ``Generator.choice`` and shares no
+code with the product's draw loop.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.sim.netpool import (
     NetworkPoolConfig,
     PooledNetwork,
     _make_network,
-    weighted_index_sample,
 )
 from repro.types import ASN, NetworkKind
 
@@ -78,7 +79,11 @@ class NetworkPool:
         weights = np.array(
             [self.networks[i].propensity for i in eligible], dtype=float
         )
-        idx = weighted_index_sample(rng, weights, count)
+        # numpy's own sampler, not the product's draw loop: propensities
+        # are positive, so this is the branch the product takes too.
+        idx = rng.choice(
+            len(weights), size=count, replace=False, p=weights / weights.sum()
+        )
         return [self.networks[i] for i in eligible[idx]]
 
 

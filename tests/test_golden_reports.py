@@ -38,6 +38,7 @@ from repro.experiments import (
     render_report,
     run_study,
 )
+from repro.experiments.engine import TrialFailure
 from repro.faults import FaultConfig
 from repro.ixp.catalog import spec_by_acronym
 from repro.sim.detection_world import DetectionWorldConfig
@@ -78,80 +79,132 @@ def golden_report(study, seeds, **flags) -> str:
     return render_report(study, result, **flags)
 
 
+def detection_study() -> DetectionStudy:
+    return DetectionStudy(variants=grid_variants(
+        world=DetectionWorldConfig(specs=TORIX),
+        axes={"campaign.remoteness_threshold_ms": (5.0, 10.0)},
+    ))
+
+
+def offload_study() -> OffloadStudy:
+    return OffloadStudy(variants=(
+        OffloadVariant(name="tiny", world=tiny_offload_config(), max_ixps=4),
+        OffloadVariant(
+            name="no-exclusions",
+            world=tiny_offload_config(),
+            max_ixps=4,
+            exclude_transit_providers=False,
+            exclude_home_ixp_members=False,
+            exclude_geant_club=False,
+        ),
+    ))
+
+
+def economics_study() -> EconomicsStudy:
+    return EconomicsStudy(variants=(
+        EconomicsVariant(name="tiny", world=tiny_offload_config(), max_ixps=6),
+    ))
+
+
+def failover_study() -> FailoverStudy:
+    return FailoverStudy(variants=tuple(
+        FailoverVariant(
+            name=f"dark={scale}x",
+            world=tiny_offload_config(),
+            faults=FaultConfig(duration_scale=scale)
+            if scale > 0
+            else FaultConfig(intensity=0.0),
+            max_ixps=4,
+        )
+        for scale in (0.0, 1.0, 4.0)
+    ))
+
+
+def joint_study() -> JointStudy:
+    return JointStudy(variants=(
+        JointVariant(
+            name="tiny",
+            detection_world=DetectionWorldConfig(specs=TORIX),
+            offload_world=tiny_offload_config(),
+        ),
+    ))
+
+
+def mega_study() -> MegaStudy:
+    world = MegaWorldConfig(size=600, seed=5)
+    return MegaStudy(variants=tuple(
+        MegaVariant(name=f"depth={depth}", world=world, max_ixps=depth)
+        for depth in (3, 8)
+    ))
+
+
 @pytest.mark.golden
 class TestGoldenReports:
     def test_detection_ensemble_report(self):
-        study = DetectionStudy(variants=grid_variants(
-            world=DetectionWorldConfig(specs=TORIX),
-            axes={"campaign.remoteness_threshold_ms": (5.0, 10.0)},
-        ))
         assert_matches_golden(
             "detection_ensemble.txt",
-            golden_report(study, (0, 1), per_ixp=True),
+            golden_report(detection_study(), (0, 1), per_ixp=True),
         )
 
     def test_offload_ensemble_report(self):
-        study = OffloadStudy(variants=(
-            OffloadVariant(
-                name="tiny", world=tiny_offload_config(), max_ixps=4
-            ),
-            OffloadVariant(
-                name="no-exclusions",
-                world=tiny_offload_config(),
-                max_ixps=4,
-                exclude_transit_providers=False,
-                exclude_home_ixp_members=False,
-                exclude_geant_club=False,
-            ),
-        ))
         assert_matches_golden(
-            "offload_ensemble.txt", golden_report(study, (3, 4))
+            "offload_ensemble.txt", golden_report(offload_study(), (3, 4))
         )
 
     def test_economics_ensemble_report(self):
-        study = EconomicsStudy(variants=(
-            EconomicsVariant(
-                name="tiny", world=tiny_offload_config(), max_ixps=6
-            ),
-        ))
         assert_matches_golden(
-            "economics_ensemble.txt", golden_report(study, (3, 4))
+            "economics_ensemble.txt",
+            golden_report(economics_study(), (3, 4)),
         )
 
     def test_failover_ensemble_report(self):
-        study = FailoverStudy(variants=tuple(
-            FailoverVariant(
-                name=f"dark={scale}x",
-                world=tiny_offload_config(),
-                faults=FaultConfig(duration_scale=scale)
-                if scale > 0
-                else FaultConfig(intensity=0.0),
-                max_ixps=4,
-            )
-            for scale in (0.0, 1.0, 4.0)
-        ))
         assert_matches_golden(
-            "failover_ensemble.txt", golden_report(study, (3, 4))
+            "failover_ensemble.txt", golden_report(failover_study(), (3, 4))
         )
 
     def test_joint_ensemble_report(self):
-        study = JointStudy(variants=(
-            JointVariant(
-                name="tiny",
-                detection_world=DetectionWorldConfig(specs=TORIX),
-                offload_world=tiny_offload_config(),
-            ),
-        ))
         assert_matches_golden(
-            "joint_ensemble.txt", golden_report(study, (0, 1))
+            "joint_ensemble.txt", golden_report(joint_study(), (0, 1))
         )
 
     def test_mega_report(self):
-        world = MegaWorldConfig(size=600, seed=5)
-        study = MegaStudy(variants=tuple(
-            MegaVariant(name=f"depth={depth}", world=world, max_ixps=depth)
-            for depth in (3, 8)
-        ))
         assert_matches_golden(
-            "mega_ensemble.txt", golden_report(study, (0, 1))
+            "mega_ensemble.txt", golden_report(mega_study(), (0, 1))
         )
+
+
+def headline_row(report: str, variant: str) -> list[str]:
+    """The cells of ``variant``'s row in the report's headline table."""
+    headline = report.split("\n\n")[0]
+    for line in headline.splitlines():
+        if line.split()[:1] == [variant]:
+            return line.split()
+    raise AssertionError(f"no headline row for {variant!r}:\n{headline}")
+
+
+class TestVariantThatLostEveryTrial:
+    """Every report lists a variant whose trials were all quarantined, as
+    a row of ``n/a`` cells with 0 trials, beside the surviving ones."""
+
+    @pytest.mark.parametrize("make_study", [
+        detection_study, offload_study, economics_study, failover_study,
+        joint_study,
+    ])
+    def test_headline_keeps_the_lost_variant(self, make_study):
+        study = make_study()
+        result = run_study(study, StudyConfig(seeds=(3,), workers=1))
+        lost = study.variant_names()[-1]
+        result.failures = [
+            TrialFailure(t.trial_id, t.variant, t.seed, "lost")
+            for t in result.trials if t.variant == lost
+        ]
+        result.trials = [t for t in result.trials if t.variant != lost]
+        report = render_report(study, result)
+
+        cells = headline_row(report, lost)
+        trials_at = report.splitlines()[1].split().index("trials")
+        assert cells[trials_at] == "0"
+        assert cells[trials_at + 1:] == ["n/a"] * (len(cells) - trials_at - 1)
+        for survivor in study.variant_names()[:-1]:
+            assert headline_row(report, survivor)[trials_at] == "1"
+        assert "degraded coverage" in report

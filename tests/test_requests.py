@@ -226,8 +226,9 @@ def test_title_counts_a_variant_that_lost_every_trial(capsys):
         "study", "detection", "--seeds", "1", "--trial-timeout-s", "0.001",
         "--workers", "1",
     ]) == 0
-    title = capsys.readouterr().out.splitlines()[0]
-    assert title.startswith("Ensemble: 1 trials (1 variant(s) x 1 seed(s)")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("Ensemble: 1 trials (1 variant(s) x 1 seed(s)")
+    assert lines[3].split() == ["base", "0"] + ["n/a"] * 5
 
 
 def test_clean_run_has_no_note():
