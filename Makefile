@@ -11,7 +11,8 @@
 #   make mega-smoke  mega-scale gate: 20k-world study over shm transport
 #   make serve-smoke service gate: HTTP submit → cache hit → thread deadline
 #   make perf-check  benchmark correctness gate: a 1 s perfbench run of each
-#                    BENCHMARK.json workload, failing on any WRONG: output
+#                    BENCHMARK.json workload, untraced and traced, failing
+#                    on any WRONG: output
 #   make paper-check the paper-shape benches (Figures 8-10, economics,
 #                    ablations) as assertions, timing disabled
 #   make bench       retime every stage and rewrite BENCH_speed.json
@@ -127,19 +128,24 @@ serve-smoke:
 # the same build and measure code as the timed path, so a change that
 # moves both still reads correct: each workload's seed-3 results digest
 # is pinned here as well, and a different digest fails the target.
+# Each workload also runs once traced (--trace 1), which wraps the layer
+# entry points by name: a deleted or renamed one fails here too.
 PERF_DIGESTS := detection-batch=d4f1fd2d99a29504 \
 	economics-paper65=5976cc0b1cc85a75 mega-shm=ccd55238726eabcf
 
 perf-check:
 	for pin in $(PERF_DIGESTS); do \
 		workload=$${pin%%=*}; digest=$${pin#*=}; \
-		out=$$(python3 perfbench/run.py --workload $$workload --seed 3 \
-			--seconds 1 --trace 0 2>&1); status=$$?; \
-		echo "$$out"; \
-		[ $$status -eq 0 ] || exit 1; \
-		echo "$$out" | grep -q "results digest $$digest" || { \
-			echo "WRONG: $$workload results digest is not $$digest"; \
-			exit 1; }; \
+		for trace in 0 1; do \
+			out=$$(python3 perfbench/run.py --workload $$workload \
+				--seed 3 --seconds 1 --trace $$trace 2>&1); status=$$?; \
+			echo "$$out"; \
+			[ $$status -eq 0 ] || exit 1; \
+			echo "$$out" | grep -q "results digest $$digest" || { \
+				echo "WRONG: $$workload --trace $$trace results digest" \
+					"is not $$digest"; \
+				exit 1; }; \
+		done; \
 	done
 
 # The paper-shape gate: every pytest-benchmark item outside

@@ -1,6 +1,6 @@
 """Statistical helpers and report rendering used by benches and examples."""
 
-from repro.analysis.stats import ecdf, quantiles, rank_series
+from repro.analysis.stats import cdf_at
 from repro.analysis.tables import render_table
 
-__all__ = ["ecdf", "quantiles", "rank_series", "render_table"]
+__all__ = ["cdf_at", "render_table"]

@@ -1,23 +1,10 @@
-"""Small statistics helpers (CDFs, quantiles, rank series)."""
+"""Small statistics helpers: the empirical CDF of Figure 2."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.errors import AnalysisError
-
-
-def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: sorted values and cumulative fractions (Figure 2).
-
-    Returns ``(x, f)`` with ``f[i]`` the fraction of samples ≤ ``x[i]``.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise AnalysisError("cannot build a CDF from an empty sample")
-    x = np.sort(values)
-    f = np.arange(1, x.size + 1, dtype=float) / x.size
-    return x, f
 
 
 def cdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -28,20 +15,3 @@ def cdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     return np.searchsorted(values, points, side="right") / values.size
 
-
-def quantiles(values: np.ndarray, qs: list[float]) -> list[float]:
-    """Selected quantiles of a sample (qs in [0, 100])."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise AnalysisError("cannot take quantiles of an empty sample")
-    return [float(v) for v in np.percentile(values, qs)]
-
-
-def rank_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank plot data (Figure 5a): 1-based ranks and descending values."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise AnalysisError("cannot rank an empty sample")
-    ordered = np.sort(values)[::-1]
-    ranks = np.arange(1, ordered.size + 1)
-    return ranks, ordered

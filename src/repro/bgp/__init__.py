@@ -5,26 +5,20 @@ every flow crossing the studied network's border routers, customer cones of
 candidate peers, and the relationship labels (customer / provider / peer)
 that decide which traffic is offloadable.  This package provides all three
 — an exact Gao–Rexford propagation engine for arbitrary graphs, plus
-cone computation and routing tables.
+cone computation.
 """
 
 from repro.bgp.asys import AutonomousSystem
 from repro.bgp.relationships import ASGraph, Relationship
-from repro.bgp.cone import customer_cone, cone_address_mass
+from repro.bgp.cone import customer_cone
 from repro.bgp.routing import ASPath, RouteComputation, RouteKind
-from repro.bgp.table import RoutingTable, RouteEntry
-from repro.bgp.routeserver import RouteServer
 
 __all__ = [
     "AutonomousSystem",
     "ASGraph",
     "Relationship",
     "customer_cone",
-    "cone_address_mass",
     "ASPath",
     "RouteComputation",
     "RouteKind",
-    "RoutingTable",
-    "RouteEntry",
-    "RouteServer",
 ]

@@ -26,30 +26,3 @@ def customer_cone(graph: ASGraph, asn: ASN) -> set[ASN]:
                 queue.append(customer)
     return cone
 
-
-def customer_cones(graph: ASGraph, asns: list[ASN]) -> dict[ASN, set[ASN]]:
-    """Customer cones for many ASes.
-
-    Cones are computed independently; worst case is O(len(asns) * E) but in
-    hierarchical graphs the cones of stub networks are tiny, so the realistic
-    cost is dominated by the few large transit cones.
-    """
-    return {asn: customer_cone(graph, asn) for asn in asns}
-
-
-def cone_address_mass(graph: ASGraph, cone: set[ASN]) -> int:
-    """Total originated IPv4 address space inside a cone (Figure 10 metric)."""
-    # Integer sum is order-independent, so hash-order iteration cannot
-    # change the result.  # repro-lint: ok[det-set-iter]
-    return sum(graph.get(asn).address_space for asn in cone)
-
-
-def cone_size_ranking(graph: ASGraph) -> list[tuple[ASN, int]]:
-    """All ASes ranked by customer-cone size, largest first.
-
-    Useful for sanity checks: the provider-free (tier-1) clique must top
-    this ranking in any realistic topology.
-    """
-    ranked = [(asn, len(customer_cone(graph, asn))) for asn in graph.asns()]
-    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-    return ranked

@@ -80,44 +80,21 @@ class ASGraph:
             raise TopologyError(f"duplicate ASN {min(clash)}")
         self._ases.update(new)
 
-    def add_customer_provider_bulk(
-        self, pairs: Iterable[tuple[ASN, ASN]]
-    ) -> None:
-        """Record many customer→provider edges at once.
-
-        The fast path behind the vectorized world builders: nodes must
-        already exist and each (customer, provider) pair must be fresh and
-        non-contradictory — callers pass pre-deduplicated draws, and the
-        engine-equivalence suites check the result against the scalar
-        builder, which inserts every edge through the fully-checked
-        :meth:`add_customer_provider`.  Only self-edges are rejected here.
-        """
-        providers, customers = self._providers, self._customers
-        for customer, provider in pairs:
-            if customer == provider:
-                raise TopologyError(f"self-relationship on ASN {customer}")
-            held = providers.get(customer)
-            if held is None:
-                held = providers[customer] = set()
-            held.add(provider)
-            held = customers.get(provider)
-            if held is None:
-                held = customers[provider] = set()
-            held.add(customer)
-        self._provider_views.clear()
-        self._customer_views.clear()
-
     def add_customer_provider_arrays(
         self, customers: "np.ndarray", providers: "np.ndarray"
     ) -> None:
-        """Array fast path for :meth:`add_customer_provider_bulk`.
+        """Record many customer→provider edges at once.
 
-        ``customers`` and ``providers`` are aligned integer arrays with one
-        row per edge.  Additional contract on top of the bulk method's:
-        rows for one customer must be contiguous and that customer must
-        have **no pre-existing provider entries** (both hold for the
-        vectorized builders, whose edge arrays come out of ``np.repeat``
-        over freshly created nodes).  Provider-side rows may appear in any
+        The fast path behind the vectorized world builders: ``customers``
+        and ``providers`` are aligned integer arrays with one row per edge.
+        Nodes must already exist and each (customer, provider) pair must be
+        fresh and non-contradictory — the engine-equivalence suites check
+        the result against the scalar builder, which inserts every edge
+        through the fully-checked :meth:`add_customer_provider`.  Rows for
+        one customer must be contiguous and that customer must have **no
+        pre-existing provider entries** (both hold for the vectorized
+        builders, whose edge arrays come out of ``np.repeat`` over freshly
+        created nodes).  Provider-side rows may appear in any
         order and may extend existing customer sets.  Adjacency sets are
         assembled per group from array slices instead of per-edge adds.
         """
@@ -201,13 +178,6 @@ class ASGraph:
         view per node; callers must treat it as read-only.
         """
         return self._customers
-
-    def provider_sets(self) -> dict[ASN, set[ASN]]:
-        """The raw provider adjacency, keyed by customer ASN.
-
-        Same read-only contract as :meth:`customer_sets`.
-        """
-        return self._providers
 
     def _check_nodes(self, a: ASN, b: ASN) -> None:
         if a == b:

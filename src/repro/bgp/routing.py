@@ -59,11 +59,6 @@ class ASPath:
         return self.asns[0]
 
     @property
-    def destination(self) -> ASN:
-        """Last AS on the path."""
-        return self.asns[-1]
-
-    @property
     def next_hop(self) -> ASN:
         """The neighbour the source forwards to (itself for origin routes)."""
         return self.asns[1] if len(self.asns) > 1 else self.asns[0]
@@ -105,10 +100,6 @@ class RouteComputation:
     def path(self, source: ASN, destination: ASN) -> ASPath | None:
         """Best path from ``source`` to ``destination``, or None."""
         return self.best_paths_to(destination).get(source)
-
-    def invalidate(self) -> None:
-        """Drop all cached computations (call after mutating the graph)."""
-        self._cache.clear()
 
     # --- internals ------------------------------------------------------------
 

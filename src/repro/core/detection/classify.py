@@ -40,7 +40,3 @@ def band_label(min_rtt_ms: float) -> str:
             return label
     raise AnalysisError(f"unclassifiable RTT {min_rtt_ms}")  # pragma: no cover
 
-
-def band_index(min_rtt_ms: float) -> int:
-    """Index of the band (0..3) for array-shaped aggregations."""
-    return BAND_LABELS.index(band_label(min_rtt_ms))

@@ -53,11 +53,6 @@ class AnalyzedInterface:
     reply_count: int
 
     @property
-    def identified(self) -> bool:
-        """Whether the interface maps to a network."""
-        return self.asn is not None
-
-    @property
     def band(self) -> str:
         """The Figure 3 RTT band of this interface."""
         return band_label(self.min_rtt_ms)

@@ -17,7 +17,6 @@ from repro.core.economics.fitting import (
 from repro.core.economics.viability import (
     ViabilityVerdict,
     viability_condition,
-    viability_threshold_b,
     viability_grid,
     african_scenario,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "fit_power_decay",
     "ViabilityVerdict",
     "viability_condition",
-    "viability_threshold_b",
     "viability_grid",
     "african_scenario",
 ]

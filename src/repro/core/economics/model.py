@@ -76,13 +76,6 @@ class CostModel:
     def __init__(self, params: CostParameters) -> None:
         self.params = params
 
-    # -- traffic fractions ---------------------------------------------------------
-
-    def transit_fraction(self, n: float, m: float) -> float:
-        """t = e^{-b(n+m)} (eq. 3)."""
-        self._check_counts(n, m)
-        return math.exp(-self.params.b * (n + m))
-
     def allocation(self, n: float, m: float) -> Allocation:
         """Traffic split when the first ``n`` IXPs are direct, next ``m`` remote.
 
@@ -104,10 +97,6 @@ class CostModel:
         a = self.allocation(n, m)
         p = self.params
         return p.p * a.t + p.g * a.n + p.u * a.d + p.h * a.m + p.v * a.r
-
-    def transit_only_cost(self) -> float:
-        """Cost of delivering everything through transit."""
-        return self.params.p
 
     # -- closed-form optima ------------------------------------------------------------
 
@@ -146,13 +135,6 @@ class CostModel:
             return 0.0
         optimum = math.log(remote_total) / p.b - self.optimal_direct()
         return max(0.0, optimum)
-
-    def remote_peering_viable(self) -> bool:
-        """Eq. 14: remote peering pays off iff g(p−v)/(h(p−u)) ≥ e^b."""
-        p = self.params
-        if p.b == 0:
-            return False
-        return p.g * (p.p - p.v) / (p.h * (p.p - p.u)) >= math.exp(p.b)
 
     # -- numeric verification helpers -------------------------------------------------------
 

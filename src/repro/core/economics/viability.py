@@ -31,14 +31,14 @@ class ViabilityVerdict:
     viable: bool
     optimal_remote_ixps: float  # m̃ (0 when not viable)
 
-    @property
-    def margin(self) -> float:
-        """log(ratio) − b: positive means viable with room to spare."""
-        return math.log(self.ratio) - math.log(self.threshold)
-
 
 def viability_condition(params: CostParameters) -> ViabilityVerdict:
-    """Evaluate equation 14 for one parameter set."""
+    """Evaluate equation 14 for one parameter set.
+
+    At ``b = 0`` reaching IXPs never shrinks transit (eq. 3), so remote
+    peering buys nothing and is not viable, although the ratio meets
+    ``e^0 = 1``.
+    """
     ratio = params.g * (params.p - params.v) / (
         params.h * (params.p - params.u)
     )
@@ -48,24 +48,9 @@ def viability_condition(params: CostParameters) -> ViabilityVerdict:
         params=params,
         ratio=ratio,
         threshold=threshold,
-        viable=ratio >= threshold,
+        viable=params.b > 0 and ratio >= threshold,
         optimal_remote_ixps=model.optimal_remote_extra(),
     )
-
-
-def viability_threshold_b(params: CostParameters) -> float:
-    """The largest decay rate b at which remote peering stays viable.
-
-    From eq. 14: b* = ln( g(p−v) / (h(p−u)) ).  Networks with global
-    traffic (b below b*) profit from remote peering; networks whose
-    transit shrinks fast with few IXPs (b above b*) do not need it.
-    """
-    ratio = params.g * (params.p - params.v) / (
-        params.h * (params.p - params.u)
-    )
-    if ratio <= 0:
-        raise EconomicsError("degenerate prices: ratio must be positive")
-    return math.log(ratio)
 
 
 def viability_grid(

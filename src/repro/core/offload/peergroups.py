@@ -147,10 +147,6 @@ class PeerGroups:
             admitted |= _isin(members.asns, self.top_selective)
         return mask & admitted
 
-    def in_group(self, asn: ASN, group: int) -> bool:
-        """Whether candidate ``asn`` belongs to peer group ``group``."""
-        return asn in self.group_members(group)
-
     def group_members(self, group: int) -> frozenset[ASN]:
         """All candidates in one peer group."""
         asns = self.world.member_arrays().asns

@@ -17,7 +17,6 @@ world's per-AS address-space array.  No AS graph is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -41,51 +40,9 @@ class ReachabilityStep:
         return self.remaining_addresses / 1e9
 
 
-class _AddressMatrix:
-    """Per-group (IXP × all-AS) cone CSRs plus the address-space vector."""
-
-    def __init__(self, world: OffloadWorld, groups: PeerGroups) -> None:
-        self.world = world
-        self.groups = groups
-        self.members = world.member_arrays()
-        self.space = np.asarray(world.address_space, dtype=float)
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def rows(self, group: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._rows.get(group)
-        if cached is None:
-            cone_indptr, cone_indices = self.world.member_all_cones()
-            cached = self._rows[group] = cone_rows(
-                self.members, self.groups.member_mask(group),
-                cone_indptr, cone_indices, self.space.size,
-            )
-        return cached
-
-    def combined_mask(self, ixps: Iterable[str], group: int) -> np.ndarray:
-        """Coverage of the requested IXPs."""
-        indptr, indices = self.rows(group)
-        combined = np.zeros(self.space.size, dtype=bool)
-        for acronym in ixps:
-            row = self.members.row_of(acronym)
-            combined[indices[indptr[row]:indptr[row + 1]]] = True
-        return combined
-
-
 def total_address_space(world: OffloadWorld) -> float:
     """All announced addresses: the zero-IXP baseline (~2.6 B)."""
     return world.total_address_space()
-
-
-def reachable_via_peering(
-    world: OffloadWorld,
-    groups: PeerGroups,
-    ixps: Iterable[str],
-    group: int,
-) -> float:
-    """Addresses covered by the cones of reachable group members."""
-    matrices = _AddressMatrix(world, groups)
-    combined = matrices.combined_mask(ixps, group)
-    return float(matrices.space[combined].sum())
 
 
 def greedy_reachability(
@@ -100,18 +57,21 @@ def greedy_reachability(
     the most not-yet-covered address space (the shared set-cover kernel,
     ties to the alphabetically first IXP).
     """
-    matrices = _AddressMatrix(world, groups)
-    candidates = matrices.members.ixps
+    members = world.member_arrays()
+    space = np.asarray(world.address_space, dtype=float)
+    candidates = members.ixps
     limit = len(candidates) if max_ixps is None else min(max_ixps, len(candidates))
     if limit <= 0:
         raise ConfigurationError("max_ixps must be positive")
-    indptr, indices = matrices.rows(group)
-    total = float(matrices.space.sum())
+    cone_indptr, cone_indices = world.member_all_cones()
+    indptr, indices = cone_rows(
+        members, groups.member_mask(group), cone_indptr, cone_indices,
+        space.size,
+    )
+    total = float(space.sum())
     steps: list[ReachabilityStep] = []
-    for rank, best, covered in greedy_cover_rows(
-        indptr, indices, matrices.space, limit
-    ):
-        remaining = total - float(matrices.space[covered].sum())
+    for rank, best, covered in greedy_cover_rows(indptr, indices, space, limit):
+        remaining = total - float(space[covered].sum())
         fresh_gain = (
             (total - remaining) if not steps
             else steps[-1].remaining_addresses - remaining

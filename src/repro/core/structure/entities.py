@@ -88,11 +88,6 @@ class EntityPath:
         """The paper's flattening metric: middlemen on the path."""
         return len(self.intermediaries())
 
-    def layer3_projection(self) -> "EntityPath":
-        """What a layer-3 measurement would report: networks only."""
-        networks = tuple(e for e in self.entities if e.layer3_visible)
-        return EntityPath(entities=networks)
-
     def invisible_intermediaries(self) -> tuple[EconomicEntity, ...]:
         """Middlemen that layer-3 models miss (IXPs, L2 providers)."""
         return tuple(e for e in self.intermediaries() if not e.layer3_visible)

@@ -26,18 +26,7 @@ class TopologyError(ReproError):
 
 
 class RoutingError(ReproError):
-    """BGP propagation or lookup failed (no route, policy conflict...)."""
-
-
-class FallbackExhausted(RoutingError):
-    """Transit failover found no usable provider path for a withdrawn route.
-
-    Raised by :meth:`repro.bgp.table.RoutingTable.fallback_lookup` when a
-    dark peer's route cannot be re-homed: the viewpoint has no providers,
-    every provider is itself dark, or no provider has a loop-free path to
-    the destination.  A typed subclass so failover consumers can treat
-    "traffic is blackholed while the circuit is down" as a modeled
-    outcome distinct from a malformed-topology :class:`RoutingError`."""
+    """A malformed AS path (empty, or looping through an AS)."""
 
 
 class MeasurementError(ReproError):

@@ -170,10 +170,10 @@ The trial-quarantine lifecycle
 ------------------------------
 :func:`run_study` hardens every trial against worker failure.  A trial
 that raises (or exceeds ``StudyConfig.trial_timeout_s``) is retried up
-to ``trial_retries`` times, then — with ``quarantine=True``, the
-default — recorded as a :class:`~repro.experiments.engine.TrialFailure`
-instead of aborting the study: the group's remaining trials still run,
-aggregates cover the survivors, and
+to ``trial_retries`` times, then quarantined — recorded as a
+:class:`~repro.experiments.engine.TrialFailure` instead of aborting the
+study: the group's remaining trials still run, aggregates cover the
+survivors, and
 :meth:`~repro.experiments.engine.StudyResult.coverage_note` reports the
 degradation.  The deadline is a ``SIGALRM`` itimer, which only a main
 thread can take: a study with a budget that runs on any other thread
@@ -351,7 +351,6 @@ from repro.experiments.transport import (
 from repro.experiments.scenarios import (
     SCENARIOS,
     Scenario,
-    get_scenario,
     scenario_names,
 )
 from repro.experiments.requests import (
@@ -408,7 +407,6 @@ __all__ = [
     "economics_grid_variants",
     "execute_study",
     "expand_trials",
-    "get_scenario",
     "grid_variants",
     "mean_ci",
     "measure_failover_trial",

@@ -48,16 +48,6 @@ class MeanCI:
     half_width: float
     n: int
 
-    @property
-    def low(self) -> float:
-        """Lower CI bound."""
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        """Upper CI bound."""
-        return self.mean + self.half_width
-
     def __str__(self) -> str:
         return f"{self.mean:.4g} ± {self.half_width:.2g}"
 

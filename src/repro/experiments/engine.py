@@ -145,12 +145,10 @@ class StudyConfig:
     #: any other failure.  Each build and each measure of a batched item
     #: gets the budget on its own, as in an unbatched run.
     trial_timeout_s: float | None = None
-    #: Extra measure attempts before a trial is declared poison.
+    #: Extra measure attempts before a trial is declared poison.  A
+    #: poison trial is quarantined: it becomes a ``failed`` artifact row
+    #: and the study completes over the survivors.
     trial_retries: int = 0
-    #: With quarantine on (default), a poison trial becomes a ``failed``
-    #: artifact row and the study completes over the survivors; off, the
-    #: first trial exception propagates and tears the run down.
-    quarantine: bool = True
     #: Worlds per work item under one GC pause: up to this many world-key
     #: groups run one after another in one item, each built, measured
     #: and dropped before the next build.  ``1`` (default) gives every

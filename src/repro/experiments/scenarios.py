@@ -42,7 +42,7 @@ The six scenarios:
     precision/recall as LG outages, rate-limit storms, port flaps and
     probe-loss bursts scale from absent to 4× the calibrated intensity.
 
-Use :func:`get_scenario` / :func:`scenario_names` programmatically,
+Use :data:`SCENARIOS` / :func:`scenario_names` programmatically,
 ``repro scenarios list|run <name>`` from the CLI, or a ``{"study":
 "scenario", "config": {"name": ...}}`` request over ``repro serve``.
 """
@@ -286,13 +286,3 @@ def scenario_names() -> tuple[str, ...]:
     """Registered scenario names, in presentation order."""
     return tuple(SCENARIOS)
 
-
-def get_scenario(name: str) -> Scenario:
-    """Look up one scenario; unknown names fail loudly."""
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigurationError(
-            f"unknown scenario {name!r} (expected one of "
-            f"{', '.join(SCENARIOS)})"
-        )
-    return scenario

@@ -126,22 +126,19 @@ def _call_with_deadline(timeout_s: float | None, fn: Callable[[], Any]) -> Any:
 
 
 def _guarded(
-    timeout_s: float | None, quarantine: bool, fn: Callable[[], Any]
+    timeout_s: float | None, fn: Callable[[], Any]
 ) -> tuple[Any, Exception | None]:
     """``(fn(), None)`` under the deadline, or ``(None, error)`` when
     quarantine absorbs the failure.
 
     :class:`ConfigurationError` always propagates — a misconfigured study
-    is a programmer error, not chaos to absorb — and with quarantine off
-    so does every other error.
+    is a programmer error, not chaos to absorb.
     """
     try:
         return _call_with_deadline(timeout_s, fn), None
     except ConfigurationError:
         raise
     except Exception as error:
-        if not quarantine:
-            raise
         return None, error
 
 
@@ -199,7 +196,6 @@ def _run_group(
     specs: list[Any],
     timeout_s: float | None,
     retries: int,
-    quarantine: bool,
     attach: _Attach | None = None,
     publish: str | None = None,
 ) -> _Outcome:
@@ -218,8 +214,8 @@ def _run_group(
     A failed world fails every trial of the group (there is nothing to
     measure against).  One poison trial must not lose the group: each
     trial is retried up to ``retries`` times under the per-trial
-    deadline and then, with quarantine on, recorded as a
-    :class:`TrialFailure` while the rest of the group keeps running.
+    deadline and then quarantined, recorded as a :class:`TrialFailure`
+    while the rest of the group keeps running.
 
     Each measured trial's timings are the world's build seconds (for an
     attached world, its build in the publish item) and the seconds of
@@ -239,7 +235,7 @@ def _run_group(
 
     start = time.perf_counter()
     try:
-        world, error = _guarded(timeout_s, quarantine, _world)
+        world, error = _guarded(timeout_s, _world)
         if error is not None:
             return _Outcome([_failure(spec, error, attempts=1)
                              for spec in specs])
@@ -265,7 +261,7 @@ def _run_group(
             for _ in range(1 + retries):
                 began = time.perf_counter()
                 result, error = _guarded(
-                    timeout_s, quarantine, lambda: study.measure(spec, world),
+                    timeout_s, lambda: study.measure(spec, world),
                 )
                 if error is None:
                     timings[spec.trial_id] = {
@@ -288,7 +284,6 @@ def _run_item(
     item: _WorkItem,
     timeout_s: float | None,
     retries: int,
-    quarantine: bool,
 ) -> _Outcome:
     """Run one work item: its groups in turn, under one GC pause.
 
@@ -303,8 +298,8 @@ def _run_item(
     """
     with paused_gc():
         outcomes = [
-            _run_group(study, group, timeout_s, retries, quarantine,
-                       item.attach, item.publish)
+            _run_group(study, group, timeout_s, retries, item.attach,
+                       item.publish)
             for group in item.groups
         ]
     if len(outcomes) == 1:
@@ -399,8 +394,7 @@ def execute_study(
             done_so_far += 1
             on_trial(completed[trial_id], done_so_far, total)
 
-    item_args = (config.trial_timeout_s, config.trial_retries,
-                 config.quarantine)
+    item_args = (config.trial_timeout_s, config.trial_retries)
     pool_restarts = 0
     transport_fallbacks = 0
     world_builds = 0
@@ -663,16 +657,13 @@ class StudyScheduler:
         *,
         threads: int = 2,
         resolver: RequestResolver | None = None,
-        journal: bool = True,
     ) -> None:
         if threads < 1:
             raise ConfigurationError("scheduler needs at least one thread")
         self._store_dir = Path(store_dir)
         self._store_dir.mkdir(parents=True, exist_ok=True)
         self._resolver = resolver
-        self._journal_path = (
-            self._store_dir / "jobs.jsonl" if journal else None
-        )
+        self._journal_path = self._store_dir / "jobs.jsonl"
         self._threads_wanted = threads
         self._threads: list[threading.Thread] = []
         self._lock = threading.RLock()
@@ -846,7 +837,7 @@ class StudyScheduler:
         not re-run — the jobs resume from their content-addressed
         artifacts exactly like a killed ``run_study``.
         """
-        if self._journal_path is None or not self._journal_path.exists():
+        if not self._journal_path.exists():
             return 0
         submitted: dict[str, dict[str, Any]] = {}
         finished: set[str] = set()
@@ -890,8 +881,6 @@ class StudyScheduler:
         return job
 
     def _journal(self, event: dict[str, Any]) -> None:
-        if self._journal_path is None:
-            return
         try:
             encoded = json.dumps(event)
         except TypeError:

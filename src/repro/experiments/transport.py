@@ -145,8 +145,8 @@ class SegmentManager:
     ``create`` packs columns into a fresh segment with an initial
     reference count; ``reserve`` hands out a name for another process to
     ``create`` under, and ``adopt`` takes that segment over;
-    ``add_refs``/``release`` track outstanding trials; the segment is
-    unlinked when the count reaches zero.  ``close_all`` force-releases
+    ``release`` drops one outstanding trial; the segment is unlinked
+    when the count reaches zero.  ``close_all`` force-releases
     everything, reserved names included — the study engine calls it in a
     ``finally`` so quarantined groups, pool restarts and hard kills of
     the run all converge on the same cleanup path.  The manager maps no
@@ -214,12 +214,6 @@ class SegmentManager:
             raise ConfigurationError("an adopted segment needs >= 1 reference")
         self._reserved.discard(descriptor.segment)
         self._refs[descriptor.segment] = refs
-
-    def add_refs(self, segment: str, count: int) -> None:
-        """Register ``count`` more outstanding references on ``segment``."""
-        if segment not in self._refs:
-            raise ConfigurationError(f"unknown segment {segment!r}")
-        self._refs[segment] += count
 
     def release(self, segment: str) -> None:
         """Drop one reference; unlink the segment at zero.

@@ -8,7 +8,7 @@ of every RTT the simulator produces.
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geo.cities import City, CityDB, default_city_db
 from repro.geo.distances import CityDistanceMatrix, pairwise_distance_km
-from repro.geo.latency import LatencyModel, distance_band
+from repro.geo.latency import LatencyModel
 
 __all__ = [
     "GeoPoint",
@@ -19,5 +19,4 @@ __all__ = [
     "CityDistanceMatrix",
     "pairwise_distance_km",
     "LatencyModel",
-    "distance_band",
 ]

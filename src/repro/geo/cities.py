@@ -240,11 +240,6 @@ class CityDB:
         found = [c for c in self.cities.values() if c.continent == continent]
         return sorted(found, key=lambda c: c.name)
 
-    def by_country(self, country: str) -> list[City]:
-        """All cities in a country, name-sorted."""
-        found = [c for c in self.cities.values() if c.country == country]
-        return sorted(found, key=lambda c: c.name)
-
     def sample(
         self,
         rng: np.random.Generator,
@@ -264,13 +259,6 @@ class CityDB:
             )
         idx = rng.choice(len(pool), size=count, replace=False)
         return [pool[i] for i in idx]
-
-    def nearest(self, point: GeoPoint, limit: int = 1) -> list[City]:
-        """The ``limit`` cities closest to ``point``, nearest first."""
-        ranked = sorted(
-            self.cities.values(), key=lambda c: c.point.distance_km(point)
-        )
-        return ranked[:limit]
 
 
 def default_city_db() -> CityDB:

@@ -1,9 +1,8 @@
 """Distance-to-latency model.
 
-Maps great-circle distances to baseline round-trip propagation delays, and
-classifies distances into the paper's qualitative bands:  Section 3.2 reads
-the [10, 20), [20, 50) and [50, inf) ms min-RTT ranges as roughly intercity,
-intercountry, and intercontinental distances.
+Maps great-circle distances to baseline round-trip propagation delays.
+Section 3.2 reads the [10, 20), [20, 50) and [50, inf) ms min-RTT ranges
+as roughly intercity, intercountry, and intercontinental distances.
 """
 
 from __future__ import annotations
@@ -12,24 +11,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.units import FIBER_PATH_STRETCH, propagation_rtt_ms
-
-
-def distance_band(distance_km: float) -> str:
-    """Qualitative distance band for a great-circle distance.
-
-    The cut points are the distances whose fiber RTT sits at the paper's
-    10/20/50 ms thresholds under the default path stretch (~660, ~1300 and
-    ~3300 km).
-    """
-    if distance_km < 0:
-        raise ConfigurationError("distance cannot be negative")
-    if distance_km < 660:
-        return "metro"
-    if distance_km < 1320:
-        return "intercity"
-    if distance_km < 3290:
-        return "intercountry"
-    return "intercontinental"
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,15 +46,3 @@ class LatencyModel:
             raise ConfigurationError("distance cannot be negative")
         rtt = propagation_rtt_ms(distance_km, self.path_stretch)
         return max(rtt, self.metro_floor_ms) + self.device_overhead_ms
-
-    def band_for_rtt(self, rtt_ms: float) -> str:
-        """The paper's RTT band labels for a minimum RTT in ms."""
-        if rtt_ms < 0:
-            raise ConfigurationError("RTT cannot be negative")
-        if rtt_ms < 10.0:
-            return "local"
-        if rtt_ms < 20.0:
-            return "intercity"
-        if rtt_ms < 50.0:
-            return "intercountry"
-        return "intercontinental"

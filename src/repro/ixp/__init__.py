@@ -1,8 +1,8 @@
 """IXP substrate: exchanges, members, the paper's IXP datasets.
 
 An IXP here is a layer-2 peering LAN (:class:`repro.layer2.PeeringFabric`)
-plus an address plan, a membership list, an optional route server, and the
-looking glasses the detector probes from.
+plus an address plan, a membership list and the looking glasses the
+detector probes from.
 """
 
 from repro.ixp.ixp import IXP, IXPMember, MemberInterface

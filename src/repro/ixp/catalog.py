@@ -115,7 +115,3 @@ def spec_by_acronym(acronym: str) -> IXPSpec:
             return spec
     raise ConfigurationError(f"no IXP spec with acronym {acronym!r}")
 
-
-def total_analyzed_interfaces() -> int:
-    """Table 1's total analyzed-interface count (4,451 in the paper)."""
-    return sum(spec.analyzed_interfaces for spec in _CATALOG)

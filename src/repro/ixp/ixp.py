@@ -1,13 +1,12 @@
-"""The IXP object: peering LAN, address plan, members, route server."""
+"""The IXP object: peering LAN, address plan, members."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.routeserver import RouteServer
 from repro.delaymodel.congestion import CongestionProcess, NoCongestion
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
 from repro.geo.cities import City
 from repro.layer2.fabric import PeeringFabric
 from repro.layer2.port import Port, PortProfile
@@ -52,11 +51,6 @@ class IXPMember:
             i.is_remote for i in self.interfaces
         )
 
-    @property
-    def has_remote_interface(self) -> bool:
-        """Whether any of the member's interfaces is a remote port."""
-        return any(i.is_remote for i in self.interfaces)
-
 
 @dataclass
 class IXP:
@@ -69,7 +63,6 @@ class IXP:
     lan: IPv4Prefix
     peak_traffic_tbps: float | None = None
     fabric: PeeringFabric = None  # type: ignore[assignment]
-    route_server: RouteServer | None = None
     members: list[IXPMember] = field(default_factory=list)
     _member_by_asn: dict[ASN, IXPMember] = field(default_factory=dict)
     _host_alloc: HostAllocator = None  # type: ignore[assignment]
@@ -91,21 +84,6 @@ class IXP:
         self.members.append(member)
         self._member_by_asn[network.asn] = member
         return member
-
-    def member_of(self, asn: ASN) -> IXPMember:
-        """The membership of ``asn``; unknown members are topology errors."""
-        try:
-            return self._member_by_asn[asn]
-        except KeyError:
-            raise TopologyError(f"AS{asn} is not a member of {self.acronym}") from None
-
-    def is_member(self, asn: ASN) -> bool:
-        """Whether ``asn`` holds a membership here."""
-        return asn in self._member_by_asn
-
-    def member_asns(self) -> set[ASN]:
-        """ASNs of all members."""
-        return set(self._member_by_asn)
 
     # --- interfaces ---------------------------------------------------------------
 
@@ -163,17 +141,6 @@ class IXP:
     def interfaces(self) -> list[MemberInterface]:
         """Every member interface on the LAN, in attachment order."""
         return [i for m in self.members for i in m.interfaces]
-
-    def remote_interfaces(self) -> list[MemberInterface]:
-        """Ground-truth remote interfaces (for validation/ablation)."""
-        return [i for i in self.interfaces() if i.is_remote]
-
-    def interface_at(self, address: IPv4Address) -> MemberInterface:
-        """The member interface holding ``address``."""
-        for iface in self.interfaces():
-            if iface.address == address:
-                return iface
-        raise TopologyError(f"{self.acronym}: no member interface at {address}")
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.acronym

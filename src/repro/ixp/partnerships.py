@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.geo.cities import City
-from repro.geo.latency import LatencyModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +39,3 @@ class Partnership:
         if self.overhead_ms < 0:
             raise ConfigurationError("overhead cannot be negative")
 
-    def interconnect_rtt_ms(self, model: LatencyModel | None = None) -> float:
-        """Round-trip delay of the inter-IXP circuit."""
-        model = model or LatencyModel()
-        distance = self.city_a.distance_km(self.city_b)
-        return model.baseline_rtt_ms(distance) + self.overhead_ms

@@ -65,10 +65,6 @@ class PeeringFabric:
         """Whether any attached port holds ``address``."""
         return address.value in self._ports
 
-    def ports(self) -> list[Port]:
-        """All attached ports, in attachment order."""
-        return list(self._ports.values())
-
     def site_of(self, port: Port) -> str:
         """The site label a port is attached at."""
         try:

@@ -121,11 +121,6 @@ class IPv4Prefix:
             raise AddressError(f"host index {index} out of range for {self}")
         return IPv4Address(self.network.value + index)
 
-    def hosts(self) -> Iterator[IPv4Address]:
-        """Iterate over all usable host addresses."""
-        for index in range(1, self.usable_hosts() + 1):
-            yield self.host(index)
-
     def subnets(self, new_length: int) -> Iterator["IPv4Prefix"]:
         """Iterate over the sub-prefixes of ``new_length``."""
         if new_length < self.length or new_length > 32:
@@ -146,19 +141,8 @@ class SubnetAllocator:
                 f"subnet /{subnet_length} larger than parent /{parent.length}"
             )
         self._parent = parent
-        self._subnet_length = subnet_length
         self._iter = parent.subnets(subnet_length)
         self._handed_out = 0
-
-    @property
-    def capacity(self) -> int:
-        """How many subnets the parent prefix can provide in total."""
-        return 1 << (self._subnet_length - self._parent.length)
-
-    @property
-    def allocated(self) -> int:
-        """How many subnets have been handed out so far."""
-        return self._handed_out
 
     def allocate(self) -> IPv4Prefix:
         """Return the next free subnet, raising AddressError when exhausted."""
@@ -178,16 +162,6 @@ class HostAllocator:
     def __init__(self, prefix: IPv4Prefix) -> None:
         self._prefix = prefix
         self._next_index = 1
-
-    @property
-    def prefix(self) -> IPv4Prefix:
-        """The prefix addresses are drawn from."""
-        return self._prefix
-
-    @property
-    def remaining(self) -> int:
-        """How many host addresses are still free."""
-        return self._prefix.usable_hosts() - self._next_index + 1
 
     def allocate(self) -> IPv4Address:
         """Return the next free host address."""

@@ -97,11 +97,6 @@ class PingObservation:
 
     reply: EchoReply | None
 
-    @property
-    def answered(self) -> bool:
-        """Whether the probe got any reply back."""
-        return self.reply is not None
-
 
 def reply_for_probe(
     device: Device,

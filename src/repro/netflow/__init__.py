@@ -1,26 +1,23 @@
 """NetFlow-style traffic substrate (paper Section 4.1).
 
 The offload study consumes one month of 5-minute traffic data collected at
-the studied network's border routers.  This package provides the flow
-records, the per-network rate generator calibrated to Figure 5a's
-double-Pareto rank profile, the diurnal/weekly time-series profiles of
-Figure 5b, and the 95th-percentile billing arithmetic of Section 2.1.
+the studied network's border routers.  This package provides the
+collector's aggregate series, the per-network rate matrix calibrated to
+Figure 5a's double-Pareto rank profile, the diurnal/weekly time-series
+profiles of Figure 5b, and the 95th-percentile billing arithmetic of
+Section 2.1.
 """
 
-from repro.netflow.flow import FlowRecord
 from repro.netflow.collector import FlowCollector
-from repro.netflow.traffic import TrafficMatrix, TrafficMatrixConfig, generate_traffic
+from repro.netflow.traffic import TrafficMatrix, TrafficMatrixConfig
 from repro.netflow.timeseries import DiurnalProfile, month_of_bins
-from repro.netflow.billing import percentile_bill, BillingReport
+from repro.netflow.billing import BillingReport
 
 __all__ = [
-    "FlowRecord",
     "FlowCollector",
     "TrafficMatrix",
     "TrafficMatrixConfig",
-    "generate_traffic",
     "DiurnalProfile",
     "month_of_bins",
-    "percentile_bill",
     "BillingReport",
 ]

@@ -26,17 +26,6 @@ def percentile_rate(series_bps: np.ndarray, percentile: float = 95.0) -> float:
     return float(np.percentile(series_bps, percentile))
 
 
-def percentile_bill(
-    series_bps: np.ndarray,
-    price_per_mbps: float,
-    percentile: float = 95.0,
-) -> float:
-    """Monthly charge for a traffic series under percentile billing."""
-    if price_per_mbps < 0:
-        raise AnalysisError("price cannot be negative")
-    return percentile_rate(series_bps, percentile) / MBPS * price_per_mbps
-
-
 @dataclass(frozen=True, slots=True)
 class BillingReport:
     """Before/after comparison of a transit bill under traffic offload."""

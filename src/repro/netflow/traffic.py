@@ -2,11 +2,12 @@
 
 The RedIRIS dataset ranks 29,570 networks by their average contribution to
 the transit-provider traffic; contributions span ~1 Gbps down to a few bps
-with a visible bend toward faster decline near rank 20,000.  The
-generator reproduces exactly that rank profile (double-Pareto with a bend)
-and splits each network's traffic into inbound and outbound by business
-type: content networks are origin-heavy (traffic flows *into* RedIRIS),
-access networks are destination-heavy.
+with a visible bend toward faster decline near rank 20,000.  The offload
+world draws exactly that rank profile (double-Pareto with a bend,
+:func:`rank_profile_totals`) and splits each network's traffic into
+inbound and outbound by business type (:func:`split_totals_by_kind`):
+content networks are origin-heavy (traffic flows *into* RedIRIS), access
+networks are destination-heavy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rand import double_pareto_rates, make_rng
+from repro.rand import double_pareto_rates
 from repro.types import NetworkKind
 from repro.units import GBPS
 
@@ -145,21 +146,3 @@ def split_totals_by_kind(
     outbound *= config.outbound_total_bps / outbound.sum()
     return TrafficMatrix(inbound_bps=inbound, outbound_bps=outbound)
 
-
-def generate_traffic(
-    kinds: list[NetworkKind], config: TrafficMatrixConfig | None = None
-) -> TrafficMatrix:
-    """Generate the traffic matrix for networks of the given kinds.
-
-    ``kinds[i]`` is the business type of contributing network ``i``; it
-    decides the in/out split.  Totals are normalised exactly to the
-    configured aggregates, so campaign-level percentages are stable across
-    seeds.
-    """
-    config = config or TrafficMatrixConfig()
-    rng = make_rng(config.seed)
-    totals = rank_profile_totals(len(kinds), config, rng)
-    # Rates are generated by rank; shuffle assignment so network index
-    # carries no rank information.
-    totals = totals[rng.permutation(len(kinds))]
-    return split_totals_by_kind(totals, kinds, config, rng)

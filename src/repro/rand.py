@@ -160,15 +160,6 @@ def weighted_choice(
     return found
 
 
-def zipf_weights(count: int, exponent: float) -> np.ndarray:
-    """Normalised Zipf rank weights ``w_i ∝ (i+1)^-exponent`` of length count."""
-    if count <= 0:
-        return np.zeros(0)
-    ranks = np.arange(1, count + 1, dtype=float)
-    weights = ranks ** (-exponent)
-    return weights / weights.sum()
-
-
 def double_pareto_rates(
     count: int,
     rng: np.random.Generator,

@@ -34,11 +34,6 @@ class IdentificationResult:
     asn: ASN | None
     source: str | None  # "peeringdb" | "website" | "rdns" | None
 
-    @property
-    def identified(self) -> bool:
-        """Whether any source produced an ASN."""
-        return self.asn is not None
-
 
 class IdentificationPipeline:
     """Chains the identification sources in the paper's order."""
@@ -55,16 +50,6 @@ class IdentificationPipeline:
             ("rdns", rdns),
         ]
 
-    def identify(
-        self, ixp: str, address: IPv4Address, time_s: float
-    ) -> IdentificationResult:
-        """Try each source in order; first answer wins."""
-        for name, source in self._sources:
-            asn = source.lookup(ixp, address, time_s)  # type: ignore[attr-defined]
-            if asn is not None:
-                return IdentificationResult(address=address, asn=asn, source=name)
-        return IdentificationResult(address=address, asn=None, source=None)
-
     def identify_span(
         self,
         ixp: str,
@@ -74,12 +59,10 @@ class IdentificationPipeline:
     ) -> tuple[IdentificationResult, IdentificationResult]:
         """Identify one address at both campaign endpoints in one pass.
 
-        Bit-identical to calling :meth:`identify` at each endpoint:
-        coverage draws are pure in (seed, source, address) — time never
-        enters them — and each endpoint independently takes the first
-        source with a non-None ASN.  Campaigns query every address at both
-        endpoints, so sharing the registry resolutions between the two
-        halves the identification cost of a trial.
+        Each endpoint independently takes the first source, in the
+        paper's order, with a non-None ASN.  Coverage draws are pure in
+        (seed, source, address) — time never enters them — so the
+        registry resolutions are shared between the two endpoints.
         """
         first = last = None
         for name, source in self._sources:
@@ -96,24 +79,6 @@ class IdentificationPipeline:
                 break
         missing = IdentificationResult(address=address, asn=None, source=None)
         return first or missing, last or missing
-
-    def asn_changed(
-        self,
-        ixp: str,
-        address: IPv4Address,
-        start_s: float,
-        end_s: float,
-    ) -> bool:
-        """Whether the identified ASN differs between campaign start and end.
-
-        Only a change between two *identified* answers counts; an address
-        that is identifiable at one end only is not flagged (the paper's
-        filter needs a observed change, not missing data).
-        """
-        first, last = self.identify_span(ixp, address, start_s, end_s)
-        if first.asn is None or last.asn is None:
-            return False
-        return first.asn != last.asn
 
 
 def identify_rows(
@@ -133,12 +98,12 @@ def identify_rows(
     ``sources`` lists the (label, coverage) pairs in the pipeline's order.
     Returns ``(asns, picks)``, both ``(len(times), rows)``: the answered
     ASN (-1: unidentified) and the index into ``sources`` of the source
-    that answered (-1: none).  Bit-identical to :meth:`IdentificationPipeline.identify`
-    per row and time: each source covers the rows its ``_coverage_draw``
-    admits (well-known rows always), answers with the ASN at that time,
-    and the first covering source with an answer wins; a reverse-DNS
-    answer round-trips through the PTR hostname, so only an ASN > 0
-    counts.
+    that answered (-1: none).  Bit-identical to
+    :meth:`IdentificationPipeline.identify_span` per row and time: each
+    source covers the rows its ``_coverage_draw`` admits (well-known rows
+    always), answers with the ASN at that time, and the first covering
+    source with an answer wins; a reverse-DNS answer round-trips through
+    the PTR hostname, so only an ASN > 0 counts.
     """
     n = len(addresses)
     at = np.stack([

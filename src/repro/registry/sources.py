@@ -37,8 +37,8 @@ def _record_answers(
     """Per-time answers with one record resolution and one coverage draw.
 
     Coverage membership is pure in (seed, source, address) — time never
-    enters the draw — so resolving the record once and reading ``asn_at``
-    per time is bit-identical to one ``lookup`` call per time.
+    enters the draw — so the record is resolved once and ``asn_at`` read
+    per time.
     """
     record = source.directory.record_for(ixp, address)
     if not record.well_known and not _covered(
@@ -60,19 +60,10 @@ class PeeringDBSource:
         if not 0.0 <= self.coverage <= 1.0:
             raise ConfigurationError("coverage must be in [0, 1]")
 
-    def lookup(self, ixp: str, address: IPv4Address, time_s: float) -> ASN | None:
-        """ASN for (ixp, address) at ``time_s``, or None if not covered."""
-        record = self.directory.record_for(ixp, address)
-        if not record.well_known and not _covered(
-            self.seed, "peeringdb", address, self.coverage
-        ):
-            return None
-        return record.asn_at(time_s)
-
     def answers(
         self, ixp: str, address: IPv4Address, times: tuple[float, ...]
     ) -> list[ASN | None]:
-        """One ``lookup`` answer per time, sharing the record resolution."""
+        """The ASN for (ixp, address) at each time, None if not covered."""
         return _record_answers(self, "peeringdb", ixp, address, times)
 
 
@@ -88,19 +79,10 @@ class IXPWebsiteSource:
         if not 0.0 <= self.coverage <= 1.0:
             raise ConfigurationError("coverage must be in [0, 1]")
 
-    def lookup(self, ixp: str, address: IPv4Address, time_s: float) -> ASN | None:
-        """ASN for (ixp, address) at ``time_s``, or None if not covered."""
-        record = self.directory.record_for(ixp, address)
-        if not record.well_known and not _covered(
-            self.seed, "website", address, self.coverage
-        ):
-            return None
-        return record.asn_at(time_s)
-
     def answers(
         self, ixp: str, address: IPv4Address, times: tuple[float, ...]
     ) -> list[ASN | None]:
-        """One ``lookup`` answer per time, sharing the record resolution."""
+        """The ASN for (ixp, address) at each time, None if not covered."""
         return _record_answers(self, "website", ixp, address, times)
 
 
@@ -120,33 +102,13 @@ class ReverseDNSSource:
         if not 0.0 <= self.coverage <= 1.0:
             raise ConfigurationError("coverage must be in [0, 1]")
 
-    def hostname(self, ixp: str, address: IPv4Address, time_s: float) -> str | None:
-        """The PTR record for ``address``, or None when uncovered."""
-        record = self.directory.record_for(ixp, address)
-        if not record.well_known and not _covered(
-            self.seed, "rdns", address, self.coverage
-        ):
-            return None
-        asn = record.asn_at(time_s)
-        if asn is None:
-            return None
-        label = ixp.lower().replace(" ", "").replace("_", "-")
-        return f"as{asn}.{label}.example.net"
-
-    def lookup(self, ixp: str, address: IPv4Address, time_s: float) -> ASN | None:
-        """ASN parsed from the PTR record, or None."""
-        name = self.hostname(ixp, address, time_s)
-        if name is None:
-            return None
-        return parse_asn_from_hostname(name)
-
     def answers(
         self, ixp: str, address: IPv4Address, times: tuple[float, ...]
     ) -> list[ASN | None]:
-        """One ``lookup`` answer per time, sharing the record resolution.
+        """The ASN parsed from the PTR record at each time, or None.
 
-        Answers still round-trip through the PTR hostname parse so any
-        ASN the hostname grammar would mangle stays mangled.
+        Answers round-trip through the PTR hostname parse so any ASN the
+        hostname grammar would mangle stays mangled.
         """
         label = ixp.lower().replace(" ", "").replace("_", "-")
         return [

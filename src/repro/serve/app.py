@@ -64,13 +64,12 @@ class StudyService:
         store_dir: str,
         *,
         threads: int = 2,
-        recover: bool = True,
     ) -> None:
         self.scheduler = StudyScheduler(
             store_dir, threads=threads, resolver=resolve_request,
         )
         self.store = ResultStore(self.scheduler.store_dir)
-        self.recovered = self.scheduler.recover() if recover else 0
+        self.recovered = self.scheduler.recover()
 
     def start(self) -> None:
         self.scheduler.start()

@@ -114,9 +114,12 @@ async def _list_jobs(service: Any, request: Request) -> Response:
 async def _job_status(
     service: Any, request: Request, job_id: str
 ) -> Response | StreamingResponse:
+    # Look the job up before any headers go out: an unknown id is a 404
+    # for the stream too.
+    snapshot = service.job(job_id)
     if request.query.get("watch") not in (None, "", "0", "false"):
         return StreamingResponse(200, _watch(service, job_id))
-    return Response(200, service.job(job_id))
+    return Response(200, snapshot)
 
 
 async def _watch(service: Any, job_id: str) -> AsyncIterator[str]:

@@ -37,7 +37,6 @@ Draw program (statically inventoried by ``repro lint --draw-programs``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -475,8 +474,3 @@ def _build(config: MegaWorldConfig) -> MegaWorld:
     world.assert_hierarchy_sound()
     return world
 
-
-def iter_ixp_names(world: MegaWorld) -> Iterator[str]:
-    """IXP acronyms in catalog (membership-table) order."""
-    for spec in world.catalog:
-        yield spec.acronym

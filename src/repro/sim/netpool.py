@@ -250,9 +250,11 @@ def weighted_index_sample(
     that loop itself (:func:`repro.rand.weighted_choice`), and
     ``tests/test_weighted_sampling.py`` holds it to ``choice`` as an
     oracle, so world digests do not depend on ``choice``'s internals.  A
-    NaN or negative weight on that path raises ``ValueError``, as
-    ``choice`` does.
+    NaN or negative weight raises ``ValueError``, as ``choice`` does, on
+    every path and before any draw.
     """
+    if not (weights >= 0).all():  # NaN compares False too
+        raise ValueError("weights must be non-negative and not NaN")
     if indices is None:
         indices = np.arange(len(weights))
     total = weights.sum()

@@ -84,14 +84,13 @@ stay ascending), tier-1 cones are the union of their direct contributing
 customers plus their customer tier-2s' segments, and giants and stubs
 are their own singletons.
 
-The AS graph, the inbound AS paths, the regions and the flow
-collector's routing table are assembled on first access, from the
-world's config: the tier stages re-run (same streams, so the same
-arrays), the networks and edges go in through the bulk
-:class:`~repro.bgp.relationships.ASGraph` APIs, each AS takes its space
-from the world's address-space array, and the routes are computed.
-No study's trial reads them; Figure 6's transient traffic and per-flow
-records do.
+The AS graph, the inbound AS paths and the regions are assembled on
+first access, from the world's config: the tier stages re-run (same
+streams, so the same arrays), the networks and edges go in through the
+bulk :class:`~repro.bgp.relationships.ASGraph` APIs, each AS takes its
+space from the world's address-space array, and the routes are
+computed.  No study's trial reads them; Figure 6's transient traffic
+does.
 """
 
 from __future__ import annotations
@@ -107,7 +106,6 @@ from repro.bgp.asys import AutonomousSystem
 from repro.bgp.cone import customer_cone
 from repro.bgp.relationships import ASGraph
 from repro.bgp.routing import ASPath, RouteComputation
-from repro.bgp.table import ReversedPathTable
 from repro.errors import ConfigurationError
 from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog
@@ -660,15 +658,10 @@ class _Topology(NamedTuple):
     graph: ASGraph
     inbound_paths: dict[ASN, ASPath]
     region_of: dict[ASN, str]
-    table: ReversedPathTable
 
 
 class _LazyTopology:
-    """A world's :class:`_Topology`, assembled from its draws on first use.
-
-    Shared by the world and its flow collector (whose BGP join reads the
-    routing table), so neither holds the other.
-    """
+    """A world's :class:`_Topology`, assembled from its draws on first use."""
 
     def __init__(
         self,
@@ -688,9 +681,6 @@ class _LazyTopology:
                     config, statics
                 ).assemble_topology(address_space)
         return self._built
-
-    def routing_table(self) -> ReversedPathTable:
-        return self.get().table
 
 
 class _Memberships:
@@ -729,9 +719,8 @@ class OffloadWorld:
 
     The studies read the array surface: :meth:`member_arrays`, the
     traffic matrix and the collector's aggregate rates, and
-    :attr:`address_space`.  :attr:`graph`, :attr:`inbound_paths`,
-    :attr:`region_of` and the collector's routing table are assembled on
-    first access.
+    :attr:`address_space`.  :attr:`graph`, :attr:`inbound_paths` and
+    :attr:`region_of` are assembled on first access.
     """
 
     config: OffloadWorldConfig
@@ -830,10 +819,6 @@ class OffloadWorld:
         """Published peering policy of a network."""
         return self.graph.get(asn).policy
 
-    def kind_of(self, asn: ASN) -> NetworkKind:
-        """Business type of a network."""
-        return self.graph.get(asn).kind
-
 
 # ---------------------------------------------------------------------------
 
@@ -907,12 +892,7 @@ class _OffloadBuilder:
             euroix=st.euroix,
             contributing=st.contributing,
             matrix=matrix,
-            collector=FlowCollector(
-                routes=topology.routing_table,
-                matrix=matrix,
-                counterparties=st.contributing,
-                days=cfg.days,
-            ),
+            collector=FlowCollector(matrix=matrix, days=cfg.days),
             address_space=address_space,
             _statics=st,
             _drawn=MemberArrays.build(
@@ -1396,7 +1376,7 @@ class _OffloadBuilder:
     # -- the object side ------------------------------------------------------
 
     def assemble_topology(self, address_space: np.ndarray) -> _Topology:
-        """The AS graph, inbound paths, regions and routing table.
+        """The AS graph, inbound paths and regions.
 
         Re-runs the tier stages, then inserts the scaffold and its edges,
         the giants' uplinks, the tier-2s and their uplinks in one call,
@@ -1489,7 +1469,6 @@ class _OffloadBuilder:
             graph=graph,
             inbound_paths=inbound_paths,
             region_of=region_of,
-            table=ReversedPathTable(graph, st.rediris, inbound_paths),
         )
 
 

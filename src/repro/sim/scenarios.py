@@ -44,14 +44,6 @@ def mini3(seed: int = 11) -> DetectionWorld:
     )
 
 
-def single_ixp(acronym: str, seed: int = 11) -> DetectionWorld:
-    """A world with exactly one of the 22 studied IXPs."""
-    specs = tuple(s for s in paper_catalog() if s.acronym == acronym)
-    if not specs:
-        raise ConfigurationError(f"unknown studied IXP {acronym!r}")
-    return build_detection_world(DetectionWorldConfig(seed=seed, specs=specs))
-
-
 def rediris(seed: int = 42) -> OffloadWorld:
     """The full Section 4 world: 29,570 contributing networks, 65 IXPs."""
     return build_offload_world(OffloadWorldConfig(seed=seed))
@@ -75,11 +67,6 @@ def rediris_small_config(seed: int = 5) -> OffloadWorldConfig:
         big_eyeball_count=30,
         head_pin_count=40,
     )
-
-
-def rediris_small(seed: int = 5) -> OffloadWorld:
-    """A ~3k-AS offload world for fast experimentation."""
-    return build_offload_world(rediris_small_config(seed))
 
 
 def mega_config(seed: int = 0) -> MegaWorldConfig:

@@ -16,21 +16,6 @@ GBPS = 1_000_000_000.0
 TBPS = 1_000_000_000_000.0
 
 
-def bps_to_gbps(rate_bps: float) -> float:
-    """Convert bits/second to gigabits/second."""
-    return rate_bps / GBPS
-
-
-def gbps_to_bps(rate_gbps: float) -> float:
-    """Convert gigabits/second to bits/second."""
-    return rate_gbps * GBPS
-
-
-def mbps_to_bps(rate_mbps: float) -> float:
-    """Convert megabits/second to bits/second."""
-    return rate_mbps * MBPS
-
-
 def format_rate(rate_bps: float) -> str:
     """Render a traffic rate with an adaptive unit, e.g. ``1.60 Gbps``."""
     if rate_bps >= TBPS:
@@ -54,11 +39,6 @@ WEEK = 7 * DAY
 
 #: NetFlow metering granularity used by the paper (Section 2.1, 4.1).
 FIVE_MINUTES = 5 * MINUTE
-
-
-def ms_to_s(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / 1_000.0
 
 
 def s_to_ms(seconds: float) -> float:

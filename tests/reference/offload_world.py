@@ -24,7 +24,6 @@ from repro.bgp.asys import AutonomousSystem
 from repro.bgp.cone import customer_cone
 from repro.bgp.relationships import ASGraph
 from repro.bgp.routing import ASPath, RouteComputation
-from repro.bgp.table import ReversedPathTable
 from repro.errors import ConfigurationError
 from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog
@@ -224,7 +223,6 @@ class ScalarOffloadBuilder:
         self._scale_address_space()
 
         inbound_paths = RouteComputation(self.graph).best_paths_to(rediris)
-        table = ReversedPathTable(self.graph, rediris, inbound_paths)
         return ReferenceOffloadWorld(
             config=cfg,
             graph=self.graph,
@@ -243,12 +241,7 @@ class ScalarOffloadBuilder:
             contributing=contributing,
             matrix=matrix,
             inbound_paths=inbound_paths,
-            collector=FlowCollector(
-                routes=lambda: table,
-                matrix=matrix,
-                counterparties=contributing,
-                days=cfg.days,
-            ),
+            collector=FlowCollector(matrix=matrix, days=cfg.days),
             region_of=self.region_of,
         )
 

@@ -4,26 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.stats import cdf_at, ecdf, quantiles, rank_series
+from repro.analysis.stats import cdf_at
 from repro.analysis.tables import render_table
 from repro.errors import AnalysisError
 
 
 class TestECDF:
     def test_basic(self):
-        x, f = ecdf(np.array([3.0, 1.0, 2.0]))
-        assert list(x) == [1.0, 2.0, 3.0]
-        assert list(f) == pytest.approx([1 / 3, 2 / 3, 1.0])
+        values = np.array([3.0, 1.0, 2.0])
+        f = cdf_at(values, values)
+        assert list(f) == pytest.approx([1.0, 1 / 3, 2 / 3])
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
-            ecdf(np.array([]))
+            cdf_at(np.array([]), np.array([1.0]))
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1,
                     max_size=200))
     def test_monotone_and_ends_at_one(self, values):
-        x, f = ecdf(np.array(values))
-        assert np.all(np.diff(x) >= 0)
+        f = cdf_at(np.array(values), np.sort(values))
         assert np.all(np.diff(f) >= 0)
         assert f[-1] == pytest.approx(1.0)
 
@@ -31,21 +30,6 @@ class TestECDF:
         values = np.array([1.0, 2.0, 3.0, 4.0])
         at = cdf_at(values, np.array([0.5, 2.0, 10.0]))
         assert list(at) == pytest.approx([0.0, 0.5, 1.0])
-
-
-class TestQuantilesAndRanks:
-    def test_quantiles(self):
-        values = np.arange(101, dtype=float)
-        assert quantiles(values, [50.0]) == [50.0]
-
-    def test_rank_series(self):
-        ranks, ordered = rank_series(np.array([5.0, 1.0, 3.0]))
-        assert list(ranks) == [1, 2, 3]
-        assert list(ordered) == [5.0, 3.0, 1.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            rank_series(np.array([]))
 
 
 class TestRenderTable:

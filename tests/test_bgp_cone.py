@@ -3,12 +3,7 @@
 import pytest
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.cone import (
-    cone_address_mass,
-    cone_size_ranking,
-    customer_cone,
-    customer_cones,
-)
+from repro.bgp.cone import customer_cone
 from repro.bgp.relationships import ASGraph
 from repro.types import ASN
 
@@ -42,25 +37,3 @@ class TestCone:
         hierarchy.add_as(AutonomousSystem(asn=ASN(6), name="peer"))
         hierarchy.add_peering(ASN(2), ASN(6))
         assert 6 not in customer_cone(hierarchy, ASN(2))
-
-    def test_batch_matches_single(self, hierarchy):
-        batch = customer_cones(hierarchy, [ASN(1), ASN(2)])
-        assert batch[ASN(1)] == customer_cone(hierarchy, ASN(1))
-        assert batch[ASN(2)] == customer_cone(hierarchy, ASN(2))
-
-
-class TestMassAndRanking:
-    def test_address_mass(self, hierarchy):
-        cone = customer_cone(hierarchy, ASN(2))  # {2, 4, 5}
-        assert cone_address_mass(hierarchy, cone) == 200 + 400 + 500
-
-    def test_ranking_tops_with_provider_free(self, hierarchy):
-        ranking = cone_size_ranking(hierarchy)
-        assert ranking[0] == (1, 5)
-
-    def test_ranking_deterministic_tie_break(self, hierarchy):
-        ranking = cone_size_ranking(hierarchy)
-        sizes = [s for _, s in ranking]
-        assert sizes == sorted(sizes, reverse=True)
-        ties = [asn for asn, s in ranking if s == 1]
-        assert ties == sorted(ties)

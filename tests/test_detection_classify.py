@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.core.detection.classify import (
     BAND_LABELS,
     REMOTENESS_THRESHOLD_MS,
-    band_index,
     band_label,
     is_remote,
 )
@@ -45,7 +44,6 @@ class TestBands:
     def test_every_rtt_has_exactly_one_band(self, rtt):
         label = band_label(rtt)
         assert label in BAND_LABELS
-        assert band_index(rtt) == BAND_LABELS.index(label)
 
     @given(st.floats(min_value=0, max_value=1e4))
     def test_band_consistent_with_remoteness(self, rtt):

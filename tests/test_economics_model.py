@@ -1,4 +1,4 @@
-"""The cost model and its closed-form optima (paper equations 1-13)."""
+"""The cost model and its closed-form optima (paper equations 1-14)."""
 
 import math
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.economics.model import Allocation, CostModel, CostParameters
+from repro.core.economics.viability import viability_condition
 from repro.errors import EconomicsError
 
 
@@ -44,7 +45,7 @@ class TestAllocation:
 
     def test_eq3_transit_fraction(self):
         model = CostModel(params(b=0.5))
-        assert model.transit_fraction(2, 3) == pytest.approx(math.exp(-2.5))
+        assert model.allocation(2, 3).t == pytest.approx(math.exp(-2.5))
 
     def test_no_peering_all_transit(self):
         a = CostModel(params()).allocation(0, 0)
@@ -68,7 +69,6 @@ class TestCost:
     def test_transit_only_cost(self):
         model = CostModel(params(p=5.0))
         assert model.total_cost(0, 0) == pytest.approx(5.0)
-        assert model.transit_only_cost() == 5.0
 
     def test_eq12_form(self):
         """total_cost(ñ, m) must match the paper's equation 12 expansion."""
@@ -110,15 +110,16 @@ class TestClosedForms:
     def test_eq14_viability_iff_m_tilde_geq_1(self):
         """The paper derives eq. 14 from m̃ >= 1."""
         for prm in [params(), params(b=2.0), params(h=0.9), params(b=0.2)]:
-            model = CostModel(prm)
-            assert model.remote_peering_viable() == (
-                model.optimal_remote_extra() >= 1.0
+            assert viability_condition(prm).viable == (
+                CostModel(prm).optimal_remote_extra() >= 1.0
             )
 
     def test_zero_decay_never_viable(self):
-        model = CostModel(params(b=0.0))
-        assert not model.remote_peering_viable()
-        assert model.optimal_direct() == 0.0
+        prm = params(b=0.0)
+        verdict = viability_condition(prm)
+        assert verdict.ratio >= verdict.threshold == 1.0
+        assert not verdict.viable
+        assert CostModel(prm).optimal_direct() == 0.0
 
 
 price = st.floats(min_value=2.0, max_value=50.0)

@@ -10,7 +10,6 @@ from repro.core.economics.viability import (
     african_scenario,
     viability_condition,
     viability_grid,
-    viability_threshold_b,
 )
 from repro.errors import EconomicsError
 
@@ -36,17 +35,13 @@ class TestCondition:
 
     def test_threshold_b_is_the_boundary(self):
         prm = params()
-        b_star = viability_threshold_b(prm)
+        b_star = math.log(viability_condition(prm).ratio)
         below = CostParameters(p=prm.p, g=prm.g, u=prm.u, h=prm.h, v=prm.v,
                                b=b_star * 0.95)
         above = CostParameters(p=prm.p, g=prm.g, u=prm.u, h=prm.h, v=prm.v,
                                b=b_star * 1.05)
         assert viability_condition(below).viable
         assert not viability_condition(above).viable
-
-    def test_margin_sign(self):
-        assert viability_condition(params(b=0.3)).margin > 0
-        assert viability_condition(params(b=2.5)).margin < 0
 
     def test_viable_implies_positive_m(self):
         verdict = viability_condition(params(b=0.4))

@@ -165,11 +165,6 @@ class TestQuarantine:
         assert result.failures == []
         assert result.coverage_note() is None
 
-    def test_quarantine_off_propagates(self):
-        with pytest.raises(RuntimeError, match="poison trial"):
-            run_study(CrashStudy(), StudyConfig(seeds=(1, 2), workers=1,
-                                                quarantine=False))
-
     def test_configuration_errors_always_propagate(self):
         @dataclass(frozen=True, slots=True)
         class BadStudy(CrashStudy):

@@ -39,7 +39,7 @@ class TestMeanCI:
         assert ci.mean == pytest.approx(2.0)
         # s = 1, se = 1/sqrt(3), t_0.975(df=2) = 4.303
         assert ci.half_width == pytest.approx(4.303 / 3**0.5, rel=1e-3)
-        assert ci.low < 2.0 < ci.high
+        assert ci.mean - ci.half_width < 2.0 < ci.mean + ci.half_width
 
     def test_empty_raises(self):
         with pytest.raises(AnalysisError):

@@ -12,16 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bgp.asys import AutonomousSystem
-from repro.bgp.relationships import ASGraph
-from repro.bgp.routing import RouteKind
-from repro.bgp.table import RoutingTable
-from repro.errors import (
-    AnalysisError,
-    ConfigurationError,
-    FallbackExhausted,
-    RoutingError,
-)
+from repro.errors import AnalysisError, ConfigurationError
 from repro.faults import (
     FAULT_KINDS,
     FaultConfig,
@@ -38,7 +29,6 @@ from repro.netflow.billing import failover_billing_report
 from repro.rand import child_rng
 from repro.sim.detection_world import DetectionWorldConfig, build_detection_world
 from repro.ixp.catalog import spec_by_acronym
-from repro.types import ASN
 from repro.units import DAY, FIVE_MINUTES, MINUTE
 
 
@@ -218,85 +208,6 @@ class TestFailoverState:
         state = FailoverState()
         assert not state
         assert state.extra_ms(IPv4Address(1), 0.0) == 0.0
-
-
-@pytest.fixture
-def fallback_world():
-    """Viewpoint 10: providers 1 and 5, peer 2; destination 20 behind 2."""
-    g = ASGraph()
-    for i in (1, 2, 5, 10, 20):
-        g.add_as(AutonomousSystem(asn=ASN(i), name=f"as{i}"))
-    g.add_peering(ASN(1), ASN(2))
-    g.add_peering(ASN(5), ASN(2))
-    g.add_peering(ASN(10), ASN(2))
-    g.add_customer_provider(ASN(10), ASN(1))
-    g.add_customer_provider(ASN(10), ASN(5))
-    g.add_customer_provider(ASN(20), ASN(2))
-    return g
-
-
-class TestFallbackLookup:
-    def test_unaffected_routes_pass_through(self, fallback_world):
-        table = RoutingTable(fallback_world, ASN(10))
-        entry = table.fallback_lookup(ASN(20), frozenset({ASN(99)}))
-        assert entry is table.lookup(ASN(20))
-        assert entry.kind is RouteKind.PEER
-
-    def test_dark_peer_falls_back_to_transit(self, fallback_world):
-        table = RoutingTable(fallback_world, ASN(10))
-        entry = table.fallback_lookup(ASN(20), frozenset({ASN(2)}))
-        assert entry.kind is RouteKind.PROVIDER
-        assert entry.via_transit
-        assert entry.next_hop == ASN(1)  # lowest provider wins, determinism
-        assert entry.path.asns == (10, 1, 2, 20)
-
-    def test_dark_provider_is_skipped(self, fallback_world):
-        table = RoutingTable(fallback_world, ASN(10))
-        entry = table.fallback_lookup(ASN(20), frozenset({ASN(2), ASN(1)}))
-        assert entry.next_hop == ASN(5)
-        assert entry.path.asns == (10, 5, 2, 20)
-
-    def test_no_fallback_raises(self):
-        g = ASGraph()
-        for i in (2, 10, 20):
-            g.add_as(AutonomousSystem(asn=ASN(i), name=f"as{i}"))
-        g.add_peering(ASN(10), ASN(2))
-        g.add_customer_provider(ASN(20), ASN(2))
-        table = RoutingTable(g, ASN(10))
-        with pytest.raises(RoutingError, match="no fallback route"):
-            table.fallback_lookup(ASN(20), frozenset({ASN(2)}))
-
-    def test_provider_less_viewpoint_exhausts_typed(self):
-        # Same topology as test_no_fallback_raises: viewpoint 10 peers
-        # with 2 and has no providers at all.  The exhausted case must
-        # be the typed error naming the reason, not a bare fall-off.
-        g = ASGraph()
-        for i in (2, 10, 20):
-            g.add_as(AutonomousSystem(asn=ASN(i), name=f"as{i}"))
-        g.add_peering(ASN(10), ASN(2))
-        g.add_customer_provider(ASN(20), ASN(2))
-        table = RoutingTable(g, ASN(10))
-        with pytest.raises(FallbackExhausted, match="no transit providers"):
-            table.fallback_lookup(ASN(20), frozenset({ASN(2)}))
-
-    def test_all_dark_providers_exhaust_typed(self, fallback_world):
-        table = RoutingTable(fallback_world, ASN(10))
-        with pytest.raises(FallbackExhausted, match="provider.s. are dark"):
-            table.fallback_lookup(
-                ASN(20), frozenset({ASN(2), ASN(1), ASN(5)})
-            )
-        # FallbackExhausted stays catchable as a plain RoutingError.
-        assert issubclass(FallbackExhausted, RoutingError)
-
-    def test_exhaustion_is_deterministic(self, fallback_world):
-        table = RoutingTable(fallback_world, ASN(10))
-        dark = frozenset({ASN(2), ASN(1), ASN(5)})
-        messages = set()
-        for _ in range(3):
-            with pytest.raises(FallbackExhausted) as excinfo:
-                table.fallback_lookup(ASN(20), dark)
-            messages.add(str(excinfo.value))
-        assert len(messages) == 1  # same inputs, same degrade, same words
 
 
 class TestFailoverBilling:

@@ -1,29 +1,10 @@
-"""Distance-to-RTT model and the paper's distance bands."""
+"""Distance-to-RTT model."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.geo.latency import LatencyModel, distance_band
-
-
-class TestDistanceBand:
-    @pytest.mark.parametrize(
-        "km,band",
-        [
-            (0, "metro"),
-            (400, "metro"),
-            (900, "intercity"),
-            (2000, "intercountry"),
-            (8000, "intercontinental"),
-        ],
-    )
-    def test_bands(self, km, band):
-        assert distance_band(km) == band
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            distance_band(-1)
+from repro.geo.latency import LatencyModel
 
 
 class TestLatencyModel:
@@ -39,26 +20,16 @@ class TestLatencyModel:
         assert model.baseline_rtt_ms(km + 100) >= model.baseline_rtt_ms(km)
 
     def test_band_thresholds_align_with_rtt_bands(self):
-        """The distance cut points map onto the 10/20/50 ms RTT bands."""
+        """~660, ~1320 and ~3290 km of fiber sit at the 10/20/50 ms RTT
+        bands."""
         model = LatencyModel()
         assert model.baseline_rtt_ms(660) == pytest.approx(10.0, rel=0.08)
         assert model.baseline_rtt_ms(1320) == pytest.approx(20.0, rel=0.08)
         assert model.baseline_rtt_ms(3290) == pytest.approx(50.0, rel=0.08)
 
-    def test_band_for_rtt(self):
-        model = LatencyModel()
-        assert model.band_for_rtt(2.0) == "local"
-        assert model.band_for_rtt(15.0) == "intercity"
-        assert model.band_for_rtt(35.0) == "intercountry"
-        assert model.band_for_rtt(120.0) == "intercontinental"
-
     def test_invalid_stretch_rejected(self):
         with pytest.raises(ConfigurationError):
             LatencyModel(path_stretch=0.9)
-
-    def test_negative_rtt_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatencyModel().band_for_rtt(-0.1)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,6 @@ from repro.experiments import (
     aggregate,
     economics_grid_variants,
     expand_trials,
-    get_scenario,
     render_report,
     resolve,
     run_study,
@@ -210,8 +209,8 @@ class TestScenarioRegistry:
         )
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_scenario("quantum-peering")
+        with pytest.raises(ConfigurationError, match="quantum-peering"):
+            resolve("scenario", {"name": "quantum-peering"})
 
     def test_unknown_preset_rejected(self):
         # grid() builds at paper scale for any preset but "small"; the
@@ -242,10 +241,10 @@ class TestScenarioRegistry:
     def test_grid_rejects_preset_outside_presets(self, name):
         # A typo must not silently build the paper-scale grid.
         with pytest.raises(ConfigurationError, match="'Small'"):
-            get_scenario(name).grid("Small")
+            SCENARIOS[name].grid("Small")
 
     def test_behavior_stress_scales_rates(self):
-        names = get_scenario("behavior-stress").grid("small").variant_names()
+        names = SCENARIOS["behavior-stress"].grid("small").variant_names()
         assert names[0] == "stress=0.0x" and names[-1] == "stress=4.0x"
         rates = scaled_behavior_rates(2.0)
         from repro.sim.detection_world import BehaviorRates
@@ -259,7 +258,7 @@ class TestScenarioRegistry:
             scaled_behavior_rates(-1.0)
 
     def test_exclusion_ablation_toggles_rules(self):
-        grid = get_scenario("exclusion-ablation").grid("small")
+        grid = SCENARIOS["exclusion-ablation"].grid("small")
         by_name = {v.name: v for v in grid.variants}
         assert by_name["all-rules"].exclude_transit_providers
         assert not by_name["keep-providers"].exclude_transit_providers
@@ -270,7 +269,7 @@ class TestScenarioRegistry:
         ))
 
     def test_price_plane_is_a_full_grid(self):
-        grid = get_scenario("price-plane").grid("small")
+        grid = SCENARIOS["price-plane"].grid("small")
         names = grid.variant_names()
         assert len(names) == 9
         assert "transit_price=3.0|remote_fixed=0.1" in names

@@ -26,7 +26,6 @@ from repro.sim.megatopo import (
     MegaWorld,
     MegaWorldConfig,
     build_mega_world,
-    iter_ixp_names,
 )
 from repro.sim.netpool import (
     SCOPE_CONTINENTS,
@@ -163,11 +162,6 @@ class TestMemberships:
         clique = small_world.tier == TIER_CLIQUE
         assert np.array_equal(coverage[clique], membership[clique])
         assert (small_world.reach_counts() >= small_world.member_counts).all()
-
-    def test_ixp_names_follow_catalog_order(self, small_world):
-        assert list(iter_ixp_names(small_world)) == [
-            spec.acronym for spec in small_world.catalog
-        ]
 
 
 class TestObjectGraphBridge:

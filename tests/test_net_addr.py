@@ -58,10 +58,6 @@ class TestIPv4Prefix:
         with pytest.raises(AddressError):
             p.host(3)  # only 2 usable in a /30
 
-    def test_hosts_iterates_all(self):
-        p = IPv4Prefix.parse("10.0.0.0/29")
-        assert len(list(p.hosts())) == 6
-
     def test_subnets(self):
         p = IPv4Prefix.parse("10.0.0.0/22")
         subs = list(p.subnets(24))
@@ -83,10 +79,8 @@ class TestIPv4Prefix:
 class TestAllocators:
     def test_subnet_allocator_sequence(self):
         alloc = SubnetAllocator(IPv4Prefix.parse("10.0.0.0/22"), 24)
-        assert alloc.capacity == 4
         got = [str(alloc.allocate()) for _ in range(4)]
         assert got == ["10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"]
-        assert alloc.allocated == 4
         with pytest.raises(AddressError):
             alloc.allocate()
 
@@ -96,12 +90,10 @@ class TestAllocators:
 
     def test_host_allocator(self):
         alloc = HostAllocator(IPv4Prefix.parse("10.0.0.0/29"))
-        assert alloc.remaining == 6
         first = alloc.allocate()
         assert str(first) == "10.0.0.1"
         for _ in range(5):
             alloc.allocate()
-        assert alloc.remaining == 0
         with pytest.raises(AddressError):
             alloc.allocate()
 

@@ -22,14 +22,14 @@ class TestReply:
     def test_healthy_device_replies(self):
         d = Device(name="r", respond_probability=1.0, processing_ms=0.0)
         obs = probe(d)
-        assert obs.answered
+        assert obs.reply is not None
         assert obs.reply.ttl == TTL_NETWORK_OS
         assert obs.reply.rtt_ms == pytest.approx(1.0)
 
     def test_blackholing_device_never_replies(self):
         d = Device(name="r", respond_probability=0.0)
         for seed in range(10):
-            assert not probe(d, rng=np.random.default_rng(seed)).answered
+            assert probe(d, rng=np.random.default_rng(seed)).reply is None
 
     def test_processing_delay_added(self):
         d = Device(name="r", processing_ms=5.0)
@@ -50,7 +50,7 @@ class TestReply:
     def test_ttl_exhaustion_is_timeout(self):
         d = Device(name="r", ttl_init=32, processing_ms=0.0)
         obs = probe(d, reply_extra_hops=32)
-        assert not obs.answered
+        assert obs.reply is None
 
     def test_os_change_visible_in_ttl(self):
         d = Device(

@@ -1,4 +1,4 @@
-"""NetFlow substrate: traffic generation, profiles, billing, collection."""
+"""NetFlow substrate: traffic rates, profiles, billing, collection."""
 
 import numpy as np
 import pytest
@@ -7,20 +7,25 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.netflow.billing import (
     BillingReport,
     offload_billing_report,
-    percentile_bill,
     percentile_rate,
 )
-from repro.netflow.flow import FlowRecord
 from repro.netflow.timeseries import DiurnalProfile, month_of_bins
 from repro.netflow.traffic import (
     TrafficMatrix,
     TrafficMatrixConfig,
-    generate_traffic,
     rank_profile_totals,
     split_totals_by_kind,
 )
 from repro.rand import make_rng
-from repro.types import ASN, NetworkKind, TrafficDirection
+from repro.types import NetworkKind, TrafficDirection
+
+
+def traffic_matrix(kinds, config):
+    """Rank-profile totals in shuffled order, split by kind."""
+    rng = make_rng(config.seed)
+    totals = rank_profile_totals(len(kinds), config, rng)
+    return split_totals_by_kind(
+        totals[rng.permutation(len(kinds))], kinds, config, rng)
 
 
 class TestTimeseries:
@@ -56,14 +61,14 @@ class TestTraffic:
         config = TrafficMatrixConfig(seed=0, inbound_total_bps=1e9,
                                      outbound_total_bps=5e8)
         kinds = [NetworkKind.ACCESS] * 500 + [NetworkKind.CONTENT] * 500
-        matrix = generate_traffic(kinds, config)
+        matrix = traffic_matrix(kinds, config)
         assert matrix.inbound_bps.sum() == pytest.approx(1e9)
         assert matrix.outbound_bps.sum() == pytest.approx(5e8)
 
     def test_content_inbound_heavy(self):
         config = TrafficMatrixConfig(seed=1)
         kinds = [NetworkKind.CONTENT] * 2000 + [NetworkKind.ACCESS] * 2000
-        matrix = generate_traffic(kinds, config)
+        matrix = traffic_matrix(kinds, config)
         content_share = matrix.inbound_bps[:2000].sum() / (
             matrix.inbound_bps[:2000].sum() + matrix.outbound_bps[:2000].sum()
         )
@@ -81,8 +86,8 @@ class TestTraffic:
         assert tail_slope < head_slope
 
     def test_ranked_descending(self):
-        matrix = generate_traffic([NetworkKind.ACCESS] * 100,
-                                  TrafficMatrixConfig(seed=0))
+        matrix = traffic_matrix([NetworkKind.ACCESS] * 100,
+                                TrafficMatrixConfig(seed=0))
         ranked = matrix.ranked("inbound")
         assert np.all(np.diff(ranked) <= 0)
         with pytest.raises(ConfigurationError):
@@ -108,7 +113,9 @@ class TestBilling:
 
     def test_bill_scales_with_price(self):
         series = np.full(100, 2e6)  # 2 Mbps flat
-        assert percentile_bill(series, price_per_mbps=3.0) == pytest.approx(6.0)
+        report = offload_billing_report(series, np.zeros(100),
+                                        price_per_mbps=3.0)
+        assert report.before_bill == pytest.approx(6.0)
 
     def test_offload_report(self):
         transit = np.full(100, 10e6)
@@ -154,29 +161,7 @@ class TestBilling:
         assert report.savings_fraction == pytest.approx(1.0)
 
 
-class TestFlowRecord:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FlowRecord(bin_index=-1, counterparty=ASN(1),
-                       direction=TrafficDirection.INBOUND, rate_bps=1.0,
-                       border_next_hop=ASN(2))
-        with pytest.raises(ConfigurationError):
-            FlowRecord(bin_index=0, counterparty=ASN(1),
-                       direction=TrafficDirection.INBOUND, rate_bps=-1.0,
-                       border_next_hop=ASN(2))
-
-
 class TestCollector:
-    def test_flow_records_and_series(self, small_offload_world):
-        collector = small_offload_world.collector
-        records = collector.flow_records(bin_index=0, top_n=10)
-        assert records
-        assert all(r.bin_index == 0 for r in records)
-        transit = {*small_offload_world.transit_providers}
-        # Inbound traffic of contributing networks enters via the transit
-        # providers (GÉANT and peer traffic never reaches the collector).
-        assert all(r.border_next_hop in transit for r in records)
-
     def test_aggregate_series_mask(self, small_offload_world):
         collector = small_offload_world.collector
         n = len(small_offload_world.contributing)

@@ -114,7 +114,7 @@ class TestGroups:
 
     def test_unknown_group_rejected(self, small_groups):
         with pytest.raises(ConfigurationError):
-            small_groups.in_group(next(iter(small_groups.candidates)), 5)
+            small_groups.group_members(5)
 
     def test_unknown_group_rejected_without_candidates(self, small_groups):
         """Validation does not depend on the data: with no candidates

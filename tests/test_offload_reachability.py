@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.offload.reachability import (
     greedy_reachability,
-    reachable_via_peering,
     total_address_space,
 )
 from repro.errors import ConfigurationError
@@ -32,20 +31,6 @@ class TestBaseline:
 
 
 class TestReachability:
-    def test_reachable_grows_with_ixps(self, small_offload_world, small_groups):
-        one = reachable_via_peering(small_offload_world, small_groups,
-                                    ["AMS-IX"], 4)
-        two = reachable_via_peering(small_offload_world, small_groups,
-                                    ["AMS-IX", "Terremark"], 4)
-        assert two >= one > 0
-
-    def test_group_monotonicity(self, small_offload_world, small_groups):
-        g1 = reachable_via_peering(small_offload_world, small_groups,
-                                   ["AMS-IX"], 1)
-        g4 = reachable_via_peering(small_offload_world, small_groups,
-                                   ["AMS-IX"], 4)
-        assert g1 <= g4
-
     def test_greedy_monotone_decreasing(self, small_offload_world, small_groups):
         steps = greedy_reachability(small_offload_world, small_groups, 4,
                                     max_ixps=8)

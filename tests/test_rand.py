@@ -1,7 +1,6 @@
 """Deterministic randomness helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.rand import (
@@ -9,7 +8,6 @@ from repro.rand import (
     derive_seed,
     double_pareto_rates,
     make_rng,
-    zipf_weights,
 )
 
 
@@ -46,27 +44,6 @@ class TestDeriveSeed:
         a = child_rng(42, "x").random(4)
         b = child_rng(42, "y").random(4)
         assert not np.array_equal(a, b)
-
-
-class TestZipfWeights:
-    def test_normalised(self):
-        w = zipf_weights(100, 1.0)
-        assert w.sum() == pytest.approx(1.0)
-
-    def test_monotone_decreasing(self):
-        w = zipf_weights(50, 0.8)
-        assert np.all(np.diff(w) <= 0)
-
-    def test_empty(self):
-        assert zipf_weights(0, 1.0).size == 0
-
-    @given(st.integers(min_value=1, max_value=500),
-           st.floats(min_value=0.1, max_value=3.0))
-    def test_always_a_distribution(self, n, exp):
-        w = zipf_weights(n, exp)
-        assert w.shape == (n,)
-        assert w.sum() == pytest.approx(1.0)
-        assert np.all(w > 0)
 
 
 class TestDoublePareto:

@@ -62,33 +62,37 @@ class TestRecords:
         assert len(directory) == 20
 
 
+def answer(source, address: str, time_s: float = 0.0) -> ASN | None:
+    """One source's answer for one address at one time."""
+    (asn,) = source.answers("X-IX", IPv4Address.parse(address), (time_s,))
+    return asn
+
+
 class TestSources:
     def test_full_coverage_answers(self, directory):
         src = PeeringDBSource(directory, coverage=1.0, seed=1)
-        assert src.lookup("X-IX", IPv4Address.parse("10.0.0.3"), 0.0) == 103
+        assert answer(src, "10.0.0.3") == 103
 
     def test_zero_coverage_silent(self, directory):
         src = PeeringDBSource(directory, coverage=0.0, seed=1)
         for i in range(1, 21):
-            assert src.lookup("X-IX", IPv4Address.parse(f"10.0.0.{i}"), 0.0) is None
+            assert answer(src, f"10.0.0.{i}") is None
 
     def test_coverage_deterministic(self, directory):
         a = IXPWebsiteSource(directory, coverage=0.5, seed=3)
         b = IXPWebsiteSource(directory, coverage=0.5, seed=3)
-        addr = IPv4Address.parse("10.0.0.7")
-        assert a.lookup("X-IX", addr, 0.0) == b.lookup("X-IX", addr, 0.0)
+        assert answer(a, "10.0.0.7") == answer(b, "10.0.0.7")
 
     def test_well_known_bypasses_coverage(self):
         d = IXPDirectory()
         d.add(record("10.0.0.1", well_known=True))
         src = PeeringDBSource(d, coverage=0.0, seed=1)
-        assert src.lookup("X-IX", IPv4Address.parse("10.0.0.1"), 0.0) == 100
+        assert answer(src, "10.0.0.1") == 100
 
     def test_rdns_hostname_format(self, directory):
         src = ReverseDNSSource(directory, coverage=1.0, seed=1)
-        name = src.hostname("X-IX", IPv4Address.parse("10.0.0.4"), 0.0)
-        assert name == "as104.x-ix.example.net"
-        assert src.lookup("X-IX", IPv4Address.parse("10.0.0.4"), 0.0) == 104
+        assert parse_asn_from_hostname("as104.x-ix.example.net") == 104
+        assert answer(src, "10.0.0.4") == 104
 
     @pytest.mark.parametrize(
         "hostname,expected",
@@ -113,22 +117,26 @@ class TestPipeline:
             rdns=ReverseDNSSource(directory, coverage=rdns, seed=seed),
         )
 
+    def identify(self, pipeline, address: str, start_s=0.0, end_s=0.0):
+        return pipeline.identify_span(
+            "X-IX", IPv4Address.parse(address), start_s, end_s)
+
     def test_first_source_wins(self, directory):
         pipeline = self.make_pipeline(directory)
-        result = pipeline.identify("X-IX", IPv4Address.parse("10.0.0.2"), 0.0)
-        assert result.identified
+        result, _ = self.identify(pipeline, "10.0.0.2")
+        assert result.asn is not None
         assert result.asn == 102
         assert result.source == "peeringdb"
 
     def test_falls_through_sources(self, directory):
         pipeline = self.make_pipeline(directory, pdb=0.0, web=0.0, rdns=1.0)
-        result = pipeline.identify("X-IX", IPv4Address.parse("10.0.0.2"), 0.0)
+        result, _ = self.identify(pipeline, "10.0.0.2")
         assert result.source == "rdns"
 
     def test_unidentified(self, directory):
         pipeline = self.make_pipeline(directory, pdb=0.0, web=0.0, rdns=0.0)
-        result = pipeline.identify("X-IX", IPv4Address.parse("10.0.0.2"), 0.0)
-        assert not result.identified
+        result, _ = self.identify(pipeline, "10.0.0.2")
+        assert result.asn is None
         assert result.source is None
 
     def test_asn_changed_detection(self):
@@ -136,15 +144,15 @@ class TestPipeline:
         d.add(record("10.0.0.1", asn_after_change=ASN(999),
                      asn_change_time=100.0))
         pipeline = self.make_pipeline(d)
-        assert pipeline.asn_changed("X-IX", IPv4Address.parse("10.0.0.1"),
-                                    0.0, 200.0)
-        assert not pipeline.asn_changed("X-IX", IPv4Address.parse("10.0.0.1"),
-                                        0.0, 50.0)
+        first, last = self.identify(pipeline, "10.0.0.1", 0.0, 200.0)
+        assert (first.asn, last.asn) == (100, 999)
+        first, last = self.identify(pipeline, "10.0.0.1", 0.0, 50.0)
+        assert first.asn == last.asn == 100
 
     def test_unidentified_end_is_not_a_change(self):
         d = IXPDirectory()
         d.add(record("10.0.0.1", asn_after_change=ASN(999),
                      asn_change_time=100.0))
         pipeline = self.make_pipeline(d, pdb=0.0, web=0.0, rdns=0.0)
-        assert not pipeline.asn_changed("X-IX", IPv4Address.parse("10.0.0.1"),
-                                        0.0, 200.0)
+        first, last = self.identify(pipeline, "10.0.0.1", 0.0, 200.0)
+        assert first.asn is None and last.asn is None

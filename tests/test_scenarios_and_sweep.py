@@ -22,18 +22,9 @@ class TestScenarios:
         world = scenarios.mini3(seed=11)
         assert set(world.ixps) == set(scenarios.MINI_IXPS)
 
-    def test_single_ixp(self):
-        world = scenarios.single_ixp("VIX", seed=2)
-        assert set(world.ixps) == {"VIX"}
-
-    def test_single_ixp_unknown(self):
-        with pytest.raises(ConfigurationError):
-            scenarios.single_ixp("NOPE-IX")
-
-    def test_rediris_small(self):
-        world = scenarios.rediris_small(seed=5)
-        assert len(world.contributing) == 3000
-        assert len(world.memberships) == 65
+    def test_rediris_small(self, small_offload_world):
+        assert len(small_offload_world.contributing) == 3000
+        assert len(small_offload_world.memberships) == 65
 
     def test_scenarios_deterministic(self):
         a = scenarios.mini3(seed=4)

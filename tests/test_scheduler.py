@@ -297,7 +297,7 @@ class TestPriorityOrdering:
     def test_higher_priority_runs_first_ties_fifo(self, tmp_path):
         # Submit against a *stopped* scheduler so the queue orders fully
         # before the single worker thread starts draining it.
-        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler = StudyScheduler(str(tmp_path), threads=1)
         jobs = [
             scheduler.submit(study=SleepyStudy(sleep_s=0.05),
                              config=StudyConfig(seeds=(seed,), workers=1),
@@ -332,7 +332,7 @@ class TestJobMetrics:
     ):
         study = SleepyStudy()
         config = StudyConfig(seeds=(1, 2, 3), workers=1)
-        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler = StudyScheduler(str(tmp_path), threads=1)
         scheduler.start()
         try:
             job = _await(scheduler.submit(study=study, config=config))
@@ -360,7 +360,7 @@ class TestDuplicateSubmissions:
     def test_identical_submissions_hit_the_store_exactly_once(self, tmp_path):
         study = SleepyStudy(sleep_s=0.1)
         config = StudyConfig(seeds=(1, 2), workers=1)
-        scheduler = StudyScheduler(str(tmp_path), threads=2, journal=False)
+        scheduler = StudyScheduler(str(tmp_path), threads=2)
         scheduler.start()
         try:
             first = scheduler.submit(study=study, config=config)
@@ -389,7 +389,7 @@ class TestDuplicateSubmissions:
 
 class TestCancellation:
     def test_queued_job_cancels_immediately(self, tmp_path):
-        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler = StudyScheduler(str(tmp_path), threads=1)
         job = scheduler.submit(study=SleepyStudy(),
                                config=StudyConfig(seeds=(1,), workers=1))
         cancelled = scheduler.cancel(job.job_id)
@@ -398,7 +398,7 @@ class TestCancellation:
         assert scheduler.cancel(job.job_id).state is JobState.CANCELLED
 
     def test_unknown_job_raises(self, tmp_path):
-        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler = StudyScheduler(str(tmp_path), threads=1)
         with pytest.raises(ConfigurationError, match="unknown job"):
             scheduler.cancel("job-missing")
 
@@ -408,7 +408,7 @@ class TestCancellation:
         AND sweep every shared-memory segment (``close_all`` on the
         cancellation path), leaving ``/dev/shm`` exactly as it was."""
         before = shm_snapshot()
-        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler = StudyScheduler(str(tmp_path), threads=1)
         scheduler.start()
         try:
             job = scheduler.submit(
@@ -492,7 +492,7 @@ class TestRecovery:
         assert second.recover() == 0  # no request payload, not rebuildable
 
     def test_fingerprint_matches_public_helper(self, tmp_path):
-        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler = StudyScheduler(str(tmp_path), threads=1)
         study = SleepyStudy()
         config = StudyConfig(seeds=(1, 2), workers=1)
         job = scheduler.submit(study=study, config=config)

@@ -154,6 +154,8 @@ class TestHttpApi:
     def test_unknown_job_404s(self, base):
         status, body = _call(base, "GET", "/studies/job-missing")
         assert status == 404 and "unknown job" in body["error"]
+        status, body = _call(base, "GET", "/studies/job-nope?watch=1")
+        assert status == 404 and "unknown job" in body["error"]
         status, _ = _call(base, "DELETE", "/studies/job-missing")
         assert status == 404
 

@@ -48,11 +48,6 @@ class TestEntityPath:
             EntityKind.L2_PROVIDER, EntityKind.IXP,
         ]
 
-    def test_layer3_projection_hides_middlemen(self):
-        projected = self.path().layer3_projection()
-        assert projected.intermediary_count() == 0
-        assert [e.key for e in projected.entities] == ["as1", "as2"]
-
     def test_invisible_intermediaries(self):
         assert len(self.path().invisible_intermediaries()) == 2
 

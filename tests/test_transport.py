@@ -94,21 +94,10 @@ class TestSegmentLifecycle:
         assert not segment_exists(name)
         assert manager.live_segments() == ()
 
-    def test_add_refs_extends_the_lifetime(self):
-        manager = SegmentManager()
-        descriptor = manager.create(sample_columns(), refs=1)
-        manager.add_refs(descriptor.segment, 1)
-        manager.release(descriptor.segment)
-        assert segment_exists(descriptor.segment)
-        manager.release(descriptor.segment)
-        assert not segment_exists(descriptor.segment)
-
     def test_bookkeeping_edge_cases(self):
         manager = SegmentManager()
         with pytest.raises(ConfigurationError):
             manager.create(sample_columns(), refs=0)
-        with pytest.raises(ConfigurationError):
-            manager.add_refs("no-such-segment", 1)
         manager.release("no-such-segment")  # double release: a no-op
         manager.close_all()
 

@@ -223,3 +223,15 @@ class TestWeightedIndexSampleBranches:
         weights[5] = bad
         with pytest.raises(ValueError):
             weighted_index_sample(np.random.default_rng(0), weights, 4)
+
+    @pytest.mark.parametrize("weights,count", [
+        ([np.nan, 1, 0, 0, 2], 4), ([-1, 0, 0], 2), ([np.nan, 0, 0], 2),
+    ], ids=["few-positive-nan", "all-zero-negative", "all-zero-nan"])
+    def test_nan_or_negative_weight_on_the_zero_paths_raises(
+        self, weights, count
+    ):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            weighted_index_sample(rng, np.array(weights, dtype=float), count)
+        assert rng.bit_generator.state == before
