@@ -82,10 +82,11 @@ chaos:
 	$(PY) -m repro scenarios run failover --preset small --seeds 2 --workers 1
 
 # The mega-scale gate: the weighted samplers most of a mega build runs
-# (held to numpy's choice/searchsorted as oracle), then the ~20k-network
-# smoke world through the study engine over the zero-copy shared-memory
-# transport, on two workers so the worlds build in the pool even on a
-# one-core runner.
+# (held to numpy's choice/searchsorted as oracle), the set-cover kernel
+# every mega trial canonicalises its membership rows in (held to its
+# oracles), then the ~20k-network smoke world through the study engine
+# over the zero-copy shared-memory transport, on two workers so the
+# worlds build in the pool even on a one-core runner.
 # --strict-transport fails the target if any trial fell back to
 # pickling, so the shm path cannot silently rot.  The run's output goes
 # through a pipe, which stays open until the resource tracker (started
@@ -94,6 +95,7 @@ chaos:
 # /dev/shm segment the run left behind.
 mega-smoke:
 	$(PY) -m pytest -q tests/test_weighted_sampling.py tests/test_megatopo.py \
+		tests/test_offload_bitsets.py tests/test_greedy_oracle.py \
 		tests/test_transport.py
 	@log=$$(mktemp); LC_ALL=C ls /dev/shm > $$log.shm; \
 	{ $(PY) -m repro study mega --preset mega-smoke --seeds 4 \

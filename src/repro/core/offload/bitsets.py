@@ -16,13 +16,18 @@ Selection rule
 Per rank, every still-active row's gain is the sum of the weights of its
 *uncovered* columns: one float64 ``np.add.reduceat`` segment over the
 row's entries in ascending column order, so the association order is
-fixed by the set alone.  The pick is the first argmax, i.e. the lowest
-row among equal gains (alphabetical for acronym-sorted rows).  The
-pick's columns then count as covered and the kernel drops every covered
-entry, so later ranks only touch what is left (on the paper world the
-live entries fall from ~260k to ~16k after rank 1).  A gain depends only
-on the set of uncovered columns, so two rows with the same uncovered
-set tie exactly whatever their histories.
+fixed by the set alone.  That canonical order (ascending, no repeats)
+is the one summed in, whatever order a row arrives in: rows already
+ascending (the cone rows) are used as they are; otherwise each row is
+sorted in place on a copy of the entries, and repeated columns are
+dropped only when some row has them (a mega world's membership rows
+come in draw order, without repeats).  The pick is the first argmax,
+i.e. the lowest row among equal gains (alphabetical for acronym-sorted
+rows).  The pick's columns then count as covered and the kernel drops
+every covered entry, so later ranks only touch what is left (on the
+paper world the live entries fall from ~260k to ~16k after rank 1).
+A gain depends only on the set of uncovered columns, so two rows with
+the same uncovered set tie exactly whatever their histories.
 
 Why exact float64 rather than a float32 matrix-vector product: the
 product's rounding depends on which CPU kernel the BLAS build dispatches
@@ -37,11 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.sim.offload_world import (
-    MemberArrays,
-    gather_runs,
-    sorted_distinct,
-)
+from repro.sim.offload_world import MemberArrays, gather_runs
 
 
 def cone_rows(
@@ -99,19 +100,31 @@ def greedy_cover_rows(
     weights = np.asarray(weights, dtype=np.float64)
     # The live entries: columns still uncovered, grouped by row as in the
     # CSR, with ``bounds`` as their row pointer.
-    cols = np.asarray(indices, dtype=np.intp)
+    cols = np.asarray(indices)
     bounds = np.asarray(indptr, dtype=np.intp)
-    ascending = cols[1:] > cols[:-1]
     inner = bounds[1:-1]
-    ascending[inner[(inner > 0) & (inner < cols.size)] - 1] = True
+    # Entries ``i`` and ``i + 1`` that sit in different rows.
+    straddle = inner[(inner > 0) & (inner < cols.size)] - 1
+    ascending = cols[1:] > cols[:-1]
+    ascending[straddle] = True
     if not ascending.all():
         # Canonical entry order: ascending columns within each row, no
-        # repeats — the order every gain is summed in.
-        keys = sorted_distinct(
-            np.repeat(np.arange(row_count) * ncols, np.diff(bounds)) + cols
-        )
-        rows, cols = np.divmod(keys, ncols)
-        bounds = np.searchsorted(rows, np.arange(row_count + 1))
+        # repeats — the order every gain is summed in.  Each row is
+        # sorted in place on a copy in the input's dtype (an attached
+        # shared-memory view is read-only).
+        cols = cols.copy()
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            cols[lo:hi].sort()
+        repeat = cols[1:] == cols[:-1]
+        repeat[straddle] = False
+        if repeat.any():
+            keep = np.concatenate(([True], ~repeat))
+            cols = cols[keep]
+            kept = np.zeros(keep.size + 1, dtype=np.intp)
+            np.cumsum(keep, out=kept[1:])
+            bounds = kept[bounds]
+    # Native-width indices: the gathers below run about twice as fast.
+    cols = cols.astype(np.intp, copy=False)
     live_weights = weights[cols]
     covered = np.zeros(ncols, dtype=bool)
     active = np.ones(row_count, dtype=bool)

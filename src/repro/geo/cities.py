@@ -8,6 +8,7 @@ Madrid) plus a worldwide pool for member home locations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,9 +262,20 @@ class CityDB:
         return [pool[i] for i in idx]
 
 
-def default_city_db() -> CityDB:
-    """Build the built-in city database (fresh, mutation-safe copy)."""
+@functools.cache
+def _builtin_cities() -> tuple[City, ...]:
+    """The built-in cities (names checked distinct), built once per process."""
     db = CityDB()
     for name, country, continent, lat, lon in _RAW:
         db.add(_c(name, country, continent, lat, lon))
-    return db
+    return tuple(db.cities.values())
+
+
+def default_city_db() -> CityDB:
+    """The built-in city database, as a fresh, mutation-safe table.
+
+    Every call returns its own :class:`CityDB`, so a city added to one
+    is absent from the next; the frozen :class:`City` objects in it are
+    built once per process and shared.
+    """
+    return CityDB({city.name: city for city in _builtin_cities()})

@@ -17,25 +17,13 @@ from repro.geo.cities import City
 
 @dataclass(frozen=True, slots=True)
 class Partnership:
-    """A layer-2 interconnection between two IXPs.
-
-    ``membership_discount`` models partner programs that reduce fees for
-    remotely peering networks (an input to the economics model's ``h``).
-    """
+    """A layer-2 interconnection between two IXPs."""
 
     ixp_a: str
     ixp_b: str
     city_a: City
     city_b: City
-    carrier: str
-    membership_discount: float = 0.25
-    overhead_ms: float = 1.0
 
     def __post_init__(self) -> None:
         if self.ixp_a == self.ixp_b:
             raise ConfigurationError("partnership needs two distinct IXPs")
-        if not 0.0 <= self.membership_discount < 1.0:
-            raise ConfigurationError("discount must be in [0, 1)")
-        if self.overhead_ms < 0:
-            raise ConfigurationError("overhead cannot be negative")
-

@@ -119,45 +119,75 @@ def sorted_probe_search(
     return hits.reshape(probes.shape), order
 
 
+class WeightedSampler:
+    """``Generator.choice(len(p), replace=False, p=p)``, prepared once.
+
+    The constructor validates ``p`` as ``choice`` does (a NaN or negative
+    entry, or a sum off 1 by more than √eps, raises ``ValueError``) and
+    computes the first-round CDF, ``cumsum(p) / cumsum(p)[-1]``, that
+    every draw starts from.  :meth:`draw` then runs numpy's own loop:
+    each round draws one uniform per missing index, inverts the CDF with
+    ``searchsorted(side="right")`` and keeps each distinct hit at its
+    earliest draw; later rounds zero the probabilities already drawn (on
+    a copy of ``p``) and recompute the CDF from them.  The first round's
+    CDF is the same array on every call, so a sampler shared by many
+    draws returns, call for call, the indices and generator state that
+    ``choice`` would (``tests/test_weighted_sampling.py`` holds it to
+    that).  Here the inversion goes through :func:`sorted_probe_search`,
+    whose sorted hits give the distinct values as runs, so no
+    ``np.unique`` is needed.
+    """
+
+    __slots__ = ("p", "cdf", "positive")
+
+    def __init__(self, p: np.ndarray) -> None:
+        p = np.array(p, dtype=np.float64)
+        if not (p.min(initial=np.inf) >= 0 and abs(p.sum() - 1.0) <= _P_ATOL):
+            raise ValueError("probabilities must be non-negative and sum to 1")
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        p.flags.writeable = cdf.flags.writeable = False
+        self.p = p
+        self.cdf = cdf
+        #: Entries with a positive probability: the most one draw can take.
+        self.positive = int(np.count_nonzero(p))
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` distinct indices; fewer positive entries raise."""
+        if self.positive < count:
+            raise ValueError("fewer positive probabilities than draws")
+        found = np.empty(count, dtype=np.int64)
+        cdf = self.cdf
+        p = None
+        done = 0
+        while done < count:
+            draws = rng.random(count - done)
+            if done:
+                if p is None:
+                    p, cdf = self.p.copy(), np.empty_like(self.p)
+                p[found[:done]] = 0.0
+                np.cumsum(p, out=cdf)
+                cdf /= cdf[-1]
+            hits, order = sorted_probe_search(cdf, draws)
+            runs = hits[order]
+            starts = np.flatnonzero(runs[1:] != runs[:-1]) + 1
+            first = np.minimum.reduceat(order, np.concatenate(([0], starts)))
+            first.sort()
+            new = hits[first]
+            found[done:done + len(new)] = new
+            done += len(new)
+        return found
+
+
 def weighted_choice(
     rng: np.random.Generator, p: np.ndarray, count: int
 ) -> np.ndarray:
     """``rng.choice(len(p), size=count, replace=False, p=p)``, draw for draw.
 
-    numpy's own loop: each round draws one uniform per missing index,
-    zeroes the probabilities already drawn, normalises ``cumsum(p)`` by
-    its last entry, inverts it with ``searchsorted(side="right")`` and
-    keeps each distinct hit at its earliest draw.  Here the inversion
-    goes through :func:`sorted_probe_search`, whose sorted hits give the
-    distinct values as runs, so no ``np.unique`` is needed.  The result
-    and the generator's state afterwards equal ``choice``'s
-    (``tests/test_weighted_sampling.py`` holds them to it).  ``p`` is
-    validated as ``choice`` does: a NaN or negative entry, a sum off 1
-    by more than √eps, or fewer positive entries than ``count`` raise
-    ``ValueError``.
+    The one-shot use of :class:`WeightedSampler`: the same validation,
+    the same loop and so the same indices and generator state.
     """
-    p = np.array(p, dtype=np.float64)
-    if not (p.min(initial=np.inf) >= 0 and abs(p.sum() - 1.0) <= _P_ATOL):
-        raise ValueError("probabilities must be non-negative and sum to 1")
-    if np.count_nonzero(p) < count:
-        raise ValueError("fewer positive probabilities than draws")
-    found = np.empty(count, dtype=np.int64)
-    cdf = np.empty_like(p)
-    done = 0
-    while done < count:
-        draws = rng.random(count - done)
-        np.cumsum(p, out=cdf)
-        cdf /= cdf[-1]
-        hits, order = sorted_probe_search(cdf, draws)
-        runs = hits[order]
-        starts = np.flatnonzero(runs[1:] != runs[:-1]) + 1
-        first = np.minimum.reduceat(order, np.concatenate(([0], starts)))
-        first.sort()
-        new = hits[first]
-        found[done:done + len(new)] = new
-        p[new] = 0.0
-        done += len(new)
-    return found
+    return WeightedSampler(p).draw(rng, count)
 
 
 def double_pareto_rates(

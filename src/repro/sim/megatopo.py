@@ -37,6 +37,7 @@ Draw program (statically inventoried by ``repro lint --draw-programs``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -45,7 +46,12 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.geo.cities import default_city_db
 from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog, scaled_member_count
-from repro.rand import child_rng, derive_seed, sorted_probe_search
+from repro.rand import (
+    WeightedSampler,
+    child_rng,
+    derive_seed,
+    sorted_probe_search,
+)
 from repro.sim.netpool import (
     SCOPE_CONTINENTS,
     ColumnarNetworkPool,
@@ -358,7 +364,10 @@ def _weighted_rows(
     Stream contract: the picks are numpy's ``searchsorted(cum,
     uniforms * total, side="right")`` for the same uniforms, looked up
     in sorted order by :func:`repro.rand.sorted_probe_search`
-    (``tests/test_weighted_sampling.py`` holds the two equal).
+    (``tests/test_weighted_sampling.py`` holds the two equal).  Each
+    pass re-checks only the rows it just redrew: the others are already
+    free of duplicates and stay as they are, so the picks and the
+    number of passes are those of re-checking every row.
     """
     cum = np.cumsum(weights)
     total = cum[-1]
@@ -367,15 +376,78 @@ def _weighted_rows(
         hits, _ = sorted_probe_search(cum, rng.random((count, k)) * total)
         return candidates[hits]
 
+    def duplicated(block: np.ndarray) -> np.ndarray:
+        srt = np.sort(block, axis=1)
+        return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+
     picks = draw(rows)
     if k == 1:
         return picks
-    while True:
-        srt = np.sort(picks, axis=1)
-        dup_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
-        if not dup_rows.size:
-            return picks
-        picks[dup_rows] = draw(dup_rows.size)
+    dup_rows = np.flatnonzero(duplicated(picks))
+    while dup_rows.size:
+        redrawn = draw(dup_rows.size)
+        picks[dup_rows] = redrawn
+        dup_rows = dup_rows[duplicated(redrawn)]
+    return picks
+
+
+def _descending_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(-values, kind="stable")``, by the default sort when it can.
+
+    Distinct values have exactly one sorted order, so when the default
+    (unstable, several times faster) argsort leaves the values strictly
+    decreasing its order is the stable one; a tie (or a NaN) takes the
+    stable sort.
+    """
+    keys = -values
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] > ranked[:-1]).all():
+        return order
+    return np.argsort(keys, kind="stable")
+
+
+def _draw_members(
+    pool: ColumnarNetworkPool,
+    continents: list[str],
+    counts: list[int],
+    rngs: Iterable[np.random.Generator],
+) -> np.ndarray:
+    """Every IXP's ``pool.sample_member_indices(rng, continent, count)``,
+    concatenated in catalog order (int32).
+
+    Every IXP of one continent draws from the same normalised
+    propensities, so the positive path's :class:`~repro.rand.WeightedSampler`
+    (weights and first-round CDF) is prepared at the continent's first
+    IXP, shared by the rest and dropped after its last.  Each draw still
+    runs on its IXP's own stream and equals the per-IXP call; a count
+    above the continent's positive weights, or weights the positive path
+    would not take, go through ``sample_member_indices`` itself.
+    """
+    last = {continent: j for j, continent in enumerate(continents)}
+    samplers: dict[str, WeightedSampler | None] = {}
+    member_lists = []
+    for j, (continent, count, rng) in enumerate(zip(continents, counts, rngs)):
+        eligible = pool.eligible_for(continent)
+        if continent not in samplers:
+            weights = pool.propensity[eligible]
+            total = weights.sum()
+            samplers[continent] = (
+                WeightedSampler(weights / total)
+                if (weights >= 0).all() and 0 < total < np.inf
+                else None
+            )
+        sampler = samplers[continent]
+        if sampler is not None and count <= sampler.positive:
+            drawn = eligible[sampler.draw(rng, count)]
+        else:
+            drawn = pool.sample_member_indices(rng, continent, count)
+        member_lists.append(drawn.astype(np.int32))
+        if last[continent] == j:
+            del samplers[continent]
+    if not member_lists:
+        return np.zeros(0, dtype=np.int32)
+    return np.concatenate(member_lists)
 
 
 def build_mega_world(config: MegaWorldConfig | None = None) -> MegaWorld:
@@ -386,6 +458,14 @@ def build_mega_world(config: MegaWorldConfig | None = None) -> MegaWorld:
     per-IXP membership draws.  GC is suspended for the allocation burst
     (same rationale as the offload builder: generational collections
     mid-build scan long-lived arrays and reclaim nothing).
+
+    Work shared across draws is done once, and no draw moves: the tier
+    order takes the default argsort when the propensities are distinct
+    (their one sorted order, so the stable sort's too); each continent's
+    member sampler is prepared once for all its IXPs (60 of the 65
+    Euro-IX exchanges reuse one), each IXP still drawing on its own
+    stream (:func:`_draw_members`); and the provider picks re-check
+    only the rows they redraw.
     """
     config = config or MegaWorldConfig()
     with paused_gc():
@@ -398,7 +478,7 @@ def _build(config: MegaWorldConfig) -> MegaWorld:
 
     # Tier assignment is propensity order, no draws: the networks that
     # join the most IXPs are exactly the transit heavyweights.
-    order = np.argsort(-pool.propensity, kind="stable")
+    order = _descending_order(pool.propensity)
     tier = np.full(n, TIER_STUB, dtype=np.uint8)
     clique = np.sort(order[: config.clique_size])
     t1 = np.sort(order[config.clique_size:config.clique_size + config.t1_count])
@@ -444,20 +524,17 @@ def _build(config: MegaWorldConfig) -> MegaWorld:
         ],
         dtype=np.int64,
     )
-    member_lists = []
-    for spec, count in zip(catalog, member_counts.tolist()):
-        rng = child_rng(config.seed, "megatopo", "membership", spec.acronym)
-        continent = _REGION_CONTINENT[spec.region]
-        member_lists.append(
-            pool.sample_member_indices(rng, continent, count).astype(np.int32)
-        )
+    member_indices = _draw_members(
+        pool,
+        [_REGION_CONTINENT[spec.region] for spec in catalog],
+        member_counts.tolist(),
+        (
+            child_rng(config.seed, "megatopo", "membership", spec.acronym)
+            for spec in catalog
+        ),
+    )
     member_indptr = np.zeros(len(catalog) + 1, dtype=np.int64)
     np.cumsum(member_counts, out=member_indptr[1:])
-    member_indices = (
-        np.concatenate(member_lists)
-        if member_lists
-        else np.zeros(0, dtype=np.int32)
-    )
 
     world = MegaWorld(
         config=config,

@@ -247,11 +247,16 @@ def weighted_index_sample(
     Stream contract: the positive-weight path consumes the same uniforms
     and returns the same indices as numpy's ``Generator.choice(indices,
     size=count, replace=False, p=weights / weights.sum())`` — it runs
-    that loop itself (:func:`repro.rand.weighted_choice`), and
+    that loop itself (:func:`repro.rand.weighted_choice`, a one-shot
+    :class:`~repro.rand.WeightedSampler`), and
     ``tests/test_weighted_sampling.py`` holds it to ``choice`` as an
     oracle, so world digests do not depend on ``choice``'s internals.  A
     NaN or negative weight raises ``ValueError``, as ``choice`` does, on
-    every path and before any draw.
+    every path and before any draw.  The mega build prepares that
+    sampler once per continent and shares it across the continent's
+    exchanges (:func:`repro.sim.megatopo._draw_members`); a sampler's
+    first-round CDF is a function of the weights alone, so its draws
+    are this function's.
     """
     if not (weights >= 0).all():  # NaN compares False too
         raise ValueError("weights must be non-negative and not NaN")

@@ -342,7 +342,6 @@ class ScalarWorldBuilder:
                     ixp_b=partner_name,
                     city_a=city,
                     city_b=partner_city,
-                    carrier="l2carrier",
                 )
             )
             slots.extend([partner_city] * _PARTNER_SEATS)

@@ -72,3 +72,6 @@ class TestQueries:
         two = default_city_db()
         one.add(City("Testville", "Nowhere", "EU", GeoPoint(0, 0)))
         assert "Testville" not in two
+        assert "Testville" not in default_city_db()
+        # The tables are separate; the frozen cities in them are shared.
+        assert one.get("Amsterdam") is two.get("Amsterdam")

@@ -155,5 +155,4 @@ class TestEuroIX:
 class TestPartnership:
     def test_self_partnership_rejected(self, cities):
         with pytest.raises(ConfigurationError):
-            Partnership("A", "A", cities.get("Turin"), cities.get("Padua"),
-                        "x")
+            Partnership("A", "A", cities.get("Turin"), cities.get("Padua"))

@@ -17,6 +17,7 @@ import pytest
 from repro.bgp.asys import AutonomousSystem
 from repro.errors import ConfigurationError, TopologyError
 from repro.ixp.euroix import scaled_member_count
+from repro.rand import child_rng
 from repro.sim.megatopo import (
     _REGION_CONTINENT,
     TIER_CLIQUE,
@@ -25,6 +26,7 @@ from repro.sim.megatopo import (
     TIER_T2,
     MegaWorld,
     MegaWorldConfig,
+    _descending_order,
     build_mega_world,
 )
 from repro.sim.netpool import (
@@ -66,6 +68,24 @@ class TestTierStructure:
         assert prop[tier == TIER_CLIQUE].min() >= prop[tier == TIER_T1].max()
         assert prop[tier == TIER_T1].min() >= prop[tier == TIER_T2].max()
         assert prop[tier == TIER_T2].min() >= prop[tier == TIER_STUB].max()
+
+    def test_propensity_order_is_the_stable_descending_sort(
+        self, small_world
+    ):
+        prop = small_world.pool.propensity
+        assert len(np.unique(prop)) == len(prop)  # the default-sort path
+        expected = np.argsort(-prop, kind="stable")
+        assert np.array_equal(small_world.propensity_order, expected)
+        assert np.array_equal(_descending_order(prop), expected)
+
+    def test_tied_propensities_take_the_stable_sort(self, small_world):
+        # A pool whose propensities come in a few tied levels: the
+        # default sort alone would order each tie arbitrarily.
+        levels = np.repeat(small_world.pool.propensity[:6], 800)
+        tied = np.random.default_rng(3).permutation(levels)
+        expected = np.argsort(-tied, kind="stable")
+        assert not np.array_equal(np.argsort(-tied), expected)
+        assert np.array_equal(_descending_order(tied), expected)
 
     def test_provider_fan_in_per_tier(self, small_world):
         fan_in = np.diff(small_world.provider_indptr)
@@ -152,6 +172,20 @@ class TestMemberships:
             members = small_world.members_of(j)
             assert (scope_mask[members] & bit).all(), spec.acronym
             assert len(set(members.tolist())) == len(members)
+
+    def test_members_are_the_per_ixp_pool_draws(self, small_world):
+        # Each exchange's list is the pool's own draw on its stream,
+        # though every continent's sampler is shared by its exchanges.
+        pool = small_world.pool
+        for j, spec in enumerate(small_world.catalog):
+            rng = child_rng(SMALL.seed, "megatopo", "membership", spec.acronym)
+            expected = pool.sample_member_indices(
+                rng, _REGION_CONTINENT[spec.region],
+                int(small_world.member_counts[j]),
+            )
+            assert np.array_equal(small_world.members_of(j), expected), (
+                spec.acronym
+            )
 
     def test_coverage_extends_membership_down_the_cone(self, small_world):
         membership = small_world.membership_masks()

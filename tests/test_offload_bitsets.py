@@ -1,11 +1,12 @@
-"""The set-cover kernel and the cone-CSR assembly on hand-worked inputs."""
+"""The set-cover kernel and the cone-CSR assembly on hand-worked inputs,
+and the kernel's row canonicalisation against its former key sort."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.offload.bitsets import cone_rows, greedy_cover_rows
-from repro.sim.offload_world import MemberArrays
+from repro.sim.offload_world import MemberArrays, sorted_distinct
 
 
 def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -83,6 +84,99 @@ class TestGreedyCoverRows:
         # listed order, 0.3 + 0.2 + 0.1 and 0.1 + 0.2 + 0.3 differ.
         steps = _run([[3, 2, 1], [1, 2, 3]], [0.0, 0.1, 0.2, 0.3], limit=1)
         assert [row for row, _ in steps] == [0]
+
+
+def key_sort_cover_rows(indptr, indices, weights, limit):
+    """The kernel as it canonicalised rows before: one int64 key per
+    entry (``row * ncols + column``) sorted and deduplicated at once,
+    then split back into rows by ``divmod`` and ``searchsorted``."""
+    row_count = len(indptr) - 1
+    ncols = len(weights)
+    weights = np.asarray(weights, dtype=np.float64)
+    cols = np.asarray(indices, dtype=np.intp)
+    bounds = np.asarray(indptr, dtype=np.intp)
+    ascending = cols[1:] > cols[:-1]
+    inner = bounds[1:-1]
+    ascending[inner[(inner > 0) & (inner < cols.size)] - 1] = True
+    if not ascending.all():
+        keys = sorted_distinct(
+            np.repeat(np.arange(row_count) * ncols, np.diff(bounds)) + cols
+        )
+        rows, cols = np.divmod(keys, ncols)
+        bounds = np.searchsorted(rows, np.arange(row_count + 1))
+    live_weights = weights[cols]
+    covered = np.zeros(ncols, dtype=bool)
+    active = np.ones(row_count, dtype=bool)
+    for rank in range(1, min(limit, row_count) + 1):
+        gains = np.zeros(row_count)
+        filled = np.flatnonzero(bounds[1:] > bounds[:-1])
+        if filled.size:
+            gains[filled] = np.add.reduceat(live_weights, bounds[filled])
+        gains[~active] = -np.inf
+        best = int(np.argmax(gains))
+        covered[indices[indptr[best]:indptr[best + 1]]] = True
+        active[best] = False
+        fresh = np.flatnonzero(~covered[cols])
+        cols = cols[fresh]
+        live_weights = live_weights[fresh]
+        bounds = np.searchsorted(fresh, bounds)
+        yield rank, best, covered
+
+
+def random_csr(case: np.random.Generator, family: str):
+    """Rows of up to 60 columns (some empty) over up to 300 columns."""
+    row_count = int(case.integers(1, 40))
+    # "narrow" rows repeat a few columns, so one row's last column often
+    # equals the next row's first once both are sorted.
+    ncols = int(case.integers(1, 5 if family == "narrow" else 300))
+    lengths = case.integers(0, min(ncols, 60) + 1, size=row_count)
+    lengths[case.random(row_count) < 0.2] = 0
+    rows = []
+    for length in lengths.tolist():
+        if family in ("repeats", "narrow"):  # unsorted, may repeat
+            rows.append(case.integers(0, ncols, size=length))
+        else:  # distinct columns, in draw order or ascending
+            row = case.choice(ncols, size=length, replace=False)
+            rows.append(np.sort(row) if family == "ascending" else row)
+    indptr = np.zeros(row_count + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate(rows).astype(np.int64)
+    return indptr, indices, ncols
+
+
+class TestCanonicalisationOracle:
+    FAMILIES = ("repeats", "narrow", "draw-order", "ascending")
+
+    def test_matches_the_key_sort_on_random_csrs(self):
+        for case_id in range(800):
+            case = np.random.default_rng([22, case_id])
+            family = self.FAMILIES[case_id % len(self.FAMILIES)]
+            indptr, indices, ncols = random_csr(case, family)
+            variant = case_id // len(self.FAMILIES)
+            if variant % 2:  # tied weights, zeros included
+                weights = case.choice([0.0, 0.1, 0.2, 0.3, 1.0], size=ncols)
+            else:
+                weights = case.random(ncols)
+            if variant // 2 % 2:  # a read-only int32 view, as shm attaches
+                indices = indices.astype(np.int32)
+                indices.flags.writeable = indptr.flags.writeable = False
+            limit = int(case.integers(1, len(indptr) + 2))
+            expected = [
+                (rank, row, covered.copy())
+                for rank, row, covered in key_sort_cover_rows(
+                    indptr, indices, weights, limit
+                )
+            ]
+            got = [
+                (rank, row, covered.copy())
+                for rank, row, covered in greedy_cover_rows(
+                    indptr, indices, weights, limit
+                )
+            ]
+            assert len(got) == len(expected), case_id
+            for (r1, b1, c1), (r2, b2, c2) in zip(got, expected):
+                assert (r1, b1) == (r2, b2), (case_id, family)
+                assert np.array_equal(c1, c2), (case_id, family)
 
 
 def _members(memberships, cones) -> MemberArrays:

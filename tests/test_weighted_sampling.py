@@ -1,12 +1,12 @@
 """The weighted samplers behind the world builds, held to numpy as oracle.
 
-:func:`repro.rand.weighted_choice` runs ``Generator.choice(replace=False,
-p=...)``'s draw loop with sorted-probe lookups, and
-:func:`repro.rand.sorted_probe_search` stands in for
-``np.searchsorted(side="right")``.  Every detection and mega world's
-member draws and the mega world's provider picks go through them, so
-these suites compare them with numpy's own calls, draw for draw: the
-same indices and the same generator state afterwards.
+:class:`repro.rand.WeightedSampler` (and :func:`repro.rand.weighted_choice`,
+its one-shot use) runs ``Generator.choice(replace=False, p=...)``'s draw
+loop with sorted-probe lookups, and :func:`repro.rand.sorted_probe_search`
+stands in for ``np.searchsorted(side="right")``.  Every detection and
+mega world's member draws and the mega world's provider picks go through
+them, so these suites compare them with numpy's own calls, draw for
+draw: the same indices and the same generator state afterwards.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.geo.cities import default_city_db
-from repro.rand import sorted_probe_search, weighted_choice
-from repro.sim.megatopo import _weighted_rows
+from repro.rand import WeightedSampler, sorted_probe_search, weighted_choice
+from repro.sim.megatopo import _draw_members, _weighted_rows
 from repro.sim.netpool import (
     NetworkPoolConfig,
     generate_network_pool,
@@ -118,6 +119,99 @@ class TestWeightedChoiceOracle:
             weighted_choice(np.random.default_rng(0), p, 3)
 
 
+def assert_choice_sequence(
+    sampler: WeightedSampler, p: np.ndarray, counts, seeds
+) -> None:
+    """Each draw of one shared sampler is ``choice``'s on a fresh stream."""
+    for count, seed in zip(counts, seeds):
+        oracle = np.random.default_rng(seed)
+        expected = oracle.choice(len(p), size=count, replace=False, p=p)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(sampler.draw(rng, count), expected), (
+            count, seed,
+        )
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+class TestPreparedSampler:
+    def test_repeated_draws_match_generator_choice(self):
+        for case_id in range(600):
+            case = np.random.default_rng([15, case_id])
+            family = FAMILIES[case_id % len(FAMILIES)]
+            weights = random_weights(case, family)
+            p = weights / weights.sum()
+            sampler = WeightedSampler(p)
+            # Draws of every size, the full positive set included, in
+            # any order: none may see another's zeroed probabilities.
+            counts = case.integers(0, sampler.positive + 1, size=4).tolist()
+            counts.insert(int(case.integers(5)), sampler.positive)
+            seeds = case.integers(2**32, size=len(counts)).tolist()
+            try:
+                assert_choice_sequence(sampler, p, counts, seeds)
+            except AssertionError as exc:
+                raise AssertionError(f"case {case_id} ({family})") from exc
+
+    def test_continent_sized_draws(self):
+        """One continent sampler of a 20k pool, drawn as its IXPs are."""
+        pool = generate_network_pool(
+            default_city_db(), NetworkPoolConfig(size=20_000, seed=3)
+        )
+        weights = pool.propensity[pool.eligible_for("EU")]
+        p = weights / weights.sum()
+        assert_choice_sequence(
+            WeightedSampler(p), p, [1_800, 40, 900, 1_800], [5, 6, 7, 5]
+        )
+
+    def test_the_sampler_is_read_only(self):
+        sampler = WeightedSampler(np.full(4, 0.25))
+        sampler.draw(np.random.default_rng(0), 4)
+        assert sampler.p.tolist() == [0.25] * 4
+        with pytest.raises(ValueError):
+            sampler.cdf[0] = 1.0
+
+
+class TestMegaMemberDraws:
+    """The mega build's member loop against per-IXP pool draws."""
+
+    def test_shared_samplers_match_per_ixp_draws(self):
+        pool = generate_network_pool(
+            default_city_db(), NetworkPoolConfig(size=3_000, seed=9)
+        )
+        # Most of Africa's eligible networks get no weight, so one of its
+        # exchanges asks for more members than have a positive weight
+        # and takes the zero-weight branch; the next one is back on the
+        # shared sampler.
+        af = pool.eligible_for("AF")
+        pool.propensity[af[: len(af) * 3 // 4]] = 0.0
+        positive_af = int(np.count_nonzero(pool.propensity[af]))
+        continents = ["EU", "AF", "NA", "EU", "AF", "EU", "AF", "NA"]
+        counts = [300, 20, 150, 0, positive_af + 5, 800, 12, 150]
+        assert positive_af + 5 <= len(af)
+        seeds = [[31, j] for j in range(len(counts))]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        oracles = [np.random.default_rng(s) for s in seeds]
+        got = _draw_members(pool, continents, counts, iter(rngs))
+        expected = [
+            pool.sample_member_indices(rng, continent, count)
+            for rng, continent, count in zip(oracles, continents, counts)
+        ]
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.concatenate(expected))
+        for rng, oracle in zip(rngs, oracles):
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_a_count_above_the_eligible_networks_raises(self):
+        pool = generate_network_pool(
+            default_city_db(), NetworkPoolConfig(size=400, seed=2)
+        )
+        too_many = len(pool.eligible_for("AF")) + 1
+        with pytest.raises(ConfigurationError):
+            _draw_members(
+                pool, ["AF", "AF"], [2, too_many],
+                (np.random.default_rng(j) for j in range(2)),
+            )
+
+
 class TestSortedProbeSearch:
     def test_matches_searchsorted_right(self):
         for case_id in range(300):
@@ -144,19 +238,22 @@ class TestSortedProbeSearch:
 
 
 def reference_weighted_rows(rng, candidates, weights, rows, k):
-    """The provider-pick loop with numpy's own lookups and dedupe."""
+    """The provider-pick loop with numpy's own lookups, re-checking every
+    row for duplicates on each pass; returns ``(picks, redraw passes)``."""
     cum = np.cumsum(weights)
     total = cum[-1]
     picks = candidates[
         np.searchsorted(cum, rng.random((rows, k)) * total, side="right")
     ]
+    passes = 0
     if k == 1:
-        return picks
+        return picks, passes
     while True:
         srt = np.sort(picks, axis=1)
         dup_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
         if not dup_rows.size:
-            return picks
+            return picks, passes
+        passes += 1
         picks[dup_rows] = candidates[
             np.searchsorted(
                 cum, rng.random((dup_rows.size, k)) * total, side="right"
@@ -172,11 +269,30 @@ class TestWeightedRows:
         candidates = np.sort(case.choice(10**5, size, replace=False))
         weights = case.permutation(np.arange(1, size + 1) ** -1.2)
         oracle = np.random.default_rng(size)
-        expected = reference_weighted_rows(
+        expected, _ = reference_weighted_rows(
             oracle, candidates, weights, 5_000, k
         )
         rng = np.random.default_rng(size)
         got = _weighted_rows(rng, candidates, weights, 5_000, k)
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, 1.0, 1.0], [50.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0, 0.0],
+    ], ids=["k-of-k", "one-heavy", "zero-weights"])
+    def test_many_redraw_passes_match_the_full_recheck(self, weights):
+        """Rows drawn from barely more candidates than picks collide
+        often, so the redraw loop runs many passes; re-checking only the
+        redrawn rows must take the same passes and picks."""
+        weights = np.array(weights)
+        candidates = np.arange(100, 100 + len(weights))
+        oracle = np.random.default_rng(21)
+        expected, passes = reference_weighted_rows(
+            oracle, candidates, weights, 2_000, 3
+        )
+        assert passes >= 5
+        rng = np.random.default_rng(21)
+        got = _weighted_rows(rng, candidates, weights, 2_000, 3)
         assert np.array_equal(got, expected)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
