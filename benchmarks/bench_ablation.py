@@ -95,16 +95,23 @@ def bench_ablation_min_vs_median(benchmark, detection_world, campaign):
     pipeline = FilterPipeline()
     report = pipeline.run(measurements)
 
+    passed = list(report.passed)
+    found = detection_world.table.find_rows(
+        [detection_world.exchange_index[m.ixp_acronym] for m in passed],
+        [m.address.value for m in passed],
+    )
+    assert (found >= 0).all(), "every analyzed interface has a table row"
+    truly_remote = detection_world.table.is_remote[found].tolist()
+
     def classify(statistic: str):
         fp = fn = 0
-        for m in report.passed:
+        for m, remote in zip(passed, truly_remote):
             rtts = [r.rtt_ms for r in m.all_replies()]
             value = min(rtts) if statistic == "min" else float(np.median(rtts))
-            truth = detection_world.truth_for(m.ixp_acronym, m.address)
             called = value >= 10.0
-            if called and not truth.is_remote:
+            if called and not remote:
                 fp += 1
-            if not called and truth.is_remote:
+            if not called and remote:
                 fn += 1
         return fp, fn
 

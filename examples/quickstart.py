@@ -26,7 +26,7 @@ def main() -> None:
     print(f"Building a synthetic world with {len(specs)} IXPs...")
     world = build_detection_world(DetectionWorldConfig(seed=7, specs=specs))
     print(f"  {world.candidate_count()} candidate interfaces, "
-          f"{sum(len(v) for v in world.lg_servers.values())} looking glasses")
+          f"{sum(len(e.vantages) for e in world.exchanges)} looking glasses")
 
     print("Running the 4-month probing campaign (simulated)...")
     result = ProbeCampaign(world, CampaignConfig(seed=7)).run()

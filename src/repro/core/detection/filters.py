@@ -58,10 +58,6 @@ class FilterConfig:
         if not self.accepted_ttls:
             raise ConfigurationError("need at least one accepted TTL")
 
-    def envelope_ms(self, min_rtt_ms: float) -> float:
-        """The consistency envelope above a minimum RTT: max(5 ms, 10%)."""
-        return max(self.consistency_abs_ms, self.consistency_frac * min_rtt_ms)
-
 
 @dataclass(eq=False, slots=True)
 class PassedRows:

@@ -16,10 +16,17 @@ import numpy as np
 
 from repro.core.detection.results import CampaignResult
 from repro.errors import AnalysisError, ConfigurationError
-from repro.lg.server import LookingGlassServer
+from repro.layer2.fabric import SWITCH_CROSSING_MS
+from repro.lg.batch import DEFAULT_JITTER
+from repro.lg.server import LG_TAIL_RTT_MS, PCH_PINGS
 from repro.net.addr import IPv4Address
 from repro.rand import child_rng
-from repro.sim.detection_world import DetectionWorld
+from repro.sim.detection_world import (
+    CONGESTION_NONE,
+    LG_OPERATORS,
+    DetectionWorld,
+    congestion_process,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,33 +139,72 @@ def route_server_cross_check(
     """Re-measure analyzed interfaces from a fresh local vantage.
 
     Mirrors TorIX's staff measuring minimum RTTs "between the TorIX route
-    server and member interfaces": we attach a new LG-like port to the
-    IXP's fabric, ping every analyzed interface, and compare the new minima
-    against the campaign's.  The re-measurement probes the world's object
-    view one ping at a time (:meth:`LookingGlassServer.query`), whose draw
-    order is the report's contract.  The default of one 5-ping burst per interface
-    matches the quick one-shot character of the paper's re-measurement —
-    its 0.3 ms mean / 1.6 ms² variance come from transient queueing that a
-    single burst cannot average away.
+    server and member interfaces": a new PCH-style LG port (5-ping
+    bursts, a direct ``LG_TAIL_RTT_MS`` tail at the main site, no
+    congestion) pings every analyzed interface of the IXP, and the new
+    minima are compared with the campaign's.  The default of one burst
+    per interface matches the quick one-shot character of the paper's
+    re-measurement — its 0.3 ms mean / 1.6 ms² variance come from
+    transient queueing that a single burst cannot average away.
+
+    Draw order, from ``child_rng(seed, "cross-check", ixp_acronym)``,
+    visiting the IXP's interfaces in ``result.analyzed`` order: per query
+    the start time ``uniform(0, 1800)``; per ping of an on-LAN row (sent
+    one second apart) the jitter, the row's congestion delay (no draw
+    without congestion), the loss draw ``random() > respond_prob`` and,
+    if the reply's TTL survives the row's reply hops, the exponential
+    processing draw (none for a zero mean); then, after a burst with
+    replies, ``random() < 0.06`` and only if that holds ``uniform(1, 8)``.
+    A stale (off-LAN) row draws nothing: the fresh vantage knows no
+    off-LAN targets, so its probes time out.  The base RTT sums as
+    :func:`~repro.lg.batch.compile_probe_plan` does, plus the row's PCH
+    bias.
     """
-    ixp = world.ixps[ixp_acronym]
-    vantage = LookingGlassServer.create(
-        "PCH",  # operator only affects ping count; use the 5-ping burst
-        f"{ixp_acronym}-rs",
-        ixp.fabric,
-        ixp.allocate_address(),
-    )
+    index = world.exchange_index[ixp_acronym]
+    intersite = world.exchanges[index].intersite_rtt_ms
+    t = world.table
     rng = child_rng(seed, "cross-check", ixp_acronym)
+    queries = max(1, probes_per_interface // PCH_PINGS)
+    columns = result.columns
+    mine = np.array([n == ixp_acronym for n in columns.ixp_names], bool)
+    selected = mine[columns.ixp]
+    addresses = columns.address[selected]
+    rows = t.find_rows(np.full(len(addresses), index), addresses).tolist()
+    pch = LG_OPERATORS.index("PCH")
     diffs: list[float] = []
-    queries = max(1, probes_per_interface // vantage.pings_per_query)
-    for iface in result.analyzed:
-        if iface.ixp_acronym != ixp_acronym:
-            continue
+    for row, campaign_min in zip(rows, columns.min_rtt_ms[selected].tolist()):
+        on_lan = row >= 0 and bool(t.on_lan[row])
+        if on_lan:
+            base = (LG_TAIL_RTT_MS + float(t.tail_rtt_ms[row])) + SWITCH_CROSSING_MS
+            if t.site_b[row]:
+                base += intersite
+            congestion = congestion_process(
+                int(t.congestion[row]), float(t.congestion_a[row]),
+                float(t.congestion_b[row]),
+            ) if t.congestion[row] != CONGESTION_NONE else None
+            bias = float(t.bias_ms[row, pch])
+            respond = float(t.respond_prob[row])
+            processing = float(t.processing_ms[row])
         rtts: list[float] = []
         for q in range(queries):
             time_s = float(q) * 3600.0 + float(rng.uniform(0, 1800))
-            replies = vantage.query(iface.address, time_s, rng)
-            rtts.extend(r.rtt_ms for r in replies)
+            if not on_lan:
+                continue
+            for i in range(PCH_PINGS):
+                sent_at = time_s + float(i)
+                rtt = base + DEFAULT_JITTER.sample_ms(rng)
+                if congestion is not None:
+                    rtt += congestion.delay_ms(sent_at, rng)
+                rtt += bias
+                if rng.random() > respond:
+                    continue
+                changed = sent_at >= t.os_change_s[row]
+                ttl = t.ttl_after[row] if changed else t.ttl_init[row]
+                if ttl - t.reply_hops[row] <= 0:
+                    continue  # the reply dies in transit
+                if processing:
+                    rtt += float(rng.exponential(processing))
+                rtts.append(rtt)
         if not rtts:
             continue
         remeasured = min(rtts)
@@ -167,7 +213,7 @@ def route_server_cross_check(
         # cannot average away, unlike the four-month campaign minimum.
         if rng.random() < 0.06:
             remeasured += float(rng.uniform(1.0, 8.0))
-        diffs.append(abs(remeasured - iface.min_rtt_ms))
+        diffs.append(abs(remeasured - campaign_min))
     if not diffs:
         raise AnalysisError(f"no analyzed interfaces at {ixp_acronym}")
     return CrossCheckReport(differences_ms=tuple(diffs))

@@ -19,7 +19,7 @@ from repro.core.structure.entities import (
 )
 from repro.errors import ConfigurationError
 from repro.rand import derive_seed
-from repro.sim.detection_world import DetectionWorld
+from repro.sim.detection_world import ATTACH_REMOTE, ATTACH_STALE, DetectionWorld
 from repro.types import ASN
 
 #: Synthetic transit carriers networks buy from (the inventory's upstream
@@ -92,35 +92,54 @@ class InterconnectionInventory:
 
 
 def build_inventory(world: DetectionWorld, seed: int = 0) -> InterconnectionInventory:
-    """Extract the inventory from a detection world.
+    """Extract the inventory from a detection world's interface table.
+
+    IXPs come by acronym.  Within an IXP a member (one ASN) enters at
+    its first row, stale rows included, and each of its non-stale rows
+    follows in row order as one attachment: remote iff the row's
+    attachment is remote, through the provider its ``provider`` column
+    names.  A stale row registers its member but attaches nothing.
+    ``network_names`` and ``transit_of`` fill in the same member order.
 
     Transit assignments are synthesized deterministically (the detection
     world models IXP LANs, not the transit mesh): every network buys from
     one or two of the six carriers, chosen by seeded hash.
     """
+    t = world.table
+    asns = t.asn.tolist()
+    attachment = t.attachment.tolist()
+    anchor = t.anchor.tolist()
+    pool_index = t.pool_index.tolist()
+    provider = t.provider.tolist()
     attachments: list[Attachment] = []
     names: dict[ASN, str] = {}
     transit: dict[ASN, tuple[str, ...]] = {}
-    for acronym, ixp in sorted(world.ixps.items()):
-        for member in ixp.members:
-            asn = member.network.asn
-            names[asn] = member.network.name
+    for entry in sorted(world.exchanges, key=lambda e: e.acronym):
+        members: dict[int, tuple[str, list[int]]] = {}
+        for r in range(entry.start, entry.stop):
+            if asns[r] not in members:
+                network = (
+                    world.anchors[anchor[r]] if anchor[r] >= 0
+                    else world.pool.network(pool_index[r]).asys
+                )
+                members[asns[r]] = (network.name, [])
+            if attachment[r] != ATTACH_STALE:
+                members[asns[r]][1].append(r)
+        for asn, (name, rows) in members.items():
+            names[asn] = name
             if asn not in transit:
                 transit[asn] = _assign_carriers(asn, seed)
-            for iface in member.interfaces:
-                provider = None
-                if iface.is_remote:
-                    assert iface.port.pseudowire is not None
-                    provider = _provider_of(world, iface)
-                attachments.append(
-                    Attachment(
-                        asn=asn,
-                        network_name=member.network.name,
-                        ixp_acronym=acronym,
-                        remote=iface.is_remote,
-                        provider_name=provider,
-                    )
-                )
+            for r in rows:
+                remote = attachment[r] == ATTACH_REMOTE
+                attachments.append(Attachment(
+                    asn=asn,
+                    network_name=name,
+                    ixp_acronym=entry.acronym,
+                    remote=remote,
+                    provider_name=(
+                        world.providers[provider[r]].name if remote else None
+                    ),
+                ))
     return InterconnectionInventory(
         attachments=attachments,
         transit_of=transit,
@@ -138,17 +157,6 @@ def _assign_carriers(asn: ASN, seed: int) -> tuple[str, ...]:
         if second != first:
             return (first, second)
     return (first,)
-
-
-def _provider_of(world: DetectionWorld, iface) -> str:
-    """Which provider provisioned this interface's pseudowire."""
-    wire = iface.port.pseudowire
-    for provider in world.providers:
-        if wire in provider.circuits:
-            return provider.name
-    # Partnerships and hand-built wires: attribute to the first provider
-    # serving the IXP city (a deterministic, conservative fallback).
-    return world.providers[0].name
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,6 @@ class RateLimitError(MeasurementError):
     """A looking-glass client violated the one-query-per-minute limit."""
 
 
-class RegistryError(ReproError):
-    """A registry (PeeringDB/PCH/DNS-like) lookup failed irrecoverably."""
-
-
 class AnalysisError(ReproError):
     """Statistical post-processing failed (empty sample, bad fit...)."""
 

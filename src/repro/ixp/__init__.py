@@ -1,23 +1,18 @@
-"""IXP substrate: exchanges, members, the paper's IXP datasets.
+"""IXP substrate: the paper's IXP datasets.
 
-An IXP here is a layer-2 peering LAN (:class:`repro.layer2.PeeringFabric`)
-plus an address plan, a membership list and the looking glasses the
-detector probes from.
+The 22 studied exchanges (:mod:`repro.ixp.catalog`) and the 65-IXP
+Euro-IX reachable set (:mod:`repro.ixp.euroix`).  A detection world
+describes each studied IXP's peering LAN, members and looking glasses as
+rows of its interface table (:mod:`repro.sim.detection_world`).
 """
 
-from repro.ixp.ixp import IXP, IXPMember, MemberInterface
 from repro.ixp.catalog import IXPSpec, paper_catalog, spec_by_acronym
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog
-from repro.ixp.partnerships import Partnership
 
 __all__ = [
-    "IXP",
-    "IXPMember",
-    "MemberInterface",
     "IXPSpec",
     "paper_catalog",
     "spec_by_acronym",
     "EuroIXSpec",
     "euroix_catalog",
-    "Partnership",
 ]

@@ -12,6 +12,7 @@ which in turn controls the membership overlap that drives Figures 7–9.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -131,8 +132,13 @@ def scaled_member_count(
     return max(floor, scaled)
 
 
+@functools.cache
 def euroix_catalog() -> tuple[EuroIXSpec, ...]:
-    """The 65-IXP reachable set: 22 studied + named extras + synthetic fill."""
+    """The 65-IXP reachable set: 22 studied + named extras + synthetic fill.
+
+    Built once per process: the specs are frozen and the tuple is shared
+    by every offload and mega build and every mega attach.
+    """
     specs: list[EuroIXSpec] = []
     for spec in paper_catalog():
         region = _REGION_OF_COUNTRY.get(spec.country)

@@ -1,4 +1,4 @@
-"""Layer-2 substrate: peering-LAN fabrics, pseudowires, remote-peering providers.
+"""Layer-2 substrate: remote-peering providers, failover, the switch crossing.
 
 Remote peering is a layer-2 service (Section 2.3): the provider carries
 Ethernet frames between the member's distant router and the IXP switching
@@ -6,15 +6,10 @@ fabric.  This package models exactly the part of the world that layer-3
 topologies cannot see.
 """
 
-from repro.layer2.port import Port, PortProfile
-from repro.layer2.fabric import PeeringFabric
-from repro.layer2.pseudowire import Pseudowire
+from repro.layer2.fabric import SWITCH_CROSSING_MS
 from repro.layer2.provider import RemotePeeringProvider
 
 __all__ = [
-    "Port",
-    "PortProfile",
-    "PeeringFabric",
-    "Pseudowire",
+    "SWITCH_CROSSING_MS",
     "RemotePeeringProvider",
 ]

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.net.addr import IPv4Address
-
 
 @dataclass(frozen=True, slots=True)
 class FailoverState:
@@ -33,13 +31,3 @@ class FailoverState:
 
     def __bool__(self) -> bool:
         return bool(self.windows)
-
-    def extra_ms(self, address: IPv4Address, time_s: float) -> float:
-        """Transit-detour RTT penalty for one probe instant (0 when lit)."""
-        entry = self.windows.get(address.value)
-        if entry is None:
-            return 0.0
-        edges, extra = entry
-        if np.searchsorted(edges, time_s, side="right") % 2 == 1:
-            return extra
-        return 0.0

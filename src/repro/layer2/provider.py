@@ -7,24 +7,23 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.geo.cities import City
 from repro.geo.latency import LatencyModel
-from repro.layer2.pseudowire import Pseudowire
 
 
 @dataclass(slots=True)
 class RemotePeeringProvider:
     """A company selling layer-2 reach into IXPs (IX Reach / Atrato style).
 
-    The provider keeps equipment at the IXPs it serves and provisions
+    The provider keeps equipment at the IXPs it serves and sells
     pseudowires from customer cities into those IXPs.  ``overhead_ms`` is
     the provider-specific round-trip switching overhead inherited by every
-    circuit it sells.
+    circuit it sells; a circuit's RTT is ``latency_model``'s fiber RTT
+    over its length plus that overhead.
     """
 
     name: str
     served_ixp_cities: set[str] = field(default_factory=set)
     overhead_ms: float = 0.5
     latency_model: LatencyModel = field(default_factory=LatencyModel)
-    circuits: list[Pseudowire] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.overhead_ms < 0:
@@ -37,18 +36,3 @@ class RemotePeeringProvider:
     def add_presence(self, ixp_city: City) -> None:
         """Install provider equipment at an IXP city."""
         self.served_ixp_cities.add(ixp_city.name)
-
-    def provision(self, customer_city: City, ixp_city: City) -> Pseudowire:
-        """Sell a circuit from ``customer_city`` into the IXP at ``ixp_city``."""
-        if not self.serves(ixp_city):
-            raise ConfigurationError(
-                f"{self.name} has no presence at {ixp_city.name}"
-            )
-        wire = Pseudowire(
-            customer_city=customer_city,
-            ixp_city=ixp_city,
-            overhead_ms=self.overhead_ms,
-            latency_model=self.latency_model,
-        )
-        self.circuits.append(wire)
-        return wire

@@ -1,10 +1,11 @@
 """The probe engine for looking-glass sweep campaigns.
 
-Simulating one probe per Python call (:meth:`LookingGlassServer.query`,
-kept for interactive queries such as the route-server cross-check) is far
-too slow for the four-month campaign's ~300k probes.  This module
-compiles each (LG server x target list) sweep into a numpy *probe plan*
-and realizes every round's stochastic components as array draws.
+The four-month campaign sends ~300k probes.  This module compiles each
+(LG server x target list) sweep into a numpy *probe plan* and realizes
+every round's stochastic components as array draws; it is the product's
+one probe engine.  The seed implementation's one-probe-per-call server
+(``LookingGlassServer.query``) is kept in ``tests/reference/`` as the
+oracle it agrees with in distribution (``tests/test_probe_batch.py``).
 
 Plans
 -----
@@ -62,8 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.schedule import ProbeFaults
     from repro.sim.detection_world import ExchangeEntry, InterfaceTable
 
-#: The jitter law of every generated fabric (the ``PeeringFabric``
-#: default).
+#: The jitter law of every generated world's fabric (the reference
+#: ``PeeringFabric`` default).
 DEFAULT_JITTER = JitterModel()
 
 

@@ -154,17 +154,3 @@ class SubnetAllocator:
             ) from None
         self._handed_out += 1
         return subnet
-
-
-class HostAllocator:
-    """Hands out consecutive host addresses inside one prefix."""
-
-    def __init__(self, prefix: IPv4Prefix) -> None:
-        self._prefix = prefix
-        self._next_index = 1
-
-    def allocate(self) -> IPv4Address:
-        """Return the next free host address."""
-        address = self._prefix.host(self._next_index)
-        self._next_index += 1
-        return address

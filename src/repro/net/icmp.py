@@ -1,11 +1,10 @@
-"""ICMP echo semantics: what a ping against a peering-LAN interface yields.
+"""ICMP echo replies: what a ping against a peering-LAN interface yields.
 
 The paper's method sends echo requests from a looking glass inside the IXP
 to a member interface in the IXP subnet and records two observables per
-reply: the round-trip time and the received TTL.  :func:`reply_for_probe`
-produces exactly those observables given the device's behaviour and the
-path's delay, so every filter in Section 3.1 has a faithful signal to work
-on.
+reply: the round-trip time and the received TTL.  The probe engine
+(:mod:`repro.lg.batch`) returns them as :class:`ReplyBatch` arrays, so
+every filter in Section 3.1 has a faithful signal to work on.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.net.device import Device
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,59 +77,3 @@ class ReplyBatch:
             )
             for i in range(len(self))
         ]
-
-    @classmethod
-    def from_replies(cls, replies: "list[EchoReply]") -> "ReplyBatch":
-        """Pack per-reply objects into a struct-of-arrays batch."""
-        return cls(
-            rtt_ms=np.array([r.rtt_ms for r in replies], dtype=float),
-            ttl=np.array([r.ttl for r in replies], dtype=np.int64),
-            sent_at_s=np.array([r.sent_at_s for r in replies], dtype=float),
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class PingObservation:
-    """The outcome of one echo request: a reply or a timeout."""
-
-    reply: EchoReply | None
-
-
-def reply_for_probe(
-    device: Device,
-    target_address: str,
-    path_rtt_ms: float,
-    sent_at_s: float,
-    rng: np.random.Generator,
-    reply_extra_hops: int | None = None,
-    respond_probability: float | None = None,
-) -> PingObservation:
-    """Simulate one echo request against ``device``.
-
-    ``path_rtt_ms`` is the round-trip delay contributed by the network path
-    (propagation + queueing), excluding the device's own processing time.
-    ``reply_extra_hops`` overrides the device's default when the *request*
-    itself took an indirect route (e.g. a stale registry address that lives
-    behind a router outside the LAN).  ``respond_probability`` overrides
-    the device's own when the probe path degrades it (e.g. a fault
-    schedule's loss burst); the loss draw is consumed either way, so
-    overriding never shifts later draws.
-    """
-    p = device.respond_probability if respond_probability is None else respond_probability
-    if rng.random() > p:
-        return PingObservation(reply=None)
-    hops = device.reply_extra_hops if reply_extra_hops is None else reply_extra_hops
-    ttl = device.ttl_init_at(sent_at_s) - hops
-    if ttl <= 0:
-        # Reply died in transit; observable only as a timeout.
-        return PingObservation(reply=None)
-    # Slow-path ICMP processing: exponential tail around the device mean.
-    processing = float(rng.exponential(device.processing_ms)) if device.processing_ms else 0.0
-    rtt = path_rtt_ms + processing
-    reply = EchoReply(
-        rtt_ms=rtt,
-        ttl=ttl,
-        target_address=target_address,
-        sent_at_s=sent_at_s,
-    )
-    return PingObservation(reply=reply)

@@ -2,83 +2,32 @@
 networks").
 
 The paper combines PeeringDB, IXP websites, LG servers and reverse DNS; we
-chain the sources in that order and report which one answered.  The
-pipeline is also queried at the start *and* end of the campaign so the
-ASN-change filter can compare the two answers.  Campaigns identify a
-whole IXP's registry rows at both endpoints with :func:`identify_rows`;
-:class:`IdentificationPipeline` answers one address at a time over a
-directory of records.
+chain the sources in that order and report which one answered.  Each
+source covers a deterministic subset of the addresses, decided by a
+seeded hash (:func:`_coverage_draw`), so a given (source, address) pair
+always answers the same way — exactly how a real registry's gaps behave
+across a campaign.  Campaigns identify a whole IXP's registry rows at the
+start *and* end of the campaign with :func:`identify_rows`, so the
+ASN-change filter can compare the two answers.  The seed implementation's
+one-address-at-a-time pipeline over a directory of record objects is
+kept in ``tests/reference/registry.py`` as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from repro.net.addr import IPv4Address
-from repro.registry.sources import (
-    IXPWebsiteSource,
-    PeeringDBSource,
-    ReverseDNSSource,
-    _coverage_draw,
-)
-from repro.types import ASN
+from repro.rand import derive_seed
 
 
-@dataclass(frozen=True, slots=True)
-class IdentificationResult:
-    """Outcome of identifying one address at one point in time."""
-
-    address: IPv4Address
-    asn: ASN | None
-    source: str | None  # "peeringdb" | "website" | "rdns" | None
-
-
-class IdentificationPipeline:
-    """Chains the identification sources in the paper's order."""
-
-    def __init__(
-        self,
-        peeringdb: PeeringDBSource,
-        website: IXPWebsiteSource,
-        rdns: ReverseDNSSource,
-    ) -> None:
-        self._sources: list[tuple[str, object]] = [
-            ("peeringdb", peeringdb),
-            ("website", website),
-            ("rdns", rdns),
-        ]
-
-    def identify_span(
-        self,
-        ixp: str,
-        address: IPv4Address,
-        start_s: float,
-        end_s: float,
-    ) -> tuple[IdentificationResult, IdentificationResult]:
-        """Identify one address at both campaign endpoints in one pass.
-
-        Each endpoint independently takes the first source, in the
-        paper's order, with a non-None ASN.  Coverage draws are pure in
-        (seed, source, address) — time never enters them — so the
-        registry resolutions are shared between the two endpoints.
-        """
-        first = last = None
-        for name, source in self._sources:
-            asns = source.answers(ixp, address, (start_s, end_s))  # type: ignore[attr-defined]
-            if first is None and asns[0] is not None:
-                first = IdentificationResult(
-                    address=address, asn=asns[0], source=name
-                )
-            if last is None and asns[1] is not None:
-                last = IdentificationResult(
-                    address=address, asn=asns[1], source=name
-                )
-            if first is not None and last is not None:
-                break
-        missing = IdentificationResult(address=address, asn=None, source=None)
-        return first or missing, last or missing
+@lru_cache(maxsize=1 << 18)
+def _coverage_draw(seed: int, label: str, value: int) -> int:
+    # The sha256-based draw is pure in (seed, label, address); campaigns
+    # look every address up at both campaign endpoints and across sources,
+    # so the memo halves identification cost.
+    return derive_seed(seed, label, value) % 10_000
 
 
 def identify_rows(
@@ -93,17 +42,17 @@ def identify_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Identify registry rows at several times in one pass.
 
-    The columns describe :class:`~repro.registry.records.InterfaceRecord`
-    rows (ASN -1 for None; ``change_s`` NaN without a change).
+    The columns are one registry row per address: its ASN (-1 for
+    None), whether every source lists it (``well_known``), and the ASN
+    it is reassigned to at ``change_s`` (-1 and NaN without a change).
     ``sources`` lists the (label, coverage) pairs in the pipeline's order.
     Returns ``(asns, picks)``, both ``(len(times), rows)``: the answered
     ASN (-1: unidentified) and the index into ``sources`` of the source
-    that answered (-1: none).  Bit-identical to
-    :meth:`IdentificationPipeline.identify_span` per row and time: each
-    source covers the rows its ``_coverage_draw`` admits (well-known rows
-    always), answers with the ASN at that time, and the first covering
-    source with an answer wins; a reverse-DNS answer round-trips through
-    the PTR hostname, so only an ASN > 0 counts.
+    that answered (-1: none).  Each source covers the rows its
+    ``_coverage_draw`` admits (well-known rows always) and answers with
+    the ASN at that time; the first covering source with an answer wins.
+    A reverse-DNS answer round-trips through the PTR hostname
+    ``as<asn>.<ixp>.example.net``, so only an ASN > 0 counts.
     """
     n = len(addresses)
     at = np.stack([

@@ -1,11 +1,12 @@
 """Builder for the detection world: the 22 studied IXPs, fully wired.
 
 The output of :func:`build_detection_world` contains everything the
-Section 3 campaign needs — IXPs with peering LANs and member devices,
-PCH/RIPE looking glasses, registries (with their imperfections), and
-remote-peering providers — plus the ground-truth labels the paper could
-only obtain for TorIX, E4A and Invitel, which here exist for *every*
-interface and power validation and ablation.
+Section 3 campaign needs — each IXP's peering LAN and member interfaces,
+its PCH/RIPE looking glasses, the registry view of every interface (with
+its imperfections) and the remote-peering circuits — plus the
+ground-truth labels the paper could only obtain for TorIX, E4A and
+Invitel, which here exist for *every* interface and power validation
+and ablation.
 
 Behaviour classes are drawn per interface, mutually exclusively, at rates
 calibrated so the six-filter pipeline discards roughly the paper's
@@ -62,19 +63,19 @@ within an IXP (member slots first, then the named anchors).  Columns:
   ``partner`` (an inter-IXP interconnect), ``wire_overhead_ms``.
 
 The per-IXP :class:`ExchangeEntry` rows hold the LAN, city, intersite RTT
-and looking-glass vantages.  Trials read only these tables.  The object
-model — :attr:`DetectionWorld.ixps` with their fabrics, ports and
-devices, ``lg_servers``, ``directory``, ``identification``, ``truth``
-and the providers' circuits — is built from them in one pass, in catalog
-IXP order, the first time any of it is read (the route-server
-cross-check, structure views, examples).
+and looking-glass vantages.  The world is these two tables: trials, the
+route-server cross-check, the Section 6 inventory and the examples read
+them, and no object model of fabrics, ports, devices or registries is
+built from them.
 
-The seed implementation's per-interface draws over an object pool are
-kept as the oracle in ``tests/reference/detection_world.py``.  It opens
-the same streams in a different order, so the two builders agree in
-distribution (remote fractions, behaviour-class counts, band histograms,
-filter discard counts — see ``tests/test_world_builder_engines.py``),
-not member-for-member.
+The seed implementation's object model is kept as the oracle in
+``tests/reference/``: ``views.py`` realizes a built world into IXPs,
+looking glasses, a registry directory and per-interface truth, and
+``detection_world.py`` keeps the seed's per-interface draws over an
+object pool.  That builder opens the same streams in a different order,
+so the two builders agree in distribution (remote fractions,
+behaviour-class counts, band histograms, filter discard counts — see
+``tests/test_world_builder_engines.py``), not member-for-member.
 
 Remote-member draws that find no eligible candidate in their nominal
 distance band are *redrawn from a widened band* (any unused network; the
@@ -85,7 +86,6 @@ never silently dropped unless the whole pool is exhausted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -102,37 +102,21 @@ from repro.errors import AddressError, ConfigurationError
 from repro.geo.cities import City, CityDB, default_city_db
 from repro.geo.distances import CityDistanceMatrix
 from repro.ixp.catalog import IXPSpec, paper_catalog
-from repro.ixp.ixp import IXP
 from repro.layer2.provider import RemotePeeringProvider
-from repro.layer2.pseudowire import Pseudowire
-from repro.lg.server import LGVantage, LookingGlassServer, OffLanTarget
-from repro.net.addr import IPv4Address, IPv4Prefix, SubnetAllocator
-from repro.net.device import (
-    TTL_LINUX,
-    TTL_NETWORK_OS,
-    TTL_RARE,
-    VALID_TTLS,
-    Device,
-)
+from repro.lg.server import LGVantage
+from repro.net.addr import IPv4Prefix, SubnetAllocator
+from repro.net.device import TTL_LINUX, TTL_NETWORK_OS, TTL_RARE, VALID_TTLS
 from repro.rand import child_rng, make_rng
-from repro.registry.identify import IdentificationPipeline
-from repro.registry.records import InterfaceRecord, IXPDirectory
-from repro.registry.sources import (
-    IXPWebsiteSource,
-    PeeringDBSource,
-    ReverseDNSSource,
-)
 from repro.sim.clock import CampaignWindow
 from repro.sim.netpool import (
     _POLICY_WEIGHTS,
     SCOPE_CONTINENTS,
     ColumnarNetworkPool,
     NetworkPoolConfig,
-    PooledNetwork,
     generate_network_pool,
     weighted_index_sample,
 )
-from repro.types import ASN, NetworkKind, PeeringPolicy, PortKind
+from repro.types import ASN, NetworkKind, PeeringPolicy
 
 #: Behaviour class labels (ground truth annotations).
 NORMAL = "normal"
@@ -156,14 +140,15 @@ _BAND_DISTANCES = {
 #: Remote bands in draw order (member draws are grouped by band).
 _BANDS = ("intercity", "intercountry", "intercontinental")
 
-#: Inter-IXP partnership programs the paper names (Section 2.3/3.2):
-#: TOP-IX interconnects with VSIX (Padua) and LyonIX (Lyon); AMS-IX Hong
-#: Kong reaches AMS-IX over third-party layer 2.  The builder seats some
-#: remote members of these IXPs at the partner city, so the partner-driven
-#: remote peering the paper observed at TOP-IX emerges in the data.
-_PARTNERSHIPS: dict[str, tuple[tuple[str, str], ...]] = {
-    "TOP-IX": (("VSIX", "Padua"), ("LyonIX", "Lyon")),
-    "AMS-IX": (("AMS-IX-HK", "Hong Kong"),),
+#: Partner-IXP cities of the inter-IXP partnership programs the paper
+#: names (Section 2.3/3.2): TOP-IX interconnects with VSIX (Padua) and
+#: LyonIX (Lyon); AMS-IX Hong Kong reaches AMS-IX over third-party
+#: layer 2.  The builder seats some remote members of these IXPs at the
+#: partner city (``partner`` rows), so the partner-driven remote peering
+#: the paper observed at TOP-IX emerges in the data.
+_PARTNERSHIPS: dict[str, tuple[str, ...]] = {
+    "TOP-IX": ("Padua", "Lyon"),
+    "AMS-IX": ("Hong Kong",),
 }
 
 #: Remote members per partnership seat.
@@ -303,20 +288,6 @@ IDENTIFICATION_COVERAGE: tuple[tuple[str, float], ...] = (
 
 
 @dataclass(frozen=True, slots=True)
-class InterfaceTruth:
-    """Ground truth for one candidate interface."""
-
-    ixp_acronym: str
-    address: IPv4Address
-    asn: ASN
-    is_remote: bool
-    behavior: str
-    base_rtt_ms: float
-    circuit_km: float  # 0 for direct ports
-    on_lan: bool  # False for stale registry entries
-
-
-@dataclass(frozen=True, slots=True)
 class ExchangeEntry:
     """One IXP of a detection world: what its interface rows share."""
 
@@ -440,23 +411,15 @@ def _rows(n: int, **columns: np.ndarray) -> dict[str, np.ndarray]:
     return columns
 
 
-@dataclass(slots=True)
-class _WorldViews:
-    """The object model of one world, built from its tables on demand."""
-
-    ixps: dict[str, IXP]
-    lg_servers: dict[str, list[LookingGlassServer]]
-    directory: IXPDirectory
-    identification: IdentificationPipeline
-    truth: dict[tuple[str, int], InterfaceTruth]
-
-
 class DetectionWorld:
     """Everything the Section 3 campaign consumes, plus ground truth.
 
-    Trials read :attr:`table` and :attr:`exchanges`.  The object views
-    (``ixps``, ``lg_servers``, ``directory``, ``identification``,
-    ``truth`` and the providers' circuits) are built on first access.
+    A world is its tables: :attr:`table` (one row per candidate
+    interface, ground truth included) and :attr:`exchanges` (one entry
+    per IXP).  Every reader — trials, the route-server cross-check, the
+    Section 6 inventory, the examples — reads those; the providers, the
+    validation anchors and the pool name what the ``provider``,
+    ``anchor`` and ``pool_index`` columns point at.
     """
 
     def __init__(
@@ -471,7 +434,6 @@ class DetectionWorld:
         providers: list[RemotePeeringProvider],
         anchors: tuple[AutonomousSystem, ...],
         matrix: CityDistanceMatrix,
-        partnerships: list,
         shortfall: dict[str, int],
     ) -> None:
         self.city_db = city_db
@@ -482,63 +444,18 @@ class DetectionWorld:
         self.exchanges = exchanges
         self.anchors = anchors
         self.matrix = matrix
-        self.partnerships = partnerships
+        self.providers = providers
         #: Per-IXP count of remote-member draws that found no candidate in
         #: their nominal distance band (filled from a widened band, or —
         #: only when the whole pool was exhausted — dropped).  0 for every
         #: IXP of the paper catalog; custom scenarios read it to see how
         #: far their candidate counts drifted from calibration.
         self.shortfall = shortfall
-        self._providers = providers
-        self._views: _WorldViews | None = None
-
-    # -- object views ------------------------------------------------------------
-
-    def _realized(self) -> _WorldViews:
-        if self._views is None:
-            self._views = _realize_views(self)
-        return self._views
-
-    @property
-    def ixps(self) -> dict[str, IXP]:
-        return self._realized().ixps
-
-    @property
-    def lg_servers(self) -> dict[str, list[LookingGlassServer]]:
-        return self._realized().lg_servers
-
-    @property
-    def directory(self) -> IXPDirectory:
-        return self._realized().directory
-
-    @property
-    def identification(self) -> IdentificationPipeline:
-        return self._realized().identification
-
-    @property
-    def truth(self) -> dict[tuple[str, int], InterfaceTruth]:
-        return self._realized().truth
-
-    @property
-    def providers(self) -> list[RemotePeeringProvider]:
-        self._realized()
-        return self._providers
-
-    # -- table reads ----------------------------------------------------------------
 
     @cached_property
     def exchange_index(self) -> dict[str, int]:
         """Row of :attr:`exchanges` per IXP acronym."""
         return {entry.acronym: i for i, entry in enumerate(self.exchanges)}
-
-    def truth_for(self, ixp_acronym: str, address: IPv4Address) -> InterfaceTruth:
-        """Ground-truth record for one (IXP, address) pair."""
-        try:
-            return self.truth[(ixp_acronym, address.value)]
-        except KeyError:
-            raise ConfigurationError(
-                f"no ground truth for {ixp_acronym}/{address}"
-            ) from None
 
     def candidate_count(self) -> int:
         """Total candidate interfaces across all IXPs."""
@@ -641,7 +558,7 @@ class _WorldBuilder:
     Member selection works on pool indices: boolean masks over the
     pool's columns (home-city matrix index, propensity, continent)
     against one city-distance-matrix row per band.  No per-interface
-    object is built here (see :func:`_realize_views`).
+    object is built here.
     """
 
     pool: ColumnarNetworkPool
@@ -658,7 +575,6 @@ class _WorldBuilder:
         self.matrix = CityDistanceMatrix.for_cities(city_db)
         self.pool = pool
         self.providers = _make_providers(config.seed, self.specs, city_db)
-        self.partnerships: list = []
         self.shortfall: dict[str, int] = {}
         self._lans = SubnetAllocator(IPv4Prefix.parse("193.128.0.0/10"), 22)
         self._anchor_asn = ASN(64_600)
@@ -686,7 +602,6 @@ class _WorldBuilder:
             providers=self.providers,
             anchors=tuple(self._anchors),
             matrix=self.matrix,
-            partnerships=self.partnerships,
             shortfall=self.shortfall,
         )
 
@@ -758,25 +673,12 @@ class _WorldBuilder:
             return np.full(3, 1.0 / 3.0)
         return weights / total
 
-    def _partner_slots(self, spec: IXPSpec, city: City) -> list[City]:
-        """Partner-IXP cities whose members remote-peer here."""
-        partners = _PARTNERSHIPS.get(spec.acronym)
-        if not partners:
-            return []
-        from repro.ixp.partnerships import Partnership
-
+    def _partner_slots(self, spec: IXPSpec) -> list[City]:
+        """Partner-IXP cities whose members remote-peer here (their rows
+        carry ``partner`` and the partner city as ``home_city``)."""
         slots: list[City] = []
-        for partner_name, partner_city_name in partners:
-            partner_city = self.city_db.get(partner_city_name)
-            self.partnerships.append(
-                Partnership(
-                    ixp_a=spec.acronym,
-                    ixp_b=partner_name,
-                    city_a=city,
-                    city_b=partner_city,
-                )
-            )
-            slots.extend([partner_city] * _PARTNER_SEATS)
+        for city_name in _PARTNERSHIPS.get(spec.acronym, ()):
+            slots.extend([self.city_db.get(city_name)] * _PARTNER_SEATS)
         return slots
 
     @cached_property
@@ -889,7 +791,7 @@ class _WorldBuilder:
         used[directs] = True
         chosen = [(int(index), "direct") for index in directs]
 
-        partner_slots = self._partner_slots(spec, city)
+        partner_slots = self._partner_slots(spec)
         n_partner = min(len(partner_slots), remote_members)
         n_banded = remote_members - n_partner
 
@@ -1217,7 +1119,8 @@ def _check_presence(provider: RemotePeeringProvider, city: City) -> None:
 
 
 def _check_rows(columns: dict[str, np.ndarray]) -> None:
-    """The object model's construction checks, as array checks."""
+    """The construction checks of the device, port and off-LAN target a
+    row describes, as array checks (same errors, same messages)."""
 
     valid = np.array(sorted(VALID_TTLS))
     for column, label in (("ttl_init", "initial"), ("ttl_after", "post-change")):
@@ -1242,11 +1145,6 @@ def _check_rows(columns: dict[str, np.ndarray]) -> None:
         raise ConfigurationError("an off-LAN target needs >= 1 extra hop")
 
 
-# ---------------------------------------------------------------------------
-# object views
-# ---------------------------------------------------------------------------
-
-
 def congestion_process(kind: int, a: float, b: float) -> CongestionProcess:
     """The congestion process of one table row (constructed, so validated)."""
     if kind == CONGESTION_PERSISTENT:
@@ -1254,150 +1152,3 @@ def congestion_process(kind: int, a: float, b: float) -> CongestionProcess:
     if kind == CONGESTION_TRANSIENT:
         return TransientCongestion(peak_amplitude_ms=a, peak_hour_utc=b)
     return NoCongestion()
-
-
-def _realize_views(world: DetectionWorld) -> _WorldViews:
-    """Build the object model from the tables, in catalog IXP order.
-
-    Member registration, provider circuit order, device names and LG
-    addresses follow the rows in order, so the objects are the ones the
-    tables describe: every port's tail, every device's ICMP behaviour and
-    every registry record reads the row it came from.
-    """
-    t = world.table
-    providers = world._providers
-    no_congestion = NoCongestion()
-    seated: dict[int, PooledNetwork] = {}
-    ixps: dict[str, IXP] = {}
-    lg_servers: dict[str, list[LookingGlassServer]] = {}
-    directory = IXPDirectory()
-    truth: dict[tuple[str, int], InterfaceTruth] = {}
-    c = {f.name: getattr(t, f.name).tolist() for f in fields(InterfaceTable)}
-    for entry in world.exchanges:
-        spec = entry.spec
-        acronym = spec.acronym
-        ixp = IXP(
-            acronym=acronym,
-            full_name=spec.full_name,
-            city=entry.city,
-            country=spec.country,
-            lan=entry.lan,
-            peak_traffic_tbps=spec.peak_traffic_tbps,
-        )
-        if entry.intersite_rtt_ms is not None:
-            ixp.fabric.set_intersite_rtt("main", "b", entry.intersite_rtt_ms)
-        ixps[acronym] = ixp
-        servers = [
-            LookingGlassServer.create(
-                vantage.operator, acronym, ixp.fabric, ixp.allocate_address()
-            )
-            for vantage in entry.vantages
-        ]
-        lg_servers[acronym] = servers
-        for r in range(entry.start, entry.stop):
-            if c["anchor"][r] >= 0:
-                asys = world.anchors[c["anchor"][r]]
-                suffix = "anchor"
-            else:
-                index = c["pool_index"][r]
-                if index not in seated:
-                    seated[index] = world.pool.network(index)
-                asys = seated[index].asys
-                suffix = str(c["device_index"][r])
-            member = ixp.register(asys)
-            os_change = c["os_change_s"][r] != math.inf
-            device = Device(
-                name=f"rtr-as{asys.asn}-{acronym.lower()}-{suffix}",
-                ttl_init=c["ttl_init"][r],
-                ttl_after_change=c["ttl_after"][r] if os_change else None,
-                os_change_time=c["os_change_s"][r] if os_change else None,
-                respond_probability=c["respond_prob"][r],
-                processing_ms=c["processing_ms"][r],
-                reply_extra_hops=c["reply_hops"][r],
-            )
-            behavior = BEHAVIORS[c["behavior"][r]]
-            if c["attachment"][r] == ATTACH_STALE:
-                address = ixp.allocate_address()
-                offlan = OffLanTarget(
-                    device=device,
-                    base_rtt_ms=c["offlan_rtt_ms"][r],
-                    extra_hops=c["offlan_hops"][r],
-                )
-                for server in servers:
-                    server.register_offlan_target(address, offlan)
-            else:
-                if c["anchor"][r] >= 0:
-                    congestion: CongestionProcess = NoCongestion()
-                elif c["congestion"][r] == CONGESTION_NONE:
-                    congestion = no_congestion
-                else:
-                    congestion = congestion_process(
-                        c["congestion"][r], c["congestion_a"][r],
-                        c["congestion_b"][r],
-                    )
-                if c["attachment"][r] == ATTACH_DIRECT:
-                    iface = ixp.add_interface(
-                        member, device, PortKind.DIRECT,
-                        tail_rtt_ms=c["tail_rtt_ms"][r],
-                        congestion=congestion,
-                        site="b" if c["site_b"][r] else "main",
-                    )
-                else:
-                    provider = providers[c["provider"][r]]
-                    home = world.matrix.cities[c["home_city"][r]]
-                    if c["partner"][r]:
-                        wire = Pseudowire(
-                            customer_city=home,
-                            ixp_city=ixp.city,
-                            overhead_ms=c["wire_overhead_ms"][r],
-                            latency_model=provider.latency_model,
-                        )
-                        provider.circuits.append(wire)
-                    else:
-                        wire = provider.provision(home, ixp.city)
-                    iface = ixp.add_interface(
-                        member, device, PortKind.REMOTE,
-                        pseudowire=wire, congestion=congestion,
-                    )
-                for operator, extra in zip(LG_OPERATORS, c["bias_ms"][r]):
-                    if extra:
-                        iface.port.operator_bias[operator] = extra
-                address = iface.address
-            record = InterfaceRecord(
-                ixp_acronym=acronym,
-                address=address,
-                asn=ASN(c["asn"][r]),
-                policy=POLICIES[c["policy"][r]],
-                stale=behavior == STALE,
-                well_known=c["well_known"][r],
-            )
-            if c["asn_after"][r] >= 0:
-                record.asn_after_change = ASN(c["asn_after"][r])
-                record.asn_change_time = c["asn_change_s"][r]
-            directory.add(record)
-            truth[(acronym, address.value)] = InterfaceTruth(
-                ixp_acronym=acronym,
-                address=address,
-                asn=ASN(c["asn"][r]),
-                is_remote=c["is_remote"][r],
-                behavior=behavior,
-                base_rtt_ms=c["base_rtt_ms"][r],
-                circuit_km=c["circuit_km"][r],
-                on_lan=c["attachment"][r] != ATTACH_STALE,
-            )
-    seed = world.config.seed
-    sources = dict(IDENTIFICATION_COVERAGE)
-    identification = IdentificationPipeline(
-        peeringdb=PeeringDBSource(
-            directory, coverage=sources["peeringdb"], seed=seed
-        ),
-        website=IXPWebsiteSource(directory, coverage=sources["website"], seed=seed),
-        rdns=ReverseDNSSource(directory, coverage=sources["rdns"], seed=seed),
-    )
-    return _WorldViews(
-        ixps=ixps,
-        lg_servers=lg_servers,
-        directory=directory,
-        identification=identification,
-        truth=truth,
-    )

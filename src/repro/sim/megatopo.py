@@ -36,6 +36,7 @@ Draw program (statically inventoried by ``repro lint --draw-programs``):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from repro.bgp.relationships import ASGraph
 from repro.errors import ConfigurationError, TopologyError
-from repro.geo.cities import default_city_db
+from repro.geo.cities import City, default_city_db
 from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog, scaled_member_count
 from repro.rand import (
@@ -305,10 +306,11 @@ class MegaWorld:
         """Rebuild a world around (possibly shared-memory-backed) arrays.
 
         The inverse of :meth:`export_columns`: array views are adopted
-        as-is (zero-copy), deterministic structure (pool config, city
-        lists, IXP catalog) is rebuilt from ``config``.
+        as-is (zero-copy); the pool config comes from ``config``, and the
+        per-continent city lists and the IXP catalog are constants built
+        once per process (the world gets its own ``cities_by_continent``
+        dict over them).
         """
-        city_db = default_city_db()
         pool = ColumnarNetworkPool(
             config=_pool_config(config),
             asn=columns["pool.asn"],
@@ -320,7 +322,7 @@ class MegaWorld:
             scope_mask=columns["pool.scope_mask"],
             address_space=columns["pool.address_space"],
             cities_by_continent={
-                c: city_db.by_continent(c) for c in SCOPE_CONTINENTS
+                c: _builtin_cities_on(c) for c in SCOPE_CONTINENTS
             },
         )
         return cls(
@@ -335,6 +337,13 @@ class MegaWorld:
             member_indptr=columns["member_indptr"],
             member_indices=columns["member_indices"],
         )
+
+
+@functools.cache
+def _builtin_cities_on(continent: str) -> tuple[City, ...]:
+    """The built-in cities of one continent, name-sorted: the list a
+    freshly drawn pool reads its ``city_idx`` against."""
+    return tuple(default_city_db().by_continent(continent))
 
 
 def _pool_config(config: MegaWorldConfig) -> NetworkPoolConfig:

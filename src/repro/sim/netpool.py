@@ -26,6 +26,7 @@ in a different order; it lives on as the statistical oracle in
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,9 +142,9 @@ class ColumnarNetworkPool:
     * ``address_space``  int64 announced IPv4 space
 
     No per-network Python object exists until :meth:`network` is called
-    for an explicit index; mega world builders never call it, and the
-    detection builder calls it once per network it seats.  Sampling
-    returns index arrays.
+    for an explicit index; no world builder calls it, and the Section 6
+    inventory calls it for a network's name.  Sampling returns index
+    arrays.
     """
 
     config: NetworkPoolConfig
@@ -155,7 +156,7 @@ class ColumnarNetworkPool:
     propensity: np.ndarray
     scope_mask: np.ndarray
     address_space: np.ndarray
-    cities_by_continent: dict[str, list[City]]
+    cities_by_continent: dict[str, Sequence[City]]
     _eligible_cache: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:

@@ -44,16 +44,6 @@ class NetworkKind(enum.Enum):
         return self.value
 
 
-class PortKind(enum.Enum):
-    """How a member's port attaches to an IXP peering LAN."""
-
-    DIRECT = "direct"
-    REMOTE = "remote"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
-
 class TrafficDirection(enum.Enum):
     """Direction of transit traffic relative to the studied network."""
 

@@ -17,6 +17,7 @@ from repro.sim import (
     build_detection_world,
     build_offload_world,
 )
+from tests.reference.views import ObjectWorld
 
 #: IXPs for the mini detection world: one dual-LG multi-site (Netnod), one
 #: with heavy remote peering (TOP-IX), one anchor-bearing (TorIX).
@@ -62,6 +63,12 @@ def mini_specs():
 def mini_world(mini_specs):
     """A 3-IXP detection world (~350 candidate interfaces)."""
     return build_detection_world(DetectionWorldConfig(seed=11, specs=mini_specs))
+
+
+@pytest.fixture(scope="session")
+def mini_views(mini_world):
+    """The mini world read through the reference object model."""
+    return ObjectWorld(mini_world)
 
 
 @pytest.fixture(scope="session")

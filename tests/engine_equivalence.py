@@ -42,6 +42,7 @@ from repro.sim.offload_world import OffloadWorldConfig, build_offload_world
 from tests.reference.detection_world import build_scalar_detection_world
 from tests.reference.netpool import generate_scalar_pool, object_pool
 from tests.reference.offload_world import build_scalar_offload_world
+from tests.reference.views import ObjectWorld
 
 
 # -- fixed-seed world pairs ----------------------------------------------------
@@ -78,6 +79,9 @@ def detection_world_pair(seed: int = 11, acronyms: tuple[str, ...] | None = None
     """(product, reference) detection worlds from one fixed seed.
 
     ``acronyms`` restricts the IXP specs (None = the full 22-IXP world).
+    The product world is read through its reference object views
+    (:class:`~tests.reference.views.ObjectWorld`), so both worlds answer
+    ``ixps`` and ``truth`` alike.
     """
     if acronyms is None:
         specs = ()
@@ -86,7 +90,10 @@ def detection_world_pair(seed: int = 11, acronyms: tuple[str, ...] | None = None
             s for s in paper_catalog() if s.acronym in set(acronyms)
         )
     config = DetectionWorldConfig(seed=seed, specs=specs)
-    return build_detection_world(config), build_scalar_detection_world(config)
+    return (
+        ObjectWorld(build_detection_world(config)),
+        build_scalar_detection_world(config),
+    )
 
 
 def offload_world_pair(config: OffloadWorldConfig | None = None):

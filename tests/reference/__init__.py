@@ -7,10 +7,23 @@ one-draw-at-a-time realization of a builder whose product path in
 * :mod:`tests.reference.netpool` — the per-network pool loop and an
   object pool with its propensity sampler;
 * :mod:`tests.reference.detection_world` — per-interface member draws
-  and realization on that object pool, with its own copy of the seed
-  implementation's IXP, LG, anchor and registry scaffolding;
+  and realization on that object pool, into the objects below;
 * :mod:`tests.reference.offload_world` — one-network-at-a-time insertion
   through the fully checked graph APIs.
+
+A product detection world is one interface table; the seed
+implementation's object model of it is kept here:
+
+* :mod:`tests.reference.objects` — devices, ICMP echo, pseudowires,
+  ports, fabrics, IXPs with members, circuit-keeping providers and the
+  one-ping-at-a-time looking-glass server;
+* :mod:`tests.reference.registry` — registry records, the three sources
+  and the one-address-at-a-time identification pipeline;
+* :mod:`tests.reference.views` — :class:`~tests.reference.views.ObjectWorld`
+  (a product world realized into those objects, with per-interface
+  ground truth) and the object-model route-server cross-check and
+  Section 6 inventory the product's table readers are held to
+  (``tests/test_table_readers.py``).
 
 The detection pipeline's per-call engines are kept the same way:
 
@@ -18,7 +31,8 @@ The detection pipeline's per-call engines are kept the same way:
   client query per slot, over a world's object view) and a probe-plan
   compiler over fabric objects;
 * :mod:`tests.reference.filters` — the per-stage filter loop over
-  list-of-``EchoReply`` measurements.
+  list-of-``EchoReply`` measurements, with the consistency envelope and
+  reply packing it uses.
 
 :mod:`tests.reference.greedy` keeps the dense float32 greedy expansions
 and the mega study's per-exchange loop that the sparse set-cover kernel

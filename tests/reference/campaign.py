@@ -5,9 +5,10 @@ a fabric's port and device objects instead of an interface table.
 
 :class:`ReferenceCampaign` sweeps every (round, target) slot through
 :meth:`ReferenceClient.submit`, which enforces the rate limit per query
-and asks :meth:`~repro.lg.server.LookingGlassServer.query` for one ping
-burst — over a world's object view (``ixps``, ``lg_servers``,
-``directory``, ``identification``).  It opens the same per-(seed, IXP,
+and asks :meth:`~tests.reference.objects.LookingGlassServer.query` for
+one ping burst — over a world's object view (``ixps``, ``lg_servers``,
+``directory``, ``identification``): a product world is read through
+:class:`~tests.reference.views.ObjectWorld`.  It opens the same per-(seed, IXP,
 operator) streams as the product's array engine
 (:mod:`repro.lg.batch`) but draws in probe order, so the two agree in
 distribution, not bit for bit (``tests/test_probe_batch.py``); both plan
@@ -32,12 +33,14 @@ from repro.delaymodel.congestion import CongestionProcess, NoCongestion
 from repro.errors import RateLimitError
 from repro.lg.batch import ProbePlan
 from repro.lg.client import LookingGlassClient
-from repro.lg.server import LookingGlassServer
 from repro.net.addr import IPv4Address
 from repro.net.icmp import EchoReply
 from repro.rand import child_rng
+from repro.sim.detection_world import DetectionWorld
 from repro.units import MINUTE
 from tests.reference.filters import ReferenceMeasurement, product_measurement
+from tests.reference.objects import LookingGlassServer
+from tests.reference.views import ObjectWorld
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.schedule import ProbeFaults
@@ -199,6 +202,11 @@ class ReferenceClient(LookingGlassClient):
 
 class ReferenceCampaign(ProbeCampaign):
     """The campaign with the per-probe engine, over a world's objects."""
+
+    def __init__(self, world, config=None) -> None:
+        if isinstance(world, DetectionWorld):
+            world = ObjectWorld(world)
+        super().__init__(world, config)
 
     def _reset_client(self) -> None:
         self.client = ReferenceClient()

@@ -5,11 +5,11 @@ an object :class:`~tests.reference.netpool.NetworkPool` (drawn by the
 per-network pool loop) and realizes every interface attribute with its
 own draw, in interface order, from the same ``(seed, "ixp", acronym)``
 streams the product builder opens.  It assembles IXP shells, looking
-glasses, partnerships, anchors, stale targets, registry records and
-ground truth as objects, with its own copy of the seed implementation's
-scaffolding (the product fills an interface table and builds those
-objects only as views), so a change to the product's scaffolding cannot
-move the oracle with it.  The two builders agree in distribution, not
+glasses, anchors, stale targets, registry records and ground truth as
+objects of :mod:`tests.reference.objects` and
+:mod:`tests.reference.registry` (the product fills an interface table
+and builds no objects), so a change to the product's table cannot move
+the oracle with it.  The two builders agree in distribution, not
 member-for-member (``tests/test_world_builder_engines.py``).
 """
 
@@ -29,20 +29,9 @@ from repro.errors import ConfigurationError
 from repro.geo.cities import City, CityDB, default_city_db
 from repro.geo.distances import CityDistanceMatrix
 from repro.ixp.catalog import IXPSpec, paper_catalog
-from repro.ixp.ixp import IXP
-from repro.layer2.provider import RemotePeeringProvider
-from repro.layer2.pseudowire import Pseudowire
-from repro.lg.server import LookingGlassServer, OffLanTarget
 from repro.net.addr import IPv4Address, IPv4Prefix, SubnetAllocator
-from repro.net.device import Device, TTL_LINUX, TTL_NETWORK_OS, TTL_RARE
+from repro.net.device import TTL_LINUX, TTL_NETWORK_OS, TTL_RARE
 from repro.rand import child_rng, make_rng
-from repro.registry.identify import IdentificationPipeline
-from repro.registry.records import InterfaceRecord, IXPDirectory
-from repro.registry.sources import (
-    IXPWebsiteSource,
-    PeeringDBSource,
-    ReverseDNSSource,
-)
 from repro.sim.clock import CampaignWindow
 from repro.sim.detection_world import (
     _BAND_DISTANCES,
@@ -59,11 +48,28 @@ from repro.sim.detection_world import (
     RARE_TTL,
     STALE,
     DetectionWorldConfig,
-    InterfaceTruth,
 )
 from repro.sim.netpool import NetworkPoolConfig, PooledNetwork
-from repro.types import ASN, NetworkKind, PeeringPolicy, PortKind
+from repro.types import ASN, NetworkKind, PeeringPolicy
 from tests.reference.netpool import NetworkPool, generate_scalar_pool
+from tests.reference.objects import (
+    IXP,
+    CircuitProvider,
+    Device,
+    LookingGlassServer,
+    OffLanTarget,
+    PortKind,
+    Pseudowire,
+)
+from tests.reference.registry import (
+    IdentificationPipeline,
+    InterfaceRecord,
+    IXPDirectory,
+    IXPWebsiteSource,
+    PeeringDBSource,
+    ReverseDNSSource,
+)
+from tests.reference.views import InterfaceTruth
 
 
 def build_scalar_detection_world(
@@ -91,10 +97,9 @@ class ReferenceDetectionWorld:
     lg_servers: dict[str, list[LookingGlassServer]]
     directory: IXPDirectory
     identification: IdentificationPipeline
-    providers: list[RemotePeeringProvider]
+    providers: list[CircuitProvider]
     truth: dict[tuple[str, int], InterfaceTruth]
     config: DetectionWorldConfig
-    partnerships: list = field(default_factory=list)
     #: Per-IXP count of remote-member draws that found no candidate in
     #: their nominal distance band (filled from a widened band, or — only
     #: when the whole pool was exhausted — dropped).  0 for every IXP of
@@ -130,7 +135,7 @@ class ReferenceDetectionWorld:
 
 def _make_providers(
     seed: int, specs: tuple[IXPSpec, ...], city_db: CityDB
-) -> list[RemotePeeringProvider]:
+) -> list[CircuitProvider]:
     """Remote-peering providers present at every studied IXP."""
     rng = make_rng(seed)
     names_and_overheads = [
@@ -141,7 +146,7 @@ def _make_providers(
     ]
     providers = []
     for name, overhead in names_and_overheads:
-        provider = RemotePeeringProvider(name=name, overhead_ms=overhead)
+        provider = CircuitProvider(name=name, overhead_ms=overhead)
         for spec in specs:
             provider.add_presence(city_db.get(spec.city_name))
         providers.append(provider)
@@ -169,7 +174,6 @@ class ScalarWorldBuilder:
         self.ixps: dict[str, IXP] = {}
         self.lg_servers: dict[str, list[LookingGlassServer]] = {}
         self.truth: dict[tuple[str, int], InterfaceTruth] = {}
-        self.partnerships: list = []
         self.shortfall: dict[str, int] = {}
         self._lans = SubnetAllocator(IPv4Prefix.parse("193.128.0.0/10"), 22)
         self._anchor_asn = ASN(64_600)
@@ -202,7 +206,6 @@ class ScalarWorldBuilder:
             providers=self.providers,
             truth=self.truth,
             config=self.config,
-            partnerships=self.partnerships,
             shortfall=self.shortfall,
         )
 
@@ -326,25 +329,11 @@ class ScalarWorldBuilder:
             )
         return servers
 
-    def _partner_slots(self, spec: IXPSpec, city: City) -> list[City]:
+    def _partner_slots(self, spec: IXPSpec) -> list[City]:
         """Partner-IXP cities whose members remote-peer here."""
-        partners = _PARTNERSHIPS.get(spec.acronym)
-        if not partners:
-            return []
-        from repro.ixp.partnerships import Partnership
-
         slots: list[City] = []
-        for partner_name, partner_city_name in partners:
-            partner_city = self.city_db.get(partner_city_name)
-            self.partnerships.append(
-                Partnership(
-                    ixp_a=spec.acronym,
-                    ixp_b=partner_name,
-                    city_a=city,
-                    city_b=partner_city,
-                )
-            )
-            slots.extend([partner_city] * _PARTNER_SEATS)
+        for city_name in _PARTNERSHIPS.get(spec.acronym, ()):
+            slots.extend([self.city_db.get(city_name)] * _PARTNER_SEATS)
         return slots
 
     # -- interfaces -------------------------------------------------------------------
@@ -373,7 +362,7 @@ class ScalarWorldBuilder:
 
     def _provision_partner_wire(
         self,
-        provider: RemotePeeringProvider,
+        provider: CircuitProvider,
         home_city: City,
         ixp: IXP,
         overhead_ms: float,
@@ -513,7 +502,7 @@ class ScalarWorldBuilder:
             chosen.append((network, "direct"))
 
         band_p = self._band_probabilities(spec)
-        partner_slots = self._partner_slots(spec, city)
+        partner_slots = self._partner_slots(spec)
         for index in range(remote_members):
             if index < len(partner_slots):
                 partner_city = partner_slots[index]
@@ -760,6 +749,6 @@ class ScalarWorldBuilder:
         )
         return iface, wire.base_rtt_ms(), km
 
-    def _pick_provider(self, rng: np.random.Generator) -> RemotePeeringProvider:
+    def _pick_provider(self, rng: np.random.Generator) -> CircuitProvider:
         choices = _MEMBER_PROVIDER_CHOICES
         return self.providers[choices[int(rng.integers(0, len(choices)))]]

@@ -24,6 +24,21 @@ from repro.net.addr import IPv4Address
 from repro.net.icmp import EchoReply, ReplyBatch
 from repro.types import ASN
 
+
+def envelope_ms(config: FilterConfig, min_rtt_ms: float) -> float:
+    """The consistency envelope above a minimum RTT: max(5 ms, 10%)."""
+    return max(config.consistency_abs_ms, config.consistency_frac * min_rtt_ms)
+
+
+def replies_batch(replies: list[EchoReply]) -> ReplyBatch:
+    """Pack per-reply objects into a struct-of-arrays batch."""
+    return ReplyBatch(
+        rtt_ms=np.array([r.rtt_ms for r in replies], dtype=float),
+        ttl=np.array([r.ttl for r in replies], dtype=np.int64),
+        sent_at_s=np.array([r.sent_at_s for r in replies], dtype=float),
+    )
+
+
 def _rtt_array(replies: list[EchoReply] | ReplyBatch) -> np.ndarray:
     if isinstance(replies, ReplyBatch):
         return replies.rtt_ms
@@ -161,7 +176,7 @@ def product_measurement(m: ReferenceMeasurement) -> InterfaceMeasurement:
         address=m.address,
         replies_by_operator={
             op: replies if isinstance(replies, ReplyBatch)
-            else ReplyBatch.from_replies(replies)
+            else replies_batch(replies)
             for op, replies in m.replies_by_operator.items()
         },
         asn_at_start=m.asn_at_start,
@@ -262,7 +277,7 @@ class ReferenceFilterPipeline:
         if rtts.size == 0:
             return None
         floor = float(rtts.min())
-        ceiling = floor + self.config.envelope_ms(floor)
+        ceiling = floor + envelope_ms(self.config, floor)
         if int((rtts <= ceiling).sum()) < 4:
             return None
         return m
@@ -277,7 +292,7 @@ class ReferenceFilterPipeline:
         if len(minima) < 2:
             return m
         low, high = min(minima), max(minima)  # type: ignore[type-var]
-        if high > low + self.config.envelope_ms(low):
+        if high > low + envelope_ms(self.config, low):
             return None
         return m
 

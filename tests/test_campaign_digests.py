@@ -13,8 +13,9 @@ them.
 The per-probe campaign and the per-stage filter loop of the seed
 implementation, kept as oracles in ``tests/reference/``, are pinned the
 same way (``TestReferenceCampaignDigests``).  Their campaign digests run
-over the product world's object view, so they also pin that view to the
-objects the seed implementation built.
+over the product world's reference object view
+(:class:`~tests.reference.views.ObjectWorld`), so they also pin that view
+to the objects the seed implementation built.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from tests.reference.filters import (
     ReferenceFilterPipeline,
     reference_measurement,
 )
+from tests.reference.views import ObjectWorld
 
 CAMPAIGN_DIGESTS = {
     "clean": (
@@ -182,13 +184,14 @@ class TestCampaignDigests:
 
 class TestTableIdentification:
     """The campaign identifies each IXP's rows in one pass; the answers are
-    the object pipeline's, row for row."""
+    the reference object pipeline's, row for row."""
 
     @pytest.mark.parametrize("seed", (11, 29))
     def test_matches_identify_span_on_every_row(self, seed):
         world = build_detection_world(
             DetectionWorldConfig(seed=seed, specs=mini_specs())
         )
+        views = ObjectWorld(world)
         names = [label for label, _ in IDENTIFICATION_COVERAGE]
         times = (0.0, world.window.duration_s)
         table = world.table
@@ -201,12 +204,12 @@ class TestTableIdentification:
                 table.well_known[rows], table.asn_after[rows],
                 table.asn_change_s[rows], times,
             )
-            records = world.directory.targets_for(entry.acronym)
+            records = views.directory.targets_for(entry.acronym)
             assert [r.address.value for r in records] == (
                 table.address[rows].tolist()
             )
             for j, record in enumerate(records):
-                span = world.identification.identify_span(
+                span = views.identification.identify_span(
                     entry.acronym, record.address, *times
                 )
                 for k, result in enumerate(span):

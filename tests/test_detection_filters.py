@@ -11,14 +11,15 @@ from repro.core.detection.filters import FILTER_ORDER, FilterConfig, FilterPipel
 from repro.core.detection.measurements import InterfaceMeasurement
 from repro.errors import ConfigurationError
 from repro.net.addr import IPv4Address
-from repro.net.icmp import EchoReply, ReplyBatch
+from repro.net.icmp import EchoReply
 from repro.types import ASN
+from tests.reference.filters import envelope_ms, replies_batch
 
 
 def replies(rtts, ttl=255, operator_offset=0.0):
     """One operator's replies; ``ttl`` is one value or one per reply."""
     ttls = ttl if isinstance(ttl, list) else [ttl] * len(rtts)
-    return ReplyBatch.from_replies([
+    return replies_batch([
         EchoReply(rtt_ms=r + operator_offset, ttl=t,
                   target_address="10.0.0.1", sent_at_s=float(i))
         for i, (r, t) in enumerate(zip(rtts, ttls))
@@ -106,8 +107,8 @@ class TestRTTConsistent:
 
     def test_envelope_is_max_of_abs_and_fraction(self):
         config = FilterConfig()
-        assert config.envelope_ms(1.0) == 5.0       # abs wins at low RTT
-        assert config.envelope_ms(100.0) == 10.0    # 10% wins at high RTT
+        assert envelope_ms(config, 1.0) == 5.0       # abs wins at low RTT
+        assert envelope_ms(config, 100.0) == 10.0    # 10% wins at high RTT
 
     def test_high_rtt_wide_envelope(self, pipeline):
         """A remote interface at 100 ms keeps a 10 ms envelope."""

@@ -9,6 +9,7 @@ from repro.core.detection.filters import FilterConfig, FilterPipeline
 from repro.core.detection.measurements import InterfaceMeasurement
 from repro.net.addr import IPv4Address
 from repro.net.icmp import EchoReply, ReplyBatch
+from tests.reference.filters import envelope_ms, replies_batch
 
 rtt = st.floats(min_value=0.05, max_value=500.0, allow_nan=False)
 ttl = st.sampled_from([32, 64, 128, 253, 254, 255])
@@ -33,7 +34,7 @@ def reply_streams(draw):
                     sent_at_s=float(i),
                 )
             )
-        m.replies_by_operator[operator] = ReplyBatch.from_replies(replies)
+        m.replies_by_operator[operator] = replies_batch(replies)
     return m
 
 
@@ -64,7 +65,7 @@ class TestPipelineInvariants:
         # rtt-consistent: >= 4 replies within the envelope of the minimum.
         rtts = [r.rtt_ms for r in survivor.all_replies()]
         floor = min(rtts)
-        ceiling = floor + config.envelope_ms(floor)
+        ceiling = floor + envelope_ms(config, floor)
         assert sum(1 for r in rtts if r <= ceiling) >= 4
         # lg-consistent: per-operator minima agree.
         minima = [
@@ -72,7 +73,7 @@ class TestPipelineInvariants:
         ]
         if len(minima) == 2:
             low, high = min(minima), max(minima)
-            assert high <= low + config.envelope_ms(low)
+            assert high <= low + envelope_ms(config, low)
 
     @settings(max_examples=60, deadline=None)
     @given(m=reply_streams())

@@ -34,6 +34,7 @@ from repro.sim.netpool import (
     _draw_pool_columns,
 )
 from repro.sim.scenarios import mega_config, mini_specs
+from tests.reference.views import ObjectWorld
 
 #: Every column of :class:`~repro.sim.netpool.ColumnarNetworkPool`.
 POOL_COLUMNS = (
@@ -76,7 +77,9 @@ def pool_digest(pool) -> str:
 
 
 def export_world(world) -> dict:
-    """The seated content of a detection world as plain JSON values.
+    """The seated content of a detection world's object views as plain
+    JSON values (a product world reads them through
+    :class:`~tests.reference.views.ObjectWorld`).
 
     Truth rows sorted by (IXP, address); directory records in each IXP's
     address order, asn-change fields included; each IXP's members in
@@ -193,8 +196,8 @@ class TestDetectionWorldDigests:
         world = build_detection_world(
             DetectionWorldConfig(seed=11, specs=mini_specs())
         )
-        assert world_digest(world) == WORLD_DIGESTS["mini3-seed11"]
+        assert world_digest(ObjectWorld(world)) == WORLD_DIGESTS["mini3-seed11"]
 
     def test_paper_scale_world_digest(self):
         world = build_detection_world(DetectionWorldConfig(seed=42))
-        assert world_digest(world) == WORLD_DIGESTS["paper22-seed42"]
+        assert world_digest(ObjectWorld(world)) == WORLD_DIGESTS["paper22-seed42"]

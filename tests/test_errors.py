@@ -14,7 +14,6 @@ from repro import errors
         errors.RoutingError,
         errors.MeasurementError,
         errors.RateLimitError,
-        errors.RegistryError,
         errors.AnalysisError,
         errors.EconomicsError,
     ],

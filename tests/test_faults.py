@@ -30,6 +30,7 @@ from repro.rand import child_rng
 from repro.sim.detection_world import DetectionWorldConfig, build_detection_world
 from repro.ixp.catalog import spec_by_acronym
 from repro.units import DAY, FIVE_MINUTES, MINUTE
+from tests.reference.objects import failover_extra_ms
 
 
 class TestWindows:
@@ -199,7 +200,7 @@ class TestFailoverState:
         )
         times = np.array([5.0, 10.0, 15.0, 20.0, 25.0])
         addr = IPv4Address(42)
-        scalar = [state.extra_ms(addr, t) for t in times]
+        scalar = [failover_extra_ms(state, addr, t) for t in times]
         assert scalar == [0.0, 6.5, 6.5, 0.0, 0.0]
 
     def test_unknown_address_adds_nothing(self):
@@ -207,7 +208,7 @@ class TestFailoverState:
 
         state = FailoverState()
         assert not state
-        assert state.extra_ms(IPv4Address(1), 0.0) == 0.0
+        assert failover_extra_ms(state, IPv4Address(1), 0.0) == 0.0
 
 
 class TestFailoverBilling:

@@ -12,32 +12,32 @@ from repro.sim.detection_world import CONGESTED, OS_CHANGE, STALE
 
 
 class TestPipelineIntegration:
-    def test_filters_catch_their_behaviors(self, mini_world, mini_result):
+    def test_filters_catch_their_behaviors(self, mini_views, mini_result):
         """Each pathological behaviour must be absent from the analyzed set."""
         analyzed_keys = {
             (i.ixp_acronym, i.address.value) for i in mini_result.analyzed
         }
-        for key, truth in mini_world.truth.items():
+        for key, truth in mini_views.truth.items():
             if truth.behavior in (STALE, OS_CHANGE):
                 assert key not in analyzed_keys, truth.behavior
 
-    def test_congested_mostly_filtered(self, mini_world, mini_result):
+    def test_congested_mostly_filtered(self, mini_views, mini_result):
         analyzed_keys = {
             (i.ixp_acronym, i.address.value) for i in mini_result.analyzed
         }
         congested = [
-            key for key, t in mini_world.truth.items() if t.behavior == CONGESTED
+            key for key, t in mini_views.truth.items() if t.behavior == CONGESTED
         ]
         if congested:
             survived = sum(1 for key in congested if key in analyzed_keys)
             assert survived <= max(2, 0.35 * len(congested))
 
-    def test_min_rtt_close_to_ground_truth_baseline(self, mini_world,
+    def test_min_rtt_close_to_ground_truth_baseline(self, mini_views,
                                                     mini_result):
         """Measured minima approach the physical base RTT from above."""
         errors = []
         for iface in mini_result.analyzed:
-            truth = mini_world.truth_for(iface.ixp_acronym, iface.address)
+            truth = mini_views.truth_for(iface.ixp_acronym, iface.address)
             if truth.behavior != "normal":
                 continue
             assert iface.min_rtt_ms >= truth.base_rtt_ms - 1e-6

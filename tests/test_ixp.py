@@ -1,4 +1,4 @@
-"""IXP model, the 22-IXP catalog, the Euro-IX set, partnerships."""
+"""The reference IXP model, the 22-IXP catalog, the Euro-IX set."""
 
 import pytest
 
@@ -7,12 +7,9 @@ from repro.errors import ConfigurationError
 from repro.geo.cities import default_city_db
 from repro.ixp.catalog import IXPSpec, paper_catalog, spec_by_acronym
 from repro.ixp.euroix import euroix_catalog
-from repro.ixp.ixp import IXP
-from repro.ixp.partnerships import Partnership
-from repro.layer2.pseudowire import Pseudowire
 from repro.net.addr import IPv4Prefix
-from repro.net.device import Device
-from repro.types import ASN, PortKind
+from repro.types import ASN
+from tests.reference.objects import IXP, Device, PortKind, Pseudowire
 
 
 @pytest.fixture
@@ -150,9 +147,3 @@ class TestEuroIX:
     def test_all_cities_in_db(self, cities):
         for spec in euroix_catalog():
             assert spec.city_name in cities
-
-
-class TestPartnership:
-    def test_self_partnership_rejected(self, cities):
-        with pytest.raises(ConfigurationError):
-            Partnership("A", "A", cities.get("Turin"), cities.get("Padua"))

@@ -6,14 +6,20 @@ import pytest
 
 from repro.errors import ConfigurationError, RateLimitError
 from repro.geo.cities import default_city_db
-from repro.ixp.ixp import IXP
 from repro.bgp.asys import AutonomousSystem
-from repro.layer2.pseudowire import Pseudowire
-from repro.lg.server import LookingGlassServer, OffLanTarget, PCH_PINGS, RIPE_PINGS
+from repro.lg.server import PCH_PINGS, RIPE_PINGS
 from repro.net.addr import IPv4Address, IPv4Prefix
-from repro.net.device import Device, TTL_LINUX, TTL_NETWORK_OS
-from repro.types import ASN, PortKind
+from repro.net.device import TTL_LINUX, TTL_NETWORK_OS
+from repro.types import ASN
 from tests.reference.campaign import ReferenceClient
+from tests.reference.objects import (
+    IXP,
+    Device,
+    LookingGlassServer,
+    OffLanTarget,
+    PortKind,
+    Pseudowire,
+)
 
 
 @pytest.fixture

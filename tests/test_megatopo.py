@@ -16,7 +16,7 @@ import pytest
 
 from repro.bgp.asys import AutonomousSystem
 from repro.errors import ConfigurationError, TopologyError
-from repro.ixp.euroix import scaled_member_count
+from repro.ixp.euroix import euroix_catalog, scaled_member_count
 from repro.rand import child_rng
 from repro.sim.megatopo import (
     _REGION_CONTINENT,
@@ -153,6 +153,28 @@ class TestDeterminism:
             rebuilt.propensity_order,
             np.argsort(-small_world.pool.propensity, kind="stable"),
         )
+
+    def test_attached_pool_reads_the_built_cities(self, small_world):
+        """An attach rebuilds no constants: its pool reads every network's
+        home city as the built pool does, the catalog is the one tuple
+        every build shares, and each attached world still owns its
+        ``cities_by_continent`` dict."""
+        first, second = world_copy(small_world), world_copy(small_world)
+        for continent in SCOPE_CONTINENTS:
+            assert list(first.pool.cities_by_continent[continent]) == list(
+                small_world.pool.cities_by_continent[continent]
+            )
+        assert [
+            first.pool.network(i).home_city for i in range(len(first))
+        ] == [
+            small_world.pool.network(i).home_city
+            for i in range(len(small_world))
+        ]
+        assert first.pool.cities_by_continent is not (
+            second.pool.cities_by_continent
+        )
+        assert first.catalog is second.catalog is small_world.catalog
+        assert small_world.catalog is euroix_catalog()
 
 
 class TestMemberships:

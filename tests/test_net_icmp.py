@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.net.device import Device, TTL_LINUX, TTL_NETWORK_OS
-from repro.net.icmp import reply_for_probe
+from repro.net.device import TTL_LINUX, TTL_NETWORK_OS
+from tests.reference.objects import Device, reply_for_probe
 
 
 def probe(device, rng=None, **kwargs):

@@ -18,18 +18,24 @@ from repro.core.detection.validation import validate_against_truth
 from repro.delaymodel.congestion import CongestionProcess, PersistentCongestion
 from repro.errors import RateLimitError
 from repro.geo.cities import default_city_db
-from repro.ixp.ixp import IXP
-from repro.layer2.pseudowire import Pseudowire
 from repro.lg.batch import run_sweeps, sweep_query_times
 from repro.lg.client import LookingGlassClient
-from repro.lg.server import LookingGlassServer, OffLanTarget
 from repro.net.addr import IPv4Address, IPv4Prefix
-from repro.net.device import Device, TTL_LINUX, TTL_NETWORK_OS
+from repro.net.device import TTL_LINUX, TTL_NETWORK_OS
 from repro.net.icmp import ReplyBatch
 from repro.sim import scenarios
-from repro.types import ASN, PortKind
+from repro.types import ASN
 from tests.reference.campaign import ReferenceCampaign, compile_fabric_plan
-from tests.reference.filters import product_measurement
+from tests.reference.filters import product_measurement, replies_batch
+from tests.reference.objects import (
+    IXP,
+    Device,
+    LookingGlassServer,
+    OffLanTarget,
+    PortKind,
+    Pseudowire,
+)
+from tests.reference.views import ObjectWorld
 
 
 @pytest.fixture
@@ -69,7 +75,7 @@ class TestReplyBatch:
         )
         replies = batch.to_replies("10.0.0.1")
         assert [r.rtt_ms for r in replies] == [1.5, 2.0]
-        assert ReplyBatch.from_replies(replies) == batch
+        assert replies_batch(replies) == batch
 
     def test_select_and_concat(self):
         batch = ReplyBatch(
@@ -365,10 +371,11 @@ class TestReplyTable:
         world = build_detection_world(
             DetectionWorldConfig(seed=11, specs=mini_specs())
         )
+        views = ObjectWorld(world)
         for entry in world.exchanges:
-            servers = world.lg_servers[entry.acronym]
+            servers = views.lg_servers[entry.acronym]
             targets = [
-                r.address for r in world.directory.targets_for(entry.acronym)
+                r.address for r in views.directory.targets_for(entry.acronym)
             ]
             for vantage, server in zip(entry.vantages, servers):
                 table_plan = compile_probe_plan(world.table, entry, vantage)

@@ -1,18 +1,20 @@
-"""Registries: records, sources with coverage, identification pipeline."""
+"""The reference registries: records, sources with coverage, the
+identification pipeline."""
 
 import pytest
 
-from repro.errors import RegistryError
 from repro.net.addr import IPv4Address
-from repro.registry.identify import IdentificationPipeline
-from repro.registry.records import InterfaceRecord, IXPDirectory
-from repro.registry.sources import (
+from repro.types import ASN
+from tests.reference.registry import (
+    IdentificationPipeline,
+    InterfaceRecord,
+    IXPDirectory,
     IXPWebsiteSource,
     PeeringDBSource,
+    RegistryError,
     ReverseDNSSource,
     parse_asn_from_hostname,
 )
-from repro.types import ASN
 
 
 def record(address: str, asn: int | None = 100, **kwargs) -> InterfaceRecord:

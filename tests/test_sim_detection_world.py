@@ -15,7 +15,7 @@ from repro.sim.detection_world import (
     NORMAL,
     STALE,
 )
-from repro.types import PortKind
+from tests.reference.views import ObjectWorld
 
 
 class TestBehaviorRates:
@@ -86,12 +86,12 @@ class TestLanBound:
 
 
 class TestWorldStructure:
-    def test_ixps_built(self, mini_world, mini_specs):
-        assert set(mini_world.ixps) == {s.acronym for s in mini_specs}
+    def test_ixps_built(self, mini_views, mini_specs):
+        assert set(mini_views.ixps) == {s.acronym for s in mini_specs}
 
-    def test_lg_servers_match_spec(self, mini_world, mini_specs):
+    def test_lg_servers_match_spec(self, mini_views, mini_specs):
         for spec in mini_specs:
-            operators = {s.operator for s in mini_world.lg_servers[spec.acronym]}
+            operators = {s.operator for s in mini_views.lg_servers[spec.acronym]}
             expected = set()
             if spec.has_pch_lg:
                 expected.add("PCH")
@@ -99,17 +99,17 @@ class TestWorldStructure:
                 expected.add("RIPE")
             assert operators == expected
 
-    def test_candidate_counts_near_spec(self, mini_world, mini_specs):
+    def test_candidate_counts_near_spec(self, mini_views, mini_specs):
         for spec in mini_specs:
             count = sum(
-                1 for key in mini_world.truth if key[0] == spec.acronym
+                1 for key in mini_views.truth if key[0] == spec.acronym
             )
             assert count == pytest.approx(spec.analyzed_interfaces, rel=0.12)
 
-    def test_remote_fraction_near_spec(self, mini_world, mini_specs):
+    def test_remote_fraction_near_spec(self, mini_views, mini_specs):
         for spec in mini_specs:
             truths = [
-                t for t in mini_world.truth.values()
+                t for t in mini_views.truth.values()
                 if t.ixp_acronym == spec.acronym
             ]
             remote = sum(1 for t in truths if t.is_remote)
@@ -120,74 +120,77 @@ class TestWorldStructure:
             if spec.remote_fraction > 0:
                 assert remote > 0
 
-    def test_all_published_targets_have_truth(self, mini_world):
-        for acr in mini_world.ixps:
-            for record in mini_world.directory.targets_for(acr):
-                truth = mini_world.truth_for(acr, record.address)
+    def test_all_published_targets_have_truth(self, mini_views):
+        for acr in mini_views.ixps:
+            for record in mini_views.directory.targets_for(acr):
+                truth = mini_views.truth_for(acr, record.address)
                 assert truth.ixp_acronym == acr
 
-    def test_stale_targets_not_on_lan(self, mini_world):
-        for truth in mini_world.truth.values():
-            ixp = mini_world.ixps[truth.ixp_acronym]
+    def test_stale_targets_not_on_lan(self, mini_views):
+        for truth in mini_views.truth.values():
+            ixp = mini_views.ixps[truth.ixp_acronym]
             if truth.behavior == STALE:
                 assert not truth.on_lan
                 assert not ixp.fabric.has_address(truth.address)
             else:
                 assert ixp.fabric.has_address(truth.address)
 
-    def test_ground_truth_direct_below_threshold(self, mini_world):
+    def test_ground_truth_direct_below_threshold(self, mini_views):
         """The paper's manual checks: no direct peer has min RTT >= 10 ms.
         Base RTTs of non-congested direct ports must sit below 10 ms."""
-        for truth in mini_world.truth.values():
+        for truth in mini_views.truth.values():
             if not truth.is_remote and truth.on_lan and truth.behavior == NORMAL:
                 assert truth.base_rtt_ms < 10.0
 
-    def test_remote_truth_matches_port_kind(self, mini_world):
-        for truth in mini_world.truth.values():
+    def test_remote_truth_matches_port_kind(self, mini_views):
+        for truth in mini_views.truth.values():
             if not truth.on_lan:
                 continue
-            ixp = mini_world.ixps[truth.ixp_acronym]
+            ixp = mini_views.ixps[truth.ixp_acronym]
             port = ixp.fabric.port_for(truth.address)
             assert port.is_remote == truth.is_remote
 
     def test_deterministic_rebuild(self, mini_specs):
-        a = build_detection_world(DetectionWorldConfig(seed=11, specs=mini_specs))
-        b = build_detection_world(DetectionWorldConfig(seed=11, specs=mini_specs))
+        a, b = (
+            ObjectWorld(build_detection_world(
+                DetectionWorldConfig(seed=11, specs=mini_specs)))
+            for _ in range(2)
+        )
         assert set(a.truth) == set(b.truth)
         for key in a.truth:
             assert a.truth[key].base_rtt_ms == b.truth[key].base_rtt_ms
 
-    def test_seed_changes_world(self, mini_world, mini_specs):
-        other = build_detection_world(
+    def test_seed_changes_world(self, mini_views, mini_specs):
+        other = ObjectWorld(build_detection_world(
             DetectionWorldConfig(seed=99, specs=mini_specs)
-        )
-        assert set(other.truth) != set(mini_world.truth) or any(
-            other.truth[k].base_rtt_ms != mini_world.truth[k].base_rtt_ms
-            for k in other.truth if k in mini_world.truth
+        ))
+        assert set(other.truth) != set(mini_views.truth) or any(
+            other.truth[k].base_rtt_ms != mini_views.truth[k].base_rtt_ms
+            for k in other.truth if k in mini_views.truth
         )
 
 
 class TestAnchors:
-    def test_anchor_interfaces_present(self, mini_world):
+    def test_anchor_interfaces_present(self, mini_views):
         """TorIX carries the e4a-like anchor's remote interface."""
         anchors = [
-            t for t in mini_world.truth.values()
+            t for t in mini_views.truth.values()
             if t.ixp_acronym == "TorIX" and 64_600 <= t.asn < 64_650
         ]
         assert anchors
         assert any(t.is_remote for t in anchors)
 
     def test_anchors_can_be_disabled(self, mini_specs):
-        world = build_detection_world(
+        world = ObjectWorld(build_detection_world(
             DetectionWorldConfig(seed=11, specs=mini_specs, with_anchors=False)
-        )
+        ))
         anchors = [t for t in world.truth.values() if 64_600 <= t.asn < 64_650]
         assert not anchors
 
 
 class TestRowChecks:
-    """The builder checks its columns as the object model checks its
-    objects: a bad value raises the constructor's own error."""
+    """The builder checks its columns as the reference object model checks
+    its objects: a bad value raises the constructor's own error."""
 
     @staticmethod
     def columns(world):
@@ -207,10 +210,8 @@ class TestRowChecks:
         return str(caught.value)
 
     def test_bad_values_raise_the_object_errors(self, mini_world):
-        from repro.layer2.port import PortProfile
-        from repro.lg.server import OffLanTarget
-        from repro.net.device import Device
         from repro.sim.detection_world import ATTACH_STALE, _check_rows
+        from tests.reference.objects import Device, OffLanTarget, PortProfile
 
         stale = int(np.flatnonzero(
             mini_world.table.attachment == ATTACH_STALE

@@ -19,7 +19,17 @@ workflow.  Reach is computed by name to a fixed point:
 
 A definition nothing but unit tests reaches is code kept for its own
 tests: the suite names each one.  ``INSTRUMENTS`` are the exceptions,
-definitions the tests use to check code that stays.
+definitions the tests use to check code that stays.  ``ORACLE_KEPT``
+pins the definitions only the oracles under ``tests/reference/`` keep
+alive, so an oracle cannot quietly hold product code no front door
+uses.
+
+Matching by name has a blind spot: a definition shares its reach with
+every same-named reference.  The detection object model's ``IXP`` class
+stayed "reached" through ``EntityKind.IXP``, and ``Pseudowire`` through
+the ``circuits: list[Pseudowire]`` annotation, long after no front door
+used either; both left ``src/`` with the rest of that model, found by
+reading, not by this suite.
 """
 
 from __future__ import annotations
@@ -60,6 +70,20 @@ INSTRUMENTS = frozenset({
     "repro.sim.megatopo.MegaWorld.reach_counts",
     "repro.sim.megatopo.MegaWorld.to_asgraph",
     "repro.sim.offload_world.OffloadWorld.policy_of",
+})
+
+#: ``src/`` definitions reached only because ``tests/reference/`` is a
+#: front door: the AS-graph insertion and member-cone walks of the
+#: offload world and greedy oracles (``tests/reference/offload_world.py``,
+#: ``greedy.py``).
+ORACLE_KEPT = frozenset({
+    "repro.bgp.cone.customer_cone",
+    "repro.bgp.relationships.ASGraph.add_as",
+    "repro.bgp.relationships.ASGraph.customers_of",
+    "repro.bgp.relationships.ASGraph.relationship",
+    "repro.bgp.relationships.Relationship",
+    "repro.bgp.relationships.Relationship.__str__",
+    "repro.sim.offload_world.OffloadWorld.cone",
 })
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -168,7 +192,8 @@ def reach(definitions: list[Definition], refs: References,
     return reached
 
 
-def unreached(instruments: frozenset[str] = INSTRUMENTS) -> list[str]:
+def unreached(instruments: frozenset[str] = INSTRUMENTS,
+              roots: tuple[str, ...] = CODE_ROOTS) -> list[str]:
     """The ``src/`` definitions no front door reaches, sorted."""
     refs = References()
     definitions: list[Definition] = []
@@ -177,7 +202,7 @@ def unreached(instruments: frozenset[str] = INSTRUMENTS) -> list[str]:
         tree = ast.parse(path.read_text(), filename=str(path))
         definitions += module_definitions(
             tree, module.removesuffix(".__init__"), refs)
-    for root in CODE_ROOTS:
+    for root in roots:
         for path in sorted((ROOT / root).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             refs.add([tree], strings=True)
@@ -199,6 +224,13 @@ def test_every_src_definition_is_reached_from_a_front_door():
 def test_every_instrument_is_reached_by_tests_only():
     """Each instrument exists, and nothing but the allow-list keeps it."""
     assert sorted(INSTRUMENTS - set(unreached(frozenset()))) == []
+
+
+def test_oracles_keep_only_the_pinned_definitions():
+    """What only ``tests/reference/`` reaches is exactly ``ORACLE_KEPT``."""
+    without = tuple(r for r in CODE_ROOTS if r != "tests/reference")
+    kept = set(unreached(roots=without)) - set(unreached())
+    assert sorted(kept) == sorted(ORACLE_KEPT)
 
 
 def test_reach_follows_names_attributes_and_strings():

@@ -51,6 +51,7 @@ from tests.reference.netpool import (
     generate_scalar_pool,
     object_pool,
 )
+from tests.reference.views import ObjectWorld
 
 
 def _spec(**overrides) -> IXPSpec:
@@ -173,8 +174,11 @@ class TestEngineSelection:
 
     def test_vectorized_is_default_and_deterministic(self):
         specs = (_spec(),)
-        a = build_detection_world(DetectionWorldConfig(seed=3, specs=specs))
-        b = build_detection_world(DetectionWorldConfig(seed=3, specs=specs))
+        a, b = (
+            ObjectWorld(build_detection_world(
+                DetectionWorldConfig(seed=3, specs=specs)))
+            for _ in range(2)
+        )
         assert a.config.engine == "vectorized"
         assert isinstance(a.pool, ColumnarNetworkPool)
         assert set(a.truth) == set(b.truth)
@@ -198,8 +202,8 @@ class TestEngineSelection:
 
 class TestSeatedViews:
     """The builder keeps its pool as columns and seats no network view; the
-    world's object view materializes one only for an index the world
-    seats, once per world."""
+    world's reference object view materializes one only for an index the
+    world seats, once per world."""
 
     @pytest.fixture(scope="class")
     def seated(self, mini_specs):
@@ -216,8 +220,8 @@ class TestSeatedViews:
                 DetectionWorldConfig(seed=11, specs=mini_specs)
             )
             assert calls == []  # the build path assembles no objects
-            world.ixps  # noqa: B018 - realizes the object view
-        return world, calls
+            views = ObjectWorld(world)
+        return views, calls
 
     def test_one_view_per_seated_network(self, seated):
         world, calls = seated
