@@ -1,24 +1,11 @@
-"""BGP substrate: AS-level topology, policy routing, customer cones.
+"""BGP substrate: the autonomous system as an economic entity.
 
-The offload study (Section 4) needs three things from BGP: AS paths for
-every flow crossing the studied network's border routers, customer cones of
-candidate peers, and the relationship labels (customer / provider / peer)
-that decide which traffic is offloadable.  This package provides all three
-— an exact Gao–Rexford propagation engine for arbitrary graphs, plus
-cone computation.
+The offload study's AS level (relationships, best routes toward the
+studied network, customer cones) is array data of the offload world
+(:mod:`repro.sim.offload_world`, :mod:`repro.core.offload`); this package
+keeps the per-AS record the detection world's networks carry.
 """
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.relationships import ASGraph, Relationship
-from repro.bgp.cone import customer_cone
-from repro.bgp.routing import ASPath, RouteComputation, RouteKind
 
-__all__ = [
-    "AutonomousSystem",
-    "ASGraph",
-    "Relationship",
-    "customer_cone",
-    "ASPath",
-    "RouteComputation",
-    "RouteKind",
-]
+__all__ = ["AutonomousSystem"]

@@ -45,31 +45,6 @@ class AutonomousSystem:
         if self.address_space < 0:
             raise ConfigurationError("address space cannot be negative")
 
-    @classmethod
-    def make_unchecked(
-        cls,
-        asn: ASN,
-        name: str,
-        kind: NetworkKind,
-        policy: PeeringPolicy,
-        address_space: int = 256,
-    ) -> "AutonomousSystem":
-        """Construct without validation — the bulk world builders' fast path.
-
-        Callers must pass a positive ASN and non-negative address space;
-        the dataclass ``__init__`` is ~2.5× slower, which matters when a
-        vectorized builder materializes ~30k networks.
-        """
-        asys = object.__new__(cls)
-        asys.asn = asn
-        asys.name = name
-        asys.kind = kind
-        asys.home_city = None
-        asys.policy = policy
-        asys.address_space = address_space
-        asys.tags = set()
-        return asys
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"AS{self.asn} ({self.name})"
 

@@ -9,22 +9,116 @@ networks of this peer group and their customer cones contribute").
 
 Masks, rankings and the greedy expansion read the world only through
 its member arrays (:class:`~repro.sim.offload_world.MemberArrays`) and
-the traffic matrix; only Figure 6's decomposition reads the AS paths,
-which a world assembles on first access.
+the traffic matrix.  Figure 6's decomposition follows each contributor's
+best route toward the studied network, which :func:`routes_toward`
+computes over the world's AS level
+(:meth:`~repro.sim.offload_world.OffloadWorld.as_level`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from repro.core.offload.bitsets import cone_rows
 from repro.core.offload.peergroups import PeerGroups
 from repro.errors import ConfigurationError
-from repro.sim.offload_world import OffloadWorld, gather_runs
+from repro.sim.offload_world import ASLevel, OffloadWorld, gather_runs
 from repro.types import ASN, NetworkKind
+
+#: How a route was learned, by :attr:`Routes.kind` code (-1: no route).
+ROUTE_KINDS = ("origin", "customer", "peer", "provider")
+_ORIGIN, _CUSTOMER, _PEER, _PROVIDER = range(4)
+
+
+class Routes(NamedTuple):
+    """Every AS's best route toward one destination, by AS index.
+
+    ``next_hop[i]`` is the neighbour AS ``i`` forwards to (the
+    destination's own is itself), ``length[i]`` the path's AS hops and
+    ``kind[i]`` a :data:`ROUTE_KINDS` code; all three are -1 where AS
+    ``i`` has no route.
+    """
+
+    next_hop: np.ndarray
+    length: np.ndarray
+    kind: np.ndarray
+
+
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal ``keys`` starts."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
+def routes_toward(level: ASLevel, destination: int) -> Routes:
+    """Each AS's best route to AS index ``destination`` (Gao–Rexford).
+
+    Customer routes beat peer routes beat provider routes; within a
+    class the shorter path wins, then the lower next-hop ASN (indices
+    ascend with ASN).  Only customer routes are exported to providers
+    and peers, so a best path climbs, crosses at most one peering and
+    descends.  Three level-synchronous passes follow that shape:
+    customer routes climb a level at a time, one peer edge leaves a
+    customer-routed AS or the destination, and provider routes descend
+    a level at a time from every routed AS.  An AS is routed only once
+    its next hop is, so no path can loop back through the AS it extends.
+    """
+    size = level.asns.size
+    next_hop = np.full(size, -1, dtype=np.intp)
+    length = np.full(size, -1, dtype=np.int64)
+    kind = np.full(size, -1, dtype=np.int8)
+
+    def settle(node, via, hops, code) -> None:
+        next_hop[node], length[node], kind[node] = via, hops, code
+
+    settle(destination, destination, 0, _ORIGIN)
+
+    up = np.lexsort((level.customer, level.provider))
+    customer, provider = level.customer[up], level.provider[up]
+    frontier = np.zeros(size, dtype=bool)
+    frontier[destination] = True
+    hops = 0
+    while True:
+        hit = np.flatnonzero(frontier[customer] & (length[provider] < 0))
+        if not hit.size:
+            break
+        first = hit[_first_of_runs(provider[hit])]
+        hops += 1
+        settle(provider[first], customer[first], hops, _CUSTOMER)
+        frontier[:] = False
+        frontier[provider[first]] = True
+
+    exporter = np.concatenate([level.peers[:, 0], level.peers[:, 1]])
+    learner = np.concatenate([level.peers[:, 1], level.peers[:, 0]])
+    offered = (length[exporter] >= 0) & (length[learner] < 0)
+    exporter, learner = exporter[offered], learner[offered]
+    order = np.lexsort((exporter, length[exporter], learner))
+    best = order[_first_of_runs(learner[order])]
+    settle(learner[best], exporter[best], length[exporter[best]] + 1, _PEER)
+
+    down = np.lexsort((level.provider, level.customer))
+    customer, provider = level.customer[down], level.provider[down]
+    hops = 0
+    while hops <= length.max():
+        hit = np.flatnonzero(
+            (length[provider] == hops) & (length[customer] < 0)
+        )
+        first = hit[_first_of_runs(customer[hit])]
+        settle(customer[first], provider[first], hops + 1, _PROVIDER)
+        hops += 1
+    return Routes(next_hop, length, kind)
+
+
+class _Transient(NamedTuple):
+    """Figure 6's per-AS transient traffic, by :class:`ASLevel` index."""
+
+    level: ASLevel
+    inbound: np.ndarray
+    outbound: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +170,7 @@ class OffloadEstimator:
         self._members = world.member_arrays()
         self._selected: dict[int, np.ndarray] = {}
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._transient: dict[str, np.ndarray] | None = None
+        self._transient: _Transient | None = None
 
     # -- masks -------------------------------------------------------------------
 
@@ -184,61 +278,68 @@ class OffloadEstimator:
 
     # -- figure 6: contributor decomposition -------------------------------------------
 
-    def _transient_arrays(self) -> dict[str, np.ndarray]:
-        """Per-AS transient traffic, from the AS paths of every flow.
+    def _transient_arrays(self) -> _Transient:
+        """Per-AS transient traffic, from every contributor's best route.
 
-        One pass collects (hop, contributor) pairs; the per-hop sums are
-        then two weighted bincounts instead of ~100k scalar additions.
+        Following next-hop pointers gives each contributor's
+        intermediaries; the (hop, contributor) pairs go in contributor
+        order, so each hop's two weighted bincounts add its contributors'
+        rates in that order.
         """
         if self._transient is not None:
             return self._transient
         world = self.world
-        size = len(world.graph)
-        index = {asn: i for i, asn in enumerate(world.graph.asns())}
-        hop_rows: list[int] = []
-        contrib_rows: list[int] = []
-        for contrib_idx, asn in enumerate(world.contributing):
-            path = world.inbound_paths.get(asn)
-            if path is None:
-                continue
-            intermediaries = path.intermediaries()
-            hop_rows.extend(index[hop] for hop in intermediaries)
-            contrib_rows.extend([contrib_idx] * len(intermediaries))
-        hops = np.asarray(hop_rows, dtype=np.intp)
-        contribs = np.asarray(contrib_rows, dtype=np.intp)
-        transient_in = np.bincount(
-            hops, weights=world.matrix.inbound_bps[contribs], minlength=size
-        ).astype(float)
-        transient_out = np.bincount(
-            hops, weights=world.matrix.outbound_bps[contribs], minlength=size
-        ).astype(float)
-        self._transient = {
-            "in": transient_in,
-            "out": transient_out,
-            "_index": index,  # type: ignore[dict-item]
-        }
+        level = world.as_level()
+        rediris = int(np.searchsorted(level.asns, world.rediris))
+        next_hop = routes_toward(level, rediris).next_hop
+        hop = next_hop[np.searchsorted(level.asns, world.contributing)]
+        owner = np.flatnonzero(hop >= 0)
+        hop = hop[owner]
+        hop_rows: list[np.ndarray] = []
+        owner_rows: list[np.ndarray] = []
+        while True:
+            inner = np.flatnonzero(hop != rediris)
+            if not inner.size:
+                break
+            hop, owner = hop[inner], owner[inner]
+            hop_rows.append(hop)
+            owner_rows.append(owner)
+            hop = next_hop[hop]
+        hops = np.concatenate([np.empty(0, dtype=np.intp), *hop_rows])
+        owners = np.concatenate([np.empty(0, dtype=np.intp), *owner_rows])
+        order = np.argsort(owners, kind="stable")
+        hops, owners = hops[order], owners[order]
+        self._transient = _Transient(
+            level,
+            np.bincount(hops, weights=world.matrix.inbound_bps[owners],
+                        minlength=level.asns.size),
+            np.bincount(hops, weights=world.matrix.outbound_bps[owners],
+                        minlength=level.asns.size),
+        )
         return self._transient
 
     def contributor_share(self, asn: ASN) -> ContributorShare:
-        """Traffic decomposition of one candidate peer (Figure 6 row)."""
+        """Traffic decomposition of one candidate peer (Figure 6 row);
+        an ASN outside the world raises."""
         world = self.world
-        arrays = self._transient_arrays()
-        index: dict[ASN, int] = arrays["_index"]  # type: ignore[assignment]
+        transient = self._transient_arrays()
+        asns = transient.level.asns
+        hop_idx = int(np.searchsorted(asns, asn))
+        if hop_idx == asns.size or asns[hop_idx] != asn:
+            raise ConfigurationError(f"unknown ASN {asn}")
         contrib_idx = world.contributing_index(asn)
         origin = destination = 0.0
         if contrib_idx is not None:
             origin = float(world.matrix.inbound_bps[contrib_idx])
             destination = float(world.matrix.outbound_bps[contrib_idx])
-        hop_idx = index[asn]
-        asys = world.graph.get(asn)
         return ContributorShare(
             asn=asn,
-            name=asys.name,
-            kind=asys.kind,
+            name=transient.level.names[hop_idx],
+            kind=transient.level.kinds[hop_idx],
             origin_bps=origin,
             destination_bps=destination,
-            transient_in_bps=float(arrays["in"][hop_idx]),
-            transient_out_bps=float(arrays["out"][hop_idx]),
+            transient_in_bps=float(transient.inbound[hop_idx]),
+            transient_out_bps=float(transient.outbound[hop_idx]),
         )
 
     def top_contributors(

@@ -25,10 +25,6 @@ class TopologyError(ReproError):
     """The simulated topology is malformed (unknown AS, dangling link...)."""
 
 
-class RoutingError(ReproError):
-    """A malformed AS path (empty, or looping through an AS)."""
-
-
 class MeasurementError(ReproError):
     """A probing campaign was mis-configured or produced no usable data."""
 

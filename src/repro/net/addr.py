@@ -2,9 +2,10 @@
 
 The simulator hands every IXP peering LAN its own prefix and every member
 interface an address inside it, exactly as a real IXP assigns addresses out
-of its peering-LAN subnet.  Stale registry entries are modeled by addresses
-*outside* the LAN prefix, which is what the paper's TTL-match filter ends up
-discarding.
+of its peering-LAN subnet.  A stale registry entry's address lies inside
+the LAN prefix too, but no port on the fabric holds it: its replies come
+from off the LAN over extra IP hops, which is what the paper's TTL-match
+filter ends up discarding.
 """
 
 from __future__ import annotations
@@ -114,12 +115,6 @@ class IPv4Prefix:
 
     def __str__(self) -> str:
         return f"{self.network}/{self.length}"
-
-    def host(self, index: int) -> IPv4Address:
-        """The ``index``-th usable host address (1-based within the subnet)."""
-        if index < 1 or index > self.usable_hosts():
-            raise AddressError(f"host index {index} out of range for {self}")
-        return IPv4Address(self.network.value + index)
 
     def subnets(self, new_length: int) -> Iterator["IPv4Prefix"]:
         """Iterate over the sub-prefixes of ``new_length``."""

@@ -21,8 +21,6 @@ Nothing in the build materializes per-network Python objects: the pool
 stays struct-of-arrays (:class:`~repro.sim.netpool.ColumnarNetworkPool`),
 provider edges live in a CSR table, and memberships are index arrays.
 ``tests/test_megatopo.py`` pins that with an object-count probe.
-:meth:`MegaWorld.to_asgraph` bridges to the object world for small-n
-equivalence tests only.
 
 Draw program (statically inventoried by ``repro lint --draw-programs``):
 
@@ -42,7 +40,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.bgp.relationships import ASGraph
 from repro.errors import ConfigurationError, TopologyError
 from repro.geo.cities import City, default_city_db
 from repro.gcpause import paused_gc
@@ -244,32 +241,6 @@ class MegaWorld:
         customers = np.repeat(np.arange(len(self)), counts)
         if np.any(self.tier[self.provider_indices] >= self.tier[customers]):
             raise TopologyError("provider edge does not climb the hierarchy")
-
-    def to_asgraph(self) -> ASGraph:
-        """Materialize the object AS graph (small-n equivalence tests only).
-
-        Builds one ``AutonomousSystem`` per network — the exact O(n)
-        object path the mega tier exists to avoid; nothing on the study
-        path calls this.
-        """
-        graph = ASGraph()
-        graph.add_ases_bulk(
-            self.pool.network(i).asys for i in range(len(self))
-        )
-        counts = np.diff(self.provider_indptr)
-        customers = self.pool.asn[np.repeat(np.arange(len(self)), counts)]
-        providers = self.pool.asn[self.provider_indices]
-        # CSR rows are ascending-customer and contiguous, which is the
-        # add_customer_provider_arrays contract.
-        graph.add_customer_provider_arrays(customers, providers)
-        clique = np.flatnonzero(self.tier == TIER_CLIQUE)
-        for a in range(len(clique)):
-            for b in range(a + 1, len(clique)):
-                graph.add_peering(
-                    int(self.pool.asn[clique[a]]),
-                    int(self.pool.asn[clique[b]]),
-                )
-        return graph
 
     # --- zero-copy transport ------------------------------------------------
 

@@ -84,13 +84,11 @@ stay ascending), tier-1 cones are the union of their direct contributing
 customers plus their customer tier-2s' segments, and giants and stubs
 are their own singletons.
 
-The AS graph, the inbound AS paths and the regions are assembled on
-first access, from the world's config: the tier stages re-run (same
-streams, so the same arrays), the networks and edges go in through the
-bulk :class:`~repro.bgp.relationships.ASGraph` APIs, each AS takes its
-space from the world's address-space array, and the routes are
-computed.  No study's trial reads them; Figure 6's transient traffic
-does.
+The AS level (:meth:`OffloadWorld.as_level`: every AS's name and kind,
+its customer→provider edges and the peerings, as index arrays) is
+re-derived on request: the tier stages re-run on their own streams, so
+the edges are the drawn ones.  No study's trial reads it; Figure 6's
+transient traffic does.
 """
 
 from __future__ import annotations
@@ -102,10 +100,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.bgp.asys import AutonomousSystem
-from repro.bgp.cone import customer_cone
-from repro.bgp.relationships import ASGraph
-from repro.bgp.routing import ASPath, RouteComputation
 from repro.errors import ConfigurationError
 from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog
@@ -481,7 +475,6 @@ class _ScaffoldAS(NamedTuple):
     name: str
     kind: NetworkKind
     policy: PeeringPolicy
-    region: str
     space: int  # announced space before the address-space stage
 
 
@@ -558,29 +551,28 @@ def _build_statics(config: OffloadWorldConfig) -> _Statics:
     make = _ScaffoldAS
     tier1s = [
         make(ASN(_TIER1_BASE + i), f"tier1-{i}", NetworkKind.TIER1,
-             PeeringPolicy.RESTRICTIVE,
-             "north_america" if i % 2 else "europe", 2 ** 22)
+             PeeringPolicy.RESTRICTIVE, 2 ** 22)
         for i in range(cfg.tier1_count)
     ]
     rediris = make(ASN(_REDIRIS_ASN), "rediris", NetworkKind.NREN,
-                   PeeringPolicy.SELECTIVE, "europe", 2 ** 20)
+                   PeeringPolicy.SELECTIVE, 2 ** 20)
     geant = make(ASN(_GEANT_ASN), "geant-like", NetworkKind.NREN,
-                 PeeringPolicy.SELECTIVE, "europe", 2 ** 18)
+                 PeeringPolicy.SELECTIVE, 2 ** 18)
     nrens = [
         make(ASN(_NREN_BASE + i), f"nren-{i}", NetworkKind.NREN,
-             PeeringPolicy.SELECTIVE, "europe", 2 ** 17)
+             PeeringPolicy.SELECTIVE, 2 ** 17)
         for i in range(cfg.nren_count)
     ]
     giants = [
         make(ASN(_GIANT_BASE + i), name,
              NetworkKind.CDN if i % 2 else NetworkKind.CONTENT, policy,
-             "north_america", 2 ** 19)
+             2 ** 19)
         for i, (name, policy) in enumerate(_GIANTS)
     ]
     # CDNs RedIRIS already peers with — their traffic is not transit.
     cdns = [
         make(ASN(2101 + i), f"peered-cdn-{i}", NetworkKind.CDN,
-             PeeringPolicy.OPEN, "europe", 2 ** 17)
+             PeeringPolicy.OPEN, 2 ** 17)
         for i in range(6)
     ]
     scaffold = (*tier1s, rediris, geant, *nrens, *giants, *cdns)
@@ -652,35 +644,21 @@ def _build_statics(config: OffloadWorldConfig) -> _Statics:
     return statics
 
 
-class _Topology(NamedTuple):
-    """The object side of a world: graph, routes and regions."""
+class ASLevel(NamedTuple):
+    """A world's AS level as index arrays (:meth:`OffloadWorld.as_level`).
 
-    graph: ASGraph
-    inbound_paths: dict[ASN, ASPath]
-    region_of: dict[ASN, str]
+    AS ``i`` is ``asns[i]`` (ascending), named ``names[i]``, of kind
+    ``kinds[i]``.  Edge ``e`` runs from ``customer[e]`` up to its
+    provider ``provider[e]``; each peering is one row of ``peers``.
+    Every entry of the three edge arrays is an index into ``asns``.
+    """
 
-
-class _LazyTopology:
-    """A world's :class:`_Topology`, assembled from its draws on first use."""
-
-    def __init__(
-        self,
-        config: OffloadWorldConfig,
-        statics: _Statics,
-        address_space: np.ndarray,
-    ) -> None:
-        self._inputs = (config, statics, address_space)
-        self._built: _Topology | None = None
-
-    def get(self) -> _Topology:
-        if self._built is None:
-            config, statics, address_space = self._inputs
-            # ~100k long-lived objects (ASes, adjacency sets, paths).
-            with paused_gc():
-                self._built = _OffloadBuilder(
-                    config, statics
-                ).assemble_topology(address_space)
-        return self._built
+    asns: np.ndarray
+    names: list[str]
+    kinds: list[NetworkKind]
+    customer: np.ndarray
+    provider: np.ndarray
+    peers: np.ndarray
 
 
 class _Memberships:
@@ -717,10 +695,9 @@ class _Memberships:
 class OffloadWorld:
     """One seed's offload world (see the module docstring).
 
-    The studies read the array surface: :meth:`member_arrays`, the
-    traffic matrix and the collector's aggregate rates, and
-    :attr:`address_space`.  :attr:`graph`, :attr:`inbound_paths` and
-    :attr:`region_of` are assembled on first access.
+    The studies read :meth:`member_arrays`, the traffic matrix and the
+    collector's aggregate rates, and :attr:`address_space`; Figure 6
+    reads :meth:`as_level`.
     """
 
     config: OffloadWorldConfig
@@ -739,11 +716,7 @@ class OffloadWorld:
     address_space: np.ndarray
     _statics: _Statics
     _drawn: MemberArrays
-    _topology: _LazyTopology
     memberships: dict[str, frozenset[ASN]] = _Memberships()
-    _cones: dict[ASN, frozenset[ASN]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     # -- the array surface of repro.core.offload -----------------------------
 
@@ -791,33 +764,10 @@ class OffloadWorld:
         """Announced space of the whole world (Figure 10's 2.6 B)."""
         return float(self.address_space.sum())
 
-    # -- the object side, assembled on first access ---------------------------
-
-    @property
-    def graph(self) -> ASGraph:
-        return self._topology.get().graph
-
-    @property
-    def inbound_paths(self) -> dict[ASN, ASPath]:
-        """Each network's best AS path towards RedIRIS."""
-        return self._topology.get().inbound_paths
-
-    @property
-    def region_of(self) -> dict[ASN, str]:
-        return self._topology.get().region_of
-
-    def cone(self, asn: ASN) -> frozenset[ASN]:
-        """Customer cone of ``asn`` over the graph (cached)."""
-        cached = self._cones.get(asn)
-        if cached is None:
-            cached = self._cones[asn] = frozenset(
-                customer_cone(self.graph, asn)
-            )
-        return cached
-
-    def policy_of(self, asn: ASN) -> PeeringPolicy:
-        """Published peering policy of a network."""
-        return self.graph.get(asn).policy
+    def as_level(self) -> ASLevel:
+        """Every AS's name, kind and edges, from a re-run of the tier
+        stages (the same streams, so the drawn edges)."""
+        return _OffloadBuilder(self.config, self._statics).as_level()
 
 
 # ---------------------------------------------------------------------------
@@ -855,9 +805,9 @@ class _OffloadBuilder:
     """One seed's draw program (see the module docstring), as arrays.
 
     :meth:`build` runs every stage in the documented order;
-    :meth:`assemble_topology` re-runs the tier stages alone to insert a
-    world's networks and edges into an AS graph.  ``repro lint
-    --draw-programs`` inventories this class.
+    :meth:`as_level` re-runs the tier stages alone to lay out a world's
+    networks and edges.  ``repro lint --draw-programs`` inventories this
+    class.
     """
 
     def __init__(self, config: OffloadWorldConfig, statics: _Statics) -> None:
@@ -872,14 +822,13 @@ class _OffloadBuilder:
     # -- realization ----------------------------------------------------------
 
     def build(self) -> OffloadWorld:
-        """Realize this seed: the documented stage order, no graph."""
+        """Realize this seed: the documented stage order."""
         cfg = self.config
         st = self._static
         self._build_tiers()
         matrix = self._build_traffic()
         members = self._build_memberships()
         address_space = self._scale_address_space()
-        topology = _LazyTopology(cfg, st, address_space)
         return OffloadWorld(
             config=cfg,
             rediris=st.rediris,
@@ -898,7 +847,6 @@ class _OffloadBuilder:
             _drawn=MemberArrays.build(
                 members, self._member_policies, self._member_cones
             ),
-            _topology=topology,
         )
 
     def _build_tiers(self) -> None:
@@ -1373,102 +1321,59 @@ class _OffloadBuilder:
         codes[rest] = self._static.scaffold_policy[asns[rest]]
         return codes
 
-    # -- the object side ------------------------------------------------------
+    # -- the AS level -----------------------------------------------------------
 
-    def assemble_topology(self, address_space: np.ndarray) -> _Topology:
-        """The AS graph, inbound paths and regions.
+    def as_level(self) -> ASLevel:
+        """Re-runs the tier stages and lays out every AS and edge.
 
-        Re-runs the tier stages, then inserts the scaffold and its edges,
-        the giants' uplinks, the tier-2s and their uplinks in one call,
-        and the stubs and one edge call of big eyeballs (two tier-1s, then
-        the mega-carrier), tier-1-only stubs and normal stubs: the bulk
-        edge API needs each customer's edges contiguous and fresh.
+        The edges are the scaffold's, the giants' two tier-1s, the tier-2
+        uplinks, each big eyeball's two tier-1s and mega-carrier, the
+        tier-1-only stubs' tier-1s and the normal stubs' tier-2s.
         """
         self._build_tiers()
-        cfg = self.config
         st = self._static
-        make = AutonomousSystem.make_unchecked
-        graph = ASGraph()
-        region_of: dict[ASN, str] = {}
-        tier1_arr = np.array(st.tier1s, dtype=np.int64)
-
-        graph.add_ases_bulk(
-            make(row.asn, row.name, row.kind, row.policy)
-            for row in st.scaffold
-        )
-        region_of.update((row.asn, row.region) for row in st.scaffold)
-        for a, b in st.scaffold_peers:
-            graph.add_peering(a, b)
-        for customer, provider in st.scaffold_customers.tolist():
-            graph.add_customer_provider(customer, provider)
-        graph.add_customer_provider_arrays(
+        tier1 = np.array(st.tier1s, dtype=np.int64)
+        stubs = self._stub_draws
+        customer = np.concatenate([
+            st.scaffold_customers[:, 0],
             np.repeat(np.asarray(st.giants, dtype=np.int64), 2),
-            tier1_arr[self._giant_tier1_picks].ravel(),
-        )
-
-        tier2_draws = self._tier2_draws
-        regions = [_REGIONS[i] for i in tier2_draws.region_idx.tolist()]
-        policies = tier2_draws.policy_codes(cfg.mega_carrier_count).tolist()
-        tier2s = range(_TIER2_BASE, _TIER2_BASE + cfg.tier2_count)
-        graph.add_ases_bulk(
-            make(asn, f"transit-{region}-{i}", NetworkKind.TRANSIT,
-                 POLICY_CODES[code])
-            for i, (asn, region, code) in enumerate(
-                zip(tier2s, regions, policies)
-            )
-        )
-        region_of.update(zip(tier2s, regions))
-        graph.add_customer_provider_arrays(
             _TIER2_BASE + self._tier2_uplink_cust,
-            tier1_arr[self._tier2_uplink_prov],
-        )
-
-        draws = self._stub_draws
-        regions = [_REGIONS[i] for i in draws.region_idx.tolist()]
-        kinds = [
-            NetworkKind.ACCESS if big else _STUB_KINDS[k]
-            for big, k in zip(draws.big_eyeball.tolist(),
-                              draws.kind_idx.tolist())
-        ]
-        policies = draws.policy_codes().tolist()
-        stubs = range(_STUB_BASE, _STUB_BASE + len(regions))
-        graph.add_ases_bulk(
-            make(asn, f"stub-{region}-{i}", kind, POLICY_CODES[code])
-            for i, (asn, region, kind, code) in enumerate(
-                zip(stubs, regions, kinds, policies)
-            )
-        )
-        region_of.update(zip(stubs, regions))
-        eyeballs = _STUB_BASE + self._big_pos
-        eyeball_providers = np.zeros((eyeballs.size, 3), dtype=np.int64)
-        eyeball_providers[:, :2] = tier1_arr[self._eyeball_t1]
-        eyeball_providers[self._eyeball_homed, 2] = (
-            _TIER2_BASE + self._eyeball_mega_prov
-        )
-        eyeball_take = np.ones((eyeballs.size, 3), dtype=bool)
-        eyeball_take[:, 2] = self._eyeball_homed
-        graph.add_customer_provider_arrays(
-            np.concatenate([
-                np.repeat(eyeballs, eyeball_take.sum(axis=1)),
-                _STUB_BASE + self._t1o_cust,
-                _STUB_BASE + self._normal_cust,
+            _STUB_BASE + np.concatenate([
+                np.repeat(self._big_pos, 2), self._eyeball_mega_cust,
+                self._t1o_cust, self._normal_cust,
             ]),
-            np.concatenate([
-                eyeball_providers[eyeball_take],
-                tier1_arr[self._t1o_t1],
-                _TIER2_BASE + self._normal_prov,
-            ]),
-        )
-        for asn in eyeballs.tolist():
-            graph.get(asn).tags.add("big-eyeball")
-
-        for asys, space in zip(graph.ases(), address_space.tolist()):
-            asys.address_space = space
-        inbound_paths = RouteComputation(graph).best_paths_to(st.rediris)
-        return _Topology(
-            graph=graph,
-            inbound_paths=inbound_paths,
-            region_of=region_of,
+        ])
+        provider = np.concatenate([
+            st.scaffold_customers[:, 1],
+            tier1[self._giant_tier1_picks].ravel(),
+            tier1[self._tier2_uplink_prov],
+            tier1[self._eyeball_t1].ravel(),
+            _TIER2_BASE + self._eyeball_mega_prov,
+            tier1[self._t1o_t1],
+            _TIER2_BASE + self._normal_prov,
+        ])
+        asns = st.all_asns
+        return ASLevel(
+            asns=asns,
+            names=[
+                *(row.name for row in st.scaffold),
+                *(f"transit-{_REGIONS[r]}-{i}" for i, r in
+                  enumerate(self._tier2_draws.region_idx.tolist())),
+                *(f"stub-{_REGIONS[r]}-{i}"
+                  for i, r in enumerate(stubs.region_idx.tolist())),
+            ],
+            kinds=[
+                *(row.kind for row in st.scaffold),
+                *[NetworkKind.TRANSIT] * self.config.tier2_count,
+                *(NetworkKind.ACCESS if big else _STUB_KINDS[k]
+                  for big, k in zip(stubs.big_eyeball.tolist(),
+                                    stubs.kind_idx.tolist())),
+            ],
+            customer=np.searchsorted(asns, customer),
+            provider=np.searchsorted(asns, provider),
+            peers=np.searchsorted(
+                asns, np.array(st.scaffold_peers, dtype=np.int64)
+            ),
         )
 
 

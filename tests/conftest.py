@@ -17,6 +17,7 @@ from repro.sim import (
     build_detection_world,
     build_offload_world,
 )
+from tests.reference.offload_world import build_scalar_offload_world
 from tests.reference.views import ObjectWorld
 
 #: IXPs for the mini detection world: one dual-LG multi-site (Netnod), one
@@ -87,6 +88,12 @@ def small_offload_config(seed: int = 5) -> OffloadWorldConfig:
 @pytest.fixture(scope="session")
 def small_offload_world():
     return build_offload_world(small_offload_config())
+
+
+@pytest.fixture(scope="session")
+def small_reference_world():
+    """The small offload world as the reference's object graph."""
+    return build_scalar_offload_world(small_offload_config())
 
 
 @pytest.fixture(scope="session")

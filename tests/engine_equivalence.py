@@ -5,8 +5,9 @@ reference — the seed implementation, kept as an oracle in
 :mod:`tests.reference` — is held to one of two standards:
 
 * **bit-exact identity** — references that consume identical stage-stream
-  draws (the offload world) must agree member-for-member:
-  :func:`assert_offload_worlds_identical`;
+  draws (the offload world) must agree member-for-member, the product's
+  edge and route arrays against the reference's object graph and best
+  paths: :func:`assert_offload_worlds_identical`;
 * **statistical equivalence** — references that consume the same streams
   in different orders (the detection world, the network pool) must agree
   in distribution: the moment/count comparators and the two-sample
@@ -31,6 +32,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.offload.potential import ROUTE_KINDS, routes_toward
 from repro.geo.cities import default_city_db
 from repro.ixp.catalog import paper_catalog
 from repro.sim.detection_world import (
@@ -227,17 +229,50 @@ def assert_ks_close(sample_a, sample_b, alpha_coefficient=1.63, label=""):
 # -- bit-exact identity (offload world vs its reference) -----------------------
 
 
-def assert_graphs_identical(vec, sca):
-    """Two AS graphs agree node-for-node and edge-for-edge."""
-    assert vec.asns() == sca.asns()
-    for asn in vec.asns():
-        assert vec.providers_of(asn) == sca.providers_of(asn)
-        assert vec.customers_of(asn) == sca.customers_of(asn)
-        assert vec.peers_of(asn) == sca.peers_of(asn)
-        a, b = vec.get(asn), sca.get(asn)
-        assert (a.kind, a.policy, a.address_space, a.tags) == (
-            b.kind, b.policy, b.address_space, b.tags
-        )
+def assert_level_matches_graph(level, graph):
+    """A product AS level equals an object graph: the same ASes with the
+    same names and kinds, and each AS's providers, customers and peers,
+    each edge once."""
+    asns = level.asns.tolist()
+    assert asns == graph.asns()
+    providers = [set() for _ in asns]
+    customers = [set() for _ in asns]
+    peers = [set() for _ in asns]
+    for c, p in zip(level.customer.tolist(), level.provider.tolist()):
+        providers[c].add(asns[p])
+        customers[p].add(asns[c])
+    for a, b in level.peers.tolist():
+        peers[a].add(asns[b])
+        peers[b].add(asns[a])
+    assert level.customer.size == sum(len(row) for row in providers)
+    assert level.peers.shape[0] * 2 == sum(len(row) for row in peers)
+    for i, asn in enumerate(asns):
+        asys = graph.get(asn)
+        assert (level.names[i], level.kinds[i]) == (asys.name, asys.kind)
+        assert providers[i] == graph.providers_of(asn), asn
+        assert customers[i] == graph.customers_of(asn), asn
+        assert peers[i] == graph.peers_of(asn), asn
+
+
+def assert_routes_match_paths(level, routes, paths):
+    """Array routes equal an oracle's best paths: the same routed ASes,
+    and each one's next hop, path length and route kind."""
+    asns = level.asns.tolist()
+    routed = np.flatnonzero(routes.kind >= 0).tolist()
+    assert [asns[i] for i in routed] == sorted(paths)
+    for i in routed:
+        path = paths[asns[i]]
+        assert (
+            asns[routes.next_hop[i]], int(routes.length[i]),
+            ROUTE_KINDS[routes.kind[i]],
+        ) == (path.next_hop, path.length, path.kind.value), asns[i]
+
+
+def inbound_routes(world):
+    """A product world's AS level and its routes toward RedIRIS."""
+    level = world.as_level()
+    rediris = int(np.searchsorted(level.asns, world.rediris))
+    return level, routes_toward(level, rediris)
 
 
 def assert_member_arrays_identical(vec, sca):
@@ -252,19 +287,18 @@ def assert_member_arrays_identical(vec, sca):
 
 
 def assert_offload_worlds_identical(vec, sca):
-    """Two offload worlds are bit-identical (the reference contract): the
-    graph, memberships (in catalog order), traffic, regions and routes,
-    and the member arrays, all-AS member cones and address space the
-    studies read."""
-    assert_graphs_identical(vec.graph, sca.graph)
+    """A product offload world is bit-identical to its reference (the
+    reference contract): the AS level against the reference graph, the
+    routes toward RedIRIS against its inbound paths, the memberships (in
+    catalog order), contributing order and traffic, and the member
+    arrays, all-AS member cones and address space the studies read."""
+    level, routes = inbound_routes(vec)
+    assert_level_matches_graph(level, sca.graph)
+    assert_routes_match_paths(level, routes, sca.inbound_paths)
     assert list(vec.memberships.items()) == list(sca.memberships.items())
     assert vec.contributing == sca.contributing
     assert np.array_equal(vec.matrix.inbound_bps, sca.matrix.inbound_bps)
     assert np.array_equal(vec.matrix.outbound_bps, sca.matrix.outbound_bps)
-    assert vec.region_of == sca.region_of
-    assert set(vec.inbound_paths) == set(sca.inbound_paths)
-    for asn in vec.inbound_paths:
-        assert vec.inbound_paths[asn].asns == sca.inbound_paths[asn].asns
     assert_member_arrays_identical(vec.member_arrays(), sca.member_arrays())
     for a, b in zip(vec.member_all_cones(), sca.member_all_cones()):
         assert np.array_equal(a, b)

@@ -11,6 +11,14 @@ one-draw-at-a-time realization of a builder whose product path in
 * :mod:`tests.reference.offload_world` — one-network-at-a-time insertion
   through the fully checked graph APIs.
 
+A product offload world is index arrays.  The seed implementation's AS
+graph (:mod:`tests.reference.relationships`, with
+:func:`~tests.reference.relationships.mega_asgraph` bridging a mega world
+into it), its Gao–Rexford best paths (:mod:`tests.reference.routing`)
+and its breadth-first customer cones (:mod:`tests.reference.cone`) are
+the oracles of the product's edge and route arrays and member cones
+(``tests/test_offload_routes.py``).
+
 A product detection world is one interface table; the seed
 implementation's object model of it is kept here:
 

@@ -3,15 +3,16 @@
 Peering traffic is "commonly limited to the traffic belonging to the
 peering networks and their customer cones, i.e., their direct and indirect
 transit customers" (Section 2.2).  Everything in the offload study hangs
-off this set.
+off this set; this breadth-first walk of the object graph is the oracle
+of the product's member-cone CSRs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.bgp.relationships import ASGraph
 from repro.types import ASN
+from tests.reference.relationships import ASGraph
 
 
 def customer_cone(graph: ASGraph, asn: ASN) -> set[ASN]:

@@ -16,13 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.bgp.cone import customer_cone
 from repro.core.offload.greedy import GreedyStep
 from repro.core.offload.peergroups import PeerGroups
 from repro.core.offload.reachability import ReachabilityStep
 from repro.sim.megatopo import MegaWorld
 from repro.sim.offload_world import POLICY_CODES
 from repro.types import PeeringPolicy
+from tests.reference.cone import customer_cone
+from tests.reference.offload_world import ReferenceOffloadWorld
 
 
 def greedy_cover_rows(
@@ -152,13 +153,17 @@ def greedy_expansion(
 
 
 def greedy_reachability(
-    groups: PeerGroups, group: int, max_ixps: int | None = None
+    groups: PeerGroups,
+    group: int,
+    world: ReferenceOffloadWorld,
+    max_ixps: int | None = None,
 ) -> list[ReachabilityStep]:
     """Figure 10's expansion on the dense float32 (IXP × all-AS) bitset.
 
-    Cones are breadth-first customer cones over the world's AS graph.
+    ``world`` is the reference world of the groups' world config: the
+    cones are breadth-first customer cones over its AS graph, and the
+    address space is its AS objects'.
     """
-    world = groups.world
     asns = world.graph.asns()
     space = np.array(
         [world.graph.get(a).address_space for a in asns], dtype=float

@@ -24,7 +24,7 @@ import numpy as np
 from repro.bgp.asys import AutonomousSystem
 from repro.delaymodel.congestion import CongestionProcess, NoCongestion
 from repro.delaymodel.jitter import JitterModel
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import AddressError, ConfigurationError, TopologyError
 from repro.geo.cities import City
 from repro.geo.latency import LatencyModel
 from repro.layer2.failover import FailoverState
@@ -55,10 +55,14 @@ class HostAllocator:
         self._next_index = 1
 
     def allocate(self) -> IPv4Address:
-        """Return the next free host address."""
-        address = self._prefix.host(self._next_index)
+        """Return the next free host address (1-based within the subnet)."""
+        index = self._next_index
+        if index > self._prefix.usable_hosts():
+            raise AddressError(
+                f"host index {index} out of range for {self._prefix}"
+            )
         self._next_index += 1
-        return address
+        return IPv4Address(self._prefix.network.value + index)
 
 
 # ---------------------------------------------------------------------------

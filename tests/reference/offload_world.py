@@ -5,13 +5,15 @@ builder replaced, kept whole as an oracle: its own copy of every stage
 (draws included), one ``ASGraph.add_as`` / ``add_customer_provider``
 call per network and per edge through the fully checked graph APIs, and
 a world type, :class:`ReferenceOffloadWorld`, whose member policies are
-read off the AS objects and whose member cones are breadth-first
-customer cones over its graph.  It imports only constants and
-:class:`~repro.sim.offload_world.OffloadWorldConfig` from the product,
-so the bit-exact suites (``tests/test_offload_world_engines.py``,
+read off the AS objects, whose member cones are breadth-first customer
+cones over its graph and whose inbound paths come from
+:class:`~tests.reference.routing.RouteComputation`.  It imports only
+constants and :class:`~repro.sim.offload_world.OffloadWorldConfig` from
+the product, so the bit-exact suites
+(``tests/test_offload_world_engines.py``,
 ``tests/test_offload_member_arrays.py``) and the pinned digests
-(``tests/test_reference_digests.py``) hold the product to a builder
-that shares no stage code with it.
+(``tests/test_reference_digests.py``) hold the product's arrays, edges
+and routes to a builder that shares no stage code with it.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.cone import customer_cone
-from repro.bgp.relationships import ASGraph
-from repro.bgp.routing import ASPath, RouteComputation
 from repro.errors import ConfigurationError
 from repro.gcpause import paused_gc
 from repro.ixp.euroix import EuroIXSpec, euroix_catalog
@@ -49,6 +48,9 @@ from repro.sim.offload_world import (
     OffloadWorldConfig,
 )
 from repro.types import ASN, NetworkKind, PeeringPolicy
+from tests.reference.cone import customer_cone
+from tests.reference.relationships import ASGraph
+from tests.reference.routing import ASPath, RouteComputation
 
 _OPEN, _SELECTIVE, _RESTRICTIVE = range(3)
 
@@ -150,9 +152,6 @@ class ReferenceOffloadWorld:
 
     def policy_of(self, asn: ASN) -> PeeringPolicy:
         return self.graph.get(asn).policy
-
-    def kind_of(self, asn: ASN) -> NetworkKind:
-        return self.graph.get(asn).kind
 
 
 class ScalarOffloadBuilder:

@@ -1,4 +1,9 @@
-"""The AS relationship graph (customer-provider and peer-peer edges)."""
+"""The AS relationship graph (customer-provider and peer-peer edges).
+
+The seed implementation's object graph, kept as the reference the
+product's edge arrays are held to: the offload-world reference inserts
+into it, and :func:`mega_asgraph` bridges a mega world into it.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ import numpy as np
 
 from repro.bgp.asys import AutonomousSystem
 from repro.errors import TopologyError
+from repro.sim.megatopo import TIER_CLIQUE
 from repro.types import ASN
 
 
@@ -301,3 +307,26 @@ class ASGraph:
                 if not advanced:
                     state[node] = 1
                     stack.pop()
+
+
+def mega_asgraph(world) -> ASGraph:
+    """A :class:`~repro.sim.megatopo.MegaWorld` as an object AS graph.
+
+    Builds one ``AutonomousSystem`` per network — the exact O(n) object
+    path the mega tier exists to avoid — for small-n equivalence tests.
+    """
+    graph = ASGraph()
+    graph.add_ases_bulk(world.pool.network(i).asys for i in range(len(world)))
+    counts = np.diff(world.provider_indptr)
+    customers = world.pool.asn[np.repeat(np.arange(len(world)), counts)]
+    providers = world.pool.asn[world.provider_indices]
+    # CSR rows are ascending-customer and contiguous, which is the
+    # add_customer_provider_arrays contract.
+    graph.add_customer_provider_arrays(customers, providers)
+    clique = np.flatnonzero(world.tier == TIER_CLIQUE)
+    for a in range(len(clique)):
+        for b in range(a + 1, len(clique)):
+            graph.add_peering(
+                int(world.pool.asn[clique[a]]), int(world.pool.asn[clique[b]])
+            )
+    return graph

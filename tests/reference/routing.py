@@ -15,6 +15,10 @@ These two rules imply every used path is valley-free: an uphill
 (provider→customer) segment.  The implementation exploits that shape with
 three linear passes instead of simulating per-message BGP churn, so it is
 exact yet O(E log V) per destination.
+
+This is the seed implementation's route engine over the object graph,
+kept as the oracle of the product's array passes
+(:func:`repro.core.offload.potential.routes_toward`).
 """
 
 from __future__ import annotations
@@ -23,9 +27,13 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from repro.bgp.relationships import ASGraph
-from repro.errors import RoutingError
+from repro.errors import ReproError
 from repro.types import ASN
+from tests.reference.relationships import ASGraph
+
+
+class RoutingError(ReproError):
+    """A malformed AS path (empty, or looping through an AS)."""
 
 
 class RouteKind(enum.Enum):
@@ -96,10 +104,6 @@ class RouteComputation:
         paths = self._compute(destination)
         self._cache[destination] = paths
         return paths
-
-    def path(self, source: ASN, destination: ASN) -> ASPath | None:
-        """Best path from ``source`` to ``destination``, or None."""
-        return self.best_paths_to(destination).get(source)
 
     # --- internals ------------------------------------------------------------
 

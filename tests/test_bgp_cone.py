@@ -3,9 +3,9 @@
 import pytest
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.cone import customer_cone
-from repro.bgp.relationships import ASGraph
 from repro.types import ASN
+from tests.reference.cone import customer_cone
+from tests.reference.relationships import ASGraph
 
 
 @pytest.fixture

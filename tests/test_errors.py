@@ -11,7 +11,6 @@ from repro import errors
         errors.ConfigurationError,
         errors.AddressError,
         errors.TopologyError,
-        errors.RoutingError,
         errors.MeasurementError,
         errors.RateLimitError,
         errors.AnalysisError,

@@ -25,6 +25,7 @@ from repro.sim.megatopo import build_mega_world
 from repro.sim.offload_world import build_offload_views, build_offload_world
 from repro.sim.scenarios import mega_preset_config, offload_preset_config
 from tests.reference import greedy as reference
+from tests.reference.offload_world import build_scalar_offload_world
 
 SEEDS = range(32)
 GROUPS = (1, 2, 3, 4)
@@ -55,13 +56,13 @@ class TestPaperScaleGreedyOracle:
 class TestReachabilityOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_graph_built_small_worlds(self, seed):
-        world = build_offload_world(
-            replace(offload_preset_config("small"), seed=seed)
-        )
+        config = replace(offload_preset_config("small"), seed=seed)
+        world = build_offload_world(config)
+        graph_world = build_scalar_offload_world(config)
         groups = PeerGroups.build(world)
         for group in GROUPS:
             assert greedy_reachability(world, groups, group) == (
-                reference.greedy_reachability(groups, group)
+                reference.greedy_reachability(groups, group, graph_world)
             ), group
 
 

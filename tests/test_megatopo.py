@@ -34,6 +34,7 @@ from repro.sim.netpool import (
     ColumnarNetworkPool,
     PooledNetwork,
 )
+from tests.reference.relationships import mega_asgraph
 
 #: Small enough for object-world cross-checks, big enough that every
 #: tier is populated (t1_count=2, t2_count=36, 550 stubs).
@@ -222,7 +223,7 @@ class TestMemberships:
 
 class TestObjectGraphBridge:
     def test_to_asgraph_matches_the_arrays(self, small_world):
-        graph = small_world.to_asgraph()
+        graph = mega_asgraph(small_world)
         assert len(graph) == len(small_world)
         graph.assert_hierarchy_acyclic()
         asn = small_world.pool.asn
@@ -248,7 +249,8 @@ class TestColumnarPurity:
     def test_build_materializes_no_per_network_objects(self):
         # The tentpole invariant: a ~20k-network build must not create a
         # single PooledNetwork or AutonomousSystem — the world is arrays
-        # end to end.  (to_asgraph is the deliberate, test-only exception.)
+        # end to end.  (The reference's mega_asgraph bridge is the
+        # deliberate, test-only exception.)
         gc.collect()
         before = sum(
             isinstance(o, (PooledNetwork, AutonomousSystem))

@@ -53,11 +53,11 @@ class TestIPv4Prefix:
         assert IPv4Address.parse("10.2.0.0") not in p
 
     def test_host_indexing(self):
-        p = IPv4Prefix.parse("10.0.0.0/30")
-        assert str(p.host(1)) == "10.0.0.1"
-        assert str(p.host(2)) == "10.0.0.2"
-        with pytest.raises(AddressError):
-            p.host(3)  # only 2 usable in a /30
+        alloc = HostAllocator(IPv4Prefix.parse("10.0.0.0/30"))
+        assert str(alloc.allocate()) == "10.0.0.1"
+        assert str(alloc.allocate()) == "10.0.0.2"
+        with pytest.raises(AddressError, match="host index 3"):
+            alloc.allocate()  # only 2 usable in a /30
 
     def test_subnets(self):
         p = IPv4Prefix.parse("10.0.0.0/22")
@@ -70,11 +70,17 @@ class TestIPv4Prefix:
         with pytest.raises(AddressError):
             list(IPv4Prefix.parse("10.0.0.0/24").subnets(20))
 
-    @given(st.integers(min_value=8, max_value=30))
+    # Allocating every host of a /8 would take 16M steps; from /20 down,
+    # every one is checked.
+    @given(st.integers(min_value=20, max_value=30))
     def test_all_hosts_in_prefix(self, length):
         p = IPv4Prefix(IPv4Address(0x0A000000), length)
-        assert p.host(1) in p
-        assert p.host(p.usable_hosts()) in p
+        alloc = HostAllocator(p)
+        hosts = [alloc.allocate() for _ in range(p.usable_hosts())]
+        assert all(host in p for host in hosts)
+        assert hosts[-1].value == p.network.value + p.usable_hosts()
+        with pytest.raises(AddressError):
+            alloc.allocate()
 
 
 class TestAllocators:

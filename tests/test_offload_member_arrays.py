@@ -40,7 +40,7 @@ class TestViewMatchesGraphWorld:
                 ), field.name
 
     def test_cones_match_the_per_network_tables(self, world_and_view):
-        _, view = world_and_view
+        world, view = world_and_view
         members = view.member_arrays()
         for k in range(0, members.asns.size, 7):
             cone = members.cone_indices[
@@ -48,7 +48,7 @@ class TestViewMatchesGraphWorld:
             ]
             expected = sorted(
                 view.contributing_index(member)
-                for member in view.cone(int(members.asns[k]))
+                for member in world.cone(int(members.asns[k]))
                 if view.contributing_index(member) is not None
             )
             assert cone.tolist() == expected

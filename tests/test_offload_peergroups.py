@@ -76,23 +76,27 @@ class TestGroups:
         g4 = small_groups.group_members(4)
         assert g1 <= g2 <= g3 <= g4 == small_groups.candidates
 
-    def test_group1_is_open_only(self, small_offload_world, small_groups):
+    def test_group1_is_open_only(self, small_reference_world, small_groups):
         for asn in small_groups.group_members(1):
-            assert small_offload_world.policy_of(asn) is PeeringPolicy.OPEN
+            assert small_reference_world.policy_of(asn) is PeeringPolicy.OPEN
 
     def test_group2_adds_at_most_10_selective(self, small_groups):
         extra = small_groups.group_members(2) - small_groups.group_members(1)
         assert len(extra) <= TOP_SELECTIVE_COUNT
         assert extra == small_groups.top_selective - small_groups.group_members(1)
 
-    def test_top_selective_are_selective(self, small_offload_world, small_groups):
+    def test_top_selective_are_selective(self, small_reference_world,
+                                         small_groups):
         for asn in small_groups.top_selective:
-            assert small_offload_world.policy_of(asn) is PeeringPolicy.SELECTIVE
+            assert small_reference_world.policy_of(asn) is (
+                PeeringPolicy.SELECTIVE
+            )
 
-    def test_top_selective_are_biggest(self, small_offload_world, small_groups):
+    def test_top_selective_are_biggest(self, small_reference_world,
+                                       small_groups):
         """Each top-10 selective network's cone traffic is >= that of any
         other selective candidate."""
-        world = small_offload_world
+        world = small_reference_world
 
         def potential(asn):
             total = 0.0

@@ -3,11 +3,12 @@
 The reference (:mod:`tests.reference.offload_world`) is the seed
 implementation's graph builder with its own copy of every stage draw,
 so equivalence here is *bit-exact* — stronger than the detection world's
-statistical suite: the graphs, memberships, traffic matrices, address
-space, member arrays and (on the full paper world) the greedy IXP
-expansion order must match member-for-member.  The reference inserts
-every network and edge through the fully checked graph APIs, which is
-what validates the bulk fast paths, and reads member cones off
+statistical suite: the product's AS-level edges and routes toward
+RedIRIS must equal the reference's graph and best paths, and the
+memberships, traffic matrices, address space, member arrays and (on the
+full paper world) the greedy IXP expansion order must match
+member-for-member.  The reference inserts every network and edge
+through the fully checked graph APIs and reads member cones off
 breadth-first searches of its graph.  The identity assertions and the
 fixed-seed world pairs live in :mod:`tests.engine_equivalence`, shared
 with the detection-engine suite.
@@ -19,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.bgp.asys import AutonomousSystem
-from repro.bgp.relationships import ASGraph
 from repro.core.offload import (
     OffloadEstimator,
     PeerGroups,
@@ -36,6 +36,8 @@ from tests.engine_equivalence import (
     offload_world_pair,
     tiny_offload_config,
 )
+from tests.reference.offload_world import build_scalar_offload_world
+from tests.reference.relationships import ASGraph
 
 
 class TestEngineSelection:
@@ -151,7 +153,8 @@ class TestSizeFields:
         # Every AS once: the contributors, the tier-1s and NRENs, plus
         # RedIRIS, GÉANT and the six CDNs RedIRIS already peers with.
         assert len(set(world.contributing)) == config.contributing_count
-        assert len(world.graph) == (
+        asns = world.as_level().asns
+        assert np.unique(asns).size == asns.size == (
             config.contributing_count + config.tier1_count
             + config.nren_count + 8
         )
@@ -218,19 +221,23 @@ class TestPaperScaleEngineIdentity:
 
 class TestConeIndexTables:
     """The member cone CSRs, built from the drawn edge arrays, agree with
-    breadth-first customer cones over the world's assembled graph."""
+    breadth-first customer cones over the reference world's graph."""
 
     @pytest.fixture(scope="class")
     def world(self):
         return build_offload_world(small_offload_config())
 
-    def test_contrib_indices_match_bfs_cone(self, world):
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return build_scalar_offload_world(small_offload_config())
+
+    def test_contrib_indices_match_bfs_cone(self, world, reference):
         members = world.member_arrays()
         for k in range(members.asns.size):
             asn = int(members.asns[k])
             expected = sorted(
                 idx
-                for member in world.cone(asn)
+                for member in reference.cone(asn)
                 if (idx := world.contributing_index(member)) is not None
             )
             cone = members.cone_indices[
@@ -238,13 +245,13 @@ class TestConeIndexTables:
             ]
             assert cone.tolist() == expected, asn
 
-    def test_all_indices_match_bfs_cone(self, world):
-        all_index = {a: v for v, a in enumerate(world.graph.asns())}
+    def test_all_indices_match_bfs_cone(self, world, reference):
+        all_index = {a: v for v, a in enumerate(reference.graph.asns())}
         indptr, indices = world.member_all_cones()
         members = world.member_arrays()
         for k in range(members.asns.size):
             asn = int(members.asns[k])
-            expected = sorted(all_index[m] for m in world.cone(asn))
+            expected = sorted(all_index[m] for m in reference.cone(asn))
             assert indices[indptr[k]:indptr[k + 1]].tolist() == expected, asn
 
     def test_unknown_member_is_empty(self, world):
@@ -269,7 +276,8 @@ class TestConeIndexTables:
 
 
 class TestBulkGraphAPIs:
-    """Contracts of the fast insertion paths the builder uses."""
+    """Contracts of the reference graph's fast insertion paths (the mega
+    world's graph bridge uses them)."""
 
     def _graph(self) -> ASGraph:
         graph = ASGraph()

@@ -5,7 +5,9 @@ suites are only as good as the references are faithful to the seed
 implementation.  These digests were taken from that implementation's
 pools and detection worlds before it moved out of ``src/``; any change
 to a reference's draws or realization changes them.  The offload
-reference is held to the product's pinned world digests
+reference keeps the digests of its whole object graph, taken from the
+product's graph world before it moved out of ``src/``, and is held to
+the product's pinned world digests
 (``tests/test_offload_world_digests.py``): the two builders share no
 stage code, so a change that moved both would have to move them alike.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.geo.cities import default_city_db
@@ -29,7 +32,7 @@ from tests.reference.offload_world import build_scalar_offload_world
 from tests.test_detection_world_digests import world_digest
 from tests.test_offload_world_digests import (
     WORLD_DIGESTS as OFFLOAD_WORLD_DIGESTS,
-    offload_world_digest,
+    graph_content_digest,
 )
 
 POOL_DIGESTS = {
@@ -53,6 +56,63 @@ WORLD_DIGESTS = {
         "a60a02a863e029f72426b879970c3d22"
     ),
 }
+
+
+OFFLOAD_GRAPH_DIGESTS = {
+    "tiny-seed9": (
+        "1682f6d12defbb780755279b423a187f"
+        "611d40fa5f9aaa1c063f5e80ca91e7b2"
+    ),
+    "rediris-small-seed5": (
+        "2d6059e30eb9b3568e9c476e9a498dae"
+        "2e0b618e459fdb5348d2e9ffe15fee4e"
+    ),
+    "paper-seed42": (
+        "918a72eabd51baad0f34ad94b4bbba3b"
+        "dca68152ebb36870c5fb441df8282aba"
+    ),
+}
+
+
+def offload_graph_digest(world) -> str:
+    """sha256 over a graph world's content, in a fixed order.
+
+    Every AS in ASN order (kind, policy, address space, tags, region,
+    providers, customers, peers); the memberships by IXP; the
+    contributing order; both traffic-matrix columns' dtype and bytes;
+    and each inbound path's ASNs and route kind, by source ASN.
+    """
+    digest = hashlib.sha256()
+
+    def feed(value) -> None:
+        digest.update(json.dumps(value, sort_keys=True).encode())
+        digest.update(b"\n")
+
+    graph = world.graph
+    for asn in graph.asns():
+        asys = graph.get(asn)
+        feed([
+            int(asn), asys.kind.value, asys.policy.value,
+            int(asys.address_space), sorted(asys.tags),
+            world.region_of.get(asn),
+            sorted(int(a) for a in graph.providers_of(asn)),
+            sorted(int(a) for a in graph.customers_of(asn)),
+            sorted(int(a) for a in graph.peers_of(asn)),
+        ])
+    feed({
+        acronym: sorted(int(a) for a in members)
+        for acronym, members in sorted(world.memberships.items())
+    })
+    feed([int(a) for a in world.contributing])
+    for column in (world.matrix.inbound_bps, world.matrix.outbound_bps):
+        column = np.ascontiguousarray(column)
+        digest.update(str(column.dtype).encode())
+        digest.update(column.tobytes())
+    feed([
+        [int(asn), [int(a) for a in path.asns], path.kind.value]
+        for asn, path in sorted(world.inbound_paths.items())
+    ])
+    return digest.hexdigest()
 
 
 def object_pool_digest(pool) -> str:
@@ -103,4 +163,5 @@ class TestReferenceOffloadWorldDigests:
     ])
     def test_scalar_offload_world_digest(self, name, config):
         world = build_scalar_offload_world(config)
-        assert offload_world_digest(world) == OFFLOAD_WORLD_DIGESTS[name]
+        assert offload_graph_digest(world) == OFFLOAD_GRAPH_DIGESTS[name]
+        assert graph_content_digest(world) == OFFLOAD_WORLD_DIGESTS[name]

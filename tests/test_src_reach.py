@@ -47,9 +47,6 @@ TEXT_ROOTS = ("Makefile", ".github/workflows/ci.yml")
 #: Test instruments and oracles: reached by tests only, kept because
 #: they check code that stays.
 INSTRUMENTS = frozenset({
-    "repro.bgp.relationships.ASGraph.assert_hierarchy_acyclic",
-    "repro.bgp.relationships.ASGraph.degree",
-    "repro.bgp.relationships.ASGraph.provider_free",
     "repro.core.detection.campaign.ProbeCampaign.collect_ixp",
     "repro.core.detection.measurements.InterfaceMeasurement.distinct_ttls",
     "repro.core.detection.results.CampaignResult.identified_interface_count",
@@ -68,23 +65,11 @@ INSTRUMENTS = frozenset({
     "repro.sim.megatopo.MegaWorld.membership_masks",
     "repro.sim.megatopo.MegaWorld.providers_of_index",
     "repro.sim.megatopo.MegaWorld.reach_counts",
-    "repro.sim.megatopo.MegaWorld.to_asgraph",
-    "repro.sim.offload_world.OffloadWorld.policy_of",
 })
 
 #: ``src/`` definitions reached only because ``tests/reference/`` is a
-#: front door: the AS-graph insertion and member-cone walks of the
-#: offload world and greedy oracles (``tests/reference/offload_world.py``,
-#: ``greedy.py``).
-ORACLE_KEPT = frozenset({
-    "repro.bgp.cone.customer_cone",
-    "repro.bgp.relationships.ASGraph.add_as",
-    "repro.bgp.relationships.ASGraph.customers_of",
-    "repro.bgp.relationships.ASGraph.relationship",
-    "repro.bgp.relationships.Relationship",
-    "repro.bgp.relationships.Relationship.__str__",
-    "repro.sim.offload_world.OffloadWorld.cone",
-})
+#: front door.  None: an oracle keeps its own copy of what it leans on.
+ORACLE_KEPT: frozenset[str] = frozenset()
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
