@@ -74,11 +74,14 @@ lint:
 	fi
 
 # The robustness gate: fault/retry determinism, trial quarantine (incl.
-# the kill-one-worker pool-restart study and its resume), and one small
-# end-to-end failover scenario run.
+# the kill-one-worker pool-restart study and its resume), resumes of the
+# committed per-kind v1/v2 artifacts and of malformed artifact rows,
+# which must fail naming the row (tests/test_artifact_compat.py), and
+# one small end-to-end failover scenario run.
 chaos:
 	$(PY) -m pytest -q tests/test_faults.py tests/test_campaign_faults.py \
-		tests/test_engine_quarantine.py tests/test_failover_scenario.py
+		tests/test_engine_quarantine.py tests/test_failover_scenario.py \
+		tests/test_artifact_compat.py
 	$(PY) -m repro scenarios run failover --preset small --seeds 2 --workers 1
 
 # The mega-scale gate: the weighted samplers most of a mega build runs

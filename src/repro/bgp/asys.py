@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.geo.cities import City
@@ -37,7 +37,6 @@ class AutonomousSystem:
     home_city: City | None = None
     policy: PeeringPolicy = PeeringPolicy.SELECTIVE
     address_space: int = 256
-    tags: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.asn <= 0:

@@ -170,9 +170,9 @@ def econ_main(argv: list[str] | None = None) -> int:
             print(f"Note: {result.coverage_note()}", file=sys.stderr)
             return 1
         (trial,) = result.trials
-        params = cost_parameters(trial.decay_rate)
-        print(f"fitted b = {params.b:.3f} from the offload world "
-              f"(floor {trial.decay_floor:.0%} of traffic stays on transit)")
+        params = cost_parameters(trial.values["decay_rate"])
+        print(f"fitted b = {params.b:.3f} from the offload world (floor "
+              f"{trial.values['decay_floor']:.0%} of traffic stays on transit)")
     model = CostModel(params)
     verdict = viability_condition(params)
     print(f"optimal direct-peering IXPs  ñ = {model.optimal_direct():.2f}")

@@ -7,8 +7,9 @@ package runs those distributions through a single *study engine*:
 
 ``engine``
     The :class:`~repro.experiments.engine.Study` protocol (``build → run
-    → measure`` per trial, typed ``TrialResult`` payloads) plus the data
-    model and artifact format: :class:`StudyConfig`, :class:`StudyResult`,
+    → measure`` per trial, each trial one :class:`Trial` record: identity
+    plus the kind's ``trial_fields`` values) plus the data model and
+    artifact format: :class:`StudyConfig`, :class:`StudyResult`,
     content-addressed JSONL artifacts
     (``<study>_<fingerprint>_trials.jsonl`` — see
     :func:`~repro.experiments.engine.study_fingerprint`) and
@@ -289,6 +290,7 @@ from repro.experiments.engine import (
     Study,
     StudyConfig,
     StudyResult,
+    Trial,
     expand_trials,
     run_study,
     study_fingerprint,
@@ -303,40 +305,34 @@ from repro.experiments.scheduler import (
 from repro.experiments.ensemble import (
     ConfigVariant,
     DetectionStudy,
-    TrialResult,
     TrialSpec,
     grid_variants,
 )
 from repro.experiments.offload import (
     OffloadStudy,
-    OffloadTrialResult,
     OffloadTrialSpec,
     OffloadVariant,
     offload_grid_variants,
 )
 from repro.experiments.economics import (
     EconomicsStudy,
-    EconomicsTrialResult,
     EconomicsTrialSpec,
     EconomicsVariant,
     economics_grid_variants,
 )
 from repro.experiments.joint import (
     JointStudy,
-    JointTrialResult,
     JointTrialSpec,
     JointVariant,
 )
 from repro.experiments.failover import (
     FailoverStudy,
-    FailoverTrialResult,
     FailoverTrialSpec,
     FailoverVariant,
     measure_failover_trial,
 )
 from repro.experiments.mega import (
     MegaStudy,
-    MegaTrialResult,
     MegaTrialSpec,
     MegaVariant,
     measure_mega_trial,
@@ -367,25 +363,20 @@ __all__ = [
     "ConfigVariant",
     "DetectionStudy",
     "EconomicsStudy",
-    "EconomicsTrialResult",
     "EconomicsTrialSpec",
     "EconomicsVariant",
     "FailoverStudy",
-    "FailoverTrialResult",
     "FailoverTrialSpec",
     "FailoverVariant",
     "JobState",
     "JointStudy",
-    "JointTrialResult",
     "JointTrialSpec",
     "JointVariant",
     "MeanCI",
     "MegaStudy",
-    "MegaTrialResult",
     "MegaTrialSpec",
     "MegaVariant",
     "OffloadStudy",
-    "OffloadTrialResult",
     "OffloadTrialSpec",
     "OffloadVariant",
     "SCENARIOS",
@@ -400,7 +391,7 @@ __all__ = [
     "StudyKind",
     "StudyResult",
     "StudyScheduler",
-    "TrialResult",
+    "Trial",
     "TrialSpec",
     "aggregate",
     "attach_columns",

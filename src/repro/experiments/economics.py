@@ -34,7 +34,7 @@ worked example.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ from repro.core.offload import (
     remaining_traffic_series,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.engine import Trial, VariantStudy
 from repro.netflow.billing import offload_billing_report
 from repro.netflow.timeseries import DiurnalProfile
 from repro.rand import derive_seed
@@ -204,32 +205,9 @@ class EconomicsTrialSpec:
     percentile: float
 
 
-@dataclass(frozen=True, slots=True)
-class EconomicsTrialResult:
-    """Per-trial economics metrics (JSON-serializable for resume)."""
-
-    trial_id: int
-    variant: str
-    seed: int
-    candidate_count: int
-    inbound_fraction: float      # max offload, all IXPs reached
-    outbound_fraction: float
-    decay_rate: float            # fitted b (eq. 3)
-    decay_floor: float
-    fit_sse: float
-    before_bill: float           # monthly 95th-percentile transit bill
-    after_bill: float            # ... with the offloadable share removed
-    savings_fraction: float
-    viable: bool                 # eq. 14 verdict at the measured b
-    viability_ratio: float       # g(p-v)/(h(p-u))
-    viability_threshold: float   # e^b
-    optimal_direct_ixps: float   # ñ (eq. 11)
-    optimal_remote_ixps: float   # m̃ (eq. 13)
-
-
 def measure_economics_trial(
     spec: EconomicsTrialSpec, world: OffloadWorld
-) -> EconomicsTrialResult:
+) -> Trial:
     """Sections 4 → 2.1 → 5 against an already-built world."""
     estimator = OffloadEstimator(world, PeerGroups.build(world))
     # The all-IXP offload mask, built once: its rates give the maximum
@@ -283,48 +261,44 @@ def measure_economics_trial(
     )
     model = CostModel(params)
     verdict = viability_condition(params)
-    return EconomicsTrialResult(
-        trial_id=spec.trial_id,
-        variant=spec.variant,
-        seed=spec.seed,
-        candidate_count=estimator.groups.candidate_count(),
-        inbound_fraction=inbound,
-        outbound_fraction=outbound,
-        decay_rate=fit.rate,
-        decay_floor=fit.floor,
-        fit_sse=fit.sse,
-        before_bill=billing.before_bill,
-        after_bill=billing.after_bill,
-        savings_fraction=billing.savings_fraction,
-        viable=verdict.viable,
-        viability_ratio=verdict.ratio,
-        viability_threshold=verdict.threshold,
-        optimal_direct_ixps=model.optimal_direct(),
-        optimal_remote_ixps=verdict.optimal_remote_ixps,
-    )
+    return Trial(spec.trial_id, spec.variant, spec.seed, {
+        "candidate_count": estimator.groups.candidate_count(),
+        "inbound_fraction": inbound,  # max offload, all IXPs reached
+        "outbound_fraction": outbound,
+        "decay_rate": fit.rate,  # fitted b (eq. 3)
+        "decay_floor": fit.floor,
+        "fit_sse": fit.sse,
+        # The monthly 95th-percentile transit bill, before and after the
+        # offloadable share is removed.
+        "before_bill": billing.before_bill,
+        "after_bill": billing.after_bill,
+        "savings_fraction": billing.savings_fraction,
+        "viable": verdict.viable,  # eq. 14 verdict at the measured b
+        "viability_ratio": verdict.ratio,  # g(p-v)/(h(p-u))
+        "viability_threshold": verdict.threshold,  # e^b
+        "optimal_direct_ixps": model.optimal_direct(),  # ñ (eq. 11)
+        "optimal_remote_ixps": verdict.optimal_remote_ixps,  # m̃ (eq. 13)
+    })
 
 
 @dataclass(frozen=True, slots=True)
-class EconomicsStudy:
+class EconomicsStudy(VariantStudy):
     """The economics ensemble as a :class:`repro.experiments.engine.Study`."""
 
     variants: tuple[EconomicsVariant, ...] = (EconomicsVariant(name="base"),)
 
     name = "economics"
-
-    def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigurationError("a study needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-
-    def variant_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variants)
+    trial_fields = (
+        "candidate_count", "inbound_fraction", "outbound_fraction",
+        "decay_rate", "decay_floor", "fit_sse", "before_bill", "after_bill",
+        "savings_fraction", "viable", "viability_ratio",
+        "viability_threshold", "optimal_direct_ixps", "optimal_remote_ixps",
+    )
 
     def resolve(
         self, variant: str, seed: int, trial_id: int
     ) -> EconomicsTrialSpec:
-        v = next(v for v in self.variants if v.name == variant)
+        v = self.variant(variant)
         return EconomicsTrialSpec(
             trial_id=trial_id,
             variant=variant,
@@ -351,27 +325,20 @@ class EconomicsStudy:
         # the benchmark's layer trace wraps (perfbench/layers.py).
         return build_offload_views([spec.world])[0]
 
-    def measure(
-        self, spec: EconomicsTrialSpec, world: OffloadWorld
-    ) -> EconomicsTrialResult:
+    def measure(self, spec: EconomicsTrialSpec, world: OffloadWorld) -> Trial:
         return measure_economics_trial(spec, world)
 
-    def metrics(self, result: EconomicsTrialResult) -> dict[str, float]:
+    def metrics(self, result: Trial) -> dict[str, float]:
+        values = result.values
         return {
-            "savings_fraction": result.savings_fraction,
-            "decay_rate": result.decay_rate,
-            "viable": 1.0 if result.viable else 0.0,
-            "before_bill": result.before_bill,
-            "after_bill": result.after_bill,
-            "inbound_fraction": result.inbound_fraction,
-            "outbound_fraction": result.outbound_fraction,
-            "optimal_direct_ixps": result.optimal_direct_ixps,
-            "optimal_remote_ixps": result.optimal_remote_ixps,
+            "savings_fraction": values["savings_fraction"],
+            "decay_rate": values["decay_rate"],
+            "viable": 1.0 if values["viable"] else 0.0,
+            "before_bill": values["before_bill"],
+            "after_bill": values["after_bill"],
+            "inbound_fraction": values["inbound_fraction"],
+            "outbound_fraction": values["outbound_fraction"],
+            "optimal_direct_ixps": values["optimal_direct_ixps"],
+            "optimal_remote_ixps": values["optimal_remote_ixps"],
         }
-
-    def encode(self, result: EconomicsTrialResult) -> dict:
-        return asdict(result)
-
-    def decode(self, payload: dict) -> EconomicsTrialResult:
-        return EconomicsTrialResult(**payload)
 

@@ -38,10 +38,11 @@ from repro.errors import ConfigurationError
 
 #: Schema tag written to every artifact header line.  Success rows are
 #: ``{"trial_id", "variant", "seed", "result", "timings"}``: ``result``
-#: is the study's encoded payload, pure model output, and ``timings`` the
-#: scheduler's phase seconds for that trial (``build_s`` and
-#: ``measure_s``; rows written by older versions may carry ``batch_s``, a
-#: seed-batch trial's share of its batch call, and still read).
+#: is the trial's :meth:`Trial.payload`, pure model output, and
+#: ``timings`` the scheduler's phase seconds for that trial (``build_s``
+#: and ``measure_s``; rows written by older versions may carry
+#: ``batch_s``, a seed-batch trial's share of its batch call, and still
+#: read).
 #: Quarantined trials add a failure row instead: ``{"trial_id",
 #: "variant", "seed", "status": "failed", "error", "attempts"}`` — same
 #: schema tag, same fingerprint, so resumes skip failed trials rather
@@ -61,6 +62,30 @@ _V1_TIMINGS = {
 }
 
 
+@dataclass(frozen=True, slots=True)
+class Trial:
+    """One trial's record: its identity plus the kind's measured values.
+
+    ``values`` holds the study's ``trial_fields`` in that order; a tuple
+    value crosses JSON as a list and is read back as a tuple, so a
+    resumed trial ``==`` the measured one.
+    """
+
+    trial_id: int
+    variant: str
+    seed: int
+    values: dict[str, Any]
+
+    def payload(self) -> dict[str, Any]:
+        """The artifact row's ``result``: identity first, then the values."""
+        return {
+            "trial_id": self.trial_id,
+            "variant": self.variant,
+            "seed": self.seed,
+            **self.values,
+        }
+
+
 class Study(Protocol):
     """The build → run → measure contract one trial family implements.
 
@@ -69,12 +94,18 @@ class Study(Protocol):
     (variant, seed) cell of the grid into a fully-specified picklable trial
     spec; ``world_key`` names the world that spec needs, and trials whose
     keys compare equal share one build; ``measure`` runs the study on the
-    built world and returns the typed per-trial result.
+    built world and returns the trial's :class:`Trial`.
     """
 
     @property
     def name(self) -> str:
         """Short identifier: artifact file names and report labels."""
+        ...
+
+    @property
+    def trial_fields(self) -> tuple[str, ...]:
+        """The keys of every trial's ``values``, in order (checked when an
+        artifact row is read back)."""
         ...
 
     def variant_names(self) -> tuple[str, ...]:
@@ -93,11 +124,11 @@ class Study(Protocol):
         """Build the world for one trial group (cached across the group)."""
         ...
 
-    def measure(self, spec: Any, world: Any) -> Any:
-        """Run one trial against a built world; returns the trial result."""
+    def measure(self, spec: Any, world: Any) -> Trial:
+        """Run one trial against a built world; returns its record."""
         ...
 
-    def metrics(self, result: Any) -> dict[str, float]:
+    def metrics(self, result: Trial) -> dict[str, float]:
         """Every per-trial scalar the kind's report and job metrics
         aggregate (:func:`repro.experiments.aggregate.aggregate`).
 
@@ -107,13 +138,35 @@ class Study(Protocol):
         """
         ...
 
-    def encode(self, result: Any) -> dict[str, Any]:
-        """JSON-serializable payload of one trial result (for artifacts)."""
-        ...
 
-    def decode(self, payload: dict[str, Any]) -> Any:
-        """Inverse of :meth:`encode` (must reproduce the result exactly)."""
-        ...
+class VariantStudy:
+    """The base of the built-in studies: a grid of named variant cells.
+
+    Subclasses are frozen slots dataclasses with a ``variants`` field
+    (each cell has a ``name``) and the class attributes ``name`` and
+    ``trial_fields``.
+    """
+
+    __slots__ = ()
+    variants: tuple[Any, ...]
+
+    def __post_init__(self) -> None:
+        if not self.variants:
+            raise ConfigurationError("a study needs at least one variant")
+        if len({v.name for v in self.variants}) != len(self.variants):
+            raise ConfigurationError("variant names must be distinct")
+
+    def variant_names(self) -> tuple[str, ...]:
+        return tuple(v.name for v in self.variants)
+
+    def variant(self, name: str) -> Any:
+        """The variant cell ``resolve`` expands."""
+        return next(v for v in self.variants if v.name == name)
+
+    def encode(self, trial: Trial) -> dict[str, Any]:
+        # Only perfbench/ calls this (its results digests go through
+        # ``study.encode``); the engine writes ``trial.payload()`` itself.
+        return trial.payload()
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,6 +441,11 @@ def _resolve_artifact_path(
     return path
 
 
+def _from_json(value: Any) -> Any:
+    """A payload value as the trial held it: JSON lists were tuples."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 def _load_artifacts(
     study: Study, path: Path, fingerprint: str, trial_count: int
 ) -> tuple[dict[int, Any], dict[int, dict[str, float]]]:
@@ -399,14 +457,18 @@ def _load_artifacts(
     healing semantics intact: a truncated final line (a killed run) is
     skipped; a header whose fingerprint disagrees with the current
     configuration raises instead of silently merging results from two
-    different studies.  A v1 artifact's rows carry their phase seconds
-    inside ``result``; they are moved to the trial's timings (``study_s``
-    as ``measure_s``) before the payload is decoded.
+    different studies, and so does a row whose ``result`` is not a
+    :class:`Trial` payload with exactly the study's ``trial_fields``.
+    A v1 artifact's rows carry their phase seconds inside ``result``;
+    they are moved to the trial's timings (``study_s`` as ``measure_s``)
+    before the payload is decoded.
     """
     completed: dict[int, Any] = {}
     timings: dict[int, dict[str, float]] = {}
     if not path.exists():
         return completed, timings
+    fields = study.trial_fields
+    keys = {"trial_id", "variant", "seed", *fields}
     with path.open("r", encoding="utf-8") as handle:
         first = handle.readline()
         if not first:
@@ -435,7 +497,11 @@ def _load_artifacts(
                     attempts=record.get("attempts", 1),
                 )
                 continue
-            payload = record["result"]
+            payload = record.get("result")
+            if not isinstance(payload, dict):
+                raise ConfigurationError(
+                    f"{path}: trial {trial_id} has no result object"
+                )
             timing = record.get("timings")
             if legacy:
                 payload = dict(payload)
@@ -443,7 +509,17 @@ def _load_artifacts(
                     new: payload.pop(old)
                     for old, new in _V1_TIMINGS.items() if old in payload
                 } | (timing or {})
-            completed[trial_id] = study.decode(payload)
+            if payload.keys() != keys:
+                raise ConfigurationError(
+                    f"{path}: trial {trial_id}'s result does not hold the "
+                    f"{study.name} fields (missing: "
+                    f"{sorted(keys - payload.keys())}; unknown: "
+                    f"{sorted(payload.keys() - keys)})"
+                )
+            completed[trial_id] = Trial(
+                payload["trial_id"], payload["variant"], payload["seed"],
+                {name: _from_json(payload[name]) for name in fields},
+            )
             if timing:
                 timings[trial_id] = timing
     return completed, timings
@@ -456,7 +532,6 @@ class _ArtifactWriter:
         self, study: Study, out_dir: str | None, fingerprint: str
     ) -> None:
         self._handle: TextIO | None = None
-        self._study = study
         if out_dir is None:
             return
         path = _resolve_artifact_path(study, out_dir, fingerprint)
@@ -486,7 +561,8 @@ class _ArtifactWriter:
         self._handle.flush()
 
     def append(
-        self, result: Any, timings: dict[str, float] | None = None
+        self, result: Trial | TrialFailure,
+        timings: dict[str, float] | None = None,
     ) -> None:
         if self._handle is None:
             return
@@ -504,7 +580,7 @@ class _ArtifactWriter:
             "trial_id": result.trial_id,
             "variant": result.variant,
             "seed": result.seed,
-            "result": self._study.encode(result),
+            "result": result.payload(),
             "timings": timings,
         })
 

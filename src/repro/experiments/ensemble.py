@@ -13,7 +13,7 @@ names every per-trial scalar the report aggregates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from repro.core.detection.campaign import CampaignConfig, ProbeCampaign
@@ -21,6 +21,7 @@ from repro.core.detection.filters import FilterPipeline
 from repro.core.detection.results import build_result
 from repro.core.detection.validation import validate_against_truth
 from repro.errors import ConfigurationError
+from repro.experiments.engine import Trial, VariantStudy
 from repro.rand import derive_seed
 from repro.sim.detection_world import (
     DetectionWorld,
@@ -114,39 +115,18 @@ class TrialSpec:
     campaign: CampaignConfig
 
 
-@dataclass(frozen=True, slots=True)
-class TrialResult:
-    """Per-trial metrics (picklable output of the study's measure)."""
-
-    trial_id: int
-    variant: str
-    seed: int
-    candidate_count: int
-    analyzed_count: int
-    discard_counts: dict[str, int]
-    true_positives: int
-    false_positives: int
-    true_negatives: int
-    false_negatives: int
-    remote_fraction_by_ixp: dict[str, float]
-    shortfall: int
-
-    @property
-    def precision(self) -> float | None:
-        """Precision of the remote calls; None when nothing was called."""
-        called = self.true_positives + self.false_positives
-        return self.true_positives / called if called else None
-
-    @property
-    def recall(self) -> float | None:
-        """Recall of the remote calls; None with no true remotes."""
-        actual = self.true_positives + self.false_negatives
-        return self.true_positives / actual if actual else None
+def precision_recall(values: dict) -> tuple[float | None, float | None]:
+    """Precision and recall of one detection trial's remote calls: None
+    when nothing was called remote, and when nothing truly is remote."""
+    called = values["true_positives"] + values["false_positives"]
+    actual = values["true_positives"] + values["false_negatives"]
+    return (
+        values["true_positives"] / called if called else None,
+        values["true_positives"] / actual if actual else None,
+    )
 
 
-def measure_detection_trial(
-    spec: TrialSpec, world: DetectionWorld
-) -> TrialResult:
+def measure_detection_trial(spec: TrialSpec, world: DetectionWorld) -> Trial:
     """Measure one trial against an already-built world.
 
     The world is read-only here (the campaign keeps its rate-limit ledger
@@ -162,41 +142,34 @@ def measure_detection_trial(
         threshold_ms=spec.campaign.remoteness_threshold_ms,
     )
     truth = validate_against_truth(world, result)
-    return TrialResult(
-        trial_id=spec.trial_id,
-        variant=spec.variant,
-        seed=spec.seed,
-        candidate_count=len(measured),
-        analyzed_count=result.analyzed_count(),
-        discard_counts=dict(report.discard_counts),
-        true_positives=truth.true_positives,
-        false_positives=truth.false_positives,
-        true_negatives=truth.true_negatives,
-        false_negatives=truth.false_negatives,
-        remote_fraction_by_ixp=result.remote_fraction_by_ixp(),
-        shortfall=world.total_shortfall(),
-    )
+    return Trial(spec.trial_id, spec.variant, spec.seed, {
+        "candidate_count": len(measured),
+        "analyzed_count": result.analyzed_count(),
+        "discard_counts": dict(report.discard_counts),
+        "true_positives": truth.true_positives,
+        "false_positives": truth.false_positives,
+        "true_negatives": truth.true_negatives,
+        "false_negatives": truth.false_negatives,
+        "remote_fraction_by_ixp": result.remote_fraction_by_ixp(),
+        "shortfall": world.total_shortfall(),
+    })
 
 
 @dataclass(frozen=True, slots=True)
-class DetectionStudy:
+class DetectionStudy(VariantStudy):
     """The detection ensemble as a :class:`repro.experiments.engine.Study`."""
 
     variants: tuple[ConfigVariant, ...] = (ConfigVariant(name="base"),)
 
     name = "detection"
-
-    def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigurationError("a study needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-
-    def variant_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variants)
+    trial_fields = (
+        "candidate_count", "analyzed_count", "discard_counts",
+        "true_positives", "false_positives", "true_negatives",
+        "false_negatives", "remote_fraction_by_ixp", "shortfall",
+    )
 
     def resolve(self, variant: str, seed: int, trial_id: int) -> TrialSpec:
-        v = next(v for v in self.variants if v.name == variant)
+        v = self.variant(variant)
         # The world takes the trial seed directly; the campaign seed is
         # *derived* from it so world and campaign streams stay independent.
         return TrialSpec(
@@ -217,31 +190,27 @@ class DetectionStudy:
     def build(self, spec: TrialSpec) -> DetectionWorld:
         return build_detection_world(spec.world)
 
-    def measure(self, spec: TrialSpec, world: DetectionWorld) -> TrialResult:
+    def measure(self, spec: TrialSpec, world: DetectionWorld) -> Trial:
         return measure_detection_trial(spec, world)
 
-    def metrics(self, result: TrialResult) -> dict[str, float]:
+    def metrics(self, result: Trial) -> dict[str, float]:
         """Headline counts, ``discards/<filter>`` per filter and
         ``remote_fraction/<IXP>`` per IXP with analyzed interfaces (a
         trial without evidence for an IXP is left out, not counted 0)."""
+        values = result.values
         out = {
-            "analyzed": float(result.analyzed_count),
-            "candidates": float(result.candidate_count),
-            "shortfall": float(result.shortfall),
+            "analyzed": float(values["analyzed_count"]),
+            "candidates": float(values["candidate_count"]),
+            "shortfall": float(values["shortfall"]),
         }
-        if result.precision is not None:
-            out["precision"] = result.precision
-        if result.recall is not None:
-            out["recall"] = result.recall
-        for name, count in result.discard_counts.items():
+        precision, recall = precision_recall(values)
+        if precision is not None:
+            out["precision"] = precision
+        if recall is not None:
+            out["recall"] = recall
+        for name, count in values["discard_counts"].items():
             out[f"discards/{name}"] = float(count)
-        for acronym, fraction in result.remote_fraction_by_ixp.items():
+        for acronym, fraction in values["remote_fraction_by_ixp"].items():
             out[f"remote_fraction/{acronym}"] = fraction
         return out
-
-    def encode(self, result: TrialResult) -> dict:
-        return asdict(result)
-
-    def decode(self, payload: dict) -> TrialResult:
-        return TrialResult(**payload)
 

@@ -28,12 +28,13 @@ windows can only raise the realized percentile).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.offload import ALL_GROUPS, OffloadEstimator, PeerGroups, greedy_expansion
 from repro.errors import ConfigurationError
+from repro.experiments.engine import Trial, VariantStudy
 from repro.faults.schedule import (
     PSEUDOWIRE_DARK,
     FaultConfig,
@@ -89,37 +90,9 @@ class FailoverTrialSpec:
     percentile: float
 
 
-@dataclass(frozen=True, slots=True)
-class FailoverTrialResult:
-    """Per-trial failover metrics (JSON-serializable for resume)."""
-
-    trial_id: int
-    variant: str
-    seed: int
-    ixp_count: int                  # IXPs the greedy expansion reached
-    dark_window_count: int          # merged dark windows across those IXPs
-    dark_time_fraction: float       # dark IXP-time / (IXPs x month)
-    inbound_fraction: float         # fault-free offload fractions
-    outbound_fraction: float
-    before_bill: float
-    ideal_savings_fraction: float     # fault-free offload savings
-    realized_savings_fraction: float  # savings after failover bursts
-    burst_penalty: float              # extra monthly charge from bursts
-
-    @property
-    def offload_fraction(self) -> float:
-        """Offload fraction averaged over the two directions."""
-        return 0.5 * (self.inbound_fraction + self.outbound_fraction)
-
-    @property
-    def billing_error(self) -> float:
-        """Savings lost to failover bursts (>= 0 by construction)."""
-        return self.ideal_savings_fraction - self.realized_savings_fraction
-
-
 def measure_failover_trial(
     spec: FailoverTrialSpec, world: OffloadWorld
-) -> FailoverTrialResult:
+) -> Trial:
     """Sections 4 → 2.1 with dark windows, against a built offload world."""
     groups = PeerGroups.build(world)
     estimator = OffloadEstimator(world, groups)
@@ -176,45 +149,43 @@ def measure_failover_trial(
         transit_series, offload_series, fallback_series,
         price_per_mbps=spec.price_per_mbps, percentile=spec.percentile,
     )
-    return FailoverTrialResult(
-        trial_id=spec.trial_id,
-        variant=spec.variant,
-        seed=spec.seed,
-        ixp_count=len(ixps),
-        dark_window_count=dark_window_count,
-        dark_time_fraction=(
+    return Trial(spec.trial_id, spec.variant, spec.seed, {
+        "ixp_count": len(ixps),  # IXPs the greedy expansion reached
+        # Merged dark windows across those IXPs, and their dark IXP-time
+        # over (IXPs x month).
+        "dark_window_count": dark_window_count,
+        "dark_time_fraction": (
             dark_time / (len(ixps) * span_s) if ixps else 0.0
         ),
-        inbound_fraction=inbound,
-        outbound_fraction=outbound,
-        before_bill=report.before_bill,
-        ideal_savings_fraction=report.ideal_savings_fraction,
-        realized_savings_fraction=report.realized_savings_fraction,
-        burst_penalty=report.burst_penalty,
-    )
+        "inbound_fraction": inbound,  # fault-free offload fractions
+        "outbound_fraction": outbound,
+        "before_bill": report.before_bill,
+        # Savings fault-free and after failover bursts, and the extra
+        # monthly charge the bursts cost.
+        "ideal_savings_fraction": report.ideal_savings_fraction,
+        "realized_savings_fraction": report.realized_savings_fraction,
+        "burst_penalty": report.burst_penalty,
+    })
 
 
 @dataclass(frozen=True, slots=True)
-class FailoverStudy:
+class FailoverStudy(VariantStudy):
     """The failover ensemble as a :class:`repro.experiments.engine.Study`."""
 
     variants: tuple[FailoverVariant, ...] = (FailoverVariant(name="base"),)
 
     name = "failover"
-
-    def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigurationError("a study needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-
-    def variant_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variants)
+    trial_fields = (
+        "ixp_count", "dark_window_count", "dark_time_fraction",
+        "inbound_fraction", "outbound_fraction", "before_bill",
+        "ideal_savings_fraction", "realized_savings_fraction",
+        "burst_penalty",
+    )
 
     def resolve(
         self, variant: str, seed: int, trial_id: int
     ) -> FailoverTrialSpec:
-        v = next(v for v in self.variants if v.name == variant)
+        v = self.variant(variant)
         return FailoverTrialSpec(
             trial_id=trial_id,
             variant=variant,
@@ -235,27 +206,24 @@ class FailoverStudy:
     def build(self, spec: FailoverTrialSpec) -> OffloadWorld:
         return build_offload_world(spec.world)
 
-    def measure(
-        self, spec: FailoverTrialSpec, world: OffloadWorld
-    ) -> FailoverTrialResult:
+    def measure(self, spec: FailoverTrialSpec, world: OffloadWorld) -> Trial:
         return measure_failover_trial(spec, world)
 
-    def metrics(self, result: FailoverTrialResult) -> dict[str, float]:
+    def metrics(self, result: Trial) -> dict[str, float]:
+        values = result.values
         return {
-            "offload_fraction": result.offload_fraction,
-            "ideal_savings": result.ideal_savings_fraction,
-            "realized_savings": result.realized_savings_fraction,
-            "billing_error": result.billing_error,
-            "dark_fraction": result.dark_time_fraction,
-            "ixp_count": float(result.ixp_count),
-            "dark_windows": float(result.dark_window_count),
-            "before_bill": result.before_bill,
-            "burst_penalty": result.burst_penalty,
+            # Averaged over the two directions.
+            "offload_fraction": 0.5 * (values["inbound_fraction"]
+                                       + values["outbound_fraction"]),
+            "ideal_savings": values["ideal_savings_fraction"],
+            "realized_savings": values["realized_savings_fraction"],
+            # Savings lost to failover bursts (>= 0 by construction).
+            "billing_error": values["ideal_savings_fraction"]
+            - values["realized_savings_fraction"],
+            "dark_fraction": values["dark_time_fraction"],
+            "ixp_count": float(values["ixp_count"]),
+            "dark_windows": float(values["dark_window_count"]),
+            "before_bill": values["before_bill"],
+            "burst_penalty": values["burst_penalty"],
         }
-
-    def encode(self, result: FailoverTrialResult) -> dict:
-        return asdict(result)
-
-    def decode(self, payload: dict) -> FailoverTrialResult:
-        return FailoverTrialResult(**payload)
 

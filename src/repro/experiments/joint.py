@@ -42,7 +42,7 @@ is a worked example.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +50,12 @@ import numpy as np
 from repro.core.detection.campaign import CampaignConfig
 from repro.core.offload import ALL_GROUPS, OffloadEstimator, PeerGroups
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import TrialSpec, measure_detection_trial
+from repro.experiments.engine import Trial, VariantStudy
+from repro.experiments.ensemble import (
+    TrialSpec,
+    measure_detection_trial,
+    precision_recall,
+)
 from repro.netflow.billing import offload_billing_report
 from repro.rand import child_rng, derive_seed
 from repro.sim.detection_world import (
@@ -121,66 +126,6 @@ class JointWorlds(NamedTuple):
     offload: OffloadWorld
 
 
-@dataclass(frozen=True, slots=True)
-class JointTrialResult:
-    """Per-trial joint metrics (JSON-serializable for resume)."""
-
-    trial_id: int
-    variant: str
-    seed: int
-    # Section 3: the detection trial's confusion.
-    precision: float | None       # None when nothing was called remote
-    recall: float | None          # None when nothing truly is remote
-    false_positive_rate: float    # FP / (FP + TN) over analyzed interfaces
-    truth_remote_fraction: float  # ground-truth remote share, analyzed set
-    # Peer-map propagation (member level, offload-world candidates).
-    candidate_count: int
-    oracle_peer_count: int        # candidates that truly are remote peers
-    detected_peer_count: int      # candidates the replayed detector called
-    realized_peer_count: int      # detected ∩ oracle (usable peers)
-    phantom_peer_count: int       # detected but not oracle (useless calls)
-    # Section 4: offload fractions under the three peer maps.
-    oracle_inbound_fraction: float
-    oracle_outbound_fraction: float
-    detected_inbound_fraction: float
-    detected_outbound_fraction: float
-    realized_inbound_fraction: float
-    realized_outbound_fraction: float
-    # Section 2.1/5: 95th-percentile billing under the three maps.
-    before_bill: float
-    oracle_savings_fraction: float
-    believed_savings_fraction: float   # forecast from the detected map
-    realized_savings_fraction: float   # what the operator actually saves
-
-    @property
-    def oracle_fraction(self) -> float:
-        """Oracle offload fraction, averaged over the two directions."""
-        return 0.5 * (self.oracle_inbound_fraction
-                      + self.oracle_outbound_fraction)
-
-    @property
-    def detected_fraction(self) -> float:
-        """Offload fraction via the detected set (the operator's estimate)."""
-        return 0.5 * (self.detected_inbound_fraction
-                      + self.detected_outbound_fraction)
-
-    @property
-    def realized_fraction(self) -> float:
-        """Offload fraction the detected map actually realizes."""
-        return 0.5 * (self.realized_inbound_fraction
-                      + self.realized_outbound_fraction)
-
-    @property
-    def offload_gap(self) -> float:
-        """Oracle-vs-detected offload gap (positive = detection misses)."""
-        return self.oracle_fraction - self.detected_fraction
-
-    @property
-    def billing_error(self) -> float:
-        """Forecast-vs-realized savings gap (positive = over-promise)."""
-        return self.believed_savings_fraction - self.realized_savings_fraction
-
-
 def _detection_confusion(
     spec: JointTrialSpec, world: DetectionWorld
 ) -> tuple[float | None, float | None, float, float]:
@@ -194,21 +139,21 @@ def _detection_confusion(
             campaign=spec.campaign,
         ),
         world,
+    ).values
+    truly_direct = detection["false_positives"] + detection["true_negatives"]
+    fp_rate = (
+        detection["false_positives"] / truly_direct if truly_direct else 0.0
     )
-    truly_direct = detection.false_positives + detection.true_negatives
-    fp_rate = detection.false_positives / truly_direct if truly_direct else 0.0
     total = (
-        detection.true_positives + detection.false_positives
-        + detection.true_negatives + detection.false_negatives
+        detection["true_positives"] + detection["false_positives"]
+        + detection["true_negatives"] + detection["false_negatives"]
     )
-    truly_remote = detection.true_positives + detection.false_negatives
+    truly_remote = detection["true_positives"] + detection["false_negatives"]
     truth_fraction = truly_remote / total if total else 0.0
-    return detection.precision, detection.recall, fp_rate, truth_fraction
+    return (*precision_recall(detection), fp_rate, truth_fraction)
 
 
-def measure_joint_trial(
-    spec: JointTrialSpec, worlds: JointWorlds
-) -> JointTrialResult:
+def measure_joint_trial(spec: JointTrialSpec, worlds: JointWorlds) -> Trial:
     """Sections 3 → 4 → 2.1 against an already-built world family."""
     precision, recall, fp_rate, truth_fraction = _detection_confusion(
         spec, worlds.detection
@@ -289,51 +234,59 @@ def measure_joint_trial(
     before_bill, oracle_savings = savings(oracle_mask)
     _, believed_savings = savings(detected_mask)
     _, realized_savings = savings(realized_mask)
-    return JointTrialResult(
-        trial_id=spec.trial_id,
-        variant=spec.variant,
-        seed=spec.seed,
-        precision=precision,
-        recall=recall,
-        false_positive_rate=fp_rate,
-        truth_remote_fraction=truth_fraction,
-        candidate_count=len(members),
-        oracle_peer_count=len(oracle),
-        detected_peer_count=len(detected),
-        realized_peer_count=len(realized),
-        phantom_peer_count=len(detected - oracle),
-        oracle_inbound_fraction=o_in,
-        oracle_outbound_fraction=o_out,
-        detected_inbound_fraction=d_in,
-        detected_outbound_fraction=d_out,
-        realized_inbound_fraction=r_in,
-        realized_outbound_fraction=r_out,
-        before_bill=before_bill,
-        oracle_savings_fraction=oracle_savings,
-        believed_savings_fraction=believed_savings,
-        realized_savings_fraction=realized_savings,
-    )
+    return Trial(spec.trial_id, spec.variant, spec.seed, {
+        # Section 3: the detection trial's confusion.
+        "precision": precision,  # None when nothing was called remote
+        "recall": recall,  # None when nothing truly is remote
+        "false_positive_rate": fp_rate,  # FP / (FP + TN), analyzed set
+        # Ground-truth remote share of the analyzed interfaces.
+        "truth_remote_fraction": truth_fraction,
+        # Peer-map propagation (member level, offload-world candidates):
+        # the candidates that truly are remote peers, those the replayed
+        # detector called, detected ∩ oracle (usable peers) and detected
+        # but not oracle (useless calls).
+        "candidate_count": len(members),
+        "oracle_peer_count": len(oracle),
+        "detected_peer_count": len(detected),
+        "realized_peer_count": len(realized),
+        "phantom_peer_count": len(detected - oracle),
+        # Section 4: offload fractions under the three peer maps.
+        "oracle_inbound_fraction": o_in,
+        "oracle_outbound_fraction": o_out,
+        "detected_inbound_fraction": d_in,
+        "detected_outbound_fraction": d_out,
+        "realized_inbound_fraction": r_in,
+        "realized_outbound_fraction": r_out,
+        # Section 2.1/5: 95th-percentile billing under the three maps;
+        # "believed" is the forecast from the detected map, "realized"
+        # what the operator actually saves.
+        "before_bill": before_bill,
+        "oracle_savings_fraction": oracle_savings,
+        "believed_savings_fraction": believed_savings,
+        "realized_savings_fraction": realized_savings,
+    })
 
 
 @dataclass(frozen=True, slots=True)
-class JointStudy:
+class JointStudy(VariantStudy):
     """The joint ensemble as a :class:`repro.experiments.engine.Study`."""
 
     variants: tuple[JointVariant, ...] = (JointVariant(name="base"),)
 
     name = "joint"
-
-    def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigurationError("a study needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-
-    def variant_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variants)
+    trial_fields = (
+        "precision", "recall", "false_positive_rate", "truth_remote_fraction",
+        "candidate_count", "oracle_peer_count", "detected_peer_count",
+        "realized_peer_count", "phantom_peer_count",
+        "oracle_inbound_fraction", "oracle_outbound_fraction",
+        "detected_inbound_fraction", "detected_outbound_fraction",
+        "realized_inbound_fraction", "realized_outbound_fraction",
+        "before_bill", "oracle_savings_fraction",
+        "believed_savings_fraction", "realized_savings_fraction",
+    )
 
     def resolve(self, variant: str, seed: int, trial_id: int) -> JointTrialSpec:
-        v = next(v for v in self.variants if v.name == variant)
+        v = self.variant(variant)
         # Both worlds of the family take the trial seed; the campaign
         # stream is derived so probing stays independent of the builds.
         return JointTrialSpec(
@@ -362,35 +315,41 @@ class JointStudy:
             offload=build_offload_world(spec.offload_world),
         )
 
-    def measure(
-        self, spec: JointTrialSpec, world: JointWorlds
-    ) -> JointTrialResult:
+    def measure(self, spec: JointTrialSpec, world: JointWorlds) -> Trial:
         return measure_joint_trial(spec, world)
 
-    def metrics(self, result: JointTrialResult) -> dict[str, float]:
+    def metrics(self, result: Trial) -> dict[str, float]:
+        """The ``*_fraction`` keys average the two directions' offload
+        fractions of one peer map: the oracle (the truth), the detected
+        set (the operator's estimate) and what the detected map actually
+        realizes."""
+        values = result.values
+        oracle = 0.5 * (values["oracle_inbound_fraction"]
+                        + values["oracle_outbound_fraction"])
+        detected = 0.5 * (values["detected_inbound_fraction"]
+                          + values["detected_outbound_fraction"])
+        realized = 0.5 * (values["realized_inbound_fraction"]
+                          + values["realized_outbound_fraction"])
         out = {
-            "detected_fraction": result.detected_fraction,
-            "oracle_fraction": result.oracle_fraction,
-            "realized_fraction": result.realized_fraction,
-            "offload_gap": result.offload_gap,
-            "oracle_savings": result.oracle_savings_fraction,
-            "believed_savings": result.believed_savings_fraction,
-            "realized_savings": result.realized_savings_fraction,
-            "billing_error": result.billing_error,
-            "before_bill": result.before_bill,
-            "oracle_peers": float(result.oracle_peer_count),
-            "detected_peers": float(result.detected_peer_count),
-            "phantom_peers": float(result.phantom_peer_count),
+            "detected_fraction": detected,
+            "oracle_fraction": oracle,
+            "realized_fraction": realized,
+            # Positive when detection misses offload.
+            "offload_gap": oracle - detected,
+            "oracle_savings": values["oracle_savings_fraction"],
+            "believed_savings": values["believed_savings_fraction"],
+            "realized_savings": values["realized_savings_fraction"],
+            # Forecast minus realized savings (positive: over-promise).
+            "billing_error": values["believed_savings_fraction"]
+            - values["realized_savings_fraction"],
+            "before_bill": values["before_bill"],
+            "oracle_peers": float(values["oracle_peer_count"]),
+            "detected_peers": float(values["detected_peer_count"]),
+            "phantom_peers": float(values["phantom_peer_count"]),
         }
-        if result.precision is not None:
-            out["precision"] = result.precision
-        if result.recall is not None:
-            out["recall"] = result.recall
+        if values["precision"] is not None:
+            out["precision"] = values["precision"]
+        if values["recall"] is not None:
+            out["recall"] = values["recall"]
         return out
-
-    def encode(self, result: JointTrialResult) -> dict:
-        return asdict(result)
-
-    def decode(self, payload: dict) -> JointTrialResult:
-        return JointTrialResult(**payload)
 

@@ -25,13 +25,13 @@ descriptor instead of a pickled world (see
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.offload.bitsets import greedy_cover_rows
 from repro.errors import ConfigurationError
+from repro.experiments.engine import Trial, VariantStudy
 from repro.rand import child_rng, double_pareto_rates
 from repro.sim.megatopo import MegaWorld, MegaWorldConfig, build_mega_world
 
@@ -64,21 +64,6 @@ class MegaTrialSpec:
     world: MegaWorldConfig
     max_ixps: int
     traffic_bend_rank: int
-
-
-@dataclass(frozen=True, slots=True)
-class MegaTrialResult:
-    """Per-trial coverage metrics of one greedy Euro-IX expansion."""
-
-    trial_id: int
-    variant: str
-    seed: int
-    network_count: int
-    member_total: int          # memberships across the catalog
-    expansion: tuple[str, ...]  # greedy IXP order, best first
-    covered_fraction: float    # traffic share covered at max_ixps
-    covered_networks: int      # distinct member networks covered
-    five_ixp_share: float      # share of the expansion's gain from 5 IXPs
 
 
 def draw_traffic(world: MegaWorld, seed: int, bend_rank: int) -> np.ndarray:
@@ -137,9 +122,7 @@ def greedy_coverage(
     return picked, gains
 
 
-def measure_mega_trial(
-    spec: MegaTrialSpec, world: MegaWorld
-) -> MegaTrialResult:
+def measure_mega_trial(spec: MegaTrialSpec, world: MegaWorld) -> Trial:
     """Run one trial against a built (or attached) mega world."""
     traffic = draw_traffic(world, spec.seed, spec.traffic_bend_rank)
     total = float(traffic.sum())
@@ -151,21 +134,23 @@ def measure_mega_trial(
     five_share = (
         sum(gains[:5]) / gain_total if gain_total > 0 else 0.0
     )
-    return MegaTrialResult(
-        trial_id=spec.trial_id,
-        variant=spec.variant,
-        seed=spec.seed,
-        network_count=len(world),
-        member_total=int(world.member_counts.sum()),
-        expansion=tuple(world.catalog[j].acronym for j in picked),
-        covered_fraction=gain_total / total if total > 0 else 0.0,
-        covered_networks=int(covered.sum()),
-        five_ixp_share=five_share,
-    )
+    return Trial(spec.trial_id, spec.variant, spec.seed, {
+        "network_count": len(world),
+        # Memberships across the catalog.
+        "member_total": int(world.member_counts.sum()),
+        # The greedy IXP order, best first.
+        "expansion": tuple(world.catalog[j].acronym for j in picked),
+        # Traffic share covered at max_ixps, and the distinct member
+        # networks covered.
+        "covered_fraction": gain_total / total if total > 0 else 0.0,
+        "covered_networks": int(covered.sum()),
+        # Share of the expansion's gain from its first 5 IXPs.
+        "five_ixp_share": five_share,
+    })
 
 
 @dataclass(frozen=True, slots=True)
-class MegaStudy:
+class MegaStudy(VariantStudy):
     """The mega expansion as a :class:`repro.experiments.engine.Study`.
 
     Implements the zero-copy transport hooks: ``export_world`` hands the
@@ -176,18 +161,13 @@ class MegaStudy:
     variants: tuple[MegaVariant, ...] = (MegaVariant(),)
 
     name = "mega"
-
-    def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigurationError("a study needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-
-    def variant_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variants)
+    trial_fields = (
+        "network_count", "member_total", "expansion", "covered_fraction",
+        "covered_networks", "five_ixp_share",
+    )
 
     def resolve(self, variant: str, seed: int, trial_id: int) -> MegaTrialSpec:
-        v = next(v for v in self.variants if v.name == variant)
+        v = self.variant(variant)
         return MegaTrialSpec(
             trial_id=trial_id,
             variant=variant,
@@ -204,9 +184,7 @@ class MegaStudy:
     def build(self, spec: MegaTrialSpec) -> MegaWorld:
         return build_mega_world(spec.world)
 
-    def measure(
-        self, spec: MegaTrialSpec, world: MegaWorld
-    ) -> MegaTrialResult:
+    def measure(self, spec: MegaTrialSpec, world: MegaWorld) -> Trial:
         return measure_mega_trial(spec, world)
 
     # --- zero-copy transport hooks -------------------------------------------
@@ -223,17 +201,10 @@ class MegaStudy:
         """Rebuild a world over attached shared-memory views (zero-copy)."""
         return MegaWorld.from_columns(meta, columns)
 
-    def metrics(self, result: MegaTrialResult) -> dict[str, float]:
+    def metrics(self, result: Trial) -> dict[str, float]:
+        values = result.values
         return {
-            "covered_fraction": result.covered_fraction,
-            "five_ixp_share": result.five_ixp_share,
-            "covered_networks": float(result.covered_networks),
+            "covered_fraction": values["covered_fraction"],
+            "five_ixp_share": values["five_ixp_share"],
+            "covered_networks": float(values["covered_networks"]),
         }
-
-    def encode(self, result: MegaTrialResult) -> dict[str, Any]:
-        return asdict(result)
-
-    def decode(self, payload: dict[str, Any]) -> MegaTrialResult:
-        payload = dict(payload)
-        payload["expansion"] = tuple(payload["expansion"])
-        return MegaTrialResult(**payload)

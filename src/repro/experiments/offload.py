@@ -33,7 +33,7 @@ Grids sweep any :class:`OffloadWorldConfig` field via dotted
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from repro.core.offload import (
@@ -43,6 +43,7 @@ from repro.core.offload import (
     greedy_expansion,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.engine import Trial, VariantStudy
 from repro.sim.offload_world import (
     OffloadWorld,
     OffloadWorldConfig,
@@ -148,24 +149,9 @@ class OffloadTrialSpec:
     exclude_geant_club: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class OffloadTrialResult:
-    """Per-trial offload metrics (picklable output of the study's measure)."""
-
-    trial_id: int
-    variant: str
-    seed: int
-    candidate_count: int
-    offloadable_networks: int
-    inbound_fraction: float   # max offload, all IXPs reached
-    outbound_fraction: float
-    expansion: tuple[str, ...]  # greedy order, best first
-    five_ixp_share: float     # share of the expansion's gain from 5 IXPs
-
-
 def measure_offload_trial(
     spec: OffloadTrialSpec, world: OffloadWorld
-) -> OffloadTrialResult:
+) -> Trial:
     """Measure one trial against an already-built world.
 
     Peer groups and the estimator are rebuilt per trial (they depend on
@@ -186,42 +172,35 @@ def measure_offload_trial(
     gains = [s.gained_total_bps for s in steps]
     total_gain = sum(gains)
     five_share = sum(gains[:5]) / total_gain if total_gain > 0 else 0.0
-    return OffloadTrialResult(
-        trial_id=spec.trial_id,
-        variant=spec.variant,
-        seed=spec.seed,
-        candidate_count=estimator.groups.candidate_count(),
-        offloadable_networks=estimator.offloadable_network_count(
+    return Trial(spec.trial_id, spec.variant, spec.seed, {
+        "candidate_count": estimator.groups.candidate_count(),
+        "offloadable_networks": estimator.offloadable_network_count(
             all_ixps, spec.group
         ),
-        inbound_fraction=inbound,
-        outbound_fraction=outbound,
-        expansion=tuple(s.ixp for s in steps),
-        five_ixp_share=five_share,
-    )
+        "inbound_fraction": inbound,  # max offload, all IXPs reached
+        "outbound_fraction": outbound,
+        "expansion": tuple(s.ixp for s in steps),  # greedy order, best first
+        # Share of the expansion's gain from its first 5 IXPs.
+        "five_ixp_share": five_share,
+    })
 
 
 @dataclass(frozen=True, slots=True)
-class OffloadStudy:
+class OffloadStudy(VariantStudy):
     """The offload ensemble as a :class:`repro.experiments.engine.Study`."""
 
     variants: tuple[OffloadVariant, ...] = (OffloadVariant(name="base"),)
 
     name = "offload"
-
-    def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigurationError("a study needs at least one variant")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigurationError("variant names must be distinct")
-
-    def variant_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variants)
+    trial_fields = (
+        "candidate_count", "offloadable_networks", "inbound_fraction",
+        "outbound_fraction", "expansion", "five_ixp_share",
+    )
 
     def resolve(
         self, variant: str, seed: int, trial_id: int
     ) -> OffloadTrialSpec:
-        v = next(v for v in self.variants if v.name == variant)
+        v = self.variant(variant)
         return OffloadTrialSpec(
             trial_id=trial_id,
             variant=variant,
@@ -242,25 +221,16 @@ class OffloadStudy:
     def build(self, spec: OffloadTrialSpec) -> OffloadWorld:
         return build_offload_world(spec.world)
 
-    def measure(
-        self, spec: OffloadTrialSpec, world: OffloadWorld
-    ) -> OffloadTrialResult:
+    def measure(self, spec: OffloadTrialSpec, world: OffloadWorld) -> Trial:
         return measure_offload_trial(spec, world)
 
-    def metrics(self, result: OffloadTrialResult) -> dict[str, float]:
+    def metrics(self, result: Trial) -> dict[str, float]:
+        values = result.values
         return {
-            "inbound_fraction": result.inbound_fraction,
-            "outbound_fraction": result.outbound_fraction,
-            "offloadable_networks": float(result.offloadable_networks),
-            "candidates": float(result.candidate_count),
-            "five_ixp_share": result.five_ixp_share,
+            "inbound_fraction": values["inbound_fraction"],
+            "outbound_fraction": values["outbound_fraction"],
+            "offloadable_networks": float(values["offloadable_networks"]),
+            "candidates": float(values["candidate_count"]),
+            "five_ixp_share": values["five_ixp_share"],
         }
-
-    def encode(self, result: OffloadTrialResult) -> dict:
-        return asdict(result)
-
-    def decode(self, payload: dict) -> OffloadTrialResult:
-        payload = dict(payload)
-        payload["expansion"] = tuple(payload["expansion"])
-        return OffloadTrialResult(**payload)
 

@@ -14,7 +14,8 @@ per-variant blocks below it describe the variants with survivors.
 :func:`repro.experiments.requests.render_report` computes ``stats`` and
 appends the run's coverage note.  Only the offload
 report's expansion consensus, a mode per greedy rank rather than a
-mean, reads the trials themselves (:func:`expansion_consensus`).
+mean, and the mega report's trailer read the trials' values themselves
+(:func:`expansion_consensus`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.analysis.tables import render_table
 if TYPE_CHECKING:  # types only — avoids a reporting ↔ experiments cycle
     from repro.experiments.aggregate import Aggregates, MeanCI
     from repro.experiments.economics import EconomicsStudy
-    from repro.experiments.engine import Study, StudyResult
+    from repro.experiments.engine import Study, StudyResult, Trial
     from repro.experiments.failover import FailoverStudy
     from repro.experiments.joint import JointStudy
     from repro.experiments.mega import MegaStudy
@@ -81,15 +82,14 @@ def ensemble_title(
     return f"{label}: {trials} trials ({details})"
 
 
-def expansion_consensus(trials: Sequence[Any]) -> list[tuple[str, float]]:
+def expansion_consensus(trials: Sequence[Trial]) -> list[tuple[str, float]]:
     """The modal IXP at each greedy rank, with the share of ``trials``
     that picked it there (rank ``i`` is entry ``i - 1``)."""
-    depth = max((len(t.expansion) for t in trials), default=0)
+    orders = [t.values["expansion"] for t in trials]
+    depth = max(map(len, orders), default=0)
     consensus = []
     for rank in range(depth):
-        picks = Counter(
-            t.expansion[rank] for t in trials if len(t.expansion) > rank
-        )
+        picks = Counter(order[rank] for order in orders if len(order) > rank)
         ixp, count = picks.most_common(1)[0]
         consensus.append((ixp, count / len(trials)))
     return consensus
@@ -411,13 +411,14 @@ def render_mega_report(
     )]
     if result.trials:
         first = result.trials[0]
+        values = first.values
         timing = result.timings[first.trial_id]
         blocks.append(
-            f"World: {first.network_count:,} networks, "
-            f"{first.member_total:,} IXP memberships "
+            f"World: {values['network_count']:,} networks, "
+            f"{values['member_total']:,} IXP memberships "
             f"(build {timing['build_s']:.2f} s, "
             f"trial {timing['measure_s']:.2f} s).\n"
             f"Greedy expansion (seed {first.seed}): "
-            f"{' -> '.join(first.expansion)}"
+            f"{' -> '.join(values['expansion'])}"
         )
     return "\n\n".join(blocks)

@@ -489,7 +489,6 @@ class _Statics:
     geant: ASN
     nrens: tuple[ASN, ...]
     giants: tuple[ASN, ...]
-    direct_peer_cdns: tuple[ASN, ...]
     #: Customer→provider edges whose customer does not contribute, as an
     #: ``(m, 2)`` ASN array: RedIRIS under the two transit tier-1s, the
     #: NRENs under GÉANT, each peered CDN under its tier-1.  None of these
@@ -614,7 +613,6 @@ def _build_statics(config: OffloadWorldConfig) -> _Statics:
         geant=geant.asn,
         nrens=tuple(row.asn for row in nrens),
         giants=tuple(row.asn for row in giants),
-        direct_peer_cdns=tuple(row.asn for row in cdns),
         scaffold_customers=np.array([
             (rediris.asn, t1[0]), (rediris.asn, t1[1]),
             *((row.asn, geant.asn) for row in nrens),
@@ -707,7 +705,6 @@ class OffloadWorld:
     geant: ASN
     nrens: tuple[ASN, ...]
     giants: tuple[ASN, ...]
-    direct_peer_cdns: tuple[ASN, ...]
     euroix: tuple[EuroIXSpec, ...]
     contributing: list[ASN]
     matrix: TrafficMatrix
@@ -837,7 +834,6 @@ class _OffloadBuilder:
             geant=st.geant,
             nrens=st.nrens,
             giants=st.giants,
-            direct_peer_cdns=st.direct_peer_cdns,
             euroix=st.euroix,
             contributing=st.contributing,
             matrix=matrix,

@@ -78,6 +78,8 @@ class ReferenceOffloadWorld:
     nrens: tuple[ASN, ...]
     giants: tuple[ASN, ...]
     direct_peer_cdns: tuple[ASN, ...]
+    #: The stubs homed as big eyeballs (ACCESS networks on tier-1s).
+    big_eyeballs: frozenset[ASN]
     euroix: tuple[EuroIXSpec, ...]
     memberships: dict[str, frozenset[ASN]]
     contributing: list[ASN]
@@ -232,6 +234,7 @@ class ScalarOffloadBuilder:
             nrens=tuple(nrens),
             giants=tuple(giants),
             direct_peer_cdns=tuple(direct_cdns),
+            big_eyeballs=frozenset(self.big_eyeballs),
             euroix=euroix_catalog(),
             memberships={
                 acronym: frozenset(asns.tolist())
@@ -357,7 +360,6 @@ class ScalarOffloadBuilder:
             if big_eyeball:
                 self._home_big_eyeball(stub, tier1s, draws, eyeball_row)
                 eyeball_row += 1
-                self.graph.get(stub).tags.add("big-eyeball")
                 self.big_eyeballs.append(stub)
             elif draws.tier1_only[i]:
                 self._home_tier1_only(stub, tier1s, draws, tier1_only_row, i)

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import pytest
 
-from repro.experiments import StudyConfig, aggregate, run_study
+from repro.experiments import StudyConfig, Trial, aggregate, run_study
 from repro.experiments.engine import _artifact_path
 
 try:
@@ -58,21 +58,14 @@ class _Spec:
 
 
 @dataclass(frozen=True, slots=True)
-class _Result:
-    trial_id: int
-    variant: str
-    seed: int
-    value: float
-    world_id: int  # id() of the built world — exposes build sharing
-
-
-@dataclass(frozen=True, slots=True)
 class KeyedStudy:
     """value = scale·seed; the world key is (seed, configured key id)."""
 
     cells: tuple[tuple[str, float, int], ...]  # (variant, scale, key_id)
 
     name = "keyed"
+    #: ``world_id`` is the id() of the built world: it exposes sharing.
+    trial_fields = ("value", "world_id")
 
     def variant_names(self):
         return tuple(name for name, _, _ in self.cells)
@@ -94,19 +87,12 @@ class KeyedStudy:
 
     def measure(self, spec, world):
         assert world["seed"] == spec.seed and world["key_id"] == spec.key_id
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=spec.scale * spec.seed, world_id=id(world),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed, {
+            "value": spec.scale * spec.seed, "world_id": id(world),
+        })
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 # -- the properties, phrased independently of the driver -----------------------
@@ -134,8 +120,8 @@ def check_resume_idempotent(
 
         resumed = run_study(study, config)
         assert resumed.resumed == keep - 1
-        assert [t.value for t in resumed.trials] == [
-            t.value for t in full.trials
+        assert [t.values["value"] for t in resumed.trials] == [
+            t.values["value"] for t in full.trials
         ]
         assert [t.trial_id for t in resumed.trials] == [
             t.trial_id for t in full.trials
@@ -179,7 +165,7 @@ def check_world_cache_accounting(cells: list[tuple[float, int]],
     by_group: dict[tuple[int, int], set[int]] = {}
     for trial in result.trials:
         group = (trial.seed, key_of[trial.variant])
-        by_group.setdefault(group, set()).add(trial.world_id)
+        by_group.setdefault(group, set()).add(trial.values["world_id"])
     assert len(by_group) == expected_builds
     assert all(len(ids) == 1 for ids in by_group.values())
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import pytest
 
@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.aggregate import aggregate
 from repro.experiments.engine import (
     StudyConfig,
+    Trial,
     TrialFailure,
     _artifact_path,
     run_study,
@@ -31,14 +32,6 @@ class _Spec:
     trial_id: int
     variant: str
     seed: int
-
-
-@dataclass(frozen=True, slots=True)
-class _Result:
-    trial_id: int
-    variant: str
-    seed: int
-    value: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +49,7 @@ class CrashStudy:
     build_poison: bool = False
 
     name = "crash"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return ("ok", "boom")
@@ -83,19 +77,11 @@ class CrashStudy:
                 time.sleep(self.sleep_s)
             else:
                 raise RuntimeError("poison trial")
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=float(spec.seed),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": float(spec.seed)})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +91,7 @@ class KillerStudy:
     marker_dir: str = ""
 
     name = "killer"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return ("base",)
@@ -125,19 +112,11 @@ class KillerStudy:
                 with open(marker, "w") as fh:
                     fh.write("1")
                 os._exit(1)  # simulate an OOM-killed worker, no traceback
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=float(spec.seed),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": float(spec.seed)})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 class TestQuarantine:
@@ -253,8 +232,8 @@ class TestFailedArtifacts:
         assert (failure.variant, failure.seed, failure.error) == (
             "boom", 2, "RuntimeError: poison trial",
         )
-        assert [t.value for t in again.trials] == [
-            t.value for t in first.trials
+        assert [t.values["value"] for t in again.trials] == [
+            t.values["value"] for t in first.trials
         ]
         assert aggregate(study, again)["boom"]["value"].n == 2
         assert again.timings == first.timings
@@ -281,8 +260,8 @@ class TestPoolRestart:
                                                      workers=1))
         pooled = run_study(CrashStudy(), StudyConfig(seeds=(1, 2, 3),
                                                      workers=2))
-        assert [t.value for t in pooled.trials] == [
-            t.value for t in inline.trials
+        assert [t.values["value"] for t in pooled.trials] == [
+            t.values["value"] for t in inline.trials
         ]
         assert [(f.variant, f.seed) for f in pooled.failures] == [
             ("boom", 2)

@@ -73,20 +73,21 @@ class TestEconomicsTrial:
     def test_end_to_end_small_world(self):
         (result,) = run_inline(small_study(), seeds=(0,)).trials
         assert result.variant == "small" and result.seed == 0
-        assert result.candidate_count > 100
-        assert 0.0 < result.inbound_fraction < 1.0
-        assert 0.0 < result.outbound_fraction < 1.0
-        assert result.decay_rate > 0.0
-        assert 0.0 <= result.decay_floor < 1.0
+        values = result.values
+        assert values["candidate_count"] > 100
+        assert 0.0 < values["inbound_fraction"] < 1.0
+        assert 0.0 < values["outbound_fraction"] < 1.0
+        assert values["decay_rate"] > 0.0
+        assert 0.0 <= values["decay_floor"] < 1.0
         # Peaks coincide (Fig 5b): percentile savings track the offload
         # share of the transit series.
-        assert result.before_bill > result.after_bill > 0.0
-        assert result.savings_fraction == pytest.approx(
-            0.5 * (result.inbound_fraction + result.outbound_fraction),
+        assert values["before_bill"] > values["after_bill"] > 0.0
+        assert values["savings_fraction"] == pytest.approx(
+            0.5 * (values["inbound_fraction"] + values["outbound_fraction"]),
             abs=0.1,
         )
-        assert result.viability_threshold == pytest.approx(
-            math.exp(result.decay_rate), rel=1e-9
+        assert values["viability_threshold"] == pytest.approx(
+            math.exp(values["decay_rate"]), rel=1e-9
         )
 
     def test_golden_small_world_verdict(self):
@@ -122,8 +123,8 @@ class TestEconomicsTrial:
         by_variant = result.by_variant()
         # Group 1 (open policies only) can never offload more than group 4.
         for t1, t4 in zip(by_variant["g1"], by_variant["g4"]):
-            assert t1.inbound_fraction <= t4.inbound_fraction
-            assert t1.savings_fraction <= t4.savings_fraction
+            for key in ("inbound_fraction", "savings_fraction"):
+                assert t1.values[key] <= t4.values[key]
 
 
 class TestEconomicsResume:

@@ -82,28 +82,28 @@ class TestFailoverEnsemble:
 
     def test_zero_intensity_is_fault_free(self, result):
         for trial in result.by_variant()["dark=0.0x"]:
-            assert trial.dark_window_count == 0
-            assert trial.billing_error == 0.0
-            assert trial.burst_penalty == 0.0
-            assert trial.realized_savings_fraction == pytest.approx(
-                trial.ideal_savings_fraction
+            assert trial.values["dark_window_count"] == 0
+            assert SWEEP.metrics(trial)["billing_error"] == 0.0
+            assert trial.values["burst_penalty"] == 0.0
+            assert trial.values["realized_savings_fraction"] == pytest.approx(
+                trial.values["ideal_savings_fraction"]
             )
 
     def test_ideal_savings_independent_of_chaos(self, result):
         by_variant = result.by_variant()
         baseline = [
-            t.ideal_savings_fraction for t in by_variant["dark=0.0x"]
+            t.values["ideal_savings_fraction"] for t in by_variant["dark=0.0x"]
         ]
         for name in ("dark=1.0x", "dark=4.0x"):
             assert [
-                t.ideal_savings_fraction for t in by_variant[name]
+                t.values["ideal_savings_fraction"] for t in by_variant[name]
             ] == baseline
 
     def test_billing_error_monotone_in_duration_scale(self, result):
         by_variant = result.by_variant()
         for i in range(len(result.config.seeds)):
             errors = [
-                by_variant[name][i].billing_error
+                SWEEP.metrics(by_variant[name][i])["billing_error"]
                 for name in ("dark=0.0x", "dark=1.0x", "dark=4.0x")
             ]
             assert all(
@@ -119,8 +119,4 @@ class TestFailoverEnsemble:
 
     def test_trials_are_reproducible(self, result):
         again = run_sweep()
-        strip = lambda t: (t.variant, t.seed, t.ideal_savings_fraction,
-                           t.realized_savings_fraction, t.dark_window_count)
-        assert [strip(t) for t in again.trials] == [
-            strip(t) for t in result.trials
-        ]
+        assert again.trials == result.trials

@@ -82,57 +82,52 @@ class TestJointTrial:
         return run_inline(tiny_joint_study())
 
     def test_peer_map_invariants(self, result):
-        for t in result.trials:
-            assert t.realized_peer_count <= t.detected_peer_count
-            assert t.realized_peer_count <= t.oracle_peer_count
-            assert t.phantom_peer_count == (
-                t.detected_peer_count - t.realized_peer_count
+        for trial in result.trials:
+            t = trial.values
+            assert t["realized_peer_count"] <= t["detected_peer_count"]
+            assert t["realized_peer_count"] <= t["oracle_peer_count"]
+            assert t["phantom_peer_count"] == (
+                t["detected_peer_count"] - t["realized_peer_count"]
             )
-            assert t.oracle_peer_count <= t.candidate_count
+            assert t["oracle_peer_count"] <= t["candidate_count"]
 
     def test_fraction_invariants(self, result):
-        for t in result.trials:
+        for trial in result.trials:
+            m = JointStudy().metrics(trial)
             # Realized peers are a subset of both maps, so their cone
             # coverage — and offload — can never exceed either estimate.
-            assert t.realized_fraction <= t.detected_fraction + 1e-12
-            assert t.realized_fraction <= t.oracle_fraction + 1e-12
-            assert 0.0 <= t.detected_fraction <= 1.0
+            assert m["realized_fraction"] <= m["detected_fraction"] + 1e-12
+            assert m["realized_fraction"] <= m["oracle_fraction"] + 1e-12
+            assert 0.0 <= m["detected_fraction"] <= 1.0
 
     def test_billing_invariants(self, result):
-        for t in result.trials:
-            assert t.before_bill > 0
-            assert t.realized_savings_fraction <= (
-                t.believed_savings_fraction + 1e-9
+        for trial in result.trials:
+            t = trial.values
+            assert t["before_bill"] > 0
+            assert t["realized_savings_fraction"] <= (
+                t["believed_savings_fraction"] + 1e-9
             )
-            assert t.billing_error == pytest.approx(
-                t.believed_savings_fraction - t.realized_savings_fraction
+            assert JointStudy().metrics(trial)["billing_error"] == (
+                t["believed_savings_fraction"] - t["realized_savings_fraction"]
             )
 
     def test_standalone_trial_matches_engine(self, result):
         study = tiny_joint_study()
         spec = expand_trials(study, (0, 1))[0]
         standalone = study.measure(spec, study.build(spec))
-        engine_trial = result.trials[0]
-        assert standalone.precision == engine_trial.precision
-        assert standalone.recall == engine_trial.recall
-        assert standalone.oracle_peer_count == engine_trial.oracle_peer_count
-        assert standalone.detected_fraction == pytest.approx(
-            engine_trial.detected_fraction
-        )
-        assert standalone.realized_savings_fraction == pytest.approx(
-            engine_trial.realized_savings_fraction
-        )
+        assert standalone == result.trials[0]
 
     def test_zero_remote_fraction_collapses_the_study(self):
         result = run_inline(
             tiny_joint_study(tiny_joint_variant(remote_fraction=0.0)),
             seeds=(0,),
         )
-        (t,) = result.trials
-        assert t.oracle_peer_count == 0
-        assert t.oracle_fraction == 0.0
-        assert t.realized_fraction == 0.0
-        assert t.realized_savings_fraction == 0.0
+        (trial,) = result.trials
+        m = JointStudy().metrics(trial)
+        assert trial.values["oracle_peer_count"] == 0
+        assert m["oracle_fraction"] == 0.0
+        assert m["realized_fraction"] == 0.0
+        assert trial.values["realized_savings_fraction"] == 0.0
 
     def test_full_remote_fraction_gap_is_pure_recall(self):
         """With every candidate remote, phantoms are impossible and the
@@ -141,12 +136,13 @@ class TestJointTrial:
             tiny_joint_study(tiny_joint_variant(remote_fraction=1.0)),
             seeds=(0,),
         )
-        (t,) = result.trials
-        assert t.oracle_peer_count == t.candidate_count
-        assert t.phantom_peer_count == 0
-        assert t.offload_gap >= -1e-12
-        assert t.believed_savings_fraction == pytest.approx(
-            t.realized_savings_fraction
+        (trial,) = result.trials
+        t = trial.values
+        assert t["oracle_peer_count"] == t["candidate_count"]
+        assert t["phantom_peer_count"] == 0
+        assert JointStudy().metrics(trial)["offload_gap"] >= -1e-12
+        assert t["believed_savings_fraction"] == pytest.approx(
+            t["realized_savings_fraction"]
         )
 
     def test_world_family_shared_across_variants(self):

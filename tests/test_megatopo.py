@@ -18,6 +18,7 @@ from repro.bgp.asys import AutonomousSystem
 from repro.errors import ConfigurationError, TopologyError
 from repro.ixp.euroix import euroix_catalog, scaled_member_count
 from repro.rand import child_rng
+from repro.experiments.mega import greedy_coverage
 from repro.sim.megatopo import (
     _REGION_CONTINENT,
     TIER_CLIQUE,
@@ -219,6 +220,128 @@ class TestMemberships:
         clique = small_world.tier == TIER_CLIQUE
         assert np.array_equal(coverage[clique], membership[clique])
         assert (small_world.reach_counts() >= small_world.member_counts).all()
+
+
+#: A world small enough to check by hand, shaped like a CAIDA-style
+#: emulator topology: a clique, T1 and T2 transit, stubs below, and stubs
+#: (plus one T1 and one T2) at four catalog IXPs.  By pool index:
+#: 0, 1 are the clique; 2 and 3 are T1s under 0 and 1; 4, 5 and 6 are T2s
+#: under 2, 2 and 3; 7 to 11 are stubs, each under two T2s.
+HAND = MegaWorldConfig(
+    size=12, clique_size=2, t1_fraction=0.17, t2_fraction=0.25,
+    providers_per_t1=1, providers_per_t2=1, providers_per_stub=2,
+)
+HAND_TIERS = (0, 0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3)
+HAND_PROVIDERS = (
+    (), (), (0,), (1,), (2,), (2,), (3,),
+    (4, 5), (5, 6), (4, 6), (5, 6), (4, 5),
+)
+#: Catalog indices of the four IXPs with members (64 sits in the second
+#: word of the bit masks).
+AMS_IX, HKIX, MSK_IX, LAST = 0, 3, 5, 64
+HAND_MEMBERS = {AMS_IX: (7, 8), HKIX: (9, 10), MSK_IX: (11, 3), LAST: (4, 7)}
+#: Per-network traffic: only the stubs carry any.
+HAND_TRAFFIC = np.array([0, 0, 0, 0, 0, 0, 0, 8, 4, 4, 2, 6], dtype=float)
+
+
+def hand_world(members=HAND_MEMBERS, providers=HAND_PROVIDERS) -> MegaWorld:
+    """The hand-worked world assembled from its columns."""
+    n = len(HAND_TIERS)
+    ixps = len(euroix_catalog())
+    counts = np.array([len(members.get(j, ())) for j in range(ixps)])
+    columns = {
+        "pool.asn": HAND.first_asn + np.arange(n, dtype=np.int64),
+        "pool.continent_idx": np.zeros(n, dtype=np.int16),
+        "pool.city_idx": np.zeros(n, dtype=np.int32),
+        "pool.kind_idx": np.zeros(n, dtype=np.int16),
+        "pool.policy_idx": np.zeros(n, dtype=np.int16),
+        "pool.propensity": np.arange(n, 0, -1, dtype=np.float64),
+        "pool.scope_mask": np.ones(n, dtype=np.uint8),
+        "pool.address_space": np.full(n, 256, dtype=np.int64),
+        "tier": np.array(HAND_TIERS, dtype=np.uint8),
+        "propensity_order": np.arange(n, dtype=np.int32),
+        "provider_indptr": np.cumsum(
+            [0, *map(len, providers)], dtype=np.int64
+        ),
+        "provider_indices": np.array(
+            [p for row in providers for p in row], dtype=np.int32
+        ),
+        "member_counts": counts.astype(np.int64),
+        "member_indptr": np.cumsum([0, *counts], dtype=np.int64),
+        "member_indices": np.array(
+            [m for j in range(ixps) for m in members.get(j, ())],
+            dtype=np.int32,
+        ),
+    }
+    return MegaWorld.from_columns(HAND, columns)
+
+
+class TestHandWorkedWorld:
+    """Every number below was worked out by hand from the tables above."""
+
+    def test_config_describes_the_world(self):
+        world = hand_world()
+        tier = world.tier
+        assert (HAND.clique_size, HAND.t1_count, HAND.t2_count) == (2, 2, 3)
+        assert [int((tier == t).sum()) for t in range(4)] == [2, 2, 3, 5]
+        assert world.ixp_count == 65
+        assert world.members_of(MSK_IX).tolist() == [11, 3]
+
+    def test_hierarchy_is_sound_until_an_edge_closes_a_cycle(self):
+        hand_world().assert_hierarchy_sound()
+        # T1 network 2 buying transit from its own T2 customer 4 closes
+        # the cycle 2 -> 4 -> 2.
+        cyclic = (*HAND_PROVIDERS[:2], (4,), *HAND_PROVIDERS[3:])
+        with pytest.raises(TopologyError):
+            hand_world(providers=cyclic).assert_hierarchy_sound()
+
+    def test_coverage_masks_are_the_member_cones(self):
+        masks = hand_world().coverage_masks()
+        assert masks.shape == (12, 2)
+        reached = {
+            j: set(np.flatnonzero(
+                masks[:, j // 64] & np.uint64(1 << (j % 64))
+            ).tolist())
+            for j in range(65)
+        }
+        assert {j: cone for j, cone in reached.items() if cone} == {
+            AMS_IX: {7, 8},
+            HKIX: {9, 10},
+            # T1 network 3 brings T2 network 6 and the stubs under it.
+            MSK_IX: {3, 6, 8, 9, 10, 11},
+            # T2 network 4 brings the stubs under it.
+            LAST: {4, 7, 9, 11},
+        }
+        assert hand_world().reach_counts()[[AMS_IX, HKIX, MSK_IX, LAST]] \
+            .tolist() == [2, 2, 6, 4]
+
+    def test_greedy_picks_and_exact_gains(self):
+        # AMS-IX covers 8 + 4; HKIX and MSK-IX then gain 4 + 2 and 6
+        # (stub 8 is taken) and tie; LAST has only network 4 left, which
+        # carries nothing, so the expansion stops there.
+        picked, gains = greedy_coverage(hand_world(), HAND_TRAFFIC, 8)
+        assert picked == [AMS_IX, HKIX, MSK_IX]
+        assert gains == [12.0, 6.0, 6.0]
+
+    def test_tie_goes_to_the_lower_catalog_index(self):
+        swapped = {**HAND_MEMBERS, HKIX: HAND_MEMBERS[MSK_IX],
+                   MSK_IX: HAND_MEMBERS[HKIX]}
+        picked, gains = greedy_coverage(hand_world(swapped), HAND_TRAFFIC, 8)
+        assert picked == [AMS_IX, HKIX, MSK_IX]
+        assert gains == [12.0, 6.0, 6.0]
+
+    def test_expansion_stops_before_a_pick_that_gains_nothing(self):
+        world = hand_world()
+        picked, _ = greedy_coverage(world, HAND_TRAFFIC, world.ixp_count)
+        assert picked == [AMS_IX, HKIX, MSK_IX]
+        traffic = HAND_TRAFFIC.copy()
+        traffic[4] = 1.0  # now LAST's leftover member carries traffic
+        picked, gains = greedy_coverage(world, traffic, world.ixp_count)
+        assert picked == [AMS_IX, HKIX, MSK_IX, LAST]
+        assert gains == [12.0, 6.0, 6.0, 1.0]
+        assert greedy_coverage(world, traffic, 2) == (
+            [AMS_IX, HKIX], [12.0, 6.0]
+        )
 
 
 class TestObjectGraphBridge:

@@ -86,13 +86,13 @@ def _studies():
 
 
 def payload_digest(study, trial_batch: int) -> str:
-    """sha256 over every trial's encoded payload, by trial id."""
+    """sha256 over every trial's payload, by trial id."""
     result = run_study(study, StudyConfig(
         seeds=SEEDS, workers=1, trial_batch=trial_batch,
     ))
     assert not result.failures
     rows = [
-        study.encode(trial)
+        trial.payload()
         for trial in sorted(result.trials, key=lambda t: t.trial_id)
     ]
     return hashlib.sha256(

@@ -77,8 +77,8 @@ OFFLOAD_GRAPH_DIGESTS = {
 def offload_graph_digest(world) -> str:
     """sha256 over a graph world's content, in a fixed order.
 
-    Every AS in ASN order (kind, policy, address space, tags, region,
-    providers, customers, peers); the memberships by IXP; the
+    Every AS in ASN order (kind, policy, address space, its tags, which
+    name the big eyeballs, region, providers, customers, peers); the memberships by IXP; the
     contributing order; both traffic-matrix columns' dtype and bytes;
     and each inbound path's ASNs and route kind, by source ASN.
     """
@@ -93,7 +93,8 @@ def offload_graph_digest(world) -> str:
         asys = graph.get(asn)
         feed([
             int(asn), asys.kind.value, asys.policy.value,
-            int(asys.address_space), sorted(asys.tags),
+            int(asys.address_space),
+            ["big-eyeball"] if asn in world.big_eyeballs else [],
             world.region_of.get(asn),
             sorted(int(a) for a in graph.providers_of(asn)),
             sorted(int(a) for a in graph.customers_of(asn)),

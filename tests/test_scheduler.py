@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.aggregate import aggregate
 from repro.experiments.engine import (
     StudyConfig,
+    Trial,
     _artifact_path,
     expand_trials,
     run_study,
@@ -55,20 +56,13 @@ class _Spec:
 
 
 @dataclass(frozen=True, slots=True)
-class _Result:
-    trial_id: int
-    variant: str
-    seed: int
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
 class SleepyStudy:
     """Every trial sleeps ``sleep_s`` then returns its seed (picklable)."""
 
     sleep_s: float = 0.0
 
     name = "sleepy"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return ("base",)
@@ -85,19 +79,11 @@ class SleepyStudy:
     def measure(self, spec, world):
         if self.sleep_s:
             time.sleep(self.sleep_s)
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=float(spec.seed),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": float(spec.seed)})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +93,7 @@ class SlowShmStudy:
     sleep_s: float = 0.5
 
     name = "slowshm"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return ("base",)
@@ -128,19 +115,11 @@ class SlowShmStudy:
 
     def measure(self, spec, world):
         time.sleep(self.sleep_s)
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=float(world["values"].sum()),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": float(world["values"].sum())})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 def _await(job, timeout_s: float = 60.0):

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,8 +10,14 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ConfigVariant,
     DetectionStudy,
+    EconomicsStudy,
+    FailoverStudy,
+    JointStudy,
     MeanCI,
+    MegaStudy,
+    OffloadStudy,
     StudyConfig,
+    Trial,
     aggregate,
     expand_trials,
     grid_variants,
@@ -26,6 +31,7 @@ from repro.experiments.engine import (
 )
 from repro.ixp.catalog import spec_by_acronym
 from repro.sim.detection_world import DetectionWorldConfig
+from tests.artifacts import read_artifact, write_v1_artifact
 
 TORIX = (spec_by_acronym("TorIX"),)
 
@@ -39,21 +45,14 @@ class _ToySpec:
 
 
 @dataclass(frozen=True, slots=True)
-class _ToyResult:
-    trial_id: int
-    variant: str
-    seed: int
-    value: float
-    world_id: int  # id() of the built world — exposes build sharing
-
-
-@dataclass(frozen=True, slots=True)
 class ToyStudy:
     """A trivially-cheap study: value = scale * seed, world = per-seed dict."""
 
     scales: tuple[tuple[str, float], ...] = (("a", 1.0), ("b", 2.0))
 
     name = "toy"
+    #: ``world_id`` is the id() of the built world: it exposes sharing.
+    trial_fields = ("value", "world_id")
 
     def variant_names(self):
         return tuple(name for name, _ in self.scales)
@@ -71,19 +70,12 @@ class ToyStudy:
 
     def measure(self, spec, world):
         assert world["seed"] == spec.seed
-        return _ToyResult(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=spec.scale * spec.seed, world_id=id(world),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed, {
+            "value": spec.scale * spec.seed, "world_id": id(world),
+        })
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _ToyResult(**payload)
+        return {"value": result.values["value"]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +113,7 @@ class TestWorldCache:
         assert result.world_reuses == 3
         by_seed: dict[int, set[int]] = {}
         for trial in result.trials:
-            by_seed.setdefault(trial.seed, set()).add(trial.world_id)
+            by_seed.setdefault(trial.seed, set()).add(trial.values["world_id"])
         # Both variants of one seed saw the *same* world object.  (Across
         # seeds the ids are not comparable — a freed group's world can be
         # reallocated at the same address.)
@@ -130,7 +122,9 @@ class TestWorldCache:
     def test_results_in_trial_order(self):
         result = run_study(ToyStudy(), StudyConfig(seeds=(5, 6), workers=1))
         assert [t.trial_id for t in result.trials] == [0, 1, 2, 3]
-        assert [t.value for t in result.trials] == [5.0, 6.0, 10.0, 12.0]
+        assert [t.values["value"] for t in result.trials] == [
+            5.0, 6.0, 10.0, 12.0,
+        ]
 
     @pytest.mark.parametrize(
         "trial_batch, workers", [(1, 1), (3, 1), (1, 2)],
@@ -152,8 +146,8 @@ class TestWorldCache:
     def test_parallel_matches_inline(self):
         inline = run_study(ToyStudy(), StudyConfig(seeds=(1, 2), workers=1))
         pooled = run_study(ToyStudy(), StudyConfig(seeds=(1, 2), workers=2))
-        assert [t.value for t in pooled.trials] == [
-            t.value for t in inline.trials
+        assert [t.values["value"] for t in pooled.trials] == [
+            t.values["value"] for t in inline.trials
         ]
         assert pooled.world_builds == 2 and pooled.world_reuses == 2
         # The aggregates follow trial order, not completion order.
@@ -201,8 +195,8 @@ class TestResume:
         resumed = run_study(study, config)
         assert resumed.resumed == 2
         assert resumed.world_builds == 2  # seed 1 done; seeds 2,3 rebuilt
-        assert [t.value for t in resumed.trials] == [
-            t.value for t in full.trials
+        assert [t.values["value"] for t in resumed.trials] == [
+            t.values["value"] for t in full.trials
         ]
         # The aggregates cover resumed trials too, bit for bit.
         assert aggregate(study, resumed) == aggregate(study, full)
@@ -211,8 +205,8 @@ class TestResume:
         again = run_study(study, config)
         assert again.resumed == 6
         assert again.world_builds == 0 and again.world_reuses == 0
-        assert [t.value for t in again.trials] == [
-            t.value for t in full.trials
+        assert [t.values["value"] for t in again.trials] == [
+            t.values["value"] for t in full.trials
         ]
 
     def test_different_configs_coexist_per_fingerprint(self, tmp_path):
@@ -302,10 +296,7 @@ class TestDetectionOnEngine:
         # Shared-world trials still match a standalone build + measure.
         spec = expand_trials(study, (0, 1))[0]
         standalone = study.measure(spec, study.build(spec))
-        engine_trial = result.trials[0]
-        assert engine_trial.analyzed_count == standalone.analyzed_count
-        assert engine_trial.discard_counts == standalone.discard_counts
-        assert engine_trial.precision == standalone.precision
+        assert result.trials[0] == standalone
 
     def test_detection_resume_identical_aggregates(self, tmp_path):
         full = self._run(out_dir=str(tmp_path))
@@ -319,20 +310,6 @@ class TestDetectionOnEngine:
 
 #: The phase-seconds fields a parent-format (v1) detection result carried.
 V1_DETECTION_TIMINGS = {"build_s": 0.25, "collect_s": 0.5, "filter_s": 0.125}
-
-
-def read_artifact(path):
-    header, *rows = map(json.loads, path.read_text().splitlines())
-    return header, rows
-
-
-def write_v1_artifact(path, header, rows, timing):
-    """Rewrite ``rows`` as the parent wrote them: timing inside ``result``."""
-    lines = [{**header, "schema": "study_trials/v1"}]
-    for row in rows:
-        row = {key: value for key, value in row.items() if key != "timings"}
-        lines.append({**row, "result": {**row["result"], **timing}})
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
 
 
 class TestTrialTimings:
@@ -394,18 +371,7 @@ class TestTrialTimings:
 
 
 def test_no_result_type_carries_a_timing_field():
-    from repro.experiments import (
-        EconomicsTrialResult,
-        FailoverTrialResult,
-        JointTrialResult,
-        MegaTrialResult,
-        OffloadTrialResult,
-        TrialResult,
-    )
-
     timing = {"build_s", "study_s", "collect_s", "filter_s"}
-    for result_type in (TrialResult, OffloadTrialResult, EconomicsTrialResult,
-                        JointTrialResult, FailoverTrialResult,
-                        MegaTrialResult):
-        names = {field.name for field in fields(result_type)}
-        assert not names & timing, result_type.__name__
+    for study_type in (DetectionStudy, OffloadStudy, EconomicsStudy,
+                       JointStudy, FailoverStudy, MegaStudy):
+        assert not set(study_type.trial_fields) & timing, study_type.name

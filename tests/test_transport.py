@@ -15,7 +15,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from pathlib import Path
 
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import StudyConfig, run_study
+from repro.experiments.engine import StudyConfig, Trial, run_study
 from repro.experiments.mega import MegaStudy, MegaVariant
 from repro.experiments.transport import (
     SegmentManager,
@@ -190,19 +190,12 @@ class _Spec:
 
 
 @dataclass(frozen=True, slots=True)
-class _Result:
-    trial_id: int
-    variant: str
-    seed: int
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
 class ExportBombStudy:
     """A study whose ``export_world`` always raises: every trial must
     fall back to the pickle path, counted, with results unaffected."""
 
     name = "exportbomb"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return ("base",)
@@ -223,19 +216,11 @@ class ExportBombStudy:
         raise AssertionError("a fallback group must never attach")
 
     def measure(self, spec, world):
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=float(world["seed"]),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": float(world["seed"])})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,6 +231,7 @@ class ShmKillerStudy:
     marker_dir: str = ""
 
     name = "shmkiller"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return ("base",)
@@ -272,19 +258,11 @@ class ShmKillerStudy:
                 with open(marker, "w") as fh:
                     fh.write("1")
                 os._exit(1)  # simulate an OOM-killed worker, no traceback
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=float(world["values"].sum()),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": float(world["values"].sum())})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,6 +276,7 @@ class BuildKillerStudy:
     bomb_seed: int | None = None
 
     name = "buildkiller"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return ("a", "b")
@@ -326,19 +305,11 @@ class BuildKillerStudy:
         return {"seed": meta, "values": columns["values"]}
 
     def measure(self, spec, world):
-        return _Result(
-            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
-            value=float(world["values"].sum()),
-        )
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": float(world["values"].sum())})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,15 +347,7 @@ class TestStudyTransport:
         }
         assert results["shm"].transport_fallbacks == 0
         assert results["pickle"].transport_fallbacks == 0
-        for shm_trial, pickle_trial in zip(
-            results["shm"].trials, results["pickle"].trials
-        ):
-            assert shm_trial.trial_id == pickle_trial.trial_id
-            assert shm_trial.seed == pickle_trial.seed
-            assert shm_trial.expansion == pickle_trial.expansion
-            assert shm_trial.covered_fraction == pickle_trial.covered_fraction
-            assert shm_trial.covered_networks == pickle_trial.covered_networks
-            assert shm_trial.five_ixp_share == pickle_trial.five_ixp_share
+        assert results["shm"].trials == results["pickle"].trials
         assert not (shm_snapshot() - before), "leaked shared-memory segment"
 
     def test_export_failure_falls_back_and_is_counted(self):
@@ -395,7 +358,7 @@ class TestStudyTransport:
         )
         assert result.transport_fallbacks == 3
         assert not result.failures
-        assert [t.value for t in result.trials] == [1.0, 2.0, 3.0]
+        assert [t.values["value"] for t in result.trials] == [1.0, 2.0, 3.0]
         note = result.coverage_note()
         assert note is not None and "fell back" in note
         assert not (shm_snapshot() - before), "leaked shared-memory segment"
@@ -413,9 +376,9 @@ class TestStudyTransport:
         assert not (shm_snapshot() - before), "leaked shared-memory segment"
 
 
-def payloads(study, result) -> list[dict]:
-    """Every trial's encoded payload, in trial order."""
-    return [study.encode(t) for t in result.trials]
+def payloads(result) -> list[dict]:
+    """Every trial's payload, in trial order."""
+    return [t.payload() for t in result.trials]
 
 
 def assert_quiet(capfd) -> None:
@@ -443,7 +406,7 @@ class TestPooledBuilds:
             tiny_mega_study(),
             StudyConfig(seeds=(0, 1), workers=1, transport="pickle"),
         )
-        assert payloads(study, pooled) == payloads(study, reference)
+        assert payloads(pooled) == payloads(reference)
         assert shm_snapshot() == before
         assert_quiet(capfd)
 
@@ -464,7 +427,7 @@ class TestPooledBuilds:
         assert pooled.transport_fallbacks == 0 and not pooled.failures
         assert pooled.world_builds == 6 and pooled.world_reuses == 6
         reference = run_study(study, StudyConfig(seeds=seeds, workers=1))
-        assert payloads(study, pooled) == payloads(study, reference)
+        assert payloads(pooled) == payloads(reference)
         assert shm_snapshot() == before
         assert_quiet(capfd)
 
@@ -522,7 +485,7 @@ class TestPooledBuilds:
             tiny_mega_study(), StudyConfig(seeds=(0, 1), workers=1),
         )
         study = tiny_mega_study()
-        assert payloads(study, result) == payloads(study, reference)
+        assert payloads(result) == payloads(reference)
         assert shm_snapshot() == before
         assert_quiet(capfd)
 

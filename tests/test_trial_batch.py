@@ -30,6 +30,7 @@ from repro.experiments import (
     OffloadStudy,
     OffloadVariant,
     StudyConfig,
+    Trial,
     aggregate,
     run_study,
 )
@@ -187,14 +188,6 @@ class _Spec:
 
 
 @dataclass(frozen=True, slots=True)
-class _Result:
-    trial_id: int
-    variant: str
-    seed: int
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
 class ToyStudy:
     """value = scale·seed² — deterministic in the spec, trivially cheap.
 
@@ -210,6 +203,7 @@ class ToyStudy:
     slow_s: float = 0.0
 
     name = "toy"
+    trial_fields = ("value",)
 
     def variant_names(self):
         return tuple(name for name, _ in self.scales)
@@ -230,17 +224,11 @@ class ToyStudy:
             raise RuntimeError(f"seed {spec.seed} is poison")
         time.sleep(self.slow_s if spec.seed in self.slow_seeds
                    else self.sleep_s)
-        return _Result(trial_id=spec.trial_id, variant=spec.variant,
-                       seed=spec.seed, value=spec.scale * spec.seed**2)
+        return Trial(spec.trial_id, spec.variant, spec.seed,
+                     {"value": spec.scale * spec.seed**2})
 
     def metrics(self, result):
-        return {"value": result.value}
-
-    def encode(self, result):
-        return asdict(result)
-
-    def decode(self, payload):
-        return _Result(**payload)
+        return {"value": result.values["value"]}
 
 
 @dataclass(frozen=True)
@@ -376,8 +364,8 @@ class TestBatchedTransport:
         shm = runs["shm", 4]
         assert shm.transport_fallbacks == 0 and not shm.failures
         assert shm.world_builds == 2
-        assert [study.encode(t) for t in shm.trials] == [
-            study.encode(t) for t in runs["pickle", 1].trials
+        assert [t.payload() for t in shm.trials] == [
+            t.payload() for t in runs["pickle", 1].trials
         ]
 
 
